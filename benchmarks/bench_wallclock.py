@@ -21,14 +21,23 @@ Two kinds of assertion, deliberately split:
   additionally compares against the archived baseline so a gross
   wall-clock regression fails even where a static floor would not.
 
-Why the floors differ per index: btree and hybrid-pgm clear the 3x
-headline comfortably (~5x measured) because their scalar paths
-materialize full tuple lists per node visit — exactly the pathology the
-vectorized codecs remove.  alex's scalar baseline already batches span
-fetches and probes leaf bytes in place, so far less Python is there to
-eliminate; its honest ceiling on this cost structure is ~2.3x
-(DESIGN.md Section 15 has the per-op breakdown).  Do not "fix" a floor
-miss by slowing the scalar path down.
+Why the floors differ per index: hybrid-pgm clears the 3x headline
+comfortably (~5x measured) because its scalar path materializes full
+tuple lists per node visit — exactly the pathology the vectorized codecs
+remove.  alex's scalar baseline already batches span fetches and probes
+leaf bytes in place, so far less Python is there to eliminate; its
+honest ceiling on this cost structure is ~2.3x (DESIGN.md Section 15 has
+the per-op breakdown).  Do not "fix" a floor miss by slowing the scalar
+path down.
+
+btree has no floor and no ratchet: the B+-tree searches and splices node
+pages as bytes on one code path, the switch selects nothing in it, and
+its two columns time the same code (ratio ~1; it used to be ~5.7 because
+the scalar path parsed every node it visited into Python lists — a floor
+on that ratio pinned the slow path in place).  The row stays for its
+absolute ops/sec and its ``charges_identical`` check.  A B+-tree that
+goes back to parsing whole nodes is caught by the same-run
+btree-vs-pgm ratio of the ``layers`` perf smoke instead (ci.yml).
 """
 
 import json
@@ -41,7 +50,6 @@ from conftest import RESULTS_DIR, run_and_emit
 #: keep a real vectorized win over their scalar decode loops; their
 #: floors are lower because both modes share the same page-decode work.
 SPEEDUP_FLOORS = {
-    ("btree", "raw"): 3.0,
     ("hybrid-pgm", "raw"): 3.0,
     ("alex", "raw"): 1.6,
     ("pgm", "raw"): 1.6,
@@ -77,7 +85,9 @@ def test_wallclock(benchmark, wallclock):
 
     for row in result.rows:
         index, codec, batch = row["index"], row.get("codec", "raw"), row["batch"]
-        floor = SPEEDUP_FLOORS[(index, codec)]
+        floor = SPEEDUP_FLOORS.get((index, codec))
+        if floor is None:
+            continue
         assert row["speedup"] >= floor, (
             f"{index} codec={codec} batch={batch}: wall-clock speedup "
             f"{row['speedup']} fell below its floor {floor}")

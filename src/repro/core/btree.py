@@ -14,12 +14,28 @@ segment's linear model *in the parent* (avoiding shortcoming S1).
 
 Layouts (little endian):
 
-* leaf block: ``u16 count | u16 pad | u32 next | u32 prev | u32 pad``
-  then ``count`` records of ``8 + data_size`` bytes, key first, sorted.
+* leaf block: ``u16 count | u16 codec id | u32 next | u32 prev | u32 pad``
+  then ``count`` records of ``8 + data_size`` bytes, key first, sorted,
+  then zeros.
 * inner block: ``u16 count | u8 child_is_leaf | 13 pad bytes`` then
-  ``count`` entries of ``u64 separator_key | u32 child_block``.  Entry
-  ``i``'s separator is the minimum key of child ``i``'s subtree; routing
-  picks the rightmost separator <= search key.
+  ``count`` entries of ``u64 separator_key | u32 child_block``, then
+  zeros.  Entry ``i``'s separator is the minimum key of child ``i``'s
+  subtree when the entry was made; routing picks the rightmost separator
+  <= search key and never compares entry 0's, which therefore acts as
+  minus infinity (a key below every separator goes to child 0).
+
+Nodes are never parsed (DESIGN.md Section 15).  Every operation works on
+the block the pager returned, as bytes: :func:`_bisect` searches the key
+column in place with ``unpack_from``, a hit is returned as a slice of the
+block, and a mutation splices the sorted record run — slice, concatenate,
+new header, zero tail; a split is two slices of the run.  There is one
+descent, :meth:`BPlusTree._descend`, for point, batch and write paths.
+A compressed-codec leaf is transcoded to the same header-plus-records
+image when it is read (memoized per frame by the pager) and re-encoded
+when it is written, so it shares every routine above.  What the tree
+asks of the pager — which ``read_block`` / ``write_block`` /
+``read_span`` calls, in which order — and the bytes it writes are pinned
+by ``tests/golden/btree_pages.json``.
 """
 
 from __future__ import annotations
@@ -32,45 +48,35 @@ import numpy as np
 from ..storage import BlockFile, Pager
 from .codecs import get_codec
 from .interface import DiskIndex, KeyPayload
-from .serial import ENTRY_SIZE, NULL_BLOCK, pack_entries, unpack_u64s
-from .vectorize import enabled as _vectorized
+from .serial import NULL_BLOCK, keys_view, unpack_entries
 
 __all__ = ["BPlusTree", "BTreeIndex"]
 
-_LEAF_HEADER = struct.Struct("<HHIII")  # count, pad, next, prev, pad
+_LEAF_HEADER = struct.Struct("<HHIII")  # count, codec id, next, prev, pad
 _INNER_HEADER = struct.Struct("<HB13x")  # count, child_is_leaf
 _INNER_ENTRY = struct.Struct("<QI")  # separator key, child block
-_CHILD_PTR = struct.Struct("<I")
-_PAYLOAD = struct.Struct("<Q")
+_BLOCK_PTR = struct.Struct("<I")
+_KEY = struct.Struct("<Q")
 HEADER_SIZE = 16
 INNER_ENTRY_SIZE = _INNER_ENTRY.size  # 12
+_PREV_OFFSET = 8  # of the prev pointer in a leaf header
 
 
-class _Leaf:
-    """Parsed leaf node."""
+def _bisect(page: bytes, lo: int, hi: int, stride: int, key: int,
+            unpack=_KEY.unpack_from) -> int:
+    """How many of a node page's records have a key <= ``key``.
 
-    __slots__ = ("count", "next", "prev", "keys", "datas")
-
-    def __init__(self, count: int, next_: int, prev: int,
-                 keys: List[int], datas: List[bytes]) -> None:
-        self.count = count
-        self.next = next_
-        self.prev = prev
-        self.keys = keys
-        self.datas = datas
-
-
-class _Inner:
-    """Parsed inner node."""
-
-    __slots__ = ("count", "child_is_leaf", "keys", "children")
-
-    def __init__(self, count: int, child_is_leaf: bool,
-                 keys: List[int], children: List[int]) -> None:
-        self.count = count
-        self.child_is_leaf = child_is_leaf
-        self.keys = keys
-        self.children = children
+    Bisects the key column of the ``stride``-byte records in place.
+    Records before ``lo`` are taken to qualify and records from ``hi`` on
+    not to: leaves search ``[0, count)``, inner nodes ``[1, count)``.
+    """
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if unpack(page, HEADER_SIZE + mid * stride)[0] <= key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 class BPlusTree:
@@ -125,108 +131,83 @@ class BPlusTree:
         self.num_levels = 1
         self.num_records = 0
 
-    # -- node (de)serialization ------------------------------------------------
+    # -- node pages ------------------------------------------------------------
+    #
+    # A leaf travels as its *image* (header + sorted record run, the block
+    # itself in the raw layout) on the way in and as its record run plus
+    # sibling links on the way out.
 
-    def _parse_leaf(self, data: bytes) -> _Leaf:
-        count, _pad, next_, prev, _pad2 = _LEAF_HEADER.unpack_from(data, 0)
-        rs = self.record_size
-        if not self.codec.is_raw:
-            # Compressed leaf: the codec page after the header is
-            # self-framing (its own header validates the codec id).
-            if not count:
-                return _Leaf(0, next_, prev, [], [])
-            entries = self.codec.decode(data, offset=HEADER_SIZE)
-            keys = [key for key, _ in entries]
-            datas = [_PAYLOAD.pack(payload) for _, payload in entries]
-            return _Leaf(count, next_, prev, keys, datas)
-        if rs == ENTRY_SIZE and count:
-            # 16-byte records are exactly the shared u64-pair layout: one
-            # flattened unpack for the keys, plain slices for the datas.
-            flat = unpack_u64s(data, 2 * count, offset=HEADER_SIZE)
-            keys = list(flat[0::2])
-            datas = [bytes(data[HEADER_SIZE + i * rs + 8 : HEADER_SIZE + (i + 1) * rs])
-                     for i in range(count)]
-            return _Leaf(count, next_, prev, keys, datas)
-        keys: List[int] = []
-        datas: List[bytes] = []
-        off = HEADER_SIZE
-        for _ in range(count):
-            keys.append(struct.unpack_from("<Q", data, off)[0])
-            datas.append(bytes(data[off + 8 : off + rs]))
-            off += rs
-        return _Leaf(count, next_, prev, keys, datas)
+    def _transcode(self, block: bytes) -> bytes:
+        """Raw-layout image of a compressed leaf block."""
+        keys, payloads = self.codec.decode_arrays(block, HEADER_SIZE)
+        records = np.stack((keys, payloads), axis=1).astype("<u8", copy=False)
+        return block[:HEADER_SIZE] + records.tobytes()
 
-    def _leaf_entries(self, leaf: _Leaf) -> List[Tuple[int, int]]:
-        """Leaf records as (key, u64 payload) pairs for the codec."""
-        return [(key, _PAYLOAD.unpack(data)[0])
-                for key, data in zip(leaf.keys, leaf.datas)]
-
-    def _leaf_fits(self, leaf: _Leaf) -> bool:
-        """Post-insert capacity check: entry count for the raw layout,
-        encoded byte size for a compressed codec (data-dependent)."""
+    def _image(self, block_no: int, block: bytes) -> bytes:
         if self.codec.is_raw:
-            return leaf.count <= self.leaf_capacity
-        if leaf.count > self.codec.max_entries(self.pager.block_size):
+            return block
+        return self.pager.cached_meta(self.leaf_file, block_no, block,
+                                      self._transcode)
+
+    def _read_leaf(self, block_no: int) -> bytes:
+        return self._image(block_no,
+                           self.pager.read_block(self.leaf_file, block_no))
+
+    def _read_leaves(self, block_nos: Iterable[int]) -> Dict[int, bytes]:
+        """Images of a set of leaves, fetched in one coalesced span."""
+        span = self.pager.read_span(self.leaf_file, block_nos)
+        if self.codec.is_raw:
+            return span
+        return {no: self._image(no, block) for no, block in span.items()}
+
+    def _entries(self, run: bytes) -> List[Tuple[int, int]]:
+        """A 16-byte record run as (key, u64 payload) pairs for the codec."""
+        return unpack_entries(run, len(run) // self.record_size)
+
+    def _compressed_cuts(self, entries: List[Tuple[int, int]]) -> List[int]:
+        """Greedy byte-budget packing of ``entries`` into compressed
+        pages: the entry index each page starts at, and the total.
+        ``leaf_fill`` scales the budget the way it scales the raw
+        layout's entry count, leaving headroom for later inserts."""
+        budget = max(64, int(
+            (self.pager.block_size - HEADER_SIZE) * self.leaf_fill))
+        cuts = [0]
+        while cuts[-1] < len(entries):
+            cuts.append(cuts[-1]
+                        + self.codec.pack_greedy(entries, cuts[-1], budget))
+        return cuts
+
+    def _fits(self, run: bytes) -> bool:
+        """Whether a record run fits one leaf block: by entry count in
+        the raw layout, by encoded size (data-dependent) under a codec."""
+        count = len(run) // self.record_size
+        if self.codec.is_raw:
+            return count <= self.leaf_capacity
+        if count > self.codec.max_entries(self.pager.block_size):
             return False
-        size = self.codec.encoded_size(self._leaf_entries(leaf))
-        return size <= self.pager.block_size - HEADER_SIZE
+        return not count or (self.codec.encoded_size(self._entries(run))
+                             <= self.pager.block_size - HEADER_SIZE)
 
-    def _serialize_leaf(self, leaf: _Leaf) -> bytes:
-        out = bytearray(self.pager.block_size)
+    def _leaf_page(self, run: bytes, next_: int, prev: int) -> bytes:
+        header = _LEAF_HEADER.pack(len(run) // self.record_size,
+                                   self.codec.codec_id, next_, prev, 0)
         if not self.codec.is_raw:
-            _LEAF_HEADER.pack_into(out, 0, leaf.count, self.codec.codec_id,
-                                   leaf.next, leaf.prev, 0)
-            page = self.codec.encode(self._leaf_entries(leaf))
-            if len(page) > self.pager.block_size - HEADER_SIZE:
-                raise ValueError("compressed leaf overflows its block")
-            out[HEADER_SIZE : HEADER_SIZE + len(page)] = page
-            return bytes(out)
-        _LEAF_HEADER.pack_into(out, 0, leaf.count, 0, leaf.next, leaf.prev, 0)
-        rs = self.record_size
-        if rs == ENTRY_SIZE and leaf.count:
-            payloads = unpack_u64s(b"".join(leaf.datas), leaf.count)
-            out[HEADER_SIZE : HEADER_SIZE + leaf.count * rs] = pack_entries(
-                list(zip(leaf.keys, payloads)))
-            return bytes(out)
-        off = HEADER_SIZE
-        for key, data in zip(leaf.keys, leaf.datas):
-            struct.pack_into("<Q", out, off, key)
-            out[off + 8 : off + rs] = data
-            off += rs
-        return bytes(out)
+            run = self.codec.encode(self._entries(run))
+        tail = self.pager.block_size - HEADER_SIZE - len(run)
+        if tail < 0:
+            raise ValueError("leaf overflows its block")
+        return b"".join((header, run, bytes(tail)))
 
-    def _parse_inner(self, data: bytes) -> _Inner:
-        count, child_is_leaf = _INNER_HEADER.unpack_from(data, 0)
-        keys: List[int] = []
-        children: List[int] = []
-        off = HEADER_SIZE
-        for _ in range(count):
-            key, child = _INNER_ENTRY.unpack_from(data, off)
-            keys.append(key)
-            children.append(child)
-            off += INNER_ENTRY_SIZE
-        return _Inner(count, bool(child_is_leaf), keys, children)
+    def _write_leaf(self, block: int, run: bytes, next_: int, prev: int) -> None:
+        self.pager.write_block(self.leaf_file, block,
+                               self._leaf_page(run, next_, prev))
 
-    def _serialize_inner(self, node: _Inner) -> bytes:
-        out = bytearray(self.pager.block_size)
-        _INNER_HEADER.pack_into(out, 0, node.count, int(node.child_is_leaf))
-        off = HEADER_SIZE
-        for key, child in zip(node.keys, node.children):
-            _INNER_ENTRY.pack_into(out, off, key, child)
-            off += INNER_ENTRY_SIZE
-        return bytes(out)
-
-    def _read_leaf(self, block: int) -> _Leaf:
-        return self._parse_leaf(self.pager.read_block(self.leaf_file, block))
-
-    def _write_leaf(self, block: int, leaf: _Leaf) -> None:
-        self.pager.write_block(self.leaf_file, block, self._serialize_leaf(leaf))
-
-    def _read_inner(self, block: int) -> _Inner:
-        return self._parse_inner(self.pager.read_block(self.inner_file, block))
-
-    def _write_inner(self, block: int, node: _Inner) -> None:
-        self.pager.write_block(self.inner_file, block, self._serialize_inner(node))
+    def _write_inner(self, block: int, entries: bytes, child_is_leaf: int) -> None:
+        header = _INNER_HEADER.pack(len(entries) // INNER_ENTRY_SIZE,
+                                    child_is_leaf)
+        tail = self.pager.block_size - HEADER_SIZE - len(entries)
+        self.pager.write_block(self.inner_file, block,
+                               b"".join((header, entries, bytes(tail))))
 
     # -- bulk load ----------------------------------------------------------------
 
@@ -235,40 +216,26 @@ class BPlusTree:
         if self.root_block != NULL_BLOCK:
             raise RuntimeError("tree already loaded")
         self.num_records = len(records)
+        # cuts[i] : cuts[i + 1] are the records of leaf i.
         if not records:
-            self.root_block = self.leaf_file.allocate(1)
-            self._write_leaf(self.root_block, _Leaf(0, NULL_BLOCK, NULL_BLOCK, [], []))
-            self.root_is_leaf = True
-            self.num_levels = 1
-            return
-        if self.codec.is_raw:
+            cuts = [0, 0]
+        elif self.codec.is_raw:
             per_leaf = max(1, int(self.leaf_capacity * self.leaf_fill))
-            num_leaves = (len(records) + per_leaf - 1) // per_leaf
-            chunks = [records[i * per_leaf : (i + 1) * per_leaf]
-                      for i in range(num_leaves)]
+            cuts = list(range(0, len(records), per_leaf)) + [len(records)]
         else:
-            # Greedy byte-budget packing; leaf_fill scales the budget the
-            # way it scales the raw layout's entry count, leaving split
-            # headroom for later inserts.
-            budget = max(64, int(
-                (self.pager.block_size - HEADER_SIZE) * self.leaf_fill))
-            entries = [(key, _PAYLOAD.unpack(data)[0]) for key, data in records]
-            chunks = []
-            pos = 0
-            while pos < len(entries):
-                take = self.codec.pack_greedy(entries, pos, budget)
-                chunks.append(records[pos : pos + take])
-                pos += take
-        num_leaves = len(chunks)
+            cuts = self._compressed_cuts(
+                [(key, _KEY.unpack(data)[0]) for key, data in records])
+        num_leaves = len(cuts) - 1
         first = self.leaf_file.allocate(num_leaves)
         level: List[Tuple[int, int]] = []  # (min key, child block)
-        for i, chunk in enumerate(chunks):
+        pack_key = _KEY.pack
+        for i in range(num_leaves):
+            chunk = records[cuts[i] : cuts[i + 1]]
             next_ = first + i + 1 if i + 1 < num_leaves else NULL_BLOCK
             prev = first + i - 1 if i > 0 else NULL_BLOCK
-            leaf = _Leaf(len(chunk), next_, prev,
-                         [key for key, _ in chunk], [data for _, data in chunk])
-            self._write_leaf(first + i, leaf)
-            level.append((chunk[0][0], first + i))
+            run = b"".join([pack_key(key) + data for key, data in chunk])
+            self._write_leaf(first + i, run, next_, prev)
+            level.append((chunk[0][0] if chunk else 0, first + i))
         self.num_levels = 1
         child_is_leaf = True
         while len(level) > 1:
@@ -278,9 +245,8 @@ class BPlusTree:
             parent_level: List[Tuple[int, int]] = []
             for i in range(num_nodes):
                 chunk = level[i * per_inner : (i + 1) * per_inner]
-                node = _Inner(len(chunk), child_is_leaf,
-                              [key for key, _ in chunk], [blk for _, blk in chunk])
-                self._write_inner(start + i, node)
+                entries = b"".join([_INNER_ENTRY.pack(*entry) for entry in chunk])
+                self._write_inner(start + i, entries, child_is_leaf)
                 parent_level.append((chunk[0][0], start + i))
             level = parent_level
             child_is_leaf = False
@@ -290,309 +256,150 @@ class BPlusTree:
 
     # -- search ---------------------------------------------------------------------
 
-    @staticmethod
-    def _route(keys: List[int], key: int) -> int:
-        """Index of the rightmost separator <= key (clamped to 0)."""
-        lo, hi = 0, len(keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if keys[mid] <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return max(0, lo - 1)
+    def _descend(self, key: int, path: Optional[List[int]] = None) -> int:
+        """Walk to the leaf for ``key``; returns its block.
 
-    def _descend(self, key: int) -> Tuple[int, List[Tuple[int, int]]]:
-        """Walk to the leaf for ``key``; return (leaf block, inner path).
-
-        The path lists ``(inner block, child slot)`` pairs from the root
-        down — transient state used by insert splits, never persisted.
+        With ``path``, the inner blocks crossed are appended to it from
+        the root down — transient state used by splits, never persisted.
         """
-        if self.root_block == NULL_BLOCK:
-            raise RuntimeError("tree not loaded; call bulk_load first")
-        path: List[Tuple[int, int]] = []
-        if self.root_is_leaf:
-            return self.root_block, path
         block = self.root_block
+        if block == NULL_BLOCK:
+            raise RuntimeError("tree not loaded; call bulk_load first")
+        if self.root_is_leaf:
+            return block
+        read_block = self.pager.read_block
+        file = self.inner_file
         while True:
-            node = self._read_inner(block)
-            slot = self._route(node.keys, key)
-            path.append((block, slot))
-            if node.child_is_leaf:
-                return node.children[slot], path
-            block = node.children[slot]
+            page = read_block(file, block)
+            count, child_is_leaf = _INNER_HEADER.unpack_from(page)
+            slot = _bisect(page, 1, count, INNER_ENTRY_SIZE, key) - 1
+            if path is not None:
+                path.append(block)
+            block = _BLOCK_PTR.unpack_from(
+                page, HEADER_SIZE + slot * INNER_ENTRY_SIZE + 8)[0]
+            if child_is_leaf:
+                return block
+
+    def _get(self, image: bytes, key: int) -> Optional[bytes]:
+        """The data of ``key``'s record in a leaf image, or None."""
+        rs = self.record_size
+        end = HEADER_SIZE + rs * _bisect(
+            image, 0, _LEAF_HEADER.unpack_from(image)[0], rs, key)
+        if end > HEADER_SIZE and _KEY.unpack_from(image, end - rs)[0] == key:
+            return image[end - self.data_size : end]
+        return None
 
     def lookup(self, key: int) -> Optional[bytes]:
         """Exact-match search; returns the record data or None."""
-        leaf_block, _ = self._descend(key)
-        leaf = self._read_leaf(leaf_block)
-        slot = self._route(leaf.keys, key)
-        if leaf.count and leaf.keys[slot] == key:
-            return leaf.datas[slot]
-        return None
-
-    # -- batched search -------------------------------------------------------
-
-    def _descend_vec(self, key: int) -> int:
-        """Leaf block for ``key`` via cached numpy separator arrays.
-
-        Issues exactly the same per-level ``read_block`` calls as
-        :meth:`_descend` (charged I/O is bit-identical); only the parse
-        and the in-node binary search are replaced — each inner frame's
-        separator column is a cached uint64 array
-        (:meth:`Pager.cached_keys`) routed with one ``np.searchsorted``
-        instead of materializing ~270 Python tuples per visit.
-        """
-        if self.root_block == NULL_BLOCK:
-            raise RuntimeError("tree not loaded; call bulk_load first")
-        if self.root_is_leaf:
-            return self.root_block
-        pager = self.pager
-        file = self.inner_file
-        block = self.root_block
-        key_u64 = np.uint64(key)
-        while True:
-            raw = pager.read_block(file, block)
-            count, child_is_leaf = _INNER_HEADER.unpack_from(raw, 0)
-            seps = pager.cached_keys(file, block, raw, count,
-                                     HEADER_SIZE, INNER_ENTRY_SIZE)
-            slot = int(np.searchsorted(seps, key_u64, side="right")) - 1
-            if slot < 0:
-                slot = 0
-            child = _CHILD_PTR.unpack_from(
-                raw, HEADER_SIZE + slot * INNER_ENTRY_SIZE + 8)[0]
-            if child_is_leaf:
-                return child
-            block = child
-
-    def _descend_batch(self, keys: List[int]) -> Dict[int, int]:
-        """Map each key to its leaf block, sharing inner fetches.
-
-        Runs inside an open :meth:`Pager.batch` scope: each inner block
-        crossed by any key in the batch is fetched once and pinned, so a
-        sorted key batch pays one descent's worth of inner I/O per
-        distinct root-to-leaf path instead of per key.
-        """
-        leaf_of: Dict[int, int] = {}
-        if _vectorized():
-            for key in keys:
-                leaf_of[key] = self._descend_vec(key)
-            return leaf_of
-        for key in keys:
-            leaf_block, _ = self._descend(key)
-            leaf_of[key] = leaf_block
-        return leaf_of
-
-    def _group_by_leaf(self, keys: List[int],
-                       leaf_of: Dict[int, int]) -> Dict[int, List[int]]:
-        """Group sorted keys by target leaf, preserving ascending order
-        (both across groups and within each group) so on-demand fetches
-        happen in exactly the scalar path's sequence."""
-        by_leaf: Dict[int, List[int]] = {}
-        for key in keys:
-            by_leaf.setdefault(leaf_of[key], []).append(key)
-        return by_leaf
+        return self._get(self._read_leaf(self._descend(key)), key)
 
     def lookup_many_records(self, keys: Iterable[int]) -> Dict[int, Optional[bytes]]:
         """Batched exact-match search; returns ``{key: data or None}``.
 
-        Phase 1 descends for every distinct key (inner blocks pinned and
-        shared); phase 2 fetches the distinct leaf blocks in one
-        coalesced :meth:`Pager.read_span`; phase 3 searches each leaf
-        once per resident key — vectorized, that is one
-        ``np.searchsorted`` of the whole key group against the frame's
-        cached key array, touching payload bytes only on hits.
+        Runs inside a :meth:`Pager.batch` scope: phase 1 descends for
+        every distinct key in ascending order (each inner block crossed
+        is fetched once and stays pinned, so the batch pays one descent's
+        worth of inner I/O per distinct root-to-leaf path); phase 2
+        fetches the distinct leaf blocks in one coalesced
+        :meth:`Pager.read_span`; phase 3 searches each key's leaf in
+        place.
         """
         unique = sorted(set(keys))
         out: Dict[int, Optional[bytes]] = {}
         if not unique:
             return out
         with self.pager.batch():
-            leaf_of = self._descend_batch(unique)
-            blocks = self.pager.read_span(self.leaf_file, leaf_of.values())
-            if _vectorized():
-                rs = self.record_size
-                compressed = not self.codec.is_raw
-                for block, group in self._group_by_leaf(unique, leaf_of).items():
-                    raw = blocks[block]
-                    count = _LEAF_HEADER.unpack_from(raw, 0)[0]
-                    if not count:
-                        for key in group:
-                            out[key] = None
-                        continue
-                    payloads = None
-                    if compressed:
-                        leaf_keys, payloads = self.pager.cached_decode(
-                            self.leaf_file, block, raw, self.codec,
-                            offset=HEADER_SIZE)
-                    else:
-                        leaf_keys = self.pager.cached_keys(
-                            self.leaf_file, block, raw, count, HEADER_SIZE, rs)
-                    karr = np.array(group, dtype=np.uint64)
-                    slots = np.searchsorted(leaf_keys, karr, side="right")
-                    slots = np.maximum(slots.astype(np.int64) - 1, 0)
-                    hits = leaf_keys[slots] == karr
-                    for key, slot, hit in zip(group, slots.tolist(), hits.tolist()):
-                        if not hit:
-                            out[key] = None
-                        elif compressed:
-                            out[key] = _PAYLOAD.pack(int(payloads[slot]))
-                        else:
-                            off = HEADER_SIZE + slot * rs
-                            out[key] = raw[off + 8 : off + rs]
-                return out
-            parsed: Dict[int, _Leaf] = {}
+            leaf_of = {key: self._descend(key) for key in unique}
+            leaves = self._read_leaves(leaf_of.values())
             for key in unique:
-                block = leaf_of[key]
-                leaf = parsed.get(block)
-                if leaf is None:
-                    leaf = parsed[block] = self._parse_leaf(blocks[block])
-                slot = self._route(leaf.keys, key)
-                if leaf.count and leaf.keys[slot] == key:
-                    out[key] = leaf.datas[slot]
-                else:
-                    out[key] = None
+                out[key] = self._get(leaves[leaf_of[key]], key)
         return out
 
+    def _floor(self, leaves: Dict[int, bytes], block: int,
+               key: int) -> Optional[Tuple[int, bytes]]:
+        """Rightmost record with key <= ``key``, searching from leaf
+        ``block``.  ``leaves`` holds the images already fetched and
+        gains the ones fetched here."""
+        def fetch(block_no: int) -> bytes:
+            image = leaves.get(block_no)
+            if image is None:
+                image = leaves[block_no] = self._read_leaf(block_no)
+            return image
+
+        rs = self.record_size
+        image = fetch(block)
+        count, _codec, _next, prev, _pad = _LEAF_HEADER.unpack_from(image)
+        upto = _bisect(image, 0, count, rs, key)
+        if not upto:
+            # ``key`` is before this leaf's first record: the answer is
+            # the last record of the previous leaf (fetched on demand —
+            # an edge of the key space), unless either leaf is empty.
+            if not count or prev == NULL_BLOCK:
+                return None
+            image = fetch(prev)
+            upto = _LEAF_HEADER.unpack_from(image)[0]
+            if not upto:
+                return None
+        end = HEADER_SIZE + upto * rs
+        return (_KEY.unpack_from(image, end - rs)[0],
+                image[end - self.data_size : end])
+
+    def floor_record(self, key: int) -> Optional[Tuple[int, bytes]]:
+        """Rightmost record with key <= ``key`` (FITing segment routing)."""
+        return self._floor({}, self._descend(key), key)
+
     def floor_records(self, keys: Iterable[int]) -> Dict[int, Optional[Tuple[int, bytes]]]:
-        """Batched :meth:`floor_record`; returns ``{key: (key, data) or None}``."""
+        """Batched :meth:`floor_record`; returns ``{key: (key, data) or None}``.
+        Same three phases as :meth:`lookup_many_records`."""
         unique = sorted(set(keys))
         out: Dict[int, Optional[Tuple[int, bytes]]] = {}
         if not unique:
             return out
         with self.pager.batch():
-            leaf_of = self._descend_batch(unique)
-            blocks = self.pager.read_span(self.leaf_file, leaf_of.values())
-            if _vectorized():
-                self._floor_vec(unique, leaf_of, blocks, out)
-                return out
-            parsed: Dict[int, _Leaf] = {}
-
-            def leaf_at(block: int) -> _Leaf:
-                leaf = parsed.get(block)
-                if leaf is None:
-                    raw = blocks.get(block)
-                    leaf = self._parse_leaf(raw) if raw is not None \
-                        else self._read_leaf(block)
-                    parsed[block] = leaf
-                return leaf
-
+            leaf_of = {key: self._descend(key) for key in unique}
+            leaves = self._read_leaves(leaf_of.values())
             for key in unique:
-                leaf = leaf_at(leaf_of[key])
-                if leaf.count == 0:
-                    out[key] = None
-                    continue
-                slot = self._route(leaf.keys, key)
-                if leaf.keys[slot] > key:
-                    # Key is before this leaf: answer sits in the previous
-                    # leaf (fetched on demand — an edge of the key space).
-                    if leaf.prev == NULL_BLOCK:
-                        out[key] = None
-                        continue
-                    leaf = leaf_at(leaf.prev)
-                    if leaf.count == 0:
-                        out[key] = None
-                        continue
-                    slot = leaf.count - 1
-                out[key] = (leaf.keys[slot], leaf.datas[slot])
+                out[key] = self._floor(leaves, leaf_of[key], key)
         return out
-
-    def _floor_vec(self, unique: List[int], leaf_of: Dict[int, int],
-                   blocks: Dict[int, bytes], out: Dict) -> None:
-        """Vectorized floor search over grouped leaves.
-
-        Group/fetch order matches the scalar loop exactly: groups ascend
-        with their smallest key, and a previous-leaf fetch (keys routed
-        before the leaf's first record) happens while processing that
-        group's leading keys — so the charged I/O sequence is unchanged.
-        """
-        rs = self.record_size
-        compressed = not self.codec.is_raw
-        raw_of: Dict[int, bytes] = dict(blocks)
-
-        def raw_at(block: int) -> bytes:
-            raw = raw_of.get(block)
-            if raw is None:
-                raw = raw_of[block] = self.pager.read_block(self.leaf_file, block)
-            return raw
-
-        def columns(block: int, raw: bytes, count: int):
-            """(keys, payload-bytes-at-slot) for either leaf layout."""
-            if compressed:
-                leaf_keys, payloads = self.pager.cached_decode(
-                    self.leaf_file, block, raw, self.codec, offset=HEADER_SIZE)
-                return leaf_keys, lambda slot: _PAYLOAD.pack(int(payloads[slot]))
-            leaf_keys = self.pager.cached_keys(
-                self.leaf_file, block, raw, count, HEADER_SIZE, rs)
-            return leaf_keys, lambda slot: raw[HEADER_SIZE + slot * rs + 8
-                                               : HEADER_SIZE + (slot + 1) * rs]
-
-        for block, group in self._group_by_leaf(unique, leaf_of).items():
-            raw = raw_at(block)
-            count, _pad, _next, prev, _pad2 = _LEAF_HEADER.unpack_from(raw, 0)
-            if count == 0:
-                for key in group:
-                    out[key] = None
-                continue
-            leaf_keys, data_at = columns(block, raw, count)
-            karr = np.array(group, dtype=np.uint64)
-            slots = np.searchsorted(leaf_keys, karr, side="right")
-            slots = np.maximum(slots.astype(np.int64) - 1, 0)
-            before = leaf_keys[slots] > karr
-            for key, slot, miss in zip(group, slots.tolist(), before.tolist()):
-                if not miss:
-                    out[key] = (int(leaf_keys[slot]), data_at(slot))
-                    continue
-                if prev == NULL_BLOCK:
-                    out[key] = None
-                    continue
-                praw = raw_at(prev)
-                pcount = _LEAF_HEADER.unpack_from(praw, 0)[0]
-                if pcount == 0:
-                    out[key] = None
-                    continue
-                pkeys, pdata_at = columns(prev, praw, pcount)
-                out[key] = (int(pkeys[pcount - 1]), pdata_at(pcount - 1))
-
-    def floor_record(self, key: int) -> Optional[Tuple[int, bytes]]:
-        """Rightmost record with key <= ``key`` (FITing segment routing)."""
-        leaf_block, _ = self._descend(key)
-        leaf = self._read_leaf(leaf_block)
-        if leaf.count == 0:
-            return None
-        slot = self._route(leaf.keys, key)
-        if leaf.keys[slot] > key:
-            # Key is before this leaf's first record: step to the previous leaf.
-            if leaf.prev == NULL_BLOCK:
-                return None
-            leaf = self._read_leaf(leaf.prev)
-            if leaf.count == 0:
-                return None
-            slot = leaf.count - 1
-        return leaf.keys[slot], leaf.datas[slot]
 
     def iterate_from(self, key: int) -> Iterator[Tuple[int, bytes]]:
         """Yield records with key >= ``key`` in key order, following leaf links."""
-        leaf_block, _ = self._descend(key)
-        leaf = self._read_leaf(leaf_block)
-        lo, hi = 0, leaf.count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if leaf.keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        slot = lo
+        rs = self.record_size
+        key_at = _KEY.unpack_from
+        image = self._read_leaf(self._descend(key))
+        count, _codec, next_, _prev, _pad = _LEAF_HEADER.unpack_from(image)
+        # Keys are integers: the records below ``key`` are those <= key - 1.
+        start = HEADER_SIZE + _bisect(image, 0, count, rs, key - 1) * rs
         while True:
-            while slot < leaf.count:
-                yield leaf.keys[slot], leaf.datas[slot]
-                slot += 1
-            if leaf.next == NULL_BLOCK:
+            for off in range(start, HEADER_SIZE + count * rs, rs):
+                yield key_at(image, off)[0], image[off + 8 : off + rs]
+            if next_ == NULL_BLOCK:
                 return
-            leaf = self._read_leaf(leaf.next)
-            slot = 0
+            image = self._read_leaf(next_)
+            count, _codec, next_, _prev, _pad = _LEAF_HEADER.unpack_from(image)
+            start = HEADER_SIZE
 
     # -- updates ---------------------------------------------------------------------
+
+    def _check_data(self, data: bytes) -> None:
+        # Spliced in as is: a wrong size would shift the rest of the page.
+        if len(data) != self.data_size:
+            raise ValueError(
+                f"record data must be {self.data_size} bytes, got {len(data)}")
+
+    def _locate(self, key: int):
+        """Descend for a write: (inner path, leaf block, next, prev,
+        record run, byte offset in the run just past the records with
+        key <= ``key``, whether the last of those is ``key``)."""
+        path: List[int] = []
+        block = self._descend(key, path)
+        image = self._read_leaf(block)
+        rs = self.record_size
+        count, _codec, next_, prev, _pad = _LEAF_HEADER.unpack_from(image)
+        end = rs * _bisect(image, 0, count, rs, key)
+        hit = end > 0 and _KEY.unpack_from(image, HEADER_SIZE + end - rs)[0] == key
+        run = image[HEADER_SIZE : HEADER_SIZE + count * rs]
+        return path, block, next_, prev, run, end, hit
 
     def update(self, key: int, data: bytes) -> bool:
         """Overwrite the data of an existing record; False if absent.
@@ -601,16 +408,12 @@ class BPlusTree:
         page (a far-from-key payload inflates the FoR residual column),
         so an overflow splits the leaf like an insert would.
         """
-        leaf_block, path = self._descend(key)
-        leaf = self._read_leaf(leaf_block)
-        slot = self._route(leaf.keys, key)
-        if not leaf.count or leaf.keys[slot] != key:
+        self._check_data(data)
+        path, block, next_, prev, run, end, hit = self._locate(key)
+        if not hit:
             return False
-        leaf.datas[slot] = data
-        if self._leaf_fits(leaf):
-            self._write_leaf(leaf_block, leaf)
-        else:
-            self._split_leaf(leaf_block, leaf, path)
+        self._store_leaf(block, run[: end - self.data_size] + data + run[end:],
+                         next_, prev, path)
         return True
 
     def delete(self, key: int) -> bool:
@@ -620,68 +423,52 @@ class BPlusTree:
         key merges two deltas into one that may need a wider bit width
         for the whole column, so the fit check runs here too.
         """
-        leaf_block, path = self._descend(key)
-        leaf = self._read_leaf(leaf_block)
-        slot = self._route(leaf.keys, key)
-        if not leaf.count or leaf.keys[slot] != key:
+        path, block, next_, prev, run, end, hit = self._locate(key)
+        if not hit:
             return False
-        del leaf.keys[slot]
-        del leaf.datas[slot]
-        leaf.count -= 1
         self.num_records -= 1
-        if leaf.count == 0 or self._leaf_fits(leaf):
-            self._write_leaf(leaf_block, leaf)
-        else:
-            self._split_leaf(leaf_block, leaf, path)
+        self._store_leaf(block, run[: end - self.record_size] + run[end:],
+                         next_, prev, path)
         return True
 
     def insert(self, key: int, data: bytes) -> None:
         """Insert a record, splitting nodes bottom-up as needed."""
-        if len(data) != self.data_size:
-            raise ValueError(f"record data must be {self.data_size} bytes, got {len(data)}")
-        leaf_block, path = self._descend(key)
-        leaf = self._read_leaf(leaf_block)
-        slot = self._insert_slot(leaf.keys, key)
-        if slot < leaf.count and leaf.keys[slot] == key:
+        self._check_data(data)
+        path, block, next_, prev, run, end, hit = self._locate(key)
+        if hit:
             raise KeyError(f"duplicate key {key}")
-        leaf.keys.insert(slot, key)
-        leaf.datas.insert(slot, data)
-        leaf.count += 1
         self.num_records += 1
-        if self._leaf_fits(leaf):
-            self._write_leaf(leaf_block, leaf)
+        self._store_leaf(block, b"".join((run[:end], _KEY.pack(key), data, run[end:])),
+                         next_, prev, path)
+
+    def _store_leaf(self, block: int, run: bytes, next_: int, prev: int,
+                    path: List[int]) -> None:
+        """Write a mutated leaf back, splitting it when it no longer fits."""
+        if self._fits(run):
+            self._write_leaf(block, run, next_, prev)
+        elif self.codec.is_raw:
+            cut = len(run) // self.record_size // 2 * self.record_size
+            new_block = self.leaf_file.allocate(1)
+            self._write_leaf(new_block, run[cut:], next_, block)
+            self._write_leaf(block, run[:cut], new_block, prev)
+            self._relink(next_, new_block)
+            self._insert_separator(path, _KEY.unpack_from(run, cut)[0], new_block,
+                                   child_is_leaf=True)
+        else:
+            self._split_leaf_compressed(block, run, next_, prev)
+
+    def _relink(self, block: int, prev: int) -> None:
+        """Point leaf ``block``'s prev link at a new left neighbour: a
+        four-byte patch of the stored block, whatever its codec."""
+        if block == NULL_BLOCK:
             return
-        self._split_leaf(leaf_block, leaf, path)
+        page = self.pager.read_block(self.leaf_file, block)
+        self.pager.write_block(
+            self.leaf_file, block,
+            page[:_PREV_OFFSET] + _BLOCK_PTR.pack(prev) + page[_PREV_OFFSET + 4 :])
 
-    @staticmethod
-    def _insert_slot(keys: List[int], key: int) -> int:
-        lo, hi = 0, len(keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def _split_leaf(self, block: int, leaf: _Leaf, path: List[Tuple[int, int]]) -> None:
-        if not self.codec.is_raw:
-            self._split_leaf_compressed(block, leaf)
-            return
-        mid = leaf.count // 2
-        new_block = self.leaf_file.allocate(1)
-        right = _Leaf(leaf.count - mid, leaf.next, block,
-                      leaf.keys[mid:], leaf.datas[mid:])
-        left = _Leaf(mid, new_block, leaf.prev, leaf.keys[:mid], leaf.datas[:mid])
-        self._write_leaf(new_block, right)
-        self._write_leaf(block, left)
-        if right.next != NULL_BLOCK:
-            neighbor = self._read_leaf(right.next)
-            neighbor.prev = new_block
-            self._write_leaf(right.next, neighbor)
-        self._insert_separator(path, right.keys[0], new_block, child_is_leaf=True)
-
-    def _split_leaf_compressed(self, block: int, leaf: _Leaf) -> None:
+    def _split_leaf_compressed(self, block: int, run: bytes, next_: int,
+                               prev: int) -> None:
         """Multi-way split of an overflowing compressed leaf.
 
         A compressed page's size is data-dependent: one mutated payload
@@ -692,65 +479,52 @@ class BPlusTree:
         *fresh* descent so earlier separator inserts (which may have
         split the parent) cannot stale the path.
         """
-        budget = max(64, int(
-            (self.pager.block_size - HEADER_SIZE) * self.leaf_fill))
-        pairs = self._leaf_entries(leaf)
-        pieces: List[Tuple[List[int], List[bytes]]] = []
-        pos = 0
-        while pos < leaf.count:
-            take = self.codec.pack_greedy(pairs, pos, budget)
-            pieces.append((leaf.keys[pos : pos + take],
-                           leaf.datas[pos : pos + take]))
-            pos += take
-        piece_blocks = [block] + [self.leaf_file.allocate(1)
-                                  for _ in pieces[1:]]
-        old_next, old_prev = leaf.next, leaf.prev
-        for i, (keys, datas) in enumerate(pieces):
-            next_ = piece_blocks[i + 1] if i + 1 < len(pieces) else old_next
-            prev = piece_blocks[i - 1] if i > 0 else old_prev
-            self._write_leaf(piece_blocks[i],
-                             _Leaf(len(keys), next_, prev, keys, datas))
-        if old_next != NULL_BLOCK:
-            neighbor = self._read_leaf(old_next)
-            neighbor.prev = piece_blocks[-1]
-            self._write_leaf(old_next, neighbor)
-        for i in range(1, len(pieces)):
-            sep_key = pieces[i][0][0]
-            _, fresh_path = self._descend(sep_key)
-            self._insert_separator(fresh_path, sep_key, piece_blocks[i],
-                                   child_is_leaf=True)
+        rs = self.record_size
+        cuts = self._compressed_cuts(self._entries(run))
+        blocks = [block] + [self.leaf_file.allocate(1) for _ in cuts[2:]]
+        chain = [prev] + blocks + [next_]
+        for i, piece in enumerate(blocks):
+            self._write_leaf(piece, run[cuts[i] * rs : cuts[i + 1] * rs],
+                             chain[i + 2], chain[i])
+        self._relink(next_, blocks[-1])
+        for cut, piece in zip(cuts[1:], blocks[1:]):
+            sep_key = _KEY.unpack_from(run, cut * rs)[0]
+            path: List[int] = []
+            self._descend(sep_key, path)
+            self._insert_separator(path, sep_key, piece, child_is_leaf=True)
 
-    def _insert_separator(self, path: List[Tuple[int, int]], sep_key: int,
+    def _insert_separator(self, path: List[int], sep_key: int,
                           new_child: int, child_is_leaf: bool) -> None:
+        entry = _INNER_ENTRY.pack(sep_key, new_child)
         if not path:
-            # The split node was the root: grow a new root.
+            # The split node was the root: grow a new root.  The old
+            # root's separator is never compared, so 0 will do.
             old_root = self.root_block
-            new_root = self.inner_file.allocate(1)
-            # min key of the old root subtree: 0 works as the leftmost separator
-            # because routing clamps to child 0 for any smaller key.
-            node = _Inner(2, child_is_leaf, [0, sep_key], [old_root, new_child])
-            self._write_inner(new_root, node)
-            self.root_block = new_root
+            self.root_block = self.inner_file.allocate(1)
+            self._write_inner(self.root_block,
+                              _INNER_ENTRY.pack(0, old_root) + entry, child_is_leaf)
             self.root_is_leaf = False
             self.num_levels += 1
             return
-        parent_block, _slot = path[-1]
-        node = self._read_inner(parent_block)
-        slot = self._insert_slot(node.keys, sep_key)
-        node.keys.insert(slot, sep_key)
-        node.children.insert(slot, new_child)
-        node.count += 1
-        if node.count <= self.inner_capacity:
-            self._write_inner(parent_block, node)
+        parent = path[-1]
+        page = self.pager.read_block(self.inner_file, parent)
+        count, above_leaves = _INNER_HEADER.unpack_from(page)
+        # After every separator <= sep_key, and never before entry 0: the
+        # split child may have been reached by clamping, with a
+        # separator above the keys it holds.
+        at = HEADER_SIZE + INNER_ENTRY_SIZE * _bisect(
+            page, 1, count, INNER_ENTRY_SIZE, sep_key)
+        entries = b"".join((page[HEADER_SIZE:at], entry,
+                            page[at : HEADER_SIZE + count * INNER_ENTRY_SIZE]))
+        if count < self.inner_capacity:
+            self._write_inner(parent, entries, above_leaves)
             return
-        mid = node.count // 2
+        cut = (count + 1) // 2 * INNER_ENTRY_SIZE
         new_block = self.inner_file.allocate(1)
-        right = _Inner(node.count - mid, node.child_is_leaf,
-                       node.keys[mid:], node.children[mid:])
-        left = _Inner(mid, node.child_is_leaf, node.keys[:mid], node.children[:mid])
-        self._write_inner(new_block, right)
-        self._write_inner(parent_block, left)
-        self._insert_separator(path[:-1], right.keys[0], new_block, child_is_leaf=False)
+        self._write_inner(new_block, entries[cut:], above_leaves)
+        self._write_inner(parent, entries[:cut], above_leaves)
+        self._insert_separator(path[:-1], _KEY.unpack_from(entries, cut)[0],
+                               new_block, child_is_leaf=False)
 
 
 class BTreeIndex(DiskIndex):
@@ -771,12 +545,12 @@ class BTreeIndex(DiskIndex):
 
     def bulk_load(self, items: Sequence[KeyPayload]) -> None:
         with self.pager.phase("bulkload"):
-            self.tree.bulk_load([(key, struct.pack("<Q", payload)) for key, payload in items])
+            self.tree.bulk_load([(key, _KEY.pack(payload)) for key, payload in items])
 
     def lookup(self, key: int) -> Optional[int]:
         with self.pager.phase("search"):
             data = self.tree.lookup(key)
-        return struct.unpack("<Q", data)[0] if data is not None else None
+        return _KEY.unpack(data)[0] if data is not None else None
 
     def lookup_many(self, keys) -> List[Optional[int]]:
         keys = list(keys)
@@ -784,16 +558,16 @@ class BTreeIndex(DiskIndex):
             return [self.lookup(key) for key in keys]
         with self.pager.phase("search"):
             found = self.tree.lookup_many_records(keys)
-        return [struct.unpack("<Q", found[key])[0] if found[key] is not None
+        return [_KEY.unpack(found[key])[0] if found[key] is not None
                 else None for key in keys]
 
     def insert(self, key: int, payload: int) -> None:
         with self.pager.phase("insert"):
-            self.tree.insert(key, struct.pack("<Q", payload))
+            self.tree.insert(key, _KEY.pack(payload))
 
     def update(self, key: int, payload: int) -> bool:
         with self.pager.phase("insert"):
-            return self.tree.update(key, struct.pack("<Q", payload))
+            return self.tree.update(key, _KEY.pack(payload))
 
     def delete(self, key: int) -> bool:
         """Physical deletion: the B+-tree's dense leaves shift in-block."""
@@ -806,7 +580,7 @@ class BTreeIndex(DiskIndex):
             return out
         with self.pager.phase("scan"):
             for key, data in self.tree.iterate_from(start_key):
-                out.append((key, struct.unpack("<Q", data)[0]))
+                out.append((key, _KEY.unpack(data)[0]))
                 if len(out) >= count:
                     break
         return out
@@ -822,7 +596,7 @@ class BTreeIndex(DiskIndex):
             for key, data in self.tree.iterate_from(low):
                 if key > high:
                     break
-                out.append((key, struct.unpack("<Q", data)[0]))
+                out.append((key, _KEY.unpack(data)[0]))
         return out
 
     def set_inner_memory_resident(self, resident: bool) -> None:
@@ -837,37 +611,38 @@ class BTreeIndex(DiskIndex):
             # Walk to the leftmost leaf, then follow the sibling chain.
             block = tree.root_block
             depth = 1
-            if not tree.root_is_leaf:
-                while True:
-                    node = tree._read_inner(block)
-                    assert node.count >= 1, "empty inner node"
-                    assert node.keys == sorted(node.keys), "inner separators unsorted"
-                    depth += 1
-                    block = node.children[0]
-                    if node.child_is_leaf:
-                        break
+            at_leaves = tree.root_is_leaf
+            while not at_leaves:
+                page = tree.pager.read_block(tree.inner_file, block)
+                count, at_leaves = _INNER_HEADER.unpack_from(page)
+                assert count >= 1, "empty inner node"
+                # Entry 0's separator is never compared (module docstring).
+                separators = keys_view(page, count, HEADER_SIZE,
+                                       INNER_ENTRY_SIZE)[1:].tolist()
+                assert separators == sorted(separators), "inner separators unsorted"
+                depth += 1
+                block = _BLOCK_PTR.unpack_from(page, HEADER_SIZE + 8)[0]
             assert depth == tree.num_levels, (
                 f"height mismatch: walked {depth}, meta says {tree.num_levels}")
-            count = 0
+            rs = tree.record_size
+            total = 0
             previous_key = -1
             previous_block = NULL_BLOCK
             while block != NULL_BLOCK:
-                leaf = tree._read_leaf(block)
-                assert leaf.prev == previous_block, "broken prev link"
-                if tree.codec.is_raw:
-                    assert leaf.count <= tree.leaf_capacity, "overfull leaf"
-                else:
-                    assert tree._leaf_fits(leaf) or leaf.count == 0, (
-                        "compressed leaf overflows its block")
-                for key in leaf.keys:
+                image = tree._read_leaf(block)
+                count, _codec, next_, prev, _pad = _LEAF_HEADER.unpack_from(image)
+                assert prev == previous_block, "broken prev link"
+                assert tree._fits(image[HEADER_SIZE : HEADER_SIZE + count * rs]), (
+                    "leaf overflows its block")
+                for key in keys_view(image, count, HEADER_SIZE, rs).tolist():
                     assert key > previous_key, "leaf keys out of order"
                     previous_key = key
-                count += leaf.count
+                total += count
                 previous_block = block
-                block = leaf.next
-            assert count == tree.num_records, (
-                f"record count mismatch: walked {count}, meta {tree.num_records}")
-            return count
+                block = next_
+            assert total == tree.num_records, (
+                f"record count mismatch: walked {total}, meta {tree.num_records}")
+            return total
 
     def init_params(self) -> dict:
         params = {"leaf_fill": self.tree.leaf_fill, "inner_fill": self.tree.inner_fill,

@@ -277,9 +277,9 @@ class ServingEngine:
         base_v = max(waiter.end_v for waiter in self._waiting)
         if trigger_v is not None and trigger_v > base_v:
             base_v = trigger_v
-        before_us = self.device.stats.elapsed_us
+        before_us = self.device.elapsed_us
         self.wal.flush()
-        ack_v = base_v + (self.device.stats.elapsed_us - before_us)
+        ack_v = base_v + (self.device.elapsed_us - before_us)
         durable = self.wal.durable_seqno
         acked = [w for w in self._waiting if w.seqno <= durable]
         if not acked:
@@ -355,7 +355,7 @@ class ServingEngine:
                 heapq.heappush(self._heap, (session.clock_us, session.client_id))
             return
         snapshot = self.snapshot_reads and kind in ("lookup", "scan")
-        before_us = self.device.stats.elapsed_us
+        before_us = self.device.elapsed_us
         shed = False
         while True:
             self._cur_reads.clear()
@@ -400,7 +400,7 @@ class ServingEngine:
                         continue
                     shed = True
                 else:
-                    delta_us = self.device.stats.elapsed_us - before_us
+                    delta_us = self.device.elapsed_us - before_us
                     # Latch accounting happens inside the span so the
                     # stall shows up in the op's trace event under the
                     # "latch" phase.
@@ -438,7 +438,7 @@ class ServingEngine:
             # Budget exhausted: the op is consumed and counted, the
             # charged device time of its failed attempts advances the
             # client's clock, and nothing is acknowledged.
-            session.clock_us = start_v + (self.device.stats.elapsed_us
+            session.clock_us = start_v + (self.device.elapsed_us
                                           - before_us)
             session.shed_ops += 1
             if self.tracer is not None:

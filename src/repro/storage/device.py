@@ -319,6 +319,12 @@ class BlockDevice:
     # -- phase attribution ---------------------------------------------------
 
     @property
+    def elapsed_us(self) -> float:
+        """The simulated clock: ``stats.elapsed_us`` (a tier's fan-out
+        device answers the same question without building its stats)."""
+        return self.stats.elapsed_us
+
+    @property
     def phase(self) -> str:
         return self._phase
 

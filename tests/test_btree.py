@@ -81,6 +81,15 @@ def test_insert_wrong_record_size_raises():
         tree.insert(6, b"short")
 
 
+def test_update_wrong_record_size_raises():
+    # A wrong-sized splice would shift every later record of the page.
+    tree = make_tree()
+    tree.bulk_load([(5, rec(5))])
+    with pytest.raises(ValueError):
+        tree.update(5, b"short")
+    assert tree.lookup(5) == rec(5)
+
+
 def test_floor_record_semantics():
     tree = make_tree()
     tree.bulk_load([(k, rec(k)) for k in (10, 20, 30)])

@@ -17,13 +17,13 @@ from repro.workloads import run_workload
 
 
 def _loaded(name="btree", n_bulk=300, profile=HDD, with_wal=False,
-            group_commit=1, buffer_blocks=0, step=7):
+            group_commit=1, buffer_blocks=0, step=7, **params):
     """A bulk-loaded index over keys ``step, 2*step, ...`` (payload k+1)."""
     from repro.storage import make_buffer_pool
 
     pool = make_buffer_pool(buffer_blocks, "lru") if buffer_blocks else None
     pager = Pager(BlockDevice(4096, profile), buffer_pool=pool)
-    index = make_index(name, pager)
+    index = make_index(name, pager, **params)
     bulk = [(k, k + 1) for k in range(step, step * (n_bulk + 1), step)]
     index.bulk_load(bulk)
     wal = None
@@ -341,20 +341,22 @@ def test_default_call_never_enters_serving(monkeypatch):
 
 
 def test_snapshot_reads_never_serve_stale_cached_frames():
-    """Regression for the zero-copy frame caches (DESIGN.md §15): under
+    """Regression for the pager's per-frame caches (DESIGN.md §15): under
     concurrent serving, writers rewrite leaf frames between snapshot
-    reads, and the pager's parsed-key caches must drop those frames (via
-    the write path and buffer-pool eviction hooks) instead of serving a
-    pre-write parse.  A staleness bug surfaces here as a wrong payload —
-    either in the validated concurrent phase or in the final sweep,
-    which runs over the same warm caches the writers just invalidated."""
+    reads, and a frame's cached parse (here the transcoded image of a
+    compressed B+-tree leaf; the raw layout is searched in place and
+    caches nothing) must be dropped by the write path and the
+    buffer-pool eviction hooks instead of being served.  A staleness bug
+    surfaces here as a wrong payload — either in the validated
+    concurrent phase or in the final sweep, which runs over the same
+    warm caches the writers just invalidated."""
     index, bulk, _wal = _loaded(profile=HDD, with_wal=True,
-                                buffer_blocks=64)
+                                buffer_blocks=64, codec="for")
     pager = index.pager
     keys = [k for k, _p in bulk]
     # Warm the parsed-frame caches with a batched sweep.
     assert index.lookup_many(keys) == [k + 1 for k in keys]
-    assert pager.key_cache_builds > 0
+    assert pager._meta_cache
     for round_no in range(3):
         ops = _mixed_ops(bulk, 200, insert_base=(round_no + 1) * 10**6,
                          insert_frac=0.5, seed=round_no)
@@ -366,7 +368,7 @@ def test_snapshot_reads_never_serve_stale_cached_frames():
         keys = sorted(set(keys) | {key for kind, key in ops
                                    if kind == "insert"})
         assert index.lookup_many(keys) == [k + 1 for k in keys]
-    assert pager.key_cache_hits > 0
+    assert pager._meta_cache
 
 
 def test_single_session_matches_legacy_metrics():

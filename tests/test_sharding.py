@@ -514,3 +514,36 @@ def test_tuner_scores_empty_mix_by_lookup_cost():
     assert scores["btree"] == COST_TABLE["btree"]["lookup"]
     choice = ShardTuner().choose({})
     assert choice != "hybrid-alex"
+
+
+def test_tier_clock_accessor_is_bit_identical_to_combined_stats():
+    """``device.elapsed_us`` (read by the serving engine around every op)
+    must equal ``device.stats.elapsed_us`` to the last bit: same float
+    additions in the same order — live members, then retired ones."""
+    from repro.storage import HDD, BlockDevice, DeviceFaultModel
+
+    keys = random_sorted_keys(3000, seed=5, key_space=10**9)
+    tier = make_sharded_index("btree", 3, replicas=2, durability=True,
+                              group_commit=2, profile=HDD,
+                              sample_keys=keys)
+    tier.bulk_load(items_of(keys))
+    device = tier.pager.device
+    for i, key in enumerate(keys[::7]):
+        assert tier.lookup(key) == key + 1
+        tier.insert(10**9 + 3 * i + 1, 10**9 + 3 * i + 2)
+        assert device.elapsed_us == device.stats.elapsed_us
+    # Retire a member's stats: taint a replica on the write path, re-seed it.
+    shard = tier.shards[1]
+    victim = shard.replicas[0]
+    victim.device.fault_model = DeviceFaultModel(seed=7, crash_after=0)
+    low = shard.primary.index.scan(0, 1)[0][0]
+    for i in range(8):
+        tier.insert(low + 2 * i + 1, 0)
+    assert victim.tainted
+    victim.device.fault_model.clear_crash()
+    assert shard.rejoin(victim) == "reseed" and shard.retired_stats
+    for key in keys[::11]:
+        tier.lookup(key)
+    assert device.elapsed_us == device.stats.elapsed_us > 0.0
+    flat = BlockDevice(4096, HDD)
+    assert flat.elapsed_us == flat.stats.elapsed_us == 0.0
