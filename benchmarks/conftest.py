@@ -15,8 +15,6 @@ from __future__ import annotations
 import os
 import pathlib
 
-import pytest
-
 from repro.bench import ExperimentResult, Scale, default_scale, format_result
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -34,22 +32,6 @@ def pytest_addoption(parser):
              "benchmarks: bench_sharding's fan-out section compares 1 vs "
              "this many copies, and bench_chaos serves its fault sweep "
              "from tiers replicated this wide")
-    parser.addoption(
-        "--wallclock", action="store_true",
-        help="gate on real wall-clock assertions (bench_wallclock speedup "
-             "floors and the archived-baseline ratchet); without it only "
-             "the deterministic charged-I/O identity checks run")
-
-
-@pytest.fixture
-def wallclock(request) -> bool:
-    """True when the run opted into wall-clock ratio assertions.
-
-    Charged-I/O assertions are deterministic and always on; real-time
-    ratios depend on the machine, so benchmarks consult this fixture
-    before enforcing them.  The CI perf-smoke job passes ``--wallclock``.
-    """
-    return request.config.getoption("--wallclock")
 
 
 def bench_scale() -> Scale:

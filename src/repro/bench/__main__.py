@@ -44,17 +44,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list experiment ids")
     run_parser = sub.add_parser("run", help="run one or more experiments")
-    # choices= is validated manually below: argparse rejects an empty
-    # nargs="*" list against choices, which would break bare --wallclock.
-    run_parser.add_argument("experiment", nargs="*", metavar="EXPERIMENT",
-                            default=[],
-                            help=f"one of: {', '.join(experiment_ids())}")
-    run_parser.add_argument("--wallclock", action="store_true",
-                            help="run the real wall-clock vectorization "
-                                 "experiment (scalar vs vectorized "
-                                 "lookup_many; charged I/O asserted "
-                                 "bit-identical); may be combined with "
-                                 "experiment ids")
+    run_parser.add_argument("experiment", nargs="+", choices=experiment_ids())
     run_parser.add_argument("--scale", type=float, default=None,
                             help="multiply all sizes by this factor")
     run_parser.add_argument("--chart", metavar="COLUMN", default=None,
@@ -112,14 +102,6 @@ def main(argv=None) -> int:
 
     trace_path = getattr(args, "trace", None)
     targets = experiment_ids() if args.command == "all" else list(args.experiment)
-    if getattr(args, "wallclock", False) and "wallclock" not in targets:
-        targets.append("wallclock")
-    if not targets:
-        parser.error("pick at least one experiment (or pass --wallclock)")
-    unknown = [eid for eid in targets if eid not in experiment_ids()]
-    if unknown:
-        parser.error(f"unknown experiment(s) {unknown}; "
-                     f"available: {', '.join(experiment_ids())}")
     jobs = max(1, getattr(args, "jobs", 1) or 1)
     if jobs > 1 and trace_path:
         parser.error("--trace binds one tracer per process; use --jobs 1")

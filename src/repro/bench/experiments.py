@@ -518,118 +518,6 @@ def exp_batch_lookup(scale: Optional[Scale] = None,
 
 
 # ---------------------------------------------------------------------------
-# Wall-clock vectorization — real CPU throughput, charged I/O unchanged
-# ---------------------------------------------------------------------------
-
-def exp_wallclock(scale: Optional[Scale] = None,
-                  batch_sizes: Sequence[int] = (64,),
-                  min_ops: int = 3_000) -> ExperimentResult:
-    """Real wall-clock ``lookup_many`` throughput, scalar vs vectorized.
-
-    Everything else in the harness reports *simulated* time (the charged
-    I/O cost model).  This experiment is the one place that times the
-    Python execution itself: for each index it builds two identical
-    fresh devices, replays the same read-heavy lookup batches through
-    the scalar path (``scalar_lookups()``) and the vectorized path, and
-    reports real ``time.perf_counter`` ops/sec for both (DESIGN.md
-    Section 15).
-
-    The vectorized path must be a pure CPU optimization: after both
-    runs, the two devices' charged ``StorageStats`` (reads, writes,
-    positionings, simulated elapsed time) are asserted **bit-identical**
-    — a divergence fails the experiment, not just a row.  All results
-    are validated against the expected payloads.
-    """
-    import time as _time
-
-    from ..core import scalar_lookups
-
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "wallclock",
-        "Wall-clock lookup_many throughput: scalar vs vectorized")
-    # (index, leaf codec): the compressed cells check that the codec
-    # decode paths keep their vectorized fast path (DESIGN.md Section 16).
-    cells = (("btree", "raw"), ("fiting", "raw"), ("pgm", "raw"),
-             ("alex", "raw"), ("hybrid-pgm", "raw"),
-             ("pgm", "for"), ("hybrid-pgm", "for"))
-    for name, codec in cells:
-        for batch in batch_sizes:
-            cell = {"index": name, "codec": codec, "batch": batch}
-            charged = {}
-            setups = {}
-            groups = None
-            passes = 1
-            params = {} if codec == "raw" else {"codec": codec}
-            for mode in ("scalar", "vectorized"):
-                setup = fresh_index(name, "ycsb", "lookup_only", scale,
-                                    profile=PROFILES["hdd"],
-                                    index_params=params)
-                lookup_keys = [key for _kind, key in setup.ops]
-                groups = [lookup_keys[i : i + batch]
-                          for i in range(0, len(lookup_keys), batch)]
-                # Deterministic pass count from the scale alone, so both
-                # modes replay the exact same operation sequence.
-                passes = max(1, -(-min_ops // max(len(lookup_keys), 1)))
-                setups[mode] = setup
-            # Interleave repeated timed passes of the two modes and keep
-            # each mode's best time: machine-wide noise (scheduler, turbo,
-            # co-tenants) hits both modes alike within a repeat, and the
-            # minimum is the standard low-variance wall-clock estimator.
-            # Both setups replay identical op sequences the same number of
-            # times, so the charged-stats comparison below is unaffected.
-            best = {"scalar": float("inf"), "vectorized": float("inf")}
-            for _repeat in range(3):
-                for mode in ("scalar", "vectorized"):
-                    index = setups[mode].index
-                    outputs = []
-                    if mode == "scalar":
-                        with scalar_lookups():
-                            started = _time.perf_counter()
-                            for _ in range(passes):
-                                for group in groups:
-                                    outputs.append(index.lookup_many(group))
-                            elapsed = _time.perf_counter() - started
-                    else:
-                        started = _time.perf_counter()
-                        for _ in range(passes):
-                            for group in groups:
-                                outputs.append(index.lookup_many(group))
-                        elapsed = _time.perf_counter() - started
-                    best[mode] = min(best[mode], elapsed)
-                    for group, found in zip(groups * passes, outputs):
-                        for key, payload in zip(group, found):
-                            if payload != key + 1:
-                                raise AssertionError(
-                                    f"{name} {mode} lookup({key}) returned "
-                                    f"{payload}, expected {key + 1}")
-            total_ops = passes * sum(len(g) for g in groups)
-            for mode in ("scalar", "vectorized"):
-                cell[f"{mode}_ops_per_s"] = round(total_ops / best[mode], 1)
-                stats = setups[mode].device.stats
-                charged[mode] = (stats.reads, stats.writes,
-                                 stats.read_positionings,
-                                 stats.write_positionings,
-                                 stats.elapsed_us)
-            if charged["scalar"] != charged["vectorized"]:
-                raise AssertionError(
-                    f"{name} batch={batch}: vectorized execution changed "
-                    f"the charged I/O cost model — scalar "
-                    f"{charged['scalar']} vs vectorized "
-                    f"{charged['vectorized']}")
-            cell["speedup"] = round(
-                cell["vectorized_ops_per_s"] / cell["scalar_ops_per_s"], 2)
-            cell["charges_identical"] = True
-            result.rows.append(cell)
-    result.notes = (
-        "ops_per_s columns are real wall-clock (time.perf_counter), not "
-        "the simulated cost model; charges_identical records the asserted "
-        "bit-equality of (reads, writes, read/write positionings, "
-        "simulated elapsed_us) between the scalar and vectorized runs.")
-    return result
-
-
-# ---------------------------------------------------------------------------
 # Compressed leaf pages — codec sweep + extended Table 2 cost model
 # ---------------------------------------------------------------------------
 
@@ -1471,7 +1359,6 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "fig14": exp_fig14_overall,
     "durability": exp_durability,
     "batch_lookup": exp_batch_lookup,
-    "wallclock": exp_wallclock,
     "compression": exp_compression,
     "write_back": exp_write_back,
     "fault_sweep": exp_fault_sweep,

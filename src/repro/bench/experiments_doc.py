@@ -278,22 +278,6 @@ PAPER_EXPECTATIONS: Dict[str, Dict[str, str]] = {
                  "live with sequence numbering unbroken; write-path "
                  "faults taint the member and force the full re-seed.",
     },
-    "wallclock": {
-        "artifact": "Extension (vectorized execution)",
-        "paper": "The paper measures real elapsed time on real devices; "
-                 "this reproduction charges a simulated cost model, so "
-                 "its Python execution speed is normally invisible. This "
-                 "experiment times the interpreter itself.",
-        "shape": "Vectorized batch-64 lookups beat the scalar path on "
-                 "real wall-clock for every index that has two paths — "
-                 ">= 3x for the hybrid (whose scalar path materializes "
-                 "full tuple lists per node) and >= 1.6x for ALEX/PGM "
-                 "(whose scalar paths already probe in place) — while "
-                 "the charged StorageStats stay bit-identical between "
-                 "the two modes on every cell. The B+-tree has one "
-                 "byte-level code path, so both of its columns time the "
-                 "same code (ratio ~1).",
-    },
 }
 
 _HEADER = """\

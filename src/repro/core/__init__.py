@@ -21,7 +21,6 @@ from .pgm import PgmIndex, StaticPgm
 from .plid import PlidIndex
 from .registry import (INDEX_FACTORIES, index_names, make_index,
                        make_sharded_index)
-from .vectorize import scalar_lookups, set_vectorized
 
 __all__ = [
     "AlexIndex",
@@ -48,6 +47,4 @@ __all__ = [
     "save_index",
     "make_index",
     "make_sharded_index",
-    "scalar_lookups",
-    "set_vectorized",
 ]

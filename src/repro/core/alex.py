@@ -41,7 +41,7 @@ from ..storage import Pager
 from .codecs import get_codec
 from .interface import DiskIndex, KeyPayload, TOMBSTONE
 from .serial import ENTRY_SIZE, NULL_BLOCK, pack_entries, unpack_entries
-from .vectorize import BlockMirror, enabled as _vectorized
+from .vectorize import BlockMirror
 
 __all__ = ["AlexIndex"]
 
@@ -631,34 +631,15 @@ class AlexIndex(DiskIndex):
         unique = sorted(set(keys))
         results = {}
         with self.pager.phase("search"), self.pager.batch():
-            if _vectorized():
-                self._lookup_many_vec(unique, results)
-            else:
-                node_of = {key: self._descend(key)[0] for key in unique}
-                self.pager.read_span(self._data_file, node_of.values())
-                headers = {}
-                for key in unique:
-                    block = node_of[key]
-                    header = headers.get(block)
-                    if header is None:
-                        header = headers[block] = self._read_data_header(block)
-                    if header.num_keys == 0:
-                        results[key] = None
-                        continue
-                    slot = self._exponential_search(block, header, key)
-                    if slot < 0:
-                        results[key] = None
-                        continue
-                    found_key, payload = self._read_entry(block, header.capacity, slot)
-                    results[key] = (payload if found_key == key and payload != TOMBSTONE
-                                    else None)
+            self._lookup_many_vec(unique, results)
         return [results[key] for key in keys]
 
     def _lookup_many_vec(self, unique: List[int], results: dict) -> None:
         """Vectorized batch body: mirror-served descent and probes, with
         the root level and the in-node slot predictions each evaluated
-        for the whole batch in one numpy pass.  Pager calls (and hence
-        charged I/O) match the scalar body bit for bit."""
+        for the whole batch in one numpy pass.  First touches reach the
+        pager in the order a key-by-key descent (:meth:`_descend`, then
+        the data-node span, then the probes) would make them."""
         inner_mirror = BlockMirror(self.pager, self._inner_file)
         data_mirror = BlockMirror(self.pager, self._data_file)
         inner_headers: Dict[int, Tuple[int, LinearModel]] = {}
@@ -674,9 +655,9 @@ class AlexIndex(DiskIndex):
         else:
             # Every key starts at the root, so its slot predictions can
             # be one batch op.  The root header is read first — exactly
-            # when the scalar body's first descent would read it — and
+            # when a key-by-key loop's first descent would read it — and
             # child pointers resolve per key in batch order, preserving
-            # the scalar first-touch sequence.
+            # that loop's first-touch sequence.
             root_off = _ptr_block(root)
             raw = inner_mirror.read(root_off, HEADER_SIZE)
             _type, fanout, slope, intercept, anchor = (

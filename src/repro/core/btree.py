@@ -25,8 +25,8 @@ Layouts (little endian):
   minus infinity (a key below every separator goes to child 0).
 
 Nodes are never parsed (DESIGN.md Section 15).  Every operation works on
-the block the pager returned, as bytes: :func:`_bisect` searches the key
-column in place with ``unpack_from``, a hit is returned as a slice of the
+the block the pager returned, as bytes: :func:`~.serial.bisect_right`
+searches the key column in place, a hit is returned as a slice of the
 block, and a mutation splices the sorted record run — slice, concatenate,
 new header, zero tail; a split is two slices of the run.  There is one
 descent, :meth:`BPlusTree._descend`, for point, batch and write paths.
@@ -48,7 +48,7 @@ import numpy as np
 from ..storage import BlockFile, Pager
 from .codecs import get_codec
 from .interface import DiskIndex, KeyPayload
-from .serial import NULL_BLOCK, keys_view, unpack_entries
+from .serial import NULL_BLOCK, bisect_right, keys_view, unpack_entries
 
 __all__ = ["BPlusTree", "BTreeIndex"]
 
@@ -60,23 +60,6 @@ _KEY = struct.Struct("<Q")
 HEADER_SIZE = 16
 INNER_ENTRY_SIZE = _INNER_ENTRY.size  # 12
 _PREV_OFFSET = 8  # of the prev pointer in a leaf header
-
-
-def _bisect(page: bytes, lo: int, hi: int, stride: int, key: int,
-            unpack=_KEY.unpack_from) -> int:
-    """How many of a node page's records have a key <= ``key``.
-
-    Bisects the key column of the ``stride``-byte records in place.
-    Records before ``lo`` are taken to qualify and records from ``hi`` on
-    not to: leaves search ``[0, count)``, inner nodes ``[1, count)``.
-    """
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if unpack(page, HEADER_SIZE + mid * stride)[0] <= key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 class BPlusTree:
@@ -272,7 +255,8 @@ class BPlusTree:
         while True:
             page = read_block(file, block)
             count, child_is_leaf = _INNER_HEADER.unpack_from(page)
-            slot = _bisect(page, 1, count, INNER_ENTRY_SIZE, key) - 1
+            slot = bisect_right(page, key, count, HEADER_SIZE,
+                                INNER_ENTRY_SIZE, 1) - 1
             if path is not None:
                 path.append(block)
             block = _BLOCK_PTR.unpack_from(
@@ -283,8 +267,8 @@ class BPlusTree:
     def _get(self, image: bytes, key: int) -> Optional[bytes]:
         """The data of ``key``'s record in a leaf image, or None."""
         rs = self.record_size
-        end = HEADER_SIZE + rs * _bisect(
-            image, 0, _LEAF_HEADER.unpack_from(image)[0], rs, key)
+        end = HEADER_SIZE + rs * bisect_right(
+            image, key, _LEAF_HEADER.unpack_from(image)[0], HEADER_SIZE, rs)
         if end > HEADER_SIZE and _KEY.unpack_from(image, end - rs)[0] == key:
             return image[end - self.data_size : end]
         return None
@@ -329,7 +313,7 @@ class BPlusTree:
         rs = self.record_size
         image = fetch(block)
         count, _codec, _next, prev, _pad = _LEAF_HEADER.unpack_from(image)
-        upto = _bisect(image, 0, count, rs, key)
+        upto = bisect_right(image, key, count, HEADER_SIZE, rs)
         if not upto:
             # ``key`` is before this leaf's first record: the answer is
             # the last record of the previous leaf (fetched on demand —
@@ -369,7 +353,8 @@ class BPlusTree:
         image = self._read_leaf(self._descend(key))
         count, _codec, next_, _prev, _pad = _LEAF_HEADER.unpack_from(image)
         # Keys are integers: the records below ``key`` are those <= key - 1.
-        start = HEADER_SIZE + _bisect(image, 0, count, rs, key - 1) * rs
+        start = HEADER_SIZE + bisect_right(image, key - 1, count,
+                                           HEADER_SIZE, rs) * rs
         while True:
             for off in range(start, HEADER_SIZE + count * rs, rs):
                 yield key_at(image, off)[0], image[off + 8 : off + rs]
@@ -396,7 +381,7 @@ class BPlusTree:
         image = self._read_leaf(block)
         rs = self.record_size
         count, _codec, next_, prev, _pad = _LEAF_HEADER.unpack_from(image)
-        end = rs * _bisect(image, 0, count, rs, key)
+        end = rs * bisect_right(image, key, count, HEADER_SIZE, rs)
         hit = end > 0 and _KEY.unpack_from(image, HEADER_SIZE + end - rs)[0] == key
         run = image[HEADER_SIZE : HEADER_SIZE + count * rs]
         return path, block, next_, prev, run, end, hit
@@ -512,8 +497,8 @@ class BPlusTree:
         # After every separator <= sep_key, and never before entry 0: the
         # split child may have been reached by clamping, with a
         # separator above the keys it holds.
-        at = HEADER_SIZE + INNER_ENTRY_SIZE * _bisect(
-            page, 1, count, INNER_ENTRY_SIZE, sep_key)
+        at = HEADER_SIZE + INNER_ENTRY_SIZE * bisect_right(
+            page, sep_key, count, HEADER_SIZE, INNER_ENTRY_SIZE, 1)
         entries = b"".join((page[HEADER_SIZE:at], entry,
                             page[at : HEADER_SIZE + count * INNER_ENTRY_SIZE]))
         if count < self.inner_capacity:

@@ -23,24 +23,34 @@ Structure on disk:
 Inserts go to the segment's delta buffer; a full buffer triggers the
 *resegment* SMO: data + buffer are merged, re-segmented with the error
 bound, and the descriptor tree is patched.
+
+Nothing fetched is unpacked on a point path (DESIGN.md Section 15): the
+predicted data window, the delta buffer and the head buffer are bisected
+as the bytes the pager returned (:mod:`.serial`), a hit decodes one
+entry, and a buffer insert writes back ``record + tail`` sliced from the
+bytes it read; scans decode from the start key on.  One routine,
+:meth:`FitingTreeIndex._lookup_in_segment`, serves ``lookup`` and
+``lookup_many``, and ``update`` / ``delete`` / ``scan`` follow its
+precedence (a live data-region entry wins; the delta buffer counts only
+on a miss or over a tombstone).  Only the SMOs and ``verify`` build
+entry lists.  Pager calls and written bytes are pinned by
+``tests/golden/learned_pages.json`` (data side) and
+``tests/golden/btree_pages.json`` (descriptor tree).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..models import (SegmentArray, optimal_segments, shrinking_cone_segments,
-                      truncate_positions)
+from ..models import optimal_segments, shrinking_cone_segments
 from ..storage import Pager
 from .btree import BPlusTree
 from .codecs import get_codec
 from .interface import DiskIndex, KeyPayload, TOMBSTONE
-from .serial import (ENTRY_SIZE, NULL_BLOCK, keys_view, pack_entries,
-                     payload_at, unpack_entries)
-from .vectorize import enabled as _vectorized
+from .serial import (ENTRY_SIZE, NULL_BLOCK, bisect_left, find_entry,
+                     iter_entries, pack_entries, pack_entry, splice,
+                     unpack_entries)
 
 __all__ = ["FitingTreeIndex"]
 
@@ -54,6 +64,7 @@ _DESCRIPTOR = struct.Struct("<IIII dd")
 DESCRIPTOR_SIZE = _DESCRIPTOR.size  # 32
 
 _HEAD_HEADER = struct.Struct("<I12x")  # count; head buffer occupies block 0
+HEAD_HEADER_SIZE = _HEAD_HEADER.size  # 16
 
 
 class _SegmentHeader:
@@ -136,7 +147,7 @@ class FitingTreeIndex(DiskIndex):
         self.first_segment_block: int = NULL_BLOCK
         self.num_segments = 0
         self.num_resegments = 0
-        self._head_capacity = (pager.block_size - 16) // ENTRY_SIZE
+        self._head_capacity = (pager.block_size - HEAD_HEADER_SIZE) // ENTRY_SIZE
 
     # -- low-level segment access ---------------------------------------------
 
@@ -159,23 +170,30 @@ class FitingTreeIndex(DiskIndex):
         return (seg_block * self.pager.block_size + SEG_HEADER_SIZE
                 + (data_capacity + slot) * ENTRY_SIZE)
 
-    def _read_data_range(self, seg_block: int, lo: int, hi: int) -> List[KeyPayload]:
-        """Entries ``lo..hi`` inclusive of the segment's data region."""
+    def _data_bytes(self, seg_block: int, lo: int, hi: int) -> bytes:
+        """Entries ``lo..hi`` inclusive of the segment's data region, as stored."""
         if hi < lo:
-            return []
-        raw = self.pager.read_bytes(self._data, self._data_offset(seg_block, lo),
-                                    (hi - lo + 1) * ENTRY_SIZE)
-        return unpack_entries(raw, hi - lo + 1)
+            return b""
+        return self.pager.read_bytes(self._data, self._data_offset(seg_block, lo),
+                                     (hi - lo + 1) * ENTRY_SIZE)
 
-    def _read_buffer(self, seg_block: int, header: _SegmentHeader) -> List[KeyPayload]:
-        if header.buffer_count == 0:
-            return []
-        raw = self.pager.read_bytes(
+    def _buffer_bytes(self, seg_block: int, header: _SegmentHeader) -> bytes:
+        """The segment's sorted delta buffer, as stored."""
+        return self.pager.read_bytes(
             self._data,
             self._buffer_offset(seg_block, header.data_capacity, 0),
             header.buffer_count * ENTRY_SIZE,
         )
-        return unpack_entries(raw, header.buffer_count)
+
+    def _read_head(self) -> Tuple[bytes, int]:
+        """The head-buffer block and its entry count."""
+        raw = self.pager.read_block(self._data, 0)
+        return raw, _HEAD_HEADER.unpack_from(raw)[0]
+
+    def _write_head(self, count: int, run: bytes = b"") -> None:
+        self.pager.write_block(
+            self._data, 0,
+            (_HEAD_HEADER.pack(count) + run).ljust(self.pager.block_size, b"\x00"))
 
     # -- descriptor (de)serialization --------------------------------------------
 
@@ -199,9 +217,8 @@ class FitingTreeIndex(DiskIndex):
 
     def _bulk_load(self, items: Sequence[KeyPayload]) -> None:
         # Block 0 of the data file is the head buffer.
-        head_block = self._data.allocate(1)
-        self.pager.write_block(self._data, head_block,
-                               _HEAD_HEADER.pack(0).ljust(self.pager.block_size, b"\x00"))
+        self._data.allocate(1)
+        self._write_head(0)
         if not items:
             self.directory.bulk_load([])
             return
@@ -298,17 +315,16 @@ class FitingTreeIndex(DiskIndex):
         # consulted — this is why the paper's FITing-tree averages ~1.2
         # leaf blocks per lookup.
         lo, hi = self._predict_range(first_key, slope, intercept, key, data_cap)
-        entries = self._read_data_range(seg_block, lo, hi)
-        found = _binary_find(entries, key)
+        raw = self._data_bytes(seg_block, lo, hi)
+        found = find_entry(raw, key, len(raw) // ENTRY_SIZE)[1]
         if found is not None and found != TOMBSTONE:
             return found
         # Miss or tombstoned: the delta buffer may hold the key (a
         # re-insert after a delete shadows the tombstone).
         header = self._read_header(seg_block)
-        buffered = _binary_find(self._read_buffer(seg_block, header), key)
-        if buffered is not None:
-            return None if buffered == TOMBSTONE else buffered
-        return None
+        buffered = find_entry(self._buffer_bytes(seg_block, header), key,
+                              header.buffer_count)[1]
+        return None if buffered == TOMBSTONE else buffered
 
     def lookup_many(self, keys) -> List[Optional[int]]:
         """Batched lookups: one coalesced descent through the descriptor
@@ -324,103 +340,19 @@ class FitingTreeIndex(DiskIndex):
             routable = ([key for key in unique if key >= self.global_min]
                         if self.global_min is not None else [])
             located = self.directory.floor_records(routable) if routable else {}
-            if _vectorized():
-                self._lookup_many_vec(unique, located, results)
-            else:
-                for key in unique:
-                    record = located.get(key)
-                    if record is None:
-                        results[key] = self._head_buffer_lookup(key)
-                        continue
-                    first_key, data = record
-                    results[key] = self._lookup_in_segment(
-                        key, first_key, self._unpack_descriptor(data))
+            for key in unique:
+                record = located.get(key)
+                if record is None:
+                    results[key] = self._head_buffer_lookup(key)
+                    continue
+                first_key, data = record
+                results[key] = self._lookup_in_segment(
+                    key, first_key, self._unpack_descriptor(data))
         return [results[key] for key in keys]
 
-    def _lookup_many_vec(self, unique: List[int], located: dict,
-                         results: dict) -> None:
-        """Vectorized batch body: all routed keys' prediction windows in
-        one :class:`SegmentArray` pass, then zero-copy window probes.
-        The window arithmetic reproduces :meth:`_predict_range` exactly
-        and the probes issue the same pager reads in the same (ascending
-        unique-key) order as the scalar loop, so charged I/O is
-        bit-identical; only the per-key Python model evaluation and the
-        tuple materialization of fetched windows disappear."""
-        seg_of: Dict[int, Tuple[int, int]] = {}  # key -> (seg_block, row)
-        seg_blocks: List[int] = []
-        first_keys: List[int] = []
-        slopes: List[float] = []
-        intercepts: List[float] = []
-        caps: List[int] = []
-        row_of: Dict[int, int] = {}
-        routed_keys: List[int] = []
-        key_rows: List[int] = []
-        for key in unique:
-            record = located.get(key)
-            if record is None:
-                continue
-            first_key, data = record
-            seg_block, _extent, data_cap, _buf_cap, slope, intercept = (
-                self._unpack_descriptor(data))
-            row = row_of.get(seg_block)
-            if row is None:
-                row = row_of[seg_block] = len(seg_blocks)
-                seg_blocks.append(seg_block)
-                first_keys.append(first_key)
-                slopes.append(slope)
-                intercepts.append(intercept)
-                caps.append(data_cap)
-            seg_of[key] = (seg_block, row)
-            routed_keys.append(key)
-            key_rows.append(row)
-        windows: Dict[int, Tuple[int, int]] = {}
-        if routed_keys:
-            segments = SegmentArray(np.array(first_keys, dtype=np.uint64),
-                                    np.array(slopes, dtype=np.float64),
-                                    np.array(intercepts, dtype=np.float64))
-            karr = np.array(routed_keys, dtype=np.uint64)
-            idx = np.array(key_rows, dtype=np.int64)
-            pred = truncate_positions(segments.predict(karr, idx))
-            slack = self.error_bound + 1
-            lo = np.maximum(pred - slack, 0)
-            hi = np.minimum(pred + slack,
-                            np.array(caps, dtype=np.int64)[idx] - 1)
-            for key, wlo, whi in zip(routed_keys, lo.tolist(), hi.tolist()):
-                windows[key] = (wlo, whi)
-        for key in unique:
-            info = seg_of.get(key)
-            if info is None:
-                results[key] = self._head_buffer_lookup(key)
-                continue
-            seg_block, _row = info
-            wlo, whi = windows[key]
-            results[key] = self._probe_segment_vec(key, seg_block, wlo, whi)
-
-    def _probe_segment_vec(self, key: int, seg_block: int, lo: int,
-                           hi: int) -> Optional[int]:
-        """One key's segment probe over a zero-copy key view (same fetch
-        and miss path as :meth:`_lookup_in_segment`)."""
-        if hi >= lo:
-            count = hi - lo + 1
-            raw = self.pager.read_bytes(self._data,
-                                        self._data_offset(seg_block, lo),
-                                        count * ENTRY_SIZE)
-            kv = keys_view(raw, count)
-            slot = int(np.searchsorted(kv, np.uint64(key), side="left"))
-            if slot < count and int(kv[slot]) == key:
-                payload = payload_at(raw, slot)
-                if payload != TOMBSTONE:
-                    return payload
-        header = self._read_header(seg_block)
-        buffered = _binary_find(self._read_buffer(seg_block, header), key)
-        if buffered is not None:
-            return None if buffered == TOMBSTONE else buffered
-        return None
-
     def _head_buffer_lookup(self, key: int) -> Optional[int]:
-        raw = self.pager.read_block(self._data, 0)
-        count = _HEAD_HEADER.unpack_from(raw, 0)[0]
-        found = _binary_find(unpack_entries(raw, count, offset=16), key)
+        raw, count = self._read_head()
+        found = find_entry(raw, key, count, HEAD_HEADER_SIZE)[1]
         return None if found == TOMBSTONE else found
 
     # -- insert ------------------------------------------------------------------------
@@ -435,50 +367,52 @@ class FitingTreeIndex(DiskIndex):
                 raise RuntimeError("index not bulk-loaded")
             first_key, (seg_block, extent, data_cap, buf_cap, slope, intercept) = located
             header = self._read_header(seg_block)
-            buffered = self._read_buffer(seg_block, header)
+            raw = self._buffer_bytes(seg_block, header)
         with self.pager.phase("insert"):
-            slot = _insert_position(buffered, key)
-            if slot < len(buffered) and buffered[slot][0] == key:
-                if buffered[slot][1] != TOMBSTONE:
-                    raise KeyError(f"duplicate key {key}")
-                buffered[slot] = (key, payload)  # re-insert over a tombstone
-            else:
-                buffered.insert(slot, (key, payload))
-            if len(buffered) <= header.buffer_capacity:
+            slot, tail, count = self._buffer_splice(
+                raw, header.buffer_count, 0, key, payload)
+            if count <= header.buffer_capacity:
                 # Rewrite the buffer tail from the insertion point and bump the
                 # header count (the extra block write the paper attributes to
                 # the FITing-tree's insert step in Figure 6).
                 self.pager.write_bytes(
                     self._data,
                     self._buffer_offset(seg_block, header.data_capacity, slot),
-                    pack_entries(buffered[slot:]),
+                    tail,
                 )
-                header.buffer_count = len(buffered)
+                header.buffer_count = count
                 self._write_header(seg_block, header)
                 return
         with self.pager.phase("smo"):
-            self._resegment(first_key, seg_block, header, buffered)
+            self._resegment(first_key, seg_block, header, unpack_entries(
+                raw[: slot * ENTRY_SIZE] + tail, count))
+
+    @staticmethod
+    def _buffer_splice(raw: bytes, count: int, offset: int, key: int,
+                       payload: int) -> Tuple[int, bytes, int]:
+        """Put (key, payload) into a sorted buffer of ``count`` entries
+        at ``offset`` of ``raw`` — a new entry, or over the key's
+        tombstone (re-insert after a delete): the slot, the buffer's
+        bytes from that slot on, and the new count."""
+        slot, held = find_entry(raw, key, count, offset)
+        if held is not None and held != TOMBSTONE:
+            raise KeyError(f"duplicate key {key}")
+        replace = held is not None
+        return (slot,
+                splice(raw, slot, pack_entry(key, payload), count, offset, replace),
+                count + (not replace))
 
     def _head_buffer_insert(self, key: int, payload: int) -> None:
         with self.pager.phase("insert"):
-            raw = self.pager.read_block(self._data, 0)
-            count = _HEAD_HEADER.unpack_from(raw, 0)[0]
-            entries = unpack_entries(raw, count, offset=16)
-            slot = _insert_position(entries, key)
-            if slot < len(entries) and entries[slot][0] == key:
-                if entries[slot][1] != TOMBSTONE:
-                    raise KeyError(f"duplicate key {key}")
-                entries[slot] = (key, payload)  # re-insert over a tombstone
-            else:
-                entries.insert(slot, (key, payload))
-            if len(entries) <= self._head_capacity:
-                block = bytearray(self.pager.block_size)
-                block[0:16] = _HEAD_HEADER.pack(len(entries)).ljust(16, b"\x00")
-                block[16 : 16 + len(entries) * ENTRY_SIZE] = pack_entries(entries)
-                self.pager.write_block(self._data, 0, bytes(block))
+            raw, count = self._read_head()
+            slot, tail, count = self._buffer_splice(
+                raw, count, HEAD_HEADER_SIZE, key, payload)
+            run = raw[HEAD_HEADER_SIZE : HEAD_HEADER_SIZE + slot * ENTRY_SIZE] + tail
+            if count <= self._head_capacity:
+                self._write_head(count, run)
                 return
         with self.pager.phase("smo"):
-            self._flush_head_buffer(entries)
+            self._flush_head_buffer(unpack_entries(run, count))
 
     def _flush_head_buffer(self, entries: List[KeyPayload]) -> None:
         """Turn a full head buffer into leading segments of the index."""
@@ -506,16 +440,14 @@ class FitingTreeIndex(DiskIndex):
         self.first_segment_block = seg_blocks[0]
         self.global_min = keys[0] if self.global_min is None else min(self.global_min, keys[0])
         self.num_segments += len(segments)
-        # Reset the head buffer.
-        block = bytearray(self.pager.block_size)
-        block[0:16] = _HEAD_HEADER.pack(0).ljust(16, b"\x00")
-        self.pager.write_block(self._data, 0, bytes(block))
+        self._write_head(0)  # reset the head buffer
 
     def _resegment(self, first_key: int, seg_block: int, header: _SegmentHeader,
                    buffered: List[KeyPayload]) -> None:
         """The FITing-tree SMO: merge data + buffer, re-segment, patch the tree."""
         self.num_resegments += 1
-        data_entries = self._read_data_range(seg_block, 0, header.item_count - 1)
+        data_entries = unpack_entries(
+            self._data_bytes(seg_block, 0, header.item_count - 1), header.item_count)
         merged = [entry for entry in _merge_sorted(data_entries, buffered)
                   if entry[1] != TOMBSTONE]
         if not merged:
@@ -578,16 +510,14 @@ class FitingTreeIndex(DiskIndex):
     def _write_payload(self, key: int, payload: int) -> bool:
         """Overwrite an existing key's payload in place (data region,
         delta buffer, or head buffer); False if the key is absent."""
+        record = pack_entry(key, payload)
         if self.global_min is None or key < self.global_min:
-            raw = self.pager.read_block(self._data, 0)
-            count = _HEAD_HEADER.unpack_from(raw, 0)[0]
-            entries = unpack_entries(raw, count, offset=16)
-            slot = _insert_position(entries, key)
-            if slot >= len(entries) or entries[slot][0] != key \
-                    or entries[slot][1] == TOMBSTONE:
+            raw, count = self._read_head()
+            slot, held = find_entry(raw, key, count, HEAD_HEADER_SIZE)
+            if held is None or held == TOMBSTONE:
                 return False
-            self.pager.write_bytes(self._data, 16 + slot * ENTRY_SIZE,
-                                   pack_entries([(key, payload)]))
+            self.pager.write_bytes(self._data,
+                                   HEAD_HEADER_SIZE + slot * ENTRY_SIZE, record)
             return True
         located = self._locate_descriptor(key)
         if located is None:
@@ -598,37 +528,26 @@ class FitingTreeIndex(DiskIndex):
         # must hit; the delta buffer is consulted only when the data
         # region misses or holds a tombstone.
         lo, hi = self._predict_range(first_key, slope, intercept, key, data_cap)
-        entries = self._read_data_range(seg_block, lo, hi)
-        pos = _insert_position(entries, key)
-        if pos < len(entries) and entries[pos][0] == key \
-                and entries[pos][1] != TOMBSTONE:
+        raw = self._data_bytes(seg_block, lo, hi)
+        pos, held = find_entry(raw, key, len(raw) // ENTRY_SIZE)
+        in_data = held is not None and held != TOMBSTONE
+        if in_data:
             self.pager.write_bytes(self._data,
-                                   self._data_offset(seg_block, lo + pos),
-                                   pack_entries([(key, payload)]))
-            # Write through to a buffered duplicate (a shadowing insert)
-            # so every copy a reader could reach carries the same payload
-            # — otherwise tombstoning the data copy would expose a stale
-            # buffered one.
-            header = self._read_header(seg_block)
-            buffered = self._read_buffer(seg_block, header)
-            slot = _insert_position(buffered, key)
-            if slot < len(buffered) and buffered[slot][0] == key:
-                self.pager.write_bytes(
-                    self._data,
-                    self._buffer_offset(seg_block, header.data_capacity, slot),
-                    pack_entries([(key, payload)]))
-            return True
+                                   self._data_offset(seg_block, lo + pos), record)
         header = self._read_header(seg_block)
-        buffered = self._read_buffer(seg_block, header)
-        slot = _insert_position(buffered, key)
-        if slot >= len(buffered) or buffered[slot][0] != key:
-            return False
-        if buffered[slot][1] == TOMBSTONE:
-            return False  # deleted (the buffered tombstone shadows)
-        self.pager.write_bytes(
-            self._data, self._buffer_offset(seg_block, header.data_capacity, slot),
-            pack_entries([(key, payload)]))
-        return True
+        slot, held = find_entry(self._buffer_bytes(seg_block, header), key,
+                                header.buffer_count)
+        # After a data-region hit, write through to a buffered duplicate
+        # (a shadowing insert) so every copy a reader could reach carries
+        # the same payload — otherwise tombstoning the data copy would
+        # expose a stale buffered one.  Otherwise the buffered entry is
+        # the key's only live copy, unless it is a tombstone (deleted).
+        if held is not None and (in_data or held != TOMBSTONE):
+            self.pager.write_bytes(
+                self._data,
+                self._buffer_offset(seg_block, header.data_capacity, slot), record)
+            return True
+        return in_data
 
     # -- scan ---------------------------------------------------------------------------
 
@@ -642,11 +561,12 @@ class FitingTreeIndex(DiskIndex):
             return out
         # Head buffer first: it holds the globally smallest keys.
         if self.global_min is None or start_key < self.global_min:
-            raw = self.pager.read_block(self._data, 0)
-            head_count = _HEAD_HEADER.unpack_from(raw, 0)[0]
-            for key, payload in unpack_entries(raw, head_count, offset=16):
-                if key >= start_key and payload != TOMBSTONE:
-                    out.append((key, payload))
+            raw, head_count = self._read_head()
+            slot = bisect_left(raw, start_key, head_count, HEAD_HEADER_SIZE)
+            for entry in iter_entries(raw, head_count - slot,
+                                      HEAD_HEADER_SIZE + slot * ENTRY_SIZE):
+                if entry[1] != TOMBSTONE:
+                    out.append(entry)
                     if len(out) >= count:
                         return out
         located = self._locate_descriptor(start_key)
@@ -664,8 +584,10 @@ class FitingTreeIndex(DiskIndex):
                 # first fetch can skip them; later segments read from slot 0.
                 lo, _ = self._predict_range(located[0], located[1][4], located[1][5],
                                             start_key, header.item_count)
-            buffered = [e for e in self._read_buffer(seg_block, header)
-                        if e[0] >= start_key]
+            raw = self._buffer_bytes(seg_block, header)
+            slot = bisect_left(raw, start_key, header.buffer_count)
+            buffered = unpack_entries(raw, header.buffer_count - slot,
+                                      slot * ENTRY_SIZE)
             self._scan_segment(seg_block, header, lo, start_key, buffered, count, out)
             seg_block = header.right_sib
             located = None  # subsequent segments are read from the start
@@ -675,7 +597,7 @@ class FitingTreeIndex(DiskIndex):
                       start_key: int, buffered: List[KeyPayload], count: int,
                       out: List[KeyPayload]) -> None:
         """Stream a segment's data region in small chunks, merging the
-        (already filtered) delta buffer in key order.
+        delta buffer's entries from ``start_key`` on in key order.
 
         Reading only as many entries as the scan still needs keeps the
         fetched block count proportional to the scan length, matching the
@@ -688,10 +610,10 @@ class FitingTreeIndex(DiskIndex):
             # below start_key inside the first fetched range).
             chunk_len = min(count - len(out) + self.error_bound,
                             header.item_count - pos)
-            chunk = self._read_data_range(seg_block, pos, pos + chunk_len - 1)
-            for key, payload in chunk:
-                if key < start_key:
-                    continue
+            raw = self._data_bytes(seg_block, pos, pos + chunk_len - 1)
+            skip = bisect_left(raw, start_key, chunk_len)
+            for key, payload in iter_entries(raw, chunk_len - skip,
+                                             skip * ENTRY_SIZE):
                 while (buf_pos < len(buffered) and buffered[buf_pos][0] < key):
                     if buffered[buf_pos][1] != TOMBSTONE:
                         out.append(buffered[buf_pos])
@@ -699,14 +621,17 @@ class FitingTreeIndex(DiskIndex):
                             return
                     buf_pos += 1
                 if buf_pos < len(buffered) and buffered[buf_pos][0] == key:
-                    # A buffered re-insert shadows the data region entry.
-                    if buffered[buf_pos][1] != TOMBSTONE:
-                        out.append(buffered[buf_pos])
+                    # The lookup's precedence: a live data-region entry
+                    # wins over a buffered duplicate (a shadowing insert);
+                    # the buffered one counts only over a tombstone (a
+                    # re-insert after a delete).
+                    if payload == TOMBSTONE:
+                        payload = buffered[buf_pos][1]
                     buf_pos += 1
-                elif payload != TOMBSTONE:
+                if payload != TOMBSTONE:
                     out.append((key, payload))
-                if len(out) >= count:
-                    return
+                    if len(out) >= count:
+                        return
             pos += chunk_len
         # Data exhausted: drain the remaining buffered entries.
         while buf_pos < len(buffered) and len(out) < count:
@@ -726,9 +651,8 @@ class FitingTreeIndex(DiskIndex):
         with self._free_io():
             count = 0
             # Head buffer: sorted, strictly below the global minimum.
-            raw = self.pager.read_block(self._data, 0)
-            head_count = _HEAD_HEADER.unpack_from(raw, 0)[0]
-            head = unpack_entries(raw, head_count, offset=16)
+            raw, head_count = self._read_head()
+            head = unpack_entries(raw, head_count, HEAD_HEADER_SIZE)
             head_keys = [k for k, _ in head]
             assert head_keys == sorted(set(head_keys)), "head buffer unsorted"
             if self.global_min is not None and head_keys:
@@ -745,13 +669,16 @@ class FitingTreeIndex(DiskIndex):
                 header = self._read_header(seg_block)
                 assert header.first_key == first_key, "header/descriptor key mismatch"
                 assert header.item_count == descriptor[2], "stale descriptor capacity"
-                entries = self._read_data_range(seg_block, 0, header.item_count - 1)
+                entries = unpack_entries(
+                    self._data_bytes(seg_block, 0, header.item_count - 1),
+                    header.item_count)
                 keys = [k for k, _ in entries]
                 assert keys == sorted(set(keys)), "segment data unsorted"
                 assert keys[0] == first_key, "segment first key mismatch"
                 assert keys[0] > previous_key, "segments out of order"
                 previous_key = keys[-1]
-                buffered = self._read_buffer(seg_block, header)
+                buffered = unpack_entries(self._buffer_bytes(seg_block, header),
+                                          header.buffer_count)
                 buffer_keys = [k for k, _ in buffered]
                 assert buffer_keys == sorted(set(buffer_keys)), "delta buffer unsorted"
                 count += sum(1 for k, p in entries
@@ -795,30 +722,6 @@ class FitingTreeIndex(DiskIndex):
 
     def height(self) -> int:
         return self.directory.num_levels + 1
-
-
-def _binary_find(entries: List[KeyPayload], key: int) -> Optional[int]:
-    lo, hi = 0, len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entries[mid][0] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < len(entries) and entries[lo][0] == key:
-        return entries[lo][1]
-    return None
-
-
-def _insert_position(entries: List[KeyPayload], key: int) -> int:
-    lo, hi = 0, len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entries[mid][0] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def _merge_sorted(a: List[KeyPayload], b: List[KeyPayload]) -> List[KeyPayload]:

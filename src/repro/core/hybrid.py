@@ -25,6 +25,14 @@ leaf max keys.  At a few hundred fences the structure of the learned
 inner no longer matters at page granularity (the SIGMOD 2024 follow-up's
 finding); what matters is that the fence array itself is compressed, so
 routing is an in-memory bisect plus exactly one fence-block read.
+
+A leaf is never unpacked on a point path (DESIGN.md Section 15): a raw
+leaf is bisected as the block the pager returned (:mod:`.serial`), a
+compressed one through the pager's frame-cached decode, and a hit
+decodes one entry; scans decode from the start key on.
+:meth:`HybridIndex._search_leaf` is the one leaf search behind ``lookup``
+and ``lookup_many``.  Pager calls are pinned by
+``tests/golden/learned_pages.json``.
 """
 
 from __future__ import annotations
@@ -42,15 +50,13 @@ from .fiting import FitingTreeIndex
 from .interface import DiskIndex, KeyPayload
 from .lipp import LippIndex
 from .pgm import PgmIndex
-from .serial import (ENTRY_SIZE, NULL_BLOCK, pack_entries, payload_at,
-                     unpack_entries)
-from .vectorize import enabled as _vectorized
+from .serial import (ENTRY_SIZE, NULL_BLOCK, bisect_left, find_entry,
+                     pack_entries, unpack_entries)
 
 __all__ = ["HybridIndex", "HYBRID_INNER_KINDS"]
 
 _LEAF_HEADER = struct.Struct("<HHIII")  # count, pad, next, prev, pad
 LEAF_HEADER_SIZE = 16
-_U64 = struct.Struct("<Q")
 
 #: Inner-part choices for the hybrid design (Table 5 columns).
 HYBRID_INNER_KINDS: Dict[str, Type[DiskIndex]] = {
@@ -196,17 +202,35 @@ class HybridIndex(DiskIndex):
 
     # -- leaf access ------------------------------------------------------------
 
-    def _read_leaf(self, block: int):
-        raw = self.pager.read_block(self._leaf_file, block)
-        return self._parse_leaf(raw)
+    def _decoded(self, block: int, raw: bytes):
+        """A compressed leaf's ``(keys, payloads)`` columns, decoded once
+        per frame by the pager."""
+        return self.pager.cached_decode(self._leaf_file, block, raw, self.codec,
+                                        offset=LEAF_HEADER_SIZE)
 
-    def _parse_leaf(self, raw: bytes):
-        count, _codec_id, next_, prev, _pad2 = _LEAF_HEADER.unpack_from(raw, 0)
+    def _search_leaf(self, block: int, raw: bytes, key: int) -> Optional[int]:
+        """The payload of ``key`` in a fetched leaf, or None."""
         if self.codec.is_raw:
-            entries = unpack_entries(raw, count, offset=LEAF_HEADER_SIZE)
-        else:
-            entries = self.codec.decode(raw, offset=LEAF_HEADER_SIZE)
-        return entries, next_
+            return find_entry(raw, key, _LEAF_HEADER.unpack_from(raw)[0],
+                              LEAF_HEADER_SIZE)[1]
+        keys, payloads = self._decoded(block, raw)
+        slot = int(np.searchsorted(keys, np.uint64(key), side="left"))
+        if slot < len(keys) and int(keys[slot]) == key:
+            return int(payloads[slot])
+        return None
+
+    def _entries_from(self, block: int, raw: bytes, start_key: int,
+                      limit: int) -> List[KeyPayload]:
+        """Up to ``limit`` entries of a fetched leaf with key >= ``start_key``."""
+        if self.codec.is_raw:
+            count = _LEAF_HEADER.unpack_from(raw)[0]
+            slot = bisect_left(raw, start_key, count, LEAF_HEADER_SIZE)
+            return unpack_entries(raw, min(count - slot, limit),
+                                  LEAF_HEADER_SIZE + slot * ENTRY_SIZE)
+        keys, payloads = self._decoded(block, raw)
+        slot = int(np.searchsorted(keys, np.uint64(start_key), side="left"))
+        return list(zip(keys[slot : slot + limit].tolist(),
+                        payloads[slot : slot + limit].tolist()))
 
     def _route(self, key: int) -> Optional[int]:
         """Leaf block whose max key is the ceiling of ``key``."""
@@ -225,31 +249,18 @@ class HybridIndex(DiskIndex):
 
     # -- operations ----------------------------------------------------------------
 
-    @staticmethod
-    def _find_in_entries(entries, key: int) -> Optional[int]:
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if entries[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(entries) and entries[lo][0] == key:
-            return entries[lo][1]
-        return None
-
     def lookup(self, key: int) -> Optional[int]:
         leaf_block = self._route(key)
         if leaf_block is None:
             return None
         with self.pager.phase("search"):
-            entries, _next = self._read_leaf(leaf_block)
-        return self._find_in_entries(entries, key)
+            raw = self.pager.read_block(self._leaf_file, leaf_block)
+        return self._search_leaf(leaf_block, raw, key)
 
     def lookup_many(self, keys) -> List[Optional[int]]:
         """Batched lookups: route the whole sorted batch through the
         pinned inner index, then fetch the distinct leaf blocks in one
-        coalesced span and search each parsed leaf once."""
+        coalesced span and search each key's leaf in place."""
         keys = list(keys)
         if len(keys) <= 1:
             return [self.lookup(key) for key in keys]
@@ -263,29 +274,15 @@ class HybridIndex(DiskIndex):
             wanted = {block for block in leaf_of.values() if block is not None}
             with self.pager.phase("search"):
                 blocks = self.pager.read_span(self._leaf_file, wanted)
-                if _vectorized():
-                    if self.zonemap is not None:
-                        self._search_leaves_vec_compressed(
-                            unique, leaf_of, blocks, results)
-                    else:
-                        self._search_leaves_vec(unique, leaf_of, blocks, results)
-                else:
-                    parsed = {}
-                    for key in unique:
-                        block = leaf_of[key]
-                        if block is None:
-                            results[key] = None
-                            continue
-                        entries = parsed.get(block)
-                        if entries is None:
-                            entries = parsed[block] = self._parse_leaf(
-                                blocks[block])[0]
-                        results[key] = self._find_in_entries(entries, key)
+            for key in unique:
+                block = leaf_of[key]
+                results[key] = (None if block is None else
+                                self._search_leaf(block, blocks[block], key))
         return [results[key] for key in keys]
 
     def _route_batch_compressed(self, unique) -> Dict[int, Optional[int]]:
         """Batched zonemap routing: one coalesced fence-page span for
-        the whole batch, identical in both execution modes."""
+        the whole batch."""
         routable = [key for key in unique
                     if self.max_key is not None and key <= self.max_key]
         with self.pager.phase("search"):
@@ -295,81 +292,6 @@ class HybridIndex(DiskIndex):
             if ordinal is not None:
                 leaf_of[key] = self.leaf_base + ordinal
         return leaf_of
-
-    def _search_leaves_vec_compressed(self, unique, leaf_of, blocks,
-                                      results) -> None:
-        """Vectorized compressed-leaf search: the decoded page columns
-        are frame-cached (:meth:`Pager.cached_decode`) and each distinct
-        leaf is searched with one ``np.searchsorted`` over its group.
-        The leaves were already fetched by the caller's ``read_span``,
-        so no charged I/O happens here."""
-        groups: Dict[int, List[int]] = {}
-        for key in unique:
-            block = leaf_of[key]
-            if block is None:
-                results[key] = None
-            else:
-                groups.setdefault(block, []).append(key)
-        for block, group in groups.items():
-            raw = blocks[block]
-            leaf_keys, payloads = self.pager.cached_decode(
-                self._leaf_file, block, raw, self.codec,
-                offset=LEAF_HEADER_SIZE)
-            count = len(leaf_keys)
-            karr = np.array(group, dtype=np.uint64)
-            slots = np.searchsorted(leaf_keys, karr, side="left")
-            for key, slot in zip(group, slots.tolist()):
-                if slot < count and int(leaf_keys[slot]) == key:
-                    results[key] = int(payloads[slot])
-                else:
-                    results[key] = None
-
-    def _search_leaves_vec(self, unique, leaf_of, blocks, results) -> None:
-        """Vectorized leaf search: one ``np.searchsorted`` per distinct
-        leaf over a zero-copy key view instead of a per-key bisection
-        over parsed tuples.  The leaves were already fetched by the
-        caller's ``read_span``, so no charged I/O happens here."""
-        groups: Dict[int, List[int]] = {}
-        for key in unique:
-            block = leaf_of[key]
-            if block is None:
-                results[key] = None
-            else:
-                groups.setdefault(block, []).append(key)
-        unpack_u64 = _U64.unpack_from
-        for block, group in groups.items():
-            raw = blocks[block]
-            count = _LEAF_HEADER.unpack_from(raw, 0)[0]
-            if len(group) < 4:
-                # Tiny group: a raw-byte bisection per key beats the
-                # numpy round-trip (array build + searchsorted call).
-                for key in group:
-                    lo, hi = 0, count
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        if unpack_u64(raw,
-                                      LEAF_HEADER_SIZE + mid * ENTRY_SIZE)[0] < key:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    if (lo < count and
-                            unpack_u64(raw,
-                                       LEAF_HEADER_SIZE + lo * ENTRY_SIZE)[0] == key):
-                        results[key] = payload_at(raw, lo, offset=LEAF_HEADER_SIZE)
-                    else:
-                        results[key] = None
-                continue
-            leaf_keys = self.pager.cached_keys(
-                self._leaf_file, block, raw, count,
-                offset=LEAF_HEADER_SIZE, stride=ENTRY_SIZE)
-            karr = np.array(group, dtype=np.uint64)
-            slots = np.searchsorted(leaf_keys, karr, side="left")
-            for key, slot in zip(group, slots.tolist()):
-                if slot < count and int(leaf_keys[slot]) == key:
-                    results[key] = payload_at(
-                        raw, slot, offset=LEAF_HEADER_SIZE)
-                else:
-                    results[key] = None
 
     def insert(self, key: int, payload: int) -> None:
         raise NotImplementedError(
@@ -383,13 +305,9 @@ class HybridIndex(DiskIndex):
         with self.pager.phase("scan"):
             block = leaf_block
             while block != NULL_BLOCK and len(out) < count:
-                entries, next_ = self._read_leaf(block)
-                for key, payload in entries:
-                    if key >= start_key:
-                        out.append((key, payload))
-                        if len(out) >= count:
-                            break
-                block = next_
+                raw = self.pager.read_block(self._leaf_file, block)
+                out += self._entries_from(block, raw, start_key, count - len(out))
+                block = _LEAF_HEADER.unpack_from(raw)[2]
         return out
 
     # -- misc -------------------------------------------------------------------------
@@ -414,7 +332,8 @@ class HybridIndex(DiskIndex):
                 assert codec_id == self.codec.codec_id, (
                     f"leaf {block} stamped codec {codec_id}, "
                     f"expected {self.codec.codec_id}")
-                entries, _next = self._parse_leaf(raw)
+                # one more than stamped, so a page holding extra shows
+                entries = self._entries_from(block, raw, 0, entry_count + 1)
                 assert len(entries) == entry_count, "leaf count drift"
                 assert prev == previous_block, "broken prev link"
                 keys = [k for k, _ in entries]

@@ -21,13 +21,25 @@ Dynamic index (Arbitrary Insert, Figure 1(b) of the paper)
     Lookups probe the buffer and then every component from newest to
     oldest until the key is found — the access pattern behind O10 (PGM
     degrades as the read ratio grows).
+
+Nothing fetched is unpacked on a point path (DESIGN.md Section 15): a
+descriptor window, a data window and the insert buffer are bisected as
+the bytes the pager returned (:mod:`.serial`), a hit decodes one record,
+and a buffer insert writes back ``record + tail`` sliced from the bytes
+it read.  There is one lookup routine per class — :meth:`StaticPgm.lookup`
+over :meth:`StaticPgm._data_window`, :meth:`PgmIndex._lookup_raw` — behind
+``lookup``, ``lookup_many``, the ``update`` / ``delete`` probes and scan
+positioning; compressed pages are always searched through the pager's
+frame-cached decode.  Which pager calls are made, in which order, and the
+bytes written are pinned by ``tests/golden/learned_pages.json``.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import struct
-from bisect import bisect_left, bisect_right
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,34 +47,15 @@ from ..models import optimal_segments
 from ..storage import BlockFile, Pager
 from .codecs import get_codec
 from .interface import DiskIndex, KeyPayload, TOMBSTONE
-from .serial import ENTRY_SIZE, entry_at, pack_entries, payload_at, unpack_entries
-from .vectorize import BlockMirror, enabled as _vectorized
+from .serial import (ENTRY_SIZE, bisect_left, bisect_right, entry_at,
+                     find_entry, iter_entries, pack_entries, pack_entry, splice,
+                     unpack_entries)
+from .vectorize import BlockMirror
 
 __all__ = ["StaticPgm", "PgmIndex"]
 
 _DESCRIPTOR = struct.Struct("<Qdd")  # first_key, slope, intercept
 DESCRIPTOR_SIZE = _DESCRIPTOR.size  # 24
-
-_U64 = struct.Struct("<Q")
-
-
-def _floor_slot_raw(raw, count: int, key: int, stride: int) -> int:
-    """``_floor_slot`` over packed records in ``raw`` whose leading field
-    is a little-endian u64 key, decoding only the probed keys.
-
-    For the small windows PGM descends through (2*epsilon+3 records) this
-    beats building an array view: log2(n) 8-byte decodes instead of a
-    numpy call per window.
-    """
-    unpack = _U64.unpack_from
-    lo, hi = 0, count
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if unpack(raw, mid * stride)[0] <= key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo - 1 if lo else 0
 
 
 class StaticPgm:
@@ -209,35 +202,15 @@ class StaticPgm:
             return 3
         return len(self.level_table) + 2
 
-    # -- compressed search ---------------------------------------------------
-
-    def _read_page(self, page: int) -> bytes:
-        return self.pager.read_block(self.data_file, self.data_base + page)
-
-    def _lookup_compressed(self, key: int) -> Optional[int]:
-        """Zonemap route (1 fence block) + 1 data page, scalar search."""
-        page = self.zonemap.route(key)
-        raw = self._read_page(page)
-        entries = self.codec.decode(raw)
-        slot = _floor_slot([k for k, _ in entries], key)
-        if entries[slot][0] == key:
-            return entries[slot][1]
-        return None
-
-    def _lookup_compressed_vec(self, key: int) -> Optional[int]:
-        """Same fetches as :meth:`_lookup_compressed`; the decoded page
-        columns are frame-cached (:meth:`Pager.cached_decode`) and the
-        in-page search is one ``np.searchsorted``."""
-        page = self.zonemap.route(key)
-        raw = self._read_page(page)
-        keys, payloads = self.pager.cached_decode(
-            self.data_file, self.data_base + page, raw, self.codec)
-        slot = int(np.searchsorted(keys, np.uint64(key), side="left"))
-        if slot < len(keys) and int(keys[slot]) == key:
-            return int(payloads[slot])
-        return None
-
     # -- search ------------------------------------------------------------------
+
+    def _decoded_page(self, page: int) -> Tuple[np.ndarray, np.ndarray]:
+        """One charged read of a compressed data page; its ``(keys,
+        payloads)`` columns, decoded once per frame by the pager."""
+        block = self.data_base + page
+        return self.pager.cached_decode(
+            self.data_file, block,
+            self.pager.read_block(self.data_file, block), self.codec)
 
     def _clamped_window(self, pred: float, count: int) -> Tuple[int, int]:
         # One slot of slack per side: float rounding can push a boundary
@@ -250,15 +223,6 @@ class StaticPgm:
         hi = max(lo, min(center + self.epsilon + 1, count - 1))
         return lo, hi
 
-    def _read_descriptors(self, level: int, lo: int, hi: int) -> List[Tuple[int, float, float]]:
-        base, _count = self.level_table[level]
-        raw = self.pager.read_bytes(self.levels_file, base + lo * DESCRIPTOR_SIZE,
-                                    (hi - lo + 1) * DESCRIPTOR_SIZE)
-        return [
-            _DESCRIPTOR.unpack_from(raw, i * DESCRIPTOR_SIZE)
-            for i in range(hi - lo + 1)
-        ]
-
     @staticmethod
     def _predict(descriptor: Tuple[int, float, float], key: int) -> float:
         """Anchored evaluation: slope * (key - first_key) + intercept.
@@ -269,68 +233,39 @@ class StaticPgm:
         first_key, slope, intercept = descriptor
         return slope * float(int(key) - int(first_key)) + intercept
 
-    def _descend(self, key: int) -> Tuple[int, int]:
-        """Return the (lo, hi) window in the data array that must hold ``key``."""
+    def _data_window(self, key: int) -> Tuple[int, int, bytes]:
+        """Descend to the data window that must hold ``key``: its first
+        position, its entry count and its bytes."""
         if self.root is None:
             raise RuntimeError("component not built")
         model = self.root
-        # Walk descriptor levels top-down; level_table is bottom-up.
-        for level in range(len(self.level_table) - 1, -1, -1):
-            _base, count = self.level_table[level]
+        read_bytes = self.pager.read_bytes
+        # Walk descriptor levels top-down; level_table is bottom-up.  Each
+        # window is bisected as fetched; only the floor descriptor decodes.
+        for base, count in reversed(self.level_table):
             lo, hi = self._clamped_window(self._predict(model, key), count)
-            descriptors = self._read_descriptors(level, lo, hi)
-            slot = _floor_slot([d[0] for d in descriptors], key)
-            model = descriptors[slot]
-        return self._clamped_window(self._predict(model, key), self.count)
-
-    def _read_data_range(self, lo: int, hi: int) -> List[KeyPayload]:
-        raw = self.pager.read_bytes(self.data_file, lo * ENTRY_SIZE,
-                                    (hi - lo + 1) * ENTRY_SIZE)
-        return unpack_entries(raw, hi - lo + 1)
+            span = hi - lo + 1
+            raw = read_bytes(self.levels_file, base + lo * DESCRIPTOR_SIZE,
+                             span * DESCRIPTOR_SIZE)
+            slot = max(bisect_right(raw, key, span, 0, DESCRIPTOR_SIZE) - 1, 0)
+            model = _DESCRIPTOR.unpack_from(raw, slot * DESCRIPTOR_SIZE)
+        lo, hi = self._clamped_window(self._predict(model, key), self.count)
+        span = hi - lo + 1
+        return lo, span, read_bytes(self.data_file, lo * ENTRY_SIZE,
+                                    span * ENTRY_SIZE)
 
     def lookup(self, key: int) -> Optional[int]:
         if key < self.min_key or key > self.max_key:
             return None
         if self.zonemap is not None:
-            return self._lookup_compressed(key)
-        lo, hi = self._descend(key)
-        entries = self._read_data_range(lo, hi)
-        slot = _floor_slot([k for k, _ in entries], key)
-        if entries[slot][0] == key:
-            return entries[slot][1]
-        return None
-
-    def _descend_vec(self, key: int) -> Tuple[int, int]:
-        """``_descend`` with zero-copy descriptor parsing: only the
-        bisection probes and the winning descriptor are decoded from the
-        fetched window; reads are byte-identical to scalar."""
-        if self.root is None:
-            raise RuntimeError("component not built")
-        model = self.root
-        for level in range(len(self.level_table) - 1, -1, -1):
-            base, count = self.level_table[level]
-            lo, hi = self._clamped_window(self._predict(model, key), count)
-            raw = self.pager.read_bytes(self.levels_file,
-                                        base + lo * DESCRIPTOR_SIZE,
-                                        (hi - lo + 1) * DESCRIPTOR_SIZE)
-            slot = _floor_slot_raw(raw, hi - lo + 1, key, DESCRIPTOR_SIZE)
-            model = _DESCRIPTOR.unpack_from(raw, slot * DESCRIPTOR_SIZE)
-        return self._clamped_window(self._predict(model, key), self.count)
-
-    def lookup_vec(self, key: int) -> Optional[int]:
-        """``lookup`` decoding only the bisection probes (same fetches
-        as scalar)."""
-        if key < self.min_key or key > self.max_key:
+            # Zonemap route (1 fence block) + 1 data page.
+            keys, payloads = self._decoded_page(self.zonemap.route(key))
+            slot = int(np.searchsorted(keys, np.uint64(key), side="left"))
+            if slot < len(keys) and int(keys[slot]) == key:
+                return int(payloads[slot])
             return None
-        if self.zonemap is not None:
-            return self._lookup_compressed_vec(key)
-        lo, hi = self._descend_vec(key)
-        raw = self.pager.read_bytes(self.data_file, lo * ENTRY_SIZE,
-                                    (hi - lo + 1) * ENTRY_SIZE)
-        slot = _floor_slot_raw(raw, hi - lo + 1, key, ENTRY_SIZE)
-        if _U64.unpack_from(raw, slot * ENTRY_SIZE)[0] == key:
-            return payload_at(raw, slot)
-        return None
+        _lo, span, raw = self._data_window(key)
+        return find_entry(raw, key, span)[1]
 
     def ceiling_position(self, key: int) -> int:
         """Index of the first entry with key >= ``key`` (may equal count)."""
@@ -343,39 +278,18 @@ class StaticPgm:
             # earlier page holds only smaller keys: the global ceiling is
             # the in-page ceiling offset by the page's start position.
             page = self.zonemap.route(key)
-            raw = self._read_page(page)
-            if _vectorized():
-                keys, _payloads = self.pager.cached_decode(
-                    self.data_file, self.data_base + page, raw, self.codec)
-                slot = int(np.searchsorted(keys, np.uint64(key), side="left"))
-            else:
-                page_keys = [k for k, _ in self.codec.decode(raw)]
-                slot = bisect_left(page_keys, key)
-            return self.page_starts[page] + slot
-        if _vectorized():
-            lo, hi = self._descend_vec(key)
-            raw = self.pager.read_bytes(self.data_file, lo * ENTRY_SIZE,
-                                        (hi - lo + 1) * ENTRY_SIZE)
-            slot = _floor_slot_raw(raw, hi - lo + 1, key, ENTRY_SIZE)
-            if _U64.unpack_from(raw, slot * ENTRY_SIZE)[0] >= key:
-                return lo + slot
-            return lo + slot + 1
-        lo, hi = self._descend(key)
-        entries = self._read_data_range(lo, hi)
-        keys = [k for k, _ in entries]
-        slot = _floor_slot(keys, key)
-        if keys[slot] >= key:
-            return lo + slot
-        return lo + slot + 1
+            keys, _payloads = self._decoded_page(page)
+            return self.page_starts[page] + int(
+                np.searchsorted(keys, np.uint64(key), side="left"))
+        lo, span, raw = self._data_window(key)
+        return lo + bisect_left(raw, key, span)
 
     def iterate_from(self, position: int) -> Iterator[KeyPayload]:
         """Yield entries sequentially starting at a data position.
 
-        Blocks are fetched identically in both execution modes; the
-        vectorized mode just extracts entries from the fetched bytes one
-        at a time as the consumer pulls them, so a take-1 scan (the
-        hybrid's routing pattern) no longer pays for parsing the whole
-        block into tuples."""
+        Entries decode from the fetched block one at a time as the
+        consumer pulls them, so a take-1 scan (the hybrid's routing
+        pattern) does not pay for parsing the whole block."""
         if self.zonemap is not None:
             yield from self._iterate_compressed(position)
             return
@@ -388,32 +302,23 @@ class StaticPgm:
             in_block = min(per_block, self.count - first_in_block)
             raw = self.pager.read_bytes(self.data_file, first_in_block * ENTRY_SIZE,
                                         in_block * ENTRY_SIZE)
-            if _vectorized():
-                for i in range(pos - first_in_block, in_block):
-                    yield entry_at(raw, i)
-            else:
-                entries = unpack_entries(raw, in_block)
-                for entry in entries[pos - first_in_block :]:
-                    yield entry
+            skip = pos - first_in_block
+            yield from iter_entries(raw, in_block - skip, skip * ENTRY_SIZE)
             pos = first_in_block + in_block
 
     def _iterate_compressed(self, position: int) -> Iterator[KeyPayload]:
         """Sequential walk over codec pages from a data position.
 
-        One charged block read per page in both execution modes; each
-        page decodes to (count) entries — the per-block entry yield that
-        makes compressed scans fetch proportionally fewer blocks.
+        One charged block read per page; each page decodes to (count)
+        entries — the per-block entry yield that makes compressed scans
+        fetch proportionally fewer blocks.
         """
         num_pages = len(self.page_starts)
-        page = bisect_right(self.page_starts, position) - 1
-        if page < 0:
-            page = 0
+        page = max(bisect.bisect_right(self.page_starts, position) - 1, 0)
         while page < num_pages:
-            raw = self._read_page(page)
-            entries = self.codec.decode(raw)
+            keys, payloads = self._decoded_page(page)
             skip = max(0, position - self.page_starts[page])
-            for entry in entries[skip:]:
-                yield entry
+            yield from zip(keys[skip:].tolist(), payloads[skip:].tolist())
             page += 1
             position = self.page_starts[page] if page < num_pages else self.count
 
@@ -478,12 +383,12 @@ class PgmIndex(DiskIndex):
                          levels_memory_resident=self._levels_resident,
                          codec=self.codec)
 
-    def _read_buffer(self, count: Optional[int] = None) -> List[KeyPayload]:
-        count = self.buffer_count if count is None else count
-        if count == 0:
-            return []
-        raw = self.pager.read_bytes(self._buffer_file, 0, count * ENTRY_SIZE)
-        return unpack_entries(raw, count)
+    def _read_buffer_range(self, offset: int, length: int) -> bytes:
+        return self.pager.read_bytes(self._buffer_file, offset, length)
+
+    def _buffer_bytes(self) -> bytes:
+        """The sorted insert buffer, as stored."""
+        return self._read_buffer_range(0, self.buffer_count * ENTRY_SIZE)
 
     # -- bulk load -------------------------------------------------------------------
 
@@ -506,12 +411,19 @@ class PgmIndex(DiskIndex):
             found = self._lookup_raw(key)
         return None if found == TOMBSTONE else found
 
-    def _lookup_raw(self, key: int) -> Optional[int]:
-        """Newest-wins lookup that surfaces tombstone payloads."""
-        found = _binary_find_region(self.pager, self._buffer_file, 0,
+    def _lookup_raw(self, key: int,
+                    read_buffer: Optional[Callable[[int, int], bytes]] = None
+                    ) -> Optional[int]:
+        """Newest-wins lookup that surfaces tombstone payloads.
+
+        ``read_buffer(offset, length)`` serves the buffer probes: the
+        pager by default, a batch's :class:`BlockMirror` in
+        :meth:`lookup_many`."""
+        if self.buffer_count:
+            found = _find_in_region(read_buffer or self._read_buffer_range,
                                     self.buffer_count, key)
-        if found is not None:
-            return found
+            if found is not None:
+                return found
         for component in self.components:
             if component is None:
                 continue
@@ -527,59 +439,22 @@ class PgmIndex(DiskIndex):
         keys = list(keys)
         if len(keys) <= 1:
             return [self.lookup(key) for key in keys]
-        unique = sorted(set(keys))
         results = {}
         with self.pager.phase("search"), self.pager.batch():
-            if _vectorized():
-                # One buffer mirror for the whole batch: probe reads hit
-                # the same byte ranges in the same order as scalar, but
-                # revisited buffer blocks skip the pager walk (they are
-                # pinned in this batch scope — free either way).
-                buffer_mirror = BlockMirror(self.pager, self._buffer_file)
-                for key in unique:
-                    results[key] = self._lookup_raw_vec(key, buffer_mirror)
-            else:
-                for key in unique:
-                    results[key] = self._lookup_raw(key)
+            # One buffer mirror for the whole batch: probe reads hit the
+            # same byte ranges in the same order as unbatched lookups, but
+            # revisited buffer blocks skip the pager walk (they are
+            # pinned in this batch scope — free either way).
+            read_buffer = BlockMirror(self.pager, self._buffer_file).read
+            for key in sorted(set(keys)):
+                results[key] = self._lookup_raw(key, read_buffer)
         return [None if results[key] == TOMBSTONE else results[key]
                 for key in keys]
-
-    def _lookup_raw_vec(self, key: int,
-                        buffer_mirror: BlockMirror) -> Optional[int]:
-        """Newest-wins lookup through the vectorized component paths."""
-        found = _binary_find_region_vec(buffer_mirror, 0, self.buffer_count, key)
-        if found is not None:
-            return found
-        for component in self.components:
-            if component is None:
-                continue
-            result = component.lookup_vec(key)
-            if result is not None:
-                return result
-        return None
 
     # -- insert -----------------------------------------------------------------------
 
     def insert(self, key: int, payload: int) -> None:
-        with self.pager.phase("insert"):
-            entries = self._read_buffer()
-            slot = _insert_position(entries, key)
-            if slot < len(entries) and entries[slot][0] == key:
-                if entries[slot][1] != TOMBSTONE:
-                    raise KeyError(f"duplicate key {key}")
-                # Re-inserting a buffered-deleted key overwrites in place.
-                entries[slot] = (key, payload)
-                self.pager.write_bytes(self._buffer_file, slot * ENTRY_SIZE,
-                                       pack_entries([(key, payload)]))
-                return
-            entries.insert(slot, (key, payload))
-            self.buffer_count = len(entries)
-            # Rewrite the shifted tail of the sorted buffer.
-            self.pager.write_bytes(self._buffer_file, slot * ENTRY_SIZE,
-                                   pack_entries(entries[slot:]))
-        if self.buffer_count >= self.buffer_capacity:
-            with self.pager.phase("smo"):
-                self._flush_buffer(entries)
+        self._buffer_put(key, payload, reject_live=True)
 
     def update(self, key: int, payload: int) -> bool:
         """LSM upsert: the newest value shadows older components."""
@@ -587,7 +462,7 @@ class PgmIndex(DiskIndex):
             current = self._lookup_raw(key)
         if current is None or current == TOMBSTONE:
             return False
-        self._buffer_upsert(key, payload)
+        self._buffer_put(key, payload)
         return True
 
     def delete(self, key: int) -> bool:
@@ -597,27 +472,34 @@ class PgmIndex(DiskIndex):
             current = self._lookup_raw(key)
         if current is None or current == TOMBSTONE:
             return False
-        self._buffer_upsert(key, TOMBSTONE)
+        self._buffer_put(key, TOMBSTONE)
         return True
 
-    def _buffer_upsert(self, key: int, payload: int) -> None:
-        """Write (key, payload) into the sorted buffer, shadowing any
-        existing buffered entry for the key; flushes when full."""
+    def _buffer_put(self, key: int, payload: int,
+                    reject_live: bool = False) -> None:
+        """Write (key, payload) into the sorted buffer — over a buffered
+        entry for the key, which ``reject_live`` allows only for a
+        tombstone (re-insert after a buffered delete) — and flush the
+        buffer when full.  The buffer is bisected and spliced as bytes:
+        what is written back is the record plus the shifted tail."""
         with self.pager.phase("insert"):
-            entries = self._read_buffer()
-            slot = _insert_position(entries, key)
-            if slot < len(entries) and entries[slot][0] == key:
-                entries[slot] = (key, payload)
+            count = self.buffer_count
+            raw = self._buffer_bytes()
+            slot, held = find_entry(raw, key, count)
+            record = pack_entry(key, payload)
+            if held is not None:
+                if reject_live and held != TOMBSTONE:
+                    raise KeyError(f"duplicate key {key}")
                 self.pager.write_bytes(self._buffer_file, slot * ENTRY_SIZE,
-                                       pack_entries([(key, payload)]))
+                                       record)
                 return
-            entries.insert(slot, (key, payload))
-            self.buffer_count = len(entries)
-            self.pager.write_bytes(self._buffer_file, slot * ENTRY_SIZE,
-                                   pack_entries(entries[slot:]))
+            tail = splice(raw, slot, record, count)
+            self.buffer_count = count + 1
+            self.pager.write_bytes(self._buffer_file, slot * ENTRY_SIZE, tail)
         if self.buffer_count >= self.buffer_capacity:
             with self.pager.phase("smo"):
-                self._flush_buffer(entries)
+                self._flush_buffer(unpack_entries(
+                    raw[: slot * ENTRY_SIZE] + tail, self.buffer_count))
 
     def _flush_buffer(self, buffered: List[KeyPayload]) -> None:
         """Merge the full buffer down the LSM hierarchy (the PGM 'SMO')."""
@@ -657,9 +539,12 @@ class PgmIndex(DiskIndex):
     def scan(self, start_key: int, count: int) -> List[KeyPayload]:
         with self.pager.phase("scan"):
             iters: List[Iterator[KeyPayload]] = []
-            buffered = self._read_buffer()
-            slot = _insert_position(buffered, start_key)
-            iters.append(iter(buffered[slot:]))
+            buffered = self.buffer_count
+            if buffered:
+                raw = self._buffer_bytes()
+                slot = bisect_left(raw, start_key, buffered)
+                iters.append(iter_entries(raw, buffered - slot,
+                                          slot * ENTRY_SIZE))
             for component in self.components:
                 if component is None:
                     continue
@@ -681,7 +566,7 @@ class PgmIndex(DiskIndex):
         """Check buffer/component sortedness, level capacities and the
         newest-wins visibility of every key."""
         with self._free_io():
-            buffered = self._read_buffer()
+            buffered = unpack_entries(self._buffer_bytes(), self.buffer_count)
             buffer_keys = [k for k, _ in buffered]
             assert buffer_keys == sorted(set(buffer_keys)), "insert buffer unsorted"
             assert len(buffered) < self.buffer_capacity, "buffer overfull"
@@ -746,61 +631,21 @@ class PgmIndex(DiskIndex):
 # -- module helpers -------------------------------------------------------------
 
 
-def _floor_slot(keys: List[int], key: int) -> int:
-    """Rightmost index with keys[i] <= key, clamped to 0."""
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] <= key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return max(0, lo - 1)
-
-
-def _insert_position(entries: List[KeyPayload], key: int) -> int:
-    lo, hi = 0, len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entries[mid][0] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _binary_find_region(pager: Pager, file: BlockFile, base_offset: int,
-                        count: int, key: int) -> Optional[int]:
+def _find_in_region(read: Callable[[int, int], bytes], count: int,
+                    key: int) -> Optional[int]:
     """Binary search a sorted on-disk entry region, probing entry by entry.
 
-    Each probe reads 16 bytes; the pager's last-block reuse means the
-    search touches only the distinct blocks the probes land in — one or
-    two for a 3-block buffer, matching the paper's Figure 6 analysis.
+    Each probe is one 16-byte ``read(offset, length)``; the pager's
+    last-block reuse means the search touches only the distinct blocks
+    the probes land in — one or two for a 3-block buffer, matching the
+    paper's Figure 6 analysis.  The probe sequence (it stops on the hit)
+    is part of the charged cost, which is why this is not a bisect over
+    one fetched range.
     """
     lo, hi = 0, count
     while lo < hi:
         mid = (lo + hi) // 2
-        raw = pager.read_bytes(file, base_offset + mid * ENTRY_SIZE, ENTRY_SIZE)
-        mid_key, payload = unpack_entries(raw, 1)[0]
-        if mid_key == key:
-            return payload
-        if mid_key < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return None
-
-
-def _binary_find_region_vec(mirror: BlockMirror, base_offset: int,
-                            count: int, key: int) -> Optional[int]:
-    """:func:`_binary_find_region` served through a :class:`BlockMirror`:
-    identical probe sequence, but blocks already mirrored in this batch
-    scope skip the pager walk (pin-cache-equivalent, charge-free)."""
-    lo, hi = 0, count
-    while lo < hi:
-        mid = (lo + hi) // 2
-        raw = mirror.read(base_offset + mid * ENTRY_SIZE, ENTRY_SIZE)
-        mid_key, payload = entry_at(raw, 0)
+        mid_key, payload = entry_at(read(mid * ENTRY_SIZE, ENTRY_SIZE), 0)
         if mid_key == key:
             return payload
         if mid_key < key:
@@ -812,8 +657,6 @@ def _binary_find_region_vec(mirror: BlockMirror, base_offset: int,
 
 def _merge_runs(runs: List[List[KeyPayload]]) -> List[KeyPayload]:
     """Merge key-sorted runs; on duplicate keys the earliest run wins."""
-    import heapq
-
     heap: List[Tuple[int, int, int]] = []  # key, run index, position
     for run_index, run in enumerate(runs):
         if run:
@@ -835,8 +678,6 @@ def _merge_iters_take(iters: List[Iterator[KeyPayload]], count: int) -> List[Key
     Iterators are ordered newest-first; on duplicate keys the newest run
     wins, and keys whose newest value is a tombstone are skipped.
     """
-    import heapq
-
     heap: List[Tuple[int, int, int, Iterator[KeyPayload]]] = []
     for i, it in enumerate(iters):
         first = next(it, None)

@@ -39,6 +39,14 @@ Directory layout (``<prefix>.dir`` file)::
 
 The leaf directory array and its PLA are rebuilt together; between
 rebuilds, new leaves produced by splits live in the split buffer.
+
+Nothing fetched is unpacked on a point path (DESIGN.md Section 15): the
+segment window, the directory window, the split buffer and the leaf are
+bisected as the bytes the pager returned (:mod:`.serial`); a hit decodes
+one entry and a leaf mutation splices the sorted run — slices around the
+record, a new header, a zero tail.  :meth:`PlidIndex._route` is the one
+routing routine of every operation.  Pager calls and written bytes are
+pinned by ``tests/golden/learned_pages.json``.
 """
 
 from __future__ import annotations
@@ -50,7 +58,9 @@ from ..models import LinearModel, optimal_segments
 from ..storage import Pager
 from .codecs import get_codec
 from .interface import DiskIndex, KeyPayload
-from .serial import ENTRY_SIZE, NULL_BLOCK, pack_entries, unpack_entries
+from .serial import (ENTRY_SIZE, NULL_BLOCK, bisect_left, bisect_right,
+                     find_entry, key_at, pack_entries, pack_entry, splice,
+                     unpack_entries)
 
 __all__ = ["PlidIndex"]
 
@@ -58,7 +68,9 @@ _LEAF_HEADER = struct.Struct("<HHIII")  # count, pad, next, prev, pad
 LEAF_HEADER_SIZE = 16
 _SEGMENT = struct.Struct("<Qddq")  # first_key, slope, intercept, position
 SEGMENT_SIZE = _SEGMENT.size  # 32
-_DIR_ENTRY = struct.Struct("<QQ")  # leaf max key, leaf block
+# leaf max key, leaf block: the layout of a key-payload entry, so the
+# sorted-run helpers for entries serve the directory as well
+_DIR_ENTRY = struct.Struct("<QQ")
 DIR_ENTRY_SIZE = _DIR_ENTRY.size  # 16
 
 
@@ -115,23 +127,22 @@ class PlidIndex(DiskIndex):
         self.num_rebuilds = 0
         self.num_splits = 0
 
-    # -- leaf (de)serialization ------------------------------------------------
+    # -- leaf pages ---------------------------------------------------------------
+    #
+    # A leaf travels as the block itself on the way in and as its sorted
+    # entry run plus sibling links on the way out.
 
-    def _parse_leaf(self, raw: bytes):
-        count, _pad, next_, prev, _pad2 = _LEAF_HEADER.unpack_from(raw, 0)
-        entries = unpack_entries(raw, count, offset=LEAF_HEADER_SIZE)
-        return entries, next_, prev
+    def _read_leaf(self, block: int) -> Tuple[bytes, int, int, int]:
+        """A leaf block with its entry count, next and prev links."""
+        raw = self.pager.read_block(self._leaf_file, block)
+        count, _pad, next_, prev, _pad2 = _LEAF_HEADER.unpack_from(raw)
+        return raw, count, next_, prev
 
-    def _write_leaf(self, block: int, entries: Sequence[KeyPayload],
-                    next_: int, prev: int) -> None:
-        raw = bytearray(self.pager.block_size)
-        _LEAF_HEADER.pack_into(raw, 0, len(entries), 0, next_, prev, 0)
-        raw[LEAF_HEADER_SIZE : LEAF_HEADER_SIZE + len(entries) * ENTRY_SIZE] = (
-            pack_entries(entries))
-        self.pager.write_block(self._leaf_file, block, bytes(raw))
-
-    def _read_leaf(self, block: int):
-        return self._parse_leaf(self.pager.read_block(self._leaf_file, block))
+    def _write_leaf(self, block: int, run: bytes, next_: int, prev: int) -> None:
+        header = _LEAF_HEADER.pack(len(run) // ENTRY_SIZE, 0, next_, prev, 0)
+        self.pager.write_block(
+            self._leaf_file, block,
+            (header + run).ljust(self.pager.block_size, b"\x00"))
 
     # -- directory construction --------------------------------------------------
 
@@ -151,7 +162,7 @@ class PlidIndex(DiskIndex):
             chunk = items[i * per_leaf : (i + 1) * per_leaf]
             next_ = first + i + 1 if i + 1 < num_leaves else NULL_BLOCK
             prev = first + i - 1 if i > 0 else NULL_BLOCK
-            self._write_leaf(first + i, chunk, next_, prev)
+            self._write_leaf(first + i, pack_entries(chunk), next_, prev)
             directory.append((chunk[-1][0] if chunk else 0, first + i))
         self.first_leaf_block = first
         # Splits always keep the right half in the old block (the new leaf
@@ -205,26 +216,24 @@ class PlidIndex(DiskIndex):
 
     # -- directory search ---------------------------------------------------------
 
-    def _read_segment(self, index: int) -> Tuple[int, float, float, int]:
-        raw = self.pager.read_bytes(self._dir_file,
-                                    self._segments_offset + index * SEGMENT_SIZE,
-                                    SEGMENT_SIZE)
-        return _SEGMENT.unpack(raw)
+    def _dir_window(self, lo: int, hi: int) -> bytes:
+        """Leaf-directory entries ``lo..hi`` inclusive, as stored."""
+        return self.pager.read_bytes(self._dir_file,
+                                     self._dir_offset + lo * DIR_ENTRY_SIZE,
+                                     (hi - lo + 1) * DIR_ENTRY_SIZE)
 
-    def _read_dir_entries(self, lo: int, hi: int) -> List[Tuple[int, int]]:
-        raw = self.pager.read_bytes(self._dir_file,
-                                    self._dir_offset + lo * DIR_ENTRY_SIZE,
-                                    (hi - lo + 1) * DIR_ENTRY_SIZE)
-        return [_DIR_ENTRY.unpack_from(raw, i * DIR_ENTRY_SIZE)
-                for i in range(hi - lo + 1)]
+    def _split_buffer(self) -> bytes:
+        """The sorted split buffer, as stored."""
+        return self.pager.read_bytes(self._dir_file, self._buffer_offset,
+                                     self.split_buffer_count * DIR_ENTRY_SIZE)
 
-    def _read_split_buffer(self) -> List[Tuple[int, int]]:
-        if self.split_buffer_count == 0:
-            return []
-        raw = self.pager.read_bytes(self._dir_file, self._buffer_offset,
-                                    self.split_buffer_count * DIR_ENTRY_SIZE)
-        return [_DIR_ENTRY.unpack_from(raw, i * DIR_ENTRY_SIZE)
-                for i in range(self.split_buffer_count)]
+    def _directory(self) -> List[Tuple[int, int]]:
+        """Every (leaf max key, leaf block): directory and split buffer
+        merged, for a rebuild or a verify."""
+        return sorted(
+            unpack_entries(self._dir_window(0, self.num_dir_entries - 1),
+                           self.num_dir_entries)
+            + unpack_entries(self._split_buffer(), self.split_buffer_count))
 
     def _route(self, key: int) -> int:
         """Leaf block whose max key is the ceiling of ``key``.
@@ -238,32 +247,39 @@ class PlidIndex(DiskIndex):
         seg_index = self.root_model.predict_clamped(key, self.num_segments)
         lo = max(0, seg_index - self.error_bound - 1)
         hi = min(self.num_segments - 1, seg_index + self.error_bound + 1)
+        span = hi - lo + 1
         raw = self.pager.read_bytes(self._dir_file,
                                     self._segments_offset + lo * SEGMENT_SIZE,
-                                    (hi - lo + 1) * SEGMENT_SIZE)
-        segments = [_SEGMENT.unpack_from(raw, i * SEGMENT_SIZE)
-                    for i in range(hi - lo + 1)]
-        slot = _floor(segments, key)
-        first_key, slope, intercept, position = segments[slot]
+                                    span * SEGMENT_SIZE)
+        slot = max(bisect_right(raw, key, span, 0, SEGMENT_SIZE) - 1, 0)
+        first_key, slope, intercept, _position = _SEGMENT.unpack_from(
+            raw, slot * SEGMENT_SIZE)
         # Predict into the leaf directory, read the +-eps window.
         pred = int(slope * float(int(key) - first_key) + intercept)
         dlo = max(0, min(pred - self.error_bound - 1, self.num_dir_entries - 1))
         dhi = max(dlo, min(pred + self.error_bound + 1, self.num_dir_entries - 1))
-        entries = self._read_dir_entries(dlo, dhi)
+        raw = self._dir_window(dlo, dhi)
         # Walk to the ceiling entry; windows are exact by the PLA bound,
         # but the ceiling may sit one window to the right for keys larger
         # than every max key in the window.
-        while entries[-1][0] < key and dhi + 1 < self.num_dir_entries:
+        while key_at(raw, dhi - dlo) < key and dhi + 1 < self.num_dir_entries:
             dlo, dhi = dhi + 1, min(dhi + 1 + 2 * self.error_bound,
                                     self.num_dir_entries - 1)
-            entries = self._read_dir_entries(dlo, dhi)
-        index = _ceiling_index(entries, key)
+            raw = self._dir_window(dlo, dhi)
+        span = dhi - dlo + 1
+        index = bisect_left(raw, key, span)
         best: Optional[Tuple[int, int]] = (
-            entries[index] if index < len(entries) else None)
-        # The split buffer may hold a tighter (newer) boundary.
-        for max_key, block in self._read_split_buffer():
-            if max_key >= key and (best is None or max_key < best[0]):
-                best = (max_key, block)
+            _DIR_ENTRY.unpack_from(raw, index * DIR_ENTRY_SIZE)
+            if index < span else None)
+        # The split buffer may hold a tighter (newer) boundary: it is
+        # sorted, so its candidate is its own ceiling entry.
+        buffered = self.split_buffer_count
+        if buffered:
+            raw = self._split_buffer()
+            slot = bisect_left(raw, key, buffered)
+            if slot < buffered and (
+                    best is None or key_at(raw, slot) < best[0]):
+                best = _DIR_ENTRY.unpack_from(raw, slot * DIR_ENTRY_SIZE)
         if best is None:
             # Key beyond every max key: the rightmost leaf takes it.
             return self._rightmost_leaf_block()
@@ -279,61 +295,56 @@ class PlidIndex(DiskIndex):
 
     def lookup(self, key: int) -> Optional[int]:
         with self.pager.phase("search"):
-            block = self._route(key)
-            entries, _next, _prev = self._read_leaf(block)
-        slot = _leaf_position(entries, key)
-        if slot < len(entries) and entries[slot][0] == key:
-            return entries[slot][1]
-        return None
+            raw, count, _next, _prev = self._read_leaf(self._route(key))
+        return find_entry(raw, key, count, LEAF_HEADER_SIZE)[1]
 
     def insert(self, key: int, payload: int) -> None:
         with self.pager.phase("search"):
             block = self._route(key)
-            entries, next_, prev = self._read_leaf(block)
-        slot = _leaf_position(entries, key)
-        if slot < len(entries) and entries[slot][0] == key:
+            raw, count, next_, prev = self._read_leaf(block)
+        slot, held = find_entry(raw, key, count, LEAF_HEADER_SIZE)
+        if held is not None:
             raise KeyError(f"duplicate key {key}")
-        entries = list(entries)
-        entries.insert(slot, (key, payload))
+        run = (raw[LEAF_HEADER_SIZE : LEAF_HEADER_SIZE + slot * ENTRY_SIZE]
+               + splice(raw, slot, pack_entry(key, payload), count,
+                        LEAF_HEADER_SIZE))
         self.num_records += 1
-        if len(entries) <= self.leaf_capacity:
+        if count < self.leaf_capacity:
             with self.pager.phase("insert"):
-                self._write_leaf(block, entries, next_, prev)
+                self._write_leaf(block, run, next_, prev)
             return
         with self.pager.phase("smo"):
-            self._split_leaf(block, entries, next_, prev)
+            self._split_leaf(block, run, next_, prev)
 
-    def _split_leaf(self, block: int, entries: List[KeyPayload],
-                    next_: int, prev: int) -> None:
+    def _split_leaf(self, block: int, run: bytes, next_: int, prev: int) -> None:
         """P2's light SMO: one new leaf, one split-buffer append."""
         self.num_splits += 1
-        mid = len(entries) // 2
+        mid = len(run) // ENTRY_SIZE // 2 * ENTRY_SIZE
         new_block = self._leaf_file.allocate(1)
-        # Left half stays in place (its directory entry's max key now
-        # lives in the split buffer); right half keeps the old max key,
-        # so the existing directory entry still routes to it via the new
-        # block... the cheaper arrangement is the reverse: keep the
-        # right half in the OLD block so the old directory entry (old
-        # max key -> old block) stays correct, and register only the new
-        # left leaf.
-        left, right = entries[:mid], entries[mid:]
-        self._write_leaf(new_block, left, block, prev)
-        self._write_leaf(block, right, next_, new_block)
+        # The right half stays in the OLD block, so the old directory
+        # entry (old max key -> old block) stays correct, and only the new
+        # left leaf is registered (its max key goes to the split buffer).
+        self._write_leaf(new_block, run[:mid], block, prev)
+        self._write_leaf(block, run[mid:], next_, new_block)
         if prev != NULL_BLOCK:
-            prev_entries, prev_next, prev_prev = self._read_leaf(prev)
-            self._write_leaf(prev, prev_entries, new_block, prev_prev)
+            raw, count, _next, prev_prev = self._read_leaf(prev)
+            self._write_leaf(
+                prev, raw[LEAF_HEADER_SIZE : LEAF_HEADER_SIZE + count * ENTRY_SIZE],
+                new_block, prev_prev)
         else:
             self.first_leaf_block = new_block
         self.num_leaves += 1
-        self._append_split_entry(left[-1][0], new_block)
+        self._append_split_entry(key_at(run, mid // ENTRY_SIZE - 1), new_block)
 
     def _append_split_entry(self, max_key: int, block: int) -> None:
-        buffered = self._read_split_buffer()
-        buffered.append((max_key, block))
-        buffered.sort()
-        self.pager.write_bytes(self._dir_file, self._buffer_offset,
-                               b"".join(_DIR_ENTRY.pack(*entry) for entry in buffered))
-        self.split_buffer_count = len(buffered)
+        count = self.split_buffer_count
+        raw = self._split_buffer()
+        slot = bisect_left(raw, max_key, count)
+        self.pager.write_bytes(
+            self._dir_file, self._buffer_offset,
+            raw[: slot * DIR_ENTRY_SIZE]
+            + splice(raw, slot, _DIR_ENTRY.pack(max_key, block), count))
+        self.split_buffer_count = count + 1
         if self.split_buffer_count >= self.split_buffer_capacity:
             self._rebuild_directory()
 
@@ -344,41 +355,39 @@ class PlidIndex(DiskIndex):
         handful of blocks, the whole point of P2.
         """
         self.num_rebuilds += 1
-        merged = sorted(
-            self._read_dir_entries(0, self.num_dir_entries - 1)
-            + self._read_split_buffer())
+        merged = self._directory()
         old_start = self._segments_offset // self.pager.block_size
         old_end = (self._buffer_offset
                    + self.split_buffer_capacity * DIR_ENTRY_SIZE
                    + self.pager.block_size - 1) // self.pager.block_size
-        self._write_directory([(key, block) for key, block in merged])
+        self._write_directory(merged)
         self._dir_file.free(old_start, old_end - old_start)
 
-    def update(self, key: int, payload: int) -> bool:
+    def _rewrite_entry(self, key: int, record: bytes) -> bool:
+        """Replace ``key``'s entry in its leaf with ``record`` (empty:
+        remove it, shifting the rest left); False if the key is absent."""
         with self.pager.phase("insert"):
             block = self._route(key)
-            entries, next_, prev = self._read_leaf(block)
-            slot = _leaf_position(entries, key)
-            if slot >= len(entries) or entries[slot][0] != key:
+            raw, count, next_, prev = self._read_leaf(block)
+            slot, held = find_entry(raw, key, count, LEAF_HEADER_SIZE)
+            if held is None:
                 return False
-            entries = list(entries)
-            entries[slot] = (key, payload)
-            self._write_leaf(block, entries, next_, prev)
+            at = LEAF_HEADER_SIZE + slot * ENTRY_SIZE
+            self._write_leaf(
+                block,
+                raw[LEAF_HEADER_SIZE:at] + record
+                + raw[at + ENTRY_SIZE : LEAF_HEADER_SIZE + count * ENTRY_SIZE],
+                next_, prev)
             return True
+
+    def update(self, key: int, payload: int) -> bool:
+        return self._rewrite_entry(key, pack_entry(key, payload))
 
     def delete(self, key: int) -> bool:
         """Physical delete: dense leaves shift in-block (P3's payoff)."""
-        with self.pager.phase("insert"):
-            block = self._route(key)
-            entries, next_, prev = self._read_leaf(block)
-            slot = _leaf_position(entries, key)
-            if slot >= len(entries) or entries[slot][0] != key:
-                return False
-            entries = list(entries)
-            del entries[slot]
-            self._write_leaf(block, entries, next_, prev)
-            self.num_records -= 1
-            return True
+        deleted = self._rewrite_entry(key, b"")
+        self.num_records -= deleted
+        return deleted
 
     def scan(self, start_key: int, count: int) -> List[KeyPayload]:
         out: List[KeyPayload] = []
@@ -387,12 +396,11 @@ class PlidIndex(DiskIndex):
         with self.pager.phase("scan"):
             block = self._route(start_key)
             while block != NULL_BLOCK and len(out) < count:
-                entries, next_, _prev = self._read_leaf(block)
-                for key, payload in entries:
-                    if key >= start_key:
-                        out.append((key, payload))
-                        if len(out) >= count:
-                            break
+                raw, stored, next_, _prev = self._read_leaf(block)
+                slot = bisect_left(raw, start_key, stored, LEAF_HEADER_SIZE)
+                out.extend(unpack_entries(
+                    raw, min(stored - slot, count - len(out)),
+                    LEAF_HEADER_SIZE + slot * ENTRY_SIZE))
                 block = next_
         return out
 
@@ -410,9 +418,7 @@ class PlidIndex(DiskIndex):
     def verify(self) -> int:
         """Check leaf-chain order, directory routing and record counts."""
         with self._free_io():
-            directory = sorted(
-                self._read_dir_entries(0, self.num_dir_entries - 1)
-                + self._read_split_buffer())
+            directory = self._directory()
             assert len(directory) == self.num_leaves, "directory/leaf count mismatch"
             block = self.first_leaf_block
             previous_key = -1
@@ -421,7 +427,8 @@ class PlidIndex(DiskIndex):
             walked = 0
             for max_key, dir_block in directory:
                 assert block == dir_block, "directory order diverges from leaf chain"
-                entries, next_, prev = self._read_leaf(block)
+                raw, stored, next_, prev = self._read_leaf(block)
+                entries = unpack_entries(raw, stored, LEAF_HEADER_SIZE)
                 assert prev == previous_block, "broken prev link"
                 keys = [k for k, _ in entries]
                 assert keys == sorted(set(keys)), "leaf unsorted"
@@ -481,36 +488,3 @@ class PlidIndex(DiskIndex):
         self.num_leaves = meta["num_leaves"]
         self.num_rebuilds = meta["num_rebuilds"]
         self.num_splits = meta["num_splits"]
-
-
-def _floor(segments: List[Tuple], key: int) -> int:
-    lo, hi = 0, len(segments)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if segments[mid][0] <= key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return max(0, lo - 1)
-
-
-def _ceiling_index(entries: List[Tuple[int, int]], key: int) -> int:
-    lo, hi = 0, len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entries[mid][0] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _leaf_position(entries: Sequence[KeyPayload], key: int) -> int:
-    lo, hi = 0, len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entries[mid][0] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo

@@ -9,11 +9,14 @@ The pack/unpack helpers run on every block (de)serialization, so they use
 one flattened ``struct`` call per batch (with the per-count ``Struct``
 objects cached) instead of a Python-level loop of ``pack_into`` calls.
 
-The zero-copy side (DESIGN.md §15): :func:`keys_view` exposes the sorted
-key column of a serialized region as a strided ``numpy`` view over the
-raw block bytes — no tuples, no copies — so batched lookups can run one
-``np.searchsorted`` per leaf and only touch payload bytes on the hit, via
-:func:`entry_at`.
+Sorted runs (DESIGN.md §15): a node page, a model-predicted window, a
+delta buffer — every sorted array of fixed-stride records whose first
+field is the u64 key — is searched and mutated as the bytes the pager
+returned, never unpacked on a point path.  :func:`bisect_left` and
+:func:`bisect_right` probe the key column in place, a hit is one
+:func:`entry_at` / :func:`payload_at`, and :func:`splice` gives the bytes
+an insert or overwrite has to write back.  :func:`keys_view` exposes the
+same column as a strided ``numpy`` view for whole-page checks.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from itertools import chain
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,14 +32,21 @@ __all__ = [
     "ENTRY_SIZE",
     "KEY_SIZE",
     "NULL_BLOCK",
+    "pack_entry",
     "pack_entries",
     "unpack_entries",
     "pack_u64s",
     "unpack_u64s",
     "entries_per_block",
     "keys_view",
+    "key_at",
     "entry_at",
+    "iter_entries",
     "payload_at",
+    "bisect_left",
+    "bisect_right",
+    "find_entry",
+    "splice",
 ]
 
 KEY_SIZE = 8
@@ -79,6 +89,10 @@ def entries_per_block(block_size: int, codec=None) -> int:
     if resolved.is_raw:
         return block_size // ENTRY_SIZE
     return resolved.max_entries(block_size)
+
+
+#: ``pack_entry(key, payload)``: one serialized entry.
+pack_entry = _ENTRY.pack
 
 
 def pack_entries(items: Sequence[Tuple[int, int]]) -> bytes:
@@ -129,6 +143,11 @@ def keys_view(data, count: int, offset: int = 0,
 _EMPTY_U64 = np.empty(0, dtype="<u8")
 
 
+def key_at(data, index: int, offset: int = 0, stride: int = ENTRY_SIZE) -> int:
+    """The uint64 key of the record at slot ``index``."""
+    return _U64.unpack_from(data, offset + index * stride)[0]
+
+
 def entry_at(data, index: int, offset: int = 0) -> Tuple[int, int]:
     """The single (key, payload) entry at slot ``index`` — parses 16
     bytes instead of materializing the whole region like
@@ -136,8 +155,74 @@ def entry_at(data, index: int, offset: int = 0) -> Tuple[int, int]:
     return _ENTRY.unpack_from(data, offset + index * ENTRY_SIZE)
 
 
+def iter_entries(data, count: int, offset: int = 0):
+    """Lazily decode ``count`` (key, payload) entries starting at
+    ``offset``, one per ``next`` — a scan pays for what it takes."""
+    return _ENTRY.iter_unpack(
+        memoryview(data)[offset : offset + count * ENTRY_SIZE])
+
+
 def payload_at(data, index: int, offset: int = 0,
                stride: int = ENTRY_SIZE) -> int:
     """The uint64 payload of the record at slot ``index`` (the 8 bytes
     following the key)."""
     return _U64.unpack_from(data, offset + index * stride + KEY_SIZE)[0]
+
+
+def bisect_right(data, key: int, count: int, offset: int = 0,
+                 stride: int = ENTRY_SIZE, lo: int = 0,
+                 unpack=_U64.unpack_from) -> int:
+    """How many of a sorted run's first ``count`` records have a key
+    <= ``key``: the slot just past the floor record.
+
+    Bisects the key column of the ``stride``-byte records at ``offset``
+    in place.  Records before ``lo`` are taken to qualify (a B+-tree
+    inner node never compares entry 0).
+    """
+    hi = count
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if unpack(data, offset + mid * stride)[0] <= key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def bisect_left(data, key: int, count: int, offset: int = 0,
+                stride: int = ENTRY_SIZE, unpack=_U64.unpack_from) -> int:
+    """How many of a sorted run's first ``count`` records have a key
+    < ``key``: the slot of ``key`` if present, else of its ceiling, else
+    ``count`` — where an insert of ``key`` goes."""
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if unpack(data, offset + mid * stride)[0] < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def find_entry(data, key: int, count: int,
+               offset: int = 0) -> Tuple[int, Optional[int]]:
+    """Search a sorted run of 16-byte entries for ``key``: its
+    :func:`bisect_left` slot, and the payload stored there when the
+    record at the slot holds ``key`` (else None)."""
+    slot = bisect_left(data, key, count, offset)
+    if slot < count:
+        held, payload = _ENTRY.unpack_from(data, offset + slot * ENTRY_SIZE)
+        if held == key:
+            return slot, payload
+    return slot, None
+
+
+def splice(data, slot: int, record: bytes, count: int, offset: int = 0,
+           replace: bool = False) -> bytes:
+    """The bytes of a ``count``-record run from ``slot`` on, once
+    ``record`` is inserted at ``slot`` (shifting the tail right) or, with
+    ``replace``, written over the record there: what to write back at
+    the slot's offset.  The stride is ``len(record)``."""
+    stride = len(record)
+    return record + data[offset + (slot + replace) * stride
+                         : offset + count * stride]

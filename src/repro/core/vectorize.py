@@ -1,14 +1,7 @@
-"""Vectorized-execution switch and charge-preserving batch helpers.
+"""Batch helpers that keep the charged cost model intact.
 
-DESIGN.md §15: the vectorized ``lookup_many`` paths change *only*
-wall-clock behaviour.  Charged I/O (``StorageStats`` positionings /
-reads / writes) must stay bit-identical to the scalar paths, which the
-test suite and the wall-clock perf-smoke assert for every registered
-index.  Two tools make that invariant easy to keep:
-
-* a process-wide switch (:func:`enabled` / :func:`scalar_lookups`) so
-  the scalar paths stay callable — the bit-identity tests and the
-  ``--wallclock`` benchmark run both modes on identical fresh devices;
+* :func:`pack_uint_bits` / :func:`unpack_uint_bits` — the bit-packed
+  column layout of the frame-of-reference codec.
 
 * :class:`BlockMirror` — a per-batch local copy of block bytes fetched
   *through the pager*.  Re-reads of a block already fetched in the same
@@ -21,45 +14,15 @@ index.  Two tools make that invariant easy to keep:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict
 
 import numpy as np
 
 __all__ = [
     "BlockMirror",
-    "enabled",
     "pack_uint_bits",
-    "scalar_lookups",
-    "set_vectorized",
     "unpack_uint_bits",
 ]
-
-_VECTORIZED = True
-
-
-def enabled() -> bool:
-    """True when the vectorized ``lookup_many`` paths are active."""
-    return _VECTORIZED
-
-
-def set_vectorized(on: bool) -> bool:
-    """Flip the switch; returns the previous setting."""
-    global _VECTORIZED
-    previous = _VECTORIZED
-    _VECTORIZED = bool(on)
-    return previous
-
-
-@contextmanager
-def scalar_lookups() -> Iterator[None]:
-    """Run the block with the scalar (pre-vectorization) lookup paths."""
-    previous = set_vectorized(False)
-    try:
-        yield
-    finally:
-        set_vectorized(previous)
-
 
 _ONE = np.uint64(1)
 

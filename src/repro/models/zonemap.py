@@ -21,10 +21,9 @@ linearly (hybrid: leaf block = base + ordinal; PGM: data page ordinal),
 so fence pages store bare keys — 5-7 bits per fence under ``FoRCodec``
 against the raw layouts' 12-24 bytes per entry.
 
-Charge identity (DESIGN.md Section 15/16): :meth:`route_many` issues one
-coalesced ``read_span`` over the distinct fence pages of the batch in
-both execution modes; scalar and vectorized differ only in how the page
-bytes are searched.
+A fence page is decoded once per frame (:meth:`Pager.cached_meta`) and
+searched with ``np.searchsorted``; :meth:`route_many` issues one
+coalesced ``read_span`` over the distinct fence pages of the batch.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.codecs import get_codec
-from ..core.vectorize import enabled as _vectorized
 
 __all__ = ["FenceZonemap"]
 
@@ -99,21 +97,11 @@ class FenceZonemap:
         if page >= len(self.page_lasts):
             return None
         raw = self.pager.read_block(self.file, self.base_block + page)
-        if _vectorized():
-            keys = self._page_keys(page, raw)
-            slot = int(np.searchsorted(keys, np.uint64(key), side="left"))
-        else:
-            keys = self.codec.decode_keys(raw).tolist()
-            slot = bisect_left(keys, key)
-        return self.page_starts[page] + slot
+        return self.page_starts[page] + int(np.searchsorted(
+            self._page_keys(page, raw), np.uint64(key), side="left"))
 
     def route_many(self, keys: Sequence[int]) -> Dict[int, Optional[int]]:
-        """Batched :meth:`route` with one coalesced fence-page span.
-
-        The distinct fence pages of the batch are fetched in a single
-        ``read_span`` in both execution modes, so charged I/O is
-        bit-identical whichever in-page search runs.
-        """
+        """Batched :meth:`route` with one coalesced fence-page span."""
         out: Dict[int, Optional[int]] = {}
         by_page: Dict[int, List[int]] = {}
         for key in keys:
@@ -129,16 +117,11 @@ class FenceZonemap:
         for page, group in by_page.items():
             raw = span[self.base_block + page]
             start = self.page_starts[page]
-            if _vectorized():
-                fence_keys = self._page_keys(page, raw)
-                slots = np.searchsorted(
-                    fence_keys, np.array(group, dtype=np.uint64), side="left")
-                for key, slot in zip(group, slots.tolist()):
-                    out[key] = start + slot
-            else:
-                fence_keys = self.codec.decode_keys(raw).tolist()
-                for key in group:
-                    out[key] = start + bisect_left(fence_keys, key)
+            slots = np.searchsorted(
+                self._page_keys(page, raw), np.array(group, dtype=np.uint64),
+                side="left")
+            for key, slot in zip(group, slots.tolist()):
+                out[key] = start + slot
         return out
 
     # -- integrity / persistence --------------------------------------------

@@ -499,10 +499,10 @@ class Pager:
                 self._batch_cache.clear()
                 # The last-block cache is a one-entry pin: inside a batch
                 # its final value depends on which probe happened to miss
-                # last, which the scalar and vectorized execution paths
-                # order differently.  Dropping it with the pin cache makes
-                # the post-batch charge state deterministic, so vectorized
-                # lookups stay charge-identical even when mutations follow.
+                # last, an accident of how a batch orders its probes.
+                # Dropping it with the pin cache makes the post-batch
+                # charge state a function of the batch's block set alone,
+                # whatever mutations follow.
                 self._last = None
 
     def read_span(self, file: BlockFile, block_nos: Iterable[int]) -> Dict[int, bytes]:

@@ -11,8 +11,11 @@ grows), updates, deletes (down to an empty leaf), point lookups,
 replays the cases and compares every number.
 
 The JSON was recorded at commit cdbc4a0 (the last one that parsed nodes
-into Python lists).  Regenerate it only for a change that is *meant* to
-move charged I/O or page bytes, and say so in the commit:
+into Python lists); the ``answers`` of the two ``fiting-*-bulk20`` cases
+were recorded again when FITing's scan took the lookup's precedence
+after a shadowing duplicate insert (the sequence makes one; stats and
+file bytes did not move).  Regenerate it only for a change that is
+*meant* to move charged I/O or page bytes, and say so in the commit:
 
     PYTHONPATH=src python tests/golden/gen_btree_pages.py
 """

@@ -1,0 +1,231 @@
+"""Golden contract of the learned indexes (tests/golden/learned_pages.json).
+
+pgm, fiting, plid and the pgm hybrid each have one execution path; what
+holds it to the paper's cost model is this recording instead of a second
+live implementation: for every case below, the final ``StorageStats``, a
+CRC32 of every device file and a CRC32 of every answer returned, after
+seeded rounds of inserts, updates, deletes, re-inserts after delete,
+hit / miss / out-of-range lookups, ``lookup_many`` batches with
+duplicates and scans.  ``tests/test_learned_golden.py`` replays the
+cases and compares every number.
+
+The JSON was recorded at commit 3f170e6 (the last one that unpacked
+every fetched window, leaf and buffer into a Python list and kept a
+scalar and a vectorized lookup per index).  Regenerate it only for a
+change that is *meant* to move charged I/O or page bytes, and say so in
+the commit:
+
+    PYTHONPATH=src python tests/golden/gen_learned_pages.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import pathlib
+import random
+import zlib
+from bisect import bisect_left
+
+from repro.core import make_index
+from repro.storage import HDD, BlockDevice, BufferPool, Pager
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("learned_pages.json")
+
+KEY_SPACE = 1 << 40
+ROUNDS = 4
+
+#: cell -> (index, codec, block size, constructor arguments).  Small
+#: blocks and small error bounds / buffers, so that a few thousand ops
+#: merge pgm's 24-entry buffer down six LSM levels, split plid's 31-entry
+#: leaves into eight-entry split buffers (a directory rebuild every eight
+#: splits), resegment fiting's eight-entry delta buffers and flush its
+#: 15-entry head buffer.  pgm's epsilon is no smaller than 16 because the
+#: recorded commit's scans skip entries when the start key falls between
+#: two PLA segments of a component, about one scan in 150 at epsilon 4.
+CELLS = {
+    "pgm-raw": ("pgm", "raw", 512, {"epsilon": 16, "buffer_capacity": 24}),
+    "pgm-for": ("pgm", "for", 512, {"epsilon": 16, "buffer_capacity": 24}),
+    "plid": ("plid", "raw", 512, {"error_bound": 2, "split_buffer_capacity": 8}),
+    "fiting": ("fiting", "raw", 256, {"error_bound": 4, "buffer_capacity": 8}),
+    "hybrid-pgm-raw": ("hybrid-pgm", "raw", 512, {"epsilon": 4}),
+    "hybrid-pgm-for": ("hybrid-pgm", "for", 512, {}),
+}
+READ_ONLY = ("hybrid-pgm-raw", "hybrid-pgm-for")
+
+#: (cell, write-back pool, bulk-loaded keys).  The small bulk load leaves
+#: pgm's bottom level within reach, so merges keep dropping tombstones.
+CASES = ([(cell, write_back, bulk)
+          for cell in CELLS if cell not in READ_ONLY
+          for write_back in (False, True)
+          for bulk in (40, 3000)]
+         + [(cell, write_back, 8000)
+            for cell in READ_ONLY for write_back in (False, True)])
+
+
+def case_id(case) -> str:
+    cell, write_back, bulk = case
+    return f"{cell}-{'wb' if write_back else 'wt'}-bulk{bulk}"
+
+
+def _structure(index) -> dict:
+    """Counters of the structural changes the sequence is there to force."""
+    if index.name == "pgm":
+        return {"merges": index.num_merges,
+                "levels": len(index.components),
+                "components": index.num_components,
+                "entries": index.buffer_count + sum(
+                    c.count for c in index.components if c is not None)}
+    if index.name == "plid":
+        return {"splits": index.num_splits, "rebuilds": index.num_rebuilds,
+                "leaves": index.num_leaves}
+    if index.name == "fiting":
+        return {"resegments": index.num_resegments,
+                "segments": index.num_segments,
+                "global_min": index.global_min}
+    return {"leaves": index.num_leaves, "height": index.height()}
+
+
+def run_case(case) -> dict:
+    """Replay one case on a fresh device; returns what the golden records."""
+    cell, write_back, bulk = case
+    index_name, codec, block_size, kwargs = CELLS[cell]
+    rng = random.Random(zlib.crc32(case_id(case).encode()))
+    device = BlockDevice(block_size=block_size, profile=HDD)
+    pager = (Pager(device, buffer_pool=BufferPool(32), write_back=True)
+             if write_back else Pager(device))
+    index = make_index(index_name, pager, codec=codec, **kwargs)
+    answers = 0
+
+    def note(value) -> None:
+        nonlocal answers
+        answers = zlib.crc32(repr(value).encode(), answers)
+
+    live = {}
+    while len(live) < bulk:
+        key = rng.randrange(1 << 20, KEY_SPACE)
+        live[key] = key + 1
+    index.bulk_load(sorted(live.items()))
+    top = max(live)
+
+    def fresh_key() -> int:
+        while True:
+            key = rng.randrange(1 << 20, top)
+            if key not in live:
+                return key
+
+    after_bulk = _structure(index)
+    low = 1 << 20          # next key below everything stored
+    high = KEY_SPACE       # next key above everything stored
+    dead = []              # deleted and not re-inserted
+
+    def mutate() -> None:
+        nonlocal low, high
+        # Inserts: uniform up to the largest bulk-loaded key, a run below
+        # the smallest key (fiting's head buffer) and a few above the
+        # largest (plid's rightmost leaf; only a few, because the
+        # recorded commit misroutes once that leaf splits holding as many
+        # absorbed keys as its right half takes).
+        fresh = [fresh_key() for _ in range(450)]
+        fresh += range(low - 13, low)
+        low -= 13
+        fresh += range(high, high + 3)
+        high += 3
+        rng.shuffle(fresh)
+        for key in fresh:
+            live[key] = key + 1
+            index.insert(key, key + 1)
+        if index_name == "pgm":
+            # An LSM cannot see below its buffer: a duplicate shadows
+            # the component's copy unless both sit in the buffer.
+            key = sorted(live)[rng.randrange(len(live))]
+            try:
+                index.insert(key, 7)
+                live[key] = 7
+                note("shadowed")
+            except KeyError:
+                note("duplicate")
+        ordered = sorted(live)
+        for _ in range(80):
+            key = ordered[rng.randrange(len(ordered))]
+            live[key] = rng.randrange(1 << 62)
+            assert index.update(key, live[key]), (case_id(case), key)
+        for key in (fresh_key(), high + 10_000, *dead[-6:]):
+            assert not index.update(key, 3), (case_id(case), key)
+        # Deletes: a contiguous run, random keys (some twice), absent keys.
+        start = rng.randrange(len(ordered) - 40)
+        doomed = ordered[start : start + 30]
+        doomed += [ordered[rng.randrange(len(ordered))] for _ in range(70)]
+        if index_name == "fiting":
+            # Never a segment's first key: the recorded commit leaves the
+            # old descriptor behind when a resegment loses its first key.
+            with index._free_io():
+                first_keys = {key for key, _ in index.directory.iterate_from(0)}
+            doomed = [key for key in doomed if key not in first_keys]
+        doomed += doomed[:5] + [fresh_key(), 0, high + 10_000]
+        for key in doomed:
+            assert index.delete(key) == (key in live), (case_id(case), key)
+            if live.pop(key, None) is not None:
+                dead.append(key)
+        # Re-inserts after delete land on the tombstone, wherever the
+        # index keeps it.
+        back = [dead.pop(rng.randrange(len(dead))) for _ in range(40)]
+        for key in back:
+            live[key] = rng.randrange(1 << 62)
+            index.insert(key, live[key])
+
+    def probe() -> None:
+        ordered = sorted(live)
+        probes = [ordered[rng.randrange(len(ordered))] for _ in range(150)]
+        probes += [rng.randrange(KEY_SPACE + 1000) for _ in range(40)]
+        probes += dead[-25:] + ordered[:2] + ordered[-2:]
+        probes += [0, 1, low - 1, high, high + 1, 2**63, 2**64 - 1]
+        for key in probes:
+            found = index.lookup(key)
+            assert found == live.get(key), (case_id(case), key, found)
+            note(found)
+        for _ in range(4):
+            batch = [ordered[rng.randrange(len(ordered))] for _ in range(44)]
+            batch += [rng.randrange(KEY_SPACE) for _ in range(12)]
+            batch += dead[-4:] + batch[:4]
+            found = index.lookup_many(batch)
+            assert found == [live.get(key) for key in batch], case_id(case)
+            note(found)
+        starts = [0, ordered[0], ordered[len(ordered) // 2] + 1, ordered[-3],
+                  high + 5] + [rng.randrange(KEY_SPACE) for _ in range(8)]
+        starts += dead[-3:]
+        for start_key in starts:
+            found = index.scan(start_key, 60)
+            at = bisect_left(ordered, start_key)
+            assert found == [(k, live[k]) for k in ordered[at : at + 60]], (
+                case_id(case), start_key)
+            note(found)
+        note(index.scan(ordered[5], 1))
+        at = len(ordered) // 3
+        note(index.scan_range(ordered[at], ordered[at + 70]))
+        assert index.verify() == len(live), case_id(case)
+
+    for _ in range(ROUNDS):
+        if cell not in READ_ONLY:
+            mutate()
+        probe()
+
+    pager.flush()
+    return {
+        "stats": dataclasses.asdict(device.stats),
+        "files": {name: zlib.crc32(b"".join(bytes(b) for b in handle.blocks))
+                  for name, handle in sorted(device.files.items())},
+        "answers": answers,
+        "structure": [after_bulk, _structure(index)],
+    }
+
+
+def main() -> None:
+    golden = {case_id(case): run_case(case) for case in CASES}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    for name, row in golden.items():
+        print(name, row["structure"])
+
+
+if __name__ == "__main__":
+    main()

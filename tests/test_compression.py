@@ -3,8 +3,8 @@
 Four properties, each checked per codec:
 
 * **Correctness** — differential oracle streams against every index that
-  accepts a ``codec`` parameter, plus scalar/vectorized charge identity
-  on compressed layouts (the codec decode paths must stay pure CPU).
+  accepts a ``codec`` parameter (what the compressed layouts charge is
+  the recorded contract of ``tests/test_*_golden.py``).
 * **Raw identity** — building with an explicit ``codec="raw"`` charges
   the exact same ``StorageStats`` and writes the exact same file bytes
   as the default parameters: the codec layer costs raw layouts nothing.
@@ -18,6 +18,7 @@ Four properties, each checked per codec:
 
 import dataclasses
 import io
+from bisect import bisect_left
 
 import pytest
 
@@ -25,7 +26,6 @@ from repro.bench import Scale, fresh_index, run_experiment
 from repro.bench.config import set_codec
 from repro.core import index_names, load_index, make_index, save_index
 from repro.core.codecs import get_codec
-from repro.core.vectorize import scalar_lookups
 from repro.durability import WriteAheadLog, repair_blocks, take_checkpoint
 from repro.models.zonemap import FenceZonemap
 from repro.storage import HDD, NULL_DEVICE, BlockDevice, Pager
@@ -71,27 +71,6 @@ def test_raw_only_indexes_accept_codec_and_stay_correct(name, codec):
     run_differential(index, model, num_ops=150, seed=11)
     with pytest.raises(ValueError, match="unknown codec"):
         build(name, "zstd", keys[:10])
-
-
-@pytest.mark.parametrize("codec", COMPRESSED)
-@pytest.mark.parametrize("name", COMPRESSIBLE)
-def test_compressed_charges_identical_scalar_vs_vectorized(name, codec):
-    """The codec decode paths are pure CPU: which in-page search runs
-    never changes a single charged read (DESIGN.md Section 15)."""
-    def stream(vectorized):
-        keys = random_sorted_keys(400, seed=23, key_space=10**9)
-        index, device = build(name, codec, keys, profile=HDD)
-        model = ReferenceModel(items_of(keys))
-        kinds = READONLY_KINDS if "-" in name else MUTATION_KINDS
-        if vectorized:
-            run_differential(index, model, num_ops=200, seed=23, kinds=kinds)
-        else:
-            with scalar_lookups():
-                run_differential(index, model, num_ops=200, seed=23,
-                                 kinds=kinds)
-        return dataclasses.asdict(device.stats)
-
-    assert stream(False) == stream(True)
 
 
 def test_btree_compressed_survives_width_widening_mutations():
@@ -236,7 +215,6 @@ def _zonemap_over(fences, codec="for", block_size=256):
 
 
 def test_zonemap_routes_like_a_ceiling_search():
-    from bisect import bisect_left
     fences = [10 * i + 5 for i in range(1000)]  # multi-page under 256B blocks
     zonemap, _ = _zonemap_over(fences)
     assert zonemap.num_blocks > 1
@@ -250,25 +228,20 @@ def test_zonemap_routes_like_a_ceiling_search():
     assert batched == {key: zonemap.route(key) for key in probes}
 
 
-def test_zonemap_route_many_charges_one_span_in_both_modes():
+def test_zonemap_route_many_charges_one_span():
     fences = [10 * i + 5 for i in range(1000)]
     zonemap, device = _zonemap_over(fences)
     probes = list(range(0, 10_000, 11))
 
     before = device.stats.snapshot()
-    vectorized = zonemap.route_many(probes)
-    vec_delta = device.stats.diff(before)
+    batched = zonemap.route_many(probes)
+    delta = device.stats.diff(before)
 
-    before = device.stats.snapshot()
-    with scalar_lookups():
-        scalar = zonemap.route_many(probes)
-    scalar_delta = device.stats.diff(before)
-
-    assert scalar == vectorized
-    assert (scalar_delta.reads, scalar_delta.read_positionings) == \
-        (vec_delta.reads, vec_delta.read_positionings)
-    # One coalesced span: far fewer positionings than fence pages read.
-    assert vec_delta.read_positionings < vec_delta.reads
+    assert batched == {key: bisect_left(fences, key) if key <= fences[-1]
+                       else None for key in probes}
+    # One coalesced span over every fence page: one positioning, against
+    # one per page for key-by-key routing.
+    assert (delta.reads, delta.read_positionings) == (zonemap.num_blocks, 1)
 
 
 def test_zonemap_meta_roundtrip_and_verify_catches_drift():

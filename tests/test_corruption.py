@@ -123,8 +123,8 @@ def test_lipp_detects_misplaced_key():
 def test_plid_detects_directory_divergence():
     index = loaded("plid")
     # Break the leaf chain: point the first leaf's next at itself.
-    entries, _next, prev = index._read_leaf(index.first_leaf_block)
-    index._write_leaf(index.first_leaf_block, entries,
+    raw, count, _next, prev = index._read_leaf(index.first_leaf_block)
+    index._write_leaf(index.first_leaf_block, raw[16 : 16 + count * 16],
                       index.first_leaf_block, prev)
     with pytest.raises(AssertionError):
         index.verify()

@@ -26,7 +26,6 @@ NARROW = {
     "fig13": {"buffer_sizes": (0, 8)},
     "durability": {"batch_sizes": (8,)},
     "batch_lookup": {"batch_sizes": (1, 16)},
-    "wallclock": {"batch_sizes": (64,), "min_ops": 256},
     "fault_sweep": {"transient_rates": (0.0, 1e-3)},
     "concurrency": {"client_counts": (1, 4)},
     "sharding": {"shard_counts": (1, 2)},

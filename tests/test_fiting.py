@@ -141,6 +141,52 @@ def test_lookup_hits_buffered_key_via_header_path(device):
     assert index.lookup(15) == 16
 
 
+def test_data_region_miss_falls_through_to_the_delta_buffer():
+    index, _ = fresh()
+    keys = list(range(0, 100_000, 10))
+    index.bulk_load(items_of(keys))
+    index.insert(15, 16)
+    index.insert(25, 26)
+    assert index.lookup_many([15, 20, 25, 35]) == [16, 21, 26, None]
+    assert index.update(15, 17) and index.lookup(15) == 17
+    assert index.delete(15)  # a tombstone in the buffer
+    assert index.lookup(15) is None and not index.update(15, 1)
+    assert index.scan(10, 3) == [(10, 11), (20, 21), (25, 26)]
+    index.insert(15, 18)  # over the buffered tombstone
+    assert index.lookup(15) == 18
+    with pytest.raises(KeyError):
+        index.insert(15, 19)
+    # A deleted data-region key: the tombstone stays in the data region
+    # and the re-insert in the buffer is the live copy.
+    assert index.delete(200) and index.lookup(200) is None
+    index.insert(200, 7)
+    assert index.lookup(200) == 7
+    assert index.scan(190, 3) == [(190, 191), (200, 7), (210, 211)]
+    assert index.verify() == len(keys) + 2
+
+
+def test_scan_follows_lookup_precedence_after_shadowing_insert():
+    """An insert of a key that lives in a segment's data region cannot
+    see it and lands in the delta buffer; the live data-region copy is
+    what lookup, resegment and scan serve."""
+    index, _ = fresh()
+    keys = list(range(0, 100_000, 10))
+    index.bulk_load(items_of(keys))
+    index.insert(keys[100], 99)
+    assert index.lookup(keys[100]) == keys[100] + 1
+    assert index.scan(keys[100], 1) == [(keys[100], keys[100] + 1)]
+    assert index.scan(keys[99], 3) == items_of(keys[99:102])
+    assert index.verify() == len(keys)
+    # Updates and deletes reach both copies.
+    assert index.update(keys[100], 5)
+    assert index.scan(keys[100], 1) == [(keys[100], 5)] == [
+        (keys[100], index.lookup(keys[100]))]
+    assert index.delete(keys[100])
+    assert index.lookup(keys[100]) is None
+    assert index.scan(keys[99], 2) == [(keys[99], keys[99] + 1),
+                                       (keys[101], keys[101] + 1)]
+
+
 def test_lookup_miss_reads_more_blocks_than_hit():
     device = BlockDevice(4096)
     pager = Pager(device)

@@ -138,6 +138,22 @@ def test_pgm_duplicate_insert_shadows():
         index.insert(KEYS[10], 1000)  # duplicates *within* the buffer do raise
 
 
+@pytest.mark.parametrize("name", ["pgm", "fiting"])
+def test_scan_and_lookup_agree_after_shadowing_insert(name):
+    """Whichever copy a shadowing duplicate insert leaves visible (pgm:
+    the new one, fiting: the old one), every read path serves the same."""
+    index = loaded(name, KEYS)
+    key = KEYS[100]
+    index.insert(key, 99)
+    visible = index.lookup(key)
+    assert visible in (99, key + 1)
+    assert index.scan(key, 1) == [(key, visible)]
+    assert index.lookup_many([key, KEYS[101], key]) == [
+        visible, KEYS[101] + 1, visible]
+    assert index.scan_range(KEYS[99], KEYS[101]) == [
+        (KEYS[99], KEYS[99] + 1), (key, visible), (KEYS[101], KEYS[101] + 1)]
+
+
 @pytest.mark.parametrize("name", ALL_INDEXES)
 def test_scan_sees_inserted_keys(name):
     index = loaded(name, KEYS)

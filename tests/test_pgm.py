@@ -26,6 +26,21 @@ def test_static_component_lookup():
     assert component.lookup(keys[0] + 1) is None
 
 
+def test_static_window_clamped_to_a_single_slot():
+    """A key floor-routed to a segment whose model extrapolates far past
+    the segment's last key gets a window clamped to the last slot."""
+    device = BlockDevice(4096, NULL_DEVICE)
+    keys = list(range(10)) + [10**12]
+    component = StaticPgm(Pager(device), "c", items_of(keys), epsilon=1)
+    probe = 5 * 10**11
+    lo, span, _raw = component._data_window(probe)
+    assert (lo, span) == (10, 1)
+    assert component.lookup(probe) is None
+    assert component.ceiling_position(probe) == 10
+    assert component.lookup(10**12) == 10**12 + 1
+    assert list(component.iterate_from(10)) == items_of(keys[10:])
+
+
 def test_static_component_rejects_empty():
     device = BlockDevice(4096, NULL_DEVICE)
     with pytest.raises(ValueError):
@@ -138,6 +153,27 @@ def test_lookup_searches_newest_component_first():
         key = 1000 + _
         index.insert(key, key + 1)
     assert index.lookup(30) == 999
+
+
+def test_tombstone_in_the_buffer_then_in_a_component():
+    index, _ = fresh(buffer_capacity=4)
+    keys = list(range(0, 400, 10))
+    index.bulk_load(items_of(keys))
+    assert index.delete(50)  # the tombstone sits in the buffer
+    assert index.buffer_count == 1 and index.lookup(50) is None
+    assert index.lookup_many([50, 60, 50]) == [None, 61, None]
+    assert not index.update(50, 1) and not index.delete(50)
+    for key in (1, 2, 3):  # fills the buffer: the tombstone moves to a component
+        index.insert(key, key + 1)
+    assert index.buffer_count == 0 and index.num_components == 2
+    assert index.lookup(50) is None
+    assert index.lookup_many([40, 50]) == [41, None]
+    assert index.scan(40, 3) == [(40, 41), (60, 61), (70, 71)]
+    assert not index.update(50, 1)
+    index.insert(50, 7)  # re-insert shadows the component's tombstone
+    assert index.lookup(50) == 7
+    assert index.scan(40, 2) == [(40, 41), (50, 7)]
+    assert index.verify() == len(keys) + 3
 
 
 def test_scan_merges_buffer_and_components():

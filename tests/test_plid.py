@@ -164,6 +164,33 @@ def test_insert_beyond_global_max_routes_to_last_leaf():
     assert index.verify() == len(KEYS) + 1
 
 
+def test_ceiling_one_window_to_the_right():
+    """When every max key of the predicted directory window is below the
+    search key, routing walks to the next window.  Narrowing the error
+    bound after the build makes windows that undershoot."""
+    index, _ = fresh(error_bound=16)
+    index.bulk_load(items_of(KEYS))
+    assert index.num_segments == 1 and index.num_dir_entries > 100
+    index.error_bound = 0
+    windows = []
+    read_window = index._dir_window
+
+    def counted(lo, hi):
+        windows.append((lo, hi))
+        return read_window(lo, hi)
+
+    index._dir_window = counted
+    walked = 0
+    for key in KEYS[::7]:
+        del windows[:]
+        found = index.lookup(key)
+        if len(windows) > 1:
+            walked += 1
+            assert windows[1][0] == windows[0][1] + 1
+            assert found == key + 1
+    assert walked > 10
+
+
 def test_file_roles_and_height():
     index, _ = loaded()
     roles = index.file_roles()

@@ -1,5 +1,8 @@
 """Unit tests for the binary layout helpers."""
 
+import bisect
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +10,15 @@ from hypothesis import strategies as st
 from repro.core.serial import (
     ENTRY_SIZE,
     NULL_BLOCK,
+    bisect_left,
+    bisect_right,
     entries_per_block,
+    find_entry,
+    iter_entries,
+    key_at,
     pack_entries,
     pack_u64s,
+    splice,
     unpack_entries,
     unpack_u64s,
 )
@@ -57,3 +66,93 @@ def test_pack_rejects_out_of_range():
         pack_entries([(-1, 0)])
     with pytest.raises(Exception):
         pack_entries([(2**64, 0)])
+
+
+# -- sorted runs searched and spliced as bytes -------------------------------
+#
+# A run is ``count`` records of ``stride`` bytes at ``base`` of a page:
+# u64 key first, then stride - 8 bytes of data.  The strides are the
+# repository's: B+-tree inner entries (12), key-payload entries (16), pgm
+# descriptors (24), plid segments (32), FITing directory records (36).
+
+U64_MAX = 2**64 - 1
+STRIDES = (12, 16, 24, 32, 36)
+BASES = (0, 16)
+
+
+def _pack_run(keys, stride, base, trailing=b"\xee" * 20):
+    """Records whose data bytes are derived from the key, between a
+    header and trailing bytes that no search or splice may touch."""
+    records = [struct.pack("<Q", key) + bytes([key % 251]) * (stride - 8)
+               for key in keys]
+    return b"\xaa" * base + b"".join(records) + trailing, records
+
+
+run_keys = st.lists(st.integers(0, U64_MAX), max_size=80, unique=True).map(sorted)
+probe_keys = st.one_of(st.integers(0, U64_MAX), st.sampled_from([0, 1, U64_MAX]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=run_keys, probe=probe_keys, stride=st.sampled_from(STRIDES),
+       base=st.sampled_from(BASES), data=st.data())
+def test_bisect_over_bytes_matches_bisect_over_keys(keys, probe, stride, base,
+                                                    data):
+    page, _records = _pack_run(keys, stride, base)
+    probe = data.draw(st.sampled_from(keys)) if keys and probe % 3 == 0 else probe
+    assert bisect_left(page, probe, len(keys), base, stride) == \
+        bisect.bisect_left(keys, probe)
+    assert bisect_right(page, probe, len(keys), base, stride) == \
+        bisect.bisect_right(keys, probe)
+    # ``lo`` exempts a prefix from comparison (inner-node entry 0).
+    lo = data.draw(st.integers(0, len(keys)))
+    assert bisect_right(page, probe, len(keys), base, stride, lo) == \
+        max(lo, bisect.bisect_right(keys, probe))
+    for slot, key in enumerate(keys[:3]):
+        assert key_at(page, slot, base, stride) == key
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=run_keys, new_key=probe_keys, stride=st.sampled_from(STRIDES),
+       base=st.sampled_from(BASES))
+def test_splice_equals_sorted_reference_repacked(keys, new_key, stride, base):
+    page, records = _pack_run(keys, stride, base)
+    record = struct.pack("<Q", new_key) + b"\x07" * (stride - 8)
+    slot = bisect_left(page, new_key, len(keys), base, stride)
+    replace = slot < len(keys) and keys[slot] == new_key
+    # the reference: rebuild the record list, sort it, pack it again
+    reference = dict(zip(keys, records))
+    reference[new_key] = record
+    repacked = b"".join(reference[key] for key in sorted(reference))
+    head = page[base : base + slot * stride]
+    assert head + splice(page, slot, record, len(keys), base, replace) == repacked
+
+
+def test_run_edges():
+    # empty run: nothing qualifies, an insert goes to slot 0
+    for page in (b"", b"\xaa" * 16):
+        base = len(page)
+        assert bisect_left(page, 5, 0, base) == bisect_right(page, 5, 0, base) == 0
+        assert find_entry(page, 5, 0, base) == (0, None)
+        assert splice(page, 0, pack_entries([(5, 6)]), 0, base) == pack_entries([(5, 6)])
+        assert list(iter_entries(page, 0, base)) == []
+    # one record, and the two ends of the key space
+    for key in (0, 7, U64_MAX):
+        page = pack_entries([(key, 9)])
+        assert find_entry(page, key, 1) == (0, 9)
+        assert bisect_left(page, key, 1) == 0 and bisect_right(page, key, 1) == 1
+        if key:
+            assert find_entry(page, key - 1, 1) == (0, None)
+        if key < U64_MAX:
+            assert find_entry(page, key + 1, 1) == (1, None)
+    # probe below the first and above the last record
+    items = [(10, 1), (20, 2), (30, 3)]
+    page = pack_entries(items)
+    assert bisect_left(page, 0, 3) == bisect_right(page, 9, 3) == 0
+    assert bisect_left(page, 31, 3) == bisect_right(page, U64_MAX, 3) == 3
+    assert find_entry(page, 20, 3) == (1, 2) and find_entry(page, 25, 3) == (2, None)
+    # only the first ``count`` records are the run
+    assert bisect_right(page, 30, 2) == 2 and find_entry(page, 30, 2) == (2, None)
+    assert splice(page, 1, pack_entries([(15, 0)]), 2) == pack_entries([(15, 0), (20, 2)])
+    assert splice(page, 1, pack_entries([(20, 8)]), 3, replace=True) == \
+        pack_entries([(20, 8), (30, 3)])
+    assert list(iter_entries(page, 2, ENTRY_SIZE)) == items[1:]

@@ -1,33 +1,28 @@
-"""The vectorized lookup machinery (DESIGN.md §15).
+"""The batch-prediction and zero-copy machinery (DESIGN.md §15).
 
-Three layers of guarantees, each tested here:
+Two layers of guarantees, each tested here (that the one execution path
+per index charges what the paper's cost model says is the recorded
+contract of ``tests/test_*_golden.py``):
 
 * **Model arithmetic is bit-identical.**  ``LinearModel.predict_many``
   must reproduce per-key ``predict`` exactly — including keys adjacent
   to 2**64, where a naive float subtraction loses thousands of
-  positions — because the two paths must probe identical slots to
-  charge identical I/O.
+  positions — because a batch must probe the slots its keys would
+  probe one at a time to charge identical I/O.
 * **Zero-copy codecs agree with the materializing ones.**
   ``keys_view``/``entry_at`` are strided views over raw block bytes;
   ``np.searchsorted`` over a view must land exactly where bisection
   over ``unpack_entries`` tuples lands, for both 16-byte leaf entries
   and non-u64-aligned strides.
-* **Vectorization never changes the charged cost model.**  For every
-  registered index the same differential stream (mutations included,
-  so frame-cache invalidation is exercised) must leave the device's
-  ``StorageStats`` bit-identical between the scalar and vectorized
-  lookup paths.
 """
 
 import bisect
-import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import index_names, make_index, scalar_lookups
 from repro.core.serial import (
     ENTRY_SIZE,
     _u64_struct,
@@ -38,16 +33,6 @@ from repro.core.serial import (
     unpack_entries,
 )
 from repro.models import LinearModel, anchored_diff
-from repro.storage import HDD, BlockDevice, Pager
-
-from tests.util import (
-    MUTATION_KINDS,
-    READONLY_KINDS,
-    ReferenceModel,
-    items_of,
-    random_sorted_keys,
-    run_differential,
-)
 
 U64_MAX = 2**64 - 1
 
@@ -168,36 +153,3 @@ def test_u64_struct_cache_is_bounded_and_hit():
     assert _u64_struct(14) is _u64_struct(14)  # same object on repeat
     assert _u64_struct.cache_info().hits > info.hits
     assert _u64_struct(6).size == 48
-
-
-# ---------------------------------------------------------------------------
-# Charged I/O is bit-identical between scalar and vectorized paths
-# ---------------------------------------------------------------------------
-ALL_INDEXES = (index_names(include_plid=True)
-               + [n for n in index_names(include_hybrids=True) if "-" in n])
-
-
-def _charged_stream(name, vectorized, seed=29):
-    """One deterministic differential stream; returns the device's full
-    stats snapshot.  ``run_differential`` itself asserts every result
-    against the oracle, so content agreement rides along for free."""
-    device = BlockDevice(4096, HDD)
-    index = make_index(name, Pager(device))
-    keys = random_sorted_keys(300, seed=seed, key_space=10**9)
-    index.bulk_load(items_of(keys))
-    model = ReferenceModel(items_of(keys))
-    kinds = READONLY_KINDS if "-" in name else MUTATION_KINDS
-    if vectorized:
-        run_differential(index, model, num_ops=200, seed=seed, kinds=kinds)
-    else:
-        with scalar_lookups():
-            run_differential(index, model, num_ops=200, seed=seed,
-                             kinds=kinds)
-    return dataclasses.asdict(device.stats)
-
-
-@pytest.mark.parametrize("name", ALL_INDEXES)
-def test_charges_bit_identical_scalar_vs_vectorized(name):
-    scalar = _charged_stream(name, vectorized=False)
-    vector = _charged_stream(name, vectorized=True)
-    assert scalar == vector
