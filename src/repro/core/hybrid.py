@@ -26,37 +26,27 @@ inner no longer matters at page granularity (the SIGMOD 2024 follow-up's
 finding); what matters is that the fence array itself is compressed, so
 routing is an in-memory bisect plus exactly one fence-block read.
 
-A leaf is never unpacked on a point path (DESIGN.md Section 15): a raw
-leaf is bisected as the block the pager returned (:mod:`.serial`), a
-compressed one through the pager's frame-cached decode, and a hit
-decodes one entry; scans decode from the start key on.
-:meth:`HybridIndex._search_leaf` is the one leaf search behind ``lookup``
-and ``lookup_many``.  Pager calls are pinned by
-``tests/golden/learned_pages.json``.
+The leaves are a :class:`~.leaffile.LeafFile` — the B+-tree's own leaf
+page, searched one way whatever the codec (DESIGN.md Sections 15, 16).
+Pager calls are pinned by ``tests/golden/learned_pages.json``.
 """
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List, Optional, Sequence, Type
-
-import numpy as np
 
 from ..storage import Pager
 from .alex import AlexIndex
 from .btree import BTreeIndex
-from .codecs import get_codec
 from .fiting import FitingTreeIndex
 from .interface import DiskIndex, KeyPayload
+from .leaffile import LeafFile
 from .lipp import LippIndex
 from .pgm import PgmIndex
-from .serial import (ENTRY_SIZE, NULL_BLOCK, bisect_left, find_entry,
-                     pack_entries, unpack_entries)
+from .serial import NULL_BLOCK, pack_entries
 
 __all__ = ["HybridIndex", "HYBRID_INNER_KINDS"]
 
-_LEAF_HEADER = struct.Struct("<HHIII")  # count, pad, next, prev, pad
-LEAF_HEADER_SIZE = 16
 
 #: Inner-part choices for the hybrid design (Table 5 columns).
 HYBRID_INNER_KINDS: Dict[str, Type[DiskIndex]] = {
@@ -91,16 +81,16 @@ class HybridIndex(DiskIndex):
         if inner_kind not in HYBRID_INNER_KINDS:
             raise ValueError(
                 f"unknown inner kind {inner_kind!r}; choose from {sorted(HYBRID_INNER_KINDS)}")
-        if not 0.1 <= leaf_fill <= 1.0:
-            raise ValueError("leaf fill factor must be in [0.1, 1.0]")
         self.name = f"hybrid-{inner_kind}"
         self.inner_kind = inner_kind
         self.leaf_fill = leaf_fill
-        self.codec = get_codec(codec)
         self._file_prefix = file_prefix
         self._inner_params = dict(inner_params)
         self._files_before = set(pager.device.files)
         self._leaf_file = pager.device.get_or_create_file(f"{file_prefix}.leaf")
+        # Read-only, so the side a split would put a new leaf on is moot.
+        self.leaves = LeafFile(pager, self._leaf_file, fill=leaf_fill, codec=codec)
+        self.codec = self.leaves.codec
         self.zonemap = None
         if self.codec.is_raw:
             inner_cls = HYBRID_INNER_KINDS[inner_kind]
@@ -111,8 +101,6 @@ class HybridIndex(DiskIndex):
             self.inner = None
             self._fence_file = pager.device.get_or_create_file(
                 f"{file_prefix}.fence")
-        self._inner_resident = False
-        self.leaf_capacity = (pager.block_size - LEAF_HEADER_SIZE) // ENTRY_SIZE
         self.leaf_base = 0
         self.num_leaves = 0
         self.max_key: Optional[int] = None
@@ -120,117 +108,26 @@ class HybridIndex(DiskIndex):
     # -- bulk load ------------------------------------------------------------
 
     def bulk_load(self, items: Sequence[KeyPayload]) -> None:
+        """Pack dense linked leaves, then index (max key -> leaf block):
+        with the learned inner part, or under a compressed codec with a
+        fence zonemap over the leaf max keys."""
         if self.num_leaves:
             raise RuntimeError("index already bulk-loaded")
-        if self.codec.is_raw:
-            with self.pager.phase("bulkload"):
-                directory = self._write_leaves(items)
+        with self.pager.phase("bulkload"):
+            leaves = self.leaves.bulk_write(pack_entries(items))
+            self.leaf_base = leaves[0][2]
+            self.num_leaves = len(leaves)
+            directory = [(last_key, block)
+                         for _first_key, last_key, block in leaves] if items else []
+            if self.inner is None:
+                from ..models.zonemap import FenceZonemap
+
+                self.zonemap = FenceZonemap.build(
+                    self.pager, self._fence_file,
+                    [key for key, _block in directory], self.codec)
+        if self.inner is not None:
             self.inner.bulk_load(directory)
-        else:
-            with self.pager.phase("bulkload"):
-                self._write_leaves_compressed(items)
         self.max_key = items[-1][0] if items else None
-
-    def _write_leaves_compressed(self, items: Sequence[KeyPayload]) -> None:
-        """Greedy-pack codec pages into linked leaves and build the
-        fence zonemap over the leaf max keys.
-
-        ``leaf_fill`` scales the per-leaf byte budget the way it scales
-        the raw layout's entry count; the codec id is stamped into the
-        leaf header's pad field (raw leaves carry 0 there — RawCodec's
-        id) on top of the codec page's own self-framing header.
-        """
-        from ..models.zonemap import FenceZonemap
-
-        bs = self.pager.block_size
-        codec = self.codec
-        budget = max(64, int((bs - LEAF_HEADER_SIZE) * self.leaf_fill))
-        chunks: List[Sequence[KeyPayload]] = []
-        pos = 0
-        while pos < len(items):
-            take = codec.pack_greedy(items, pos, budget)
-            chunks.append(items[pos : pos + take])
-            pos += take
-        if not chunks:
-            chunks.append([])
-        num_leaves = len(chunks)
-        first = self._leaf_file.allocate(num_leaves)
-        writes: List[tuple] = []
-        fences: List[int] = []
-        for i, chunk in enumerate(chunks):
-            next_ = first + i + 1 if i + 1 < num_leaves else NULL_BLOCK
-            prev = first + i - 1 if i > 0 else NULL_BLOCK
-            page = codec.encode(chunk)
-            block = bytearray(bs)
-            _LEAF_HEADER.pack_into(block, 0, len(chunk), codec.codec_id,
-                                   next_, prev, 0)
-            block[LEAF_HEADER_SIZE : LEAF_HEADER_SIZE + len(page)] = page
-            writes.append((first + i, bytes(block)))
-            if chunk:
-                fences.append(chunk[-1][0])
-        # One coalesced call, exactly like the raw layout.
-        self.pager.write_blocks(self._leaf_file, writes)
-        self.leaf_base = first
-        self.num_leaves = num_leaves
-        self.zonemap = FenceZonemap.build(
-            self.pager, self._fence_file, fences, codec)
-
-    def _write_leaves(self, items: Sequence[KeyPayload]) -> List[KeyPayload]:
-        """Pack dense linked leaves; returns (max key -> leaf block) entries."""
-        per_leaf = max(1, int(self.leaf_capacity * self.leaf_fill))
-        num_leaves = max(1, (len(items) + per_leaf - 1) // per_leaf)
-        first = self._leaf_file.allocate(num_leaves)
-        directory: List[KeyPayload] = []
-        bs = self.pager.block_size
-        writes: List[tuple] = []
-        for i in range(num_leaves):
-            chunk = items[i * per_leaf : (i + 1) * per_leaf]
-            next_ = first + i + 1 if i + 1 < num_leaves else NULL_BLOCK
-            prev = first + i - 1 if i > 0 else NULL_BLOCK
-            block = bytearray(bs)
-            _LEAF_HEADER.pack_into(block, 0, len(chunk), 0, next_, prev, 0)
-            block[LEAF_HEADER_SIZE : LEAF_HEADER_SIZE + len(chunk) * ENTRY_SIZE] = (
-                pack_entries(chunk))
-            writes.append((first + i, bytes(block)))
-            if chunk:
-                directory.append((chunk[-1][0], first + i))
-        # One coalesced call: the freshly allocated leaves are contiguous,
-        # so the whole image is charged a single positioning run.
-        self.pager.write_blocks(self._leaf_file, writes)
-        self.num_leaves = num_leaves
-        return directory
-
-    # -- leaf access ------------------------------------------------------------
-
-    def _decoded(self, block: int, raw: bytes):
-        """A compressed leaf's ``(keys, payloads)`` columns, decoded once
-        per frame by the pager."""
-        return self.pager.cached_decode(self._leaf_file, block, raw, self.codec,
-                                        offset=LEAF_HEADER_SIZE)
-
-    def _search_leaf(self, block: int, raw: bytes, key: int) -> Optional[int]:
-        """The payload of ``key`` in a fetched leaf, or None."""
-        if self.codec.is_raw:
-            return find_entry(raw, key, _LEAF_HEADER.unpack_from(raw)[0],
-                              LEAF_HEADER_SIZE)[1]
-        keys, payloads = self._decoded(block, raw)
-        slot = int(np.searchsorted(keys, np.uint64(key), side="left"))
-        if slot < len(keys) and int(keys[slot]) == key:
-            return int(payloads[slot])
-        return None
-
-    def _entries_from(self, block: int, raw: bytes, start_key: int,
-                      limit: int) -> List[KeyPayload]:
-        """Up to ``limit`` entries of a fetched leaf with key >= ``start_key``."""
-        if self.codec.is_raw:
-            count = _LEAF_HEADER.unpack_from(raw)[0]
-            slot = bisect_left(raw, start_key, count, LEAF_HEADER_SIZE)
-            return unpack_entries(raw, min(count - slot, limit),
-                                  LEAF_HEADER_SIZE + slot * ENTRY_SIZE)
-        keys, payloads = self._decoded(block, raw)
-        slot = int(np.searchsorted(keys, np.uint64(start_key), side="left"))
-        return list(zip(keys[slot : slot + limit].tolist(),
-                        payloads[slot : slot + limit].tolist()))
 
     def _route(self, key: int) -> Optional[int]:
         """Leaf block whose max key is the ceiling of ``key``."""
@@ -254,8 +151,8 @@ class HybridIndex(DiskIndex):
         if leaf_block is None:
             return None
         with self.pager.phase("search"):
-            raw = self.pager.read_block(self._leaf_file, leaf_block)
-        return self._search_leaf(leaf_block, raw, key)
+            image = self.leaves.read(leaf_block)
+        return self.leaves.payload(image, key)
 
     def lookup_many(self, keys) -> List[Optional[int]]:
         """Batched lookups: route the whole sorted batch through the
@@ -273,11 +170,11 @@ class HybridIndex(DiskIndex):
                 leaf_of = {key: self._route(key) for key in unique}
             wanted = {block for block in leaf_of.values() if block is not None}
             with self.pager.phase("search"):
-                blocks = self.pager.read_span(self._leaf_file, wanted)
+                images = self.leaves.read_many(wanted)
             for key in unique:
                 block = leaf_of[key]
                 results[key] = (None if block is None else
-                                self._search_leaf(block, blocks[block], key))
+                                self.leaves.payload(images[block], key))
         return [results[key] for key in keys]
 
     def _route_batch_compressed(self, unique) -> Dict[int, Optional[int]]:
@@ -299,64 +196,26 @@ class HybridIndex(DiskIndex):
 
     def scan(self, start_key: int, count: int) -> List[KeyPayload]:
         leaf_block = self._route(start_key)
-        out: List[KeyPayload] = []
         if leaf_block is None or count <= 0:
-            return out
+            return []
         with self.pager.phase("scan"):
-            block = leaf_block
-            while block != NULL_BLOCK and len(out) < count:
-                raw = self.pager.read_block(self._leaf_file, block)
-                out += self._entries_from(block, raw, start_key, count - len(out))
-                block = _LEAF_HEADER.unpack_from(raw)[2]
-        return out
+            return self.leaves.scan(leaf_block, start_key, count)
 
     # -- misc -------------------------------------------------------------------------
 
     def verify(self) -> int:
-        """Check leaf-chain linkage and order, per-leaf sortedness, and
-        the routing agreement between the inner structure (learned index
-        or fence zonemap) and the leaves.  Under a compressed codec also
-        checks the codec-id stamp of every leaf header."""
+        """Check the leaf chain and that the inner index or fence zonemap
+        routes each leaf's first and last key back to it."""
         with self._free_io():
-            count = 0
-            walked = 0
-            previous_key = -1
-            previous_block = NULL_BLOCK
-            base = self.leaf_base if self.zonemap is not None else 0
-            block = base if self.num_leaves else NULL_BLOCK
-            while block != NULL_BLOCK:
-                assert walked < self.num_leaves, "leaf chain cycles or overruns"
-                raw = self.pager.read_block(self._leaf_file, block)
-                entry_count, codec_id, next_, prev, _pad2 = (
-                    _LEAF_HEADER.unpack_from(raw, 0))
-                assert codec_id == self.codec.codec_id, (
-                    f"leaf {block} stamped codec {codec_id}, "
-                    f"expected {self.codec.codec_id}")
-                # one more than stamped, so a page holding extra shows
-                entries = self._entries_from(block, raw, 0, entry_count + 1)
-                assert len(entries) == entry_count, "leaf count drift"
-                assert prev == previous_block, "broken prev link"
-                keys = [k for k, _ in entries]
-                assert keys == sorted(set(keys)), "leaf unsorted"
-                if keys:
-                    assert keys[0] > previous_key, "leaves out of order"
-                    if self.zonemap is not None:
-                        assert self.zonemap.route(keys[-1]) == walked, (
-                            "fence zonemap misroutes a leaf max key")
-                    else:
-                        assert self.inner.lookup(keys[-1]) == block, (
-                            "inner directory misroutes a leaf max key")
-                    previous_key = keys[-1]
-                count += len(entries)
-                walked += 1
-                previous_block = block
-                block = next_
-            assert walked == self.num_leaves, "leaf chain shorter than num_leaves"
-            if self.max_key is not None:
-                assert previous_key == self.max_key, "stored max_key diverges"
+            first = self.leaf_base if self.num_leaves else NULL_BLOCK
+            walked = list(self.leaves.walk(first, self._route))
+            assert len(walked) == self.num_leaves, "leaf chain diverges from num_leaves"
+            last_key = next((keys[-1] for _block, keys in reversed(walked) if keys),
+                            None)
+            assert last_key == self.max_key, "stored max_key diverges"
             if self.zonemap is not None:
                 self.zonemap.verify()
-            return count
+            return sum(len(keys) for _block, keys in walked)
 
     def _inner_file_names(self) -> List[str]:
         """Every file the inner index owns, including files it created
@@ -366,7 +225,6 @@ class HybridIndex(DiskIndex):
 
     def set_inner_memory_resident(self, resident: bool) -> None:
         """Pin every file of the inner learned index in memory (P5 co-design)."""
-        self._inner_resident = resident
         for name in self._inner_file_names():
             self.pager.device.get_file(name).memory_resident = resident
 

@@ -40,13 +40,14 @@ Directory layout (``<prefix>.dir`` file)::
 The leaf directory array and its PLA are rebuilt together; between
 rebuilds, new leaves produced by splits live in the split buffer.
 
-Nothing fetched is unpacked on a point path (DESIGN.md Section 15): the
-segment window, the directory window, the split buffer and the leaf are
-bisected as the bytes the pager returned (:mod:`.serial`); a hit decodes
-one entry and a leaf mutation splices the sorted run — slices around the
-record, a new header, a zero tail.  :meth:`PlidIndex._route` is the one
-routing routine of every operation.  Pager calls and written bytes are
-pinned by ``tests/golden/learned_pages.json``.
+The leaves are a :class:`~.leaffile.LeafFile` whose splits put the new
+leaf to the *left*: the right half stays in the old block, so the old
+directory entry (old max key -> old block) stays correct and only the
+new leaf's max key is registered, in the split buffer.  The segment
+window, the directory window and the split buffer are bisected as the
+bytes the pager returned (DESIGN.md Section 15); :meth:`PlidIndex._route`
+is the one routing routine.  Pager calls and written bytes are pinned by
+``tests/golden/learned_pages.json``.
 """
 
 from __future__ import annotations
@@ -58,14 +59,12 @@ from ..models import LinearModel, optimal_segments
 from ..storage import Pager
 from .codecs import get_codec
 from .interface import DiskIndex, KeyPayload
-from .serial import (ENTRY_SIZE, NULL_BLOCK, bisect_left, bisect_right,
-                     find_entry, key_at, pack_entries, pack_entry, splice,
-                     unpack_entries)
+from .leaffile import LeafFile
+from .serial import (NULL_BLOCK, bisect_left, bisect_right, key_at,
+                     pack_entries, pack_entry, splice, unpack_entries)
 
 __all__ = ["PlidIndex"]
 
-_LEAF_HEADER = struct.Struct("<HHIII")  # count, pad, next, prev, pad
-LEAF_HEADER_SIZE = 16
 _SEGMENT = struct.Struct("<Qddq")  # first_key, slope, intercept, position
 SEGMENT_SIZE = _SEGMENT.size  # 32
 # leaf max key, leaf block: the layout of a key-payload entry, so the
@@ -93,14 +92,9 @@ class PlidIndex(DiskIndex):
                  split_buffer_capacity: int = 128, file_prefix: str = "plid",
                  codec: str = "raw") -> None:
         super().__init__(pager)
-        # PLID's leaf models predict fixed-stride slot positions within
-        # the leaf, so compressed pages do not apply; the codec name is
-        # validated, then the raw layout is kept.
-        get_codec(codec)
+        get_codec(codec)  # the name is validated; PLID keeps the raw layout
         if error_bound < 1:
             raise ValueError(f"error bound must be >= 1, got {error_bound}")
-        if not 0.1 <= leaf_fill <= 1.0:
-            raise ValueError("leaf fill factor must be in [0.1, 1.0]")
         if split_buffer_capacity < 1:
             raise ValueError("split buffer capacity must be >= 1")
         self._file_prefix = file_prefix
@@ -110,7 +104,8 @@ class PlidIndex(DiskIndex):
         device = pager.device
         self._dir_file = device.get_or_create_file(f"{file_prefix}.dir")
         self._leaf_file = device.get_or_create_file(f"{file_prefix}.leaf")
-        self.leaf_capacity = (pager.block_size - LEAF_HEADER_SIZE) // ENTRY_SIZE
+        self.leaves = LeafFile(pager, self._leaf_file, fill=leaf_fill,
+                               new_leaf_side="left")
         # Meta-block state (the paper's in-memory meta block): the root
         # model over the segment array plus the region table.
         self.root_model: Optional[LinearModel] = None
@@ -127,50 +122,21 @@ class PlidIndex(DiskIndex):
         self.num_rebuilds = 0
         self.num_splits = 0
 
-    # -- leaf pages ---------------------------------------------------------------
-    #
-    # A leaf travels as the block itself on the way in and as its sorted
-    # entry run plus sibling links on the way out.
-
-    def _read_leaf(self, block: int) -> Tuple[bytes, int, int, int]:
-        """A leaf block with its entry count, next and prev links."""
-        raw = self.pager.read_block(self._leaf_file, block)
-        count, _pad, next_, prev, _pad2 = _LEAF_HEADER.unpack_from(raw)
-        return raw, count, next_, prev
-
-    def _write_leaf(self, block: int, run: bytes, next_: int, prev: int) -> None:
-        header = _LEAF_HEADER.pack(len(run) // ENTRY_SIZE, 0, next_, prev, 0)
-        self.pager.write_block(
-            self._leaf_file, block,
-            (header + run).ljust(self.pager.block_size, b"\x00"))
-
     # -- directory construction --------------------------------------------------
 
     def bulk_load(self, items: Sequence[KeyPayload]) -> None:
         if self.num_leaves:
             raise RuntimeError("index already bulk-loaded")
         with self.pager.phase("bulkload"):
-            directory = self._write_leaves(items)
-            self._write_directory(directory)
-
-    def _write_leaves(self, items: Sequence[KeyPayload]) -> List[KeyPayload]:
-        per_leaf = max(1, int(self.leaf_capacity * self.leaf_fill))
-        num_leaves = max(1, (len(items) + per_leaf - 1) // per_leaf)
-        first = self._leaf_file.allocate(num_leaves)
-        directory: List[KeyPayload] = []
-        for i in range(num_leaves):
-            chunk = items[i * per_leaf : (i + 1) * per_leaf]
-            next_ = first + i + 1 if i + 1 < num_leaves else NULL_BLOCK
-            prev = first + i - 1 if i > 0 else NULL_BLOCK
-            self._write_leaf(first + i, pack_entries(chunk), next_, prev)
-            directory.append((chunk[-1][0] if chunk else 0, first + i))
-        self.first_leaf_block = first
-        # Splits always keep the right half in the old block (the new leaf
-        # goes to the left), so the chain's last block never changes.
-        self.last_leaf_block = first + num_leaves - 1
-        self.num_records = len(items)
-        self.num_leaves = num_leaves
-        return directory
+            leaves = self.leaves.bulk_write(pack_entries(items))
+            self.first_leaf_block = leaves[0][2]
+            # Splits keep the right half in the old block, so the chain's
+            # last block never changes.
+            self.last_leaf_block = leaves[-1][2]
+            self.num_records = len(items)
+            self.num_leaves = len(leaves)
+            self._write_directory([(last_key, block)
+                                   for _first_key, last_key, block in leaves])
 
     def _write_directory(self, directory: List[KeyPayload]) -> None:
         """(Re)write the segment array + leaf directory + empty split buffer.
@@ -281,60 +247,36 @@ class PlidIndex(DiskIndex):
                     best is None or key_at(raw, slot) < best[0]):
                 best = _DIR_ENTRY.unpack_from(raw, slot * DIR_ENTRY_SIZE)
         if best is None:
-            # Key beyond every max key: the rightmost leaf takes it.
-            return self._rightmost_leaf_block()
+            # Key beyond every max key: the rightmost leaf absorbs it (so
+            # its recorded max key understates its contents; the
+            # chain-stable meta pointer is the reliable route).
+            return self.last_leaf_block
         return best[1]
-
-    def _rightmost_leaf_block(self) -> int:
-        # The last leaf absorbs keys above the global max, so its recorded
-        # max key understates its contents; the chain-stable meta pointer
-        # is the reliable route.
-        return self.last_leaf_block
 
     # -- operations ------------------------------------------------------------------
 
     def lookup(self, key: int) -> Optional[int]:
         with self.pager.phase("search"):
-            raw, count, _next, _prev = self._read_leaf(self._route(key))
-        return find_entry(raw, key, count, LEAF_HEADER_SIZE)[1]
+            image = self.leaves.read(self._route(key))
+        return self.leaves.payload(image, key)
 
     def insert(self, key: int, payload: int) -> None:
         with self.pager.phase("search"):
-            block = self._route(key)
-            raw, count, next_, prev = self._read_leaf(block)
-        slot, held = find_entry(raw, key, count, LEAF_HEADER_SIZE)
-        if held is not None:
+            slot = self.leaves.locate(self._route(key), key)
+        if slot.hit:
             raise KeyError(f"duplicate key {key}")
-        run = (raw[LEAF_HEADER_SIZE : LEAF_HEADER_SIZE + slot * ENTRY_SIZE]
-               + splice(raw, slot, pack_entry(key, payload), count,
-                        LEAF_HEADER_SIZE))
         self.num_records += 1
-        if count < self.leaf_capacity:
-            with self.pager.phase("insert"):
-                self._write_leaf(block, run, next_, prev)
-            return
-        with self.pager.phase("smo"):
-            self._split_leaf(block, run, next_, prev)
-
-    def _split_leaf(self, block: int, run: bytes, next_: int, prev: int) -> None:
-        """P2's light SMO: one new leaf, one split-buffer append."""
-        self.num_splits += 1
-        mid = len(run) // ENTRY_SIZE // 2 * ENTRY_SIZE
-        new_block = self._leaf_file.allocate(1)
-        # The right half stays in the OLD block, so the old directory
-        # entry (old max key -> old block) stays correct, and only the new
-        # left leaf is registered (its max key goes to the split buffer).
-        self._write_leaf(new_block, run[:mid], block, prev)
-        self._write_leaf(block, run[mid:], next_, new_block)
-        if prev != NULL_BLOCK:
-            raw, count, _next, prev_prev = self._read_leaf(prev)
-            self._write_leaf(
-                prev, raw[LEAF_HEADER_SIZE : LEAF_HEADER_SIZE + count * ENTRY_SIZE],
-                new_block, prev_prev)
-        else:
-            self.first_leaf_block = new_block
-        self.num_leaves += 1
-        self._append_split_entry(key_at(run, mid // ENTRY_SIZE - 1), new_block)
+        # A full leaf splits: P2's light SMO, one new leaf and one
+        # split-buffer append.
+        splits = len(slot.run) // self.leaves.record_size >= self.leaves.capacity
+        with self.pager.phase("smo" if splits else "insert"):
+            for max_key, new_block in self.leaves.store(
+                    slot, pack_entry(key, payload)):
+                self.num_splits += 1
+                self.num_leaves += 1
+                if slot.prev == NULL_BLOCK:
+                    self.first_leaf_block = new_block
+                self._append_split_entry(max_key, new_block)
 
     def _append_split_entry(self, max_key: int, block: int) -> None:
         count = self.split_buffer_count
@@ -367,18 +309,10 @@ class PlidIndex(DiskIndex):
         """Replace ``key``'s entry in its leaf with ``record`` (empty:
         remove it, shifting the rest left); False if the key is absent."""
         with self.pager.phase("insert"):
-            block = self._route(key)
-            raw, count, next_, prev = self._read_leaf(block)
-            slot, held = find_entry(raw, key, count, LEAF_HEADER_SIZE)
-            if held is None:
-                return False
-            at = LEAF_HEADER_SIZE + slot * ENTRY_SIZE
-            self._write_leaf(
-                block,
-                raw[LEAF_HEADER_SIZE:at] + record
-                + raw[at + ENTRY_SIZE : LEAF_HEADER_SIZE + count * ENTRY_SIZE],
-                next_, prev)
-            return True
+            slot = self.leaves.locate(self._route(key), key)
+            if slot.hit:
+                self.leaves.store(slot, record)
+            return slot.hit
 
     def update(self, key: int, payload: int) -> bool:
         return self._rewrite_entry(key, pack_entry(key, payload))
@@ -390,19 +324,10 @@ class PlidIndex(DiskIndex):
         return deleted
 
     def scan(self, start_key: int, count: int) -> List[KeyPayload]:
-        out: List[KeyPayload] = []
         if count <= 0:
-            return out
+            return []
         with self.pager.phase("scan"):
-            block = self._route(start_key)
-            while block != NULL_BLOCK and len(out) < count:
-                raw, stored, next_, _prev = self._read_leaf(block)
-                slot = bisect_left(raw, start_key, stored, LEAF_HEADER_SIZE)
-                out.extend(unpack_entries(
-                    raw, min(stored - slot, count - len(out)),
-                    LEAF_HEADER_SIZE + slot * ENTRY_SIZE))
-                block = next_
-        return out
+            return self.leaves.scan(self._route(start_key), start_key, count)
 
     # -- maintenance / reporting --------------------------------------------------------
 
@@ -416,35 +341,21 @@ class PlidIndex(DiskIndex):
         return {self._dir_file.name: "inner", self._leaf_file.name: "leaf"}
 
     def verify(self) -> int:
-        """Check leaf-chain order, directory routing and record counts."""
+        """Check the leaf chain against the directory, record counts, and
+        that each leaf's first and last key route back to it."""
         with self._free_io():
             directory = self._directory()
             assert len(directory) == self.num_leaves, "directory/leaf count mismatch"
-            block = self.first_leaf_block
-            previous_key = -1
-            previous_block = NULL_BLOCK
-            count = 0
-            walked = 0
-            for max_key, dir_block in directory:
-                assert block == dir_block, "directory order diverges from leaf chain"
-                raw, stored, next_, prev = self._read_leaf(block)
-                entries = unpack_entries(raw, stored, LEAF_HEADER_SIZE)
-                assert prev == previous_block, "broken prev link"
-                keys = [k for k, _ in entries]
-                assert keys == sorted(set(keys)), "leaf unsorted"
-                if keys:
-                    assert keys[0] > previous_key, "leaves out of order"
-                    if next_ != NULL_BLOCK:
-                        # The rightmost leaf absorbs keys above the global
-                        # max, so only interior leaves are bounded by
-                        # their directory entry.
-                        assert keys[-1] <= max_key, "leaf exceeds its directory max key"
-                    previous_key = keys[-1]
-                count += len(entries)
-                walked += 1
-                previous_block = block
-                block = next_
-            assert block == NULL_BLOCK, "leaf chain longer than directory"
+            walked = list(self.leaves.walk(self.first_leaf_block, self._route))
+            assert [block for block, _keys in walked] == [
+                block for _max_key, block in directory], (
+                    "directory order diverges from leaf chain")
+            for (block, keys), (max_key, _block) in zip(walked, directory):
+                # The rightmost leaf absorbs keys above the global max, so
+                # only the others are bounded by their directory entry.
+                assert (not keys or block == self.last_leaf_block
+                        or keys[-1] <= max_key), "leaf exceeds its directory max key"
+            count = sum(len(keys) for _block, keys in walked)
             assert count == self.num_records, "record count mismatch"
             return count
 

@@ -14,9 +14,9 @@ delta buffer — every sorted array of fixed-stride records whose first
 field is the u64 key — is searched and mutated as the bytes the pager
 returned, never unpacked on a point path.  :func:`bisect_left` and
 :func:`bisect_right` probe the key column in place, a hit is one
-:func:`entry_at` / :func:`payload_at`, and :func:`splice` gives the bytes
-an insert or overwrite has to write back.  :func:`keys_view` exposes the
-same column as a strided ``numpy`` view for whole-page checks.
+:func:`entry_at`, and :func:`splice` gives the bytes an insert or
+overwrite has to write back.  :func:`keys_view` exposes the same column
+as a strided ``numpy`` view for whole-page checks.
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ __all__ = [
     "pack_entries",
     "unpack_entries",
     "pack_u64s",
-    "unpack_u64s",
     "entries_per_block",
     "keys_view",
     "key_at",
     "entry_at",
     "iter_entries",
-    "payload_at",
     "bisect_left",
     "bisect_right",
     "find_entry",
@@ -114,10 +112,6 @@ def pack_u64s(values: Sequence[int]) -> bytes:
     return _u64_struct(len(values)).pack(*values) if values else b""
 
 
-def unpack_u64s(data: bytes, count: int, offset: int = 0) -> Tuple[int, ...]:
-    return _u64_struct(count).unpack_from(data, offset) if count else ()
-
-
 def keys_view(data, count: int, offset: int = 0,
               stride: int = ENTRY_SIZE) -> np.ndarray:
     """Zero-copy uint64 view of the key column of ``count`` serialized
@@ -160,13 +154,6 @@ def iter_entries(data, count: int, offset: int = 0):
     ``offset``, one per ``next`` — a scan pays for what it takes."""
     return _ENTRY.iter_unpack(
         memoryview(data)[offset : offset + count * ENTRY_SIZE])
-
-
-def payload_at(data, index: int, offset: int = 0,
-               stride: int = ENTRY_SIZE) -> int:
-    """The uint64 payload of the record at slot ``index`` (the 8 bytes
-    following the key)."""
-    return _U64.unpack_from(data, offset + index * stride + KEY_SIZE)[0]
 
 
 def bisect_right(data, key: int, count: int, offset: int = 0,

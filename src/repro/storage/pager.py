@@ -125,19 +125,13 @@ class Pager:
         self._dirty_lsn: Dict[Tuple[str, int], int] = {}
         self.flushes = 0          # explicit/watermark flush calls that wrote
         self.flushed_blocks = 0   # dirty blocks written by those flushes
-        #: per-frame parsed key arrays (DESIGN.md §15): ``(file, block)``
-        #: -> ``(bytes_ref, count, offset, stride, np.ndarray)``.  Entries
-        #: are validated by *object identity* against the block bytes the
-        #: caller just read through the pager, so a write (which always
-        #: produces a new bytes object) can never be served a stale
-        #: array; the explicit invalidation below and the pool's
-        #: ``on_drop`` hook are memory hygiene on top of that guarantee.
-        self._key_cache: "OrderedDict[Tuple[str, int], tuple]" = OrderedDict()
-        self.key_cache_capacity = 1024
-        self.key_cache_hits = 0
-        self.key_cache_builds = 0
-        #: per-frame parsed metadata (same identity-validation contract as
-        #: ``_key_cache``): ``(file, block)`` -> ``(bytes_ref, value)``.
+        #: per-frame parsed values (DESIGN.md §15): ``(file, block)`` ->
+        #: ``(bytes_ref, value)``.  Entries are validated by *object
+        #: identity* against the block bytes the caller just read
+        #: through the pager, so a write (which always produces a new
+        #: bytes object) can never be served a stale value; the explicit
+        #: invalidation below and the pool's ``on_drop`` hook are memory
+        #: hygiene on top of that guarantee.
         self._meta_cache: "OrderedDict[Tuple[str, int], tuple]" = OrderedDict()
         self.meta_cache_capacity = 4096
         if write_back:
@@ -622,47 +616,19 @@ class Pager:
             remaining = remaining[take:]
             pos += take
 
-    # -- per-frame key-array cache ---------------------------------------------
-
-    def cached_keys(self, file: BlockFile, block_no: int, data,
-                    count: int, offset: int = 0, stride: int = 16):
-        """The frame's key column as a cached numpy uint64 array.
-
-        ``data`` must be the block bytes the caller just obtained through
-        this pager (so the charged I/O already happened); the cache only
-        replaces the *parse*.  A hit requires the stored bytes object to
-        be identical (``is``) to ``data`` with the same layout
-        parameters: any write path produces a new bytes object, so a
-        stale array is unreachable by construction — the eviction hooks
-        (write paths, :meth:`invalidate_file`, the buffer pool's
-        ``on_drop``) just bound memory.  Searched with
-        ``np.searchsorted`` by the vectorized ``lookup_many`` paths.
-        """
-        cache_key = (file.name, block_no)
-        entry = self._key_cache.get(cache_key)
-        if (entry is not None and entry[0] is data and entry[1] == count
-                and entry[2] == offset and entry[3] == stride):
-            self._key_cache.move_to_end(cache_key)
-            self.key_cache_hits += 1
-            return entry[4]
-        from ..core.serial import keys_view  # lazy: core imports storage
-        arr = keys_view(data, count, offset, stride)
-        self._key_cache[cache_key] = (data, count, offset, stride, arr)
-        self._key_cache.move_to_end(cache_key)
-        self.key_cache_builds += 1
-        while len(self._key_cache) > self.key_cache_capacity:
-            self._key_cache.popitem(last=False)
-        return arr
+    # -- per-frame parse cache ---------------------------------------------------
 
     def cached_meta(self, file: BlockFile, block_no: int, data, build):
         """A cached ``build(data)`` result for one frame.
 
-        Same contract as :meth:`cached_keys` — ``data`` must be block
-        bytes just obtained through this pager, and a hit requires the
-        stored bytes object to be *identical* to ``data``, so writes
-        (which always produce a new bytes object) can never yield a
-        stale value.  Used by the vectorized lookup paths to avoid
-        re-parsing immutable node headers on every batch.
+        ``data`` must be the block bytes the caller just obtained through
+        this pager (so the charged I/O already happened); the cache only
+        replaces the *parse*.  A hit requires the stored bytes object to
+        be identical (``is``) to ``data``: any write path produces a new
+        bytes object, so a stale value is unreachable by construction —
+        the eviction hooks (write paths, :meth:`invalidate_file`, the
+        buffer pool's ``on_drop``) just bound memory.  Holds the raw
+        image of a compressed leaf and decoded fence pages.
         """
         cache_key = (file.name, block_no)
         entry = self._meta_cache.get(cache_key)
@@ -678,22 +644,14 @@ class Pager:
                       offset: int = 0):
         """Frame-cached codec decode: ``(keys, payloads)`` uint64 arrays.
 
-        The compressed-page counterpart of :meth:`cached_keys`
-        (DESIGN.md Section 16): compressed columns cannot be aliased
-        zero-copy like a raw key column, so the decoded arrays are
-        memoized per frame under the same identity contract — a hit
-        requires the stored bytes object to be *identical* (``is``) to
-        ``data``, and every write path produces a new bytes object, so
-        the same eviction hooks that bound :meth:`cached_keys` memory
-        make a stale decode unreachable by construction.  Decoding is
-        pure CPU over bytes already charged by the caller's read, so
-        cache hits never change ``StorageStats``.
+        :meth:`cached_meta` over ``codec.decode_arrays`` (DESIGN.md
+        Section 16).  Decoding is pure CPU over bytes already charged by
+        the caller's read, so cache hits never change ``StorageStats``.
         """
         return self.cached_meta(file, block_no, data,
                                 lambda raw: codec.decode_arrays(raw, offset))
 
     def _drop_cached_keys(self, file_name: str, block_no: int) -> None:
-        self._key_cache.pop((file_name, block_no), None)
         self._meta_cache.pop((file_name, block_no), None)
 
     # -- cache hygiene ---------------------------------------------------------
@@ -705,9 +663,6 @@ class Pager:
         if self._batch_cache:
             for key in [k for k in self._batch_cache if k[0] == file_name]:
                 del self._batch_cache[key]
-        if self._key_cache:
-            for key in [k for k in self._key_cache if k[0] == file_name]:
-                del self._key_cache[key]
         if self._meta_cache:
             for key in [k for k in self._meta_cache if k[0] == file_name]:
                 del self._meta_cache[key]

@@ -14,8 +14,12 @@ The JSON was recorded at commit cdbc4a0 (the last one that parsed nodes
 into Python lists); the ``answers`` of the two ``fiting-*-bulk20`` cases
 were recorded again when FITing's scan took the lookup's precedence
 after a shadowing duplicate insert (the sequence makes one; stats and
-file bytes did not move).  Regenerate it only for a change that is
-*meant* to move charged I/O or page bytes, and say so in the commit:
+file bytes did not move); ``coalesced_runs`` / ``coalesced_blocks`` of
+the three write-through ``bulk3000`` cases were recorded again when the
+bulk-loaded leaf run became one ``write_blocks`` call (one more run, one
+more block per leaf; nothing else moved).  Regenerate it only for a
+change that is *meant* to move charged I/O or page bytes, and say so in
+the commit:
 
     PYTHONPATH=src python tests/golden/gen_btree_pages.py
 """
@@ -79,7 +83,7 @@ def run_case(case) -> dict:
     index.bulk_load(sorted(live.items()))
     tree = _directory(index)
     levels_after_bulk = tree.num_levels
-    leaves_after_bulk = tree.leaf_file.num_blocks
+    leaves_after_bulk = tree.leaves.file.num_blocks
     inner_after_bulk = tree.inner_file.num_blocks
 
     # Inserts: uniform over the key space, a few below the smallest key
@@ -147,7 +151,7 @@ def run_case(case) -> dict:
                   for name, handle in sorted(device.files.items())},
         "answers": answers,
         "levels": [levels_after_bulk, tree.num_levels],
-        "leaf_blocks": [leaves_after_bulk, tree.leaf_file.num_blocks],
+        "leaf_blocks": [leaves_after_bulk, tree.leaves.file.num_blocks],
         "inner_blocks": [inner_after_bulk, tree.inner_file.num_blocks],
     }
 

@@ -11,9 +11,12 @@ cases and compares every number.
 
 The JSON was recorded at commit 3f170e6 (the last one that unpacked
 every fetched window, leaf and buffer into a Python list and kept a
-scalar and a vectorized lookup per index).  Regenerate it only for a
-change that is *meant* to move charged I/O or page bytes, and say so in
-the commit:
+scalar and a vectorized lookup per index); ``coalesced_runs`` /
+``coalesced_blocks`` of the write-through plid and ``fiting-wt-bulk3000``
+cases were recorded again when their bulk-loaded leaf run became one
+``write_blocks`` call like the hybrid's (one more run, one more block per
+leaf; nothing else moved).  Regenerate it only for a change that is
+*meant* to move charged I/O or page bytes, and say so in the commit:
 
     PYTHONPATH=src python tests/golden/gen_learned_pages.py
 """

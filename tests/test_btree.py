@@ -26,8 +26,8 @@ def test_leaf_capacity_matches_paper_arithmetic():
     tree = make_tree()
     # 4096-byte block, 16-byte header, 16-byte records -> 255 per leaf; at
     # the 0.8 fill factor that is 204, the paper's 980,393 leaves for 200M.
-    assert tree.leaf_capacity == 255
-    assert int(tree.leaf_capacity * 0.8) == 204
+    assert tree.leaves.capacity == 255
+    assert int(tree.leaves.capacity * 0.8) == 204
 
 
 def test_bulk_load_empty_tree():
@@ -140,7 +140,7 @@ def test_generic_record_size():
     payload = bytes(range(32))
     tree.bulk_load([(7, payload)])
     assert tree.lookup(7) == payload
-    assert tree.record_size == 40
+    assert tree.leaves.record_size == 40
 
 
 def test_fill_factor_bounds():

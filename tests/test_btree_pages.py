@@ -1,9 +1,9 @@
 """Byte-level page operations of the B+-tree: property and edge tests.
 
 The tree never parses a node; it bisects and splices the block bytes.
-These tests hold the spliced pages to the obvious reference — the sorted
-record list packed into a zeroed block — and the inner pages to
-reference routing over their parsed entries.
+These tests hold the inner pages to reference routing over their parsed
+entries and the tree to its edges; the leaf pages themselves are held to
+the packed reference in ``tests/test_leaffile.py``.
 """
 
 import struct
@@ -14,32 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.btree import HEADER_SIZE, INNER_ENTRY_SIZE, BPlusTree
-from repro.core.serial import NULL_BLOCK
 from repro.storage import HDD, NULL_DEVICE, BlockDevice, Pager
 
-MAX_KEY = 2**64 - 1
+from tests.test_leaffile import MAX_KEY, data_of, reference_leaf
 
 
 def make_tree(data_size=8, block_size=512, profile=NULL_DEVICE):
     device = BlockDevice(block_size, profile)
     return BPlusTree(Pager(device), device.create_file("i"),
                      device.create_file("l"), data_size=data_size)
-
-
-def data_of(key, size):
-    return bytes((key + i) % 251 for i in range(size))
-
-
-def reference_leaf(block_size, records, next_=NULL_BLOCK, prev=NULL_BLOCK):
-    """The sorted record list packed into a zeroed block."""
-    page = bytearray(block_size)
-    struct.pack_into("<HHIII", page, 0, len(records), 0, next_, prev, 0)
-    off = HEADER_SIZE
-    for key, data in sorted(records.items()):
-        struct.pack_into("<Q", page, off, key)
-        page[off + 8 : off + 8 + len(data)] = data
-        off += 8 + len(data)
-    return bytes(page)
 
 
 def parse_inner(page):
@@ -64,64 +47,22 @@ def reference_descend(tree, key):
 
 
 def leaf_keys(tree, block):
-    page = bytes(tree.leaf_file.blocks[block])
+    page = bytes(tree.leaves.file.blocks[block])
     count = struct.unpack_from("<H", page, 0)[0]
-    return [struct.unpack_from("<Q", page, HEADER_SIZE + i * tree.record_size)[0]
+    return [struct.unpack_from("<Q", page, HEADER_SIZE + i * tree.leaves.record_size)[0]
             for i in range(count)]
 
 
-# -- one leaf page against the packed reference --------------------------------
-
-_KEYS = st.one_of(st.integers(0, 40), st.integers(0, MAX_KEY),
-                  st.sampled_from([0, MAX_KEY]))
-_OPS = st.lists(st.tuples(st.sampled_from(["insert", "update", "delete"]), _KEYS,
-                          st.integers(0, 250)), max_size=60)
-
-
-@pytest.mark.parametrize("data_size", [8, 28])     # record sizes 16 and 36
-@settings(max_examples=150, deadline=None)
-@given(ops=_OPS)
-def test_spliced_leaf_equals_packed_reference(data_size, ops):
-    tree = make_tree(data_size)
-    tree.bulk_load([])
-    model = {}
-    for kind, key, salt in ops:
-        data = data_of(key + salt, data_size)
-        if kind == "insert":
-            if key in model:
-                with pytest.raises(KeyError):
-                    tree.insert(key, data)
-            elif len(model) < tree.leaf_capacity:   # stay on one page
-                tree.insert(key, data)
-                model[key] = data
-        elif kind == "update":
-            assert tree.update(key, data) == (key in model)
-            if key in model:
-                model[key] = data
-        else:
-            assert tree.delete(key) == (key in model)
-            model.pop(key, None)
-        # byte for byte, tail zeroed after a delete included
-        assert bytes(tree.leaf_file.blocks[0]) == reference_leaf(512, model)
-        assert tree.lookup(key) == model.get(key)
-    assert tree.leaf_file.num_blocks == 1 and tree.num_records == len(model)
-    assert list(tree.iterate_from(0)) == sorted(model.items())
-
-
 @pytest.mark.parametrize("data_size", [8, 28])
-def test_leaf_split_halves_equal_packed_reference(data_size):
+def test_leaf_split_promotes_the_right_halfs_first_key(data_size):
     tree = make_tree(data_size)
     tree.bulk_load([])
-    keys = list(range(10, 10 + 7 * (tree.leaf_capacity + 1), 7))
+    keys = list(range(10, 10 + 7 * (tree.leaves.capacity + 1), 7))
     for key in keys:
         tree.insert(key, data_of(key, data_size))
-    mid = len(keys) // 2
-    left = {k: data_of(k, data_size) for k in keys[:mid]}
-    right = {k: data_of(k, data_size) for k in keys[mid:]}
-    assert bytes(tree.leaf_file.blocks[0]) == reference_leaf(512, left, next_=1)
-    assert bytes(tree.leaf_file.blocks[1]) == reference_leaf(512, right, prev=0)
+    assert leaf_keys(tree, 0) + leaf_keys(tree, 1) == keys
     assert parse_inner(bytes(tree.inner_file.blocks[tree.root_block])) == (
-        True, [0, keys[mid]], [0, 1])
+        True, [0, leaf_keys(tree, 1)[0]], [0, 1])
 
 
 # -- inner pages against reference routing ---------------------------------------
@@ -205,7 +146,7 @@ def test_empty_tree_is_one_empty_root_leaf():
     tree = make_tree()
     tree.bulk_load([])
     assert tree.root_is_leaf and tree.num_levels == 1
-    assert bytes(tree.leaf_file.blocks[0]) == reference_leaf(512, {})
+    assert bytes(tree.leaves.file.blocks[0]) == reference_leaf(512, {})
     assert tree.lookup(7) is None and tree.floor_record(7) is None
     assert list(tree.iterate_from(0)) == []
     assert not tree.update(7, data_of(7, 8)) and not tree.delete(7)
@@ -223,7 +164,7 @@ def test_leaf_emptied_by_deletes():
     second = leaf_keys(tree, 1)
     for key in second:
         assert tree.delete(key)
-    assert bytes(tree.leaf_file.blocks[1]) == reference_leaf(
+    assert bytes(tree.leaves.file.blocks[1]) == reference_leaf(
         512, {}, next_=2, prev=0)
     assert all(tree.lookup(key) is None for key in second)
     survivors = [k for k in keys if k not in second]

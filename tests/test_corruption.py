@@ -13,8 +13,6 @@ Two independent detection layers are exercised:
   returning the corrupt payload.
 """
 
-import struct
-
 import pytest
 
 from repro.core import make_index
@@ -120,12 +118,17 @@ def test_lipp_detects_misplaced_key():
         index.verify()
 
 
+def _point_first_leaf_at_itself(index, first):
+    """Break the leaf chain through the ``LeafFile`` API: rewrite the
+    first leaf unchanged but for a next link pointing at itself."""
+    slot = index.leaves.locate(first, 0)
+    assert not slot.hit
+    index.leaves.store(slot._replace(next=first), b"")
+
+
 def test_plid_detects_directory_divergence():
     index = loaded("plid")
-    # Break the leaf chain: point the first leaf's next at itself.
-    raw, count, _next, prev = index._read_leaf(index.first_leaf_block)
-    index._write_leaf(index.first_leaf_block, raw[16 : 16 + count * 16],
-                      index.first_leaf_block, prev)
+    _point_first_leaf_at_itself(index, index.first_leaf_block)
     with pytest.raises(AssertionError):
         index.verify()
 
@@ -139,14 +142,45 @@ def test_hybrid_detects_leaf_disorder():
 
 def test_hybrid_detects_chain_break():
     index = loaded("hybrid-pgm")
-    from repro.core.hybrid import _LEAF_HEADER
-    # Point the first leaf's next pointer at itself: a cycle.
-    raw = bytearray(index._leaf_file.blocks[0])
-    count, pad, _next, prev, pad2 = _LEAF_HEADER.unpack_from(raw, 0)
-    _LEAF_HEADER.pack_into(raw, 0, count, pad, 0, prev, pad2)
-    index._leaf_file.blocks[0] = raw
     assert index.num_leaves > 1
+    _point_first_leaf_at_itself(index, index.leaf_base)
     with pytest.raises(AssertionError):
+        index.verify()
+
+
+# -- misroutes: every leaf is intact, the structure above points wrong ------
+
+def test_btree_detects_swapped_separators_off_the_leftmost_spine():
+    """Two separators swapped in an inner node the leftmost walk never
+    visits: the chain, the counts and the spine's ordering all still
+    hold; only descending for the leaves' own keys can tell."""
+    index = make_index("btree", Pager(BlockDevice(512, NULL_DEVICE)))
+    index.bulk_load(items_of(KEYS))
+    assert index.tree.num_levels == 3
+    # bulk load lays the level above the leaves out first: block 1 is its
+    # second node
+    _swap_entries(index._inner_file, 1, 16 + 12, 16 + 24)
+    with pytest.raises(AssertionError, match="routes elsewhere"):
+        index.verify()
+
+
+def test_plid_detects_swapped_directory_entries():
+    """Two adjacent (max key, block) directory entries swapped on the
+    device: read back and sorted they are the same directory, so only
+    routing through the stored order can tell."""
+    index = loaded("plid")
+    at = index._dir_offset + 3 * 16
+    _swap_entries(index._dir_file, at // 4096, at % 4096, at % 4096 + 16, width=16)
+    with pytest.raises(AssertionError, match="routes elsewhere"):
+        index.verify()
+
+
+def test_hybrid_detects_swapped_fences():
+    """Two fences' leaf blocks swapped in the inner index's data file."""
+    index = loaded("hybrid-pgm")
+    component = next(c for c in index.inner.components if c is not None)
+    _swap_entries(component.data_file, 0, 16 + 8, 32 + 8)
+    with pytest.raises(AssertionError, match="routes elsewhere"):
         index.verify()
 
 

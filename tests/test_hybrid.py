@@ -33,7 +33,7 @@ def test_leaf_fill_bounds():
 def test_inner_index_holds_leaf_directory(kind):
     index, _ = fresh(kind)
     index.bulk_load(items_of(KEYS))
-    per_leaf = int(index.leaf_capacity * index.leaf_fill)
+    per_leaf = int(index.leaves.capacity * index.leaf_fill)
     expected_leaves = (len(KEYS) + per_leaf - 1) // per_leaf
     assert index.num_leaves == expected_leaves
 
