@@ -19,10 +19,18 @@ Three codecs, selected per index via the ``codec`` init parameter:
   of zigzag-varint residuals against their own key (the paper's datasets
   use ``payload = key + 1``, which encodes to one byte).
 * :class:`FoRCodec` (``"for"``, id 2) — frame-of-reference: per-page
-  fixed bit widths for key deltas and zigzag payload residuals, packed
-  with numpy (:func:`~.vectorize.pack_uint_bits`), so the vectorized
-  decode is one ``np.unpackbits``/``np.cumsum`` and the decoded key
-  column feeds ``np.searchsorted`` exactly like a ``keys_view``.
+  fixed bit widths for key deltas and zigzag payload residuals.
+
+Both compressed codecs store a delta to the previous key, so a page is
+decoded a column at a time and never an entry at a time: the kernels in
+:mod:`~.vectorize` turn a whole bit-packed or varint column into a
+uint64 array (and back), a running sum rebuilds the keys, and the
+decoded key column feeds ``np.searchsorted`` exactly like a
+``keys_view``.  Sizing works the same way — bit lengths, running-max
+widths and cumulative page sizes over the column, not a loop over its
+entries — and entries arrive as an ``(n, 2)`` uint64 array, which a run
+of 16-byte records is under ``np.frombuffer``.  What the kernels must
+produce is stated one value at a time in ``tests/codec_reference.py``.
 
 Compressed pages are self-framing.  Every page opens with an 8-byte
 header ``<BBHI`` = (codec id, page kind, entry count, payload column
@@ -42,12 +50,13 @@ of the raw layout's ``entries_per_block`` constant.
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .serial import ENTRY_SIZE, pack_entries, unpack_entries
-from .vectorize import pack_uint_bits, unpack_uint_bits
+from .serial import ENTRY_SIZE, pack_entries, pack_u64s
+from .vectorize import (bit_lengths, pack_uint_bits, pack_varints,
+                        unpack_uint_bits, unpack_varints, varint_lengths)
 
 __all__ = [
     "CODEC_NAMES",
@@ -70,73 +79,73 @@ KIND_KEYS = 1
 #: A page's entry count is a u16 in the header.
 _MAX_PAGE_COUNT = 0xFFFF
 
-_U64_MASK = (1 << 64) - 1
 _U64 = struct.Struct("<Q")
+_EMPTY = np.empty(0, dtype=np.uint64)
+
+#: What an entries page is made from: ``(key, payload)`` pairs, or the
+#: same as an ``(n, 2)`` uint64 array — a record run under ``np.frombuffer``.
+Entries = Union[Sequence[Tuple[int, int]], np.ndarray]
+
+_ONE = np.uint64(1)
+_SIXTY_THREE = np.uint64(63)
 
 
-def _zigzag(key: int, payload: int) -> int:
-    """Zigzag-encoded 64-bit residual ``payload - key`` (mod 2^64)."""
-    diff = (payload - key) & _U64_MASK
-    signed = diff - (1 << 64) if diff >= (1 << 63) else diff
-    return ((signed << 1) ^ (signed >> 63)) & _U64_MASK
+def _as_entries(items: Entries) -> np.ndarray:
+    """``items`` as an ``(n, 2)`` uint64 array (no copy of an array)."""
+    return np.asarray(items, dtype=np.uint64).reshape(-1, 2)
 
 
-def _unzigzag(key: int, z: int) -> int:
-    signed = (z >> 1) ^ -(z & 1)
-    return (key + signed) & _U64_MASK
-
-
-_Z_ONE = np.uint64(1)
-_Z_63 = np.uint64(63)
-_Z_MASK = np.uint64(_U64_MASK)
+def _page_count(column: np.ndarray) -> int:
+    """``len(column)``, which a page's header must be able to hold."""
+    if len(column) > _MAX_PAGE_COUNT:
+        raise ValueError(f"page overflow: {len(column)} entries")
+    return len(column)
 
 
 def _zigzag_arr(keys: np.ndarray, payloads: np.ndarray) -> np.ndarray:
+    """Zigzag-encoded 64-bit residuals ``payload - key`` (mod 2^64)."""
     diff = payloads - keys  # uint64 arithmetic wraps mod 2^64
-    sign = np.where((diff >> _Z_63).astype(bool), _Z_MASK, np.uint64(0))
-    return (diff << _Z_ONE) ^ sign
+    return (diff << _ONE) ^ -(diff >> _SIXTY_THREE)  # -1 is all ones
 
 
 def _unzigzag_arr(keys: np.ndarray, z: np.ndarray) -> np.ndarray:
-    sign = np.where((z & _Z_ONE).astype(bool), _Z_MASK, np.uint64(0))
-    return keys + ((z >> _Z_ONE) ^ sign)
+    return keys + ((z >> _ONE) ^ -(z & _ONE))
 
 
-def _varint_len(value: int) -> int:
-    return max(1, (value.bit_length() + 6) // 7)
+def _keys_from_deltas(first_key: int, deltas: np.ndarray) -> np.ndarray:
+    """The key column: the running sum (mod 2^64) of ``first_key`` and
+    then ``deltas``."""
+    keys = np.empty(len(deltas) + 1, dtype=np.uint64)
+    keys[0] = first_key
+    keys[1:] = deltas
+    return np.cumsum(keys, out=keys)
 
 
-def _varint_append(out: bytearray, value: int) -> None:
+def _greedy_take(sizes_of: Callable[[int], np.ndarray], limit: int,
+                 budget: int) -> int:
+    """How many of ``limit`` entries fit a page of ``budget`` bytes, at
+    least one.  ``sizes_of(n)[k - 1]`` is the encoded size of the first
+    ``k <= n`` entries; the window doubles until one overflows, so a
+    page costs its own entries' worth of work, not the whole run's."""
+    window = min(limit, max(16, budget // 4))  # first guess: 4 bytes an entry
     while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _varint_read(data, pos: int) -> Tuple[int, int]:
-    value = 0
-    shift = 0
-    while True:
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        shift += 7
+        over = np.flatnonzero(sizes_of(window) > budget)
+        if len(over):
+            return max(1, int(over[0]))
+        if window >= limit:
+            return limit
+        window = min(limit, 2 * window)
 
 
 class LeafCodec:
     """Shared interface of the leaf-page codecs.
 
-    ``encode``/``decode``/``decode_arrays`` handle ``KIND_ENTRIES``
-    pages; ``encode_keys``/``decode_keys`` handle ``KIND_KEYS`` fence
-    pages.  ``decode`` is the scalar (tuple-materializing) path,
-    ``decode_arrays``/``decode_keys`` the vectorized one — both read the
-    exact same bytes, so which one runs never changes charged I/O.
+    ``encode``/``decode_arrays`` handle ``KIND_ENTRIES`` pages;
+    ``encode_keys``/``decode_keys`` handle ``KIND_KEYS`` fence pages.
+    Entries go in as ``(key, payload)`` pairs or as an ``(n, 2)`` uint64
+    array (a record run under ``np.frombuffer``) and come out as a key
+    and a payload column; every codec works on whole columns, so there
+    is one path each way and nothing is parsed entry by entry.
     """
 
     name: str = ""
@@ -145,25 +154,31 @@ class LeafCodec:
 
     # -- entries pages ------------------------------------------------------
 
-    def encode(self, items: Sequence[Tuple[int, int]]) -> bytes:
-        raise NotImplementedError
-
-    def decode(self, data, offset: int = 0, count: int = -1) -> List[Tuple[int, int]]:
+    def encode(self, items: Entries) -> bytes:
         raise NotImplementedError
 
     def decode_arrays(self, data, offset: int = 0,
                       count: int = -1) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def encoded_size(self, items: Sequence[Tuple[int, int]]) -> int:
-        """Bytes :meth:`encode` would produce (without encoding)."""
+    def _entry_sizes(self, entries: np.ndarray) -> np.ndarray:
+        """``sizes[k - 1]``: bytes :meth:`encode` makes of the first
+        ``k`` of ``entries`` (at least one)."""
         raise NotImplementedError
 
-    def pack_greedy(self, items: Sequence[Tuple[int, int]], start: int,
-                    budget: int) -> int:
+    def encoded_size(self, items: Entries) -> int:
+        """Bytes :meth:`encode` would produce (without encoding)."""
+        entries = _as_entries(items)
+        if not len(entries):
+            return PAGE_HEADER_SIZE
+        return int(self._entry_sizes(entries)[-1])
+
+    def pack_greedy(self, items: Entries, start: int, budget: int) -> int:
         """How many of ``items[start:]`` fit an encoded page of at most
         ``budget`` bytes (always at least 1 so packing makes progress)."""
-        raise NotImplementedError
+        return _greedy_take(
+            lambda n: self._entry_sizes(_as_entries(items[start : start + n])),
+            min(len(items) - start, _MAX_PAGE_COUNT), budget)
 
     # -- keys-only (fence/zonemap) pages ------------------------------------
 
@@ -173,9 +188,16 @@ class LeafCodec:
     def decode_keys(self, data, offset: int = 0, count: int = -1) -> np.ndarray:
         raise NotImplementedError
 
+    def _key_sizes(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`_entry_sizes` of a keys-only page."""
+        raise NotImplementedError
+
     def pack_keys_greedy(self, keys: Sequence[int], start: int,
                          budget: int) -> int:
-        raise NotImplementedError
+        return _greedy_take(
+            lambda n: self._key_sizes(
+                np.asarray(keys[start : start + n], dtype=np.uint64)),
+            min(len(keys) - start, _MAX_PAGE_COUNT), budget)
 
     # -- shared helpers ------------------------------------------------------
 
@@ -186,6 +208,9 @@ class LeafCodec:
             raise ValueError(
                 f"page stamped codec id {codec_id}, decoder is {self.codec_id}")
         return count
+
+    def _header(self, kind: int, count: int, payload_off: int = 0) -> bytes:
+        return _PAGE_HEADER.pack(self.codec_id, kind, count, payload_off)
 
     def _check_header(self, data, offset: int, kind: int) -> Tuple[int, int]:
         codec_id, got_kind, count, payload_off = _PAGE_HEADER.unpack_from(data, offset)
@@ -209,21 +234,16 @@ class RawCodec(LeafCodec):
     raw layout (and therefore every charged read and write) is
     bit-identical to the code before the codec layer existed.  The
     methods below exist so the property-test suite can exercise one
-    uniform interface; ``decode`` needs an explicit ``count`` because
-    raw pages carry no header.
+    uniform interface; decoding needs an explicit ``count`` because raw
+    pages carry no header.
     """
 
     name = "raw"
     codec_id = 0
     is_raw = True
 
-    def encode(self, items: Sequence[Tuple[int, int]]) -> bytes:
+    def encode(self, items: Entries) -> bytes:
         return pack_entries(items)
-
-    def decode(self, data, offset: int = 0, count: int = -1) -> List[Tuple[int, int]]:
-        if count < 0:
-            raise ValueError("raw pages are headerless: decode needs a count")
-        return unpack_entries(data, count, offset)
 
     def decode_arrays(self, data, offset: int = 0,
                       count: int = -1) -> Tuple[np.ndarray, np.ndarray]:
@@ -232,15 +252,13 @@ class RawCodec(LeafCodec):
         flat = np.frombuffer(data, dtype="<u8", count=2 * count, offset=offset)
         return flat[0::2], flat[1::2]
 
-    def encoded_size(self, items: Sequence[Tuple[int, int]]) -> int:
+    def encoded_size(self, items: Entries) -> int:
         return ENTRY_SIZE * len(items)
 
-    def pack_greedy(self, items: Sequence[Tuple[int, int]], start: int,
-                    budget: int) -> int:
+    def pack_greedy(self, items: Entries, start: int, budget: int) -> int:
         return max(1, min(len(items) - start, budget // ENTRY_SIZE))
 
     def encode_keys(self, keys: Sequence[int]) -> bytes:
-        from .serial import pack_u64s
         return pack_u64s(list(keys))
 
     def decode_keys(self, data, offset: int = 0, count: int = -1) -> np.ndarray:
@@ -269,141 +287,84 @@ class DeltaVarintCodec(LeafCodec):
     The paper's uniform ycsb keys span 2^62, so a delta at 100k-200k
     keys costs ~7 bytes and the ``payload = key + 1`` residual one byte:
     ~8 bytes per entry against raw's 16.  Keys-only pages drop the
-    payload column (``payload_off == 0``).
+    payload column (``payload_off == 0``).  A column is coded and
+    decoded whole (:func:`~.vectorize.pack_varints`,
+    :func:`~.vectorize.unpack_varints`): the key column must end by
+    ``payload_off`` and the payload column by the end of the page.
     """
 
     name = "delta"
     codec_id = 1
+    _FIXED = PAGE_HEADER_SIZE + 8  # page header, first key
 
-    def encode(self, items: Sequence[Tuple[int, int]]) -> bytes:
-        count = len(items)
-        if count > _MAX_PAGE_COUNT:
-            raise ValueError(f"page overflow: {count} entries")
+    def encode(self, items: Entries) -> bytes:
+        entries = _as_entries(items)
+        count = _page_count(entries)
         if not count:
-            return _PAGE_HEADER.pack(self.codec_id, KIND_ENTRIES, 0, 0)
-        body = bytearray()
-        body += _U64.pack(items[0][0])
-        previous = items[0][0]
-        for key, _payload in items[1:]:
-            _varint_append(body, (key - previous) & _U64_MASK)
-            previous = key
-        payload_off = PAGE_HEADER_SIZE + len(body)
-        for key, payload in items:
-            _varint_append(body, _zigzag(key, payload))
-        return _PAGE_HEADER.pack(self.codec_id, KIND_ENTRIES, count,
-                                 payload_off) + bytes(body)
+            return self._header(KIND_ENTRIES, 0)
+        keys = entries[:, 0]
+        key_col = pack_varints(np.diff(keys))
+        return b"".join((
+            self._header(KIND_ENTRIES, count, self._FIXED + len(key_col)),
+            _U64.pack(int(keys[0])), key_col,
+            pack_varints(_zigzag_arr(keys, entries[:, 1]))))
 
-    def decode(self, data, offset: int = 0, count: int = -1) -> List[Tuple[int, int]]:
-        count, payload_off = self._check_header(data, offset, KIND_ENTRIES)
-        if not count:
-            return []
-        keys = self._decode_key_column(data, offset, count)
-        pos = offset + payload_off
-        out: List[Tuple[int, int]] = []
-        for key in keys:
-            z, pos = _varint_read(data, pos)
-            out.append((key, _unzigzag(key, z)))
-        return out
+    def _decode_keys(self, data, offset: int, count: int, stop: int) -> np.ndarray:
+        first_key = _U64.unpack_from(data, offset + PAGE_HEADER_SIZE)[0]
+        return _keys_from_deltas(first_key, unpack_varints(
+            data, count - 1, offset + self._FIXED, stop))
 
     def decode_arrays(self, data, offset: int = 0,
                       count: int = -1) -> Tuple[np.ndarray, np.ndarray]:
         count, payload_off = self._check_header(data, offset, KIND_ENTRIES)
         if not count:
-            empty = np.empty(0, dtype=np.uint64)
-            return empty, empty
-        keys = self._decode_key_column(data, offset, count)
-        pos = offset + payload_off
-        zs = []
-        for _ in range(count):
-            z, pos = _varint_read(data, pos)
-            zs.append(z)
-        keys_arr = np.array(keys, dtype=np.uint64)
-        payloads = _unzigzag_arr(keys_arr, np.array(zs, dtype=np.uint64))
-        return keys_arr, payloads
+            return _EMPTY, _EMPTY
+        keys = self._decode_keys(data, offset, count, offset + payload_off)
+        residuals = unpack_varints(data, count, offset + payload_off, len(data))
+        return keys, _unzigzag_arr(keys, residuals)
 
-    def _decode_key_column(self, data, offset: int, count: int) -> List[int]:
-        pos = offset + PAGE_HEADER_SIZE
-        key = _U64.unpack_from(data, pos)[0]
-        pos += 8
-        keys = [key]
-        for _ in range(count - 1):
-            delta, pos = _varint_read(data, pos)
-            key = (key + delta) & _U64_MASK
-            keys.append(key)
-        return keys
-
-    def encoded_size(self, items: Sequence[Tuple[int, int]]) -> int:
-        if not items:
-            return PAGE_HEADER_SIZE
-        size = PAGE_HEADER_SIZE + 8
-        previous = items[0][0]
-        for key, _payload in items[1:]:
-            size += _varint_len((key - previous) & _U64_MASK)
-            previous = key
-        for key, payload in items:
-            size += _varint_len(_zigzag(key, payload))
-        return size
-
-    def pack_greedy(self, items: Sequence[Tuple[int, int]], start: int,
-                    budget: int) -> int:
-        size = PAGE_HEADER_SIZE + 8 + _varint_len(
-            _zigzag(items[start][0], items[start][1]))
-        taken = 1
-        previous = items[start][0]
-        limit = min(len(items) - start, _MAX_PAGE_COUNT)
-        while taken < limit:
-            key, payload = items[start + taken]
-            size += _varint_len((key - previous) & _U64_MASK)
-            size += _varint_len(_zigzag(key, payload))
-            if size > budget:
-                break
-            previous = key
-            taken += 1
-        return taken
+    def _entry_sizes(self, entries: np.ndarray) -> np.ndarray:
+        keys = entries[:, 0]
+        return self._key_sizes(keys) + np.cumsum(
+            varint_lengths(_zigzag_arr(keys, entries[:, 1])))
 
     def encode_keys(self, keys: Sequence[int]) -> bytes:
-        count = len(keys)
-        if count > _MAX_PAGE_COUNT:
-            raise ValueError(f"page overflow: {count} keys")
-        if not count:
-            return _PAGE_HEADER.pack(self.codec_id, KIND_KEYS, 0, 0)
-        body = bytearray()
-        body += _U64.pack(keys[0])
-        previous = keys[0]
-        for key in keys[1:]:
-            _varint_append(body, (key - previous) & _U64_MASK)
-            previous = key
-        return _PAGE_HEADER.pack(self.codec_id, KIND_KEYS, count, 0) + bytes(body)
+        keys = np.asarray(keys, dtype=np.uint64)
+        if not _page_count(keys):
+            return self._header(KIND_KEYS, 0)
+        return b"".join((self._header(KIND_KEYS, len(keys)),
+                         _U64.pack(int(keys[0])), pack_varints(np.diff(keys))))
 
     def decode_keys(self, data, offset: int = 0, count: int = -1) -> np.ndarray:
         count, _poff = self._check_header(data, offset, KIND_KEYS)
         if not count:
-            return np.empty(0, dtype=np.uint64)
-        return np.array(self._decode_key_column(data, offset, count),
-                        dtype=np.uint64)
+            return _EMPTY
+        return self._decode_keys(data, offset, count, len(data))
 
-    def pack_keys_greedy(self, keys: Sequence[int], start: int,
-                         budget: int) -> int:
-        size = PAGE_HEADER_SIZE + 8
-        taken = 1
-        previous = keys[start]
-        limit = min(len(keys) - start, _MAX_PAGE_COUNT)
-        while taken < limit:
-            key = keys[start + taken]
-            size += _varint_len((key - previous) & _U64_MASK)
-            if size > budget:
-                break
-            previous = key
-            taken += 1
-        return taken
+    def _key_sizes(self, keys: np.ndarray) -> np.ndarray:
+        sizes = np.full(len(keys), self._FIXED)
+        sizes[1:] += np.cumsum(varint_lengths(np.diff(keys)))
+        return sizes
 
     def max_entries(self, budget: int) -> int:
         # Two bytes per entry minimum: a 1-byte key delta + 1-byte residual.
-        return min(_MAX_PAGE_COUNT, max(1, (budget - PAGE_HEADER_SIZE - 8) // 2))
+        return min(_MAX_PAGE_COUNT, max(1, (budget - self._FIXED) // 2))
 
 
 _FOR_SUBHEADER = struct.Struct("<BB6x")  # key width, payload width
 _FOR_KEYS_SUBHEADER = struct.Struct("<B7x")  # key width
+
+
+def _max_width(values: np.ndarray) -> int:
+    """Bits the widest of ``values`` needs (0 for none)."""
+    return int(values.max()).bit_length() if len(values) else 0
+
+
+def _column_sizes(values: np.ndarray) -> np.ndarray:
+    """``sizes[k - 1]``: bytes of the first ``k`` of ``values`` bit-packed
+    at their own widest bit length."""
+    counts = np.arange(1, len(values) + 1)
+    return (counts * np.maximum.accumulate(bit_lengths(values)) + 7) // 8
 
 
 class FoRCodec(LeafCodec):
@@ -417,147 +378,78 @@ class FoRCodec(LeafCodec):
         -- payload column at header.payload_off (byte aligned) --
         payload column: count zigzag residuals of payload_width bits
 
-    Both widths are the page-local maximum bit length, so decode is
-    fully vectorized: one ``np.unpackbits`` + reshape + weighted sum per
-    column (:func:`~.vectorize.unpack_uint_bits`), ``np.cumsum`` to
-    rebuild keys.  The decoded key column is a sorted uint64 array that
-    drops straight into the ``np.searchsorted`` fast paths of PR 8.
+    Both widths are the page-local maximum bit length, so a column is
+    ``count`` fixed-width fields: :func:`~.vectorize.unpack_uint_bits`
+    gathers each field's bytes as one word, shifts and masks, and a
+    running sum over the deltas rebuilds the keys.
     """
 
     name = "for"
     codec_id = 2
+    # page header, first key, sub-header (both sub-headers are 8 bytes)
+    _FIXED = PAGE_HEADER_SIZE + 8 + _FOR_SUBHEADER.size
 
-    @staticmethod
-    def _widths(items: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
-        key_width = 0
-        payload_width = 0
-        previous = items[0][0]
-        for key, payload in items:
-            key_width = max(key_width, ((key - previous) & _U64_MASK).bit_length())
-            payload_width = max(payload_width, _zigzag(key, payload).bit_length())
-            previous = key
-        return key_width, payload_width
-
-    def encode(self, items: Sequence[Tuple[int, int]]) -> bytes:
-        count = len(items)
-        if count > _MAX_PAGE_COUNT:
-            raise ValueError(f"page overflow: {count} entries")
+    def encode(self, items: Entries) -> bytes:
+        entries = _as_entries(items)
+        count = _page_count(entries)
         if not count:
-            return _PAGE_HEADER.pack(self.codec_id, KIND_ENTRIES, 0, 0)
-        keys = np.array([key for key, _ in items], dtype=np.uint64)
-        payloads = np.array([payload for _, payload in items], dtype=np.uint64)
+            return self._header(KIND_ENTRIES, 0)
+        keys = entries[:, 0]
         deltas = np.diff(keys)
-        residuals = _zigzag_arr(keys, payloads)
-        key_width = int(deltas.max()).bit_length() if len(deltas) else 0
-        payload_width = int(residuals.max()).bit_length() if count else 0
+        residuals = _zigzag_arr(keys, entries[:, 1])
+        key_width, payload_width = _max_width(deltas), _max_width(residuals)
         key_col = pack_uint_bits(deltas, key_width)
-        payload_col = pack_uint_bits(residuals, payload_width)
-        payload_off = PAGE_HEADER_SIZE + 8 + _FOR_SUBHEADER.size + len(key_col)
-        return (_PAGE_HEADER.pack(self.codec_id, KIND_ENTRIES, count, payload_off)
-                + _U64.pack(items[0][0])
-                + _FOR_SUBHEADER.pack(key_width, payload_width)
-                + key_col + payload_col)
+        return b"".join((
+            self._header(KIND_ENTRIES, count, self._FIXED + len(key_col)),
+            _U64.pack(int(keys[0])),
+            _FOR_SUBHEADER.pack(key_width, payload_width),
+            key_col, pack_uint_bits(residuals, payload_width)))
+
+    def _decode_keys(self, data, offset: int, count: int, width: int) -> np.ndarray:
+        first_key = _U64.unpack_from(data, offset + PAGE_HEADER_SIZE)[0]
+        return _keys_from_deltas(first_key, unpack_uint_bits(
+            data, count - 1, width, offset + self._FIXED))
 
     def decode_arrays(self, data, offset: int = 0,
                       count: int = -1) -> Tuple[np.ndarray, np.ndarray]:
         count, payload_off = self._check_header(data, offset, KIND_ENTRIES)
         if not count:
-            empty = np.empty(0, dtype=np.uint64)
-            return empty, empty
-        first_key = _U64.unpack_from(data, offset + PAGE_HEADER_SIZE)[0]
+            return _EMPTY, _EMPTY
         key_width, payload_width = _FOR_SUBHEADER.unpack_from(
             data, offset + PAGE_HEADER_SIZE + 8)
-        col_off = offset + PAGE_HEADER_SIZE + 8 + _FOR_SUBHEADER.size
-        deltas = unpack_uint_bits(data, count - 1, key_width, col_off)
-        keys = np.empty(count, dtype=np.uint64)
-        keys[0] = first_key
-        if count > 1:
-            keys[1:] = np.uint64(first_key) + np.cumsum(deltas, dtype=np.uint64)
+        keys = self._decode_keys(data, offset, count, key_width)
         residuals = unpack_uint_bits(data, count, payload_width,
                                      offset + payload_off)
         return keys, _unzigzag_arr(keys, residuals)
 
-    def decode(self, data, offset: int = 0, count: int = -1) -> List[Tuple[int, int]]:
-        # The scalar path shares the decoder: FoR columns are opaque bit
-        # streams, so there is no per-slot parse to do lazily; charged
-        # I/O is unaffected either way (the whole block is already read).
-        keys, payloads = self.decode_arrays(data, offset)
-        return list(zip(keys.tolist(), payloads.tolist()))
-
-    def encoded_size(self, items: Sequence[Tuple[int, int]]) -> int:
-        if not items:
-            return PAGE_HEADER_SIZE
-        key_width, payload_width = self._widths(items)
-        count = len(items)
-        return (PAGE_HEADER_SIZE + 8 + _FOR_SUBHEADER.size
-                + ((count - 1) * key_width + 7) // 8
-                + (count * payload_width + 7) // 8)
-
-    def pack_greedy(self, items: Sequence[Tuple[int, int]], start: int,
-                    budget: int) -> int:
-        fixed = PAGE_HEADER_SIZE + 8 + _FOR_SUBHEADER.size
-        key_width = 0
-        payload_width = max(0, _zigzag(items[start][0], items[start][1]).bit_length())
-        taken = 1
-        previous = items[start][0]
-        limit = min(len(items) - start, _MAX_PAGE_COUNT)
-        while taken < limit:
-            key, payload = items[start + taken]
-            kw = max(key_width, ((key - previous) & _U64_MASK).bit_length())
-            pw = max(payload_width, _zigzag(key, payload).bit_length())
-            size = fixed + (taken * kw + 7) // 8 + ((taken + 1) * pw + 7) // 8
-            if size > budget:
-                break
-            key_width, payload_width = kw, pw
-            previous = key
-            taken += 1
-        return taken
+    def _entry_sizes(self, entries: np.ndarray) -> np.ndarray:
+        keys = entries[:, 0]
+        return self._key_sizes(keys) + _column_sizes(
+            _zigzag_arr(keys, entries[:, 1]))
 
     def encode_keys(self, keys: Sequence[int]) -> bytes:
-        count = len(keys)
-        if count > _MAX_PAGE_COUNT:
-            raise ValueError(f"page overflow: {count} keys")
-        if not count:
-            return _PAGE_HEADER.pack(self.codec_id, KIND_KEYS, 0, 0)
-        arr = np.array(list(keys), dtype=np.uint64)
-        deltas = np.diff(arr)
-        key_width = int(deltas.max()).bit_length() if len(deltas) else 0
-        return (_PAGE_HEADER.pack(self.codec_id, KIND_KEYS, count, 0)
-                + _U64.pack(int(arr[0]))
-                + _FOR_KEYS_SUBHEADER.pack(key_width)
-                + pack_uint_bits(deltas, key_width))
+        keys = np.asarray(keys, dtype=np.uint64)
+        if not _page_count(keys):
+            return self._header(KIND_KEYS, 0)
+        deltas = np.diff(keys)
+        key_width = _max_width(deltas)
+        return b"".join((self._header(KIND_KEYS, len(keys)),
+                         _U64.pack(int(keys[0])),
+                         _FOR_KEYS_SUBHEADER.pack(key_width),
+                         pack_uint_bits(deltas, key_width)))
 
     def decode_keys(self, data, offset: int = 0, count: int = -1) -> np.ndarray:
         count, _poff = self._check_header(data, offset, KIND_KEYS)
         if not count:
-            return np.empty(0, dtype=np.uint64)
-        first_key = _U64.unpack_from(data, offset + PAGE_HEADER_SIZE)[0]
+            return _EMPTY
         key_width = _FOR_KEYS_SUBHEADER.unpack_from(
             data, offset + PAGE_HEADER_SIZE + 8)[0]
-        col_off = offset + PAGE_HEADER_SIZE + 8 + _FOR_KEYS_SUBHEADER.size
-        deltas = unpack_uint_bits(data, count - 1, key_width, col_off)
-        keys = np.empty(count, dtype=np.uint64)
-        keys[0] = first_key
-        if count > 1:
-            keys[1:] = np.uint64(first_key) + np.cumsum(deltas, dtype=np.uint64)
-        return keys
+        return self._decode_keys(data, offset, count, key_width)
 
-    def pack_keys_greedy(self, keys: Sequence[int], start: int,
-                         budget: int) -> int:
-        fixed = PAGE_HEADER_SIZE + 8 + _FOR_KEYS_SUBHEADER.size
-        key_width = 0
-        taken = 1
-        previous = keys[start]
-        limit = min(len(keys) - start, _MAX_PAGE_COUNT)
-        while taken < limit:
-            key = keys[start + taken]
-            kw = max(key_width, ((key - previous) & _U64_MASK).bit_length())
-            if fixed + (taken * kw + 7) // 8 > budget:
-                break
-            key_width = kw
-            previous = key
-            taken += 1
-        return taken
+    def _key_sizes(self, keys: np.ndarray) -> np.ndarray:
+        sizes = np.full(len(keys), self._FIXED)
+        sizes[1:] += _column_sizes(np.diff(keys))
+        return sizes
 
     def max_entries(self, budget: int) -> int:
         # Width-0 columns make the true maximum the u16 count ceiling.

@@ -45,6 +45,11 @@ _KEY = struct.Struct("<Q")
 _NEXT_OFFSET, _PREV_OFFSET = 4, 8  # of the sibling links in the header
 
 
+def _entries(run: bytes) -> np.ndarray:
+    """A run of 16-byte records as the codecs take it: (n, 2) u64 pairs."""
+    return np.frombuffer(run, dtype="<u8").reshape(-1, 2)
+
+
 class LeafSlot(NamedTuple):
     """Where a key lives, or would, in a fetched leaf (:meth:`LeafFile.locate`)."""
 
@@ -101,7 +106,7 @@ class LeafFile:
         header = _HEADER.pack(len(run) // self.record_size,
                               self.codec.codec_id, next_, prev, 0)
         if not self.codec.is_raw:
-            run = self.codec.encode(unpack_entries(run, len(run) // ENTRY_SIZE))
+            run = self.codec.encode(_entries(run))
         tail = self.pager.block_size - HEADER_SIZE - len(run)
         if tail < 0:
             raise ValueError("leaf overflows its block")
@@ -115,9 +120,8 @@ class LeafFile:
             return count <= self.capacity
         if count > self.codec.max_entries(self.pager.block_size):
             return False
-        return not count or (
-            self.codec.encoded_size(unpack_entries(run, count))
-            <= self.pager.block_size - HEADER_SIZE)
+        return (self.codec.encoded_size(_entries(run))
+                <= self.pager.block_size - HEADER_SIZE)
 
     def _cuts(self, run: bytes) -> List[int]:
         """Cut ``run`` into leaves filled to ``fill`` (raw: by record
@@ -130,7 +134,7 @@ class LeafFile:
             per_leaf = max(1, int(self.capacity * self.fill))
             return list(range(0, count, per_leaf)) + [count]
         budget = max(64, int((self.pager.block_size - HEADER_SIZE) * self.fill))
-        entries = unpack_entries(run, count)
+        entries = _entries(run)
         cuts = [0]
         while cuts[-1] < count:
             cuts.append(cuts[-1] + self.codec.pack_greedy(entries, cuts[-1], budget))
@@ -165,7 +169,9 @@ class LeafFile:
     def _transcode(self, block: bytes) -> bytes:
         """Raw-layout image of a compressed leaf block."""
         keys, payloads = self.codec.decode_arrays(block, HEADER_SIZE)
-        records = np.stack((keys, payloads), axis=1).astype("<u8", copy=False)
+        records = np.empty((len(keys), 2), dtype="<u8")
+        records[:, 0] = keys
+        records[:, 1] = payloads
         return block[:HEADER_SIZE] + records.tobytes()
 
     def read(self, block_no: int) -> bytes:

@@ -152,15 +152,15 @@ class StaticPgm:
 
         bs = self.pager.block_size
         codec = self.codec
+        entries = np.asarray(items, dtype=np.uint64)  # (count, 2)
         pages: List[bytes] = []
         page_lasts: List[int] = []
         pos = 0
         while pos < self.count:
-            take = codec.pack_greedy(items, pos, bs)
-            chunk = items[pos : pos + take]
+            take = codec.pack_greedy(entries, pos, bs)
             self.page_starts.append(pos)
-            page_lasts.append(chunk[-1][0])
-            pages.append(codec.encode(chunk))
+            page_lasts.append(items[pos + take - 1][0])
+            pages.append(codec.encode(entries[pos : pos + take]))
             pos += take
         start = self.data_file.allocate(len(pages))
         self.pager.write_blocks(self.data_file, [

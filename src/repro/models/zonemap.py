@@ -67,15 +67,16 @@ class FenceZonemap:
         """Pack sorted ``fences`` into codec key pages, one per block."""
         codec = get_codec(codec)
         fences = list(fences)
+        keys = np.array(fences, dtype=np.uint64)
         pages: List[bytes] = []
         page_lasts: List[int] = []
         page_starts: List[int] = []
         pos = 0
         while pos < len(fences):
-            take = codec.pack_keys_greedy(fences, pos, pager.block_size)
+            take = codec.pack_keys_greedy(keys, pos, pager.block_size)
             page_starts.append(pos)
             page_lasts.append(fences[pos + take - 1])
-            pages.append(codec.encode_keys(fences[pos : pos + take]))
+            pages.append(codec.encode_keys(keys[pos : pos + take]))
             pos += take
         base = file.allocate(len(pages)) if pages else 0
         bs = pager.block_size

@@ -491,6 +491,9 @@ class Pager:
             self._batch_depth -= 1
             if self._batch_depth == 0:
                 self._batch_cache.clear()
+                if not self._pooled:
+                    # what was parsed from the pins went with them
+                    self._meta_cache.clear()
                 # The last-block cache is a one-entry pin: inside a batch
                 # its final value depends on which probe happened to miss
                 # last, an accident of how a batch orders its probes.
@@ -618,6 +621,12 @@ class Pager:
 
     # -- per-frame parse cache ---------------------------------------------------
 
+    @property
+    def _pooled(self) -> bool:
+        """Whether a block read now can be handed out again later as the
+        same bytes object: only a pool frame outlives a read."""
+        return self.buffer_pool is not None and self.buffer_pool.capacity > 0
+
     def cached_meta(self, file: BlockFile, block_no: int, data, build):
         """A cached ``build(data)`` result for one frame.
 
@@ -627,14 +636,25 @@ class Pager:
         be identical (``is``) to ``data``: any write path produces a new
         bytes object, so a stale value is unreachable by construction —
         the eviction hooks (write paths, :meth:`invalidate_file`, the
-        buffer pool's ``on_drop``) just bound memory.  Holds the raw
-        image of a compressed leaf and decoded fence pages.
+        buffer pool's ``on_drop``) just bound memory.  Only entries a
+        later read can match are kept: without a buffer pool every
+        charged read returns a fresh bytes object, so the cache holds
+        the blocks pinned by the current batch, and outside one the
+        last block alone.  Holds the raw image of a compressed leaf and
+        decoded fence pages.
         """
         cache_key = (file.name, block_no)
         entry = self._meta_cache.get(cache_key)
         if entry is not None and entry[0] is data:
             return entry[1]
         value = build(data)
+        if not self._pooled and not self._batch_depth:
+            # No pool frame and no batch pin holds ``data``: only the
+            # last-block copy can come back as this very object, so that
+            # is the one entry worth keeping.
+            self._meta_cache.clear()
+            if self._last is None or self._last[2] is not data:
+                return value
         self._meta_cache[cache_key] = (data, value)
         while len(self._meta_cache) > self.meta_cache_capacity:
             self._meta_cache.popitem(last=False)

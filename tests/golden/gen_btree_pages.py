@@ -17,7 +17,9 @@ after a shadowing duplicate insert (the sequence makes one; stats and
 file bytes did not move); ``coalesced_runs`` / ``coalesced_blocks`` of
 the three write-through ``bulk3000`` cases were recorded again when the
 bulk-loaded leaf run became one ``write_blocks`` call (one more run, one
-more block per leaf; nothing else moved).  Regenerate it only for a
+more block per leaf; nothing else moved); the two ``btree-delta-*``
+cases were recorded at 475d488, the last commit whose delta codec read
+and wrote one varint at a time.  Regenerate it only for a
 change that is *meant* to move charged I/O or page bytes, and say so in
 the commit:
 
@@ -46,10 +48,11 @@ BLOCK_SIZE = {"btree": 512, "fiting": 256}
 INDEX_KWARGS = {"btree": {}, "fiting": {"error_bound": 2, "buffer_capacity": 8}}
 
 #: (index, codec, write-back pool, bulk-loaded keys)
-CASES = [(index, codec, write_back, bulk)
-         for index, codec in (("btree", "raw"), ("btree", "for"), ("fiting", "raw"))
-         for write_back in (False, True)
-         for bulk in (20, 3000)]
+CASES = ([(index, codec, write_back, bulk)
+          for index, codec in (("btree", "raw"), ("btree", "for"), ("fiting", "raw"))
+          for write_back in (False, True)
+          for bulk in (20, 3000)]
+         + [("btree", "delta", write_back, 3000) for write_back in (False, True)])
 
 
 def case_id(case) -> str:

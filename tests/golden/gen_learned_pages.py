@@ -15,7 +15,9 @@ scalar and a vectorized lookup per index); ``coalesced_runs`` /
 ``coalesced_blocks`` of the write-through plid and ``fiting-wt-bulk3000``
 cases were recorded again when their bulk-loaded leaf run became one
 ``write_blocks`` call like the hybrid's (one more run, one more block per
-leaf; nothing else moved).  Regenerate it only for a change that is
+leaf; nothing else moved); the three ``*-delta-*`` cases were recorded
+at 475d488, the last commit whose delta codec read and wrote one varint
+at a time.  Regenerate it only for a change that is
 *meant* to move charged I/O or page bytes, and say so in the commit:
 
     PYTHONPATH=src python tests/golden/gen_learned_pages.py
@@ -64,6 +66,16 @@ CASES = ([(cell, write_back, bulk)
           for bulk in (40, 3000)]
          + [(cell, write_back, 8000)
             for cell in READ_ONLY for write_back in (False, True)])
+
+#: The delta codec rides the sequences of its ``for`` siblings, the large
+#: bulk loads only.
+CELLS.update({
+    "pgm-delta": ("pgm", "delta", 512, {"epsilon": 16, "buffer_capacity": 24}),
+    "hybrid-pgm-delta": ("hybrid-pgm", "delta", 512, {}),
+})
+READ_ONLY += ("hybrid-pgm-delta",)
+CASES += [("pgm-delta", False, 3000), ("pgm-delta", True, 3000),
+          ("hybrid-pgm-delta", False, 8000)]
 
 
 def case_id(case) -> str:

@@ -4,10 +4,12 @@ Every codec must round-trip arbitrary sorted-unique uint64 key sets with
 arbitrary uint64 payloads — including the adversarial shapes the
 encoders special-case: key 0, key 2^64-1, dense consecutive runs, huge
 gaps (which widen FoR columns), single-entry pages and pages packed to
-the count ceiling.  The scalar ``decode`` and vectorized
-``decode_arrays`` paths must agree with each other and with the
-:class:`RawCodec` reading its own encoding of the same items, and
-``pack_greedy`` must respect its byte budget exactly.
+the count ceiling.  The codecs work on whole columns; what they are held
+to is the scalar statement of the same wire formats in
+``tests/codec_reference.py``: ``encode``/``encode_keys`` must return its
+bytes, ``decode_arrays`` what it reads back one entry at a time (and
+what :class:`RawCodec` reads from its own encoding of the same items),
+and ``encoded_size``/``pack_greedy``/``pack_keys_greedy`` its counts.
 """
 
 import pytest
@@ -27,6 +29,8 @@ from repro.core.codecs import (
     codec_id_of,
     get_codec,
 )
+
+from tests import codec_reference as reference
 
 U64_MAX = 2**64 - 1
 COMPRESSED = ("delta", "for")
@@ -57,10 +61,15 @@ def test_entries_roundtrip(keys, payloads, name):
     codec = get_codec(name)
     items = _items_from(keys, payloads)
     page = codec.encode(items)
+    assert page == reference.encode(name, items)
     assert len(page) == codec.encoded_size(items)
     assert codec_id_of(page) == codec.codec_id
     assert codec.page_count(page) == len(items)
-    assert codec.decode(page) == items
+    assert reference.decode(name, page) == items
+    # the same entries as the (n, 2) array a record run is handed over as
+    pairs = np.array(items, dtype=np.uint64)
+    assert codec.encode(pairs) == page
+    assert codec.encoded_size(pairs) == len(page)
 
     got_keys, got_payloads = codec.decode_arrays(page)
     raw_page = RawCodec().encode(items)
@@ -75,6 +84,8 @@ def test_keys_roundtrip(keys, name):
     codec = get_codec(name)
     keys = sorted(set(keys))
     page = codec.encode_keys(keys)
+    assert page == reference.encode_keys(name, keys)
+    assert codec.encode_keys(np.array(keys, dtype=np.uint64)) == page
     assert codec.decode_keys(page).tolist() == keys
     # Offset decoding: the same page embedded mid-buffer.
     shifted = b"\xEE" * 13 + page
@@ -88,12 +99,19 @@ def test_pack_greedy_respects_budget(keys, payloads, name, budget):
     codec = get_codec(name)
     items = _items_from(keys, payloads)
     taken = codec.pack_greedy(items, 0, budget)
+    assert codec.pack_greedy(np.array(items, dtype=np.uint64), 0, budget) == taken
     assert 1 <= taken <= len(items)
+    # Page sizes only grow with the entries taken, so these two bounds
+    # leave exactly one answer: the count at which the entry-at-a-time
+    # loop over the reference encoder's sizes stops.
     if taken > 1:
-        assert codec.encoded_size(items[:taken]) <= budget
+        assert len(reference.encode(name, items[:taken])) <= budget
     if taken < len(items):
-        assert codec.encoded_size(items[:taken + 1]) > budget
+        assert len(reference.encode(name, items[:taken + 1])) > budget
     assert taken <= codec.max_entries(budget)
+    start = len(items) // 2
+    assert codec.pack_greedy(items, start, budget) == codec.pack_greedy(
+        items[start:], 0, budget)
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,18 +120,20 @@ def test_pack_keys_greedy_respects_budget(keys, name, budget):
     codec = get_codec(name)
     keys = sorted(set(keys))
     taken = codec.pack_keys_greedy(keys, 0, budget)
+    assert codec.pack_keys_greedy(np.array(keys, dtype=np.uint64), 0, budget) == taken
     assert 1 <= taken <= len(keys)
+    if taken > 1:
+        assert len(reference.encode_keys(name, keys[:taken])) <= budget
     if taken < len(keys):
-        page = codec.encode_keys(keys[:taken + 1])
-        assert len(page) > budget
+        assert len(reference.encode_keys(name, keys[:taken + 1])) > budget
 
 
 @pytest.mark.parametrize("name", COMPRESSED)
 def test_empty_pages(name):
     codec = get_codec(name)
     page = codec.encode([])
-    assert len(page) == PAGE_HEADER_SIZE
-    assert codec.decode(page) == []
+    assert len(page) == PAGE_HEADER_SIZE == codec.encoded_size([])
+    assert page == reference.encode(name, [])
     got_keys, got_payloads = codec.decode_arrays(page)
     assert len(got_keys) == 0 and len(got_payloads) == 0
     assert codec.decode_keys(codec.encode_keys([])).tolist() == []
@@ -128,7 +148,11 @@ def test_page_count_ceiling_is_enforced(name):
     with pytest.raises(ValueError):
         codec.encode_keys(list(range(0x10000)))
     exactly = [(k, k + 1) for k in range(0xFFFF)]
-    assert codec.decode(codec.encode(exactly)) == exactly
+    got_keys, got_payloads = codec.decode_arrays(codec.encode(exactly))
+    assert list(zip(got_keys.tolist(), got_payloads.tolist())) == exactly
+    # the ceiling also stops greedy packing, whatever the budget
+    assert codec.pack_greedy(exactly + [(0x10000, 0)], 0, 1 << 30) == 0xFFFF
+    assert codec.pack_keys_greedy(list(range(0x10000)), 0, 1 << 30) == 0xFFFF
 
 
 def test_payload_residual_wraparound():
@@ -137,7 +161,8 @@ def test_payload_residual_wraparound():
     items = [(0, U64_MAX), (1, 0), (2**63, 0), (U64_MAX - 1, 1), (U64_MAX, U64_MAX)]
     for name in COMPRESSED:
         codec = get_codec(name)
-        assert codec.decode(codec.encode(items)) == items
+        assert codec.encode(items) == reference.encode(name, items)
+        assert reference.decode(name, codec.encode(items)) == items
         _keys, got = codec.decode_arrays(codec.encode(items))
         assert got.tolist() == [payload for _, payload in items]
 
@@ -146,7 +171,9 @@ def test_header_codec_id_mismatch_detected():
     delta, for_ = DeltaVarintCodec(), FoRCodec()
     page = delta.encode([(1, 2), (5, 6)])
     with pytest.raises(ValueError, match="codec id"):
-        for_.decode(page)
+        for_.decode_arrays(page)
+    with pytest.raises(ValueError, match="codec id"):
+        delta.decode_keys(for_.encode_keys([1, 5]))
     with pytest.raises(ValueError, match="codec id"):
         for_.page_count(page)
     assert codec_id_of(page) == delta.codec_id
@@ -160,7 +187,7 @@ def test_header_kind_mismatch_detected(name):
     with pytest.raises(ValueError, match="kind"):
         codec.decode_keys(entries_page)
     with pytest.raises(ValueError, match="kind"):
-        codec.decode(keys_page)
+        codec.decode_arrays(keys_page)
     assert entries_page[1] == KIND_ENTRIES
     assert keys_page[1] == KIND_KEYS
 
@@ -172,8 +199,9 @@ def test_raw_codec_is_headerless_and_byte_stable():
     items = [(3, 4), (7, 8)]
     page = raw.encode(items)
     assert len(page) == 32  # exactly two 16-byte slots, no header
-    assert raw.decode(page, count=2) == items
-    for call in (lambda: raw.decode(page), lambda: raw.decode_arrays(page),
+    got_keys, got_payloads = raw.decode_arrays(page, count=2)
+    assert list(zip(got_keys.tolist(), got_payloads.tolist())) == items
+    for call in (lambda: raw.decode_arrays(page),
                  lambda: raw.decode_keys(raw.encode_keys([1, 2]))):
         with pytest.raises(ValueError, match="count"):
             call()

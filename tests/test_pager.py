@@ -1,7 +1,11 @@
 """Unit tests for the byte-addressed pager and its cache hierarchy."""
 
+import dataclasses
+import random
+
 import pytest
 
+from repro.core import make_index
 from repro.storage import HDD, BlockDevice, BufferPool, Pager
 
 
@@ -166,3 +170,89 @@ def test_memory_resident_reads_see_unflushed_dirty_frames():
     pager.flush()
     f.memory_resident = True
     assert pager.read_block(f, 0) == b"\x42" * 4096
+
+
+# ---------------------------------------------------------------------------
+# Per-frame parse cache (Pager.cached_meta)
+# ---------------------------------------------------------------------------
+def _compressed_btree(pool_blocks):
+    """A ``codec="for"`` B+-tree over 512-byte blocks (about 40 leaves),
+    its keys, and a counter of leaf transcodes — the parse the cache holds."""
+    device = BlockDevice(512, HDD)
+    pool = BufferPool(pool_blocks) if pool_blocks else None
+    index = make_index("btree", Pager(device, buffer_pool=pool), codec="for")
+    rng = random.Random(17)
+    keys = sorted(rng.sample(range(1 << 40), 3000))
+    index.bulk_load([(key, key + 1) for key in keys])
+    leaves = index.tree.leaves
+    builds = []
+    transcode = leaves._transcode
+    leaves._transcode = lambda block: builds.append(1) or transcode(block)
+    return index, keys, builds
+
+
+def test_parse_cache_without_a_pool_keeps_only_the_last_block():
+    """Hits are by identity of the block's bytes object, and without a
+    pool every charged read returns a new one: outside a batch only the
+    last-block copy can ever match, so that is all the cache may hold —
+    not one dead transcoded image per block ever read."""
+    index, keys, builds = _compressed_btree(pool_blocks=0)
+    plain, _keys, _builds = _compressed_btree(pool_blocks=0)
+    plain.pager.cached_meta = lambda file, block_no, data, build: build(data)
+    pager = index.pager
+    rng = random.Random(3)
+    stored = set(keys)
+    for key in [rng.choice(keys) for _ in range(400)] + [5, 1 << 41]:
+        assert index.lookup(key) == plain.lookup(key) == (
+            key + 1 if key in stored else None)
+        assert len(pager._meta_cache) <= 1
+    # the one entry is live: the last block read again is the same object
+    leaves = index.tree.leaves
+    before = len(builds)
+    assert leaves.read(3) is leaves.read(3)
+    assert len(builds) == before + 1 and list(pager._meta_cache) == [
+        (leaves.file.name, 3)]
+    # inside a batch every pinned block's parse is served again ...
+    batch = sorted(rng.sample(keys, 64)) * 2
+    before = len(builds)
+    assert index.lookup_many(batch) == plain.lookup_many(batch)
+    assert len(builds) - before <= leaves.file.num_blocks < 64
+    # ... and goes when the pins go
+    assert not pager._meta_cache
+    assert index.scan(keys[100], 500) == plain.scan(keys[100], 500)
+    assert len(pager._meta_cache) <= 1
+    # the cache only ever replaced a parse: not one charge moved
+    plain.tree.leaves.read(3), plain.tree.leaves.read(3)
+    assert dataclasses.asdict(pager.device.stats) == dataclasses.asdict(
+        plain.pager.device.stats)
+
+
+def test_parse_cache_with_a_pool_drops_nothing_it_could_serve():
+    """With a pool a frame is handed out again until it is evicted.  The
+    cache must parse exactly as often as one that keeps every entry until
+    a write or an eviction drops it (what it did before it learned to
+    skip entries no read can match) — alone, batched, pool thrashing."""
+    index, keys, builds = _compressed_btree(pool_blocks=16)
+    twin, _keys, twin_builds = _compressed_btree(pool_blocks=16)
+    kept = twin.pager._meta_cache   # shared with the write and eviction hooks
+
+    def keep_everything(file, block_no, data, build):
+        entry = kept.get((file.name, block_no))
+        if entry is None or entry[0] is not data:
+            entry = kept[file.name, block_no] = (data, build(data))
+        return entry[1]
+
+    twin.pager.cached_meta = keep_everything
+    leaf_file = index.tree.leaves.file
+    assert leaf_file.num_blocks > 2 * 16      # the pool evicts
+    rng = random.Random(5)
+    for _ in range(30):
+        for key in (rng.choice(keys) for _ in range(10)):
+            assert index.lookup(key) == twin.lookup(key) == key + 1
+        batch = rng.sample(keys, 48)
+        assert index.lookup_many(batch) == twin.lookup_many(batch)
+    # some frames are parsed again without a fetch: evicted from the
+    # pool by the very span that still holds them
+    assert len(builds) == len(twin_builds) > leaf_file.reads
+    assert dataclasses.asdict(index.pager.device.stats) == dataclasses.asdict(
+        twin.pager.device.stats)
