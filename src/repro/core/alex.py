@@ -22,6 +22,18 @@ This implementation follows that section:
 * Every insert updates the node-header statistics, an extra block write
   the paper charges to the *maintenance* step in Figure 6.
 
+There is one search (DESIGN.md Section 15): :meth:`AlexIndex._descend`
+walks the inner nodes and :meth:`AlexIndex._search_node` runs the
+exponential search inside a data node, both on the bytes of the block in
+hand, for ``lookup``, ``lookup_many``, the probes of ``insert`` /
+``update`` / ``delete`` and the start slot of ``scan`` alike.  They ask
+for a block only when a probe leaves the one they hold, which is exactly
+when the pager's own last-block copy stops answering for free — so what
+the device and the buffer pool are asked, and every charged number, is
+what one ``read_bytes`` per 16-byte probe would produce.  The write side
+(bitmap bits, gap runs, SMOs) and the scan's bitmap walk go to the pager
+call by call: those are the S3/S5 and maintenance costs above.
+
 The one deliberate simplification: ALEX's workload-statistics cost model
 for choosing between node expansion and splitting is replaced with the
 deterministic policy "expand until the maximum node size, then split
@@ -32,12 +44,10 @@ only the *choice* is simplified (documented in DESIGN.md).
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from ..models import LinearModel, anchored_diff, truncate_positions
-from ..storage import Pager
+from ..models import LinearModel
+from ..storage import BlockFile, Pager
 from .codecs import get_codec
 from .interface import DiskIndex, KeyPayload, TOMBSTONE
 from .serial import ENTRY_SIZE, NULL_BLOCK, pack_entries, unpack_entries
@@ -51,7 +61,6 @@ _U64 = struct.Struct("<Q")
 _INNER_HEADER = struct.Struct("<BxxxIddQ")  # type, fanout, slope, intercept, anchor
 _DATA_HEADER = struct.Struct("<BxxxIIddQIIII")
 # type, capacity, num_keys, slope, intercept, anchor, prev, next, num_inserts, num_shifts
-_DATA_HEADER_HOT = struct.Struct("<BxxxIIddQ")  # leading fields the lookup path needs
 HEADER_SIZE = 64
 _IS_DATA = 1 << 63
 _PTR_MASK = (1 << 40) - 1
@@ -85,124 +94,68 @@ def _ptr_block(ptr: int) -> int:
     return ptr & _PTR_MASK
 
 
-def _search_node_vec(mirror: BlockMirror, base: int, capacity: int,
-                     key: int, pos: int) -> int:
-    """``_exponential_search`` against mirrored data-node bytes.
+def _predict_slot(slope: float, intercept: float, anchor: int, key: int,
+                  size: int) -> int:
+    """``LinearModel(slope, intercept, anchor).predict_clamped(key, size)``
+    on the fields of a node header as unpacked: the same integer
+    subtraction, float multiply-add and truncation, no model object."""
+    pos = int(slope * float(int(key) - anchor) + intercept)
+    return 0 if pos < 0 else min(pos, size - 1)
 
-    The probe sequence — and therefore every first-touch charge issued
-    through the pager — is identical to the scalar helper's; the common
-    non-straddling probe is inlined to a dict hit plus one
-    ``unpack_from`` on the mirrored block bytes.  The trailing
-    ``probe(lo)`` re-check is elided whenever the search already decoded
-    slot ``lo`` — for the scalar path that re-probe is a pin-cache hit,
-    so eliding it is charge-free.
 
-    ``base`` is the byte offset of the node's slot-0 entry
-    (``_entries_offset(block, capacity, 0)``).  Consecutive probes
-    usually land in the same block, so the last decoded block is kept in
-    ``cur_no``/``cur_data`` locals and only re-resolved on a change.
+class _Pinned:
+    """What a search reads from inside ``pager.batch()``: the pager's
+    ``read_block`` / ``read_bytes``, answered from the batch's
+    :class:`BlockMirror` of each file once a block has been fetched."""
+
+    __slots__ = ("mirrors",)
+
+    def __init__(self, pager: Pager, files: Sequence[BlockFile]) -> None:
+        self.mirrors = {file.name: BlockMirror(pager, file) for file in files}
+
+    def read_block(self, file: BlockFile, block_no: int) -> bytes:
+        mirror = self.mirrors[file.name]
+        data = mirror.blocks.get(block_no)
+        if data is None:
+            data = mirror.blocks[block_no] = mirror.pager.read_block(file, block_no)
+        return data
+
+    def read_bytes(self, file: BlockFile, offset: int, length: int) -> bytes:
+        return self.mirrors[file.name].read(offset, length)
+
+
+#: Where a search gets its blocks: the pager, or a batch's mirrors of it.
+Source = Union[Pager, _Pinned]
+
+
+def _cursor(source: Source, file: BlockFile, bs: int):
+    """``unpack_at(fmt, offset, length)``: ``fmt`` unpacked at byte
+    ``offset`` of ``file``, ``length`` being the bytes asked of it.
+
+    The cursor holds the one block it fetched last and goes to
+    ``source`` only when a range lies in another — the request the pager
+    answers free from its own last-block copy, so skipping it changes no
+    charge and nothing the device or the buffer pool sees.  A range that
+    crosses a block boundary is read as that range (the pager's
+    coalesced span read) and the held block dropped: after a span the
+    pager's last block may be either of the two, and whether the next
+    request is free is for the pager to say.
     """
-    bs = mirror._bs
-    blocks = mirror.blocks
-    get = blocks.get
-    read_block = mirror.pager.read_block
-    data_file = mirror.file
-    unpack = _U64.unpack_from
-    cur_no = -1
-    cur_data = b""
+    held_no, held = -1, b""
+    read_block = source.read_block
 
-    offset = base + pos * ENTRY_SIZE
-    block_no = offset // bs
-    rel = offset - block_no * bs
-    if rel + ENTRY_SIZE <= bs:
-        cur_data = get(block_no)
-        if cur_data is None:
-            cur_data = read_block(data_file, block_no)
-            blocks[block_no] = cur_data
-        cur_no = block_no
-        pos_key = unpack(cur_data, rel)[0]
-    else:
-        pos_key = unpack(mirror.read(offset, ENTRY_SIZE), 0)[0]
+    def unpack_at(fmt: struct.Struct, offset: int, length: int) -> tuple:
+        nonlocal held_no, held
+        block_no, rel = offset // bs, offset % bs
+        if rel + length > bs:
+            held_no = -1
+            return fmt.unpack_from(source.read_bytes(file, offset, length))
+        if block_no != held_no:
+            held = read_block(file, block_no)
+            held_no = block_no
+        return fmt.unpack_from(held, rel)
 
-    lo_le_key = True  # e[lo] <= key proven by a probe already made
-    if pos_key <= key:
-        bound = 1
-        while pos + bound < capacity:
-            offset = base + (pos + bound) * ENTRY_SIZE
-            block_no = offset // bs
-            rel = offset - block_no * bs
-            if rel + ENTRY_SIZE <= bs:
-                if block_no != cur_no:
-                    cur_data = get(block_no)
-                    if cur_data is None:
-                        cur_data = read_block(data_file, block_no)
-                        blocks[block_no] = cur_data
-                    cur_no = block_no
-                probed = unpack(cur_data, rel)[0]
-            else:
-                probed = unpack(mirror.read(offset, ENTRY_SIZE), 0)[0]
-            if probed > key:
-                break
-            bound *= 2
-        # lo = pos + bound // 2 was probed <= key (or is pos itself).
-        lo, hi = pos + bound // 2, min(pos + bound, capacity - 1)
-    else:
-        bound = 1
-        while pos - bound >= 0:
-            offset = base + (pos - bound) * ENTRY_SIZE
-            block_no = offset // bs
-            rel = offset - block_no * bs
-            if rel + ENTRY_SIZE <= bs:
-                if block_no != cur_no:
-                    cur_data = get(block_no)
-                    if cur_data is None:
-                        cur_data = read_block(data_file, block_no)
-                        blocks[block_no] = cur_data
-                    cur_no = block_no
-                probed = unpack(cur_data, rel)[0]
-            else:
-                probed = unpack(mirror.read(offset, ENTRY_SIZE), 0)[0]
-            if probed <= key:
-                break
-            bound *= 2
-        else:
-            lo_le_key = False  # ran off the front: slot 0 never probed
-        lo, hi = max(pos - bound, 0), pos - bound // 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        offset = base + mid * ENTRY_SIZE
-        block_no = offset // bs
-        rel = offset - block_no * bs
-        if rel + ENTRY_SIZE <= bs:
-            if block_no != cur_no:
-                cur_data = get(block_no)
-                if cur_data is None:
-                    cur_data = read_block(data_file, block_no)
-                    blocks[block_no] = cur_data
-                cur_no = block_no
-            probed = unpack(cur_data, rel)[0]
-        else:
-            probed = unpack(mirror.read(offset, ENTRY_SIZE), 0)[0]
-        if probed <= key:
-            lo = mid
-            lo_le_key = True
-        else:
-            hi = mid - 1
-    if lo_le_key:
-        return lo
-    offset = base + lo * ENTRY_SIZE
-    block_no = offset // bs
-    rel = offset - block_no * bs
-    if rel + ENTRY_SIZE <= bs:
-        if block_no != cur_no:
-            cur_data = get(block_no)
-            if cur_data is None:
-                cur_data = read_block(data_file, block_no)
-                blocks[block_no] = cur_data
-        probed = unpack(cur_data, rel)[0]
-    else:
-        probed = unpack(mirror.read(offset, ENTRY_SIZE), 0)[0]
-    return lo if probed <= key else -1
+    return unpack_at
 
 
 class _DataHeader:
@@ -222,10 +175,6 @@ class _DataHeader:
         self.num_inserts = num_inserts
         self.num_shifts = num_shifts
 
-    @property
-    def model(self) -> LinearModel:
-        return LinearModel(self.slope, self.intercept, self.anchor)
-
     def pack(self) -> bytes:
         out = bytearray(HEADER_SIZE)
         _DATA_HEADER.pack_into(out, 0, 1, self.capacity, self.num_keys,
@@ -233,13 +182,6 @@ class _DataHeader:
                                self.prev, self.next,
                                self.num_inserts, self.num_shifts)
         return bytes(out)
-
-    @classmethod
-    def unpack(cls, raw: bytes) -> "_DataHeader":
-        (_type, capacity, num_keys, slope, intercept, anchor, prev, next_,
-         num_inserts, num_shifts) = _DATA_HEADER.unpack_from(raw, 0)
-        return cls(capacity, num_keys, slope, intercept, anchor, prev, next_,
-                   num_inserts, num_shifts)
 
 
 class AlexIndex(DiskIndex):
@@ -473,10 +415,13 @@ class AlexIndex(DiskIndex):
                                     offset + HEADER_SIZE + slot * 8, 8)
         return struct.unpack("<Q", raw)[0]
 
+    def _data_header_fields(self, block: int) -> tuple:
+        """A data node's header as ``_DATA_HEADER`` unpacks it."""
+        return _DATA_HEADER.unpack_from(self.pager.read_bytes(
+            self._data_file, block * self.pager.block_size, HEADER_SIZE))
+
     def _read_data_header(self, block: int) -> _DataHeader:
-        raw = self.pager.read_bytes(self._data_file, block * self.pager.block_size,
-                                    HEADER_SIZE)
-        return _DataHeader.unpack(raw)
+        return _DataHeader(*self._data_header_fields(block)[1:])
 
     def _write_data_header(self, block: int, header: _DataHeader) -> None:
         self.pager.write_bytes(self._data_file, block * self.pager.block_size, header.pack())
@@ -509,276 +454,144 @@ class AlexIndex(DiskIndex):
         raw[0] |= 1 << (slot & 7)
         self.pager.write_bytes(self._data_file, offset, bytes(raw))
 
-    # -- traversal -------------------------------------------------------------------
+    # -- search ----------------------------------------------------------------------
+    #
+    # One descent and one in-node search serve every verb.  Both decode
+    # the bytes of the block in hand (``unpack_from`` at an offset, no
+    # node object) through a :func:`_cursor` of their own, and take
+    # nothing but ``source``, where a block comes from: the pager, or a
+    # batch's :class:`_Pinned` mirrors.  Neither keeps anything between
+    # calls, so a write between two searches cannot leave stale bytes.
 
-    def _descend(self, key: int) -> Tuple[int, List[Tuple[int, int]]]:
-        """Walk to the data node for ``key``; returns (block, inner path).
-
-        The path holds ``(inner block, slot)`` pairs — transient state.
-        """
+    def _descend(self, key: int,
+                 source: Source) -> Tuple[int, Optional[Tuple[int, int]]]:
+        """Walk to the data node for ``key``; returns its block and the
+        ``(byte offset, slot)`` of the parent pointer followed to it
+        (None under a data-node root)."""
         if self.root_ptr is None:
             raise RuntimeError("index not bulk-loaded")
-        path: List[Tuple[int, int]] = []
+        at = _cursor(source, self._inner_file, self.pager.block_size)
+        parent = None
         ptr = self.root_ptr
-        while not _ptr_is_data(ptr):
-            offset = _ptr_block(ptr)
-            fanout, model = self._read_inner_header(offset)
-            slot = model.predict_clamped(key, fanout)
-            path.append((offset, slot))
-            ptr = self._read_child_ptr(offset, slot)
-        return _ptr_block(ptr), path
+        while not ptr & _IS_DATA:
+            offset = ptr & _PTR_MASK
+            _type, fanout, slope, intercept, anchor = at(
+                _INNER_HEADER, offset, HEADER_SIZE)
+            slot = _predict_slot(slope, intercept, anchor, key, fanout)
+            parent = (offset, slot)
+            ptr = at(_U64, offset + HEADER_SIZE + slot * 8, 8)[0]
+        return ptr & _PTR_MASK, parent
 
-    def _exponential_search(self, block: int, header: _DataHeader, key: int) -> int:
-        """Slot of the rightmost entry with key <= ``key`` (may be -1).
+    def _search_node(self, source: Source, block: int, key: int):
+        """Slot of the rightmost entry with key <= ``key`` in data node
+        ``block`` (-1: none, or an empty node), the header fields as
+        ``_DATA_HEADER`` unpacks them, and the cursor the search read
+        through, for a caller that goes on to read the slot's entry.
 
         Starts at the model's prediction and widens the bracket by
-        doubling, probing one 16-byte entry per step (ALEX's search).
+        doubling, one 16-byte entry per step (ALEX's search).
         """
-        capacity = header.capacity
-        pos = header.model.predict_clamped(key, capacity)
-        pos_key = self._read_entry(block, capacity, pos)[0]
-        if pos_key <= key:
+        bs = self.pager.block_size
+        at = _cursor(source, self._data_file, bs)
+        header = at(_DATA_HEADER, block * bs, HEADER_SIZE)
+        _type, capacity, num_keys, slope, intercept, anchor = header[:6]
+        if not num_keys:
+            return -1, header, at
+        base = self._entries_offset(block, capacity, 0)
+        pos = _predict_slot(slope, intercept, anchor, key, capacity)
+        if at(_ENTRY, base + pos * ENTRY_SIZE, ENTRY_SIZE)[0] <= key:
             # Gallop right while entries stay <= key.
             bound = 1
-            while pos + bound < capacity and (
-                self._read_entry(block, capacity, pos + bound)[0] <= key
-            ):
+            while pos + bound < capacity and at(
+                    _ENTRY, base + (pos + bound) * ENTRY_SIZE, ENTRY_SIZE)[0] <= key:
                 bound *= 2
             lo, hi = pos + bound // 2, min(pos + bound, capacity - 1)
         else:
             bound = 1
-            while pos - bound >= 0 and (
-                self._read_entry(block, capacity, pos - bound)[0] > key
-            ):
+            while pos - bound >= 0 and at(
+                    _ENTRY, base + (pos - bound) * ENTRY_SIZE, ENTRY_SIZE)[0] > key:
                 bound *= 2
             lo, hi = max(pos - bound, 0), pos - bound // 2
         # Invariant: entry[lo] <= key (or lo == 0), entry[hi] may be > key.
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if self._read_entry(block, capacity, mid)[0] <= key:
+            if at(_ENTRY, base + mid * ENTRY_SIZE, ENTRY_SIZE)[0] <= key:
                 lo = mid
             else:
                 hi = mid - 1
-        if self._read_entry(block, capacity, lo)[0] > key:
-            return -1
-        return lo
+        # Slot ``lo`` is read even where the bisection has proven it: its
+        # block is not always the one the last probe left in hand, and
+        # that fetch is part of what a search is charged.
+        if at(_ENTRY, base + lo * ENTRY_SIZE, ENTRY_SIZE)[0] > key:
+            return -1, header, at
+        return lo, header, at
 
-    # -- vectorized batch helpers ----------------------------------------------------
-    #
-    # The mirror-based twins below issue *exactly* the byte ranges the
-    # scalar helpers issue, in the same order, but serve ranges already
-    # fetched in this ``pager.batch()`` scope locally — those repeats are
-    # the calls the pager would have answered from its pin cache for
-    # free, so charged I/O stays bit-identical while the per-probe
-    # Python overhead collapses to a dict lookup and a slice.
+    def _find_in_node(self, source: Source, block: int, key: int):
+        """:meth:`_search_node`, then the entry at the slot found:
+        ``(slot, header fields, (key, payload) or None)``.  An entry
+        lying across two blocks is read from ``source`` a second time —
+        the search's own read of it left no block in hand."""
+        slot, header, at = self._search_node(source, block, key)
+        if slot < 0:
+            return slot, header, None
+        offset = self._entries_offset(block, header[1], slot)
+        return slot, header, at(_ENTRY, offset, ENTRY_SIZE)
 
-    def _descend_vec(self, key: int, mirror: BlockMirror,
-                     inner_headers: Dict[int, Tuple[int, LinearModel]],
-                     child_ptrs: Dict[Tuple[int, int], int],
-                     ptr: Optional[int] = None) -> int:
-        """``_descend`` through a mirror with parsed-header/pointer caches.
+    def _find(self, key: int, source: Source):
+        """Descend to ``key``'s data node and search it: ``(block,
+        parent, slot, header fields, entry)`` — what lookup, update,
+        delete and the probe of an insert all start from."""
+        block, parent = self._descend(key, source)
+        return (block, parent, *self._find_in_node(source, block, key))
 
-        ``ptr`` lets the batched caller resume from a child pointer it
-        already resolved (the root level is predicted for the whole
-        batch in one numpy op)."""
-        if ptr is None:
-            if self.root_ptr is None:
-                raise RuntimeError("index not bulk-loaded")
-            ptr = self.root_ptr
-        while not _ptr_is_data(ptr):
-            offset = _ptr_block(ptr)
-            parsed = inner_headers.get(offset)
-            if parsed is None:
-                raw = mirror.read(offset, HEADER_SIZE)
-                _type, fanout, slope, intercept, anchor = (
-                    _INNER_HEADER.unpack_from(raw, 0))
-                parsed = inner_headers[offset] = (
-                    fanout, LinearModel(slope, intercept, anchor))
-            fanout, model = parsed
-            slot = model.predict_clamped(key, fanout)
-            child = child_ptrs.get((offset, slot))
-            if child is None:
-                raw = mirror.read(offset + HEADER_SIZE + slot * 8, 8)
-                child = child_ptrs[(offset, slot)] = _U64.unpack(raw)[0]
-            ptr = child
-        return _ptr_block(ptr)
-
+    @staticmethod
+    def _live_payload(entry: Optional[KeyPayload], key: int) -> Optional[int]:
+        """The payload if ``entry`` is ``key``'s and not a tombstone."""
+        if entry is None or entry[0] != key or entry[1] == TOMBSTONE:
+            return None
+        return entry[1]
 
     # -- lookup ----------------------------------------------------------------------
 
     def lookup(self, key: int) -> Optional[int]:
         with self.pager.phase("search"):
-            block, _path = self._descend(key)
-            header = self._read_data_header(block)
-            if header.num_keys == 0:
-                return None
-            slot = self._exponential_search(block, header, key)
-            if slot < 0:
-                return None
-            found_key, payload = self._read_entry(block, header.capacity, slot)
-        if found_key != key or payload == TOMBSTONE:
-            return None
-        return payload
+            entry = self._find(key, self.pager)[-1]
+        return self._live_payload(entry, key)
 
     def lookup_many(self, keys) -> List[Optional[int]]:
-        """Batched lookups: descend once per distinct key with the inner
-        byte ranges pinned (shared across the sorted batch), fetch the
-        distinct data-node header blocks in one coalesced span, then run
-        the per-key exponential searches against the pinned nodes."""
+        """Batched lookups: descend once per distinct key, in key order,
+        with every fetched block pinned (and mirrored, so a block shared
+        across the sorted batch is asked for once), fetch the distinct
+        data-node header blocks in one coalesced span, then run the
+        per-key searches against the pinned nodes."""
         keys = list(keys)
         if len(keys) <= 1:
             return [self.lookup(key) for key in keys]
-        unique = sorted(set(keys))
         results = {}
         with self.pager.phase("search"), self.pager.batch():
-            self._lookup_many_vec(unique, results)
+            pinned = _Pinned(self.pager, (self._inner_file, self._data_file))
+            nodes = [(key, self._descend(key, pinned)[0])
+                     for key in sorted(set(keys))]
+            pinned.mirrors[self._data_file.name].absorb(self.pager.read_span(
+                self._data_file, [block for _key, block in nodes]))
+            for key, block in nodes:
+                results[key] = self._live_payload(
+                    self._find_in_node(pinned, block, key)[-1], key)
         return [results[key] for key in keys]
-
-    def _lookup_many_vec(self, unique: List[int], results: dict) -> None:
-        """Vectorized batch body: mirror-served descent and probes, with
-        the root level and the in-node slot predictions each evaluated
-        for the whole batch in one numpy pass.  First touches reach the
-        pager in the order a key-by-key descent (:meth:`_descend`, then
-        the data-node span, then the probes) would make them."""
-        inner_mirror = BlockMirror(self.pager, self._inner_file)
-        data_mirror = BlockMirror(self.pager, self._data_file)
-        inner_headers: Dict[int, Tuple[int, LinearModel]] = {}
-        # Root-level entries key on the bare slot (hot path); deeper
-        # levels key on ``(node_off, slot)`` — the types cannot collide.
-        child_ptrs: Dict[Any, int] = {}
-        root = self.root_ptr
-        if root is None:
-            raise RuntimeError("index not bulk-loaded")
-        if _ptr_is_data(root):
-            block = _ptr_block(root)
-            node_of = dict.fromkeys(unique, block)
-        else:
-            # Every key starts at the root, so its slot predictions can
-            # be one batch op.  The root header is read first — exactly
-            # when a key-by-key loop's first descent would read it — and
-            # child pointers resolve per key in batch order, preserving
-            # that loop's first-touch sequence.
-            root_off = _ptr_block(root)
-            raw = inner_mirror.read(root_off, HEADER_SIZE)
-            _type, fanout, slope, intercept, anchor = (
-                _INNER_HEADER.unpack_from(raw, 0))
-            root_model = LinearModel(slope, intercept, anchor)
-            inner_headers[root_off] = (fanout, root_model)
-            root_slots = root_model.predict_clamped_many(
-                np.array(unique, dtype=np.uint64), fanout).tolist()
-            node_of = {}
-            unpack_u64_from = _U64.unpack_from
-            bs = self.pager.block_size
-            inner_blocks = inner_mirror.blocks
-            inner_get = inner_blocks.get
-            ptr_base = root_off + HEADER_SIZE
-            for key, slot in zip(unique, root_slots):
-                child = child_ptrs.get(slot)
-                if child is None:
-                    # Pointer decode inlined from ``inner_mirror.read``:
-                    # same pager first-touch when the block is unseen,
-                    # same pin-equivalent dict hit when it is.
-                    offset = ptr_base + slot * 8
-                    block_no = offset // bs
-                    rel = offset - block_no * bs
-                    if rel + 8 <= bs:
-                        data = inner_get(block_no)
-                        if data is None:
-                            data = inner_mirror.pager.read_block(
-                                inner_mirror.file, block_no)
-                            inner_blocks[block_no] = data
-                        child = unpack_u64_from(data, rel)[0]
-                    else:
-                        child = _U64.unpack(inner_mirror.read(offset, 8))[0]
-                    child_ptrs[slot] = child
-                if _ptr_is_data(child):
-                    node_of[key] = _ptr_block(child)
-                else:
-                    node_of[key] = self._descend_vec(
-                        key, inner_mirror, inner_headers, child_ptrs,
-                        ptr=child)
-        data_mirror.absorb(self.pager.read_span(self._data_file, node_of.values()))
-        bs = self.pager.block_size
-        data_blocks = data_mirror.blocks
-        # Per-node (base, capacity, slope, intercept, anchor) — header
-        # blocks were all fetched by the span above, so decoding straight
-        # off the mirrored block bytes is charge-free.  Empty nodes map
-        # to None.  ``base`` inlines ``_entries_offset(block, capacity, 0)``.
-        node_params: Dict[int, Optional[Tuple[int, int, float, float, int]]] = {}
-        unpack_header = _DATA_HEADER_HOT.unpack_from
-        for block in node_of.values():
-            if block not in node_params:
-                (_type, capacity, num_keys, slope, intercept,
-                 anchor) = unpack_header(data_blocks[block], 0)
-                node_params[block] = (
-                    (block * bs + HEADER_SIZE + (capacity + 7) // 8, capacity,
-                     slope, intercept, anchor)
-                    if num_keys else None)
-        # One model evaluation for the whole batch: gather each key's node
-        # model parameters into parallel arrays and run a single anchored
-        # multiply-add.  Element-wise this applies exactly the float64 ops
-        # of per-node ``predict_clamped_many`` (same slope/intercept per
-        # lane), so predicted slots are identical.  ``items`` and
-        # ``params_list`` stay index-aligned so the search loop threads
-        # positions through without per-key dict lookups.
-        items = list(node_of.items())
-        params_list = [node_params[block] for _key, block in items]
-        gathered = [(item[0], params, i)
-                    for i, (item, params) in enumerate(zip(items, params_list))
-                    if params is not None]
-        pos_list: List[int] = [0] * len(items)
-        if gathered:
-            pred_keys = [g[0] for g in gathered]
-            _bases, _caps, slopes, intercepts, anchors = zip(
-                *(g[1] for g in gathered))
-            diffs = anchored_diff(np.array(pred_keys, dtype=np.uint64),
-                                  np.array(anchors, dtype=np.uint64))
-            positions = truncate_positions(
-                np.array(slopes) * diffs + np.array(intercepts))
-            np.clip(positions, 0, np.array(_caps, dtype=np.int64) - 1,
-                    out=positions)
-            for g, pos in zip(gathered, positions.tolist()):
-                pos_list[g[2]] = pos
-        unpack_entry = _ENTRY.unpack_from
-        for (key, _block), params, pos in zip(items, params_list, pos_list):
-            if params is None:
-                results[key] = None
-                continue
-            base, capacity = params[0], params[1]
-            slot = _search_node_vec(data_mirror, base, capacity, key, pos)
-            if slot < 0:
-                results[key] = None
-                continue
-            offset = base + slot * ENTRY_SIZE
-            block_no = offset // bs
-            rel = offset - block_no * bs
-            if rel + ENTRY_SIZE <= bs:
-                # The winning slot was just probed, so its block is
-                # mirrored; decode in place (scalar re-reads it through
-                # the pin cache — equally charge-free).
-                found_key, payload = unpack_entry(data_blocks[block_no], rel)
-            else:
-                found_key, payload = _ENTRY.unpack(
-                    data_mirror.read(offset, ENTRY_SIZE))
-            results[key] = (payload if found_key == key and payload != TOMBSTONE
-                            else None)
 
     # -- insert ----------------------------------------------------------------------
 
     def insert(self, key: int, payload: int) -> None:
         with self.pager.phase("search"):
-            block, path = self._descend(key)
-            header = self._read_data_header(block)
-            slot = self._exponential_search(block, header, key) if header.num_keys else -1
-            if slot >= 0:
-                found_key, found_payload = self._read_entry(block, header.capacity, slot)
-                if found_key == key:
-                    if found_payload != TOMBSTONE:
-                        raise KeyError(f"duplicate key {key}")
-                    # Re-inserting a deleted key: rewrite the payload run.
-                    with self.pager.phase("insert"):
-                        self._overwrite_payload_run(block, header, slot, key, payload)
-                    return
+            block, parent, slot, fields, entry = self._find(key, self.pager)
+            if entry is not None and entry[0] == key:
+                if entry[1] != TOMBSTONE:
+                    raise KeyError(f"duplicate key {key}")
+                # Re-inserting a deleted key: rewrite the payload run.
+                with self.pager.phase("insert"):
+                    self._overwrite_payload_run(block, fields[1], slot, key, payload)
+                return
+        header = _DataHeader(*fields[1:])
         # ALEX runs the SMO *before* inserting into a node at the density
         # threshold, so the insert below always finds a gap.  A sideways
         # split whose slot boundary misses the key range can leave one
@@ -790,12 +603,13 @@ class AlexIndex(DiskIndex):
             if rounds > 200:
                 raise RuntimeError("SMO failed to make room after 200 rounds")
             with self.pager.phase("smo"):
-                self._smo(block, header, path)
+                self._smo(block, header, parent)
             with self.pager.phase("search"):
-                block, path = self._descend(key)
-                header = self._read_data_header(block)
-                slot = (self._exponential_search(block, header, key)
-                        if header.num_keys else -1)
+                # From the root again: the SMO moved the node, and every
+                # search starts with nothing in hand.
+                block, parent = self._descend(key, self.pager)
+                slot, fields, _at = self._search_node(self.pager, block, key)
+                header = _DataHeader(*fields[1:])
         with self.pager.phase("insert"):
             self._insert_into_node(block, header, slot + 1, key, payload)
         with self.pager.phase("maintenance"):
@@ -859,20 +673,7 @@ class AlexIndex(DiskIndex):
     # -- update / delete ----------------------------------------------------------------
 
     def update(self, key: int, payload: int) -> bool:
-        with self.pager.phase("search"):
-            block, _path = self._descend(key)
-            header = self._read_data_header(block)
-            if header.num_keys == 0:
-                return False
-            slot = self._exponential_search(block, header, key)
-            if slot < 0:
-                return False
-            found_key, found_payload = self._read_entry(block, header.capacity, slot)
-        if found_key != key or found_payload == TOMBSTONE:
-            return False
-        with self.pager.phase("insert"):
-            self._overwrite_payload_run(block, header, slot, key, payload)
-        return True
+        return self._overwrite_live(key, payload)
 
     def delete(self, key: int) -> bool:
         """Logical delete via a tombstone payload.
@@ -881,22 +682,19 @@ class AlexIndex(DiskIndex):
         invariant cannot express; tombstones are filtered from scans and
         dropped when the node's next SMO rebuilds it.
         """
+        return self._overwrite_live(key, TOMBSTONE)
+
+    def _overwrite_live(self, key: int, payload: int) -> bool:
+        """Give ``key`` a new payload if it is stored and not deleted."""
         with self.pager.phase("search"):
-            block, _path = self._descend(key)
-            header = self._read_data_header(block)
-            if header.num_keys == 0:
-                return False
-            slot = self._exponential_search(block, header, key)
-            if slot < 0:
-                return False
-            found_key, found_payload = self._read_entry(block, header.capacity, slot)
-        if found_key != key or found_payload == TOMBSTONE:
+            block, _parent, slot, fields, entry = self._find(key, self.pager)
+        if self._live_payload(entry, key) is None:
             return False
         with self.pager.phase("insert"):
-            self._overwrite_payload_run(block, header, slot, key, TOMBSTONE)
+            self._overwrite_payload_run(block, fields[1], slot, key, payload)
         return True
 
-    def _overwrite_payload_run(self, block: int, header: _DataHeader, slot: int,
+    def _overwrite_payload_run(self, block: int, capacity: int, slot: int,
                                key: int, payload: int) -> None:
         """Rewrite an entry and the gap copies mirroring it.
 
@@ -905,7 +703,6 @@ class AlexIndex(DiskIndex):
         copies, and any copies the search landed on) must agree, because
         lookups may terminate on any of them.
         """
-        capacity = header.capacity
         lo = slot
         while lo > 0 and self._read_entry(block, capacity, lo - 1)[0] == key:
             lo -= 1
@@ -930,7 +727,8 @@ class AlexIndex(DiskIndex):
             and entries[slot][1] != TOMBSTONE  # deletes reclaimed at SMO time
         ]
 
-    def _smo(self, block: int, header: _DataHeader, path: List[Tuple[int, int]]) -> None:
+    def _smo(self, block: int, header: _DataHeader,
+             parent: Optional[Tuple[int, int]]) -> None:
         items = self._read_real_entries(block, header)
         self._data_file.free(block, self._data_extent_blocks(header.capacity))
         shrunk = len(items) < int(self.max_data_node_entries * self.init_density)
@@ -944,20 +742,21 @@ class AlexIndex(DiskIndex):
             new_block = self._build_data_node(items, capacity=capacity,
                                               prev=header.prev, next_=header.next)
             self._fix_sibling_links(new_block, header.prev, header.next)
-            self._replace_child(path, block, new_block)
+            self._replace_child(parent, block, new_block)
             return
         self.num_splits += 1
-        self._split_data_node(block, header, items, path)
+        self._split_data_node(block, header, items, parent)
 
     def _split_data_node(self, block: int, header: _DataHeader,
-                         items: List[KeyPayload], path: List[Tuple[int, int]]) -> None:
+                         items: List[KeyPayload],
+                         parent: Optional[Tuple[int, int]]) -> None:
         """Split a full data node sideways at a parent slot boundary.
 
         The parent routes keys with its linear model, so the split point
         must be the key boundary of a parent slot — splitting by item
         count would strand keys in the wrong child.
         """
-        if not path:
+        if parent is None:
             # Root data node: grow a 2-way inner root split at the item median.
             model, split_at = self._two_way_split(items)
             left_block, right_block = self._write_split_pair(
@@ -966,7 +765,7 @@ class AlexIndex(DiskIndex):
                                                 _pack_ptr(True, right_block)])
             self.root_ptr = _pack_ptr(False, root)
             return
-        parent_offset, slot = path[-1]
+        parent_offset, slot = parent
         old_ptr = _pack_ptr(True, block)
         fanout, model = self._read_inner_header(parent_offset)
         lo, hi = self._ptr_range(parent_offset, fanout, slot, old_ptr)
@@ -1066,15 +865,15 @@ class AlexIndex(DiskIndex):
             neighbor.prev = new_block
             self._write_data_header(next_, neighbor)
 
-    def _replace_child(self, path: List[Tuple[int, int]], old_block: int,
+    def _replace_child(self, parent: Optional[Tuple[int, int]], old_block: int,
                        new_block: int) -> None:
         """Repoint the parent's slot range for ``old_block`` at a new node."""
         old_ptr = _pack_ptr(True, old_block)
         new_ptr = _pack_ptr(True, new_block)
-        if not path:
+        if parent is None:
             self.root_ptr = new_ptr
             return
-        parent_offset, slot = path[-1]
+        parent_offset, slot = parent
         fanout, _model = self._read_inner_header(parent_offset)
         lo, hi = self._ptr_range(parent_offset, fanout, slot, old_ptr)
         width = hi - lo + 1
@@ -1092,33 +891,33 @@ class AlexIndex(DiskIndex):
         out: List[KeyPayload] = []
         if count <= 0 or self.root_ptr is None:
             return out
-        block, _path = self._descend(start_key)
-        header = self._read_data_header(block)
-        if header.num_keys and start_key > 0:
+        block, _parent = self._descend(start_key, self.pager)
+        if start_key > 0:
             # Leftmost slot with value >= start_key.  Gap slots duplicate a
             # real entry's value, so the rightmost <= start_key slot can be
             # a *copy* sitting after the real entry — lower-bound semantics
             # (search for start_key - 1) cannot skip the real slot.
-            start_slot = self._exponential_search(block, header, start_key - 1) + 1
+            slot, fields, _at = self._search_node(self.pager, block, start_key - 1)
         else:
-            start_slot = 0
+            slot, fields = -1, self._data_header_fields(block)
+        start_slot = slot + 1
         while True:
-            if header.num_keys:
-                self._scan_node(block, header, start_slot, start_key, count, out)
-            if len(out) >= count or header.next == NULL_BLOCK:
+            capacity, num_keys, next_ = fields[1], fields[2], fields[7]
+            if num_keys:
+                self._scan_node(block, capacity, start_slot, start_key, count, out)
+            if len(out) >= count or next_ == NULL_BLOCK:
                 return out[:count]
-            block = header.next
-            header = self._read_data_header(block)
+            block = next_
+            fields = self._data_header_fields(block)
             start_slot = 0
 
-    def _scan_node(self, block: int, header: _DataHeader, start_slot: int,
+    def _scan_node(self, block: int, capacity: int, start_slot: int,
                    start_key: int, count: int, out: List[KeyPayload]) -> None:
         """Collect live entries >= start_key, reading the bitmap block-wise.
 
         Follows the paper's Section 4.1: bitmap blocks are loaded one at a
         time and entry ranges fetched for their set bits.
         """
-        capacity = header.capacity
         bs = self.pager.block_size
         bitmap_bytes = self._bitmap_bytes(capacity)
         byte_index = start_slot >> 3
@@ -1162,7 +961,9 @@ class AlexIndex(DiskIndex):
 
     def verify(self) -> int:
         """Check tree reachability, gapped-array monotonicity, bitmap
-        consistency and the sibling chain's global key order."""
+        consistency, the sibling chain's global key order, and that the
+        inner models route each data node's first and last real key to
+        it — through :meth:`_descend`, the walk every lookup takes."""
         with self._free_io():
             leaves: List[int] = []
             self._collect_leaves(self.root_ptr, leaves)
@@ -1179,6 +980,7 @@ class AlexIndex(DiskIndex):
                 entries = self._read_entries(block, capacity, 0, capacity)
                 real = 0
                 node_previous = -1
+                first_key = None
                 for slot in range(capacity):
                     key = entries[slot][0]
                     if header.num_keys:
@@ -1188,10 +990,16 @@ class AlexIndex(DiskIndex):
                         real += 1
                         assert key > previous_key, "real keys out of global order"
                         previous_key = key
+                        if first_key is None:
+                            first_key = key
                         if entries[slot][1] != TOMBSTONE:
                             count += 1
                 assert real == header.num_keys, (
                     f"bitmap population {real} != header num_keys {header.num_keys}")
+                if real:
+                    for key in (first_key, previous_key):
+                        assert self._descend(key, self.pager)[0] == block, (
+                            f"key {key} of data node {block} is routed elsewhere")
                 previous_block = block
                 # The next pointer must agree with the collected order.
             for left, right in zip(leaves, leaves[1:]):

@@ -40,6 +40,15 @@ class DiskIndex(abc.ABC):
     #: registry name, e.g. ``"btree"``; set by subclasses.
     name: str = "abstract"
 
+    #: What the workload runner reports of a tier, as one flat index
+    #: answers it: one shard, one copy, no failover machinery to count.
+    #: :class:`repro.sharding.ShardedIndex` overrides every one.
+    num_shards = 1
+    replication_factor = 1
+    failovers = 0
+    hedged_reads = 0
+    resync_blocks = 0
+
     def __init__(self, pager: Pager) -> None:
         self.pager = pager
         #: optional :class:`repro.durability.WriteAheadLog`; when attached,
@@ -48,6 +57,14 @@ class DiskIndex(abc.ABC):
         #: optional :class:`repro.obs.Tracer`; when attached, the workload
         #: runner scopes one trace event to each logical operation.
         self.tracer = None
+
+    def per_shard_snapshot(self) -> Optional[list]:
+        """Per-shard counters to diff a run against; a flat index has none."""
+        return None
+
+    def per_shard_delta(self, snapshot: Optional[list]) -> dict:
+        """What each shard did since ``snapshot``: nothing to break down."""
+        return {}
 
     # -- required operations -------------------------------------------------
 

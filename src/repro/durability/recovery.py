@@ -70,7 +70,7 @@ def take_checkpoint(index: DiskIndex, wal: Optional[WriteAheadLog] = None) -> Ch
     buffered write — log strictly before data.
     """
     if wal is None:
-        wal = getattr(index, "wal", None)
+        wal = index.wal
     if wal is not None:
         wal.flush()
     index.pager.flush()

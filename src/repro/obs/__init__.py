@@ -5,8 +5,8 @@ operation* (observations O1/O4/O13); :class:`StorageStats` gives the
 end-of-run totals, this package gives the per-operation breakdown behind
 them:
 
-* :mod:`repro.obs.metrics` — counters and fixed-bucket latency/IO
-  histograms (p50/p90/p99/max at O(buckets) memory);
+* :mod:`repro.obs.metrics` — fixed-bucket latency/IO histograms
+  (p50/p90/p99/max at O(buckets) memory);
 * :mod:`repro.obs.trace` — a :class:`Tracer` that scopes every charged
   block access, buffer-pool probe, and WAL flush to the logical
   operation in flight, ring-buffers one structured event per op, and
@@ -19,7 +19,7 @@ Tracing is opt-in: with no tracer attached every hook is ``None`` and
 the hot paths pay a single attribute check per access.
 """
 
-from .metrics import Counter, Histogram, MetricsRegistry, io_bounds, latency_bounds
+from .metrics import Histogram, io_bounds, latency_bounds
 from .trace import TRACE_SCHEMA_VERSION, Tracer
 
 _ANALYZE_NAMES = ("format_summary", "load_trace", "summarize", "analyze_main")
@@ -35,9 +35,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "Counter",
     "Histogram",
-    "MetricsRegistry",
     "TRACE_SCHEMA_VERSION",
     "Tracer",
     "analyze_main",

@@ -1,4 +1,4 @@
-"""Counters and fixed-bucket histograms.
+"""Fixed-bucket histograms.
 
 The paper reports averages (blocks per op, phase latency) and two tail
 points (p50/p99, Figure 12); anything finer — "what does the p90 insert
@@ -21,9 +21,7 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, Optional, Sequence, Tuple
 
 __all__ = [
-    "Counter",
     "Histogram",
-    "MetricsRegistry",
     "latency_bounds",
     "io_bounds",
 ]
@@ -67,22 +65,6 @@ def io_bounds(max_blocks: int = 512) -> Tuple[float, ...]:
         value *= 2
     bounds.append(max_blocks)
     return tuple(float(b) for b in bounds)
-
-
-class Counter:
-    """A monotonically increasing named count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name!r}, {self.value})"
 
 
 class Histogram:
@@ -170,37 +152,4 @@ class Histogram:
             "p90": self.percentile(90),
             "p99": self.percentile(99),
             "max": self.max if self.max is not None else 0.0,
-        }
-
-
-class MetricsRegistry:
-    """A flat namespace of counters and histograms.
-
-    One registry per traced component; ``counter``/``histogram`` are
-    get-or-create so call sites never need existence checks.
-    """
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.histograms: Dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        try:
-            return self.counters[name]
-        except KeyError:
-            c = self.counters[name] = Counter(name)
-            return c
-
-    def histogram(self, name: str, bounds: Optional[Sequence[float]] = None) -> Histogram:
-        try:
-            return self.histograms[name]
-        except KeyError:
-            h = self.histograms[name] = Histogram(bounds or latency_bounds())
-            return h
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-serializable view: counter values and histogram digests."""
-        return {
-            "counters": {name: c.value for name, c in self.counters.items()},
-            "histograms": {name: h.summary() for name, h in self.histograms.items()},
         }

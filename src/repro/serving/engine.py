@@ -222,7 +222,7 @@ class ServingEngine:
         self.commit_group = (commit_group if commit_group is not None
                              else max(8, len(client_ops)))
         self.commit_timeout_us = commit_timeout_us
-        self.tracer = tracer if tracer is not None else getattr(index, "tracer", None)
+        self.tracer = tracer if tracer is not None else index.tracer
         self.fault_injector = fault_injector
         self.deadline_us = deadline_us
         self.retry_budget = retry_budget

@@ -282,8 +282,8 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
     pager then flushes its dirty pages in coalesced runs (the workload
     phase boundary is one of the three flush points).
     """
-    actual_shards = getattr(index, "num_shards", 1)
-    actual_replicas = getattr(index, "replication_factor", 1)
+    actual_shards = index.num_shards
+    actual_replicas = index.replication_factor
     if shards is not None and shards != actual_shards:
         raise ValueError(
             f"run_workload(shards={shards}) but the index has "
@@ -320,7 +320,7 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
     device = pager.device
     wal = index.wal
     if tracer is None:
-        tracer = getattr(index, "tracer", None)
+        tracer = index.tracer
     phase_hists: Dict[str, Histogram] = {}
     io_hists: Dict[str, Histogram] = {}
     start = device.stats.snapshot()
@@ -330,11 +330,10 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
     flushes_before = pager.flushes
     dirty_evictions_before = (pager.buffer_pool.dirty_evictions
                               if pager.buffer_pool is not None else 0)
-    shard_view = (index.per_shard_snapshot()
-                  if hasattr(index, "per_shard_snapshot") else None)
-    failovers_before = getattr(index, "failovers", 0)
-    hedged_before = getattr(index, "hedged_reads", 0)
-    resync_blocks_before = getattr(index, "resync_blocks", 0)
+    shard_view = index.per_shard_snapshot()
+    failovers_before = index.failovers
+    hedged_before = index.hedged_reads
+    resync_blocks_before = index.resync_blocks
     latencies = np.empty(len(ops), dtype=np.float64)
     executed = len(ops)
     crashed_at: Optional[int] = None
@@ -527,12 +526,10 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
             if tracer is not None else None),
         shards=actual_shards,
         replicas=actual_replicas,
-        per_shard=(index.per_shard_delta(shard_view)
-                   if shard_view is not None else {}),
-        failovers=getattr(index, "failovers", 0) - failovers_before,
-        hedged_reads=getattr(index, "hedged_reads", 0) - hedged_before,
-        resync_blocks=(getattr(index, "resync_blocks", 0)
-                       - resync_blocks_before),
+        per_shard=index.per_shard_delta(shard_view),
+        failovers=index.failovers - failovers_before,
+        hedged_reads=index.hedged_reads - hedged_before,
+        resync_blocks=index.resync_blocks - resync_blocks_before,
     )
 
 
@@ -594,7 +591,7 @@ def _run_serving(index: DiskIndex, ops: Sequence[Operation], *, workload: str,
     device = pager.device
     wal = index.wal
     if tracer is None:
-        tracer = getattr(index, "tracer", None)
+        tracer = index.tracer
     if client_ops is not None:
         streams = [list(stream) for stream in client_ops]
     else:
@@ -607,11 +604,10 @@ def _run_serving(index: DiskIndex, ops: Sequence[Operation], *, workload: str,
     flushes_before = pager.flushes
     dirty_evictions_before = (pager.buffer_pool.dirty_evictions
                               if pager.buffer_pool is not None else 0)
-    shard_view = (index.per_shard_snapshot()
-                  if hasattr(index, "per_shard_snapshot") else None)
-    failovers_before = getattr(index, "failovers", 0)
-    hedged_before = getattr(index, "hedged_reads", 0)
-    resync_blocks_before = getattr(index, "resync_blocks", 0)
+    shard_view = index.per_shard_snapshot()
+    failovers_before = index.failovers
+    hedged_before = index.hedged_reads
+    resync_blocks_before = index.resync_blocks
 
     engine = ServingEngine(
         index, streams, scan_length=scan_length, validate=validate,
@@ -717,12 +713,10 @@ def _run_serving(index: DiskIndex, ops: Sequence[Operation], *, workload: str,
         shed_ops=report.shed_ops,
         deadline_misses=report.deadline_misses,
         op_retries=report.op_retries,
-        shards=getattr(index, "num_shards", 1),
-        replicas=getattr(index, "replication_factor", 1),
-        per_shard=(index.per_shard_delta(shard_view)
-                   if shard_view is not None else {}),
-        failovers=getattr(index, "failovers", 0) - failovers_before,
-        hedged_reads=getattr(index, "hedged_reads", 0) - hedged_before,
-        resync_blocks=(getattr(index, "resync_blocks", 0)
-                       - resync_blocks_before),
+        shards=index.num_shards,
+        replicas=index.replication_factor,
+        per_shard=index.per_shard_delta(shard_view),
+        failovers=index.failovers - failovers_before,
+        hedged_reads=index.hedged_reads - hedged_before,
+        resync_blocks=index.resync_blocks - resync_blocks_before,
     )

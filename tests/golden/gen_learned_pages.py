@@ -1,13 +1,14 @@
 """Golden contract of the learned indexes (tests/golden/learned_pages.json).
 
-pgm, fiting, plid and the pgm hybrid each have one execution path; what
-holds it to the paper's cost model is this recording instead of a second
-live implementation: for every case below, the final ``StorageStats``, a
-CRC32 of every device file and a CRC32 of every answer returned, after
-seeded rounds of inserts, updates, deletes, re-inserts after delete,
-hit / miss / out-of-range lookups, ``lookup_many`` batches with
-duplicates and scans.  ``tests/test_learned_golden.py`` replays the
-cases and compares every number.
+pgm, fiting, plid, the pgm hybrid, alex and lipp each have one execution
+path; what holds it to the paper's cost model is this recording instead
+of a second live implementation: for every case below, the final
+``StorageStats``, a CRC32 of every device file and a CRC32 of every
+answer returned, after seeded rounds of inserts, updates, deletes,
+re-inserts after delete, hit / miss / out-of-range lookups,
+``lookup_many`` batches with duplicates and scans.
+``tests/test_learned_golden.py`` replays the cases and compares every
+number.
 
 The JSON was recorded at commit 3f170e6 (the last one that unpacked
 every fetched window, leaf and buffer into a Python list and kept a
@@ -17,8 +18,12 @@ cases were recorded again when their bulk-loaded leaf run became one
 ``write_blocks`` call like the hybrid's (one more run, one more block per
 leaf; nothing else moved); the three ``*-delta-*`` cases were recorded
 at 475d488, the last commit whose delta codec read and wrote one varint
-at a time.  Regenerate it only for a change that is
-*meant* to move charged I/O or page bytes, and say so in the commit:
+at a time; the ``alex-*`` and ``lipp-*`` cases were recorded at 7bb7ae6,
+the last commit whose alex read one 16-byte entry per pager call on the
+point path and kept a hand-inlined twin of it for ``lookup_many`` (lipp
+is recorded ahead of any change to it).  Regenerate it only for a change
+that is *meant* to move charged I/O or page bytes, and say so in the
+commit:
 
     PYTHONPATH=src python tests/golden/gen_learned_pages.py
 """
@@ -78,6 +83,36 @@ CASES += [("pgm-delta", False, 3000), ("pgm-delta", True, 3000),
           ("hybrid-pgm-delta", False, 8000)]
 
 
+#: ALEX with 64-entry data nodes and fanout-16 inner nodes: entries start
+#: ``64 + ceil(capacity / 8)`` bytes into a node, so 16-byte probes
+#: straddle the 512-byte blocks, and a few thousand ops expand, split and
+#: split down nodes.  lipp rides the same sequence at its defaults.
+_TINY_ALEX = {"max_data_node_entries": 64, "max_fanout": 16}
+CELLS.update({
+    "alex-l2": ("alex", "raw", 512, {"layout": 2, **_TINY_ALEX}),
+    "alex-l1": ("alex", "raw", 512, {"layout": 1, **_TINY_ALEX}),
+    "lipp": ("lipp", "raw", 512, {}),
+})
+CASES += [(cell, write_back, bulk)
+          for cell in ("alex-l2", "alex-l1", "lipp")
+          for write_back in (False, True)
+          for bulk in (40, 3000)]
+
+_BUNCHES = 20
+
+
+def _bunched_key(rng) -> int:
+    """A bulk-load key of the alex cells: twenty bunches whose tails run
+    a sixty-fourth of the way to the next.  Uniform keys fill every
+    parent slot, and a data node under one slot can only split down;
+    the uniform inserts that follow land in the slot ranges these keys
+    left empty, whose data nodes span several slots and split sideways.
+    """
+    pitch = (KEY_SPACE - (1 << 20)) // _BUNCHES
+    return min((1 << 20) + rng.randrange(_BUNCHES) * pitch
+               + int(rng.expovariate(64 / pitch)), KEY_SPACE - 1)
+
+
 def case_id(case) -> str:
     cell, write_back, bulk = case
     return f"{cell}-{'wb' if write_back else 'wt'}-bulk{bulk}"
@@ -98,6 +133,13 @@ def _structure(index) -> dict:
         return {"resegments": index.num_resegments,
                 "segments": index.num_segments,
                 "global_min": index.global_min}
+    if index.name == "alex":
+        with index._free_io():  # height() walks the leftmost path
+            return {"expands": index.num_expands, "splits": index.num_splits,
+                    "split_downs": index.num_split_downs,
+                    "height": index.height()}
+    if index.name == "lipp":
+        return {"rebuilds": index.num_rebuilds, "height": index.height()}
     return {"leaves": index.num_leaves, "height": index.height()}
 
 
@@ -118,7 +160,8 @@ def run_case(case) -> dict:
 
     live = {}
     while len(live) < bulk:
-        key = rng.randrange(1 << 20, KEY_SPACE)
+        key = (_bunched_key(rng) if index_name == "alex"
+               else rng.randrange(1 << 20, KEY_SPACE))
         live[key] = key + 1
     index.bulk_load(sorted(live.items()))
     top = max(live)

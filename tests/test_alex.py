@@ -1,13 +1,22 @@
-"""ALEX-specific tests: gapped arrays, bitmap, SMO mechanisms, layouts."""
+"""ALEX-specific tests: gapped arrays, bitmap, SMO mechanisms, layouts,
+and the one in-node search against a per-probe reference."""
 
+import dataclasses
 import random
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.alex import AlexIndex, _pack_ptr, _ptr_block, _ptr_is_data
-from repro.storage import NULL_DEVICE, BlockDevice, Pager
+from repro.core.alex import (AlexIndex, _DataHeader, _pack_ptr, _Pinned,
+                             _ptr_block, _ptr_is_data)
+from repro.core.interface import TOMBSTONE
+from repro.core.serial import ENTRY_SIZE, pack_entries
+from repro.models import LinearModel
+from repro.storage import HDD, NULL_DEVICE, BlockDevice, BufferPool, Pager
 
-from tests.util import items_of, random_sorted_keys
+from tests.util import ReferenceModel, items_of, random_sorted_keys
 
 
 def fresh(**kwargs):
@@ -133,7 +142,7 @@ def test_insert_updates_header_statistics():
     index, _ = fresh()
     keys = list(range(0, 5000, 10))
     index.bulk_load(items_of(keys))
-    block, _path = index._descend(4001)
+    block, _parent = index._descend(4001, index.pager)
     before = index._read_data_header(block)
     index.insert(4001, 4002)
     after = index._read_data_header(block)
@@ -147,7 +156,7 @@ def test_gapped_insert_cheaper_than_shift():
     index, device = fresh()
     keys = list(range(0, 100_000, 100))
     index.bulk_load(items_of(keys))
-    block, _ = index._descend(keys[50])
+    block, _ = index._descend(keys[50], index.pager)
     header_before = index._read_data_header(block)
     shifts_before = header_before.num_shifts
     rng = random.Random(9)
@@ -160,7 +169,7 @@ def test_gapped_insert_cheaper_than_shift():
             pass
     # Some inserts found gaps (no shift) — the counter grows slower than
     # the insert count.
-    block, _ = index._descend(keys[50])
+    block, _ = index._descend(keys[50], index.pager)
     header_after = index._read_data_header(block)
     assert header_after.num_shifts - shifts_before < 300
 
@@ -188,3 +197,199 @@ def test_empty_bulk_load():
     assert index.lookup(42) is None
     index.insert(42, 43)
     assert index.lookup(42) == 43
+
+
+# -- the one in-node search, against a reference ------------------------------
+
+
+def _synthetic_node(block_size, pooled, keys, slope, intercept):
+    """An index whose data file holds one hand-built data node (every
+    slot real; gap runs are just equal neighbours to a search) one block
+    in, so the node's blocks are not the file's first."""
+    pool = BufferPool(2) if pooled else None
+    index = AlexIndex(Pager(BlockDevice(block_size, HDD), buffer_pool=pool))
+    capacity = len(keys)
+    block = index._data_file.allocate(1 + index._data_extent_blocks(capacity)) + 1
+    header = _DataHeader(capacity, capacity, slope, intercept, anchor=keys[0])
+    index.pager.write_bytes(
+        index._data_file, block * block_size,
+        header.pack() + bytes([0xFF]) * index._bitmap_bytes(capacity)
+        + pack_entries([(key, key ^ 1) for key in keys]))
+    return index, block
+
+
+def _per_probe_search(index, block, key):
+    """ALEX's exponential search as the paper charges it: the header,
+    then one ``read_bytes`` of 16 bytes per probe, nothing held between
+    them.  What `_search_node` must ask of the pager, less the requests
+    for the block it has just been given."""
+    pager, file = index.pager, index._data_file
+    header = index._read_data_header(block)  # read_bytes of its 64 bytes
+    capacity = header.capacity
+
+    def key_at(slot):
+        raw = pager.read_bytes(
+            file, index._entries_offset(block, capacity, slot), ENTRY_SIZE)
+        return int.from_bytes(raw[:8], "little")
+
+    pos = LinearModel(header.slope, header.intercept,
+                      header.anchor).predict_clamped(key, capacity)
+    bound = 1
+    if key_at(pos) <= key:
+        while pos + bound < capacity and key_at(pos + bound) <= key:
+            bound *= 2
+        lo, hi = pos + bound // 2, min(pos + bound, capacity - 1)
+    else:
+        while pos - bound >= 0 and key_at(pos - bound) > key:
+            bound *= 2
+        lo, hi = max(pos - bound, 0), pos - bound // 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if key_at(mid) <= key:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo if key_at(lo) <= key else -1
+
+
+@st.composite
+def _nodes(draw):
+    """Sorted slot keys with long equal runs (gap copies), and a model
+    that may predict anywhere: below slot 0, past the last slot, or at a
+    slope that has nothing to do with the keys."""
+    # Bitmap lengths 3..38 put slot 0 at byte 67..102 of the node, so
+    # 16-byte entries lie across the 256- and 512-byte block boundaries.
+    capacity = draw(st.integers(17, 300))
+    spread = draw(st.sampled_from([4, capacity // 3 + 1, 1 << 40]))
+    low = draw(st.integers(2, 1 << 62))
+    keys = sorted(low + draw(st.integers(0, spread)) for _ in range(capacity))
+    slope = draw(st.sampled_from([0.0, 1e-12, capacity / (spread + 1), 1e6, -3.5]))
+    intercept = draw(st.sampled_from([0.0, -50.0, capacity / 2, capacity * 4.0]))
+    probes = draw(st.lists(st.one_of(
+        st.sampled_from(keys), st.integers(low - 2, low + spread + 2),
+        st.sampled_from([0, keys[0] - 1, keys[-1] + 1, 2**64 - 1])),
+        min_size=1, max_size=12))
+    return keys, slope, intercept, probes
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["nopool", "pool2"])
+@pytest.mark.parametrize("block_size", [256, 512])
+@settings(max_examples=60, deadline=None)
+@given(node=_nodes())
+def test_search_node_matches_bisect_and_charges_like_per_probe_reads(
+        block_size, pooled, node):
+    """From the pager: the slot is ``bisect``'s, and every charged number
+    (and every buffer-pool probe) equals the per-probe reference's, over
+    a run of searches that inherit each other's last block."""
+    keys, slope, intercept, probes = node
+    index, block = _synthetic_node(block_size, pooled, keys, slope, intercept)
+    twin, _ = _synthetic_node(block_size, pooled, keys, slope, intercept)
+    for key in probes:
+        slot, header, _at = index._search_node(index.pager, block, key)
+        assert slot == bisect_right(keys, key) - 1
+        assert header[1] == len(keys)
+        assert _per_probe_search(twin, block, key) == slot
+        assert dataclasses.asdict(index.pager.stats) == dataclasses.asdict(
+            twin.pager.stats), key
+        if pooled:
+            assert ((index.pager.buffer_pool.hits, index.pager.buffer_pool.misses)
+                    == (twin.pager.buffer_pool.hits, twin.pager.buffer_pool.misses))
+
+
+@pytest.mark.parametrize("block_size", [256, 512])
+@settings(max_examples=60, deadline=None)
+@given(node=_nodes())
+def test_search_node_from_a_batch_mirror(block_size, node):
+    """Inside ``pager.batch()``, reading through the batch's mirrors:
+    same slots, same charges as per-probe reads in a batch of their own."""
+    keys, slope, intercept, probes = node
+    index, block = _synthetic_node(block_size, False, keys, slope, intercept)
+    twin, _ = _synthetic_node(block_size, False, keys, slope, intercept)
+    with index.pager.batch(), twin.pager.batch():
+        pinned = _Pinned(index.pager, (index._inner_file, index._data_file))
+        for key in probes:
+            slot = index._search_node(pinned, block, key)[0]
+            assert slot == bisect_right(keys, key) - 1
+            assert _per_probe_search(twin, block, key) == slot
+    assert dataclasses.asdict(index.pager.stats) == dataclasses.asdict(
+        twin.pager.stats)
+
+
+def test_search_node_on_an_empty_node():
+    index, _ = fresh()
+    index.bulk_load([])
+    block = _ptr_block(index.root_ptr)
+    slot, header, _at = index._search_node(index.pager, block, 42)
+    assert slot == -1 and header[2] == 0
+
+
+@pytest.mark.parametrize("layout", [1, 2])
+def test_lookup_agrees_with_lookup_many_through_mutations(layout):
+    """``lookup(k) == lookup_many([k, k])[0]`` over hits, misses,
+    tombstones and re-inserted keys."""
+    index = AlexIndex(Pager(BlockDevice(512, NULL_DEVICE)), layout=layout,
+                      max_data_node_entries=64, max_fanout=16)
+    keys = random_sorted_keys(1500, seed=41, key_space=10**7)
+    model = ReferenceModel(items_of(keys))
+    index.bulk_load(items_of(keys))
+    rng = random.Random(43)
+    deleted = rng.sample(keys, 200)
+    for key in deleted:
+        assert index.delete(key) and model.delete(key)
+    back = deleted[:60]
+    for key in back:
+        index.insert(key, 5)
+        model.insert(key, 5)
+    for _ in range(400):
+        key = rng.randrange(10**7)
+        if key not in model:
+            index.insert(key, key + 1)
+            model.insert(key, key + 1)
+    probes = (rng.sample(keys, 150) + deleted[60:120] + back[:30]
+              + [rng.randrange(10**7) for _ in range(80)]
+              + [0, 1, 10**7, 2**63, TOMBSTONE])
+    for key in probes:
+        found = index.lookup(key)
+        assert found == model.lookup(key), key
+        assert index.lookup_many([key, key]) == [found, found], key
+    assert index.lookup_many(probes) == [model.lookup(key) for key in probes]
+
+
+@pytest.mark.parametrize("write_back", [False, True], ids=["wt", "wb"])
+@pytest.mark.parametrize("layout", [1, 2])
+def test_no_stale_bytes_survive_an_smo(layout, write_back):
+    """Right after an insert that expanded, split sideways or split down
+    the node it searched, lookups and scans read the node's new bytes —
+    also from a batch, and with the old extent's blocks in the pool."""
+    device = BlockDevice(512, NULL_DEVICE)
+    pager = (Pager(device, buffer_pool=BufferPool(16), write_back=True)
+             if write_back else Pager(device))
+    index = AlexIndex(pager, layout=layout, max_data_node_entries=64, max_fanout=16)
+    rng = random.Random(47)
+    # bunched bulk keys, uniform inserts: nodes spanning several parent
+    # slots fill up and split sideways (see gen_learned_pages._bunched_key)
+    keys = sorted({b * 10**6 + rng.randrange(4000) for b in range(20)
+                   for _ in range(60)})
+    model = ReferenceModel(items_of(keys))
+    index.bulk_load(items_of(keys))
+    kinds = set()
+    while len(kinds) < 3 or len(model) < 4000:
+        key = rng.randrange(20 * 10**6)
+        if key in model:
+            continue
+        before = (index.num_expands, index.num_splits, index.num_split_downs)
+        index.insert(key, key + 1)
+        model.insert(key, key + 1)
+        after = (index.num_expands, index.num_splits, index.num_split_downs)
+        if after == before:
+            continue
+        kinds.update(kind for kind, a, b in zip(
+            ("expand", "split", "split_down"), after, before) if a > b)
+        around = model.scan(max(key - 5000, 0), 12)
+        for probe, payload in around:
+            assert index.lookup(probe) == payload, (key, probe)
+        assert index.lookup_many([p for p, _ in around]) == [v for _, v in around]
+        assert index.scan(around[0][0], 12) == around, key
+    assert kinds == {"expand", "split", "split_down"}
+    assert index.num_splits > index.num_split_downs + 1, "sideways splits"
+    assert index.verify() == len(model)

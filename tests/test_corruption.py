@@ -85,7 +85,7 @@ def test_pgm_detects_component_disorder():
 
 def test_alex_detects_bitmap_corruption():
     index = loaded("alex")
-    block, _ = index._descend(KEYS[0])
+    block, _ = index._descend(KEYS[0], index.pager)
     # Zero the first bitmap byte: the population no longer matches the
     # header's num_keys.
     offset = index._bitmap_offset(block, 0) % 4096
@@ -93,6 +93,21 @@ def test_alex_detects_bitmap_corruption():
     raw = bytearray(index._data_file.blocks[bitmap_block])
     raw[offset] = 0 if raw[offset] else 0xFF
     index._data_file.blocks[bitmap_block] = raw
+    with pytest.raises(AssertionError):
+        index.verify()
+
+
+def test_alex_detects_corrupted_inner_model():
+    """Child pointers, bitmaps and the sibling chain intact, every
+    descent through the root misrouted: the walk has to use the models."""
+    from repro.core.alex import _ptr_block, _ptr_is_data
+    index = loaded("alex")
+    assert not _ptr_is_data(index.root_ptr)
+    # The slope sits 8 bytes into an inner node ("<BxxxIddQ"); written
+    # through the pager, so the envelope is valid and lookups run.
+    index.pager.write_bytes(index._inner_file,
+                            _ptr_block(index.root_ptr) + 8, bytes(8))
+    assert index.lookup(KEYS[0]) is None or index.lookup(KEYS[-1]) is None
     with pytest.raises(AssertionError):
         index.verify()
 

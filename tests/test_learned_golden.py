@@ -7,6 +7,9 @@ unpacked every fetched window, leaf and buffer into a Python list and
 kept a scalar and a vectorized lookup each (see
 ``tests/golden/gen_learned_pages.py``).  The byte-level indexes must ask
 the pager for the same blocks in the same order and write the same bytes.
+The alex and lipp cases were recorded when alex still read one entry per
+pager call and kept a separate batch search; the one byte-level search
+must charge and write what those did.
 """
 
 import json
@@ -50,5 +53,27 @@ def test_sequence_forces_every_structural_change():
         elif cell == "fiting":
             assert after["resegments"] >= 150
             assert after["global_min"] < 1 << 20, "head buffer flushed"
+        elif cell.startswith("alex"):
+            assert after["expands"] >= 80 and after["splits"] >= 30
+            assert after["split_downs"] >= 10
+        elif cell == "lipp":
+            assert after["rebuilds"] >= 25 and after["height"] > before["height"]
         else:
             assert cell in READ_ONLY and after == before
+
+
+def test_alex_sequences_force_every_smo_kind():
+    """Expand and split-down show in every alex case; a root data node
+    only splits where the bulk load left one (bulk 40), and a data node
+    only splits sideways under a bulk-built parent whose slots the
+    bunched keys left empty (bulk 3000)."""
+    root_splits = sideways = 0
+    for case in CASES:
+        if not case[0].startswith("alex"):
+            continue
+        before, after = GOLDEN[case_id(case)]["structure"]
+        root_split = before["height"] == 1 and after["height"] > 1
+        root_splits += root_split
+        # every split is the root's, a split-down or sideways
+        sideways += after["splits"] - after["split_downs"] - root_split
+    assert root_splits >= 2 and sideways >= 20

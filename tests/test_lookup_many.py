@@ -13,9 +13,10 @@ from .util import (ReferenceModel, check_full_agreement, items_of, make_pager,
 
 ALL_INDEXES = index_names(include_hybrids=True, include_plid=True)
 MUTABLE_INDEXES = index_names(include_plid=True)
-#: indexes with a span-fetching lookup_many override; the acceptance bar
-#: (strictly fewer blocks at batch 64) applies to these.
-VECTORIZED = ("btree", "fiting", "alex")
+#: indexes whose lookup_many fetches the batch's leaf / data-node blocks
+#: in one coalesced span; the acceptance bar (strictly fewer blocks at
+#: batch 64) applies to these.
+SPAN_FETCHING = ("btree", "fiting", "alex")
 
 
 def _mixed_batch(keys, size, seed, key_space=10**12):
@@ -81,7 +82,7 @@ def test_lookup_many_never_charges_more_positionings(name):
     assert coalesced.read_positionings <= serial.read_positionings
 
 
-@pytest.mark.parametrize("name", VECTORIZED)
+@pytest.mark.parametrize("name", SPAN_FETCHING)
 def test_vectorized_paths_fetch_strictly_fewer_blocks(name):
     keys = random_sorted_keys(5000, seed=13)
     serial_index = make_index(name, make_pager())

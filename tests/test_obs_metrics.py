@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import Counter, Histogram, MetricsRegistry, io_bounds, latency_bounds
+from repro.obs import Histogram, io_bounds, latency_bounds
 
 
 def test_bounds_factories_strictly_increasing():
@@ -110,21 +110,3 @@ def test_merge_equals_recording_into_one():
     assert a.count == both.count
     assert a.total == both.total
     assert a.min == both.min and a.max == both.max
-
-
-def test_counter():
-    c = Counter("ops")
-    c.inc()
-    c.inc(4)
-    assert c.value == 5
-
-
-def test_registry_get_or_create():
-    reg = MetricsRegistry()
-    assert reg.counter("a") is reg.counter("a")
-    assert reg.histogram("h") is reg.histogram("h")
-    reg.counter("a").inc(3)
-    reg.histogram("h").record(12.0)
-    snap = reg.snapshot()
-    assert snap["counters"] == {"a": 3}
-    assert snap["histograms"]["h"]["count"] == 1
