@@ -38,8 +38,7 @@ def _assert_one_shard_routing_is_free():
                                durability=True)
     assert flat.ops == tier.ops
     res_flat = run_workload(flat.index, flat.ops, workload="parity")
-    res_tier = run_workload(tier.index, tier.ops, workload="parity",
-                            shards=1)
+    res_tier = run_workload(tier.index, tier.ops, workload="parity")
     for field in ("read_positionings", "write_positionings",
                   "blocks_read_per_op", "blocks_written_per_op",
                   "log_records", "log_flushes", "sim_elapsed_us"):

@@ -55,7 +55,7 @@ def main() -> None:
         ops.append(("insert", next(mid_writes)) if i % 20 == 0
                    else ("lookup", next(mids)))
         ops.append(("insert", next(writes)))
-    result = run_workload(tier, ops, workload="skewed", shards=3, replicas=2)
+    result = run_workload(tier, ops, workload="skewed")
     print(f"\nRouted {result.num_ops} ops; per-shard view:")
     for shard_id, view in result.per_shard.items():
         mix = {k: v for k, v in view["ops"].items() if v}

@@ -140,6 +140,28 @@ class IndexSetup:
     wal: Optional[WriteAheadLog] = None
 
 
+def _cell_workload(dataset: str, workload: str, scale: Scale,
+                   **distribution):
+    """``(bulk_items, ops)`` of one experiment cell: the workload's key
+    and op counts at ``scale``, the dataset, and the stream built over it
+    (``distribution``: :func:`build_workload`'s lookup-target options)."""
+    spec = WORKLOADS[workload]
+    if spec.bulk_all:
+        n_keys = scale.n_read
+        num_ops = scale.n_scan_ops if "S" in spec.round_pattern else scale.n_lookup_ops
+    else:
+        num_ops = scale.n_write_ops
+        num_inserts = sum(
+            1 for i in range(num_ops)
+            if spec.round_pattern[i % len(spec.round_pattern)] == "I"
+        )
+        # The dataset provides the bulk-loaded keys plus the withheld
+        # insert keys, so the bulk size matches the paper's setup exactly.
+        n_keys = scale.n_write_bulk + num_inserts
+    keys = make_dataset(dataset, n_keys, seed=scale.seed)
+    return build_workload(spec, keys, num_ops, seed=scale.seed, **distribution)
+
+
 def fresh_index(index_name: str, dataset: str, workload: str, scale: Scale,
                 profile: DiskProfile = HDD, block_size: Optional[int] = None,
                 buffer_blocks: int = 0, index_params: Optional[dict] = None,
@@ -170,22 +192,8 @@ def fresh_index(index_name: str, dataset: str, workload: str, scale: Scale,
     — see :data:`repro.workloads.DISTRIBUTIONS`; the default is the
     paper's uniform sampling.
     """
-    spec = WORKLOADS[workload]
-    if spec.bulk_all:
-        n_keys = scale.n_read
-        num_ops = scale.n_scan_ops if "S" in spec.round_pattern else scale.n_lookup_ops
-    else:
-        num_ops = scale.n_write_ops
-        num_inserts = sum(
-            1 for i in range(num_ops)
-            if spec.round_pattern[i % len(spec.round_pattern)] == "I"
-        )
-        # The dataset provides the bulk-loaded keys plus the withheld
-        # insert keys, so the bulk size matches the paper's setup exactly.
-        n_keys = scale.n_write_bulk + num_inserts
-    keys = make_dataset(dataset, n_keys, seed=scale.seed)
-    bulk_items, ops = build_workload(
-        spec, keys, num_ops, seed=scale.seed,
+    bulk_items, ops = _cell_workload(
+        dataset, workload, scale,
         lookup_distribution=lookup_distribution, zipf_s=zipf_s,
         hotspot_fraction=hotspot_fraction,
         hotspot_probability=hotspot_probability)
@@ -251,19 +259,8 @@ def fresh_sharded_index(index_names, shards: Optional[int], dataset: str,
     """
     from ..core import make_sharded_index
 
-    spec = WORKLOADS[workload]
-    if spec.bulk_all:
-        n_keys = scale.n_read
-        num_ops = scale.n_scan_ops if "S" in spec.round_pattern else scale.n_lookup_ops
-    else:
-        num_ops = scale.n_write_ops
-        num_inserts = sum(
-            1 for i in range(num_ops)
-            if spec.round_pattern[i % len(spec.round_pattern)] == "I")
-        n_keys = scale.n_write_bulk + num_inserts
-    keys = make_dataset(dataset, n_keys, seed=scale.seed)
-    bulk_items, ops = build_workload(
-        spec, keys, num_ops, seed=scale.seed,
+    bulk_items, ops = _cell_workload(
+        dataset, workload, scale,
         lookup_distribution=lookup_distribution, zipf_s=zipf_s)
 
     index = make_sharded_index(

@@ -940,8 +940,7 @@ def exp_sharding(scale: Optional[Scale] = None,
                 # depend on the op count, not the shard count).
                 run_workload(setup.index, setup.ops, workload="warmup")
                 res = run_workload(setup.index, setup.ops,
-                                   workload="lookup_only", validate=True,
-                                   shards=shards)
+                                   workload="lookup_only", validate=True)
                 pos_per_op = res.read_positionings / res.num_ops
                 if shards == shard_counts[0]:
                     baseline = pos_per_op
@@ -967,7 +966,7 @@ def exp_sharding(scale: Optional[Scale] = None,
             "btree", 4, "ycsb", "lookup_only", scale, profile=PROFILES["hdd"],
             replicas=replicas)
         res = run_workload(setup.index, setup.ops, workload="lookup_only",
-                           validate=True, shards=4, replicas=replicas)
+                           validate=True)
         served = [shard["reads_served"] for shard in res.per_shard.values()]
         result.rows.append({
             "section": "replicas", "device": "hdd", "shards": 4,
@@ -1014,7 +1013,7 @@ def exp_sharding(scale: Optional[Scale] = None,
         res = run_workload(tier, _tuner_ops(tier.partition, loaded,
                                             list(withheld), num_ops,
                                             seed=scale.seed),
-                           workload="mixed", validate=True, shards=3)
+                           workload="mixed", validate=True)
         result.rows.append({
             "section": "tuner", "device": "hdd", "config": label,
             "composition": ",".join(tier.composition()),

@@ -41,13 +41,10 @@ class DiskIndex(abc.ABC):
     name: str = "abstract"
 
     #: What the workload runner reports of a tier, as one flat index
-    #: answers it: one shard, one copy, no failover machinery to count.
-    #: :class:`repro.sharding.ShardedIndex` overrides every one.
+    #: answers it: one shard, one copy (and, below, no per-shard
+    #: breakdown).  :class:`repro.sharding.ShardedIndex` overrides them.
     num_shards = 1
     replication_factor = 1
-    failovers = 0
-    hedged_reads = 0
-    resync_blocks = 0
 
     def __init__(self, pager: Pager) -> None:
         self.pager = pager

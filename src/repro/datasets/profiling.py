@@ -43,10 +43,6 @@ class DatasetProfile:
     btree_leaves: int = 0
     conflict_degree: int = 0
 
-    def hardness_rank_metric(self, error_bound: int = 64) -> int:
-        """Segment count at the default error bound (the paper's hardness proxy)."""
-        return self.segments_by_error[error_bound]
-
 
 def profile_dataset(name: str, keys: Sequence[int],
                     error_bounds: Tuple[int, ...] = TABLE3_ERROR_BOUNDS,

@@ -115,23 +115,6 @@ class LinearModel:
             return size - 1
         return pos
 
-    def predict_many(self, keys) -> np.ndarray:
-        """Float positions for a whole batch in one anchored numpy op.
-
-        Bit-identical to per-key :meth:`predict`: the anchored difference
-        is exact (see :func:`anchored_diff`) and the multiply-add applies
-        the same two IEEE-754 float64 operations in the same order.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        return self.slope * anchored_diff(keys, self.anchor) + self.intercept
-
-    def predict_clamped_many(self, keys, size: int) -> np.ndarray:
-        """Predicted slots in ``[0, size - 1]`` for a whole batch;
-        element-wise identical to :meth:`predict_clamped`."""
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        return truncate_slots(self.predict_many(keys), size)
-
     @classmethod
     def fit_least_squares(cls, keys: Sequence[int], positions: Sequence[int]) -> "LinearModel":
         """Ordinary least squares fit of positions on keys (ALEX-style).

@@ -46,14 +46,6 @@ class Segment:
     length: int
     model: LinearModel
 
-    @property
-    def last_pos(self) -> int:
-        return self.first_pos + self.length - 1
-
-    def predict_relative(self, key: int) -> float:
-        """Predicted offset inside this segment (0-based)."""
-        return self.model.predict(key) - self.first_pos
-
 
 class SegmentArray:
     """Struct-of-arrays form of a sorted run of anchored linear segments.
@@ -81,13 +73,6 @@ class SegmentArray:
     def __len__(self) -> int:
         return len(self.first_keys)
 
-    @classmethod
-    def from_segments(cls, segments: Sequence[Segment]) -> "SegmentArray":
-        return cls([s.first_key for s in segments],
-                   [s.model.slope for s in segments],
-                   [s.model.intercept for s in segments],
-                   [s.model.anchor for s in segments])
-
     def resolve(self, keys) -> np.ndarray:
         """Floor-segment index per key: the rightmost segment whose
         ``first_key`` is <= the key, clamped to segment 0."""
@@ -104,14 +89,6 @@ class SegmentArray:
             idx = self.resolve(keys)
         diff = anchored_diff(keys, self.anchors[idx])
         return self.slopes[idx] * diff + self.intercepts[idx]
-
-    def predict_slots(self, keys, sizes, idx=None) -> np.ndarray:
-        """Truncated predicted slots clamped per key to ``[0, size - 1]``
-        where ``sizes`` aligns with ``keys``."""
-        slots = truncate_positions(self.predict(keys, idx))
-        sizes = np.asarray(sizes, dtype=np.int64)
-        np.clip(slots, 0, sizes - 1, out=slots)
-        return slots
 
 
 def _check_sorted_unique(keys: Sequence[int]) -> None:

@@ -19,7 +19,7 @@ Tracing is opt-in: with no tracer attached every hook is ``None`` and
 the hot paths pay a single attribute check per access.
 """
 
-from .metrics import Histogram, io_bounds, latency_bounds
+from .metrics import Histogram, KeyedDigest, io_bounds, latency_bounds
 from .trace import TRACE_SCHEMA_VERSION, Tracer
 
 _ANALYZE_NAMES = ("format_summary", "load_trace", "summarize", "analyze_main")
@@ -36,6 +36,7 @@ def __getattr__(name):
 
 __all__ = [
     "Histogram",
+    "KeyedDigest",
     "TRACE_SCHEMA_VERSION",
     "Tracer",
     "analyze_main",

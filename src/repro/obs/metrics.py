@@ -18,10 +18,12 @@ by the bucket spacing, in exchange for constant memory.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from typing import Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "Histogram",
+    "KeyedDigest",
     "latency_bounds",
     "io_bounds",
 ]
@@ -153,3 +155,18 @@ class Histogram:
             "p99": self.percentile(99),
             "max": self.max if self.max is not None else 0.0,
         }
+
+
+class KeyedDigest(defaultdict):
+    """Histograms over shared boundaries, one per key — an op type, a
+    phase, a client — each made when its key's first sample arrives:
+    ``digest[key].record(value)``.  Reading a key that never got a
+    sample yields the empty histogram (all-zero summary)."""
+
+    def __init__(self, bounds: Sequence[float]) -> None:
+        bounds = tuple(bounds)
+        super().__init__(lambda: Histogram(bounds))
+
+    def summaries(self) -> Dict[object, Dict[str, float]]:
+        """Each key's :meth:`Histogram.summary`, as results report them."""
+        return {key: hist.summary() for key, hist in self.items()}

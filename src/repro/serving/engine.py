@@ -46,26 +46,28 @@ pre-knob engine when off):
   re-executes the op, charging the failed attempt's device time to the
   client's clock; when the budget is spent the op is *cleanly shed*
   instead — consumed, counted, never hung.
-* ``max_inflight_writes`` / ``max_queue_delay_us`` — the admission
-  gate.  A write arriving while the commit queue is already at the
-  in-flight bound, or while its oldest waiter has been queued longer
-  than the delay bound, is rejected before it touches the WAL or the
-  index: nothing is charged, the client's clock does not advance, and
-  ``shed_ops`` counts the rejection.  Overload degrades by shedding
-  cleanly rather than by collapsing the commit path's p99.
+* ``max_inflight_writes`` — the admission gate.  A write arriving while
+  the commit queue is already at the in-flight bound is rejected before
+  it touches the WAL or the index: nothing is charged, the client's
+  clock does not advance, and ``shed_ops`` counts the rejection.
+  Overload degrades by shedding cleanly rather than by collapsing the
+  commit path's p99.
+
+A tracer is the one attached to the index (``index.attach_tracer``): one
+span per op, latch stalls folded into it under the ``"latch"`` phase.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.interface import DiskIndex
 from ..durability.faults import CrashError, FaultInjector
-from ..obs.metrics import Histogram, io_bounds, latency_bounds
+from ..obs.metrics import KeyedDigest, io_bounds, latency_bounds
 from ..storage import StorageFault
 from ..workloads.spec import Operation
 from .latch import LatchManager
@@ -112,35 +114,16 @@ class ServeReport:
     op_kinds: List[str]
     #: acknowledged writes as ``(seqno, key, payload)``, in commit order.
     committed: List[Tuple[int, int, int]]
-    commit_groups: List[int] = field(default_factory=list)
-    commit_waits: int = 0
-    commit_wait_us: float = 0.0
-    latch_waits: int = 0
-    latch_wait_us: float = 0.0
-    read_latch_wait_us: float = 0.0
-    write_latch_wait_us: float = 0.0
-    snapshot_reads: int = 0
-    snapshot_suppressed: int = 0
-    shed_ops: int = 0
-    deadline_misses: int = 0
-    op_retries: int = 0
-    crashed_at_op: Optional[int] = None
-    #: per-phase per-op µs digests (only when a tracer was attached).
-    phase_hists: Optional[Dict[str, Histogram]] = None
-    #: per-op-type blocks-touched digests (only when traced).
-    io_hists: Optional[Dict[str, Histogram]] = None
-    #: per client, per phase, the per-op µs digest (only when traced).
-    client_phase_hists: Optional[Dict[int, Dict[str, Histogram]]] = None
-
-    @property
-    def committed_writes(self) -> int:
-        return len(self.committed)
-
-    @property
-    def mean_commit_group(self) -> float:
-        if not self.commit_groups:
-            return 0.0
-        return sum(self.commit_groups) / len(self.commit_groups)
+    #: the serving counters of a ``RunResult``, under its field names
+    #: (commit groups and waits, latch waits, snapshot reads, sheds,
+    #: deadline misses, retries).
+    counters: Dict[str, float]
+    crashed_at_op: Optional[int]
+    #: per-phase per-op µs digests (empty unless the index is traced;
+    #: each session holds its own client's in ``Session.phase_digest``).
+    phase_digest: KeyedDigest
+    #: per-op-type blocks-touched digests (empty unless traced).
+    io_digest: KeyedDigest
 
 
 class ServingEngine:
@@ -158,15 +141,10 @@ class ServingEngine:
         snapshot_reads: serve lookups/scans at the WAL's durable LSN
             without taking latches (see module docstring).  With False,
             reads take shared latches and wait on writers.
-        latching: model frame latches at all.  False turns the engine
-            into a pure interleaver (used by equivalence tests).
         commit_group: commit-group capacity; a flush triggers when this
             many writers are pending.  Default: ``max(8, clients)``.
         commit_timeout_us: flush when the oldest pending writer has
             waited this much virtual time (None disables the timer).
-        tracer: optional :class:`repro.obs.Tracer`; one span per op,
-            latch stalls folded into the span under the ``"latch"``
-            phase.  Defaults to the index's attached tracer.
         fault_injector: optional crash injector; ``maybe_crash`` fires
             on global dispatch indices, and the crash drops the WAL
             buffer and dirty pages exactly as in the single-client
@@ -180,20 +158,16 @@ class ServingEngine:
         max_inflight_writes: admission bound on writers blocked in the
             commit queue; an arriving write is shed when the queue is
             already this deep.  None disables the bound.
-        max_queue_delay_us: admission bound on commit-queue staleness;
-            an arriving write is shed when the oldest waiter has been
-            queued longer than this much virtual time.  None disables.
     """
 
     def __init__(self, index: DiskIndex, client_ops: Sequence[Sequence[Operation]],
                  *, scan_length: int = 100, validate: bool = False,
-                 snapshot_reads: bool = True, latching: bool = True,
+                 snapshot_reads: bool = True,
                  commit_group: Optional[int] = None,
                  commit_timeout_us: Optional[float] = 10_000.0,
-                 tracer=None, fault_injector: Optional[FaultInjector] = None,
+                 fault_injector: Optional[FaultInjector] = None,
                  deadline_us: Optional[float] = None, retry_budget: int = 0,
-                 max_inflight_writes: Optional[int] = None,
-                 max_queue_delay_us: Optional[float] = None) -> None:
+                 max_inflight_writes: Optional[int] = None) -> None:
         if not client_ops:
             raise ValueError("need at least one client op stream")
         if commit_group is not None and commit_group < 1:
@@ -208,9 +182,6 @@ class ServingEngine:
         if max_inflight_writes is not None and max_inflight_writes < 1:
             raise ValueError(
                 f"max_inflight_writes must be >= 1, got {max_inflight_writes}")
-        if max_queue_delay_us is not None and max_queue_delay_us <= 0:
-            raise ValueError(
-                f"max_queue_delay_us must be positive, got {max_queue_delay_us}")
         self.index = index
         self.pager = index.pager
         self.device = index.pager.device
@@ -218,16 +189,14 @@ class ServingEngine:
         self.scan_length = scan_length
         self.validate = validate
         self.snapshot_reads = snapshot_reads
-        self.latching = latching
         self.commit_group = (commit_group if commit_group is not None
                              else max(8, len(client_ops)))
         self.commit_timeout_us = commit_timeout_us
-        self.tracer = tracer if tracer is not None else index.tracer
+        self.tracer = index.tracer
         self.fault_injector = fault_injector
         self.deadline_us = deadline_us
         self.retry_budget = retry_budget
         self.max_inflight_writes = max_inflight_writes
-        self.max_queue_delay_us = max_queue_delay_us
         self._op_retries = 0
         self.sessions = [Session(i, ops) for i, ops in enumerate(client_ops)]
         self.latches = LatchManager()
@@ -240,9 +209,8 @@ class ServingEngine:
         self._dispatch_count = 0
         self._cur_reads: set = set()
         self._cur_writes: set = set()
-        self._phase_hists: Dict[str, Histogram] = {}
-        self._io_hists: Dict[str, Histogram] = {}
-        self._client_phase_hists: Dict[int, Dict[str, Histogram]] = {}
+        self._phase_digest = KeyedDigest(latency_bounds())
+        self._io_digest = KeyedDigest(io_bounds())
 
     # -- footprint capture ---------------------------------------------------
 
@@ -292,47 +260,45 @@ class ServingEngine:
             session.commit_waits += 1
             session.commit_wait_us += wait_us
             session.committed_writes += 1
-            latency = ack_v - waiter.start_v
-            if self.deadline_us is not None and latency > self.deadline_us:
-                session.deadline_misses += 1
-            session.latencies_us.append(latency)
-            session.op_kinds.append("insert")
-            session.clock_us = ack_v
-            self._completed.append((waiter.dispatch_index, "insert", latency))
             self._committed.append((waiter.seqno, waiter.key, waiter.payload))
             self._pending_keys.pop(waiter.key, None)
-            if session.remaining:
-                heapq.heappush(self._heap, (session.clock_us, session.client_id))
+            self._complete(session, waiter.dispatch_index, "insert",
+                           waiter.start_v, ack_v)
 
     # -- op execution --------------------------------------------------------
 
-    def _record_event(self, event: dict, kind: str, client_id: int) -> None:
+    def _record_event(self, event: dict, kind: str, session: Session) -> None:
         """Fold one trace event into the global and per-client digests."""
         for phase, us in event["us_by_phase"].items():
-            hist = self._phase_hists.get(phase)
-            if hist is None:
-                hist = self._phase_hists[phase] = Histogram(latency_bounds())
-            hist.record(us)
-            per_client = self._client_phase_hists.setdefault(client_id, {})
-            chist = per_client.get(phase)
-            if chist is None:
-                chist = per_client[phase] = Histogram(latency_bounds())
-            chist.record(us)
+            self._phase_digest[phase].record(us)
+            session.phase_digest[phase].record(us)
         blocks = sum(event["reads"].values()) + sum(event["writes"].values())
-        hist = self._io_hists.get(kind)
-        if hist is None:
-            hist = self._io_hists[kind] = Histogram(io_bounds())
-        hist.record(blocks)
+        self._io_digest[kind].record(blocks)
 
-    def _admission_shed(self, start_v: float) -> bool:
-        """True when the admission gate rejects a write arriving now."""
-        if (self.max_inflight_writes is not None
-                and len(self._waiting) >= self.max_inflight_writes):
-            return True
-        if (self.max_queue_delay_us is not None and self._waiting
-                and start_v - self._waiting[0].end_v > self.max_queue_delay_us):
-            return True
-        return False
+    def _requeue(self, session: Session) -> None:
+        """Back into the dispatch heap, unless the session's queue is drained."""
+        if session.remaining:
+            heapq.heappush(self._heap, (session.clock_us, session.client_id))
+
+    def _shed(self, session: Session) -> None:
+        """The op in hand is consumed and counted, never completed."""
+        session.shed_ops += 1
+        if self.tracer is not None:
+            self.tracer.shed_op()
+        self._requeue(session)
+
+    def _complete(self, session: Session, dispatch_index: int, kind: str,
+                  start_v: float, end_v: float) -> None:
+        """Settle a finished op: the client saw it take ``end_v - start_v``
+        (latch stalls and, for a write, the group-commit wait included)."""
+        latency = end_v - start_v
+        if self.deadline_us is not None and latency > self.deadline_us:
+            session.deadline_misses += 1
+        session.latencies_us.append(latency)
+        session.op_kinds.append(kind)
+        session.clock_us = end_v
+        self._completed.append((dispatch_index, kind, latency))
+        self._requeue(session)
 
     def _dispatch(self, session: Session) -> None:
         """Execute the session's next op and settle its virtual interval."""
@@ -344,15 +310,13 @@ class ServingEngine:
         kind, key = session.next_op()
         start_v = session.clock_us
         if (kind == "insert" and self.wal is not None
-                and self._admission_shed(start_v)):
-            # Rejected before the WAL append or any device work: nothing
-            # is charged and the client's clock does not move — the
-            # rejection itself is free, only the op is lost.
-            session.shed_ops += 1
-            if self.tracer is not None:
-                self.tracer.shed_op()
-            if session.remaining:
-                heapq.heappush(self._heap, (session.clock_us, session.client_id))
+                and self.max_inflight_writes is not None
+                and len(self._waiting) >= self.max_inflight_writes):
+            # The admission gate: rejected before the WAL append or any
+            # device work, so nothing is charged and the client's clock
+            # does not move — the rejection itself is free, only the op
+            # is lost.
+            self._shed(session)
             return
         snapshot = self.snapshot_reads and kind in ("lookup", "scan")
         before_us = self.device.elapsed_us
@@ -407,7 +371,7 @@ class ServingEngine:
                     if snapshot:
                         session.snapshot_reads += 1
                         begin_v = start_v
-                    elif self.latching:
+                    else:
                         reads = frozenset(self._cur_reads)
                         writes = frozenset(self._cur_writes)
                         begin_v = self.latches.wait_until(
@@ -427,12 +391,10 @@ class ServingEngine:
                         self.latches.hold(session.client_id, begin_v + delta_us,
                                           reads, writes)
                         self.latches.prune(start_v)
-                    else:
-                        begin_v = start_v
             finally:
                 if self.tracer is not None:
                     event = self.tracer.end_op()
-                    self._record_event(event, kind, session.client_id)
+                    self._record_event(event, kind, session)
             break
         if shed:
             # Budget exhausted: the op is consumed and counted, the
@@ -440,11 +402,7 @@ class ServingEngine:
             # client's clock, and nothing is acknowledged.
             session.clock_us = start_v + (self.device.elapsed_us
                                           - before_us)
-            session.shed_ops += 1
-            if self.tracer is not None:
-                self.tracer.shed_op()
-            if session.remaining:
-                heapq.heappush(self._heap, (session.clock_us, session.client_id))
+            self._shed(session)
             return
         end_v = begin_v + delta_us
         if kind == "insert" and self.wal is not None:
@@ -459,15 +417,7 @@ class ServingEngine:
             # No WAL: nothing to await; the write "commits" on apply.
             session.committed_writes += 1
             self._committed.append((0, key, key + 1))
-        latency = end_v - start_v
-        if self.deadline_us is not None and latency > self.deadline_us:
-            session.deadline_misses += 1
-        session.latencies_us.append(latency)
-        session.op_kinds.append(kind)
-        session.clock_us = end_v
-        self._completed.append((g, kind, latency))
-        if session.remaining:
-            heapq.heappush(self._heap, (session.clock_us, session.client_id))
+        self._complete(session, g, kind, start_v, end_v)
 
     # -- run -----------------------------------------------------------------
 
@@ -485,8 +435,7 @@ class ServingEngine:
         self._read_latch_wait_us = 0.0
         self._write_latch_wait_us = 0.0
         for session in self.sessions:
-            if session.remaining:
-                heapq.heappush(self._heap, (session.clock_us, session.client_id))
+            self._requeue(session)
         saved_group = None
         if self.wal is not None:
             # The engine owns the flush schedule: disable the WAL's own
@@ -526,27 +475,30 @@ class ServingEngine:
         latencies = np.array([us for _, _, us in self._completed],
                              dtype=np.float64)
         kinds = [kind for _, kind, _ in self._completed]
-        traced = self.tracer is not None
+        sessions, groups = self.sessions, self._commit_groups
         return ServeReport(
-            sessions=self.sessions,
+            sessions=sessions,
             executed=len(self._completed),
             latencies_us=latencies,
             op_kinds=kinds,
             committed=list(self._committed),
-            commit_groups=list(self._commit_groups),
-            commit_waits=sum(s.commit_waits for s in self.sessions),
-            commit_wait_us=sum(s.commit_wait_us for s in self.sessions),
-            latch_waits=self.latches.waits,
-            latch_wait_us=self.latches.wait_us,
-            read_latch_wait_us=self._read_latch_wait_us,
-            write_latch_wait_us=self._write_latch_wait_us,
-            snapshot_reads=sum(s.snapshot_reads for s in self.sessions),
-            snapshot_suppressed=sum(s.snapshot_suppressed for s in self.sessions),
-            shed_ops=sum(s.shed_ops for s in self.sessions),
-            deadline_misses=sum(s.deadline_misses for s in self.sessions),
-            op_retries=self._op_retries,
+            counters={
+                "commit_groups": len(groups),
+                "mean_commit_group": sum(groups) / len(groups) if groups else 0.0,
+                "committed_writes": len(self._committed),
+                "commit_waits": sum(s.commit_waits for s in sessions),
+                "commit_wait_us": sum(s.commit_wait_us for s in sessions),
+                "latch_waits": self.latches.waits,
+                "latch_wait_us": self.latches.wait_us,
+                "read_latch_wait_us": self._read_latch_wait_us,
+                "write_latch_wait_us": self._write_latch_wait_us,
+                "snapshot_reads": sum(s.snapshot_reads for s in sessions),
+                "snapshot_suppressed": sum(s.snapshot_suppressed for s in sessions),
+                "shed_ops": sum(s.shed_ops for s in sessions),
+                "deadline_misses": sum(s.deadline_misses for s in sessions),
+                "op_retries": self._op_retries,
+            },
             crashed_at_op=crashed_at,
-            phase_hists=self._phase_hists if traced else None,
-            io_hists=self._io_hists if traced else None,
-            client_phase_hists=self._client_phase_hists if traced else None,
+            phase_digest=self._phase_digest,
+            io_digest=self._io_digest,
         )

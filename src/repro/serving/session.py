@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from ..obs.metrics import Histogram, KeyedDigest, latency_bounds
 from ..workloads.spec import Operation
 
 __all__ = ["Session"]
@@ -62,6 +63,9 @@ class Session:
         #: global dispatch index of each of this session's dispatches —
         #: the starvation test bounds the largest gap between them.
         self.dispatch_indices: List[int] = []
+        #: per phase, the per-op µs digest of this client's trace events
+        #: (stays empty unless the index is traced).
+        self.phase_digest = KeyedDigest(latency_bounds())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Session({self.client_id}, {self.completed}/{len(self.ops)}"
@@ -92,3 +96,31 @@ class Session:
             return None
         return max(b - a for a, b in zip(self.dispatch_indices,
                                          self.dispatch_indices[1:]))
+
+    def digest(self) -> dict:
+        """This client's slice of a serving run (``RunResult.per_client``):
+        latency digests overall and per op type, and its counters."""
+        overall = Histogram(latency_bounds())
+        by_kind = KeyedDigest(latency_bounds())
+        for kind, us in zip(self.op_kinds, self.latencies_us):
+            overall.record(us)
+            by_kind[kind].record(us)
+        digest = {
+            "ops": self.completed,
+            "latency": overall.summary(),
+            "op_latency_histograms": by_kind.summaries(),
+            "latch_waits": self.latch_waits,
+            "latch_wait_us": self.latch_wait_us,
+            "commit_waits": self.commit_waits,
+            "commit_wait_us": self.commit_wait_us,
+            "snapshot_reads": self.snapshot_reads,
+            "snapshot_suppressed": self.snapshot_suppressed,
+            "committed_writes": self.committed_writes,
+            "shed_ops": self.shed_ops,
+            "deadline_misses": self.deadline_misses,
+            "retries_used": self.retries_used,
+            "max_dispatch_gap": self.max_dispatch_gap(),
+        }
+        if self.phase_digest:
+            digest["phase_latency_histograms"] = self.phase_digest.summaries()
+        return digest

@@ -250,9 +250,6 @@ class Shard:
         """Members in the read rotation (not quarantined)."""
         return [m for m in self.members() if m.health.state != "quarantined"]
 
-    def quarantined_members(self) -> List[ShardMember]:
-        return [m for m in self.members() if m.health.state == "quarantined"]
-
     def health_states(self) -> List[str]:
         """Member health, primary first (reporting)."""
         return [m.health.state for m in self.members()]

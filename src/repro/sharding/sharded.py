@@ -17,10 +17,11 @@ That compatibility is carried by three *fan-out facades*:
   ``s<i>r<j>:``-prefixed names.  ``charge_latch_wait`` lands on shard
   0's primary device so the serving engine's latch charges appear in
   the aggregate clock.
-* :class:`_FanoutPager` — ``flush``/``flushes``/``drop_dirty`` fan out
-  to every member pager, and assigning ``on_block_access`` installs a
-  prefixing wrapper on each member so the serving engine's frame
-  latches (and any tracer hook) see distinct per-shard block names.
+* :class:`_FanoutPager` — ``flush``/``flushes``/``dirty_evictions``/
+  ``drop_dirty`` fan out to every member pager, and assigning
+  ``on_block_access`` installs a prefixing wrapper on each member so
+  the serving engine's frame latches (and any tracer hook) see distinct
+  per-shard block names.
 * :class:`_FanoutWal` — a tier-level log view over the per-shard WALs.
   ``append`` routes each record to the owning shard's log and assigns a
   *global* sequence number (the append order across shards);
@@ -162,10 +163,8 @@ class _FanoutPager:
         return self.device.block_size
 
     @property
-    def buffer_pool(self):
-        pools = [p.buffer_pool for p in self._pagers()
-                 if p.buffer_pool is not None]
-        return _FanoutPool(pools) if pools else None
+    def dirty_evictions(self) -> int:
+        return sum(p.dirty_evictions for p in self._pagers())
 
     @property
     def flushes(self) -> int:
@@ -232,17 +231,6 @@ class _FanoutPager:
                     member.pager.on_block_access = (
                         lambda mode, name, block_no, _h=hook, _p=prefix:
                         _h(mode, _p + name, block_no))
-
-
-class _FanoutPool:
-    """Minimal pool view: the runner only reads ``dirty_evictions``."""
-
-    def __init__(self, pools) -> None:
-        self._pools = list(pools)
-
-    @property
-    def dirty_evictions(self) -> int:
-        return sum(pool.dirty_evictions for pool in self._pools)
 
 
 class _FanoutWal:
@@ -397,11 +385,6 @@ class ShardedIndex(DiskIndex):
     @property
     def member_faults(self) -> int:
         return sum(shard.member_faults for shard in self.shards)
-
-    def set_hedge(self, hedge_us: Optional[float]) -> None:
-        """Set the read-hedge latency budget on every shard."""
-        for shard in self.shards:
-            shard.hedge_us = hedge_us
 
     def health_summary(self) -> Dict[int, List[str]]:
         """Member health per shard, primary first."""

@@ -167,10 +167,6 @@ class BufferPool:
     def is_pinned(self, file_name: str, block_no: int) -> bool:
         return (file_name, block_no) in self._pinned
 
-    @property
-    def pinned_count(self) -> int:
-        return len(self._pinned)
-
     def _evict_overflow(self) -> None:
         """Evict in policy order until within capacity, skipping pinned
         frames (the pool may stay over capacity if everything is pinned)."""

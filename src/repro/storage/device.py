@@ -160,10 +160,6 @@ class StorageStats:
             },
         )
 
-    @property
-    def total_accesses(self) -> int:
-        return self.reads + self.writes
-
 
 class BlockFile:
     """Handle for one named file on a :class:`BlockDevice`.

@@ -394,6 +394,13 @@ class Pager:
             return 0
         return self.buffer_pool.dirty_count
 
+    @property
+    def dirty_evictions(self) -> int:
+        """Dirty frames written back at eviction so far (0 without a pool)."""
+        if self.buffer_pool is None:
+            return 0
+        return self.buffer_pool.dirty_evictions
+
     def flush(self, file_name: Optional[str] = None) -> int:
         """Write all dirty pages (optionally of one file) in coalesced runs.
 

@@ -20,13 +20,14 @@ collects every metric the paper reports:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.interface import DiskIndex
 from ..durability.faults import CrashError, FaultInjector
-from ..obs.metrics import Histogram, io_bounds, latency_bounds
+from ..obs.metrics import KeyedDigest, io_bounds, latency_bounds
 from ..storage import Pager, StorageFault
 from .spec import Operation
 
@@ -163,50 +164,142 @@ def bulk_load_timed(index: DiskIndex, items: Sequence[Tuple[int, int]]) -> float
     return stats.elapsed_us - before
 
 
-def _lookup_groups(ops: Sequence[Operation], batch: int):
-    """Yield ``(start_index, [ops])`` units: runs of consecutive lookups
-    capped at ``batch``, and every other operation as a singleton — so the
-    stream executes in its original order."""
-    pending_start = 0
-    pending: list = []
-    for i, op in enumerate(ops):
-        if op[0] == "lookup":
-            if not pending:
-                pending_start = i
-            pending.append(op)
-            if len(pending) >= batch:
-                yield pending_start, pending
-                pending = []
-        else:
-            if pending:
-                yield pending_start, pending
-                pending = []
-            yield i, [op]
-    if pending:
-        yield pending_start, pending
+class _Meter:
+    """The measurement of one run, whichever loop executes it.
+
+    Construction reads every "before" counter — the device's
+    ``StorageStats``, per-file reads (for the inner/leaf split), WAL,
+    pager and per-shard counters; :meth:`result` diffs them into the only
+    :class:`RunResult` this module builds.  The loop in between hands
+    over what only it knows: per-op latencies and kinds, its trace
+    digests, and the fields only it fills.
+    """
+
+    def __init__(self, index: DiskIndex, workload: str,
+                 keep_latencies: bool) -> None:
+        self.index = index
+        self.workload = workload
+        self.keep_latencies = keep_latencies
+        device = index.pager.device
+        self.start = device.stats.snapshot()
+        self.file_reads = {name: f.reads for name, f in device.files.items()}
+        self.log_records, self.log_flushes = _log_counters(index.wal)
+        self.flushes = index.pager.flushes
+        self.dirty_evictions = index.pager.dirty_evictions
+        self.shard_view = index.per_shard_snapshot()
+
+    def result(self, latencies: np.ndarray, kinds: Iterable[str],
+               phase_digest: KeyedDigest, io_digest: KeyedDigest,
+               **extras) -> RunResult:
+        """Everything measured since construction.  ``kinds`` yields the
+        op type of each entry of ``latencies`` (and may run on: a crashed
+        stream's unexecuted tail is ignored); the two trace digests are
+        reported only if the index is traced."""
+        index, pager = self.index, self.index.pager
+        device = pager.device
+        delta = device.stats.diff(self.start)
+        roles = index.file_roles()
+        inner_reads = 0
+        leaf_reads = 0
+        for name, handle in device.files.items():
+            file_delta = handle.reads - self.file_reads.get(name, 0)
+            if roles.get(name) == "inner":
+                inner_reads += file_delta
+            else:
+                leaf_reads += file_delta
+
+        # Histogram digests per op type, from the same latency samples the
+        # scalar percentiles use (so disabled-tracing runs pay one extra pass
+        # over an array they already hold, and no change to existing fields).
+        op_digest = KeyedDigest(latency_bounds())
+        for kind, us in zip(kinds, latencies.tolist()):
+            op_digest[kind].record(us)
+
+        executed = len(latencies)
+        n = max(executed, 1)
+        sim_s = delta.elapsed_us / 1e6
+        # a run that executed nothing reports 0.0 for every latency scalar
+        sample = latencies if executed else np.zeros(1)
+        log_records, log_flushes = _log_counters(index.wal)
+        traced = index.tracer is not None
+        # a tier's fault-tolerance totals are the sums over its shards
+        per_shard = index.per_shard_delta(self.shard_view)
+        return RunResult(
+            workload=self.workload,
+            index_name=index.name,
+            num_ops=executed,
+            sim_elapsed_us=delta.elapsed_us,
+            throughput_ops_per_s=executed / sim_s if sim_s > 0 else float("inf"),
+            mean_latency_us=float(sample.mean()),
+            p50_latency_us=float(np.percentile(sample, 50)),
+            p99_latency_us=float(np.percentile(sample, 99)),
+            std_latency_us=float(sample.std()),
+            blocks_read_per_op=delta.reads / n,
+            blocks_written_per_op=delta.writes / n,
+            inner_blocks_per_op=inner_reads / n,
+            leaf_blocks_per_op=leaf_reads / n,
+            time_by_phase_us=dict(delta.time_by_phase),
+            reads_by_phase=dict(delta.reads_by_phase),
+            writes_by_phase=dict(delta.writes_by_phase),
+            allocated_bytes=device.allocated_bytes,
+            live_bytes=device.live_bytes,
+            latencies_us=latencies if self.keep_latencies else None,
+            log_records=log_records - self.log_records,
+            log_flushes=log_flushes - self.log_flushes,
+            log_blocks_written=delta.writes_by_phase.get("log", 0),
+            read_positionings=delta.read_positionings,
+            write_positionings=delta.write_positionings,
+            coalesced_runs=delta.coalesced_runs,
+            coalesced_blocks=delta.coalesced_blocks,
+            flushes=pager.flushes - self.flushes,
+            dirty_evictions=pager.dirty_evictions - self.dirty_evictions,
+            io_retries=delta.io_retries,
+            checksum_failures=delta.checksum_failures,
+            repaired_blocks=delta.repaired_blocks,
+            p90_latency_us=float(np.percentile(sample, 90)),
+            max_latency_us=float(sample.max()),
+            op_latency_histograms=op_digest.summaries(),
+            phase_latency_histograms=phase_digest.summaries() if traced else None,
+            op_io_histograms=io_digest.summaries() if traced else None,
+            shards=index.num_shards,
+            replicas=index.replication_factor,
+            per_shard=per_shard,
+            failovers=sum(s["failovers"] for s in per_shard.values()),
+            hedged_reads=sum(s["hedged_reads"] for s in per_shard.values()),
+            resync_blocks=sum(s["resync_blocks"] for s in per_shard.values()),
+            **extras,
+        )
+
+
+def _log_counters(wal) -> Tuple[int, int]:
+    """``(records appended, group commits flushed)``; zeros without a WAL."""
+    if wal is None:
+        return 0, 0
+    return wal.records_appended, wal.flushes
 
 
 def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
                  scan_length: int = 100, keep_latencies: bool = False,
                  validate: bool = False,
                  fault_injector: Optional[FaultInjector] = None,
-                 tracer=None, batch: int = 1, healer=None,
+                 batch: int = 1, healer=None,
                  clients: int = 1,
                  client_ops: Optional[Sequence[Sequence[Operation]]] = None,
                  snapshot_reads: bool = True,
-                 commit_group: Optional[int] = None,
                  commit_timeout_us: Optional[float] = 10_000.0,
-                 latching: bool = True,
-                 shards: Optional[int] = None,
-                 replicas: Optional[int] = None,
                  deadline_us: Optional[float] = None,
                  retry_budget: int = 0,
-                 max_inflight_writes: Optional[int] = None,
-                 max_queue_delay_us: Optional[float] = None) -> RunResult:
+                 max_inflight_writes: Optional[int] = None) -> RunResult:
     """Execute ``ops`` against a loaded index and collect metrics.
 
     Args:
-        index: a bulk-loaded index.
+        index: a bulk-loaded index.  Its topology (``shards`` /
+            ``replicas`` / ``per_shard``) and its tracer are read off it:
+            ``index.attach_tracer`` is what binds a
+            :class:`repro.obs.Tracer` to the device, pool and WAL it must
+            observe.  Traced, each operation runs inside an op-scoped
+            span and the result gains per-phase and per-op-type histogram
+            digests; every other field is computed exactly as without.
         ops: the operation stream from :func:`build_workload`.
         workload: label recorded in the result.
         scan_length: elements per scan operation (paper: 100).
@@ -218,12 +311,6 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
             dropped (and its tail block optionally torn), and the result
             covers only the executed prefix with ``crashed_at_op`` set —
             the caller then recovers via :func:`repro.durability.recover`.
-        tracer: optional :class:`repro.obs.Tracer`; defaults to the one
-            attached to the index (``index.attach_tracer``), if any.
-            Each operation runs inside an op-scoped trace span, and the
-            result gains per-phase and per-op-type histogram digests.
-            With no tracer, every pre-existing metric is computed exactly
-            as before — the traced and untraced counters are identical.
         batch: group up to this many *consecutive lookups* into one
             :meth:`DiskIndex.lookup_many` call (the batched execution
             engine).  Inserts and scans flush the pending group first, so
@@ -243,29 +330,24 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
         clients: interleave the op stream over this many concurrent
             client sessions through the :mod:`repro.serving` engine
             (``ops`` is dealt round-robin via
-            :func:`~repro.serving.split_ops`).  The default 1 with no
-            ``client_ops`` runs the original single-stream path — every
-            metric of that path is computed exactly as before.
+            :func:`~repro.serving.split_ops`).
         client_ops: explicit per-client op streams (overrides the
-            round-robin split; implies the serving path even for one
-            stream).  ``ops`` is ignored when given.
-        snapshot_reads / commit_group / commit_timeout_us / latching:
-            serving-engine knobs, forwarded to
-            :class:`~repro.serving.ServingEngine`.  Ignored on the
-            single-client path.
-        deadline_us / retry_budget / max_inflight_writes /
-        max_queue_delay_us: robustness knobs of the serving engine
-            (DESIGN.md Section 17) — per-op deadlines, per-client
-            storage-fault retry budgets, and the write admission gate.
-            Setting any of them implies the serving path, even at
-            ``clients=1`` (a deadline or retry budget silently ignored
-            would be worse than a slower code path).
-        shards / replicas: assert the index's sharded topology.  A
-            :class:`repro.sharding.ShardedIndex` carries its own shard
-            count and replication factor; passing these makes the call
-            self-documenting and fails fast on a mismatch (an unsharded
-            index is topology 1/1).  Either way a sharded run's result
-            gains ``shards`` / ``replicas`` / ``per_shard``.
+            round-robin split).  ``ops`` is ignored when given.
+        snapshot_reads / commit_timeout_us: serving-engine knobs,
+            forwarded to :class:`~repro.serving.ServingEngine`.  Ignored
+            by the single stream.
+        deadline_us / retry_budget / max_inflight_writes: robustness
+            knobs of the serving engine (DESIGN.md Section 17) — per-op
+            deadlines, per-client storage-fault retry budgets, and the
+            write admission gate.
+
+    Which loop runs: ``clients != 1``, explicit ``client_ops`` (even one
+    stream) or a robustness knob (one silently ignored would be worse than
+    a slower path) selects the serving engine, all else the single stream
+    below.  They stay two because they charge differently: the stream
+    commits asynchronously (one WAL flush per ``group_commit`` records),
+    an engine client blocks on each write until its group is durable —
+    at one client, one flush per write (DESIGN.md Section 13).
 
     On the serving path, latencies are *client-perceived*: an op's latch
     stalls and a write's group-commit wait are part of its latency, the
@@ -282,169 +364,144 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
     pager then flushes its dirty pages in coalesced runs (the workload
     phase boundary is one of the three flush points).
     """
-    actual_shards = index.num_shards
-    actual_replicas = index.replication_factor
-    if shards is not None and shards != actual_shards:
-        raise ValueError(
-            f"run_workload(shards={shards}) but the index has "
-            f"{actual_shards} shard(s); build it with make_sharded_index")
-    if replicas is not None and replicas != actual_replicas:
-        raise ValueError(
-            f"run_workload(replicas={replicas}) but the index replicates "
-            f"{actual_replicas}x")
     if batch < 1:
         raise ValueError("batch must be >= 1")
     if batch > 1 and fault_injector is not None:
         raise ValueError("fault injection is per-op; run it with batch=1")
     if batch > 1 and healer is not None:
         raise ValueError("self-healing is per-op; run it with batch=1")
-    robustness = (deadline_us is not None or retry_budget
-                  or max_inflight_writes is not None
-                  or max_queue_delay_us is not None)
-    if clients != 1 or client_ops is not None or robustness:
+    meter = _Meter(index, workload, keep_latencies)
+    if (clients != 1 or client_ops is not None or deadline_us is not None
+            or retry_budget or max_inflight_writes is not None):
         if batch > 1:
             raise ValueError("the serving engine schedules per-op; use batch=1")
         if healer is not None:
             raise ValueError("self-healing is not supported on the serving path")
-        return _run_serving(
-            index, ops, workload=workload, scan_length=scan_length,
-            keep_latencies=keep_latencies, validate=validate,
-            fault_injector=fault_injector, tracer=tracer, clients=clients,
-            client_ops=client_ops, snapshot_reads=snapshot_reads,
-            commit_group=commit_group, commit_timeout_us=commit_timeout_us,
-            latching=latching, deadline_us=deadline_us,
+        # Imported lazily: repro.serving imports this package for the
+        # Operation alias, so a module-level import would be circular.
+        from ..serving import ServingEngine, split_ops
+
+        streams = client_ops if client_ops is not None else split_ops(ops, clients)
+        report = ServingEngine(
+            index, streams, scan_length=scan_length, validate=validate,
+            fault_injector=fault_injector, snapshot_reads=snapshot_reads,
+            commit_timeout_us=commit_timeout_us, deadline_us=deadline_us,
             retry_budget=retry_budget,
-            max_inflight_writes=max_inflight_writes,
-            max_queue_delay_us=max_queue_delay_us)
+            max_inflight_writes=max_inflight_writes).run()
+        per_client = {s.client_id: s.digest() for s in report.sessions}
+        return meter.result(
+            report.latencies_us, report.op_kinds, report.phase_digest,
+            report.io_digest,
+            crashed_at_op=report.crashed_at_op,
+            clients=len(streams),
+            per_client=per_client,
+            client_phase_histograms=(
+                {client_id: digest["phase_latency_histograms"]
+                 for client_id, digest in per_client.items()
+                 if "phase_latency_histograms" in digest}
+                if index.tracer is not None else None),
+            **report.counters)
     pager: Pager = index.pager
     device = pager.device
     wal = index.wal
-    if tracer is None:
-        tracer = index.tracer
-    phase_hists: Dict[str, Histogram] = {}
-    io_hists: Dict[str, Histogram] = {}
-    start = device.stats.snapshot()
-    file_reads_before = {name: f.reads for name, f in device.files.items()}
-    log_records_before = wal.records_appended if wal is not None else 0
-    log_flushes_before = wal.flushes if wal is not None else 0
-    flushes_before = pager.flushes
-    dirty_evictions_before = (pager.buffer_pool.dirty_evictions
-                              if pager.buffer_pool is not None else 0)
-    shard_view = index.per_shard_snapshot()
-    failovers_before = index.failovers
-    hedged_before = index.hedged_reads
-    resync_blocks_before = index.resync_blocks
-    latencies = np.empty(len(ops), dtype=np.float64)
+    tracer = index.tracer
+    phase_digest = KeyedDigest(latency_bounds())
+    io_digest = KeyedDigest(io_bounds())
+    # A unit's simulated cost is written at its first op; the slots a
+    # group's other lookups leave NaN say how far the unit extends.
+    latencies = np.full(len(ops), np.nan)
     executed = len(ops)
     crashed_at: Optional[int] = None
     healed_faults = 0
 
-    def apply_op(kind: str, key: int) -> None:
-        if kind == "lookup":
-            result = index.lookup(key)
-            if validate and result != key + 1:
-                raise AssertionError(
-                    f"lookup({key}) returned {result}, expected {key + 1}")
-        elif kind == "insert":
-            if wal is not None:
-                index.durable_insert(key, key + 1)
+    def execute(start: int, end: int, kind: str, key: int) -> Optional[dict]:
+        """Run the unit ``ops[start:end]`` (one op, or a group of lookups)
+        inside one trace span and return its event.  The span closes
+        whatever the unit raises: left open, it fails the tracer's next run."""
+        event = None
+        if tracer is not None:
+            tracer.begin_op(kind, key, start)
+        try:
+            if end - start > 1:
+                keys = [k for _, k in ops[start:end]]
+                results = index.lookup_many(keys)
+                if validate:
+                    for k, result in zip(keys, results):
+                        if result != k + 1:
+                            raise AssertionError(
+                                f"lookup({k}) returned {result}, expected {k + 1}")
+            elif kind == "lookup":
+                result = index.lookup(key)
+                if validate and result != key + 1:
+                    raise AssertionError(
+                        f"lookup({key}) returned {result}, expected {key + 1}")
+            elif kind == "insert":
+                if wal is not None:
+                    index.durable_insert(key, key + 1)
+                else:
+                    index.insert(key, key + 1)
+            elif kind == "scan":
+                result = index.scan(key, scan_length)
+                if validate and (not result or result[0][0] != key):
+                    raise AssertionError(f"scan({key}) did not start at the key")
             else:
-                index.insert(key, key + 1)
-        elif kind == "scan":
-            result = index.scan(key, scan_length)
-            if validate and (not result or result[0][0] != key):
-                raise AssertionError(f"scan({key}) did not start at the key")
-        else:
-            raise ValueError(f"unknown operation kind {kind!r}")
+                raise ValueError(f"unknown operation kind {kind!r}")
+        finally:
+            if tracer is not None:
+                event = tracer.end_op()
+        return event
 
     try:
-        if batch == 1:
-            for i, (kind, key) in enumerate(ops):
-                if fault_injector is not None:
-                    fault_injector.maybe_crash(i)
-                before_us = device.stats.elapsed_us
-                event = None
-                attempts = 0
-                while True:
-                    if tracer is not None:
-                        tracer.begin_op(kind, key, i)
-                    try:
-                        apply_op(kind, key)
-                    except StorageFault as fault:
-                        if tracer is not None:
-                            tracer.end_op()  # the span the fault cut short
-                        attempts += 1
-                        action = None
-                        if healer is not None and attempts <= _MAX_HEAL_ATTEMPTS:
-                            action = healer.handle(
-                                fault, mutating=(kind == "insert"))
-                        if action == "retry":
-                            healed_faults += 1
-                            continue
-                        if action == "applied":
-                            # the full restore replayed this operation's
-                            # WAL record — executing it again would
-                            # double-apply
-                            healed_faults += 1
-                            break
+        # nothing charges the device between units, so one reading of its
+        # clock both ends a unit and starts the next
+        clock_us = device.stats.elapsed_us
+        stream = enumerate(ops)
+        for i, (kind, key) in stream:
+            # A unit is one op, or up to ``batch`` consecutive lookups
+            # (taken off the stream here: the loop resumes after them).
+            end = i + 1
+            if batch > 1 and kind == "lookup":
+                limit = min(i + batch, len(ops))
+                while end < limit and ops[end][0] == "lookup":
+                    next(stream)
+                    end += 1
+            if fault_injector is not None:
+                fault_injector.maybe_crash(i)
+            attempts = 0
+            while True:
+                try:
+                    event = execute(i, end, kind, key)
+                except StorageFault as fault:
+                    attempts += 1
+                    action = None
+                    if healer is not None and attempts <= _MAX_HEAL_ATTEMPTS:
+                        action = healer.handle(fault, mutating=(kind == "insert"))
+                    if action is None:
                         raise
-                    if tracer is not None:
-                        event = tracer.end_op()
-                    break
-                # healed ops pay for their failed attempts and the repair
-                latencies[i] = device.stats.elapsed_us - before_us
-                if event is not None:
+                    healed_faults += 1
+                    if action == "retry":
+                        continue
+                    # "applied": the full restore replayed this operation's
+                    # WAL record — executing it again would double-apply
+                    event = None
+                break
+            # healed ops pay for their failed attempts and the repair
+            now_us = device.stats.elapsed_us
+            latencies[i] = now_us - clock_us
+            clock_us = now_us
+            if event is not None:
+                # a group's span is shared evenly, one sample per lookup
+                # (batch=1 keeps the integer block count the trace reports)
+                size = end - i
+                blocks = sum(event["reads"].values()) + sum(event["writes"].values())
+                if batch > 1:
+                    blocks /= size
+                for _ in range(size):
                     for phase, us in event["us_by_phase"].items():
-                        hist = phase_hists.get(phase)
-                        if hist is None:
-                            hist = phase_hists[phase] = Histogram(latency_bounds())
-                        hist.record(us)
-                    blocks = (sum(event["reads"].values())
-                              + sum(event["writes"].values()))
-                    hist = io_hists.get(kind)
-                    if hist is None:
-                        hist = io_hists[kind] = Histogram(io_bounds())
-                    hist.record(blocks)
-        else:
-            for unit_start, group in _lookup_groups(ops, batch):
-                kind, key = group[0]
-                size = len(group)
-                if tracer is not None:
-                    tracer.begin_op(kind, key, unit_start)
-                before_us = device.stats.elapsed_us
-                if kind == "lookup" and size > 1:
-                    keys = [k for _, k in group]
-                    results = index.lookup_many(keys)
-                    if validate:
-                        for k, result in zip(keys, results):
-                            if result != k + 1:
-                                raise AssertionError(
-                                    f"lookup({k}) returned {result}, "
-                                    f"expected {k + 1}")
-                else:
-                    apply_op(kind, key)
-                # the group's simulated cost, shared evenly per op
-                share = (device.stats.elapsed_us - before_us) / size
-                latencies[unit_start : unit_start + size] = share
-                if tracer is not None:
-                    event = tracer.end_op()
-                    for phase, us in event["us_by_phase"].items():
-                        hist = phase_hists.get(phase)
-                        if hist is None:
-                            hist = phase_hists[phase] = Histogram(latency_bounds())
-                        for _ in range(size):
-                            hist.record(us / size)
-                    blocks = (sum(event["reads"].values())
-                              + sum(event["writes"].values()))
-                    hist = io_hists.get(kind)
-                    if hist is None:
-                        hist = io_hists[kind] = Histogram(io_bounds())
-                    for _ in range(size):
-                        hist.record(blocks / size)
+                        phase_digest[phase].record(us / size)
+                    io_digest[kind].record(blocks)
     except CrashError as crash:
-        crashed_at = crash.op_index
-        executed = crash.op_index
-        latencies = latencies[:executed]
+        crashed_at = executed = crash.op_index
         fault_injector.crash(wal, crash.op_index, pager=pager)
     else:
         if wal is not None:
@@ -454,269 +511,10 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
         # the measured run ends with the device image fully written.
         pager.flush()
 
-    delta = device.stats.diff(start)
-    roles = index.file_roles()
-    inner_reads = 0
-    leaf_reads = 0
-    for name, handle in device.files.items():
-        file_delta = handle.reads - file_reads_before.get(name, 0)
-        if roles.get(name) == "inner":
-            inner_reads += file_delta
-        else:
-            leaf_reads += file_delta
-
-    # Histogram digests per op type, from the same latency samples the
-    # scalar percentiles use (so disabled-tracing runs pay one extra pass
-    # over an array they already hold, and no change to existing fields).
-    op_hists: Dict[str, Histogram] = {}
-    for i in range(executed):
-        kind = ops[i][0]
-        hist = op_hists.get(kind)
-        if hist is None:
-            hist = op_hists[kind] = Histogram(latency_bounds())
-        hist.record(float(latencies[i]))
-
-    n = max(executed, 1)
-    sim_s = delta.elapsed_us / 1e6
-    return RunResult(
-        workload=workload,
-        index_name=index.name,
-        num_ops=executed,
-        sim_elapsed_us=delta.elapsed_us,
-        throughput_ops_per_s=executed / sim_s if sim_s > 0 else float("inf"),
-        mean_latency_us=float(latencies.mean()) if executed else 0.0,
-        p50_latency_us=float(np.percentile(latencies, 50)) if executed else 0.0,
-        p99_latency_us=float(np.percentile(latencies, 99)) if executed else 0.0,
-        std_latency_us=float(latencies.std()) if executed else 0.0,
-        blocks_read_per_op=delta.reads / n,
-        blocks_written_per_op=delta.writes / n,
-        inner_blocks_per_op=inner_reads / n,
-        leaf_blocks_per_op=leaf_reads / n,
-        time_by_phase_us=dict(delta.time_by_phase),
-        reads_by_phase=dict(delta.reads_by_phase),
-        writes_by_phase=dict(delta.writes_by_phase),
-        allocated_bytes=device.allocated_bytes,
-        live_bytes=device.live_bytes,
-        latencies_us=latencies if keep_latencies else None,
-        log_records=(wal.records_appended - log_records_before) if wal is not None else 0,
-        log_flushes=(wal.flushes - log_flushes_before) if wal is not None else 0,
-        log_blocks_written=delta.writes_by_phase.get("log", 0),
-        crashed_at_op=crashed_at,
-        batch=batch,
-        read_positionings=delta.read_positionings,
-        write_positionings=delta.write_positionings,
-        coalesced_runs=delta.coalesced_runs,
-        coalesced_blocks=delta.coalesced_blocks,
-        flushes=pager.flushes - flushes_before,
-        dirty_evictions=(
-            pager.buffer_pool.dirty_evictions - dirty_evictions_before
-            if pager.buffer_pool is not None else 0),
-        io_retries=delta.io_retries,
-        checksum_failures=delta.checksum_failures,
-        repaired_blocks=delta.repaired_blocks,
-        healed_faults=healed_faults,
-        p90_latency_us=float(np.percentile(latencies, 90)) if executed else 0.0,
-        max_latency_us=float(latencies.max()) if executed else 0.0,
-        op_latency_histograms={k: h.summary() for k, h in op_hists.items()},
-        phase_latency_histograms=(
-            {p: h.summary() for p, h in phase_hists.items()}
-            if tracer is not None else None),
-        op_io_histograms=(
-            {k: h.summary() for k, h in io_hists.items()}
-            if tracer is not None else None),
-        shards=actual_shards,
-        replicas=actual_replicas,
-        per_shard=index.per_shard_delta(shard_view),
-        failovers=index.failovers - failovers_before,
-        hedged_reads=index.hedged_reads - hedged_before,
-        resync_blocks=index.resync_blocks - resync_blocks_before,
-    )
-
-
-def _client_digest(session, phase_hists=None) -> dict:
-    """One client's slice of a serving run, as histogram digests."""
-    overall = Histogram(latency_bounds())
-    by_kind: Dict[str, Histogram] = {}
-    for kind, us in zip(session.op_kinds, session.latencies_us):
-        overall.record(us)
-        hist = by_kind.get(kind)
-        if hist is None:
-            hist = by_kind[kind] = Histogram(latency_bounds())
-        hist.record(us)
-    digest = {
-        "ops": session.completed,
-        "latency": overall.summary(),
-        "op_latency_histograms": {k: h.summary() for k, h in by_kind.items()},
-        "latch_waits": session.latch_waits,
-        "latch_wait_us": session.latch_wait_us,
-        "commit_waits": session.commit_waits,
-        "commit_wait_us": session.commit_wait_us,
-        "snapshot_reads": session.snapshot_reads,
-        "snapshot_suppressed": session.snapshot_suppressed,
-        "committed_writes": session.committed_writes,
-        "shed_ops": session.shed_ops,
-        "deadline_misses": session.deadline_misses,
-        "retries_used": session.retries_used,
-        "max_dispatch_gap": session.max_dispatch_gap(),
-    }
-    if phase_hists is not None:
-        digest["phase_latency_histograms"] = {
-            p: h.summary() for p, h in phase_hists.items()}
-    return digest
-
-
-def _run_serving(index: DiskIndex, ops: Sequence[Operation], *, workload: str,
-                 scan_length: int, keep_latencies: bool, validate: bool,
-                 fault_injector: Optional[FaultInjector], tracer,
-                 clients: int, client_ops, snapshot_reads: bool,
-                 commit_group: Optional[int],
-                 commit_timeout_us: Optional[float],
-                 latching: bool, deadline_us: Optional[float],
-                 retry_budget: int, max_inflight_writes: Optional[int],
-                 max_queue_delay_us: Optional[float]) -> RunResult:
-    """The multi-client branch of :func:`run_workload`.
-
-    Deals ``ops`` into per-client streams (unless explicit ones are
-    given), drives :class:`repro.serving.ServingEngine`, and folds its
-    report into the common :class:`RunResult` shape plus the serving
-    extras.  Latencies here are client-perceived — device time plus
-    latch stalls plus group-commit waits — so tails widen with
-    contention even though the device does the same work.
-    """
-    # Imported lazily: repro.serving imports this package for the
-    # Operation alias, so a module-level import would be circular.
-    from ..serving import ServingEngine, split_ops
-
-    pager: Pager = index.pager
-    device = pager.device
-    wal = index.wal
-    if tracer is None:
-        tracer = index.tracer
-    if client_ops is not None:
-        streams = [list(stream) for stream in client_ops]
-    else:
-        streams = split_ops(ops, clients)
-
-    start = device.stats.snapshot()
-    file_reads_before = {name: f.reads for name, f in device.files.items()}
-    log_records_before = wal.records_appended if wal is not None else 0
-    log_flushes_before = wal.flushes if wal is not None else 0
-    flushes_before = pager.flushes
-    dirty_evictions_before = (pager.buffer_pool.dirty_evictions
-                              if pager.buffer_pool is not None else 0)
-    shard_view = index.per_shard_snapshot()
-    failovers_before = index.failovers
-    hedged_before = index.hedged_reads
-    resync_blocks_before = index.resync_blocks
-
-    engine = ServingEngine(
-        index, streams, scan_length=scan_length, validate=validate,
-        snapshot_reads=snapshot_reads, latching=latching,
-        commit_group=commit_group, commit_timeout_us=commit_timeout_us,
-        tracer=tracer, fault_injector=fault_injector,
-        deadline_us=deadline_us, retry_budget=retry_budget,
-        max_inflight_writes=max_inflight_writes,
-        max_queue_delay_us=max_queue_delay_us)
-    report = engine.run()
-
-    delta = device.stats.diff(start)
-    roles = index.file_roles()
-    inner_reads = 0
-    leaf_reads = 0
-    for name, handle in device.files.items():
-        file_delta = handle.reads - file_reads_before.get(name, 0)
-        if roles.get(name) == "inner":
-            inner_reads += file_delta
-        else:
-            leaf_reads += file_delta
-
-    latencies = report.latencies_us
-    executed = report.executed
-    op_hists: Dict[str, Histogram] = {}
-    for kind, us in zip(report.op_kinds, latencies):
-        hist = op_hists.get(kind)
-        if hist is None:
-            hist = op_hists[kind] = Histogram(latency_bounds())
-        hist.record(float(us))
-
-    traced = tracer is not None
-    client_hists = report.client_phase_hists if traced else {}
-    per_client = {
-        s.client_id: _client_digest(
-            s, (client_hists or {}).get(s.client_id) if traced else None)
-        for s in report.sessions
-    }
-
-    n = max(executed, 1)
-    sim_s = delta.elapsed_us / 1e6
-    return RunResult(
-        workload=workload,
-        index_name=index.name,
-        num_ops=executed,
-        sim_elapsed_us=delta.elapsed_us,
-        throughput_ops_per_s=executed / sim_s if sim_s > 0 else float("inf"),
-        mean_latency_us=float(latencies.mean()) if executed else 0.0,
-        p50_latency_us=float(np.percentile(latencies, 50)) if executed else 0.0,
-        p99_latency_us=float(np.percentile(latencies, 99)) if executed else 0.0,
-        std_latency_us=float(latencies.std()) if executed else 0.0,
-        blocks_read_per_op=delta.reads / n,
-        blocks_written_per_op=delta.writes / n,
-        inner_blocks_per_op=inner_reads / n,
-        leaf_blocks_per_op=leaf_reads / n,
-        time_by_phase_us=dict(delta.time_by_phase),
-        reads_by_phase=dict(delta.reads_by_phase),
-        writes_by_phase=dict(delta.writes_by_phase),
-        allocated_bytes=device.allocated_bytes,
-        live_bytes=device.live_bytes,
-        latencies_us=latencies if keep_latencies else None,
-        log_records=(wal.records_appended - log_records_before) if wal is not None else 0,
-        log_flushes=(wal.flushes - log_flushes_before) if wal is not None else 0,
-        log_blocks_written=delta.writes_by_phase.get("log", 0),
-        crashed_at_op=report.crashed_at_op,
-        read_positionings=delta.read_positionings,
-        write_positionings=delta.write_positionings,
-        coalesced_runs=delta.coalesced_runs,
-        coalesced_blocks=delta.coalesced_blocks,
-        flushes=pager.flushes - flushes_before,
-        dirty_evictions=(
-            pager.buffer_pool.dirty_evictions - dirty_evictions_before
-            if pager.buffer_pool is not None else 0),
-        io_retries=delta.io_retries,
-        checksum_failures=delta.checksum_failures,
-        repaired_blocks=delta.repaired_blocks,
-        p90_latency_us=float(np.percentile(latencies, 90)) if executed else 0.0,
-        max_latency_us=float(latencies.max()) if executed else 0.0,
-        op_latency_histograms={k: h.summary() for k, h in op_hists.items()},
-        phase_latency_histograms=(
-            {p: h.summary() for p, h in report.phase_hists.items()}
-            if traced else None),
-        op_io_histograms=(
-            {k: h.summary() for k, h in report.io_hists.items()}
-            if traced else None),
-        clients=len(streams),
-        per_client=per_client,
-        client_phase_histograms=(
-            {cid: {p: h.summary() for p, h in hists.items()}
-             for cid, hists in (client_hists or {}).items()}
-            if traced else None),
-        commit_groups=len(report.commit_groups),
-        mean_commit_group=report.mean_commit_group,
-        committed_writes=report.committed_writes,
-        commit_waits=report.commit_waits,
-        commit_wait_us=report.commit_wait_us,
-        latch_waits=report.latch_waits,
-        latch_wait_us=report.latch_wait_us,
-        read_latch_wait_us=report.read_latch_wait_us,
-        write_latch_wait_us=report.write_latch_wait_us,
-        snapshot_reads=report.snapshot_reads,
-        snapshot_suppressed=report.snapshot_suppressed,
-        shed_ops=report.shed_ops,
-        deadline_misses=report.deadline_misses,
-        op_retries=report.op_retries,
-        shards=index.num_shards,
-        replicas=index.replication_factor,
-        per_shard=index.per_shard_delta(shard_view),
-        failovers=index.failovers - failovers_before,
-        hedged_reads=index.hedged_reads - hedged_before,
-        resync_blocks=index.resync_blocks - resync_blocks_before,
-    )
+    # a unit's cost is shared evenly among its ops (x / 1 == x)
+    starts = np.flatnonzero(~np.isnan(latencies[:executed]))
+    sizes = np.diff(starts, append=executed)
+    latencies = np.repeat(latencies[starts] / sizes, sizes)
+    return meter.result(latencies, map(itemgetter(0), ops), phase_digest,
+                        io_digest, crashed_at_op=crashed_at, batch=batch,
+                        healed_faults=healed_faults)

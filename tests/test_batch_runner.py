@@ -67,10 +67,9 @@ def test_batch_run_with_tracer_scopes_one_span_per_group():
     from repro.obs import Tracer
 
     index, ops = _setup(num_ops=100)
-    tracer = Tracer()
-    tracer.bind(index.pager)
-    result = run_workload(index, ops, tracer=tracer, batch=10)
-    tracer.unbind()
+    index.attach_tracer(Tracer())
+    result = run_workload(index, ops, batch=10)
+    index.detach_tracer()
     assert result.op_io_histograms is not None
     assert result.op_io_histograms["lookup"]["count"] == len(ops)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import Histogram, io_bounds, latency_bounds
+from repro.obs import Histogram, KeyedDigest, io_bounds, latency_bounds
 
 
 def test_bounds_factories_strictly_increasing():
@@ -110,3 +110,18 @@ def test_merge_equals_recording_into_one():
     assert a.count == both.count
     assert a.total == both.total
     assert a.min == both.min and a.max == both.max
+
+
+def test_keyed_digest_makes_one_histogram_per_key_on_first_sample():
+    digest = KeyedDigest(io_bounds())
+    assert not digest and digest.summaries() == {}
+    for kind, blocks in (("lookup", 3), ("insert", 5), ("lookup", 4)):
+        digest[kind].record(blocks)
+    alone = Histogram(io_bounds())
+    alone.record(3)
+    alone.record(4)
+    assert list(digest) == ["lookup", "insert"]
+    assert digest.summaries()["lookup"] == alone.summary()
+    assert digest["insert"].bounds == alone.bounds
+    # a key that never got a sample reads as the empty histogram
+    assert digest["scan"].summary() == Histogram(io_bounds()).summary()

@@ -17,7 +17,8 @@ from repro.bench.experiments import run_experiment
 from repro.core import index_names, make_index
 from repro.durability import WriteAheadLog
 from repro.obs import Tracer, format_summary, load_trace, summarize
-from repro.storage import HDD, BlockDevice, BufferPool, Pager
+from repro.storage import (HDD, BlockDevice, BufferPool, DeviceFaultModel,
+                           Pager, StorageFault)
 from repro.workloads import WORKLOADS, build_workload, run_workload
 
 from tests.util import items_of, random_sorted_keys
@@ -221,6 +222,50 @@ def test_span_misuse_raises():
     with pytest.raises(RuntimeError):
         tracer.begin_op("lookup", 2, 1)
     tracer.end_op()
+
+
+def _traced_btree(keys):
+    device = BlockDevice(4096, HDD)
+    index = make_index("btree", Pager(device))
+    tracer = Tracer()
+    index.attach_tracer(tracer)  # before the load: totals cover the device's
+    index.bulk_load(items_of(keys))
+    return index, device, tracer
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+def test_failed_validation_closes_the_op_span(batch):
+    """An exception inside an op must not leave its span open: the next
+    run on the same tracer would die in ``begin_op``."""
+    keys = random_sorted_keys(400, seed=3)
+    index, _device, tracer = _traced_btree(keys)
+    absent = keys[200] + 1
+    assert absent not in keys
+    ops = [("lookup", k) for k in keys[:9]] + [("lookup", absent)]
+    with pytest.raises(AssertionError):
+        run_workload(index, ops, validate=True, batch=batch)
+    good = [("lookup", k) for k in keys[:9]]
+    result = run_workload(index, good, validate=True, batch=batch)
+    assert result.num_ops == len(good)
+    assert result.op_io_histograms["lookup"]["count"] == len(good)
+
+
+def test_storage_fault_in_a_group_closes_the_span_and_reconciles():
+    keys = random_sorted_keys(400, seed=4)
+    index, device, tracer = _traced_btree(keys)
+    device.fault_model = DeviceFaultModel(seed=2, persistent_error_rate=0.2)
+    with pytest.raises(StorageFault):
+        run_workload(index, [("lookup", k) for k in keys[:64]], batch=4)
+    tracer.begin_op("lookup", keys[0], 0)   # raises if a span was left open
+    tracer.end_op()
+    # everything charged up to the fault is accounted for, bit for bit
+    stats = device.stats
+    totals = tracer.totals()
+    assert totals["reads"] == dict(stats.reads_by_phase)
+    assert totals["us"] == dict(stats.time_by_phase)
+    records = list(tracer.iter_records())
+    assert sum_records(records, "reads") == dict(stats.reads_by_phase)
+    assert sum_records(records, "us_by_phase") == dict(stats.time_by_phase)
 
 
 def test_capacity_must_be_positive():

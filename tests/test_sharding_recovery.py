@@ -131,8 +131,7 @@ def test_whole_tier_power_loss_through_the_runner():
         ops.append(("insert", key))
 
     result = run_workload(index, ops, workload="crash",
-                          fault_injector=FaultInjector(crash_at_op=45),
-                          shards=3, replicas=2)
+                          fault_injector=FaultInjector(crash_at_op=45))
     assert result.crashed_at_op == 45
     assert result.shards == 3 and result.replicas == 2
 

@@ -4,11 +4,12 @@ Two layers of guarantees, each tested here (that the one execution path
 per index charges what the paper's cost model says is the recorded
 contract of ``tests/test_*_golden.py``):
 
-* **Model arithmetic is bit-identical.**  ``LinearModel.predict_many``
-  must reproduce per-key ``predict`` exactly — including keys adjacent
-  to 2**64, where a naive float subtraction loses thousands of
-  positions — because a batch must probe the slots its keys would
-  probe one at a time to charge identical I/O.
+* **Model arithmetic is bit-identical.**  ``anchored_diff`` (what
+  ``SegmentArray.predict`` multiplies) must reproduce the scalar
+  ``float(int(key) - anchor)`` exactly — including keys adjacent to
+  2**64, where a naive float subtraction loses thousands of positions —
+  because a batch must probe the slots its keys would probe one at a
+  time to charge identical I/O.
 * **Zero-copy codecs agree with the materializing ones.**
   ``keys_view``/``entry_at`` are strided views over raw block bytes;
   ``np.searchsorted`` over a view must land exactly where bisection
@@ -31,7 +32,7 @@ from repro.core.serial import (
     pack_entries,
     unpack_entries,
 )
-from repro.models import LinearModel, anchored_diff
+from repro.models import anchored_diff
 
 U64_MAX = 2**64 - 1
 
@@ -42,40 +43,11 @@ edge_keys = st.one_of(
     st.integers(U64_MAX - 2**16, U64_MAX),
     st.integers(0, 2**16),
 )
-# Realistic model coefficients: |slope| <= 1e6 positions/key over a
-# 2**64 key span stays finite in float64.
-slopes = st.floats(-1e6, 1e6, allow_nan=False)
-intercepts = st.floats(-1e9, 1e9, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
-# Batched model prediction == scalar model prediction, bit for bit
+# The anchored difference every batch prediction rests on
 # ---------------------------------------------------------------------------
-@settings(max_examples=200, deadline=None)
-@given(keys=st.lists(edge_keys, min_size=1, max_size=32),
-       anchor=edge_keys, slope=slopes, intercept=intercepts)
-def test_predict_many_matches_predict_bitwise(keys, anchor, slope, intercept):
-    model = LinearModel(slope=slope, intercept=intercept, anchor=anchor)
-    batched = model.predict_many(keys)
-    assert batched.dtype == np.float64
-    for key, got in zip(keys, batched.tolist()):
-        expected = model.predict(key)
-        # Bit-identity, not closeness: repr distinguishes every float64.
-        assert repr(got) == repr(expected), (key, anchor, slope, intercept)
-
-
-@settings(max_examples=200, deadline=None)
-@given(keys=st.lists(edge_keys, min_size=1, max_size=32),
-       anchor=edge_keys, slope=slopes, intercept=intercepts,
-       size=st.integers(1, 2**20))
-def test_predict_clamped_many_matches_scalar(keys, anchor, slope, intercept,
-                                             size):
-    model = LinearModel(slope=slope, intercept=intercept, anchor=anchor)
-    slots = model.predict_clamped_many(keys, size).tolist()
-    for key, got in zip(keys, slots):
-        assert got == model.predict_clamped(key, size)
-
-
 @settings(max_examples=200, deadline=None)
 @given(key=edge_keys, anchor=edge_keys)
 def test_anchored_diff_is_exact_integer_difference(key, anchor):
