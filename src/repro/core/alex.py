@@ -32,7 +32,10 @@ when the pager's own last-block copy stops answering for free — so what
 the device and the buffer pool are asked, and every charged number, is
 what one ``read_bytes`` per 16-byte probe would produce.  The write side
 (bitmap bits, gap runs, SMOs) and the scan's bitmap walk go to the pager
-call by call: those are the S3/S5 and maintenance costs above.
+call by call: those are the S3/S5 and maintenance costs above.  What a
+scan, an SMO and ``verify`` do with a fetched bitmap chunk and entry
+group is array work: :func:`_set_slots` turns bitmap bytes into the set
+slots in one pass, and a group of entries is filtered as two columns.
 
 The one deliberate simplification: ALEX's workload-statistics cost model
 for choosing between node expansion and splitting is replaced with the
@@ -45,6 +48,8 @@ from __future__ import annotations
 
 import struct
 from typing import List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..models import LinearModel
 from ..storage import BlockFile, Pager
@@ -101,6 +106,17 @@ def _predict_slot(slope: float, intercept: float, anchor: int, key: int,
     subtraction, float multiply-add and truncation, no model object."""
     pos = int(slope * float(int(key) - anchor) + intercept)
     return 0 if pos < 0 else min(pos, size - 1)
+
+
+def _set_slots(bitmap: bytes, first_slot: int, start_slot: int,
+               capacity: int) -> np.ndarray:
+    """The slots in ``[start_slot, capacity)`` whose bit is set, in
+    order; ``bitmap`` is a run of a node's bitmap bytes whose first bit
+    is slot ``first_slot`` (slot ``s`` is bit ``s & 7`` of byte
+    ``s >> 3``)."""
+    bits = np.unpackbits(np.frombuffer(bitmap, dtype=np.uint8), bitorder="little")
+    skip = max(start_slot - first_slot, 0)
+    return np.flatnonzero(bits[skip:capacity - first_slot]) + (first_slot + skip)
 
 
 class _Pinned:
@@ -437,6 +453,14 @@ class AlexIndex(DiskIndex):
                                     count * ENTRY_SIZE)
         return unpack_entries(raw, count)
 
+    def _read_entry_columns(self, block: int, capacity: int, lo: int,
+                            count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`_read_entries` as a key and a payload column."""
+        flat = np.frombuffer(self.pager.read_bytes(
+            self._data_file, self._entries_offset(block, capacity, lo),
+            count * ENTRY_SIZE), dtype="<u8")
+        return flat[0::2], flat[1::2]
+
     def _write_entries(self, block: int, capacity: int, lo: int,
                        entries: Sequence[KeyPayload]) -> None:
         self.pager.write_bytes(self._data_file,
@@ -719,13 +743,10 @@ class AlexIndex(DiskIndex):
         capacity = header.capacity
         bitmap = self.pager.read_bytes(self._data_file, self._bitmap_offset(block, 0),
                                        self._bitmap_bytes(capacity))
-        entries = self._read_entries(block, capacity, 0, capacity)
-        return [
-            entries[slot]
-            for slot in range(capacity)
-            if bitmap[slot >> 3] & (1 << (slot & 7))
-            and entries[slot][1] != TOMBSTONE  # deletes reclaimed at SMO time
-        ]
+        keys, payloads = self._read_entry_columns(block, capacity, 0, capacity)
+        real = _set_slots(bitmap, 0, 0, capacity)
+        real = real[payloads[real] != TOMBSTONE]  # deletes reclaimed at SMO time
+        return list(zip(keys[real].tolist(), payloads[real].tolist()))
 
     def _smo(self, block: int, header: _DataHeader,
              parent: Optional[Tuple[int, int]]) -> None:
@@ -929,27 +950,20 @@ class AlexIndex(DiskIndex):
             chunk = self.pager.read_bytes(self._data_file,
                                           self._bitmap_offset(block, byte_index),
                                           block_end - byte_index)
-            slots = [
-                (byte_index + i) * 8 + bit
-                for i, byte in enumerate(chunk)
-                for bit in range(8)
-                if byte & (1 << bit)
-            ]
-            slots = [s for s in slots if s >= start_slot and s < capacity]
+            slots = _set_slots(chunk, byte_index * 8, start_slot, capacity)
             # Fetch entries in groups capped by the remaining scan need, so
             # a sparse node never costs a whole-span read.
             group_start = 0
             while group_start < len(slots) and len(out) < count:
                 group = slots[group_start : group_start + (count - len(out))]
-                entries = self._read_entries(block, capacity, group[0],
-                                             group[-1] - group[0] + 1)
-                for s in group:
-                    key, payload = entries[s - group[0]]
-                    if key >= start_key and payload != TOMBSTONE:
-                        out.append((key, payload))
-                        if len(out) >= count:
-                            break
+                first = int(group[0])
+                keys, payloads = self._read_entry_columns(
+                    block, capacity, first, int(group[-1]) - first + 1)
                 group_start += len(group)
+                picked = group - first
+                keys, payloads = keys[picked], payloads[picked]
+                live = (keys >= start_key) & (payloads != TOMBSTONE)
+                out.extend(zip(keys[live].tolist(), payloads[live].tolist()))
             byte_index = block_end
 
     # -- misc -------------------------------------------------------------------------
@@ -977,26 +991,20 @@ class AlexIndex(DiskIndex):
                 bitmap = self.pager.read_bytes(
                     self._data_file, self._bitmap_offset(block, 0),
                     self._bitmap_bytes(capacity))
-                entries = self._read_entries(block, capacity, 0, capacity)
-                real = 0
-                node_previous = -1
-                first_key = None
-                for slot in range(capacity):
-                    key = entries[slot][0]
-                    if header.num_keys:
-                        assert key >= node_previous, "gapped array not non-decreasing"
-                    node_previous = key
-                    if bitmap[slot >> 3] & (1 << (slot & 7)):
-                        real += 1
-                        assert key > previous_key, "real keys out of global order"
-                        previous_key = key
-                        if first_key is None:
-                            first_key = key
-                        if entries[slot][1] != TOMBSTONE:
-                            count += 1
+                keys, payloads = self._read_entry_columns(block, capacity, 0, capacity)
+                if header.num_keys:
+                    assert (keys[1:] >= keys[:-1]).all(), "gapped array not non-decreasing"
+                slots = _set_slots(bitmap, 0, 0, capacity)
+                real = len(slots)
                 assert real == header.num_keys, (
                     f"bitmap population {real} != header num_keys {header.num_keys}")
                 if real:
+                    real_keys = keys[slots]
+                    first_key = int(real_keys[0])
+                    assert first_key > previous_key and (
+                        real_keys[1:] > real_keys[:-1]).all(), "real keys out of global order"
+                    previous_key = int(real_keys[-1])
+                    count += int(np.count_nonzero(payloads[slots] != TOMBSTONE))
                     for key in (first_key, previous_key):
                         assert self._descend(key, self.pager)[0] == block, (
                             f"key {key} of data node {block} is routed elsewhere")

@@ -195,8 +195,10 @@ class HybridIndex(DiskIndex):
             "the hybrid design is evaluated read-only in the paper (Table 5)")
 
     def scan(self, start_key: int, count: int) -> List[KeyPayload]:
+        if count <= 0:
+            return []
         leaf_block = self._route(start_key)
-        if leaf_block is None or count <= 0:
+        if leaf_block is None:
             return []
         with self.pager.phase("scan"):
             return self.leaves.scan(leaf_block, start_key, count)

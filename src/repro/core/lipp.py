@@ -25,6 +25,16 @@ Write-path behaviour the paper measures:
 LIPP is excluded from the memory-resident-inner experiment: it does not
 distinguish inner from leaf nodes, and its root node alone is larger
 than every other index's full inner structure (Section 6.2).
+
+Point verbs read a header and a slot per level through the pager.
+Everything that visits slots in order — ``scan``, the collection pass of
+a subtree rebuild, ``verify`` and ``height`` — is one walk
+(:meth:`LippIndex._walk`, DESIGN.md Section 15): iterative, on an
+explicit stack, decoding the slots of the block in hand and asking the
+pager for a block only when the next slot lies in another one.  A scan
+is charged what one read per slot would be: the conflict children it
+hops through, each displacing its parent's block, are the cost the
+paper reports for LIPP scans.
 """
 
 from __future__ import annotations
@@ -310,7 +320,8 @@ class LippIndex(DiskIndex):
     def _rebuild_subtree(self, block: int, parent_path: List[Tuple[int, _NodeHeader]]) -> None:
         """Collect a subtree's items, rebuild it with FMCD, repoint the parent."""
         self.num_rebuilds += 1
-        items = list(self._iterate_subtree(block))
+        items = [(key, payload)
+                 for slot, key, payload, _node in self._walk(block) if slot >= 0]
         self._free_subtree(block)
         new_block = self._build_node(items)
         if not parent_path:
@@ -383,30 +394,82 @@ class LippIndex(DiskIndex):
             return []
         with self.pager.phase("scan"):
             out: List[KeyPayload] = []
-            for entry in self._iterate_subtree(self.root_block, start_key):
-                out.append(entry)
-                if len(out) >= count:
-                    break
+            for slot, key, payload, _node in self._walk(self.root_block, start_key):
+                if slot >= 0:
+                    out.append((key, payload))
+                    if len(out) >= count:
+                        break
             return out
 
-    def _iterate_subtree(self, block: int, start_key: int = 0) -> Iterator[KeyPayload]:
-        """In-order iteration, descending into conflict children.
+    def _walk(self, root: int, start_key: int = 0
+              ) -> Iterator[Tuple[int, int, int, _NodeHeader]]:
+        """In-order walk of the subtree at ``root``, conflict children
+        included, on an explicit stack.  Yields ``(slot, key, payload,
+        node header)`` for each DATA slot whose key is >= ``start_key``
+        and, once a node's last slot is behind it, ``(-1, entries yielded
+        from its subtree, its depth below root (root = 1), node header)``.
 
         Monotonicity of the model guarantees keys >= start_key never live
         in slots before the predicted start slot.
+
+        The walk holds the block it fetched last and decodes the run of
+        slots lying inside it; it goes to the pager when the next slot is
+        in another block — which the parent's is once a child subtree has
+        been walked — and for a slot lying across two blocks (read as its
+        24-byte range, after which nothing is held: which of the two the
+        pager kept is the pager's to say).  The requests left out are
+        those the pager answers from its own last-block copy, so every
+        charge is that of one read per slot.
         """
-        header = self._read_header(block)
-        first_slot = header.predict(start_key) if start_key else 0
-        for slot in range(first_slot, header.num_slots):
-            flag, slot_key, payload = self._read_slot(block, slot)
-            if flag == SLOT_NULL:
-                continue
-            if flag == SLOT_DATA:
-                if slot_key >= start_key:
-                    yield (slot_key, payload)
-            else:
-                child_start = start_key if slot == first_slot else 0
-                yield from self._iterate_subtree(slot_key, child_start)
+        pager, file, bs = self.pager, self._file, self.pager.block_size
+        read_block = pager.read_block
+        # (block, header, next slot, start key, entries yielded so far)
+        # of each node above the one being walked
+        stack: List[Tuple[int, _NodeHeader, int, int, int]] = []
+        block = root
+        while True:
+            held_no, held = block, read_block(file, block)
+            header = _NodeHeader.unpack(held)
+            slot = first_slot = header.predict(start_key) if start_key else 0
+            walked = 0
+            while True:
+                if slot >= header.num_slots:
+                    yield -1, walked, len(stack) + 1, header
+                    if not stack:
+                        return
+                    block, header, slot, start_key, above = stack.pop()
+                    walked += above
+                    first_slot = -1
+                    continue
+                offset = block * bs + HEADER_SIZE + slot * SLOT_SIZE
+                block_no, at = divmod(offset, bs)
+                if at + SLOT_SIZE > bs:
+                    run = pager.read_bytes(file, offset, SLOT_SIZE)
+                    held_no = -1
+                else:
+                    if block_no != held_no:
+                        held_no, held = block_no, read_block(file, block_no)
+                    fit = min((bs - at) // SLOT_SIZE, header.num_slots - slot)
+                    run = memoryview(held)[at:at + fit * SLOT_SIZE]
+                child = NULL_BLOCK
+                for slot, (flag, key, payload) in enumerate(_SLOT.iter_unpack(run), slot):
+                    if flag == SLOT_NULL:
+                        continue
+                    if flag == SLOT_DATA:
+                        if key >= start_key:
+                            walked += 1
+                            yield slot, key, payload, header
+                    else:
+                        assert flag == SLOT_NODE, f"bad slot flag {flag}"
+                        child = key
+                        break
+                slot += 1  # past the run's last slot, or past the child's
+                if child != NULL_BLOCK:
+                    stack.append((block, header, slot, start_key, walked))
+                    if slot - 1 != first_slot:
+                        start_key = 0
+                    block = child
+                    break
 
     # -- misc -------------------------------------------------------------------------
 
@@ -414,26 +477,20 @@ class LippIndex(DiskIndex):
         """Check slot-flag sanity, model-placement exactness (every DATA
         key predicts to its own slot) and per-node item counts."""
         with self._free_io():
-            return self._verify_node(self.root_block, previous=[-1])
-
-    def _verify_node(self, block: int, previous: List[int]) -> int:
-        header = self._read_header(block)
-        count = 0
-        for slot in range(header.num_slots):
-            flag, slot_key, _payload = self._read_slot(block, slot)
-            assert flag in (SLOT_NULL, SLOT_DATA, SLOT_NODE), f"bad slot flag {flag}"
-            if flag == SLOT_DATA:
-                assert header.predict(slot_key) == slot, (
-                    f"key {slot_key} stored at slot {slot}, model predicts "
-                    f"{header.predict(slot_key)}")
-                assert slot_key > previous[0], "keys out of in-order sequence"
-                previous[0] = slot_key
-                count += 1
-            elif flag == SLOT_NODE:
-                count += self._verify_node(slot_key, previous)
-        assert count == header.item_count, (
-            f"node item_count {header.item_count} != walked {count}")
-        return count
+            previous = -1
+            walked = 0
+            for slot, key, _payload, node in self._walk(self.root_block):
+                if slot < 0:
+                    walked = key  # entries under ``node``; the root comes last
+                    assert walked == node.item_count, (
+                        f"node item_count {node.item_count} != walked {walked}")
+                    continue
+                assert node.predict(key) == slot, (
+                    f"key {key} stored at slot {slot}, model predicts "
+                    f"{node.predict(key)}")
+                assert key > previous, "keys out of in-order sequence"
+                previous = key
+            return walked
 
     def init_params(self) -> dict:
         return {"rebuild_factor": self.rebuild_factor,
@@ -462,15 +519,7 @@ class LippIndex(DiskIndex):
         was_resident = self._file.memory_resident
         self._file.memory_resident = True
         try:
-            return self._depth(self.root_block)
+            return max(depth for slot, _walked, depth, _node
+                       in self._walk(self.root_block) if slot < 0)
         finally:
             self._file.memory_resident = was_resident
-
-    def _depth(self, block: int) -> int:
-        header = self._read_header(block)
-        best = 1
-        for slot in range(header.num_slots):
-            flag, slot_key, _payload = self._read_slot(block, slot)
-            if flag == SLOT_NODE:
-                best = max(best, 1 + self._depth(slot_key))
-        return best

@@ -39,6 +39,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import struct
+from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -537,6 +538,8 @@ class PgmIndex(DiskIndex):
     # -- scan --------------------------------------------------------------------------
 
     def scan(self, start_key: int, count: int) -> List[KeyPayload]:
+        if count <= 0:
+            return []
         with self.pager.phase("scan"):
             iters: List[Iterator[KeyPayload]] = []
             buffered = self.buffer_count
@@ -676,7 +679,10 @@ def _merge_iters_take(iters: List[Iterator[KeyPayload]], count: int) -> List[Key
     """Take the first ``count`` live entries of the merged iterators.
 
     Iterators are ordered newest-first; on duplicate keys the newest run
-    wins, and keys whose newest value is a tombstone are skipped.
+    wins, and keys whose newest value is a tombstone are skipped.  Every
+    entry taken from a run is followed by a pull of that run's next one
+    (the merge needs it to order the runs), the last entry of the scan
+    included — the block that pull may fetch is part of a scan's charge.
     """
     heap: List[Tuple[int, int, int, Iterator[KeyPayload]]] = []
     for i, it in enumerate(iters):
@@ -686,7 +692,7 @@ def _merge_iters_take(iters: List[Iterator[KeyPayload]], count: int) -> List[Key
     heapq.heapify(heap)
     out: List[KeyPayload] = []
     last_key: Optional[int] = None
-    while heap and len(out) < count:
+    while len(heap) > 1 and len(out) < count:
         key, i, payload, it = heapq.heappop(heap)
         if key != last_key:
             last_key = key
@@ -695,4 +701,18 @@ def _merge_iters_take(iters: List[Iterator[KeyPayload]], count: int) -> List[Key
         nxt = next(it, None)
         if nxt is not None:
             heapq.heappush(heap, (nxt[0], i, nxt[1], it))
+    if heap and len(out) < count:
+        # One run left, nothing to order it against: its head (which a
+        # newer run may have shadowed), then slices of what the scan
+        # still needs — keys within a run are distinct.
+        key, _i, payload, it = heap[0]
+        if key != last_key and payload != TOMBSTONE:
+            out.append((key, payload))
+        while len(out) < count:
+            wanted = count - len(out)
+            entries = list(islice(it, wanted))
+            out.extend([entry for entry in entries if entry[1] != TOMBSTONE])
+            if len(entries) < wanted:
+                return out  # the run ended
+        next(it, None)
     return out

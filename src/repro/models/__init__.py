@@ -1,7 +1,7 @@
 """Model substrate: linear models, PLA segmentation, FMCD."""
 
 from .fmcd import FmcdResult, build_fmcd_model, conflict_degree, lipp_node_slots
-from .linear import LinearModel, anchored_diff, truncate_positions, truncate_slots
+from .linear import LinearModel, anchored_diff
 from .pla import Segment, SegmentArray, optimal_segments, shrinking_cone_segments
 from .zonemap import FenceZonemap
 
@@ -17,6 +17,4 @@ __all__ = [
     "lipp_node_slots",
     "optimal_segments",
     "shrinking_cone_segments",
-    "truncate_positions",
-    "truncate_slots",
 ]

@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["LinearModel", "NUMPY_MIN", "anchored_diff",
-           "truncate_positions", "truncate_slots"]
+__all__ = ["LinearModel", "NUMPY_MIN", "anchored_diff"]
 
 #: Minimum numpy release the vectorized paths are tested against
 #: (record-dtype ``np.frombuffer`` views, NEP-50-stable uint64 casts).
@@ -44,11 +43,6 @@ def _check_numpy_version() -> None:
 
 _check_numpy_version()
 
-#: Float positions are clipped to this magnitude before the int64 cast in
-#: the clamped-slot paths; anything beyond it clamps to the ends of the
-#: slot range anyway, and the cast itself stays exact below 2**63.
-_SLOT_CLIP = 1e18
-
 
 def anchored_diff(keys: np.ndarray, anchor) -> np.ndarray:
     """``float64(int(key) - anchor)`` for a uint64 key array, exactly.
@@ -67,25 +61,6 @@ def anchored_diff(keys: np.ndarray, anchor) -> np.ndarray:
     if below.any():
         out[below] = -((np.uint64(0) - d[below]).astype(np.float64))
     return out
-
-
-def truncate_positions(positions: np.ndarray) -> np.ndarray:
-    """``int(pos)`` vectorized: truncation toward zero, exactly like the
-    scalar cast for every position that matters.
-
-    ``astype(int64)`` truncates toward zero like Python ``int()``; the
-    pre-clip keeps the cast in-range, and since every caller clamps the
-    result into a slot/window range far below the clip magnitude, the
-    clipped extremes land on the same clamped slot as the scalar path.
-    """
-    pos = np.clip(positions, -_SLOT_CLIP, _SLOT_CLIP)
-    return pos.astype(np.int64)
-
-
-def truncate_slots(positions: np.ndarray, size: int) -> np.ndarray:
-    """``int(pos)`` then clamp to ``[0, size - 1]``, vectorized."""
-    slots = truncate_positions(positions)
-    return np.clip(slots, 0, size - 1, out=slots)
 
 
 @dataclass

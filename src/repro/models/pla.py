@@ -27,7 +27,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .linear import LinearModel, anchored_diff, truncate_slots
+from .linear import LinearModel, anchored_diff
 
 __all__ = ["Segment", "SegmentArray", "optimal_segments",
            "shrinking_cone_segments"]

@@ -17,7 +17,7 @@ by the bucket spacing, in exchange for constant memory.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import defaultdict
 from typing import Dict, Optional, Sequence, Tuple
 

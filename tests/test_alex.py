@@ -1,5 +1,6 @@
 """ALEX-specific tests: gapped arrays, bitmap, SMO mechanisms, layouts,
-and the one in-node search against a per-probe reference."""
+the one in-node search against a per-probe reference and the bitmap walk
+against a per-bit one."""
 
 import dataclasses
 import random
@@ -16,7 +17,7 @@ from repro.core.serial import ENTRY_SIZE, pack_entries
 from repro.models import LinearModel
 from repro.storage import HDD, NULL_DEVICE, BlockDevice, BufferPool, Pager
 
-from tests.util import ReferenceModel, items_of, random_sorted_keys
+from tests.util import ReferenceModel, charges_of, items_of, random_sorted_keys
 
 
 def fresh(**kwargs):
@@ -393,3 +394,130 @@ def test_no_stale_bytes_survive_an_smo(layout, write_back):
     assert kinds == {"expand", "split", "split_down"}
     assert index.num_splits > index.num_split_downs + 1, "sideways splits"
     assert index.verify() == len(model)
+
+
+# -- the bitmap walk, against a reference --------------------------------------
+
+
+def _per_bit_scan_node(index, block, capacity, start_slot, start_key, count, out):
+    """``_scan_node`` one bit and one entry at a time, as it was before
+    the bitmap kernel: the same ``read_bytes`` for the rest of a bitmap
+    block and for each capped group of entries."""
+    bs = index.pager.block_size
+    bitmap_bytes = index._bitmap_bytes(capacity)
+    byte_index = start_slot >> 3
+    while byte_index < bitmap_bytes and len(out) < count:
+        block_end = min(bitmap_bytes,
+                        ((index._bitmap_offset(block, byte_index) // bs) + 1) * bs
+                        - index._bitmap_offset(block, 0))
+        chunk = index.pager.read_bytes(index._data_file,
+                                       index._bitmap_offset(block, byte_index),
+                                       block_end - byte_index)
+        slots = [(byte_index + i) * 8 + bit
+                 for i, byte in enumerate(chunk) for bit in range(8)
+                 if byte & (1 << bit)]
+        slots = [s for s in slots if s >= start_slot and s < capacity]
+        group_start = 0
+        while group_start < len(slots) and len(out) < count:
+            group = slots[group_start : group_start + (count - len(out))]
+            entries = index._read_entries(block, capacity, group[0],
+                                          group[-1] - group[0] + 1)
+            for s in group:
+                key, payload = entries[s - group[0]]
+                if key >= start_key and payload != TOMBSTONE:
+                    out.append((key, payload))
+                    if len(out) >= count:
+                        break
+            group_start += len(group)
+        byte_index = block_end
+
+
+def _per_bit_real_entries(index, block, header):
+    """``_read_real_entries`` testing one bitmap bit per slot."""
+    capacity = header.capacity
+    bitmap = index.pager.read_bytes(index._data_file, index._bitmap_offset(block, 0),
+                                    index._bitmap_bytes(capacity))
+    entries = index._read_entries(block, capacity, 0, capacity)
+    return [entries[slot] for slot in range(capacity)
+            if bitmap[slot >> 3] & (1 << (slot & 7))
+            and entries[slot][1] != TOMBSTONE]
+
+
+@st.composite
+def _gapped_nodes(draw):
+    """A data node's gapped array: which slots are real (2% to all of
+    them, so the cap on an entry group matters at one end and runs of
+    set bits at the other), tombstones among them, gap slots copying the
+    real entry to their left, and scans from anywhere for any count."""
+    # 256-byte blocks: a bitmap of more than 192 bytes (capacity > 1536)
+    # runs into the node's second block.
+    capacity = draw(st.one_of(st.integers(17, 400), st.integers(1537, 2600)))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.02, 0.3, 0.8, 1.0]))
+    real = sorted(rng.sample(range(capacity), max(1, int(capacity * density))))
+    low = draw(st.integers(2, 1 << 62))
+    keys = sorted(rng.sample(range(low, low + 4 * capacity), len(real)))
+    dead = draw(st.sampled_from([0.0, 0.1, 0.6]))
+    entries = [(key, TOMBSTONE if rng.random() < dead else key ^ 1) for key in keys]
+    scans = draw(st.lists(st.tuples(
+        st.one_of(st.sampled_from(keys), st.integers(low - 2, low + 4 * capacity + 2),
+                  st.sampled_from([0, 2**64 - 1])),
+        st.integers(1, 150)), min_size=1, max_size=8))
+    return capacity, real, entries, scans
+
+
+def _gapped_node(block_size, layout, pooled, capacity, real, entries):
+    """An index whose only node is the hand-built data node, one block
+    into its file, with stray bits set past ``capacity`` in the bitmap's
+    last byte."""
+    pool = BufferPool(2) if pooled else None
+    index = AlexIndex(Pager(BlockDevice(block_size, HDD), buffer_pool=pool),
+                      layout=layout)
+    block = index._data_file.allocate(1 + index._data_extent_blocks(capacity)) + 1
+    bitmap = bytearray(index._bitmap_bytes(capacity))
+    slots = [entries[0]] * capacity
+    for slot, entry in zip(real, entries):
+        bitmap[slot >> 3] |= 1 << (slot & 7)
+        slots[slot:] = [entry] * (capacity - slot)
+    if capacity & 7:
+        bitmap[-1] |= 0xFF & ~((1 << (capacity & 7)) - 1)
+    header = _DataHeader(capacity, len(real), 0.25, 0.0, anchor=entries[0][0])
+    index.pager.write_bytes(index._data_file, block * block_size,
+                            header.pack() + bytes(bitmap) + pack_entries(slots))
+    index.root_ptr = _pack_ptr(True, block)
+    return index, block, header
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["nopool", "pool2"])
+@pytest.mark.parametrize("layout", [1, 2])
+@pytest.mark.parametrize("block_size", [256, 512])
+@settings(max_examples=40, deadline=None)
+@given(node=_gapped_nodes())
+def test_bitmap_walk_matches_and_charges_like_per_bit_reads(
+        block_size, layout, pooled, node):
+    """Scans, the SMO's read of a node and ``verify`` give the per-bit
+    answers, and scans and the SMO read charge (and probe a two-frame
+    pool) exactly alike, over a run of scans that inherit each other's
+    last block.
+
+    Kills: reading the whole bitmap where only the rest of its block is
+    due; fetching a chunk's entries as one span rather than in groups
+    capped by what the scan still needs; counting a bit below the start
+    slot or a stray bit past ``capacity``; keeping a tombstone or a gap
+    copy's key below ``start_key``.
+    """
+    capacity, real, entries, scans = node
+    index, block, header = _gapped_node(block_size, layout, pooled,
+                                        capacity, real, entries)
+    twin, _, _ = _gapped_node(block_size, layout, pooled, capacity, real, entries)
+    twin._scan_node = lambda *args: _per_bit_scan_node(twin, *args)
+    live = [entry for entry in entries if entry[1] != TOMBSTONE]
+    for start, count in scans:
+        expected = [entry for entry in live if entry[0] >= start][:count]
+        assert index.scan(start, count) == expected
+        assert twin.scan(start, count) == expected
+        assert charges_of(index) == charges_of(twin), (start, count)
+    assert index._read_real_entries(block, header) == live
+    assert _per_bit_real_entries(twin, block, header) == live
+    assert charges_of(index) == charges_of(twin)
+    assert index.verify() == len(live)

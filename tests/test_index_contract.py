@@ -82,8 +82,13 @@ def test_scan_past_the_end(name):
 
 @pytest.mark.parametrize("name", READONLY_INDEXES)
 def test_scan_zero_count(name):
+    """A scan that asks for nothing returns nothing and reads nothing."""
     index = loaded(name, KEYS)
+    index.pager.drop_last_block()
+    reads = index.pager.stats.reads
     assert index.scan(KEYS[0], 0) == []
+    assert index.scan(KEYS[len(KEYS) // 2], -1) == []
+    assert index.pager.stats.reads == reads
 
 
 @pytest.mark.parametrize("name", ALL_INDEXES)

@@ -1,13 +1,17 @@
-"""LIPP-specific tests: FMCD nodes, conflict children, path statistics."""
+"""LIPP-specific tests: FMCD nodes, conflict children, path statistics,
+and the one slot walk against a per-slot reference."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.lipp import SLOT_DATA, SLOT_NODE, SLOT_NULL, LippIndex
-from repro.storage import NULL_DEVICE, BlockDevice, Pager
+from repro.core.lipp import (HEADER_SIZE, SLOT_DATA, SLOT_NODE, SLOT_NULL,
+                             SLOT_SIZE, LippIndex)
+from repro.storage import HDD, NULL_DEVICE, BlockDevice, BufferPool, Pager
 
-from tests.util import items_of, random_sorted_keys
+from tests.util import charges_of, items_of, random_sorted_keys
 
 
 def fresh(**kwargs):
@@ -186,3 +190,157 @@ def test_insert_requires_bulk_load():
     index, _ = fresh()
     with pytest.raises(RuntimeError):
         index.insert(1, 2)
+
+
+# -- the one slot walk, against a reference -----------------------------------
+
+
+def _per_slot_walk(index, block, start_key=0, depth=1):
+    """The walk as the paper charges it, and as ``_iterate_subtree`` made
+    it before the walker held a block: the header, then one
+    ``read_bytes`` of 24 bytes per slot, nothing held between them,
+    recursing into a conflict child at its slot.  Yields what
+    ``LippIndex._walk`` yields, so everything built on the walk (scan,
+    subtree rebuild, verify, height) can run on either."""
+    header = index._read_header(block)
+    first_slot = header.predict(start_key) if start_key else 0
+    walked = 0
+    for slot in range(first_slot, header.num_slots):
+        flag, key, payload = index._read_slot(block, slot)
+        if flag == SLOT_DATA:
+            if key >= start_key:
+                walked += 1
+                yield slot, key, payload, header
+        elif flag == SLOT_NODE:
+            child_start = start_key if slot == first_slot else 0
+            for event in _per_slot_walk(index, key, child_start, depth + 1):
+                yield event
+            walked += event[1]  # the child's own leave event comes last
+    yield -1, walked, depth, header
+
+
+def _lipp_pair(block_size, pooled, keys, gap_count):
+    """The index under test and a twin built by the same calls whose
+    every walk is the per-slot reference."""
+    pair = []
+    for _ in range(2):
+        pool = BufferPool(2) if pooled else None
+        index = LippIndex(Pager(BlockDevice(block_size, HDD), buffer_pool=pool),
+                          rebuild_factor=0.5, build_gap_count=gap_count)
+        index.bulk_load(items_of(keys))
+        pair.append(index)
+    index, twin = pair
+    twin._walk = lambda root, start_key=0: _per_slot_walk(twin, root, start_key)
+    return index, twin
+
+
+@st.composite
+def _lipp_histories(draw):
+    """Clustered keys (conflict children several levels deep), then
+    inserts beside stored keys (more children; enough of them rebuild a
+    subtree at ``rebuild_factor=0.5``), deletes (NULL slots, emptied
+    children) and scans from anywhere for any count."""
+    spread = draw(st.sampled_from([3, 40, 1 << 30]))
+    low = draw(st.integers(1, 1 << 62))
+    keys = sorted({low + draw(st.integers(0, spread * 200))
+                   for _ in range(draw(st.integers(1, 200)))})
+    gap_count = draw(st.sampled_from([1, 2, 4]))  # 2x, 3x, 5x slots per item
+    key = st.one_of(st.sampled_from(keys),
+                    st.integers(low - 2, low + spread * 200 + 2),
+                    st.sampled_from([0, 1, keys[0] - 1, keys[-1] + 1, 2**64 - 1]))
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("scan"), key, st.integers(1, 2 * len(keys) + 2)),
+        st.tuples(st.just("insert"), key, st.just(0)),
+        st.tuples(st.just("delete"), key, st.just(0))),
+        min_size=1, max_size=30))
+    return keys, gap_count, ops
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["nopool", "pool2"])
+@pytest.mark.parametrize("block_size", [256, 512])
+@settings(max_examples=60, deadline=None)
+@given(history=_lipp_histories())
+def test_walk_matches_and_charges_like_per_slot_reads(block_size, pooled, history):
+    """Same answers, and after every operation every ``StorageStats``
+    field (and every buffer-pool probe, with two frames) equals the
+    per-slot reference's: the walker may leave out only the requests the
+    pager answers from its last-block copy.  24-byte slots do not divide
+    256- or 512-byte blocks, so slots lie across block boundaries.
+
+    Kills: holding the block across a child subtree (the parent's block
+    is charged again after it); holding a block after a slot read as a
+    two-block range; reading a node or a block ahead of the slot needed
+    (a scan ending on a block's last slot must not touch the next one);
+    dropping the start-key filter below the first slot's child.
+    """
+    keys, gap_count, ops = history
+    index, twin = _lipp_pair(block_size, pooled, keys, gap_count)
+    stored = set(keys)
+    for op, key, count in ops:
+        if op == "scan":
+            expected = [(k, k + 1) for k in sorted(stored) if k >= key][:count]
+            assert index.scan(key, count) == expected
+            assert twin.scan(key, count) == expected
+        elif op == "insert" and key not in stored and key + 1 < 2**64:
+            stored.add(key)
+            index.insert(key, key + 1)
+            twin.insert(key, key + 1)
+        elif op == "delete":
+            stored.discard(key)
+            assert index.delete(key) == twin.delete(key)
+        assert charges_of(index) == charges_of(twin), (op, key, count)
+    assert index.num_rebuilds == twin.num_rebuilds
+    assert index.verify() == twin.verify() == len(stored)
+    assert index.height() == twin.height()
+    assert charges_of(index) == charges_of(twin)
+
+
+@pytest.mark.parametrize("block_size", [256, 512])
+@settings(max_examples=40, deadline=None)
+@given(history=_lipp_histories())
+def test_walk_inside_a_batch_asks_for_each_block_once(block_size, history):
+    """``scan_range`` pages through ``scan`` inside ``pager.batch()``:
+    same rows and same charges as per-slot reads in a batch of their
+    own, and no block is charged twice while it is pinned."""
+    keys, gap_count, ops = history
+    index, twin = _lipp_pair(block_size, False, keys, gap_count)
+    for _op, low, span in ops:
+        high = min(low + span * 7, 2**64 - 1)
+        expected = [(k, k + 1) for k in keys if low <= k <= high]
+        reads = index.pager.stats.reads
+        assert index.scan_range(low, high, batch=5) == expected
+        assert twin.scan_range(low, high, batch=5) == expected
+        assert charges_of(index) == charges_of(twin), (low, high)
+        assert index.pager.stats.reads - reads <= index._file.num_blocks
+
+
+def test_walk_reference_cases_are_really_generated():
+    """The shapes the properties above are meant to cover do occur on
+    these block sizes: a conflict child in the first and in the last
+    whole slot of a block, a child in a slot lying across two blocks, a
+    one-slot node and a node of several blocks."""
+    rng = random.Random(11)
+    keys = sorted({rng.randrange(1 << 20) * 1000 + rng.randrange(6)
+                   for _ in range(400)})
+    index, _twin = _lipp_pair(256, False, keys, 1)
+    shapes = set()
+    nodes = [index.root_block]
+    while nodes:
+        block = nodes.pop()
+        header = index._read_header(block)
+        if header.num_slots * SLOT_SIZE > 3 * 256:
+            shapes.add("several blocks")
+        for slot in range(header.num_slots):
+            flag, child, _payload = index._read_slot(block, slot)
+            if flag != SLOT_NODE:
+                continue
+            nodes.append(child)
+            at = (HEADER_SIZE + slot * SLOT_SIZE) % 256
+            shapes.add("first of block" if at < SLOT_SIZE and at + SLOT_SIZE <= 256
+                       else "across blocks" if at + SLOT_SIZE > 256
+                       else "last of block" if at + 2 * SLOT_SIZE > 256
+                       else "inside")
+    one, _ = _lipp_pair(256, False, [7], 0)
+    assert one._read_header(one.root_block).num_slots == 1
+    assert shapes >= {"several blocks", "first of block", "across blocks",
+                      "last of block", "inside"}

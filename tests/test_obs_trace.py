@@ -77,6 +77,25 @@ def test_trace_reconciles_with_storage_stats(name, tmp_path):
     assert summary["dropped_ops"] > 0  # the ring buffer really did fold
 
 
+@pytest.mark.parametrize("name", ["pgm", "alex", "lipp"])
+def test_traced_scans_reconcile_with_storage_stats(name, tmp_path):
+    """The block-at-a-time scans leave out pager requests, never device
+    ones: a traced scan-only run still sums to ``StorageStats`` exactly."""
+    keys = np.array(random_sorted_keys(3000, seed=6), dtype="u8")
+    bulk, ops = build_workload(WORKLOADS["scan_only"], keys, 60, seed=3)
+    device = BlockDevice(512, HDD)
+    index = make_index(name, Pager(device))
+    tracer = Tracer()
+    index.attach_tracer(tracer)
+    index.bulk_load(bulk)
+    run_workload(index, ops, workload="scan_only")
+    records = export(tracer, tmp_path)
+    stats = device.stats
+    assert stats.reads_by_phase["scan"] > 0
+    assert sum_records(records, "reads") == dict(stats.reads_by_phase)
+    assert sum_records(records, "us_by_phase") == dict(stats.time_by_phase)
+
+
 def test_trace_reconciles_across_run_experiment(tmp_path, monkeypatch):
     """The CLI path: run_experiment(--trace) exports a multi-device trace
     whose records sum to the summary record's totals."""

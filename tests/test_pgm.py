@@ -187,6 +187,29 @@ def test_scan_merges_buffer_and_components():
     assert index.scan(0, 40) == [(k, k + 1) for k in merged[:40]]
 
 
+def test_scan_pulls_one_entry_past_its_last():
+    """The merge pulls a run's next entry after each one it takes, the
+    scan's last included, so a scan ending exactly on the last entry of
+    a data block is charged the next block too.  Pinned as a count of
+    device reads; kills a drain of the only live run that stops at
+    ``count`` entries."""
+    index, device = fresh()
+    keys = list(range(0, 4000, 4))
+    index.bulk_load(items_of(keys))
+    per_block = 4096 // 16
+
+    def reads_of(count):
+        index.pager.drop_last_block()
+        before = device.stats.reads
+        assert index.scan(keys[0], count) == items_of(keys[:count])
+        return device.stats.reads - before
+
+    assert reads_of(per_block - 1) == 1       # keys[0] is below every window
+    assert reads_of(per_block) == 2           # ... and the block after it
+    assert reads_of(per_block + 1) == 2
+    assert reads_of(len(keys)) == reads_of(len(keys) + 5) == 4
+
+
 def test_bulk_load_places_component_at_right_level():
     index, _ = fresh(buffer_capacity=16, level_ratio=2)
     index.bulk_load(items_of(list(range(1000))))

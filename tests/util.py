@@ -10,6 +10,7 @@ every step.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from bisect import bisect_left, bisect_right
 
@@ -38,6 +39,14 @@ def random_sorted_keys(n: int, seed: int = 0, key_space: int = 10**12) -> list:
 
 def items_of(keys) -> list:
     return [(k, k + 1) for k in keys]
+
+
+def charges_of(index):
+    """Everything an index's storage stack has been asked so far: every
+    ``StorageStats`` field and, under a buffer pool, its hits and misses."""
+    pool = index.pager.buffer_pool
+    return (dataclasses.asdict(index.pager.stats),
+            (pool.hits, pool.misses) if pool is not None else None)
 
 
 class ReferenceModel:
