@@ -22,12 +22,17 @@ Dynamic index (Arbitrary Insert, Figure 1(b) of the paper)
     oldest until the key is found — the access pattern behind O10 (PGM
     degrades as the read ratio grows).
 
+How a key is routed through descriptor levels is decided once, by the
+module functions :func:`build_levels` and :func:`descend` (DESIGN.md
+Section 18); a component calls them over its block-aligned ``.levels``
+file, PLID (:mod:`.plid`) over its own directory extent.
+
 Nothing fetched is unpacked on a point path (DESIGN.md Section 15): a
 descriptor window, a data window and the insert buffer are bisected as
 the bytes the pager returned (:mod:`.serial`), a hit decodes one record,
 and a buffer insert writes back ``record + tail`` sliced from the bytes
 it read.  There is one lookup routine per class — :meth:`StaticPgm.lookup`
-over :meth:`StaticPgm._data_window`, :meth:`PgmIndex._lookup_raw` — behind
+over :func:`descend`, :meth:`PgmIndex._lookup_raw` — behind
 ``lookup``, ``lookup_many``, the ``update`` / ``delete`` probes and scan
 positioning; compressed pages are always searched through the pager's
 frame-cached decode.  Which pager calls are made, in which order, and the
@@ -39,6 +44,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import struct
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -53,10 +59,74 @@ from .serial import (ENTRY_SIZE, bisect_left, bisect_right, entry_at,
                      unpack_entries)
 from .vectorize import BlockMirror
 
-__all__ = ["StaticPgm", "PgmIndex"]
+__all__ = ["StaticPgm", "PgmIndex", "build_levels", "descend"]
 
 _DESCRIPTOR = struct.Struct("<Qdd")  # first_key, slope, intercept
 DESCRIPTOR_SIZE = _DESCRIPTOR.size  # 24
+
+Descriptor = Tuple[int, float, float]
+
+
+def build_levels(keys: Sequence[int],
+                 epsilon: int) -> Tuple[Descriptor, List[bytes]]:
+    """The PLA levels over sorted unique ``keys``: the root descriptor
+    (meta-block state) and, bottom-up, the packed descriptor array of
+    every level under it.  Level 0 predicts positions in ``keys``, every
+    other level positions in the level below; one segment over ``keys``
+    means no stored level at all."""
+    if not keys:
+        raise ValueError("cannot build PLA levels over no keys")
+    levels: List[bytes] = []
+    while True:
+        descriptors = [(seg.first_key, seg.model.slope, seg.model.intercept)
+                       for seg in optimal_segments(keys, epsilon)]
+        if len(descriptors) == 1:
+            return descriptors[0], levels
+        levels.append(b"".join(_DESCRIPTOR.pack(*d) for d in descriptors))
+        keys = [d[0] for d in descriptors]
+
+
+def _window(descriptor: Descriptor, successor: Optional[float], key: int,
+            epsilon: int, count: int) -> Tuple[int, int]:
+    """The inclusive slot window ``descriptor`` predicts for ``key``
+    among ``count`` slots.  The model is evaluated anchored (the integer
+    subtraction keeps the float multiply within the segment's span) and
+    capped by the successor descriptor's intercept: past its segment's
+    last key a model extrapolates, while no key routed to it lies beyond
+    the successor's first position.  One slot of slack per side absorbs
+    float rounding at the PLA bound."""
+    first_key, slope, intercept = descriptor
+    pred = slope * float(int(key) - int(first_key)) + intercept
+    if successor is not None and successor < pred:
+        pred = successor
+    center = int(pred)
+    lo = max(0, min(center - epsilon - 1, count - 1))
+    return lo, max(lo, min(center + epsilon + 1, count - 1))
+
+
+def descend(read: Callable[[int, int], bytes], root: Descriptor,
+            level_table: Sequence[Tuple[int, int]], count: int, key: int,
+            epsilon: int) -> Tuple[int, int]:
+    """Route ``key`` from ``root`` through the descriptor levels to the
+    inclusive window ``(lo, hi)`` of the ``count`` bottom slots that
+    holds its floor and, unless the window ends on the floor, its
+    ceiling (the contract, DESIGN.md Section 18).
+
+    ``level_table`` lists ``(byte offset, descriptor count)`` per level,
+    bottom-up, in the address space of ``read(offset, length)``.  Each
+    level's window is fetched one descriptor longer and bisected as
+    bytes: the floor descriptor decodes, and so does the intercept of
+    its successor, if it has one."""
+    descriptor, successor = root, None
+    for base, level_count in reversed(level_table):
+        lo, hi = _window(descriptor, successor, key, epsilon, level_count)
+        span = min(hi + 2, level_count) - lo
+        raw = read(base + lo * DESCRIPTOR_SIZE, span * DESCRIPTOR_SIZE)
+        slot = max(bisect_right(raw, key, span, 0, DESCRIPTOR_SIZE) - 1, 0)
+        descriptor = _DESCRIPTOR.unpack_from(raw, slot * DESCRIPTOR_SIZE)
+        successor = (_DESCRIPTOR.unpack_from(
+            raw, (slot + 1) * DESCRIPTOR_SIZE)[2] if slot + 1 < span else None)
+    return _window(descriptor, successor, key, epsilon, count)
 
 
 class StaticPgm:
@@ -98,7 +168,7 @@ class StaticPgm:
         # Meta: per-level (byte offset in levels file, descriptor count),
         # ordered bottom-up; level 0 predicts into the data array.
         self.level_table: List[Tuple[int, int]] = []
-        self.root: Optional[Tuple[int, float, float]] = None
+        self.root: Optional[Descriptor] = None
         # Compressed layout: data-page position table + fence zonemap.
         self.page_starts: List[int] = []
         self.zonemap = None
@@ -176,23 +246,14 @@ class StaticPgm:
         start = self.data_file.allocate(blocks)
         self.pager.write_bytes(self.data_file, start * self.pager.block_size,
                                pack_entries(items))
-        keys = [key for key, _ in items]
-        offset = 0
-        while True:
-            segments = optimal_segments(keys, self.epsilon)
-            descriptors = [
-                (seg.first_key, seg.model.slope, seg.model.intercept)
-                for seg in segments
-            ]
-            if len(descriptors) == 1:
-                self.root = descriptors[0]
-                return
-            raw = b"".join(_DESCRIPTOR.pack(*d) for d in descriptors)
+        self.root, levels = build_levels([key for key, _ in items],
+                                         self.epsilon)
+        for raw in levels:  # each level starts on a block boundary
             nblocks = (len(raw) + self.pager.block_size - 1) // self.pager.block_size
             blk = self.levels_file.allocate(nblocks)
             self.pager.write_bytes(self.levels_file, blk * self.pager.block_size, raw)
-            self.level_table.append((blk * self.pager.block_size, len(descriptors)))
-            keys = [d[0] for d in descriptors]
+            self.level_table.append((blk * self.pager.block_size,
+                                     len(raw) // DESCRIPTOR_SIZE))
 
     @property
     def num_levels(self) -> int:
@@ -213,47 +274,15 @@ class StaticPgm:
             self.data_file, block,
             self.pager.read_block(self.data_file, block), self.codec)
 
-    def _clamped_window(self, pred: float, count: int) -> Tuple[int, int]:
-        # One slot of slack per side: float rounding can push a boundary
-        # prediction just outside the exact-arithmetic PLA guarantee.
-        # Both ends clamp into [0, count); a model extrapolating far past
-        # its segment (a floor-routed key near a component boundary) must
-        # still yield a valid, possibly single-slot window.
-        center = int(pred)
-        lo = max(0, min(center - self.epsilon - 1, count - 1))
-        hi = max(lo, min(center + self.epsilon + 1, count - 1))
-        return lo, hi
-
-    @staticmethod
-    def _predict(descriptor: Tuple[int, float, float], key: int) -> float:
-        """Anchored evaluation: slope * (key - first_key) + intercept.
-
-        The integer subtraction keeps the float multiply within the
-        segment span, avoiding uint64-scale cancellation.
-        """
-        first_key, slope, intercept = descriptor
-        return slope * float(int(key) - int(first_key)) + intercept
-
     def _data_window(self, key: int) -> Tuple[int, int, bytes]:
         """Descend to the data window that must hold ``key``: its first
         position, its entry count and its bytes."""
-        if self.root is None:
-            raise RuntimeError("component not built")
-        model = self.root
-        read_bytes = self.pager.read_bytes
-        # Walk descriptor levels top-down; level_table is bottom-up.  Each
-        # window is bisected as fetched; only the floor descriptor decodes.
-        for base, count in reversed(self.level_table):
-            lo, hi = self._clamped_window(self._predict(model, key), count)
-            span = hi - lo + 1
-            raw = read_bytes(self.levels_file, base + lo * DESCRIPTOR_SIZE,
-                             span * DESCRIPTOR_SIZE)
-            slot = max(bisect_right(raw, key, span, 0, DESCRIPTOR_SIZE) - 1, 0)
-            model = _DESCRIPTOR.unpack_from(raw, slot * DESCRIPTOR_SIZE)
-        lo, hi = self._clamped_window(self._predict(model, key), self.count)
+        lo, hi = descend(partial(self.pager.read_bytes, self.levels_file),
+                         self.root, self.level_table, self.count, key,
+                         self.epsilon)
         span = hi - lo + 1
-        return lo, span, read_bytes(self.data_file, lo * ENTRY_SIZE,
-                                    span * ENTRY_SIZE)
+        return lo, span, self.pager.read_bytes(
+            self.data_file, lo * ENTRY_SIZE, span * ENTRY_SIZE)
 
     def lookup(self, key: int) -> Optional[int]:
         if key < self.min_key or key > self.max_key:
@@ -566,8 +595,9 @@ class PgmIndex(DiskIndex):
                 component.levels_file.memory_resident = resident
 
     def verify(self) -> int:
-        """Check buffer/component sortedness, level capacities and the
-        newest-wins visibility of every key."""
+        """Check buffer/component sortedness, level capacities, that every
+        component entry is what a point lookup of its key returns, and
+        the newest-wins visibility of every key."""
         with self._free_io():
             buffered = unpack_entries(self._buffer_bytes(), self.buffer_count)
             buffer_keys = [k for k, _ in buffered]
@@ -585,6 +615,8 @@ class PgmIndex(DiskIndex):
                 walked = 0
                 for k, p in component.iterate_from(0):
                     assert k > previous, "component data unsorted"
+                    assert component.lookup(k) == p, (
+                        f"key {k} of level {level} is unreachable")
                     previous = k
                     walked += 1
                     seen.setdefault(k, p)

@@ -7,9 +7,9 @@ index the evaluation argues for:
 
 * **P1 — reduce the tree height.**  Two on-disk levels: a flat learned
   directory (a PLA over leaf boundary keys) and the leaves.  The root
-  model lives in the meta block.  A lookup costs 1 directory block + 1
-  leaf block (+1 while the split buffer is non-empty) — at or below the
-  B+-tree's height for any dataset size.
+  descriptor lives in the meta block.  A lookup costs 1 directory block
+  + 1 leaf block (+1 while the split buffer is non-empty) — at or below
+  the B+-tree's height for any dataset size.
 * **P2 — light-weight SMOs.**  A leaf split appends one directory entry
   to a small on-disk *split buffer* (one block write); the directory is
   re-segmented lazily, only when the buffer fills, and it is tiny —
@@ -21,56 +21,57 @@ index the evaluation argues for:
   blocks, and deletes can be *physical* (an in-block shift) because no
   model predicts positions inside a leaf.
 * **P4 — storage layout.**  Every model lives in the *parent*: the root
-  model in the meta block, the per-segment models in the directory
-  entries.  No node ever spans a model and its slots, so the paper's S1
+  descriptor in the meta block, the per-segment models in the descriptor
+  levels.  No node ever spans a model and its slots, so the paper's S1
   overhead cannot occur.
 * **P5 — co-design with the buffer.**  The whole inner part (directory +
   split buffer) is a few blocks; pinning it in memory
   (``set_inner_memory_resident``) or caching it in a small LRU pool
   drops lookups to a single leaf fetch.
 
-Directory layout (``<prefix>.dir`` file)::
+Directory layout (``<prefix>.dir`` file), one byte-contiguous extent::
 
-    block 0..k   segment entry array: (first_key, slope, intercept,
-                 position) — the PLA over the *leaf directory* (the
-                 sorted array of (leaf max key, leaf block) pairs)
-    leaf directory array: (max_key u64, leaf_block u64) entries
-    split buffer: one region of sorted (max_key, leaf_block) entries
+    descriptor levels, top-down: 24-byte PGM descriptors (first_key,
+                 slope, intercept) — the PLA over the leaf directory;
+                 none at all while one segment (the root) covers it
+    leaf directory: sorted (separator key u64, leaf block u64) entries,
+                 one per leaf *except the rightmost* — a leaf's
+                 separator is the largest key it may hold
+    split buffer: one region of sorted (separator, leaf block) entries
 
-The leaf directory array and its PLA are rebuilt together; between
+A key belongs to the leaf of the smallest separator >= the key, and to
+the rightmost leaf when there is none (a B+-tree node with n children
+has n-1 keys).  The directory and its PLA are rebuilt together; between
 rebuilds, new leaves produced by splits live in the split buffer.
 
 The leaves are a :class:`~.leaffile.LeafFile` whose splits put the new
 leaf to the *left*: the right half stays in the old block, so the old
-directory entry (old max key -> old block) stays correct and only the
-new leaf's max key is registered, in the split buffer.  The segment
-window, the directory window and the split buffer are bisected as the
-bytes the pager returned (DESIGN.md Section 15); :meth:`PlidIndex._route`
-is the one routing routine.  Pager calls and written bytes are pinned by
+separator (or, for the rightmost leaf, the lack of one) stays correct
+and only the new leaf's max key is registered, in the split buffer.
+
+The PLA levels are built and searched by :func:`.pgm.build_levels` and
+:func:`.pgm.descend`, the one routing routine PLID shares with the PGM
+components (DESIGN.md Section 18); only the layout differs — one extent
+here, so a rebuild frees and writes one run of blocks.  The directory
+window and the split buffer are bisected as the bytes the pager returned
+(DESIGN.md Section 15).  Pager calls and written bytes are pinned by
 ``tests/golden/learned_pages.json``.
 """
 
 from __future__ import annotations
 
-import struct
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
-from ..models import LinearModel, optimal_segments
 from ..storage import Pager
 from .codecs import get_codec
 from .interface import DiskIndex, KeyPayload
 from .leaffile import LeafFile
-from .serial import (NULL_BLOCK, bisect_left, bisect_right, key_at,
+from .pgm import DESCRIPTOR_SIZE, Descriptor, build_levels, descend
+from .serial import (ENTRY_SIZE, NULL_BLOCK, bisect_left, entry_at, key_at,
                      pack_entries, pack_entry, splice, unpack_entries)
 
 __all__ = ["PlidIndex"]
-
-_SEGMENT = struct.Struct("<Qddq")  # first_key, slope, intercept, position
-SEGMENT_SIZE = _SEGMENT.size  # 32
-# leaf max key, leaf block: the layout of a key-payload entry, so the
-# sorted-run helpers for entries serve the directory as well
-_DIR_ENTRY = struct.Struct("<QQ")
-DIR_ENTRY_SIZE = _DIR_ENTRY.size  # 16
 
 
 class PlidIndex(DiskIndex):
@@ -106,13 +107,17 @@ class PlidIndex(DiskIndex):
         self._leaf_file = device.get_or_create_file(f"{file_prefix}.leaf")
         self.leaves = LeafFile(pager, self._leaf_file, fill=leaf_fill,
                                new_leaf_side="left")
+        #: ``read(offset, length)`` over the dir file, as :func:`descend`
+        #: takes it.  A directory entry (separator key, leaf block) has the
+        #: layout of a key-payload entry, so :mod:`.serial` serves both.
+        self._read = partial(pager.read_bytes, self._dir_file)
         # Meta-block state (the paper's in-memory meta block): the root
-        # model over the segment array plus the region table.
-        self.root_model: Optional[LinearModel] = None
-        self.num_segments = 0
+        # descriptor and the region table — ``level_table`` as
+        # :func:`descend` takes it, bottom-up.
+        self.root: Optional[Descriptor] = None
+        self.level_table: List[Tuple[int, int]] = []
         self.num_dir_entries = 0
         self.split_buffer_count = 0
-        self._segments_offset = 0
         self._dir_offset = 0
         self._buffer_offset = 0
         self.first_leaf_block = NULL_BLOCK
@@ -135,66 +140,47 @@ class PlidIndex(DiskIndex):
             self.last_leaf_block = leaves[-1][2]
             self.num_records = len(items)
             self.num_leaves = len(leaves)
-            self._write_directory([(last_key, block)
-                                   for _first_key, last_key, block in leaves])
+            self._write_directory([(last_key, block) for _first_key, last_key,
+                                   block in leaves[:-1]])
 
     def _write_directory(self, directory: List[KeyPayload]) -> None:
-        """(Re)write the segment array + leaf directory + empty split buffer.
-
-        The directory is append-allocated in the dir file; the previous
-        extent (if any) is freed — it is a few blocks, so the rebuild is
-        the cheap SMO P2 asks for.
-        """
+        """(Re)write the descriptor levels + leaf directory + empty split
+        buffer as one fresh extent of the dir file (the caller frees the
+        previous one — a few blocks, the cheap SMO P2 asks for)."""
         bs = self.pager.block_size
-        keys = [key for key, _ in directory]
-        segments = optimal_segments(keys, self.error_bound) if keys else []
-        seg_raw = b"".join(
-            _SEGMENT.pack(seg.first_key, seg.model.slope, seg.model.intercept,
-                          seg.first_pos)
-            for seg in segments
-        )
-        dir_raw = b"".join(_DIR_ENTRY.pack(key, block) for key, block in directory)
-        buffer_bytes = self.split_buffer_capacity * DIR_ENTRY_SIZE
-        total = len(seg_raw) + len(dir_raw) + buffer_bytes
-        nblocks = max(1, (total + bs - 1) // bs)
-        start = self._dir_file.allocate(nblocks)
+        self.root, levels = (
+            build_levels([key for key, _ in directory], self.error_bound)
+            if directory else (None, []))
+        levels_raw = b"".join(reversed(levels))
+        dir_raw = pack_entries(directory)
+        buffer_bytes = self.split_buffer_capacity * ENTRY_SIZE
+        total = len(levels_raw) + len(dir_raw) + buffer_bytes
+        start = self._dir_file.allocate((total + bs - 1) // bs)
         self.pager.write_bytes(self._dir_file, start * bs,
-                               seg_raw + dir_raw + bytes(buffer_bytes))
-        self._segments_offset = start * bs
-        self._dir_offset = start * bs + len(seg_raw)
+                               levels_raw + dir_raw + bytes(buffer_bytes))
+        self._dir_offset = offset = start * bs + len(levels_raw)
         self._buffer_offset = self._dir_offset + len(dir_raw)
-        self.num_segments = len(segments)
+        self.level_table = []
+        for raw in levels:  # the bottom level sits just before the directory
+            offset -= len(raw)
+            self.level_table.append((offset, len(raw) // DESCRIPTOR_SIZE))
         self.num_dir_entries = len(directory)
         self.split_buffer_count = 0
-        # Root model over segment first keys lives in the meta block (P4).
-        if segments:
-            seg_keys = [seg.first_key for seg in segments]
-            root_segments = optimal_segments(seg_keys, self.error_bound)
-            # The directory is small: one root segment always suffices in
-            # practice; if not, fall back to a min-max spread.
-            if len(root_segments) == 1:
-                self.root_model = root_segments[0].model
-            else:
-                self.root_model = LinearModel.fit_min_max(
-                    seg_keys[0], max(seg_keys[-1], seg_keys[0] + 1), len(seg_keys))
-        else:
-            self.root_model = None
 
     # -- directory search ---------------------------------------------------------
 
     def _dir_window(self, lo: int, hi: int) -> bytes:
         """Leaf-directory entries ``lo..hi`` inclusive, as stored."""
-        return self.pager.read_bytes(self._dir_file,
-                                     self._dir_offset + lo * DIR_ENTRY_SIZE,
-                                     (hi - lo + 1) * DIR_ENTRY_SIZE)
+        return self._read(self._dir_offset + lo * ENTRY_SIZE,
+                          (hi - lo + 1) * ENTRY_SIZE)
 
     def _split_buffer(self) -> bytes:
         """The sorted split buffer, as stored."""
-        return self.pager.read_bytes(self._dir_file, self._buffer_offset,
-                                     self.split_buffer_count * DIR_ENTRY_SIZE)
+        return self._read(self._buffer_offset,
+                          self.split_buffer_count * ENTRY_SIZE)
 
     def _directory(self) -> List[Tuple[int, int]]:
-        """Every (leaf max key, leaf block): directory and split buffer
+        """Every (separator, leaf block): directory and split buffer
         merged, for a rebuild or a verify."""
         return sorted(
             unpack_entries(self._dir_window(0, self.num_dir_entries - 1),
@@ -202,41 +188,25 @@ class PlidIndex(DiskIndex):
             + unpack_entries(self._split_buffer(), self.split_buffer_count))
 
     def _route(self, key: int) -> int:
-        """Leaf block whose max key is the ceiling of ``key``.
+        """Leaf block of the smallest separator >= ``key``, else the
+        rightmost leaf.
 
-        One segment-array probe (root model is in memory), one directory
-        window read, plus the split buffer while it is non-empty.
+        The descriptor windows :func:`descend` reads (none while the root
+        covers the directory), one directory window, plus the split
+        buffer while it is non-empty.
         """
-        if self.root_model is None or self.num_dir_entries == 0:
-            return self.first_leaf_block
-        # Locate the covering segment via the in-memory root model.
-        seg_index = self.root_model.predict_clamped(key, self.num_segments)
-        lo = max(0, seg_index - self.error_bound - 1)
-        hi = min(self.num_segments - 1, seg_index + self.error_bound + 1)
-        span = hi - lo + 1
-        raw = self.pager.read_bytes(self._dir_file,
-                                    self._segments_offset + lo * SEGMENT_SIZE,
-                                    span * SEGMENT_SIZE)
-        slot = max(bisect_right(raw, key, span, 0, SEGMENT_SIZE) - 1, 0)
-        first_key, slope, intercept, _position = _SEGMENT.unpack_from(
-            raw, slot * SEGMENT_SIZE)
-        # Predict into the leaf directory, read the +-eps window.
-        pred = int(slope * float(int(key) - first_key) + intercept)
-        dlo = max(0, min(pred - self.error_bound - 1, self.num_dir_entries - 1))
-        dhi = max(dlo, min(pred + self.error_bound + 1, self.num_dir_entries - 1))
-        raw = self._dir_window(dlo, dhi)
-        # Walk to the ceiling entry; windows are exact by the PLA bound,
-        # but the ceiling may sit one window to the right for keys larger
-        # than every max key in the window.
-        while key_at(raw, dhi - dlo) < key and dhi + 1 < self.num_dir_entries:
-            dlo, dhi = dhi + 1, min(dhi + 1 + 2 * self.error_bound,
-                                    self.num_dir_entries - 1)
-            raw = self._dir_window(dlo, dhi)
-        span = dhi - dlo + 1
-        index = bisect_left(raw, key, span)
-        best: Optional[Tuple[int, int]] = (
-            _DIR_ENTRY.unpack_from(raw, index * DIR_ENTRY_SIZE)
-            if index < span else None)
+        best: Optional[Tuple[int, int]] = None
+        entries = self.num_dir_entries
+        if entries:
+            lo, hi = descend(self._read, self.root, self.level_table, entries,
+                             key, self.error_bound)
+            # The ceiling is the floor's successor, and the window may end
+            # on the floor: like a descriptor window, read one entry longer.
+            hi = min(hi + 1, entries - 1)
+            raw = self._dir_window(lo, hi)
+            index = bisect_left(raw, key, hi - lo + 1)
+            if index <= hi - lo:
+                best = entry_at(raw, index)
         # The split buffer may hold a tighter (newer) boundary: it is
         # sorted, so its candidate is its own ceiling entry.
         buffered = self.split_buffer_count
@@ -245,13 +215,8 @@ class PlidIndex(DiskIndex):
             slot = bisect_left(raw, key, buffered)
             if slot < buffered and (
                     best is None or key_at(raw, slot) < best[0]):
-                best = _DIR_ENTRY.unpack_from(raw, slot * DIR_ENTRY_SIZE)
-        if best is None:
-            # Key beyond every max key: the rightmost leaf absorbs it (so
-            # its recorded max key understates its contents; the
-            # chain-stable meta pointer is the reliable route).
-            return self.last_leaf_block
-        return best[1]
+                best = entry_at(raw, slot)
+        return best[1] if best is not None else self.last_leaf_block
 
     # -- operations ------------------------------------------------------------------
 
@@ -284,8 +249,8 @@ class PlidIndex(DiskIndex):
         slot = bisect_left(raw, max_key, count)
         self.pager.write_bytes(
             self._dir_file, self._buffer_offset,
-            raw[: slot * DIR_ENTRY_SIZE]
-            + splice(raw, slot, _DIR_ENTRY.pack(max_key, block), count))
+            raw[: slot * ENTRY_SIZE]
+            + splice(raw, slot, pack_entry(max_key, block), count))
         self.split_buffer_count = count + 1
         if self.split_buffer_count >= self.split_buffer_capacity:
             self._rebuild_directory()
@@ -298,9 +263,11 @@ class PlidIndex(DiskIndex):
         """
         self.num_rebuilds += 1
         merged = self._directory()
-        old_start = self._segments_offset // self.pager.block_size
+        # the extent starts at its top descriptor level, if it has one
+        old_start = (self.level_table[-1][0] if self.level_table
+                     else self._dir_offset) // self.pager.block_size
         old_end = (self._buffer_offset
-                   + self.split_buffer_capacity * DIR_ENTRY_SIZE
+                   + self.split_buffer_capacity * ENTRY_SIZE
                    + self.pager.block_size - 1) // self.pager.block_size
         self._write_directory(merged)
         self._dir_file.free(old_start, old_end - old_start)
@@ -335,26 +302,23 @@ class PlidIndex(DiskIndex):
         self._dir_file.memory_resident = resident
 
     def height(self) -> int:
-        return 3  # meta-resident root model + directory + leaf
+        return 3  # meta-resident root descriptor + directory + leaf
 
     def file_roles(self) -> dict:
         return {self._dir_file.name: "inner", self._leaf_file.name: "leaf"}
 
     def verify(self) -> int:
         """Check the leaf chain against the directory, record counts, and
-        that each leaf's first and last key route back to it."""
+        that every key of every leaf routes back to it."""
         with self._free_io():
             directory = self._directory()
-            assert len(directory) == self.num_leaves, "directory/leaf count mismatch"
+            assert len(directory) == self.num_leaves - 1, (
+                "directory/leaf count mismatch")
             walked = list(self.leaves.walk(self.first_leaf_block, self._route))
             assert [block for block, _keys in walked] == [
-                block for _max_key, block in directory], (
-                    "directory order diverges from leaf chain")
-            for (block, keys), (max_key, _block) in zip(walked, directory):
-                # The rightmost leaf absorbs keys above the global max, so
-                # only the others are bounded by their directory entry.
-                assert (not keys or block == self.last_leaf_block
-                        or keys[-1] <= max_key), "leaf exceeds its directory max key"
+                block for _separator, block in directory] + [
+                    self.last_leaf_block], (
+                        "directory order diverges from leaf chain")
             count = sum(len(keys) for _block, keys in walked)
             assert count == self.num_records, "record count mismatch"
             return count
@@ -367,13 +331,10 @@ class PlidIndex(DiskIndex):
                 "file_prefix": self._file_prefix}
 
     def to_meta(self) -> dict:
-        root = self.root_model
-        return {"root_model": ([root.slope, root.intercept, root.anchor]
-                               if root is not None else None),
-                "num_segments": self.num_segments,
+        return {"root": list(self.root) if self.root is not None else None,
+                "level_table": [list(level) for level in self.level_table],
                 "num_dir_entries": self.num_dir_entries,
                 "split_buffer_count": self.split_buffer_count,
-                "segments_offset": self._segments_offset,
                 "dir_offset": self._dir_offset,
                 "buffer_offset": self._buffer_offset,
                 "first_leaf_block": self.first_leaf_block,
@@ -384,13 +345,10 @@ class PlidIndex(DiskIndex):
                 "num_splits": self.num_splits}
 
     def restore_meta(self, meta: dict) -> None:
-        raw_model = meta["root_model"]
-        self.root_model = (LinearModel(raw_model[0], raw_model[1], raw_model[2])
-                           if raw_model is not None else None)
-        self.num_segments = meta["num_segments"]
+        self.root = tuple(meta["root"]) if meta["root"] is not None else None
+        self.level_table = [tuple(level) for level in meta["level_table"]]
         self.num_dir_entries = meta["num_dir_entries"]
         self.split_buffer_count = meta["split_buffer_count"]
-        self._segments_offset = meta["segments_offset"]
         self._dir_offset = meta["dir_offset"]
         self._buffer_offset = meta["buffer_offset"]
         self.first_leaf_block = meta["first_leaf_block"]

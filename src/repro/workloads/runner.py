@@ -280,7 +280,7 @@ def _log_counters(wal) -> Tuple[int, int]:
 
 def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
                  scan_length: int = 100, keep_latencies: bool = False,
-                 validate: bool = False,
+                 validate: bool = True,
                  fault_injector: Optional[FaultInjector] = None,
                  batch: int = 1, healer=None,
                  clients: int = 1,
@@ -305,7 +305,9 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
         scan_length: elements per scan operation (paper: 100).
         keep_latencies: retain the raw per-op latency array.
         validate: check each lookup returns the paper's key+1 payload
-            (used by integration tests; benchmark runs skip it).
+            and each scan starts at its key, so a wrong answer fails the
+            run instead of being archived as throughput (free on the
+            charged clock).
         fault_injector: optional crash injector.  When it fires, the run
             stops at that operation, the WAL's unflushed buffer is
             dropped (and its tail block optionally torn), and the result

@@ -21,9 +21,14 @@ at 475d488, the last commit whose delta codec read and wrote one varint
 at a time; the ``alex-*`` and ``lipp-*`` cases were recorded at 7bb7ae6,
 the last commit whose alex read one 16-byte entry per pager call on the
 point path and kept a hand-inlined twin of it for ``lookup_many`` (lipp
-is recorded ahead of any change to it).  Regenerate it only for a change
-that is *meant* to move charged I/O or page bytes, and say so in the
-commit:
+is recorded ahead of any change to it); the ``pgm-raw-*`` and ``plid-*``
+cases were recorded again when both indexes came to route through one
+``descend`` (DESIGN.md Section 18: descriptor windows one record longer,
+predictions capped by the successor's intercept; plid's descriptors 24
+bytes, none read while one segment covers the directory, no directory
+entry for the rightmost leaf) — every other case byte-identical.
+Regenerate it only for a change that is *meant* to move charged I/O or
+page bytes, and say so in the commit:
 
     PYTHONPATH=src python tests/golden/gen_learned_pages.py
 """
@@ -50,9 +55,9 @@ ROUNDS = 4
 #: merge pgm's 24-entry buffer down six LSM levels, split plid's 31-entry
 #: leaves into eight-entry split buffers (a directory rebuild every eight
 #: splits), resegment fiting's eight-entry delta buffers and flush its
-#: 15-entry head buffer.  pgm's epsilon is no smaller than 16 because the
-#: recorded commit's scans skip entries when the start key falls between
-#: two PLA segments of a component, about one scan in 150 at epsilon 4.
+#: 15-entry head buffer.  pgm's epsilon was set to 16 while scans skipped
+#: entries when the start key fell between two PLA segments (about one in
+#: 150 at epsilon 4, before the successor cap); it stays, as the sequences do.
 CELLS = {
     "pgm-raw": ("pgm", "raw", 512, {"epsilon": 16, "buffer_capacity": 24}),
     "pgm-for": ("pgm", "for", 512, {"epsilon": 16, "buffer_capacity": 24}),
@@ -181,9 +186,8 @@ def run_case(case) -> dict:
         nonlocal low, high
         # Inserts: uniform up to the largest bulk-loaded key, a run below
         # the smallest key (fiting's head buffer) and a few above the
-        # largest (plid's rightmost leaf; only a few, because the
-        # recorded commit misroutes once that leaf splits holding as many
-        # absorbed keys as its right half takes).
+        # largest (plid's rightmost leaf; tests/test_plid.py splits it
+        # under thousands of them).
         fresh = [fresh_key() for _ in range(450)]
         fresh += range(low - 13, low)
         low -= 13

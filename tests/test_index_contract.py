@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import index_names, make_index
+from repro.datasets import dataset_names, make_dataset
 from repro.storage import NULL_DEVICE, BlockDevice, Pager
 
 from tests.util import ReferenceModel, check_full_agreement
@@ -39,6 +40,35 @@ def test_lookup_every_bulk_key(name):
     index = loaded(name, KEYS)
     for key in random.Random(1).sample(KEYS, 400):
         assert index.lookup(key) == key + 1
+
+
+#: The PLA-routed indexes, on every dataset generator rather than the
+#: friendly uniform keys above: their routing errors (a model
+#: extrapolating across a giant gap, PLID's directory at a tight bound)
+#: only show on ``fb`` / ``osm`` / ``covid`` / ``genome``-shaped keys.
+PLA_CELLS = [("pgm", {}), ("plid", {}), ("plid", {"error_bound": 1}),
+             ("hybrid-pgm", {}), ("fiting", {}), ("hybrid-fiting", {})]
+
+
+@pytest.mark.parametrize("dataset", dataset_names(include_large=True))
+@pytest.mark.parametrize(
+    "name, params", PLA_CELLS,
+    ids=["-".join([name, *map(str, params.values())]) for name, params in PLA_CELLS])
+def test_hard_datasets_read_all_and_scan_between_keys(name, params, dataset):
+    """Bulk load, read every key back, and start scans just above, just
+    below and midway between 1,000 sampled neighbours."""
+    keys = [int(key) for key in make_dataset(dataset, 20_000, seed=1)]
+    index = make_index(name, Pager(BlockDevice(4096, NULL_DEVICE)), **params)
+    index.bulk_load([(k, k + 1) for k in keys])
+    lookup = index.lookup
+    lost = [key for key in keys if lookup(key) != key + 1]
+    assert not lost, f"{len(lost)} bulk-loaded keys unreachable, first {lost[0]}"
+    for at in random.Random(1).sample(range(1, len(keys)), 1000):
+        low, high = keys[at - 1], keys[at]
+        for start in (low + 1, (low + high) // 2, high - 1):
+            first = at if start > low else at - 1
+            assert index.scan(start, 3) == [
+                (k, k + 1) for k in keys[first : first + 3]], (start, low, high)
 
 
 @pytest.mark.parametrize("name", READONLY_INDEXES)

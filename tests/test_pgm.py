@@ -1,10 +1,15 @@
 """PGM-specific tests: static components, LSM merging, file deletion."""
 
+import bisect
 import random
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.pgm import PgmIndex, StaticPgm
+from repro.core.pgm import (DESCRIPTOR_SIZE, PgmIndex, StaticPgm, build_levels,
+                            descend)
 from repro.storage import NULL_DEVICE, BlockDevice, Pager
 
 from tests.util import items_of, random_sorted_keys
@@ -26,19 +31,57 @@ def test_static_component_lookup():
     assert component.lookup(keys[0] + 1) is None
 
 
-def test_static_window_clamped_to_a_single_slot():
-    """A key floor-routed to a segment whose model extrapolates far past
-    the segment's last key gets a window clamped to the last slot."""
-    device = BlockDevice(4096, NULL_DEVICE)
-    keys = list(range(10)) + [10**12]
-    component = StaticPgm(Pager(device), "c", items_of(keys), epsilon=1)
-    probe = 5 * 10**11
-    lo, span, _raw = component._data_window(probe)
-    assert (lo, span) == (10, 1)
-    assert component.lookup(probe) is None
-    assert component.ceiling_position(probe) == 10
-    assert component.lookup(10**12) == 10**12 + 1
-    assert list(component.iterate_from(10)) == items_of(keys[10:])
+def _levels_in_memory(keys, epsilon):
+    """``build_levels`` laid out top-down in one bytes object, as
+    :func:`descend` addresses it: ``(read, root, level_table)``.  ``read``
+    is a slice that refuses to leave the level it starts in."""
+    root, levels = build_levels(keys, epsilon)
+    store = b"".join(reversed(levels))
+    level_table, offset = [], len(store)
+    for raw in levels:
+        offset -= len(raw)
+        level_table.append((offset, len(raw) // DESCRIPTOR_SIZE))
+
+    def read(start, length):
+        assert any(base <= start and start + length <= base + n * DESCRIPTOR_SIZE
+                   for base, n in level_table), "read crosses a level"
+        return store[start : start + length]
+
+    return read, root, level_table
+
+
+#: mostly dense runs, now and then a gap that dwarfs every span so far —
+#: the shape (``fb``, ``osm``) a model extrapolating past its segment's
+#: last key loses keys on
+_GAPS = st.lists(st.one_of(st.integers(1, 64), st.integers(1, 2**20),
+                           st.integers(2**40, 2**62)),
+                 min_size=1, max_size=300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=st.integers(0, 2**32), gaps=_GAPS,
+       epsilon=st.sampled_from([1, 4, 64]))
+@example(first=0, gaps=[1] * 9 + [10**12], epsilon=1)
+@example(first=7, gaps=([1] * 40 + [2**61]) * 6, epsilon=4)
+def test_descend_window_holds_floor_and_ceiling(first, gaps, epsilon):
+    """The contract of ``descend`` (DESIGN.md Section 18), on bytes in
+    memory: for every stored key and every probe between two keys, the
+    window holds the floor position and ends on the ceiling position or
+    one slot before it — what ``lookup`` and ``ceiling_position`` rely on,
+    and what extrapolating a floor model past its segment breaks."""
+    keys = [key for key in accumulate(gaps, initial=first) if key < 2**64]
+    read, root, level_table = _levels_in_memory(keys, epsilon)
+    probes = set(keys)
+    for low, high in zip(keys, keys[1:]):
+        probes.update((low + 1, (low + high) // 2, high - 1))
+    probes.update((max(first - 1, 0), min(keys[-1] + 1, 2**64 - 1)))
+    for probe in probes:
+        lo, hi = descend(read, root, level_table, len(keys), probe, epsilon)
+        floor = bisect.bisect_right(keys, probe) - 1
+        assert 0 <= lo <= max(floor, 0) and floor <= hi < len(keys), (
+            probe, (lo, hi), floor)
+        ceiling = lo + bisect.bisect_left(keys[lo : hi + 1], probe)
+        assert ceiling == bisect.bisect_left(keys, probe)
 
 
 def test_static_component_rejects_empty():

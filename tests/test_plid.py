@@ -164,31 +164,32 @@ def test_insert_beyond_global_max_routes_to_last_leaf():
     assert index.verify() == len(KEYS) + 1
 
 
-def test_ceiling_one_window_to_the_right():
-    """When every max key of the predicted directory window is below the
-    search key, routing walks to the next window.  Narrowing the error
-    bound after the build makes windows that undershoot."""
-    index, _ = fresh(error_bound=16)
-    index.bulk_load(items_of(KEYS))
-    assert index.num_segments == 1 and index.num_dir_entries > 100
-    index.error_bound = 0
-    windows = []
-    read_window = index._dir_window
+def test_rightmost_leaf_splits_under_above_max_inserts():
+    """The directory holds separators only — no entry for the rightmost
+    leaf — so its splits register ordinary (left max -> new block)
+    entries and keys above every separator keep routing to it."""
+    from repro.datasets import make_dataset
+    keys = [int(k) for k in make_dataset("ycsb", 5_000)]
+    index, _ = fresh()
+    index.bulk_load(items_of(keys))
+    splits = index.num_splits
+    above = list(range(keys[-1] + 1, keys[-1] + 3_001))
+    random.Random(4).shuffle(above)
+    for key in above:
+        index.insert(key, key + 1)
+    assert index.num_splits > splits + 10
+    for key in keys + above:
+        assert index.lookup(key) == key + 1
+    assert index.verify() == 8_000
 
-    def counted(lo, hi):
-        windows.append((lo, hi))
-        return read_window(lo, hi)
 
-    index._dir_window = counted
-    walked = 0
-    for key in KEYS[::7]:
-        del windows[:]
-        found = index.lookup(key)
-        if len(windows) > 1:
-            walked += 1
-            assert windows[1][0] == windows[0][1] + 1
-            assert found == key + 1
-    assert walked > 10
+def test_one_leaf_has_no_directory():
+    index, _ = fresh()
+    index.bulk_load(items_of(KEYS[:100]))
+    assert (index.num_leaves, index.num_dir_entries) == (1, 0)
+    assert index.root is None and index.level_table == []
+    assert index.lookup(KEYS[50]) == KEYS[50] + 1
+    assert index.verify() == 100
 
 
 def test_file_roles_and_height():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core import index_names, make_index
+from repro.datasets import make_dataset
 from repro.storage import HDD, NULL_DEVICE, BlockDevice, Pager
 from repro.workloads import WORKLOADS, build_workload
 
@@ -50,6 +51,26 @@ def test_verify_charges_no_io(name):
     delta = device.stats.diff(before)
     assert delta.reads == 0
     assert delta.elapsed_us == 0.0
+
+
+@pytest.mark.parametrize("name", ["pgm", "plid", "hybrid-pgm"])
+def test_verify_fails_when_a_bulk_loaded_key_is_unreachable(name, monkeypatch):
+    """``verify()`` reads every stored key back through the point path.
+    Without the successor cap of ``descend`` (DESIGN.md Section 18), 129 /
+    203 / 178 of these keys — the runs right after a giant gap — are
+    unreachable through pgm / plid / hybrid-pgm; a ``verify()`` that
+    only walks the data in order stays green over them."""
+    from repro.core import pgm
+    index = make_index(name, Pager(BlockDevice(4096, NULL_DEVICE)))
+    index.bulk_load(items_of(
+        int(key) for key in make_dataset("fb", 50_000, seed=1)))
+    assert index.verify() == 50_000
+    capped = pgm._window
+    monkeypatch.setattr(
+        pgm, "_window", lambda descriptor, _successor, *rest: capped(
+            descriptor, None, *rest))
+    with pytest.raises(AssertionError, match="unreachable|routes elsewhere"):
+        index.verify()
 
 
 def test_verify_detects_corruption():
