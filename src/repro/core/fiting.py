@@ -24,6 +24,13 @@ Inserts go to the segment's delta buffer; a full buffer triggers the
 *resegment* SMO: data + buffer are merged, re-segmented with the error
 bound, and the descriptor tree is patched.
 
+The structure changes through one routine (DESIGN.md Section 19):
+:meth:`FitingTreeIndex._write_run` segments a sorted run, writes the
+extents, yields their directory records and links them into the chain;
+bulk load, head-buffer flush and resegment are its three callers.  A
+segment's first key is its directory key: a resegment carries that entry
+over dead or alive, so the first new segment takes over the old record.
+
 Nothing fetched is unpacked on a point path (DESIGN.md Section 15): the
 predicted data window, the delta buffer and the head buffer are bisected
 as the bytes the pager returned (:mod:`.serial`), a hit decodes one
@@ -41,7 +48,7 @@ entry lists.  Pager calls and written bytes are pinned by
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..models import optimal_segments, shrinking_cone_segments
 from ..storage import Pager
@@ -195,18 +202,6 @@ class FitingTreeIndex(DiskIndex):
             self._data, 0,
             (_HEAD_HEADER.pack(count) + run).ljust(self.pager.block_size, b"\x00"))
 
-    # -- descriptor (de)serialization --------------------------------------------
-
-    @staticmethod
-    def _pack_descriptor(seg_block: int, extent_blocks: int, data_capacity: int,
-                         buffer_capacity: int, slope: float, intercept: float) -> bytes:
-        return _DESCRIPTOR.pack(seg_block, extent_blocks, data_capacity,
-                                buffer_capacity, slope, intercept)
-
-    @staticmethod
-    def _unpack_descriptor(data: bytes) -> Tuple[int, int, int, int, float, float]:
-        return _DESCRIPTOR.unpack(data)
-
     # -- bulk load -------------------------------------------------------------------
 
     def bulk_load(self, items: Sequence[KeyPayload]) -> None:
@@ -219,54 +214,59 @@ class FitingTreeIndex(DiskIndex):
         # Block 0 of the data file is the head buffer.
         self._data.allocate(1)
         self._write_head(0)
-        if not items:
-            self.directory.bulk_load([])
-            return
-        keys = [key for key, _ in items]
-        segments = self._segment_fn(keys, self.error_bound)
-        descriptors: List[Tuple[int, bytes]] = []
-        seg_blocks: List[int] = []
-        for seg in segments:
-            seg_items = items[seg.first_pos : seg.first_pos + seg.length]
-            block = self._write_segment(seg_items,
-                                        seg.model.slope,
-                                        seg.model.intercept - seg.first_pos)
-            seg_blocks.append(block)
+        self.directory.bulk_load(list(self._write_run(items, NULL_BLOCK, NULL_BLOCK)))
+        if items:
+            self.global_min = items[0][0]
+
+    def _write_run(self, entries: Sequence[KeyPayload], left: int,
+                   right: int) -> Iterator[Tuple[int, bytes]]:
+        """The one structural operation: cut a sorted run into epsilon-bounded
+        segments, write each as an extent and yield its ``(first key,
+        descriptor)`` directory record as soon as it is written; once the
+        caller has taken the last record, link the new extents to each other
+        and to the segments at ``left`` and ``right`` (``NULL_BLOCK``: none)."""
+        blocks: List[int] = []
+        for seg in self._segment_fn([key for key, _ in entries], self.error_bound):
+            slope, intercept = seg.model.slope, seg.model.intercept - seg.first_pos
             extent = self._extent_blocks(seg.length, self.buffer_capacity)
-            descriptors.append((
-                seg.first_key,
-                self._pack_descriptor(block, extent, seg.length, self.buffer_capacity,
-                                      seg.model.slope,
-                                      seg.model.intercept - seg.first_pos),
-            ))
-        self._chain_segments(seg_blocks)
-        self.directory.bulk_load(descriptors)
-        self.global_min = keys[0]
-        self.first_segment_block = seg_blocks[0]
-        self.num_segments = len(segments)
+            block = self._data.allocate(extent)
+            blocks.append(block)
+            header = _SegmentHeader(
+                item_count=seg.length, buffer_count=0,
+                left_sib=NULL_BLOCK, right_sib=NULL_BLOCK,
+                data_capacity=seg.length, buffer_capacity=self.buffer_capacity,
+                first_key=seg.first_key, slope=slope, intercept=intercept)
+            self.pager.write_bytes(
+                self._data, block * self.pager.block_size, header.pack() + pack_entries(
+                    entries[seg.first_pos : seg.first_pos + seg.length]))
+            yield seg.first_key, _DESCRIPTOR.pack(
+                block, extent, seg.length, self.buffer_capacity, slope, intercept)
+        if not blocks:
+            return  # an empty bulk load
+        # Each link is a header read-modify-write (DESIGN.md Section 19:
+        # the read-backs are charged, ROADMAP item 5 audits them).
+        for i, block in enumerate(blocks):
+            self._link(block, left=blocks[i - 1] if i else None,
+                       right=blocks[i + 1] if i + 1 < len(blocks) else None)
+        if left == NULL_BLOCK:
+            self.first_segment_block = blocks[0]
+        else:
+            self._link(left, right=blocks[0])
+            self._link(blocks[0], left=left)
+        if right != NULL_BLOCK:
+            self._link(right, left=blocks[-1])
+            self._link(blocks[-1], right=right)
+        self.num_segments += len(blocks)
 
-    def _write_segment(self, seg_items: Sequence[KeyPayload], slope: float,
-                       rel_intercept: float) -> int:
-        """Allocate and write one segment extent; returns its start block."""
-        extent = self._extent_blocks(len(seg_items), self.buffer_capacity)
-        block = self._data.allocate(extent)
-        header = _SegmentHeader(
-            item_count=len(seg_items), buffer_count=0,
-            left_sib=NULL_BLOCK, right_sib=NULL_BLOCK,
-            data_capacity=len(seg_items), buffer_capacity=self.buffer_capacity,
-            first_key=seg_items[0][0], slope=slope, intercept=rel_intercept,
-        )
-        payload = header.pack() + pack_entries(seg_items)
-        self.pager.write_bytes(self._data, block * self.pager.block_size, payload)
-        return block
-
-    def _chain_segments(self, seg_blocks: List[int]) -> None:
-        """Set left/right sibling links along consecutive segments."""
-        for i, block in enumerate(seg_blocks):
-            header = self._read_header(block)
-            header.left_sib = seg_blocks[i - 1] if i > 0 else header.left_sib
-            header.right_sib = seg_blocks[i + 1] if i + 1 < len(seg_blocks) else header.right_sib
-            self._write_header(block, header)
+    def _link(self, seg_block: int, left: Optional[int] = None,
+              right: Optional[int] = None) -> None:
+        """Set a segment's sibling links (``None``: leave as stored)."""
+        header = self._read_header(seg_block)
+        if left is not None:
+            header.left_sib = left
+        if right is not None:
+            header.right_sib = right
+        self._write_header(seg_block, header)
 
     # -- lookup ---------------------------------------------------------------------
 
@@ -291,7 +291,7 @@ class FitingTreeIndex(DiskIndex):
         if record is None:
             return None
         first_key, data = record
-        return first_key, self._unpack_descriptor(data)
+        return first_key, _DESCRIPTOR.unpack(data)
 
     def lookup(self, key: int) -> Optional[int]:
         with self.pager.phase("search"):
@@ -347,7 +347,7 @@ class FitingTreeIndex(DiskIndex):
                     continue
                 first_key, data = record
                 results[key] = self._lookup_in_segment(
-                    key, first_key, self._unpack_descriptor(data))
+                    key, first_key, _DESCRIPTOR.unpack(data))
         return [results[key] for key in keys]
 
     def _head_buffer_lookup(self, key: int) -> Optional[int]:
@@ -365,7 +365,7 @@ class FitingTreeIndex(DiskIndex):
             located = self._locate_descriptor(key)
             if located is None:
                 raise RuntimeError("index not bulk-loaded")
-            first_key, (seg_block, extent, data_cap, buf_cap, slope, intercept) = located
+            seg_block = located[1][0]
             header = self._read_header(seg_block)
             raw = self._buffer_bytes(seg_block, header)
         with self.pager.phase("insert"):
@@ -384,7 +384,7 @@ class FitingTreeIndex(DiskIndex):
                 self._write_header(seg_block, header)
                 return
         with self.pager.phase("smo"):
-            self._resegment(first_key, seg_block, header, unpack_entries(
+            self._resegment(seg_block, header, unpack_entries(
                 raw[: slot * ENTRY_SIZE] + tail, count))
 
     @staticmethod
@@ -416,84 +416,31 @@ class FitingTreeIndex(DiskIndex):
 
     def _flush_head_buffer(self, entries: List[KeyPayload]) -> None:
         """Turn a full head buffer into leading segments of the index."""
-        keys = [key for key, _ in entries]
-        segments = self._segment_fn(keys, self.error_bound)
-        seg_blocks: List[int] = []
-        for seg in segments:
-            seg_items = entries[seg.first_pos : seg.first_pos + seg.length]
-            block = self._write_segment(seg_items, seg.model.slope,
-                                        seg.model.intercept - seg.first_pos)
-            seg_blocks.append(block)
-            extent = self._extent_blocks(seg.length, self.buffer_capacity)
-            self.directory.insert(seg.first_key, self._pack_descriptor(
-                block, extent, seg.length, self.buffer_capacity,
-                seg.model.slope, seg.model.intercept - seg.first_pos))
-        self._chain_segments(seg_blocks)
-        # Link the new leading run in front of the old first segment.
-        if self.first_segment_block != NULL_BLOCK:
-            old_first = self._read_header(self.first_segment_block)
-            old_first.left_sib = seg_blocks[-1]
-            self._write_header(self.first_segment_block, old_first)
-            last_new = self._read_header(seg_blocks[-1])
-            last_new.right_sib = self.first_segment_block
-            self._write_header(seg_blocks[-1], last_new)
-        self.first_segment_block = seg_blocks[0]
-        self.global_min = keys[0] if self.global_min is None else min(self.global_min, keys[0])
-        self.num_segments += len(segments)
+        for first_key, descriptor in self._write_run(entries, NULL_BLOCK,
+                                                     self.first_segment_block):
+            self.directory.insert(first_key, descriptor)
+        self.global_min = entries[0][0]
         self._write_head(0)  # reset the head buffer
 
-    def _resegment(self, first_key: int, seg_block: int, header: _SegmentHeader,
+    def _resegment(self, seg_block: int, header: _SegmentHeader,
                    buffered: List[KeyPayload]) -> None:
-        """The FITing-tree SMO: merge data + buffer, re-segment, patch the tree."""
+        """The FITing-tree SMO: merge data + buffer, re-segment, patch the
+        tree.  Every tombstone is dropped except at the segment's first
+        key: that is its directory key, so the entry survives dead or
+        alive and the first new segment takes over the old record."""
         self.num_resegments += 1
         data_entries = unpack_entries(
             self._data_bytes(seg_block, 0, header.item_count - 1), header.item_count)
         merged = [entry for entry in _merge_sorted(data_entries, buffered)
-                  if entry[1] != TOMBSTONE]
-        if not merged:
-            # Everything in the segment was deleted: keep the segment alive
-            # with a single tombstone so the directory stays consistent.
-            merged = [(header.first_key, TOMBSTONE)]
-        keys = [key for key, _ in merged]
-        segments = self._segment_fn(keys, self.error_bound)
-        seg_blocks: List[int] = []
-        for seg in segments:
-            seg_items = merged[seg.first_pos : seg.first_pos + seg.length]
-            block = self._write_segment(seg_items, seg.model.slope,
-                                        seg.model.intercept - seg.first_pos)
-            seg_blocks.append(block)
-        self._chain_segments(seg_blocks)
-        # Splice into the sibling chain.
-        if header.left_sib != NULL_BLOCK:
-            left = self._read_header(header.left_sib)
-            left.right_sib = seg_blocks[0]
-            self._write_header(header.left_sib, left)
-            new_first = self._read_header(seg_blocks[0])
-            new_first.left_sib = header.left_sib
-            self._write_header(seg_blocks[0], new_first)
-        if header.right_sib != NULL_BLOCK:
-            right = self._read_header(header.right_sib)
-            right.left_sib = seg_blocks[-1]
-            self._write_header(header.right_sib, right)
-            new_last = self._read_header(seg_blocks[-1])
-            new_last.right_sib = header.right_sib
-            self._write_header(seg_blocks[-1], new_last)
-        if seg_block == self.first_segment_block:
-            self.first_segment_block = seg_blocks[0]
-        # Patch the directory: replace the old descriptor, add the rest.
-        old_extent = self._extent_blocks(header.data_capacity, header.buffer_capacity)
-        self._data.free(seg_block, old_extent)
-        for i, seg in enumerate(segments):
-            extent = self._extent_blocks(seg.length, self.buffer_capacity)
-            descriptor = self._pack_descriptor(seg_blocks[i], extent, seg.length,
-                                               self.buffer_capacity, seg.model.slope,
-                                               seg.model.intercept - seg.first_pos)
-            if i == 0:
-                if not self.directory.update(seg.first_key, descriptor):
-                    self.directory.insert(seg.first_key, descriptor)
-            else:
-                self.directory.insert(seg.first_key, descriptor)
-        self.num_segments += len(segments) - 1
+                  if entry[1] != TOMBSTONE or entry[0] == header.first_key]
+        records = list(self._write_run(merged, header.left_sib, header.right_sib))
+        self._data.free(seg_block, self._extent_blocks(header.data_capacity,
+                                                       header.buffer_capacity))
+        self.num_segments -= 1
+        replaced = self.directory.update(*records[0])
+        assert replaced, "a segment's first key is its directory key"
+        for first_key, descriptor in records[1:]:
+            self.directory.insert(first_key, descriptor)
 
     # -- update / delete ---------------------------------------------------------------
 
@@ -646,32 +593,31 @@ class FitingTreeIndex(DiskIndex):
         self._idx_leaf.memory_resident = resident
 
     def verify(self) -> int:
-        """Check segment chain order, data/buffer sortedness and the
-        directory's agreement with the segment headers."""
+        """Check the head buffer, sortedness, the sibling chain against the
+        directory (record by record: neither holds a segment the other
+        lacks) and read every live key back through the point path."""
         with self._free_io():
-            count = 0
             # Head buffer: sorted, strictly below the global minimum.
             raw, head_count = self._read_head()
-            head = unpack_entries(raw, head_count, HEAD_HEADER_SIZE)
-            head_keys = [k for k, _ in head]
-            assert head_keys == sorted(set(head_keys)), "head buffer unsorted"
-            if self.global_min is not None and head_keys:
-                assert head_keys[-1] < self.global_min, "head buffer overlaps segments"
-            count += sum(1 for _, p in head if p != TOMBSTONE)
+            stored = dict(unpack_entries(raw, head_count, HEAD_HEADER_SIZE))
+            assert list(stored) == sorted(stored) and len(stored) == head_count, (
+                "head buffer unsorted")
+            if self.global_min is not None and stored:
+                assert max(stored) < self.global_min, "head buffer overlaps segments"
+            count = self._read_back(stored)
             # Segment chain vs directory.
             directory = list(self.directory.iterate_from(0))
             assert len(directory) == self.num_segments, "segment count mismatch"
             seg_block = self.first_segment_block
             previous_key = -1
             for first_key, data in directory:
-                descriptor = self._unpack_descriptor(data)
+                descriptor = _DESCRIPTOR.unpack(data)
                 assert seg_block == descriptor[0], "sibling chain diverges from directory"
                 header = self._read_header(seg_block)
                 assert header.first_key == first_key, "header/descriptor key mismatch"
                 assert header.item_count == descriptor[2], "stale descriptor capacity"
                 entries = unpack_entries(
-                    self._data_bytes(seg_block, 0, header.item_count - 1),
-                    header.item_count)
+                    self._data_bytes(seg_block, 0, header.item_count - 1), header.item_count)
                 keys = [k for k, _ in entries]
                 assert keys == sorted(set(keys)), "segment data unsorted"
                 assert keys[0] == first_key, "segment first key mismatch"
@@ -681,13 +627,20 @@ class FitingTreeIndex(DiskIndex):
                                           header.buffer_count)
                 buffer_keys = [k for k, _ in buffered]
                 assert buffer_keys == sorted(set(buffer_keys)), "delta buffer unsorted"
-                count += sum(1 for k, p in entries
-                             if p != TOMBSTONE and k not in
-                             {bk for bk, _ in buffered})
-                count += sum(1 for k, p in buffered if p != TOMBSTONE)
+                # The lookup's precedence: a live data-region entry wins.
+                stored = dict(buffered)
+                stored.update(entry for entry in entries if entry[1] != TOMBSTONE)
+                count += self._read_back(stored)
                 seg_block = header.right_sib
             assert seg_block == NULL_BLOCK, "sibling chain longer than directory"
             return count
+
+    def _read_back(self, stored: dict) -> int:
+        """``verify``: every live entry of ``stored``, through the point path."""
+        live = [entry for entry in stored.items() if entry[1] != TOMBSTONE]
+        for key, payload in live:
+            assert self._lookup(key) == payload, f"key {key} is unreachable"
+        return len(live)
 
     def init_params(self) -> dict:
         return {"error_bound": self.error_bound,

@@ -104,9 +104,9 @@ class LippIndex(DiskIndex):
         pager: storage access path.
         rebuild_factor: a subtree is rebuilt when the inserts since its
             construction reach ``rebuild_factor * build_size``.
-        build_gap_count: LIPP's slot over-allocation for small nodes
-            (default 4, i.e. 5x slots for nodes under 100K items — the
-            source of LIPP's outsized storage footprint in Figure 10).
+        build_gap_count: LIPP's slot over-allocation for small nodes, at
+            least 1 (default 4, i.e. 5x slots for nodes under 100K items —
+            the source of LIPP's outsized storage footprint in Figure 10).
     """
 
     name = "lipp"
@@ -121,6 +121,11 @@ class LippIndex(DiskIndex):
         get_codec(codec)
         if rebuild_factor <= 0:
             raise ValueError(f"rebuild factor must be positive, got {rebuild_factor}")
+        if build_gap_count < 1:
+            # LIPP never builds with fewer than one gap per key: with none,
+            # conflicting keys get a child of as many slots as keys, whose
+            # model can put them in one slot again — bulk_load never returns.
+            raise ValueError(f"build gap count must be >= 1, got {build_gap_count}")
         self._file_prefix = file_prefix
         self.rebuild_factor = rebuild_factor
         self.build_gap_count = build_gap_count

@@ -26,7 +26,11 @@ cases were recorded again when both indexes came to route through one
 ``descend`` (DESIGN.md Section 18: descriptor windows one record longer,
 predictions capped by the successor's intercept; plid's descriptors 24
 bytes, none read while one segment covers the directory, no directory
-entry for the rightmost leaf) — every other case byte-identical.
+entry for the rightmost leaf) — every other case byte-identical; the
+four ``fiting-*`` cases were recorded again when the sequence stopped
+sparing segments' first keys from its deletes (DESIGN.md Section 19: a
+resegment used to leave the old directory record behind; with the filter
+still in, the one segment-run writer reproduced them byte for byte).
 Regenerate it only for a change that is *meant* to move charged I/O or
 page bytes, and say so in the commit:
 
@@ -181,6 +185,21 @@ def run_case(case) -> dict:
     low = 1 << 20          # next key below everything stored
     high = KEY_SPACE       # next key above everything stored
     dead = []              # deleted and not re-inserted
+    dead_first_keys = 0    # fiting: resegments of a segment whose first key is dead
+
+    def insert(key, payload) -> None:
+        """``index.insert``; on fiting, note (free of charge) whether it
+        resegments a segment whose directory key is deleted."""
+        nonlocal dead_first_keys
+        live[key] = payload
+        if index_name != "fiting" or key < index.global_min:
+            index.insert(key, payload)
+            return
+        with index._free_io():
+            first_key = index.directory.floor_record(key)[0]
+        before = index.num_resegments
+        index.insert(key, payload)
+        dead_first_keys += index.num_resegments > before and first_key not in live
 
     def mutate() -> None:
         nonlocal low, high
@@ -195,8 +214,7 @@ def run_case(case) -> dict:
         high += 3
         rng.shuffle(fresh)
         for key in fresh:
-            live[key] = key + 1
-            index.insert(key, key + 1)
+            insert(key, key + 1)
         if index_name == "pgm":
             # An LSM cannot see below its buffer: a duplicate shadows
             # the component's copy unless both sit in the buffer.
@@ -218,12 +236,6 @@ def run_case(case) -> dict:
         start = rng.randrange(len(ordered) - 40)
         doomed = ordered[start : start + 30]
         doomed += [ordered[rng.randrange(len(ordered))] for _ in range(70)]
-        if index_name == "fiting":
-            # Never a segment's first key: the recorded commit leaves the
-            # old descriptor behind when a resegment loses its first key.
-            with index._free_io():
-                first_keys = {key for key, _ in index.directory.iterate_from(0)}
-            doomed = [key for key in doomed if key not in first_keys]
         doomed += doomed[:5] + [fresh_key(), 0, high + 10_000]
         for key in doomed:
             assert index.delete(key) == (key in live), (case_id(case), key)
@@ -233,8 +245,7 @@ def run_case(case) -> dict:
         # index keeps it.
         back = [dead.pop(rng.randrange(len(dead))) for _ in range(40)]
         for key in back:
-            live[key] = rng.randrange(1 << 62)
-            index.insert(key, live[key])
+            insert(key, rng.randrange(1 << 62))
 
     def probe() -> None:
         ordered = sorted(live)
@@ -273,12 +284,15 @@ def run_case(case) -> dict:
         probe()
 
     pager.flush()
+    after = _structure(index)
+    if index_name == "fiting":
+        after["resegments_of_a_dead_first_key"] = dead_first_keys
     return {
         "stats": dataclasses.asdict(device.stats),
         "files": {name: zlib.crc32(b"".join(bytes(b) for b in handle.blocks))
                   for name, handle in sorted(device.files.items())},
         "answers": answers,
-        "structure": [after_bulk, _structure(index)],
+        "structure": [after_bulk, after],
     }
 
 

@@ -3,15 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fiting import FitingTreeIndex
+from repro.core.serial import NULL_BLOCK
 from repro.storage import NULL_DEVICE, BlockDevice, Pager
 
-from tests.util import items_of, random_sorted_keys
+from tests.util import (ReferenceModel, check_full_agreement, items_of,
+                        random_sorted_keys)
 
 
-def fresh(**kwargs):
-    device = BlockDevice(4096, NULL_DEVICE)
+def fresh(block_size=4096, **kwargs):
+    device = BlockDevice(block_size, NULL_DEVICE)
     return FitingTreeIndex(Pager(device), **kwargs), device
 
 
@@ -224,3 +228,127 @@ def test_memory_resident_inner_removes_directory_io():
     index.lookup(keys[456])
     disk_cost = device.stats.reads - before
     assert resident_cost < disk_cost
+
+
+# -- a segment's first key is its directory key ------------------------------------
+
+def directory_keys(index):
+    with index._free_io():
+        return [key for key, _ in index.directory.iterate_from(0)]
+
+
+def chain_first_keys(index):
+    """First keys of the segments along the sibling chain."""
+    out, block = [], index.first_segment_block
+    with index._free_io():
+        while block != NULL_BLOCK:
+            header = index._read_header(block)
+            out.append(header.first_key)
+            block = header.right_sib
+    return out
+
+
+def check_against(index, model):
+    """Directory == chain, point path == scan path == the model."""
+    assert index.verify() == len(model)
+    assert directory_keys(index) == chain_first_keys(index)
+    assert index.num_segments == index.directory.num_records
+    batch = model.keys() + model.keys()[:3]
+    assert index.lookup_many(batch) == [model.lookup(key) for key in batch]
+    check_full_agreement(index, model, key_space=10**6)
+
+
+@pytest.mark.parametrize("lost", ["first key", "all keys", "first key, live in buffer"])
+@pytest.mark.parametrize("segment", ["first", "middle", "last"])
+def test_resegment_of_a_segment_whose_first_key_was_deleted(segment, lost):
+    """ROADMAP 1(d): the resegment SMO used to ``update(new first key) or
+    insert``, so a segment that lost its first key left the old record
+    in the directory, pointing at the freed extent."""
+    keys = random_sorted_keys(400, seed=9, key_space=10**6)
+    index, _ = fresh(error_bound=8, buffer_capacity=4)
+    index.bulk_load(items_of(keys))
+    model = ReferenceModel(items_of(keys))
+    firsts = directory_keys(index)
+    assert len(firsts) >= 3
+    at = {"first": 0, "middle": len(firsts) // 2, "last": len(firsts) - 1}[segment]
+    victim = firsts[at]
+    assert (victim == index.global_min) == (segment == "first")
+    end = firsts[at + 1] if at + 1 < len(firsts) else keys[-1] + 100
+    doomed = ([key for key in keys if victim <= key < end] if lost == "all keys"
+              else [victim])
+    for key in doomed:
+        assert index.delete(key) and model.delete(key)
+    if lost == "first key, live in buffer":
+        index.insert(victim, 5)  # over the data region's tombstone
+        model.insert(victim, 5)
+    before = index.num_resegments
+    key = victim
+    while index.num_resegments == before:
+        key += 1
+        if key not in model and key not in doomed:
+            assert key < end
+            index.insert(key, key + 1)
+            model.insert(key, key + 1)
+    check_against(index, model)
+    assert index.lookup(victim) == model.lookup(victim)
+    if victim not in model:
+        index.insert(victim, 7)
+        model.insert(victim, 7)
+        assert index.lookup(victim) == 7
+        assert index.lookup_many([victim, victim + 1, victim]) == [
+            7, model.lookup(victim + 1), 7]
+        check_against(index, model)
+    # Below the segment's new first live key, above its directory key.
+    assert index.scan(victim + 1, 2) == model.scan(victim + 1, 2)
+
+
+_HISTORY = st.lists(st.tuples(
+    st.sampled_from(["insert", "insert", "insert after first", "delete",
+                     "delete first", "update", "reinsert"]),
+    st.integers(0, 3999)), min_size=20, max_size=120)
+
+
+@settings(max_examples=60, deadline=None)
+@given(error_bound=st.sampled_from([2, 8]), buffer_capacity=st.sampled_from([4, 8]),
+       bulk=st.lists(st.integers(500, 3499), min_size=1, max_size=80, unique=True),
+       history=_HISTORY)
+def test_histories_that_delete_directory_keys(error_bound, buffer_capacity, bulk,
+                                              history):
+    """Deletes drawn half from the current directory keys, inserts
+    anywhere (the head buffer holds 15 entries of these 256-byte blocks
+    and flushes) and right after a directory key, updates and
+    re-inserts: after every SMO the index equals the model, ``lookup``
+    and ``scan`` agree and ``verify()`` passes."""
+    index, _ = fresh(256, error_bound=error_bound, buffer_capacity=buffer_capacity)
+    index.bulk_load(items_of(sorted(bulk)))
+    model = ReferenceModel(items_of(sorted(bulk)))
+    dead = []
+    for kind, value in history:
+        smos = (index.num_resegments, index.num_segments)
+        if kind == "insert after first":
+            firsts = directory_keys(index)
+            value = firsts[value % len(firsts)] + 1
+            while value in model:
+                value += 1
+            kind = "insert"
+        if kind == "insert" or (kind == "reinsert" and not dead):
+            if value in model:
+                continue
+            index.insert(value, value + 2)
+            model.insert(value, value + 2)
+        elif kind == "reinsert":
+            key = dead.pop(value % len(dead))
+            if key not in model:
+                index.insert(key, value)
+                model.insert(key, value)
+        elif len(model):
+            pool = directory_keys(index) if kind == "delete first" else model.keys()
+            key = pool[value % len(pool)]
+            if kind == "update":
+                assert index.update(key, value) == model.update(key, value)
+            else:
+                assert index.delete(key) == model.delete(key)
+                dead.append(key)
+        if smos != (index.num_resegments, index.num_segments):
+            check_against(index, model)
+    check_against(index, model)

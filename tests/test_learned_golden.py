@@ -52,6 +52,8 @@ def test_sequence_forces_every_structural_change():
             assert after["splits"] >= 80 and after["rebuilds"] >= 10
         elif cell == "fiting":
             assert after["resegments"] >= 150
+            assert after["resegments_of_a_dead_first_key"] >= 5, (
+                "segments whose directory key was deleted were resegmented")
             assert after["global_min"] < 1 << 20, "head buffer flushed"
         elif cell.startswith("alex"):
             assert after["expands"] >= 80 and after["splits"] >= 30

@@ -25,6 +25,19 @@ def test_parameter_validation():
         LippIndex(Pager(device), rebuild_factor=0)
 
 
+@pytest.mark.parametrize("gap_count", [0, -1])
+def test_build_gap_count_below_one_is_rejected(gap_count):
+    """ROADMAP 1(f): with no gap, 200 random keys over ``2**30 * 200``
+    never returned from ``bulk_load`` (-1 died in ``struct``); the
+    original LIPP never builds with fewer than one gap per key."""
+    with pytest.raises(ValueError, match="build gap count"):
+        LippIndex(Pager(BlockDevice(4096, NULL_DEVICE)), build_gap_count=gap_count)
+    index = LippIndex(Pager(BlockDevice(4096, NULL_DEVICE)), build_gap_count=1)
+    keys = sorted(random.Random(0).sample(range(2**30 * 200), 200))
+    index.bulk_load(items_of(keys))
+    assert index.verify() == 200
+
+
 def test_no_memory_resident_inner():
     """The paper excludes LIPP from the hybrid case (Section 6.2)."""
     index, _ = fresh()
@@ -318,7 +331,8 @@ def test_walk_reference_cases_are_really_generated():
     """The shapes the properties above are meant to cover do occur on
     these block sizes: a conflict child in the first and in the last
     whole slot of a block, a child in a slot lying across two blocks, a
-    one-slot node and a node of several blocks."""
+    one-key node (two slots, the smallest a build makes) and a node of
+    several blocks."""
     rng = random.Random(11)
     keys = sorted({rng.randrange(1 << 20) * 1000 + rng.randrange(6)
                    for _ in range(400)})
@@ -340,7 +354,7 @@ def test_walk_reference_cases_are_really_generated():
                        else "across blocks" if at + SLOT_SIZE > 256
                        else "last of block" if at + 2 * SLOT_SIZE > 256
                        else "inside")
-    one, _ = _lipp_pair(256, False, [7], 0)
-    assert one._read_header(one.root_block).num_slots == 1
+    one, _ = _lipp_pair(256, False, [7], 1)
+    assert one._read_header(one.root_block).num_slots == 2
     assert shapes >= {"several blocks", "first of block", "across blocks",
                       "last of block", "inside"}

@@ -53,22 +53,32 @@ def test_verify_charges_no_io(name):
     assert delta.elapsed_us == 0.0
 
 
-@pytest.mark.parametrize("name", ["pgm", "plid", "hybrid-pgm"])
+@pytest.mark.parametrize("name", ["pgm", "plid", "hybrid-pgm", "fiting"])
 def test_verify_fails_when_a_bulk_loaded_key_is_unreachable(name, monkeypatch):
     """``verify()`` reads every stored key back through the point path.
     Without the successor cap of ``descend`` (DESIGN.md Section 18), 129 /
     203 / 178 of these keys — the runs right after a giant gap — are
     unreachable through pgm / plid / hybrid-pgm; a ``verify()`` that
-    only walks the data in order stays green over them."""
-    from repro.core import pgm
+    only walks the data in order stays green over them.  fiting keeps
+    each segment's model in its directory record: one record's slope is
+    zeroed."""
+    from repro.core import fiting, pgm
     index = make_index(name, Pager(BlockDevice(4096, NULL_DEVICE)))
     index.bulk_load(items_of(
         int(key) for key in make_dataset("fb", 50_000, seed=1)))
     assert index.verify() == 50_000
-    capped = pgm._window
-    monkeypatch.setattr(
-        pgm, "_window", lambda descriptor, _successor, *rest: capped(
-            descriptor, None, *rest))
+    if name == "fiting":
+        first_key, data = next(index.directory.iterate_from(0))
+        *layout, _slope, intercept = fiting._DESCRIPTOR.unpack(data)
+        data_capacity = layout[2]
+        assert data_capacity > 2 * index.error_bound + 3, "no window covers it"
+        assert index.directory.update(
+            first_key, fiting._DESCRIPTOR.pack(*layout, 0.0, intercept))
+    else:
+        capped = pgm._window
+        monkeypatch.setattr(
+            pgm, "_window", lambda descriptor, _successor, *rest: capped(
+                descriptor, None, *rest))
     with pytest.raises(AssertionError, match="unreachable|routes elsewhere"):
         index.verify()
 
