@@ -51,7 +51,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..models import LinearModel
+from ..models import LinearModel, anchored_diff
 from ..storage import BlockFile, Pager
 from .codecs import get_codec
 from .interface import DiskIndex, KeyPayload, TOMBSTONE
@@ -106,6 +106,21 @@ def _predict_slot(slope: float, intercept: float, anchor: int, key: int,
     subtraction, float multiply-add and truncation, no model object."""
     pos = int(slope * float(int(key) - anchor) + intercept)
     return 0 if pos < 0 else min(pos, size - 1)
+
+
+def _predict_slots(model: LinearModel, keys: np.ndarray, size: int) -> np.ndarray:
+    """``model.predict_clamped(key, size)`` of every key of a uint64
+    array: the same exact subtraction and float multiply-add
+    (:func:`anchored_diff`), clamped before the truncation."""
+    pos = model.slope * anchored_diff(keys, np.uint64(model.anchor)) + model.intercept
+    return np.clip(pos, 0, size - 1).astype(np.int64)
+
+
+def _entry_array(items: Sequence[KeyPayload]) -> np.ndarray:
+    """``(key, payload)`` pairs as the ``(n, 2)`` uint64 array the node
+    builders take (through the struct packer: half the time of
+    ``np.asarray`` on a list of tuples)."""
+    return np.frombuffer(pack_entries(items), dtype="<u8").reshape(-1, 2)
 
 
 def _set_slots(bitmap: bytes, first_slot: int, start_slot: int,
@@ -294,43 +309,45 @@ class AlexIndex(DiskIndex):
         capacity = max(16, int(num_keys / self.init_density) + 1)
         return min(capacity, self.max_data_node_entries)
 
-    def _build_data_node(self, items: Sequence[KeyPayload],
+    def _build_data_node(self, entries: np.ndarray,
                          capacity: Optional[int] = None,
                          prev: int = NULL_BLOCK, next_: int = NULL_BLOCK) -> int:
-        """Write a fresh data node; returns its extent start block."""
-        n = len(items)
+        """Write a fresh data node over an ``(n, 2)`` array of sorted
+        entries; returns its extent start block.
+
+        Each key goes to the slot its model predicts, pushed right past
+        the key before it and held left far enough that the keys after it
+        still fit: ``slot[i] = min(max(pred[i], slot[i - 1] + 1),
+        capacity - (n - i))``.  Written for ``slot[i] - i`` that is a
+        running maximum of ``pred[i] - i`` capped at ``capacity - n``,
+        which is how it is computed (DESIGN.md Section 20).
+        """
+        n = len(entries)
         if capacity is None:
             capacity = self._initial_capacity(n)
         if n > capacity:
             raise ValueError(f"{n} items exceed capacity {capacity}")
+        bits = np.zeros(capacity, dtype=np.uint8)  # one per slot: a key lives there
         if n:
+            keys = entries[:, 0]
+            rank = np.arange(n)
             model = LinearModel.fit_least_squares(
-                [key for key, _ in items],
-                [int(i * capacity / max(n, 1)) for i in range(n)],
-            )
+                keys, (rank * capacity / n).astype(np.int64))
+            slots = np.minimum(
+                np.maximum.accumulate(_predict_slots(model, keys, capacity) - rank),
+                capacity - n) + rank
+            bits[slots] = 1
+            # A gap holds a copy of the entry before it (of the first
+            # entry, ahead of it).
+            filled = entries[np.maximum(np.cumsum(bits, dtype=np.int64) - 1, 0)]
         else:
             model = LinearModel(0.0, 0.0)
-        slots: List[KeyPayload] = []
-        bitmap = bytearray(self._bitmap_bytes(capacity))
-        last = -1
-        for i, (key, payload) in enumerate(items):
-            pred = model.predict_clamped(key, capacity)
-            slot = min(max(pred, last + 1), capacity - (n - i))
-            # Fill the gap run before this entry with a copy of the
-            # previous entry (or of this entry for leading gaps).
-            filler = items[i - 1] if i > 0 else (key, payload)
-            while len(slots) < slot:
-                slots.append(filler)
-            slots.append((key, payload))
-            bitmap[slot >> 3] |= 1 << (slot & 7)
-            last = slot
-        filler = items[-1] if items else (0, 0)
-        while len(slots) < capacity:
-            slots.append(filler)
+            filled = np.zeros((capacity, 2), dtype=np.uint64)
         header = _DataHeader(capacity, n, model.slope, model.intercept, model.anchor,
                              prev, next_)
         block = self._data_file.allocate(self._data_extent_blocks(capacity))
-        payload_bytes = header.pack() + bytes(bitmap) + pack_entries(slots)
+        payload_bytes = (header.pack() + np.packbits(bits, bitorder="little").tobytes()
+                         + filled.tobytes())
         self.pager.write_bytes(self._data_file, block * self.pager.block_size, payload_bytes)
         return block
 
@@ -340,31 +357,31 @@ class AlexIndex(DiskIndex):
         if self.root_ptr is not None:
             raise RuntimeError("index already bulk-loaded")
         with self.pager.phase("bulkload"):
-            self.root_ptr = self._bulk_build(list(items))
+            self.root_ptr = self._bulk_build(_entry_array(list(items)))
             self._link_leaves()
 
-    def _bulk_build(self, items: List[KeyPayload]) -> int:
-        n = len(items)
+    def _bulk_build(self, entries: np.ndarray) -> int:
+        n = len(entries)
         max_initial = int(self.max_data_node_entries * self.init_density)
         if n <= max_initial:
-            return _pack_ptr(True, self._build_data_node(items))
+            return _pack_ptr(True, self._build_data_node(entries))
         # Inner node: pick a power-of-two fanout targeting well-filled children.
         fanout = 2
         while fanout < self.max_fanout and n / fanout > max_initial / 2:
             fanout *= 2
-        keys = [key for key, _ in items]
+        keys = entries[:, 0]
         model = LinearModel.fit_least_squares(
-            keys, [int(i * fanout / n) for i in range(n)])
-        partitions = self._partition(items, model, fanout)
+            keys, (np.arange(n) * fanout / n).astype(np.int64))
+        partitions = self._partition(entries, model, fanout)
         if max(len(p) for p in partitions) >= n:
             # Degenerate fit: fall back to a min-max model, which always
             # separates the first and last key.
-            model = LinearModel.fit_min_max(keys[0], keys[-1], fanout)
-            partitions = self._partition(items, model, fanout)
+            model = LinearModel.fit_min_max(int(keys[0]), int(keys[-1]), fanout)
+            partitions = self._partition(entries, model, fanout)
         maybe_ptrs: List[Optional[int]] = []
         last_ptr: Optional[int] = None
         for partition in partitions:
-            if partition:
+            if len(partition):
                 last_ptr = self._bulk_build(partition)
                 maybe_ptrs.append(last_ptr)
             else:
@@ -377,12 +394,14 @@ class AlexIndex(DiskIndex):
         return _pack_ptr(False, self._write_inner(fanout, model, pointers))
 
     @staticmethod
-    def _partition(items: List[KeyPayload], model: LinearModel,
-                   fanout: int) -> List[List[KeyPayload]]:
-        partitions: List[List[KeyPayload]] = [[] for _ in range(fanout)]
-        for key, payload in items:
-            partitions[model.predict_clamped(key, fanout)].append((key, payload))
-        return partitions
+    def _partition(entries: np.ndarray, model: LinearModel,
+                   fanout: int) -> List[np.ndarray]:
+        """The sorted ``entries`` cut into the runs ``model`` routes to
+        each of ``fanout`` children (predictions never decrease along
+        sorted keys, so each child's keys are one run)."""
+        cuts = np.searchsorted(_predict_slots(model, entries[:, 0], fanout),
+                               np.arange(fanout + 1)).tolist()
+        return [entries[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
     def _write_inner(self, fanout: int, model: LinearModel, pointers: List[int]) -> int:
         """Write an inner node; returns its byte offset in the inner file."""
@@ -760,7 +779,7 @@ class AlexIndex(DiskIndex):
             self.num_expands += 1
             capacity = min(max(header.capacity * 2, self._initial_capacity(len(items))),
                            self.max_data_node_entries)
-            new_block = self._build_data_node(items, capacity=capacity,
+            new_block = self._build_data_node(_entry_array(items), capacity=capacity,
                                               prev=header.prev, next_=header.next)
             self._fix_sibling_links(new_block, header.prev, header.next)
             self._replace_child(parent, block, new_block)
@@ -840,9 +859,9 @@ class AlexIndex(DiskIndex):
     def _write_split_pair(self, items: List[KeyPayload], split_at: int,
                           prev: int, next_: int) -> Tuple[int, int]:
         """Write two sibling data nodes holding items[:split_at] / items[split_at:]."""
-        left_items, right_items = items[:split_at], items[split_at:]
-        left_block = self._build_data_node(left_items, prev=prev)
-        right_block = self._build_data_node(right_items, next_=next_)
+        entries = _entry_array(items)
+        left_block = self._build_data_node(entries[:split_at], prev=prev)
+        right_block = self._build_data_node(entries[split_at:], next_=next_)
         left_header = self._read_data_header(left_block)
         left_header.next = right_block
         self._write_data_header(left_block, left_header)

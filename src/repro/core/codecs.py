@@ -347,8 +347,9 @@ class DeltaVarintCodec(LeafCodec):
         return sizes
 
     def max_entries(self, budget: int) -> int:
-        # Two bytes per entry minimum: a 1-byte key delta + 1-byte residual.
-        return min(_MAX_PAGE_COUNT, max(1, (budget - self._FIXED) // 2))
+        # Two bytes per entry minimum, a 1-byte key delta + 1-byte
+        # residual; the first entry (its key is in _FIXED) has no delta.
+        return min(_MAX_PAGE_COUNT, max(1, (budget - self._FIXED + 1) // 2))
 
 
 _FOR_SUBHEADER = struct.Struct("<BB6x")  # key width, payload width

@@ -40,9 +40,10 @@ paper reports for LIPP scans.
 from __future__ import annotations
 
 import struct
+from operator import sub
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..models import build_fmcd_model, lipp_node_slots
+from ..models import LinearModel, build_fmcd_model, lipp_node_slots
 from ..storage import Pager
 from .codecs import get_codec
 from .interface import DiskIndex, KeyPayload
@@ -168,9 +169,27 @@ class LippIndex(DiskIndex):
         with self.pager.phase("bulkload"):
             self.root_block = self._build_node(list(items))
 
-    def _node_model(self, keys: List[int], num_slots: int):
+    @staticmethod
+    def _slot_runs(model: LinearModel, keys: List[int],
+                   num_slots: int) -> Tuple[List[int], List[int]]:
+        """The slot ``model`` predicts for each of the sorted ``keys``
+        (:meth:`_NodeHeader.predict`, spelled out) and the indices at
+        which the slot changes, 0 and ``len(keys)`` included: keys
+        ``cuts[i]:cuts[i + 1]`` share a slot."""
+        slope, intercept, anchor = model.slope, model.intercept, model.anchor
+        top = num_slots - 1
+        slots = [pos if 0 <= (pos := int(slope * float(int(key) - anchor) + intercept)) <= top
+                 else 0 if pos < 0 else top
+                 for key in keys]
+        n = len(slots)
+        return slots, [0, *[i for i in range(1, n) if slots[i] != slots[i - 1]], n]
+
+    def _node_model(self, keys: List[int],
+                    num_slots: int) -> Tuple[LinearModel, List[int], List[int]]:
         """FMCD model for a node, with a min-max fallback when FMCD's
-        clamped tails collapse most keys into one slot.
+        clamped tails collapse most keys into one slot; with it, each
+        key's slot and the runs of keys sharing one (:meth:`_slot_runs`),
+        so that a node predicts each key once.
 
         Datasets mixing a dense run with far outliers (OSM-like) make
         FMCD's slot width tiny; every key outside the central span clamps
@@ -181,19 +200,12 @@ class LippIndex(DiskIndex):
         """
         fmcd = build_fmcd_model(keys, num_slots)
         model = fmcd.model
-        if len(keys) >= 4 and not fmcd.fallback:
-            first = model.predict_clamped(keys[0], num_slots)
-            run = best = 1
-            prev = first
-            for key in keys[1:]:
-                slot = model.predict_clamped(key, num_slots)
-                run = run + 1 if slot == prev else 1
-                prev = slot
-                best = max(best, run)
-            if best > len(keys) // 2:
-                from ..models import LinearModel
-                model = LinearModel.fit_min_max(keys[0], keys[-1], num_slots)
-        return model
+        slots, cuts = self._slot_runs(model, keys, num_slots)
+        if (len(keys) >= 4 and not fmcd.fallback
+                and max(map(sub, cuts[1:], cuts)) > len(keys) // 2):
+            model = LinearModel.fit_min_max(keys[0], keys[-1], num_slots)
+            slots, cuts = self._slot_runs(model, keys, num_slots)
+        return model, slots, cuts
 
     def _build_node(self, items: List[KeyPayload]) -> int:
         """Build a node (and its conflict children) with FMCD.
@@ -209,37 +221,27 @@ class LippIndex(DiskIndex):
         while stack:
             node_items, parent_block, parent_slot = stack.pop()
             n = len(node_items)
-            keys = [key for key, _ in node_items]
             num_slots = lipp_node_slots(max(n, 1), self.build_gap_count)
-            model = self._node_model(keys, num_slots) if n else None
-            header = _NodeHeader(
-                item_count=n, num_slots=num_slots,
-                slope=model.slope if model else 0.0,
-                intercept=model.intercept if model else 0.0,
-                anchor=model.anchor if model else 0,
-                build_size=n, num_inserts=0,
-            )
-            # Group items by predicted slot; singletons become DATA slots,
-            # conflicts become child nodes built the same way.
-            slots = bytearray(num_slots * SLOT_SIZE)
-            groups: List[Tuple[int, List[KeyPayload]]] = []
-            for key, payload in node_items:
-                slot = header.predict(key)
-                if groups and groups[-1][0] == slot:
-                    groups[-1][1].append((key, payload))
-                else:
-                    groups.append((slot, [(key, payload)]))
+            if n:
+                model, slots, cuts = self._node_model(
+                    [key for key, _ in node_items], num_slots)
+            else:
+                model, slots, cuts = LinearModel(0.0, 0.0), [], [0]
             block = self._file.allocate(self._extent_blocks(num_slots))
-            for slot, group in groups:
-                if len(group) == 1:
-                    _SLOT.pack_into(slots, slot * SLOT_SIZE, SLOT_DATA,
-                                    group[0][0], group[0][1])
+            node = bytearray(HEADER_SIZE + num_slots * SLOT_SIZE)
+            _NODE_HEADER.pack_into(node, 0, n, num_slots, model.slope, model.intercept,
+                                   model.anchor, n, 0)  # build size n, no inserts yet
+            # A key alone in its slot becomes a DATA slot; keys sharing
+            # one become a child node built the same way.
+            for lo, hi in zip(cuts, cuts[1:]):
+                at = HEADER_SIZE + slots[lo] * SLOT_SIZE
+                if hi - lo == 1:
+                    _SLOT.pack_into(node, at, SLOT_DATA, *node_items[lo])
                 else:
                     # Placeholder NODE slot; the child patches it when built.
-                    _SLOT.pack_into(slots, slot * SLOT_SIZE, SLOT_NODE, 0, 0)
-                    stack.append((group, block, slot))
-            self.pager.write_bytes(self._file, block * self.pager.block_size,
-                                   header.pack() + bytes(slots))
+                    _SLOT.pack_into(node, at, SLOT_NODE, 0, 0)
+                    stack.append((node_items[lo:hi], block, slots[lo]))
+            self.pager.write_bytes(self._file, block * self.pager.block_size, node)
             if parent_block is None:
                 root_block = block
             else:

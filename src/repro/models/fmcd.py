@@ -14,7 +14,7 @@ whole-dataset FMCD model, which :func:`conflict_degree` computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .linear import LinearModel
@@ -40,12 +40,21 @@ def lipp_node_slots(item_count: int, build_gap_count: int = 4) -> int:
 
 @dataclass
 class FmcdResult:
-    """Outcome of FMCD construction for one node."""
+    """Outcome of FMCD construction for one node.
+
+    ``conflict_degree`` — the most keys the model maps to one slot — is
+    a pass over every key, made when it is read: Table 3's profile reads
+    it, a LIPP node build does not.
+    """
 
     model: LinearModel
     num_slots: int
-    conflict_degree: int
     fallback: bool  # True when the min-max fallback was used
+    keys: Sequence[int] = field(repr=False)
+
+    @property
+    def conflict_degree(self) -> int:
+        return _max_conflict(self.keys, self.model, self.num_slots)
 
 
 def build_fmcd_model(keys: Sequence[int], num_slots: int) -> FmcdResult:
@@ -61,8 +70,8 @@ def build_fmcd_model(keys: Sequence[int], num_slots: int) -> FmcdResult:
         raise ValueError("cannot build a model over zero keys")
     if num_slots < 2 or n == 1:
         model = LinearModel(slope=0.0, intercept=0.0)
-        return FmcdResult(model=model, num_slots=max(num_slots, 1), conflict_degree=n,
-                          fallback=True)
+        return FmcdResult(model=model, num_slots=max(num_slots, 1), fallback=True,
+                          keys=keys)
 
     big_l = num_slots
     i = 0
@@ -96,8 +105,7 @@ def build_fmcd_model(keys: Sequence[int], num_slots: int) -> FmcdResult:
         fallback = True
         model = LinearModel.fit_min_max(keys[0], keys[-1], big_l)
 
-    degree = _max_conflict(keys, model, big_l)
-    return FmcdResult(model=model, num_slots=big_l, conflict_degree=degree, fallback=fallback)
+    return FmcdResult(model=model, num_slots=big_l, fallback=fallback, keys=keys)
 
 
 def _max_conflict(keys: Sequence[int], model: LinearModel, num_slots: int) -> int:

@@ -99,7 +99,7 @@ class LinearModel:
         if len(keys) == 0:
             raise ValueError("cannot fit a model to zero points")
         anchor = int(keys[0])
-        xs = np.asarray([int(k) - anchor for k in keys], dtype=np.float64)
+        xs = anchored_diff(np.asarray(keys, dtype=np.uint64), np.uint64(anchor))
         ys = np.asarray(positions, dtype=np.float64)
         if xs.size == 1 or keys[0] == keys[-1]:
             return cls(slope=0.0, intercept=float(ys[0]), anchor=anchor)

@@ -17,13 +17,20 @@ Two segmentation algorithms appear in the paper:
 Both guarantee ``|predicted_pos - true_pos| <= epsilon`` for every key
 covered by a segment.  Cross products are computed with exact Python
 integers, so there is no precision failure even for keys near ``2**64``
-(the C++ originals need ``__int128`` for the same reason).
+(the C++ originals need ``__int128`` for the same reason); a numpy key
+array is converted to Python integers on the way in.
+
+Each is one loop over the keys with its state in locals: the fit runs
+under every pgm and fiting build, merge and resegment (DESIGN.md
+Section 20).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from itertools import islice
+from operator import lt
+from typing import List, Sequence
 
 import numpy as np
 
@@ -91,13 +98,23 @@ class SegmentArray:
         return self.slopes[idx] * diff + self.intercepts[idx]
 
 
-def _check_sorted_unique(keys: Sequence[int]) -> None:
-    for i in range(1, len(keys)):
-        if keys[i] <= keys[i - 1]:
-            raise ValueError(
-                f"keys must be strictly increasing; violation at index {i}: "
-                f"{keys[i - 1]} >= {keys[i]}"
-            )
+def _exact_sorted_keys(keys: Sequence[int]) -> Sequence[int]:
+    """``keys`` as exact Python integers, checked strictly increasing.
+
+    A ``np.uint64`` array (what ``make_dataset`` returns) is converted
+    once: left as numpy scalars, the keys would make every difference and
+    cross product below wrap, overflow or — under NumPy 1.x promotion,
+    uint64 with a Python int — silently become float64.
+    """
+    if isinstance(keys, np.ndarray):
+        keys = keys.tolist()
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        i = next(i for i in range(1, len(keys)) if keys[i] <= keys[i - 1])
+        raise ValueError(
+            f"keys must be strictly increasing; violation at index {i}: "
+            f"{keys[i - 1]} >= {keys[i]}"
+        )
+    return keys
 
 
 def shrinking_cone_segments(keys: Sequence[int], epsilon: int) -> List[Segment]:
@@ -108,7 +125,7 @@ def shrinking_cone_segments(keys: Sequence[int], epsilon: int) -> List[Segment]:
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    _check_sorted_unique(keys)
+    keys = _exact_sorted_keys(keys)
     segments: List[Segment] = []
     n = len(keys)
     i = 0
@@ -149,172 +166,118 @@ def shrinking_cone_segments(keys: Sequence[int], epsilon: int) -> List[Segment]:
     return segments
 
 
-class _OptimalPLA:
-    """O'Rourke's online feasible-region algorithm (PGM variant).
-
-    Maintains upper/lower convex hulls of the shifted points and the
-    extreme feasible lines as a "rectangle" of four points, exactly as in
-    the PGM-index reference implementation, but with exact integer cross
-    products.
-    """
-
-    def __init__(self, epsilon: int) -> None:
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-        self.epsilon = epsilon
-        self.reset()
-
-    def reset(self) -> None:
-        self.points_in_hull = 0
-        self.first_x = 0  # the anchor: all stored xs are relative to it
-        self.last_x: int | None = None
-        self.rect: List[Tuple[int, int]] = [(0, 0)] * 4
-        self.upper: List[Tuple[int, int]] = []
-        self.lower: List[Tuple[int, int]] = []
-        self.upper_start = 0
-        self.lower_start = 0
-
-    @staticmethod
-    def _cross(o: Tuple[int, int], a: Tuple[int, int], b: Tuple[int, int]) -> int:
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    @staticmethod
-    def _slope_lt(p: Tuple[int, int], q: Tuple[int, int]) -> bool:
-        """Compare slopes of vectors p, q (positive dx assumed)."""
-        return p[1] * q[0] < q[1] * p[0]
-
-    def add_point(self, x: int, y: int) -> bool:
-        """Feed the next point; False means it opens a new segment."""
-        if self.points_in_hull > 0 and self.last_x is not None and x <= self.last_x:
-            raise ValueError(f"x values must be strictly increasing, got {x} after {self.last_x}")
-        eps = self.epsilon
-        if self.points_in_hull == 0:
-            self.first_x = x
-        # Work in coordinates relative to the segment's first x so the
-        # final slope/intercept floats never see full-magnitude keys.
-        rx = x - self.first_x
-        p1 = (rx, y + eps)
-        p2 = (rx, y - eps)
-
-        if self.points_in_hull == 0:
-            self.last_x = x
-            self.rect[0], self.rect[1] = p1, p2
-            self.upper = [p1]
-            self.lower = [p2]
-            self.upper_start = self.lower_start = 0
-            self.points_in_hull = 1
-            return True
-
-        if self.points_in_hull == 1:
-            self.last_x = x
-            self.rect[2], self.rect[3] = p2, p1
-            self.upper.append(p1)
-            self.lower.append(p2)
-            self.points_in_hull = 2
-            return True
-
-        slope1 = (self.rect[2][0] - self.rect[0][0], self.rect[2][1] - self.rect[0][1])
-        slope2 = (self.rect[3][0] - self.rect[1][0], self.rect[3][1] - self.rect[1][1])
-        outside1 = self._slope_lt((p1[0] - self.rect[2][0], p1[1] - self.rect[2][1]), slope1)
-        outside2 = self._slope_lt(slope2, (p2[0] - self.rect[3][0], p2[1] - self.rect[3][1]))
-        if outside1 or outside2:
-            # Leave the hull intact: the caller extracts the finished
-            # segment's model with current_model() and then calls reset().
-            return False
-        self.last_x = x
-
-        if self._slope_lt((p1[0] - self.rect[1][0], p1[1] - self.rect[1][1]), slope2):
-            # Update the max-slope extreme line: it now passes through p1
-            # and the lower-hull point minimizing the slope to p1.
-            min_i = self.lower_start
-            min_vec = (self.lower[min_i][0] - p1[0], self.lower[min_i][1] - p1[1])
-            for i in range(self.lower_start + 1, len(self.lower)):
-                vec = (self.lower[i][0] - p1[0], self.lower[i][1] - p1[1])
-                if self._slope_lt(min_vec, vec):
-                    break
-                min_vec = vec
-                min_i = i
-            self.rect[1] = self.lower[min_i]
-            self.rect[3] = p1
-            self.lower_start = min_i
-            # Maintain the upper hull with p1.
-            end = len(self.upper)
-            while end >= self.upper_start + 2 and (
-                self._cross(self.upper[end - 2], self.upper[end - 1], p1) <= 0
-            ):
-                end -= 1
-            del self.upper[end:]
-            self.upper.append(p1)
-
-        if self._slope_lt(slope1, (p2[0] - self.rect[0][0], p2[1] - self.rect[0][1])):
-            # Update the min-slope extreme line symmetrically.
-            max_i = self.upper_start
-            max_vec = (self.upper[max_i][0] - p2[0], self.upper[max_i][1] - p2[1])
-            for i in range(self.upper_start + 1, len(self.upper)):
-                vec = (self.upper[i][0] - p2[0], self.upper[i][1] - p2[1])
-                if self._slope_lt(vec, max_vec):
-                    break
-                max_vec = vec
-                max_i = i
-            self.rect[0] = self.upper[max_i]
-            self.rect[2] = p2
-            self.upper_start = max_i
-            end = len(self.lower)
-            while end >= self.lower_start + 2 and (
-                self._cross(self.lower[end - 2], self.lower[end - 1], p2) >= 0
-            ):
-                end -= 1
-            del self.lower[end:]
-            self.lower.append(p2)
-
-        self.points_in_hull += 1
-        return True
-
-    def current_model(self) -> LinearModel:
-        """Feasible model for the points fed since the last reset/break.
-
-        The returned model is anchored at the segment's first x, so its
-        float intercept stays within the (small) position range.
-        """
-        if self.points_in_hull == 0:
-            raise ValueError("no points in the current segment")
-        if self.points_in_hull == 1:
-            return LinearModel(slope=0.0,
-                               intercept=(self.rect[0][1] + self.rect[1][1]) / 2.0,
-                               anchor=self.first_x)
-        r0, r1, r2, r3 = self.rect
-        min_slope = (r2[1] - r0[1]) / (r2[0] - r0[0])
-        max_slope = (r3[1] - r1[1]) / (r3[0] - r1[0])
-        slope = (min_slope + max_slope) / 2.0
-        # Intersection of the two extreme lines fixes the intercept; all
-        # coordinates here are relative to the anchor.
-        d1 = (r2[0] - r0[0], r2[1] - r0[1])
-        d2 = (r3[0] - r1[0], r3[1] - r1[1])
-        denom = d1[0] * d2[1] - d1[1] * d2[0]
-        if denom == 0:
-            ix, iy = float(r0[0]), float(r0[1])
-        else:
-            t = ((r1[0] - r0[0]) * d2[1] - (r1[1] - r0[1]) * d2[0]) / denom
-            ix = r0[0] + t * d1[0]
-            iy = r0[1] + t * d1[1]
-        intercept = iy - ix * slope
-        return LinearModel(slope=slope, intercept=intercept, anchor=self.first_x)
-
-
 def optimal_segments(keys: Sequence[int], epsilon: int) -> List[Segment]:
-    """Optimal streaming PLA of a strictly-increasing key array."""
-    _check_sorted_unique(keys)
+    """Optimal streaming PLA of a strictly-increasing key array.
+
+    O'Rourke's online feasible-region algorithm as the PGM-index
+    reference implementation runs it, one loop over the keys: per
+    segment, the two extreme feasible lines are held as a "rectangle" of
+    four points — ``r0 -> r2`` the minimum-slope line, ``r1 -> r3`` the
+    maximum-slope line — and the upper / lower convex hulls of the points
+    shifted by ``+-epsilon`` as two lists with a cursor each, all in
+    locals.  A slope comparison ``p < q`` of two vectors with positive
+    ``dx`` is ``p.dy * q.dx < q.dy * p.dx`` and a hull turn is a 2x2
+    cross product, both spelled out where they are used, in exact Python
+    integers; xs are relative to the segment's first key, so the float
+    slope and intercept never see a full-magnitude key
+    (``tests/golden/pla_segments.json`` pins every segment, DESIGN.md
+    Section 20).
+    """
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    keys = _exact_sorted_keys(keys)
     segments: List[Segment] = []
     n = len(keys)
-    if n == 0:
-        return segments
-    pla = _OptimalPLA(epsilon)
-    start = 0
-    for i in range(n):
-        if not pla.add_point(keys[i], i):
-            segments.append(Segment(keys[start], start, i - start, pla.current_model()))
-            pla.reset()
-            pla.add_point(keys[i], i)
-            start = i
-    segments.append(Segment(keys[start], start, n - start, pla.current_model()))
+    i = 0
+    while i < n:
+        start = i
+        first_x = keys[i]
+        r0x = r1x = 0
+        r0y = i + epsilon
+        r1y = i - epsilon
+        i += 1
+        if i == n:  # a last key on its own
+            segments.append(Segment(first_x, start, 1, LinearModel(
+                slope=0.0, intercept=float(start), anchor=first_x)))
+            break
+        r2x = r3x = keys[i] - first_x
+        r2y = i - epsilon
+        r3y = i + epsilon
+        upper = [(0, r0y), (r3x, r3y)]
+        lower = [(0, r1y), (r2x, r2y)]
+        upper_start = lower_start = 0
+        # The extreme lines' direction vectors, min slope and max slope.
+        s1x = s2x = r2x
+        s1y = r2y - r0y
+        s2y = r3y - r1y
+        for i in range(i + 1, n):
+            x = keys[i] - first_x
+            y1 = i + epsilon  # the point shifted up, a vertex of the upper hull
+            y2 = i - epsilon  # and down, of the lower hull
+            if ((y1 - r2y) * s1x < s1y * (x - r2x)
+                    or s2y * (x - r3x) < (y2 - r3y) * s2x):
+                break  # outside the cone of the two extreme lines: a new segment
+            if (y1 - r1y) * s2x < s2y * (x - r1x):
+                # The max-slope line now passes through the raised point
+                # and the lower-hull vertex of least slope to it.
+                min_i = lower_start
+                px, py = lower[min_i]
+                mx, my = px - x, py - y1
+                for j in range(lower_start + 1, len(lower)):
+                    px, py = lower[j]
+                    vx, vy = px - x, py - y1
+                    if my * vx < vy * mx:
+                        break
+                    mx, my, min_i = vx, vy, j
+                r1x, r1y = lower[min_i]
+                r3x, r3y = x, y1
+                s2x, s2y = x - r1x, y1 - r1y
+                lower_start = min_i
+                end = len(upper)
+                while end >= upper_start + 2:
+                    ox, oy = upper[end - 2]
+                    ax, ay = upper[end - 1]
+                    if (ax - ox) * (y1 - oy) - (ay - oy) * (x - ox) > 0:
+                        break
+                    end -= 1
+                del upper[end:]
+                upper.append((x, y1))
+            if s1y * (x - r0x) < (y2 - r0y) * s1x:
+                # The min-slope line, symmetrically.
+                max_i = upper_start
+                px, py = upper[max_i]
+                mx, my = px - x, py - y2
+                for j in range(upper_start + 1, len(upper)):
+                    px, py = upper[j]
+                    vx, vy = px - x, py - y2
+                    if vy * mx < my * vx:
+                        break
+                    mx, my, max_i = vx, vy, j
+                r0x, r0y = upper[max_i]
+                r2x, r2y = x, y2
+                s1x, s1y = x - r0x, y2 - r0y
+                upper_start = max_i
+                end = len(lower)
+                while end >= lower_start + 2:
+                    ox, oy = lower[end - 2]
+                    ax, ay = lower[end - 1]
+                    if (ax - ox) * (y2 - oy) - (ay - oy) * (x - ox) < 0:
+                        break
+                    end -= 1
+                del lower[end:]
+                lower.append((x, y2))
+        else:
+            i = n
+        # The model: the mean of the extreme slopes through the point
+        # where the two extreme lines cross.
+        slope = (s1y / s1x + s2y / s2x) / 2.0
+        denom = s1x * s2y - s1y * s2x
+        if denom == 0:
+            ix, iy = float(r0x), float(r0y)
+        else:
+            t = ((r1x - r0x) * s2y - (r1y - r0y) * s2x) / denom
+            ix = r0x + t * s1x
+            iy = r0y + t * s1y
+        segments.append(Segment(first_x, start, i - start, LinearModel(
+            slope=slope, intercept=iy - ix * slope, anchor=first_x)))
     return segments

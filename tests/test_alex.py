@@ -1,6 +1,7 @@
 """ALEX-specific tests: gapped arrays, bitmap, SMO mechanisms, layouts,
-the one in-node search against a per-probe reference and the bitmap walk
-against a per-bit one."""
+the one in-node search against a per-probe reference, the bitmap walk
+against a per-bit one and the node-placement kernels against a per-key
+one."""
 
 import dataclasses
 import random
@@ -10,14 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.alex import (AlexIndex, _DataHeader, _pack_ptr, _Pinned,
-                             _ptr_block, _ptr_is_data)
+from repro.core.alex import (AlexIndex, _DataHeader, _entry_array, _pack_ptr,
+                             _Pinned, _ptr_block, _ptr_is_data)
 from repro.core.interface import TOMBSTONE
 from repro.core.serial import ENTRY_SIZE, pack_entries
 from repro.models import LinearModel
 from repro.storage import HDD, NULL_DEVICE, BlockDevice, BufferPool, Pager
 
-from tests.util import ReferenceModel, charges_of, items_of, random_sorted_keys
+from tests.util import (ReferenceModel, charges_of, items_of, random_sorted_keys,
+                        reference_alex_data_node, reference_alex_partition,
+                        reference_fit_least_squares)
 
 
 def fresh(**kwargs):
@@ -521,3 +524,84 @@ def test_bitmap_walk_matches_and_charges_like_per_bit_reads(
     assert _per_bit_real_entries(twin, block, header) == live
     assert charges_of(index) == charges_of(twin)
     assert index.verify() == len(live)
+
+
+# -- node placement as array kernels, against the per-key loops ---------------
+
+
+@st.composite
+def _sorted_items(draw):
+    """Sorted unique keys — spread out, in a few tight clusters, or hard
+    against 2**64 — with payloads that are not a function of the slot."""
+    n = draw(st.integers(1, 120))
+    shape = draw(st.sampled_from(["spread", "clusters", "top"]))
+    if shape == "spread":
+        pool = st.integers(0, 1 << 62)
+    elif shape == "clusters":
+        bases = draw(st.lists(st.integers(0, 1 << 61), min_size=1, max_size=4))
+        pool = st.builds(lambda base, off: base + off,
+                         st.sampled_from(bases), st.integers(0, 200))
+    else:
+        pool = st.integers((1 << 64) - 5000, (1 << 64) - 1)
+    keys = sorted(draw(st.sets(pool, min_size=n, max_size=n)))
+    return [(key, key ^ 0x5A5A) for key in keys]
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=_sorted_items(), slack=st.floats(0.0, 2.0))
+def test_data_node_kernel_writes_the_per_key_placement(items, slack):
+    """Header (the fit included), bitmap and gap-filled entries of a
+    built node are those of the one-key-at-a-time placement, for every
+    capacity from ``n`` (no gap anywhere) to ``3n``.
+
+    Kills: a prefix maximum that forgets the ``capacity - (n - i)`` cap
+    or applies it before the running maximum; an unsigned ``cumsum - 1``
+    wrapping for the gaps ahead of the first key; a big-endian bitmap.
+    """
+    n = len(items)
+    capacity = n + int(slack * n)
+    index, _ = fresh()
+    block = index._build_data_node(_entry_array(items), capacity=capacity,
+                                   prev=7, next_=9)
+    model, bitmap, slots = reference_alex_data_node(items, capacity)
+    expected = (_DataHeader(capacity, n, model.slope, model.intercept,
+                            model.anchor, 7, 9).pack()
+                + bitmap + pack_entries(slots))
+    assert index.pager.read_bytes(index._data_file, block * 4096,
+                                  len(expected)) == expected
+
+
+def test_empty_data_node_is_all_gaps():
+    index, _ = fresh()
+    block = index._build_data_node(_entry_array([]), capacity=16)
+    model, bitmap, slots = reference_alex_data_node([], 16)
+    assert index.pager.read_bytes(index._data_file, block * 4096, 64 + 2 + 256) == (
+        _DataHeader(16, 0, 0.0, 0.0).pack() + bitmap + pack_entries(slots))
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=_sorted_items(), fanout=st.sampled_from([2, 8, 64]),
+       min_max=st.booleans())
+def test_partition_kernel_cuts_where_the_per_key_routing_does(items, fanout, min_max):
+    keys = [key for key, _ in items]
+    n = len(keys)
+    if min_max:
+        model = LinearModel.fit_min_max(keys[0], keys[-1], fanout)
+    else:
+        model = LinearModel.fit_least_squares(
+            keys, [int(i * fanout / n) for i in range(n)])
+    partitions = AlexIndex._partition(_entry_array(items), model, fanout)
+    assert [list(map(tuple, part.tolist())) for part in partitions] == (
+        reference_alex_partition(items, model, fanout))
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=_sorted_items(), size=st.integers(2, 5000))
+def test_least_squares_fit_is_the_per_key_subtraction_bit_for_bit(items, size):
+    """``fit_least_squares`` takes the key offsets as one exact array
+    subtraction, from a list or from the uint64 column the builders pass."""
+    keys = [key for key, _ in items]
+    positions = [int(i * size / len(keys)) for i in range(len(keys))]
+    expected = reference_fit_least_squares(keys, positions)
+    assert LinearModel.fit_least_squares(keys, positions) == expected
+    assert LinearModel.fit_least_squares(_entry_array(items)[:, 0], positions) == expected

@@ -13,7 +13,7 @@ and ``encoded_size``/``pack_greedy``/``pack_keys_greedy`` its counts.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -95,6 +95,7 @@ def test_keys_roundtrip(keys, name):
 @settings(max_examples=60, deadline=None)
 @given(sorted_keys, payload_lists, st.sampled_from(COMPRESSED),
        st.integers(64, 4096))
+@example(list(range(25)), [0], "delta", 65)  # 16 + 1 + 24 * 2 bytes: 25 entries fit
 def test_pack_greedy_respects_budget(keys, payloads, name, budget):
     codec = get_codec(name)
     items = _items_from(keys, payloads)

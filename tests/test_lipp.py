@@ -1,7 +1,9 @@
 """LIPP-specific tests: FMCD nodes, conflict children, path statistics,
-and the one slot walk against a per-slot reference."""
+the one slot walk against a per-slot reference and the single-pass node
+build against the one that predicted each key three times."""
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,12 @@ from hypothesis import strategies as st
 
 from repro.core.lipp import (HEADER_SIZE, SLOT_DATA, SLOT_NODE, SLOT_NULL,
                              SLOT_SIZE, LippIndex)
+from repro.datasets import make_dataset
+from repro.models import build_fmcd_model
 from repro.storage import HDD, NULL_DEVICE, BlockDevice, BufferPool, Pager
 
-from tests.util import charges_of, items_of, random_sorted_keys
+from tests.util import (charges_of, items_of, random_sorted_keys,
+                        reference_lipp_build_node)
 
 
 def fresh(**kwargs):
@@ -358,3 +363,61 @@ def test_walk_reference_cases_are_really_generated():
     assert one._read_header(one.root_block).num_slots == 2
     assert shapes >= {"several blocks", "first of block", "across blocks",
                       "last of block", "inside"}
+
+
+# -- the single-pass node build, against the per-key one ----------------------
+
+
+def _dense_run_plus_outliers(n):
+    """An OSM-like shape: a run of near-consecutive keys at 2**62 behind
+    a few far smaller ones.  Anchored at the first key, the run's offsets
+    are past float64's integers, FMCD's fine slots collapse and the
+    min-max fallback takes over."""
+    rng = random.Random(13)
+    dense = rng.sample(range(2**62, 2**62 + 2 * n), n - 40)
+    return sorted(set(dense) | {rng.randrange(2**63, 2**64) for _ in range(20)}
+                  | {rng.randrange(10**6) for _ in range(20)})
+
+
+def test_dense_run_plus_outliers_takes_the_min_max_fallback():
+    """Without it the comparison below would not reach the fallback."""
+    index, _ = fresh()
+    node_model = index._node_model
+    fell_back = []
+
+    def spy(keys, num_slots):
+        model, slots, cuts = node_model(keys, num_slots)
+        fell_back.append(model != build_fmcd_model(keys, num_slots).model)
+        return model, slots, cuts
+
+    index._node_model = spy
+    index.bulk_load(items_of(_dense_run_plus_outliers(2000)))
+    assert any(fell_back)
+
+
+@pytest.mark.parametrize("shape", ["osm", "fb", "wise", "dense-run-plus-outliers"])
+def test_single_pass_build_writes_what_the_per_key_build_writes(shape):
+    """Bulk load, conflict children and subtree rebuilds included: the
+    same bytes in the same blocks for the same charges."""
+    keys = (_dense_run_plus_outliers(2000) if shape == "dense-run-plus-outliers"
+            else make_dataset(shape, 2000, seed=5).tolist())
+    rng = random.Random(3)
+    rng.shuffle(keys)
+    bulk, later = sorted(keys[:1200]), keys[1200:]
+    indexes = []
+    for reference in (False, True):
+        index = LippIndex(Pager(BlockDevice(512, HDD)))
+        if reference:
+            index._build_node = lambda items, index=index: (
+                reference_lipp_build_node(index, items))
+        index.bulk_load(items_of(bulk))
+        for key in later:
+            index.insert(key, key + 1)
+        assert index.verify() == len(keys)
+        indexes.append(index)
+    got, want = indexes
+    assert got.num_conflict_nodes == want.num_conflict_nodes > 0
+    assert got.num_rebuilds == want.num_rebuilds > 0
+    assert charges_of(got) == charges_of(want)
+    assert (zlib.crc32(b"".join(bytes(b) for b in got._file.blocks))
+            == zlib.crc32(b"".join(bytes(b) for b in want._file.blocks)))

@@ -1,5 +1,6 @@
 """Unit and property tests for the model substrate (linear, PLA, FMCD)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +133,28 @@ def test_segments_reject_unsorted_input():
         optimal_segments([1, 1], 8)
     with pytest.raises(ValueError):
         shrinking_cone_segments([2, 2], 8)
+
+
+def test_unsorted_input_error_names_the_index():
+    for segmenter in (optimal_segments, shrinking_cone_segments):
+        with pytest.raises(ValueError, match="violation at index 3: 9 >= 9"):
+            segmenter([1, 5, 9, 9, 12], 8)
+        with pytest.raises(ValueError, match="violation at index 2: 7 >= 4"):
+            segmenter(np.array([1, 7, 4], dtype=np.uint64), 8)
+
+
+@pytest.mark.parametrize("segmenter", [optimal_segments, shrinking_cone_segments])
+def test_uint64_array_segments_like_the_list(segmenter):
+    """``make_dataset`` returns ``np.uint64`` arrays; fed to the integer
+    cross products as numpy scalars they raised ``OverflowError`` (numpy
+    2) or would round through float64 (numpy 1.x promotion)."""
+    from repro.datasets import make_dataset
+    top = np.arange(2**64 - 3000, 2**64 - 1, 3, dtype=np.uint64)
+    for keys in (make_dataset("fb", 20_000, seed=1), top):
+        from_array = segmenter(keys, 8)
+        assert from_array == segmenter(keys.tolist(), 8)
+        assert type(from_array[-1].first_key) is int
+        assert type(from_array[-1].model.anchor) is int
 
 
 def test_negative_epsilon_rejected():

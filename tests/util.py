@@ -198,3 +198,134 @@ def check_full_agreement(index, model, probe_misses=25, seed=1234,
     if model.keys():
         first = model.keys()[0]
         assert index.scan(first, len(model)) == model.items()
+
+
+# -- fit-kernel references (DESIGN.md Section 20) ------------------------------
+#
+# The per-key loops the node builders ran before they became array
+# kernels (alex) or a single pass (lipp), kept as the oracles the kernels
+# are compared against byte for byte.
+
+def reference_fit_least_squares(keys, positions):
+    """``LinearModel.fit_least_squares`` with the key offsets taken one
+    Python integer subtraction at a time."""
+    import numpy as np
+    from repro.models import LinearModel
+    anchor = int(keys[0])
+    xs = np.asarray([int(k) - anchor for k in keys], dtype=np.float64)
+    ys = np.asarray(positions, dtype=np.float64)
+    if xs.size == 1 or keys[0] == keys[-1]:
+        return LinearModel(slope=0.0, intercept=float(ys[0]), anchor=anchor)
+    x_mean = float(xs.mean())
+    y_mean = float(ys.mean())
+    xc = xs - x_mean
+    denom = float(np.dot(xc, xc))
+    if denom == 0.0:
+        return LinearModel(slope=0.0, intercept=y_mean, anchor=anchor)
+    slope = float(np.dot(xc, ys - y_mean)) / denom
+    return LinearModel(slope=slope, intercept=y_mean - slope * x_mean, anchor=anchor)
+
+
+def reference_alex_data_node(items, capacity):
+    """An ALEX data node placed one key at a time: ``(model, bitmap
+    bytes, the capacity (key, payload) slots, gaps filled)``."""
+    from repro.models import LinearModel
+    n = len(items)
+    if n:
+        model = reference_fit_least_squares(
+            [key for key, _ in items],
+            [int(i * capacity / max(n, 1)) for i in range(n)])
+    else:
+        model = LinearModel(0.0, 0.0)
+    slots = []
+    bitmap = bytearray((capacity + 7) // 8)
+    last = -1
+    for i, (key, payload) in enumerate(items):
+        pred = model.predict_clamped(key, capacity)
+        slot = min(max(pred, last + 1), capacity - (n - i))
+        # Fill the gap run before this entry with a copy of the
+        # previous entry (or of this entry for leading gaps).
+        filler = items[i - 1] if i > 0 else (key, payload)
+        while len(slots) < slot:
+            slots.append(filler)
+        slots.append((key, payload))
+        bitmap[slot >> 3] |= 1 << (slot & 7)
+        last = slot
+    filler = items[-1] if items else (0, 0)
+    while len(slots) < capacity:
+        slots.append(filler)
+    return model, bytes(bitmap), slots
+
+
+def reference_alex_partition(items, model, fanout):
+    """The items each of ``fanout`` children receives, routed one key at
+    a time."""
+    partitions = [[] for _ in range(fanout)]
+    for key, payload in items:
+        partitions[model.predict_clamped(key, fanout)].append((key, payload))
+    return partitions
+
+
+def reference_lipp_node_model(keys, num_slots):
+    """LIPP's node model — FMCD, or min-max when more than half of the
+    keys would share a slot — checked with one ``predict_clamped`` call
+    per key."""
+    from repro.models import LinearModel, build_fmcd_model
+    fmcd = build_fmcd_model(keys, num_slots)
+    model = fmcd.model
+    if len(keys) >= 4 and not fmcd.fallback:
+        first = model.predict_clamped(keys[0], num_slots)
+        run = best = 1
+        prev = first
+        for key in keys[1:]:
+            slot = model.predict_clamped(key, num_slots)
+            run = run + 1 if slot == prev else 1
+            prev = slot
+            best = max(best, run)
+        if best > len(keys) // 2:
+            model = LinearModel.fit_min_max(keys[0], keys[-1], num_slots)
+    return model
+
+
+def reference_lipp_build_node(index, items):
+    """``LippIndex._build_node`` predicting each key again to group it:
+    the same nodes, allocated and written in the same order."""
+    from repro.core import lipp
+    from repro.models import lipp_node_slots
+    root_block = None
+    stack = [(items, None, 0)]
+    while stack:
+        node_items, parent_block, parent_slot = stack.pop()
+        n = len(node_items)
+        keys = [key for key, _ in node_items]
+        num_slots = lipp_node_slots(max(n, 1), index.build_gap_count)
+        model = reference_lipp_node_model(keys, num_slots) if n else None
+        header = lipp._NodeHeader(
+            item_count=n, num_slots=num_slots,
+            slope=model.slope if model else 0.0,
+            intercept=model.intercept if model else 0.0,
+            anchor=model.anchor if model else 0,
+            build_size=n, num_inserts=0)
+        slots = bytearray(num_slots * lipp.SLOT_SIZE)
+        groups = []
+        for key, payload in node_items:
+            slot = header.predict(key)
+            if groups and groups[-1][0] == slot:
+                groups[-1][1].append((key, payload))
+            else:
+                groups.append((slot, [(key, payload)]))
+        block = index._file.allocate(index._extent_blocks(num_slots))
+        for slot, group in groups:
+            if len(group) == 1:
+                lipp._SLOT.pack_into(slots, slot * lipp.SLOT_SIZE, lipp.SLOT_DATA,
+                                     group[0][0], group[0][1])
+            else:
+                lipp._SLOT.pack_into(slots, slot * lipp.SLOT_SIZE, lipp.SLOT_NODE, 0, 0)
+                stack.append((group, block, slot))
+        index.pager.write_bytes(index._file, block * index.pager.block_size,
+                                header.pack() + bytes(slots))
+        if parent_block is None:
+            root_block = block
+        else:
+            index._write_slot(parent_block, parent_slot, lipp.SLOT_NODE, block, 0)
+    return root_block
