@@ -1,8 +1,10 @@
 """Shared plumbing for the benchmark suite.
 
-Each ``bench_*`` file regenerates one table/figure of the paper: the
-pytest-benchmark timer wraps the full experiment, the resulting rows are
-printed and archived under ``benchmarks/results/``.
+``bench_paper.py`` regenerates every table/figure of the paper (one
+parametrized test per entry of ``repro.bench.table`` that has a
+``check``); the other ``bench_*`` files one post-paper extension each.
+The pytest-benchmark timer wraps the full experiment, the resulting rows
+are printed and archived under ``benchmarks/results/``.
 
 Scale: benchmarks default to 50% of the library's default experiment
 scale — large enough for the paper's tree-height relationships (a

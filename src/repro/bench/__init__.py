@@ -1,14 +1,9 @@
-"""Benchmark harness: one experiment per paper table/figure."""
+"""Benchmark harness: one table entry per paper table/figure."""
 
 from .config import (PROFILES, IndexSetup, Scale, default_scale,
                      fresh_index, fresh_sharded_index)
-from . import ablations  # noqa: F401  (registers the ablation experiments)
-from .experiments import (
-    EXPERIMENTS,
-    ExperimentResult,
-    experiment_ids,
-    run_experiment,
-)
+from .experiments import ExperimentResult
+from .table import EXPERIMENTS, experiment_ids, run_experiment
 from .report import format_chart, format_result, format_table
 
 __all__ = [

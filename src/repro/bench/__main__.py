@@ -15,9 +15,9 @@ import argparse
 import sys
 import time
 
-from .config import default_scale, set_codec, set_write_back
-from .experiments import experiment_ids, run_experiment
+from .config import default_scale
 from .report import format_result
+from .table import experiment_ids, run_experiment
 
 
 def _jobs_worker(task):
@@ -26,12 +26,10 @@ def _jobs_worker(task):
     Simulated clocks make every experiment deterministic, so the parallel
     grid produces exactly the tables the serial loop would.
     """
-    experiment_id, scale_factor, write_back_blocks, codec = task
+    experiment_id, scale_factor = task
     scale = default_scale()
     if scale_factor is not None:
         scale = scale.scaled(scale_factor)
-    set_write_back(write_back_blocks)
-    set_codec(codec)
     started = time.time()
     result = run_experiment(experiment_id, scale)
     return experiment_id, result, time.time() - started
@@ -56,27 +54,11 @@ def main(argv=None) -> int:
                             help="run the experiment grid across N worker "
                                  "processes (deterministic: same tables as "
                                  "--jobs 1, in the same order)")
-    run_parser.add_argument("--write-back", type=int, default=0, nargs="?",
-                            const=128, metavar="BLOCKS",
-                            help="run every index with a write-back pager "
-                                 "over a pool of at least BLOCKS frames "
-                                 "(bare flag: 128); dirty pages flush in "
-                                 "coalesced runs at phase boundaries")
-    run_parser.add_argument("--codec", default="raw", metavar="NAME",
-                            help="build every index with this leaf codec "
-                                 "(raw, delta, for); indexes whose layout "
-                                 "cannot compress keep their raw pages")
     all_parser = sub.add_parser("all", help="run every experiment")
     all_parser.add_argument("--scale", type=float, default=None)
     all_parser.add_argument("--jobs", type=int, default=1, metavar="N",
                             help="run the experiment grid across N worker "
                                  "processes")
-    all_parser.add_argument("--write-back", type=int, default=0, nargs="?",
-                            const=128, metavar="BLOCKS",
-                            help="run every index with a write-back pager "
-                                 "over a pool of at least BLOCKS frames")
-    all_parser.add_argument("--codec", default="raw", metavar="NAME",
-                            help="build every index with this leaf codec")
     report_parser = sub.add_parser(
         "report", help="assemble EXPERIMENTS.md from archived benchmark results")
     report_parser.add_argument("--results", default="benchmarks/results")
@@ -105,18 +87,13 @@ def main(argv=None) -> int:
     jobs = max(1, getattr(args, "jobs", 1) or 1)
     if jobs > 1 and trace_path:
         parser.error("--trace binds one tracer per process; use --jobs 1")
-    write_back_blocks = getattr(args, "write_back", 0) or 0
-    set_write_back(write_back_blocks)
-    codec = getattr(args, "codec", "raw") or "raw"
-    set_codec(codec)
 
     def outcomes():
         if jobs > 1 and len(targets) > 1:
             import multiprocessing
 
             with multiprocessing.Pool(min(jobs, len(targets))) as pool:
-                tasks = [(eid, args.scale, write_back_blocks, codec)
-                         for eid in targets]
+                tasks = [(eid, args.scale) for eid in targets]
                 # imap keeps the serial ordering while workers overlap
                 for outcome in pool.imap(_jobs_worker, tasks):
                     yield outcome

@@ -15,15 +15,15 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..core import DiskIndex, make_index
-from ..datasets import make_dataset
+from ..datasets import REPORTED_DATASETS, dataset_names, make_dataset
 from ..durability import WriteAheadLog
 from ..storage import (HDD, SSD, BlockDevice, DiskProfile, Pager,
                        make_buffer_pool)
 from ..workloads import WORKLOADS, build_workload, bulk_load_timed
 
 __all__ = ["Scale", "default_scale", "IndexSetup", "fresh_index",
-           "fresh_sharded_index", "PROFILES", "tracing", "set_active_tracer",
-           "set_codec", "set_write_back"]
+           "fresh_sharded_index", "PROFILES", "reported_datasets", "tracing",
+           "set_active_tracer"]
 
 PROFILES = {"hdd": HDD, "ssd": SSD}
 
@@ -32,44 +32,6 @@ PROFILES = {"hdd": HDD, "ssd": SSD}
 #: Experiments build one device per cell, so the tracer accumulates
 #: totals across every device it gets bound to.
 _ACTIVE_TRACER = None
-
-#: When > 0, :func:`fresh_index` builds every index with a write-back
-#: pager over a buffer pool of at least this many blocks — the mechanism
-#: behind ``python -m repro.bench run X --write-back N``.  0 keeps each
-#: call's own arguments (the default write-through).
-_WRITE_BACK_BLOCKS = 0
-
-
-def set_write_back(blocks: int) -> None:
-    """Force write-back (with >= ``blocks`` pool frames) on fresh_index.
-
-    Pass 0 to clear.  Cells that already request a larger pool keep it.
-    """
-    global _WRITE_BACK_BLOCKS
-    if blocks < 0:
-        raise ValueError(f"blocks must be non-negative, got {blocks}")
-    _WRITE_BACK_BLOCKS = blocks
-
-
-#: When not "raw", :func:`fresh_index` builds every index with this leaf
-#: codec (DESIGN.md Section 16) unless the cell pins its own — the
-#: mechanism behind ``python -m repro.bench run X --codec for``.  Indexes
-#: whose layout cannot compress (fixed-stride model addressing) validate
-#: the name and keep their raw layout.
-_ACTIVE_CODEC = "raw"
-
-
-def set_codec(codec: str) -> None:
-    """Force a leaf codec on every index fresh_index builds.
-
-    Pass "raw" to clear.  Cells that pass an explicit ``codec`` in their
-    ``index_params`` keep it.
-    """
-    from ..core import get_codec
-
-    global _ACTIVE_CODEC
-    _ACTIVE_CODEC = get_codec(codec).name
-
 
 def set_active_tracer(tracer) -> None:
     """Set (or clear, with None) the tracer fresh_index attaches."""
@@ -125,6 +87,21 @@ def default_scale() -> Scale:
     if factor:
         scale = scale.scaled(float(factor))
     return scale
+
+
+def reported_datasets() -> tuple:
+    """The datasets an experiment loops over unless it pins its own.
+
+    The paper's figures report FB/OSM/YCSB and defer the remaining
+    datasets to its technical report; set ``REPRO_DATASETS=all`` (or a
+    comma list) to regenerate the TR-style full sweep.
+    """
+    override = os.environ.get("REPRO_DATASETS")
+    if not override:
+        return REPORTED_DATASETS
+    if override.strip().lower() == "all":
+        return tuple(dataset_names())
+    return tuple(name.strip() for name in override.split(",") if name.strip())
 
 
 @dataclass
@@ -184,8 +161,7 @@ def fresh_index(index_name: str, dataset: str, workload: str, scale: Scale,
     in coalesced runs (requires ``buffer_blocks > 0``); ``buffer_policy``
     picks the pool's replacement policy and ``flush_watermark``
     optionally bounds how many dirty pages accumulate before a forced
-    flush.  The module-level :func:`set_write_back` override (the CLI's
-    ``--write-back N``) forces write-back on every cell.
+    flush.
 
     ``lookup_distribution`` (with ``zipf_s`` / ``hotspot_fraction`` /
     ``hotspot_probability``) skews the workload's lookup and scan targets
@@ -198,18 +174,12 @@ def fresh_index(index_name: str, dataset: str, workload: str, scale: Scale,
         hotspot_fraction=hotspot_fraction,
         hotspot_probability=hotspot_probability)
 
-    if _WRITE_BACK_BLOCKS > 0:
-        write_back = True
-        buffer_blocks = max(buffer_blocks, _WRITE_BACK_BLOCKS)
     device = BlockDevice(block_size or scale.block_size, profile)
     pool = (make_buffer_pool(buffer_blocks, buffer_policy)
             if buffer_blocks > 0 else None)
     pager = Pager(device, buffer_pool=pool, write_back=write_back,
                   flush_watermark=flush_watermark)
-    params = dict(index_params or {})
-    if _ACTIVE_CODEC != "raw":
-        params.setdefault("codec", _ACTIVE_CODEC)
-    index = make_index(index_name, pager, **params)
+    index = make_index(index_name, pager, **(index_params or {}))
     if _ACTIVE_TRACER is not None:
         # Attach before the bulk load so its I/O lands in the trace's
         # background record and the totals reconcile with device stats.

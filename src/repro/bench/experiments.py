@@ -1,66 +1,30 @@
-"""One experiment per table and figure of the paper.
+"""The experiments a row of :mod:`repro.bench.table` cannot state.
 
-Every function returns an :class:`ExperimentResult` whose rows mirror the
-rows/series the paper reports.  The registry at the bottom maps
-experiment ids (``table3``, ``fig5``...) to functions so the CLI and the
-pytest-benchmark wrappers share one implementation.
-
-Experiment map (paper -> function):
-
-* Table 2  -> :func:`exp_table2_cost_model`  (I/O cost formulas vs measured)
-* Table 3  -> :func:`exp_table3_profiling`
-* Figure 3 -> :func:`exp_fig3_search`        (lookup/scan throughput HDD+SSD)
-* Table 4 / Figure 4 -> :func:`exp_table4_blocks`
-* Table 5  -> :func:`exp_table5_hybrid`
-* Figure 5 -> :func:`exp_fig5_write`         (write workloads HDD+SSD)
-* Figure 6 -> :func:`exp_fig6_breakdown`     (insert step latencies)
-* Figure 7 -> :func:`exp_fig7_bulkload`
-* Figure 8 -> :func:`exp_fig8_hybrid_search` (inner nodes memory-resident)
-* Figure 9 -> :func:`exp_fig9_hybrid_write`
-* Figure 10 -> :func:`exp_fig10_storage`
-* Figure 11 -> :func:`exp_fig11_blocksize`
-* Figure 12 -> :func:`exp_fig12_tail`
-* Figure 13 -> :func:`exp_fig13_buffer`
-* Figure 14 -> :func:`exp_fig14_overall`
+A row is a product loop over ``fresh_index -> run_workload -> columns``.
+The bodies here do work between those steps (checkpoints, fault models,
+client splits, sharded tiers) or no such loop at all (Table 2's
+formulas, Table 3's profiling), so they stay functions: each takes the
+:class:`ExperimentResult` its table entry opened (id, title) and the
+scale, and fills in rows and notes.  The table registers them by
+function, with their prose.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
-
-import os
+from typing import Dict, List, Optional, Sequence
 
 from ..core.serial import entries_per_block
-from ..datasets import REPORTED_DATASETS as _DEFAULT_DATASETS
 from ..datasets import dataset_names, make_dataset, profile_dataset
+from ..models import optimal_segments
 from ..workloads import run_workload
-from .config import PROFILES, Scale, default_scale, fresh_index
+from .config import PROFILES, Scale, fresh_index, reported_datasets
 
-__all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment", "experiment_ids"]
+__all__ = ["ExperimentResult", "INDEXES"]
 
 #: The five studied indexes, in the paper's plotting order.
 INDEXES = ("btree", "fiting", "pgm", "alex", "lipp")
-
-
-def _reported_datasets():
-    """The datasets the figures loop over.
-
-    The paper's figures report FB/OSM/YCSB and defer the remaining
-    datasets to its technical report; set ``REPRO_DATASETS=all`` (or a
-    comma list) to regenerate the TR-style full sweep.
-    """
-    override = os.environ.get("REPRO_DATASETS")
-    if not override:
-        return _DEFAULT_DATASETS
-    if override.strip().lower() == "all":
-        return tuple(dataset_names())
-    return tuple(name.strip() for name in override.split(",") if name.strip())
-
-
-REPORTED_DATASETS = _DEFAULT_DATASETS  # back-compat alias
-WRITE_WORKLOADS = ("write_only", "read_heavy", "write_heavy", "balanced")
 
 
 @dataclass
@@ -85,21 +49,18 @@ class ExperimentResult:
 # Table 2 — I/O cost analysis
 # ---------------------------------------------------------------------------
 
-def exp_table2_cost_model(scale: Optional[Scale] = None) -> ExperimentResult:
+def exp_table2_cost_model(result: ExperimentResult, scale: Scale) -> None:
     """Evaluate the paper's Table 2 worst-case formulas and compare with
     the measured average lookup block counts at the current scale."""
-    scale = scale or default_scale()
     n = scale.n_read
     block = scale.block_size
     b = entries_per_block(block)  # raw-layout entries per block
     epsilon = 64
     m = 4096                 # ALEX max data node entries (default parameter)
 
-    result = ExperimentResult("table2", "Table 2: I/O cost analysis (lookup)")
-    for dataset in _reported_datasets():
+    for dataset in reported_datasets():
         keys = make_dataset(dataset, n, seed=scale.seed)
-        segments = len(__import__("repro.models", fromlist=["optimal_segments"])
-                       .optimal_segments([int(k) for k in keys], epsilon))
+        segments = len(optimal_segments(keys, epsilon))
         formulas = {
             "btree": math.log(n, b),
             "fiting": math.log(max(segments, 2), b) + 2 * epsilon / b,
@@ -121,19 +82,17 @@ def exp_table2_cost_model(scale: Optional[Scale] = None) -> ExperimentResult:
     result.notes = (
         "The formulas are worst-case bounds with implementation-specific "
         "constants; the comparison checks magnitude and ordering, not equality.")
-    return result
 
 
 # ---------------------------------------------------------------------------
 # Table 3 — dataset profiling
 # ---------------------------------------------------------------------------
 
-def exp_table3_profiling(scale: Optional[Scale] = None,
-                         datasets: Optional[Sequence[str]] = None) -> ExperimentResult:
-    scale = scale or default_scale()
-    from ..datasets import dataset_names
+def exp_table3_profiling(result: ExperimentResult, scale: Scale,
+                         datasets: Optional[Sequence[str]] = None) -> None:
+    """Profiles all eleven generators on purpose (the paper's Table 3
+    does); ``REPRO_DATASETS`` does not narrow it."""
     datasets = datasets or dataset_names(include_large=True)
-    result = ExperimentResult("table3", "Table 3: dataset profiling")
     for name in datasets:
         n = scale.n_read * (4 if name.endswith("800m") else 1)
         keys = make_dataset(name, n, seed=scale.seed)
@@ -144,294 +103,14 @@ def exp_table3_profiling(scale: Optional[Scale] = None,
         row["btree_leaves"] = profile.btree_leaves
         row["conflict_degree"] = profile.conflict_degree
         result.rows.append(row)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figure 3 — search performance, entire index disk-resident
-# ---------------------------------------------------------------------------
-
-def exp_fig3_search(scale: Optional[Scale] = None) -> ExperimentResult:
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "fig3", "Figure 3: lookup/scan throughput, all-disk (ops/sim-second)")
-    for device_name, profile in PROFILES.items():
-        for workload in ("lookup_only", "scan_only"):
-            for dataset in _reported_datasets():
-                row = {"device": device_name, "workload": workload, "dataset": dataset}
-                for name in INDEXES:
-                    setup = fresh_index(name, dataset, workload, scale, profile=profile)
-                    res = run_workload(setup.index, setup.ops, workload=workload,
-                                       scan_length=scale.scan_length)
-                    row[name] = round(res.throughput_ops_per_s, 1)
-                result.rows.append(row)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Table 4 / Figure 4 — fetched block analysis
-# ---------------------------------------------------------------------------
-
-def exp_table4_blocks(scale: Optional[Scale] = None) -> ExperimentResult:
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "table4", "Table 4 / Figure 4: avg fetched blocks per query (inner/leaf)")
-    for workload in ("lookup_only", "scan_only"):
-        for dataset in _reported_datasets():
-            for name in INDEXES:
-                setup = fresh_index(name, dataset, workload, scale)
-                res = run_workload(setup.index, setup.ops, workload=workload,
-                                   scan_length=scale.scan_length)
-                result.rows.append({
-                    "workload": workload, "dataset": dataset, "index": name,
-                    "inner_blocks": round(res.inner_blocks_per_op, 2),
-                    "leaf_blocks": round(res.leaf_blocks_per_op, 2),
-                    "total_blocks": round(res.blocks_read_per_op, 2),
-                })
-    result.notes = "LIPP has one node type: its blocks are all reported as leaf."
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Table 5 — hybrid design
-# ---------------------------------------------------------------------------
-
-def exp_table5_hybrid(scale: Optional[Scale] = None) -> ExperimentResult:
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "table5", "Table 5: hybrid (learned inner + B+-tree leaves) fetched blocks")
-    hybrids = ["hybrid-fiting", "hybrid-pgm", "hybrid-alex", "hybrid-lipp", "btree"]
-    for dataset in _reported_datasets():
-        for name in hybrids:
-            row = {"dataset": dataset, "index": name}
-            for workload in ("lookup_only", "scan_only"):
-                setup = fresh_index(name, dataset, workload, scale)
-                res = run_workload(setup.index, setup.ops, workload=workload,
-                                   scan_length=scale.scan_length)
-                key = "lookup_blocks" if workload == "lookup_only" else "scan_blocks"
-                row[key] = round(res.blocks_read_per_op, 2)
-            result.rows.append(row)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figure 5 — write performance, entire index disk-resident
-# ---------------------------------------------------------------------------
-
-def exp_fig5_write(scale: Optional[Scale] = None) -> ExperimentResult:
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "fig5", "Figure 5: write-workload throughput, all-disk (ops/sim-second)")
-    for device_name, profile in PROFILES.items():
-        for workload in WRITE_WORKLOADS:
-            for dataset in _reported_datasets():
-                row = {"device": device_name, "workload": workload, "dataset": dataset}
-                for name in INDEXES:
-                    setup = fresh_index(name, dataset, workload, scale, profile=profile)
-                    res = run_workload(setup.index, setup.ops, workload=workload)
-                    row[name] = round(res.throughput_ops_per_s, 1)
-                result.rows.append(row)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figure 6 — write performance breakdown
-# ---------------------------------------------------------------------------
-
-def exp_fig6_breakdown(scale: Optional[Scale] = None) -> ExperimentResult:
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "fig6", "Figure 6: per-insert step latency (us): search/insert/SMO/maintenance")
-    for dataset in _reported_datasets():
-        for name in INDEXES:
-            setup = fresh_index(name, dataset, "write_only", scale)
-            res = run_workload(setup.index, setup.ops, workload="write_only")
-            result.rows.append({
-                "dataset": dataset, "index": name,
-                "search_us": round(res.phase_latency_us("search"), 1),
-                "insert_us": round(res.phase_latency_us("insert"), 1),
-                "smo_us": round(res.phase_latency_us("smo"), 1),
-                "maintenance_us": round(res.phase_latency_us("maintenance"), 1),
-            })
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figure 7 — bulkload time and index size
-# ---------------------------------------------------------------------------
-
-def exp_fig7_bulkload(scale: Optional[Scale] = None) -> ExperimentResult:
-    scale = scale or default_scale()
-    result = ExperimentResult("fig7", "Figure 7: bulkload time and index size")
-    for dataset in _reported_datasets():
-        for name in INDEXES:
-            setup = fresh_index(name, dataset, "lookup_only", scale)
-            result.rows.append({
-                "dataset": dataset, "index": name,
-                "bulkload_sim_s": round(setup.bulkload_us / 1e6, 2),
-                "size_mib": round(setup.device.allocated_bytes / 2**20, 2),
-                "height": setup.index.height(),
-            })
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figures 8 & 9 — inner nodes memory-resident
-# ---------------------------------------------------------------------------
-
-def _hybrid_case(result: ExperimentResult, workloads: Sequence[str],
-                 scale: Scale) -> None:
-    # LIPP is excluded: a single node type and a multi-GB root (Section 6.2).
-    names = [n for n in INDEXES if n != "lipp"]
-    for device_name, profile in PROFILES.items():
-        for workload in workloads:
-            for dataset in _reported_datasets():
-                row = {"device": device_name, "workload": workload, "dataset": dataset}
-                for name in names:
-                    setup = fresh_index(name, dataset, workload, scale, profile=profile,
-                                        inner_memory_resident=True)
-                    res = run_workload(setup.index, setup.ops, workload=workload,
-                                       scan_length=scale.scan_length)
-                    row[name] = round(res.throughput_ops_per_s, 1)
-                result.rows.append(row)
-
-
-def exp_fig8_hybrid_search(scale: Optional[Scale] = None) -> ExperimentResult:
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "fig8", "Figure 8: search throughput, inner nodes memory-resident")
-    _hybrid_case(result, ("lookup_only", "scan_only"), scale)
-    return result
-
-
-def exp_fig9_hybrid_write(scale: Optional[Scale] = None) -> ExperimentResult:
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "fig9", "Figure 9: write throughput, inner nodes memory-resident")
-    _hybrid_case(result, WRITE_WORKLOADS, scale)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figure 10 — storage usage
-# ---------------------------------------------------------------------------
-
-def exp_fig10_storage(scale: Optional[Scale] = None) -> ExperimentResult:
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "fig10", "Figure 10: on-disk storage after the Write-Only workload")
-    for dataset in _reported_datasets():
-        for name in INDEXES:
-            setup = fresh_index(name, dataset, "write_only", scale)
-            run_workload(setup.index, setup.ops, workload="write_only")
-            result.rows.append({
-                "dataset": dataset, "index": name,
-                "allocated_mib": round(setup.device.allocated_bytes / 2**20, 2),
-                "live_mib": round(setup.device.live_bytes / 2**20, 2),
-            })
-    result.notes = ("allocated includes freed-but-unreclaimed extents; the paper "
-                    "notes on-disk space of learned indexes cannot be reclaimed easily.")
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figure 11 — impact of block size
-# ---------------------------------------------------------------------------
-
-def exp_fig11_blocksize(scale: Optional[Scale] = None,
-                        block_sizes: Sequence[int] = (4096, 8192, 16384)
-                        ) -> ExperimentResult:
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "fig11", "Figure 11: avg fetched blocks per lookup vs block size")
-    for dataset in _reported_datasets():
-        for name in INDEXES:
-            row = {"dataset": dataset, "index": name}
-            for block_size in block_sizes:
-                setup = fresh_index(name, dataset, "lookup_only", scale,
-                                    block_size=block_size)
-                res = run_workload(setup.index, setup.ops)
-                row[f"{block_size // 1024}k"] = round(res.blocks_read_per_op, 2)
-            result.rows.append(row)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figure 12 — tail latency
-# ---------------------------------------------------------------------------
-
-def exp_fig12_tail(scale: Optional[Scale] = None) -> ExperimentResult:
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "fig12", "Figure 12: p99 latency and std dev, lookup & write (HDD, us)")
-    for workload in ("lookup_only", "write_only"):
-        for dataset in _reported_datasets():
-            for name in INDEXES:
-                setup = fresh_index(name, dataset, workload, scale)
-                res = run_workload(setup.index, setup.ops, workload=workload)
-                result.rows.append({
-                    "workload": workload, "dataset": dataset, "index": name,
-                    "mean_us": round(res.mean_latency_us, 1),
-                    "p99_us": round(res.p99_latency_us, 1),
-                    "std_us": round(res.std_latency_us, 1),
-                })
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figure 13 — buffer size study
-# ---------------------------------------------------------------------------
-
-def exp_fig13_buffer(scale: Optional[Scale] = None,
-                     buffer_sizes: Sequence[int] = (0, 2, 8, 32, 128, 512)
-                     ) -> ExperimentResult:
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "fig13", "Figure 13: avg fetched blocks per lookup vs LRU buffer size")
-    for dataset in _reported_datasets():
-        for name in INDEXES:
-            row = {"dataset": dataset, "index": name}
-            for buffer_blocks in buffer_sizes:
-                setup = fresh_index(name, dataset, "lookup_only", scale,
-                                    buffer_blocks=buffer_blocks)
-                res = run_workload(setup.index, setup.ops)
-                row[f"buf{buffer_blocks}"] = round(res.blocks_read_per_op, 2)
-            result.rows.append(row)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figure 14 — normalized comparison of all workloads
-# ---------------------------------------------------------------------------
-
-def exp_fig14_overall(scale: Optional[Scale] = None) -> ExperimentResult:
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "fig14", "Figure 14: all six workloads on YCSB and FB, normalized throughput")
-    for dataset in ("ycsb", "fb"):
-        for workload in ("lookup_only", "scan_only", "write_only",
-                         "read_heavy", "write_heavy", "balanced"):
-            throughputs = {}
-            for name in INDEXES:
-                setup = fresh_index(name, dataset, workload, scale)
-                res = run_workload(setup.index, setup.ops, workload=workload,
-                                   scan_length=scale.scan_length)
-                throughputs[name] = res.throughput_ops_per_s
-            best = max(throughputs.values())
-            row = {"dataset": dataset, "workload": workload}
-            for name in INDEXES:
-                row[name] = round(throughputs[name] / best, 3)
-            result.rows.append(row)
-    result.notes = "1.0 marks the fastest index per (dataset, workload)."
-    return result
 
 
 # ---------------------------------------------------------------------------
 # Durability — group commit sweep and recovery time (beyond the paper)
 # ---------------------------------------------------------------------------
 
-def exp_durability(scale: Optional[Scale] = None,
-                   batch_sizes: Sequence[int] = (1, 8, 64)) -> ExperimentResult:
+def exp_durability(result: ExperimentResult, scale: Scale,
+                   batch_sizes: Sequence[int] = (1, 8, 64)) -> None:
     """Write-Only with a write-ahead log attached: sweep the group-commit
     batch size on both device profiles, then crash-free-recover from a
     post-bulkload checkpoint by replaying the whole log.
@@ -442,10 +121,6 @@ def exp_durability(scale: Optional[Scale] = None,
     """
     from ..durability import recover, take_checkpoint
 
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "durability",
-        "Durability: WAL group commit sweep + recovery time (Write-Only, YCSB)")
     for profile_name in ("hdd", "ssd"):
         for name in ("btree", "alex"):
             for batch in batch_sizes:
@@ -470,16 +145,14 @@ def exp_durability(scale: Optional[Scale] = None,
         "Log appends are charged as real block I/O under the 'log' phase; "
         "larger group-commit batches amortize one block write over more "
         "operations. Recovery = checkpoint reopen + CRC-checked WAL replay.")
-    return result
 
 
 # ---------------------------------------------------------------------------
 # Batched execution — coalesced multi-block lookups (beyond the paper)
 # ---------------------------------------------------------------------------
 
-def exp_batch_lookup(scale: Optional[Scale] = None,
-                     batch_sizes: Sequence[int] = (1, 8, 64, 256)
-                     ) -> ExperimentResult:
+def exp_batch_lookup(result: ExperimentResult, scale: Scale,
+                     batch_sizes: Sequence[int] = (1, 8, 64, 256)) -> None:
     """Lookup-Only with consecutive lookups grouped into ``lookup_many``
     batches: the batched execution engine sorts each group, shares one
     inner descent, and fetches the distinct leaf blocks as coalesced
@@ -491,10 +164,6 @@ def exp_batch_lookup(scale: Optional[Scale] = None,
     ``validate=True`` so a wrong batched result fails loudly — batching
     must be a pure I/O-schedule optimization.
     """
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "batch_lookup",
-        "Batched lookups: blocks & positionings per op vs batch size")
     for profile_name in ("hdd", "ssd"):
         for name in ("btree", "fiting", "alex"):
             for batch in batch_sizes:
@@ -514,7 +183,6 @@ def exp_batch_lookup(scale: Optional[Scale] = None,
         "Results are validated against the expected payloads at every "
         "batch size; larger batches may only change the I/O schedule, "
         "never the answers.")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +198,10 @@ def exp_batch_lookup(scale: Optional[Scale] = None,
 DECODE_US_PER_ENTRY = 0.01
 
 
-def exp_compression(scale: Optional[Scale] = None,
+def exp_compression(result: ExperimentResult, scale: Scale,
                     codecs: Sequence[str] = ("raw", "delta", "for"),
                     indexes: Sequence[str] = ("btree", "pgm", "hybrid-pgm"),
-                    buffer_blocks: Optional[int] = None) -> ExperimentResult:
+                    buffer_blocks: Optional[int] = None) -> None:
     """Leaf-page codec sweep: codec x index x device (DESIGN.md Sec. 16).
 
     For each cell the same uniform lookup workload runs against a fresh
@@ -565,14 +233,10 @@ def exp_compression(scale: Optional[Scale] = None,
     decode term visibly narrows (but does not close) the gap — the
     design-choice tradeoff this experiment exists to show.
     """
-    scale = scale or default_scale()
     if buffer_blocks is None:
         # ~1/3 of the raw leaf file (256 16-byte entries per 4 KiB
         # block), floored so toy scales still get a working pool.
         buffer_blocks = max(32, scale.n_read // 768)
-    result = ExperimentResult(
-        "compression",
-        "Compressed leaf pages: density + charged lookup I/O, codec sweep")
     for device_name, profile in PROFILES.items():
         raw_cells: Dict[str, dict] = {}
         for name in indexes:
@@ -628,7 +292,6 @@ def exp_compression(scale: Optional[Scale] = None,
         "Table 2 cost model extended with a transfer-cost-per-decoded-"
         f"entry term ({DECODE_US_PER_ENTRY} us/entry). All lookups are "
         "validated against the expected payloads.")
-    return result
 
 
 def _density(setup) -> tuple:
@@ -650,8 +313,8 @@ def _density(setup) -> tuple:
 # Write-back buffer pool — coalesced dirty-page flushing (beyond the paper)
 # ---------------------------------------------------------------------------
 
-def exp_write_back(scale: Optional[Scale] = None,
-                   buffer_blocks: int = 512) -> ExperimentResult:
+def exp_write_back(result: ExperimentResult, scale: Scale,
+                   buffer_blocks: int = 512) -> None:
     """Write-Heavy and Balanced with the pool in write-through vs
     write-back mode: write-back absorbs block writes as dirty frames and
     flushes them sorted at the run's end, so adjacent SMO rewrites merge
@@ -664,10 +327,6 @@ def exp_write_back(scale: Optional[Scale] = None,
     dirty evictions.  Every run uses ``validate=True`` — buffered writes
     must never change an answer.
     """
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "write_back",
-        "Write-back pool: write positionings, write-through vs write-back")
     for profile_name in ("hdd", "ssd"):
         for workload in ("write_heavy", "balanced"):
             for name in ("btree", "alex", "lipp"):
@@ -694,16 +353,15 @@ def exp_write_back(scale: Optional[Scale] = None,
         "sorted coalesced flush runs (one positioning per contiguous run) "
         "while write-through pays one positioning per non-sequential "
         "block write. Results validated against expected payloads.")
-    return result
 
 
 # ---------------------------------------------------------------------------
 # Self-healing storage — fault sweep (beyond the paper)
 # ---------------------------------------------------------------------------
 
-def exp_fault_sweep(scale: Optional[Scale] = None,
+def exp_fault_sweep(result: ExperimentResult, scale: Scale,
                     transient_rates: Sequence[float] = (0.0, 1e-4, 1e-3, 1e-2),
-                    bit_rot_rate: float = 5e-4) -> ExperimentResult:
+                    bit_rot_rate: float = 5e-4) -> None:
     """Read-Heavy on a degrading device: seeded transient read errors
     absorbed by the pager's retry/backoff, plus low-rate bit rot caught
     by the checksum envelope and repaired from checkpoint + WAL redo by
@@ -720,10 +378,6 @@ def exp_fault_sweep(scale: Optional[Scale] = None,
     from ..durability import SelfHealer, take_checkpoint
     from ..storage import DeviceFaultModel
 
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "fault_sweep",
-        "Self-healing: throughput & repair rate vs injected fault rate (Read-Heavy, YCSB)")
     for profile_name in ("hdd", "ssd"):
         for name in ("btree", "alex"):
             for rate in transient_rates:
@@ -753,18 +407,17 @@ def exp_fault_sweep(scale: Optional[Scale] = None,
         "the checkpoint + WAL redo (zero lost acknowledged writes) and the "
         "operation re-executed. The WAL file is excluded from injection — "
         "a single-copy log is the recovery source, not a repair target.")
-    return result
 
 
 # ---------------------------------------------------------------------------
 # Concurrent serving — multi-client scaling (beyond the paper)
 # ---------------------------------------------------------------------------
 
-def exp_concurrency(scale: Optional[Scale] = None,
+def exp_concurrency(result: ExperimentResult, scale: Scale,
                     client_counts: Sequence[int] = (1, 4, 16, 64, 256),
                     buffer_blocks: int = 256,
                     zipf_s: float = 0.9,
-                    shards: int = 1) -> ExperimentResult:
+                    shards: int = 1) -> None:
     """Balanced workload interleaved over 1→256 client sessions with
     zipfian (hot-key) lookups, on HDD and SSD, for the B+-tree, ALEX and
     the hybrid design (DESIGN.md Section 13).
@@ -784,11 +437,6 @@ def exp_concurrency(scale: Optional[Scale] = None,
     wrapper separately asserts that routing through a 1-shard tier adds
     zero extra charged positionings.
     """
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "concurrency",
-        "Concurrent serving: group-commit amortization and latch stalls, "
-        "1-256 clients")
     from ..serving import split_ops
     for profile_name in ("hdd", "ssd"):
         for name in ("btree", "alex", "hybrid-alex"):
@@ -849,7 +497,6 @@ def exp_concurrency(scale: Optional[Scale] = None,
         "group-commit waits included). flushes_per_write falls as the "
         "commit group fills from all clients; read_latch_us is zero at "
         "every cell because snapshot reads never take latches.")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -889,10 +536,10 @@ def _tuner_ops(partition, loaded, withheld, num_ops: int, seed: int):
     return ops
 
 
-def exp_sharding(scale: Optional[Scale] = None,
+def exp_sharding(result: ExperimentResult, scale: Scale,
                  shard_counts: Sequence[int] = (1, 2, 4, 8, 16),
                  buffer_blocks: Optional[int] = None,
-                 replica_counts: Sequence[int] = (1, 3)) -> ExperimentResult:
+                 replica_counts: Sequence[int] = (1, 3)) -> None:
     """Sharded-tier sweep (DESIGN.md Section 14), three sections of rows.
 
     ``scaleout``: uniform B+-tree tier, 1 -> 16 shards x {HDD, SSD} x
@@ -913,15 +560,11 @@ def exp_sharding(scale: Optional[Scale] = None,
     stream under the tuned per-shard composition and under each uniform
     writable choice — total charged positionings decide the winner.
     """
-    scale = scale or default_scale()
     if buffer_blocks is None:
         # A quarter of the tier's leaf blocks (16B entries): one shard
         # can never cache its slice, four shards together can — the
         # shape this sweep measures, at every REPRO_BENCH_SCALE.
         buffer_blocks = max(8, scale.n_read * 16 // scale.block_size // 4)
-    result = ExperimentResult(
-        "sharding",
-        "Sharded tier: scale-out, replica fan-out, workload-aware tuning")
 
     # -- section 1: scale-out sweep -----------------------------------------
     for profile_name in ("hdd", "ssd"):
@@ -1032,7 +675,6 @@ def exp_sharding(scale: Optional[Scale] = None,
         "divergent per-shard classes under skewed mixes "
         f"(plan: {plan}) and the divergent tier charges less total "
         "positioning than any uniform writable choice.")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1089,11 +731,11 @@ def _audit_acked_writes(index) -> dict:
     return {"durable_inserts": durable_inserts, "lost": lost}
 
 
-def exp_chaos(scale: Optional[Scale] = None,
+def exp_chaos(result: ExperimentResult, scale: Scale,
               fault_rates: Sequence[float] = (0.0, 1e-3, 1e-2),
               replica_counts: Sequence[int] = (2, 3),
               clients: int = 4,
-              crash_after: int = 150) -> ExperimentResult:
+              crash_after: int = 150) -> None:
     """Fault-tolerant serving under per-member faults (DESIGN.md §17).
 
     ``sweep``: a 2-shard durable B+-tree tier, ``replicas`` copies per
@@ -1127,11 +769,6 @@ def exp_chaos(scale: Optional[Scale] = None,
     from ..storage import DeviceFaultModel
     from .config import fresh_sharded_index
 
-    scale = scale or default_scale()
-    result = ExperimentResult(
-        "chaos",
-        "Fault tolerance: replica health, hedged reads, live failover "
-        "under injected member faults")
 
     def build(profile_name, replicas, chaos):
         profile = PROFILES[profile_name]
@@ -1333,66 +970,3 @@ def exp_chaos(scale: Optional[Scale] = None,
         "on its device, and no acknowledged write is lost. Quarantined "
         "members rejoin by replaying the missed log suffix (resync), "
         "falling back to a full re-seed when byte verification fails.")
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "table2": exp_table2_cost_model,
-    "table3": exp_table3_profiling,
-    "fig3": exp_fig3_search,
-    "table4": exp_table4_blocks,
-    "table5": exp_table5_hybrid,
-    "fig5": exp_fig5_write,
-    "fig6": exp_fig6_breakdown,
-    "fig7": exp_fig7_bulkload,
-    "fig8": exp_fig8_hybrid_search,
-    "fig9": exp_fig9_hybrid_write,
-    "fig10": exp_fig10_storage,
-    "fig11": exp_fig11_blocksize,
-    "fig12": exp_fig12_tail,
-    "fig13": exp_fig13_buffer,
-    "fig14": exp_fig14_overall,
-    "durability": exp_durability,
-    "batch_lookup": exp_batch_lookup,
-    "compression": exp_compression,
-    "write_back": exp_write_back,
-    "fault_sweep": exp_fault_sweep,
-    "concurrency": exp_concurrency,
-    "sharding": exp_sharding,
-    "chaos": exp_chaos,
-}
-
-
-def experiment_ids() -> List[str]:
-    return list(EXPERIMENTS)
-
-
-def run_experiment(experiment_id: str, scale: Optional[Scale] = None,
-                   trace_path: Optional[str] = None,
-                   **kwargs) -> ExperimentResult:
-    """Run one experiment; with ``trace_path`` set, attach a
-    :class:`repro.obs.Tracer` to every index the experiment builds and
-    export the combined op-level trace as JSONL to that path.  Extra
-    keyword arguments pass through to the experiment function (e.g. the
-    ``concurrency`` experiment's ``shards``)."""
-    try:
-        fn = EXPERIMENTS[experiment_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown experiment {experiment_id!r}; available: {experiment_ids()}"
-        ) from None
-    if trace_path is None:
-        return fn(scale, **kwargs)
-    from ..obs import Tracer
-    from .config import tracing
-
-    tracer = Tracer()
-    with tracing(tracer):
-        result = fn(scale, **kwargs)
-    tracer.export_jsonl(trace_path)
-    tracer.unbind()
-    return result

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import Scale, run_experiment, experiment_ids
+from repro.bench import EXPERIMENTS, Scale, run_experiment
 from repro.core import FitingTreeIndex
 from repro.storage import NULL_DEVICE, BlockDevice, Pager
 
@@ -10,12 +10,6 @@ from tests.util import items_of, random_sorted_keys
 
 TINY = Scale(n_read=6000, n_write_bulk=1500, n_write_ops=600,
              n_lookup_ops=80, n_scan_ops=15)
-
-
-def test_ablations_registered():
-    ids = set(experiment_ids())
-    assert {"ablation-alex-layout", "ablation-fiting-segmentation",
-            "ablation-error-bound", "scalability"} <= ids
 
 
 def test_fiting_greedy_segmentation_option():
@@ -38,24 +32,20 @@ def test_fiting_rejects_unknown_segmentation():
 def test_alex_layout_ablation_rows():
     result = run_experiment("ablation-alex-layout", TINY)
     assert len(result.rows) == 3
-    for row in result.rows:
-        assert row["layout2_blocks"] <= row["layout1_blocks"] + 0.05
+    EXPERIMENTS["ablation-alex-layout"].check(result.rows)
 
 
 def test_fiting_segmentation_ablation_rows():
     result = run_experiment("ablation-fiting-segmentation", TINY)
-    for row in result.rows:
-        assert row["streaming_segments"] <= row["greedy_segments"]
+    EXPERIMENTS["ablation-fiting-segmentation"].check(result.rows)
 
 
 def test_error_bound_ablation_rows():
-    result = run_experiment("ablation-error-bound", TINY,)
+    result = run_experiment("ablation-error-bound", TINY)
     assert {row["index"] for row in result.rows} == {"fiting", "pgm"}
-    for row in result.rows:
-        assert row["eps1024"] >= row["eps64"] - 0.1
+    EXPERIMENTS["ablation-error-bound"].check(result.rows)
 
 
 def test_scalability_rows():
     result = run_experiment("scalability", TINY)
-    for row in result.rows:
-        assert row["4x_blocks"] <= row["1x_blocks"] + 3.0
+    EXPERIMENTS["scalability"].check(result.rows)

@@ -21,8 +21,10 @@ def test_every_paper_artifact_has_an_experiment():
     expected = {"table2", "table3", "table4", "table5",
                 "fig3", "fig5", "fig6", "fig7", "fig8", "fig9",
                 "fig10", "fig11", "fig12", "fig13", "fig14"}
-    # The registry also carries ablation/extension experiments.
+    # The table also carries ablation/extension experiments; every
+    # paper-side entry states its shape as an executable check.
     assert expected <= set(experiment_ids())
+    assert all(EXPERIMENTS[experiment_id].check for experiment_id in expected)
 
 
 def test_unknown_experiment_rejected():
@@ -84,30 +86,13 @@ def test_table3_experiment_rows():
 
 
 def test_fig7_experiment_shape():
-    result = run_experiment("fig7", TINY)
-    # PGM smallest, LIPP largest index size (paper O11).
-    for dataset in ("fb", "osm", "ycsb"):
-        rows = {r["index"]: r for r in result.rows if r["dataset"] == dataset}
-        sizes = {name: rows[name]["size_mib"] for name in rows}
-        assert sizes["pgm"] == min(sizes.values())
-        assert sizes["lipp"] == max(sizes.values())
+    # PGM smallest, LIPP largest, LIPP builds slower than the B+-tree (O11).
+    EXPERIMENTS["fig7"].check(run_experiment("fig7", TINY).rows)
 
 
 def test_fig11_experiment_shape():
-    result = run_experiment("fig11", TINY)
-    for row in result.rows:
-        if row["index"] == "lipp":
-            # O17: LIPP's fetched blocks barely move with block size.
-            assert abs(row["4k"] - row["16k"]) <= 1.0
-        if row["index"] == "btree":
-            assert row["16k"] <= row["4k"]
-
-
-def test_fig13_experiment_shape():
-    result = run_experiment("fig13", TINY)
-    for row in result.rows:
-        # A big LRU buffer can only reduce fetched blocks.
-        assert row["buf512"] <= row["buf0"] + 0.01
+    # O17: LIPP flat across block sizes, the others non-increasing.
+    EXPERIMENTS["fig11"].check(run_experiment("fig11", TINY).rows)
 
 
 def test_fig14_normalization():
@@ -116,3 +101,4 @@ def test_fig14_normalization():
         values = [row[name] for name in ("btree", "fiting", "pgm", "alex", "lipp")]
         assert max(values) == pytest.approx(1.0)
         assert all(0 < v <= 1.0 for v in values)
+    EXPERIMENTS["fig14"].check(result.rows)

@@ -11,9 +11,8 @@ Four properties, each checked per codec:
 * **Durability** — compressed pages round-trip ``save_index`` /
   ``load_index``, and corrupted compressed blocks (leaf and fence alike)
   are scrub-detected and repaired byte-identical from checkpoint + WAL.
-* **Plumbing** — the fence zonemap's routing contract, and the bench
-  layer's codec threading (``set_codec``, ``--codec``, the
-  ``compression`` experiment).
+* **Plumbing** — the fence zonemap's routing contract, and the
+  ``compression`` experiment.
 """
 
 import dataclasses
@@ -22,8 +21,7 @@ from bisect import bisect_left
 
 import pytest
 
-from repro.bench import Scale, fresh_index, run_experiment
-from repro.bench.config import set_codec
+from repro.bench import Scale, run_experiment
 from repro.core import index_names, load_index, make_index, save_index
 from repro.core.codecs import get_codec
 from repro.durability import WriteAheadLog, repair_blocks, take_checkpoint
@@ -64,7 +62,7 @@ def test_compressed_stream_matches_oracle(name, codec):
 @pytest.mark.parametrize("name", RAW_ONLY)
 def test_raw_only_indexes_accept_codec_and_stay_correct(name, codec):
     """Indexes without a compressed layout still validate the parameter
-    (so ``--codec`` sweeps run every index) and behave identically."""
+    (so a codec sweep can run every index) and behave identically."""
     keys = random_sorted_keys(300, seed=11, key_space=10**9)
     index, _ = build(name, codec, keys)
     model = ReferenceModel(items_of(keys))
@@ -262,29 +260,10 @@ TINY = Scale(n_read=3000, n_write_bulk=1200, n_write_ops=500,
              n_lookup_ops=80, n_scan_ops=10)
 
 
-def test_set_codec_threads_through_fresh_index():
-    try:
-        set_codec("for")
-        setup = fresh_index("btree", "ycsb", "lookup_only", TINY)
-        assert setup.index.init_params()["codec"] == "for"
-        # An explicit per-cell codec wins over the global override.
-        pinned = fresh_index("btree", "ycsb", "lookup_only", TINY,
-                             index_params={"codec": "delta"})
-        assert pinned.index.init_params()["codec"] == "delta"
-    finally:
-        set_codec("raw")
-    default = fresh_index("btree", "ycsb", "lookup_only", TINY)
-    assert "codec" not in default.index.init_params()
-    with pytest.raises(ValueError, match="unknown codec"):
-        set_codec("zstd")
-
-
 def test_compression_experiment_shape():
-    from repro.bench.experiments import EXPERIMENTS, exp_compression
-    assert EXPERIMENTS["compression"] is exp_compression
     # A 4-frame pool: at this toy scale a larger pool absorbs the whole
     # index and every cell degenerates to zero charged reads.
-    result = exp_compression(TINY, buffer_blocks=4)
+    result = run_experiment("compression", TINY, buffer_blocks=4)
     cells = {(r["device"], r["index"], r["codec"]) for r in result.rows}
     assert len(cells) == len(result.rows) == 2 * 3 * 3
     for row in result.rows:
@@ -308,12 +287,3 @@ def test_compression_experiment_survives_full_caching():
     for row in result.rows:
         assert row["blocks_per_lookup"] == 0.0
         assert row["blocks_ratio"] == 1.0
-
-
-def test_cli_codec_flag(capsys):
-    from repro.bench.__main__ import main
-    assert main(["run", "table3", "--scale", "0.02", "--codec", "for"]) == 0
-    out = capsys.readouterr().out
-    assert "Table 3" in out
-    # The global sticks for the process: clear it for later tests.
-    set_codec("raw")

@@ -1,17 +1,16 @@
 """Tests for the EXPERIMENTS.md generator and dataset overrides."""
 
-import os
+from repro.bench import EXPERIMENTS, run_experiment
+from repro.bench.config import reported_datasets
+from repro.bench.experiments_doc import render_experiments_md
 
-import pytest
-
-from repro.bench.experiments import _reported_datasets
-from repro.bench.experiments_doc import PAPER_EXPECTATIONS, render_experiments_md
+from tests.golden.gen_experiment_rows import MICRO
 
 
 def test_every_experiment_has_an_expectation_entry():
-    from repro.bench import experiment_ids
-    missing = set(experiment_ids()) - set(PAPER_EXPECTATIONS)
-    assert not missing, f"experiments without EXPERIMENTS.md entries: {missing}"
+    for entry in EXPERIMENTS.values():
+        assert entry.artifact and entry.paper and entry.shape, entry.id
+        assert bool(entry.body) != bool(entry.axes), entry.id  # a function or a row
 
 
 def test_render_without_results(tmp_path):
@@ -30,8 +29,17 @@ def test_render_embeds_archived_tables(tmp_path):
 
 def test_dataset_override_env(monkeypatch):
     monkeypatch.delenv("REPRO_DATASETS", raising=False)
-    assert _reported_datasets() == ("fb", "osm", "ycsb")
+    assert reported_datasets() == ("fb", "osm", "ycsb")
     monkeypatch.setenv("REPRO_DATASETS", "ycsb, stack")
-    assert _reported_datasets() == ("ycsb", "stack")
+    assert reported_datasets() == ("ycsb", "stack")
     monkeypatch.setenv("REPRO_DATASETS", "all")
-    assert len(_reported_datasets()) == 10
+    assert len(reported_datasets()) == 10
+    # One dataset axis: the override reaches every row that does not pin
+    # its datasets (plid and the ablations once looped over a constant).
+    monkeypatch.setenv("REPRO_DATASETS", "ycsb")
+    for experiment_id in ("fig3", "plid", "ablation-alex-layout",
+                          "ablation-fiting-segmentation", "ablation-error-bound"):
+        rows = run_experiment(experiment_id, MICRO).rows
+        assert {row["dataset"] for row in rows} == {"ycsb"}, experiment_id
+    pinned = run_experiment("fig14", MICRO).rows
+    assert {row["dataset"] for row in pinned} == {"ycsb", "fb"}

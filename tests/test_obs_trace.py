@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.bench.config import Scale, fresh_index, tracing
-from repro.bench.experiments import run_experiment
+from repro.bench import run_experiment
 from repro.core import index_names, make_index
 from repro.durability import WriteAheadLog
 from repro.obs import Tracer, format_summary, load_trace, summarize

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.__main__ import main as bench_main
-from repro.bench.config import default_scale, fresh_index, set_write_back
+from repro.bench.config import default_scale, fresh_index
 from repro.core import load_index, make_index, save_index
 from repro.durability import (
     FaultInjector,
@@ -610,31 +610,7 @@ def test_fresh_index_write_back_flag():
         fresh_index("btree", "ycsb", "write_only", scale, write_back=True)
 
 
-def test_set_write_back_override():
-    scale = default_scale().scaled(0.01)
-    set_write_back(16)
-    try:
-        setup = fresh_index("btree", "ycsb", "write_only", scale)
-        assert setup.pager.write_back
-        assert setup.pager.buffer_pool.capacity == 16
-    finally:
-        set_write_back(0)
-    with pytest.raises(ValueError):
-        set_write_back(-1)
-
-
 def test_cli_write_back_experiment(capsys):
     assert bench_main(["run", "write_back", "--scale", "0.005"]) == 0
     out = capsys.readouterr().out
     assert "write_positionings" in out
-
-
-def test_cli_write_back_flag(capsys):
-    try:
-        assert bench_main(["run", "batch_lookup", "--scale", "0.004",
-                           "--write-back", "32"]) == 0
-        from repro.bench import config as bench_config
-        assert bench_config._WRITE_BACK_BLOCKS == 32
-    finally:
-        set_write_back(0)
-    assert "ops_per_s" in capsys.readouterr().out
