@@ -12,6 +12,11 @@ TINY = Scale(n_read=6000, n_write_bulk=1500, n_write_ops=600,
              n_lookup_ops=80, n_scan_ops=15)
 
 
+def test_ablations_registered():
+    assert {"ablation-alex-layout", "ablation-fiting-segmentation",
+            "ablation-error-bound", "scalability"} <= set(EXPERIMENTS)
+
+
 def test_fiting_greedy_segmentation_option():
     keys = random_sorted_keys(15_000, seed=3)
     counts = {}
@@ -36,8 +41,8 @@ def test_alex_layout_ablation_rows():
 
 
 def test_fiting_segmentation_ablation_rows():
-    result = run_experiment("ablation-fiting-segmentation", TINY)
-    EXPERIMENTS["ablation-fiting-segmentation"].check(result.rows)
+    EXPERIMENTS["ablation-fiting-segmentation"].check(
+        run_experiment("ablation-fiting-segmentation", TINY).rows)
 
 
 def test_error_bound_ablation_rows():
@@ -47,5 +52,4 @@ def test_error_bound_ablation_rows():
 
 
 def test_scalability_rows():
-    result = run_experiment("scalability", TINY)
-    EXPERIMENTS["scalability"].check(result.rows)
+    EXPERIMENTS["scalability"].check(run_experiment("scalability", TINY).rows)

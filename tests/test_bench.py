@@ -21,8 +21,6 @@ def test_every_paper_artifact_has_an_experiment():
     expected = {"table2", "table3", "table4", "table5",
                 "fig3", "fig5", "fig6", "fig7", "fig8", "fig9",
                 "fig10", "fig11", "fig12", "fig13", "fig14"}
-    # The table also carries ablation/extension experiments; every
-    # paper-side entry states its shape as an executable check.
     assert expected <= set(experiment_ids())
     assert all(EXPERIMENTS[experiment_id].check for experiment_id in expected)
 
@@ -93,6 +91,11 @@ def test_fig7_experiment_shape():
 def test_fig11_experiment_shape():
     # O17: LIPP flat across block sizes, the others non-increasing.
     EXPERIMENTS["fig11"].check(run_experiment("fig11", TINY).rows)
+
+
+def test_fig13_experiment_shape():
+    for row in run_experiment("fig13", TINY).rows:  # the full check needs the bench scale
+        assert row["buf512"] <= row["buf0"] + 0.01
 
 
 def test_fig14_normalization():

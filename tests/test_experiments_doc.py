@@ -34,12 +34,10 @@ def test_dataset_override_env(monkeypatch):
     assert reported_datasets() == ("ycsb", "stack")
     monkeypatch.setenv("REPRO_DATASETS", "all")
     assert len(reported_datasets()) == 10
-    # One dataset axis: the override reaches every row that does not pin
-    # its datasets (plid and the ablations once looped over a constant).
+    # It reaches every row that does not pin its datasets.
     monkeypatch.setenv("REPRO_DATASETS", "ycsb")
     for experiment_id in ("fig3", "plid", "ablation-alex-layout",
                           "ablation-fiting-segmentation", "ablation-error-bound"):
         rows = run_experiment(experiment_id, MICRO).rows
         assert {row["dataset"] for row in rows} == {"ycsb"}, experiment_id
-    pinned = run_experiment("fig14", MICRO).rows
-    assert {row["dataset"] for row in pinned} == {"ycsb", "fb"}
+    assert {row["dataset"] for row in run_experiment("fig14", MICRO).rows} == {"ycsb", "fb"}

@@ -1,7 +1,6 @@
 """Gates that can fail: every clause of every table entry's ``check``
-holds on the archived rows (``benchmarks/results/<id>.txt``, what
-EXPERIMENTS.md shows) and turns red on one named mutation of them.
-A clause no mutation can turn red does not belong in a check."""
+holds on the archived rows (``benchmarks/results/<id>.txt``) and turns
+red on one named mutation of them."""
 
 import pathlib
 import re
