@@ -213,8 +213,7 @@ def fresh_sharded_index(index_names, shards: Optional[int], dataset: str,
                         wal_group_commit: Optional[int] = None,
                         hedge_us: Optional[float] = None,
                         quarantine_after: int = 2,
-                        lookup_distribution: str = "uniform",
-                        zipf_s: float = 0.99) -> IndexSetup:
+                        lookup_distribution: str = "uniform") -> IndexSetup:
     """Build a range-partitioned :class:`repro.sharding.ShardedIndex` cell.
 
     Mirrors :func:`fresh_index`: same dataset, same workload stream, same
@@ -230,8 +229,7 @@ def fresh_sharded_index(index_names, shards: Optional[int], dataset: str,
     from ..core import make_sharded_index
 
     bulk_items, ops = _cell_workload(
-        dataset, workload, scale,
-        lookup_distribution=lookup_distribution, zipf_s=zipf_s)
+        dataset, workload, scale, lookup_distribution=lookup_distribution)
 
     index = make_sharded_index(
         index_names, shards,

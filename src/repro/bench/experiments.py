@@ -19,7 +19,8 @@ from ..core.serial import entries_per_block
 from ..datasets import dataset_names, make_dataset, profile_dataset
 from ..models import optimal_segments
 from ..workloads import run_workload
-from .config import PROFILES, Scale, fresh_index, reported_datasets
+from .config import (PROFILES, Scale, fresh_index, fresh_sharded_index,
+                     reported_datasets)
 
 __all__ = ["ExperimentResult", "INDEXES"]
 
@@ -148,44 +149,6 @@ def exp_durability(result: ExperimentResult, scale: Scale,
 
 
 # ---------------------------------------------------------------------------
-# Batched execution — coalesced multi-block lookups (beyond the paper)
-# ---------------------------------------------------------------------------
-
-def exp_batch_lookup(result: ExperimentResult, scale: Scale,
-                     batch_sizes: Sequence[int] = (1, 8, 64, 256)) -> None:
-    """Lookup-Only with consecutive lookups grouped into ``lookup_many``
-    batches: the batched execution engine sorts each group, shares one
-    inner descent, and fetches the distinct leaf blocks as coalesced
-    contiguous runs (DESIGN.md Section 10).
-
-    Reported per cell: throughput, fetched blocks per op, accesses
-    charged the random-positioning cost per op (the Table 2 ``t_s`` term),
-    and how many multi-block runs the device coalesced.  Every run uses
-    ``validate=True`` so a wrong batched result fails loudly — batching
-    must be a pure I/O-schedule optimization.
-    """
-    for profile_name in ("hdd", "ssd"):
-        for name in ("btree", "fiting", "alex"):
-            for batch in batch_sizes:
-                setup = fresh_index(name, "ycsb", "lookup_only", scale,
-                                    profile=PROFILES[profile_name])
-                res = run_workload(setup.index, setup.ops,
-                                   workload="lookup_only", batch=batch,
-                                   validate=True)
-                result.rows.append({
-                    "device": profile_name, "index": name, "batch": batch,
-                    "ops_per_s": round(res.throughput_ops_per_s, 1),
-                    "blocks_per_op": round(res.blocks_read_per_op, 3),
-                    "positionings_per_op": round(res.positionings_per_op, 3),
-                    "coalesced_runs": res.coalesced_runs,
-                })
-    result.notes = (
-        "Results are validated against the expected payloads at every "
-        "batch size; larger batches may only change the I/O schedule, "
-        "never the answers.")
-
-
-# ---------------------------------------------------------------------------
 # Compressed leaf pages — codec sweep + extended Table 2 cost model
 # ---------------------------------------------------------------------------
 
@@ -199,8 +162,6 @@ DECODE_US_PER_ENTRY = 0.01
 
 
 def exp_compression(result: ExperimentResult, scale: Scale,
-                    codecs: Sequence[str] = ("raw", "delta", "for"),
-                    indexes: Sequence[str] = ("btree", "pgm", "hybrid-pgm"),
                     buffer_blocks: Optional[int] = None) -> None:
     """Leaf-page codec sweep: codec x index x device (DESIGN.md Sec. 16).
 
@@ -239,8 +200,8 @@ def exp_compression(result: ExperimentResult, scale: Scale,
         buffer_blocks = max(32, scale.n_read // 768)
     for device_name, profile in PROFILES.items():
         raw_cells: Dict[str, dict] = {}
-        for name in indexes:
-            for codec in codecs:
+        for name in ("btree", "pgm", "hybrid-pgm"):
+            for codec in ("raw", "delta", "for"):
                 params = {} if codec == "raw" else {"codec": codec}
                 setup = fresh_index(name, "ycsb", "lookup_only", scale,
                                     profile=profile, index_params=params,
@@ -313,8 +274,7 @@ def _density(setup) -> tuple:
 # Write-back buffer pool — coalesced dirty-page flushing (beyond the paper)
 # ---------------------------------------------------------------------------
 
-def exp_write_back(result: ExperimentResult, scale: Scale,
-                   buffer_blocks: int = 512) -> None:
+def exp_write_back(result: ExperimentResult, scale: Scale) -> None:
     """Write-Heavy and Balanced with the pool in write-through vs
     write-back mode: write-back absorbs block writes as dirty frames and
     flushes them sorted at the run's end, so adjacent SMO rewrites merge
@@ -334,7 +294,7 @@ def exp_write_back(result: ExperimentResult, scale: Scale,
                     setup = fresh_index(
                         name, "ycsb", workload, scale,
                         profile=PROFILES[profile_name],
-                        buffer_blocks=buffer_blocks,
+                        buffer_blocks=512,
                         write_back=(mode == "back"))
                     res = run_workload(setup.index, setup.ops,
                                        workload=workload, validate=True)
@@ -360,8 +320,8 @@ def exp_write_back(result: ExperimentResult, scale: Scale,
 # ---------------------------------------------------------------------------
 
 def exp_fault_sweep(result: ExperimentResult, scale: Scale,
-                    transient_rates: Sequence[float] = (0.0, 1e-4, 1e-3, 1e-2),
-                    bit_rot_rate: float = 5e-4) -> None:
+                    transient_rates: Sequence[float] = (0.0, 1e-4, 1e-3, 1e-2)
+                    ) -> None:
     """Read-Heavy on a degrading device: seeded transient read errors
     absorbed by the pager's retry/backoff, plus low-rate bit rot caught
     by the checksum envelope and repaired from checkpoint + WAL redo by
@@ -388,7 +348,7 @@ def exp_fault_sweep(result: ExperimentResult, scale: Scale,
                 setup.device.fault_model = DeviceFaultModel(
                     seed=scale.seed,
                     transient_error_rate=rate,
-                    bit_rot_rate=bit_rot_rate if rate else 0.0)
+                    bit_rot_rate=5e-4 if rate else 0.0)
                 healer = SelfHealer(setup.index, checkpoint, setup.wal)
                 res = run_workload(setup.index, setup.ops,
                                    workload="read_heavy", healer=healer)
@@ -414,10 +374,8 @@ def exp_fault_sweep(result: ExperimentResult, scale: Scale,
 # ---------------------------------------------------------------------------
 
 def exp_concurrency(result: ExperimentResult, scale: Scale,
-                    client_counts: Sequence[int] = (1, 4, 16, 64, 256),
-                    buffer_blocks: int = 256,
-                    zipf_s: float = 0.9,
-                    shards: int = 1) -> None:
+                    client_counts: Sequence[int] = (1, 4, 16, 64, 256)
+                    ) -> None:
     """Balanced workload interleaved over 1→256 client sessions with
     zipfian (hot-key) lookups, on HDD and SSD, for the B+-tree, ALEX and
     the hybrid design (DESIGN.md Section 13).
@@ -429,13 +387,6 @@ def exp_concurrency(result: ExperimentResult, scale: Scale,
     skew turns overlapping frame accesses into latch stalls
     (``latch_ms`` grows), and snapshot reads stay latch-free at every
     client count (``read_latch_us`` is identically zero).
-
-    ``shards`` > 1 serves every cell from a range-partitioned
-    :class:`repro.sharding.ShardedIndex` instead of one flat index
-    (same aggregate pool: ``buffer_blocks`` splits across the shards);
-    at the default 1 the flat path is untouched, and the benchmark
-    wrapper separately asserts that routing through a 1-shard tier adds
-    zero extra charged positionings.
     """
     from ..serving import split_ops
     for profile_name in ("hdd", "ssd"):
@@ -444,22 +395,11 @@ def exp_concurrency(result: ExperimentResult, scale: Scale,
             # (Table 5): its cells sweep the snapshot-read path only.
             workload = "lookup_only" if name.startswith("hybrid") else "balanced"
             for clients in client_counts:
-                if shards > 1:
-                    from .config import fresh_sharded_index
-
-                    setup = fresh_sharded_index(
-                        name, shards, "ycsb", workload, scale,
-                        profile=PROFILES[profile_name],
-                        buffer_blocks=max(1, buffer_blocks // shards),
-                        durability=True,
-                        wal_group_commit=scale.group_commit,
-                        lookup_distribution="zipfian", zipf_s=zipf_s)
-                else:
-                    setup = fresh_index(
-                        name, "ycsb", workload, scale,
-                        profile=PROFILES[profile_name],
-                        buffer_blocks=buffer_blocks, with_wal=True,
-                        lookup_distribution="zipfian", zipf_s=zipf_s)
+                setup = fresh_index(
+                    name, "ycsb", workload, scale,
+                    profile=PROFILES[profile_name],
+                    buffer_blocks=256, with_wal=True,
+                    lookup_distribution="zipfian", zipf_s=0.9)
                 # client_ops forces the serving path even at one client,
                 # so every cell reports the same commit/latch counters.
                 res = run_workload(setup.index, setup.ops,
@@ -472,7 +412,6 @@ def exp_concurrency(result: ExperimentResult, scale: Scale,
                 result.rows.append({
                     "device": profile_name, "index": name,
                     "workload": workload, "clients": clients,
-                    "shards": shards,
                     # A fully-cached tiny-scale cell has zero simulated
                     # elapsed time; report 0 rather than infinity so the
                     # rows stay valid JSON.
@@ -537,21 +476,18 @@ def _tuner_ops(partition, loaded, withheld, num_ops: int, seed: int):
 
 
 def exp_sharding(result: ExperimentResult, scale: Scale,
-                 shard_counts: Sequence[int] = (1, 2, 4, 8, 16),
-                 buffer_blocks: Optional[int] = None,
-                 replica_counts: Sequence[int] = (1, 3)) -> None:
+                 shard_counts: Sequence[int] = (1, 2, 4, 8, 16)) -> None:
     """Sharded-tier sweep (DESIGN.md Section 14), three sections of rows.
 
     ``scaleout``: uniform B+-tree tier, 1 -> 16 shards x {HDD, SSD} x
     {uniform, zipfian} lookups.  Every shard owns its own device and a
-    ``buffer_blocks``-frame pool, so the aggregate cache grows with the
-    shard count and charged read positionings per op fall — the
-    scale-out effect a partitioned disk-resident tier buys.
+    pool of a quarter of the tier's leaf blocks, so the aggregate cache
+    grows with the shard count and charged read positionings per op
+    fall — the scale-out effect a partitioned disk-resident tier buys.
 
-    ``replicas``: 4-shard tier, sweeping ``replica_counts`` copies under
-    round-robin read fan-out (no pools, so every copy charges identical
-    per-op work): read fan-out must not hurt tail latency.  The
-    benchmark wrapper's ``--replicas`` flag widens this sweep.
+    ``replicas``: 4-shard tier with 1 and 3 copies under round-robin
+    read fan-out (no pools, so every copy charges identical per-op
+    work): read fan-out must not hurt tail latency.
 
     ``tuner``: a 3-shard tier under a skewed mixed stream (one shard
     read-only, one read-heavy, one write-heavy).  The workload-aware
@@ -560,19 +496,16 @@ def exp_sharding(result: ExperimentResult, scale: Scale,
     stream under the tuned per-shard composition and under each uniform
     writable choice — total charged positionings decide the winner.
     """
-    if buffer_blocks is None:
-        # A quarter of the tier's leaf blocks (16B entries): one shard
-        # can never cache its slice, four shards together can — the
-        # shape this sweep measures, at every REPRO_BENCH_SCALE.
-        buffer_blocks = max(8, scale.n_read * 16 // scale.block_size // 4)
+    # A quarter of the tier's leaf blocks (16B entries): one shard can
+    # never cache its slice, four shards together can — the shape this
+    # sweep measures, at every REPRO_BENCH_SCALE.
+    buffer_blocks = max(8, scale.n_read * 16 // scale.block_size // 4)
 
     # -- section 1: scale-out sweep -----------------------------------------
     for profile_name in ("hdd", "ssd"):
         for distribution in ("uniform", "zipfian"):
             baseline = None
             for shards in shard_counts:
-                from .config import fresh_sharded_index
-
                 setup = fresh_sharded_index(
                     "btree", shards, "ycsb", "lookup_only", scale,
                     profile=PROFILES[profile_name],
@@ -602,9 +535,7 @@ def exp_sharding(result: ExperimentResult, scale: Scale,
                 })
 
     # -- section 2: replica read fan-out ------------------------------------
-    from .config import fresh_sharded_index
-
-    for replicas in replica_counts:
+    for replicas in (1, 3):
         setup = fresh_sharded_index(
             "btree", 4, "ycsb", "lookup_only", scale, profile=PROFILES["hdd"],
             replicas=replicas)
@@ -733,13 +664,11 @@ def _audit_acked_writes(index) -> dict:
 
 def exp_chaos(result: ExperimentResult, scale: Scale,
               fault_rates: Sequence[float] = (0.0, 1e-3, 1e-2),
-              replica_counts: Sequence[int] = (2, 3),
-              clients: int = 4,
               crash_after: int = 150) -> None:
     """Fault-tolerant serving under per-member faults (DESIGN.md §17).
 
-    ``sweep``: a 2-shard durable B+-tree tier, ``replicas`` copies per
-    shard, Balanced workload over ``clients`` sessions, on HDD and SSD.
+    ``sweep``: a 2-shard durable B+-tree tier, 2 and 3 copies per
+    shard, Balanced workload over 4 client sessions, on HDD and SSD.
     One replica member per shard runs on degrading media — a per-member
     fork of one seeded fault model injects transient errors, bit rot
     and stalls at the swept rate (the WAL is excluded; the primary is
@@ -767,8 +696,6 @@ def exp_chaos(result: ExperimentResult, scale: Scale,
     happened with zero lost acknowledged writes.
     """
     from ..storage import DeviceFaultModel
-    from .config import fresh_sharded_index
-
 
     def build(profile_name, replicas, chaos):
         profile = PROFILES[profile_name]
@@ -793,11 +720,11 @@ def exp_chaos(result: ExperimentResult, scale: Scale,
             extra = dict(deadline_us=deadlines[profile_name],
                          retry_budget=3, max_inflight_writes=64)
         return run_workload(setup.index, setup.ops, workload="balanced",
-                            clients=clients, validate=True, **extra)
+                            clients=4, validate=True, **extra)
 
     # -- section 1: fault-rate sweep on one replica member -------------------
     for profile_name in ("hdd", "ssd"):
-        for replicas in replica_counts:
+        for replicas in (2, 3):
             p99_clean = None
             for rate in fault_rates:
                 setup = build(profile_name, replicas, chaos=True)

@@ -18,21 +18,21 @@ __all__ = ["render_experiments_md"]
 _HEADER = """\
 # EXPERIMENTS — paper vs. measured
 
-Every table and figure of the paper's evaluation is one entry of one
-table (`src/repro/bench/table.py`: its axes, its columns, the prose
+Every table and figure of the paper's evaluation, and every post-paper
+extension (durability ... chaos), is one entry of one table
+(`src/repro/bench/table.py`: its axes or body, its columns, the prose
 below and `check`, the executable form of "Reproduced shape"), and one
-command regenerates, archives and checks them all on the simulated block
+command regenerates, archives and checks all 30 on the simulated block
 device at the scaled-down defaults (see DESIGN.md for scales and the
 substitution argument):
 
     python -m pytest benchmarks/bench_paper.py --benchmark-only   # -k fig5 for one
     python -m repro.bench report                                  # this file
 
-The post-paper extensions (durability ... chaos) keep one
-`benchmarks/bench_*.py` each.  Absolute numbers differ from the authors'
-hardware by construction; the *shape* — who wins, by roughly what
-factor, where crossovers fall — is what each entry records
-(`tests/test_paper_shape.py` asserts it again at its own scale).
+Absolute numbers differ from the authors' hardware by construction; the
+*shape* — who wins, by roughly what factor, where crossovers fall — is
+what each entry records (`tests/test_paper_shape.py` asserts it again
+at its own scale).
 """
 
 

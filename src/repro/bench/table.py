@@ -9,14 +9,15 @@ either a *row* of that grid (``axes``, ``fixed``, ``columns``) that
 the ``body`` function of :mod:`repro.bench.experiments` that does work a
 row cannot state.  ``check(rows)`` is the executable form of ``shape``,
 written next to the sentence it implements; ``benchmarks/bench_paper.py``
-runs, archives and checks every entry that has one.
+runs, archives and checks every entry.
 
 What a row can say: which axes it loops over and in which order (the
 order is also the order of its key columns), which single keyword of
-``fresh_index`` (or constructor parameter of the index, or multiple of
-the scale) it sweeps, which keywords it fixes, whether the innermost
-axis becomes columns, and how a finished row derives one more column.
-What it cannot: anything between the build and the run.
+``fresh_index`` or ``run_workload`` (or constructor parameter of the
+index, or multiple of the scale) it sweeps, which keywords it fixes,
+whether the innermost axis becomes columns, and how a finished row
+derives one more column.  What it cannot: anything between the build
+and the run.
 """
 
 from __future__ import annotations
@@ -46,13 +47,16 @@ class Experiment:
     title: str
     artifact: str            # EXPERIMENTS.md: which artifact of the paper,
     paper: str               # what the paper reports there,
-    shape: str               # the shape that must reproduce (see ``check``)
+    shape: str               # the shape that must reproduce.
+    #: ``shape`` as asserts: raises AssertionError unless ``rows`` show it.
+    check: Callable[[Rows], None]
     notes: str = ""
     #: axis -> values, outermost first.  ``device`` / ``workload`` /
     #: ``dataset`` / ``index`` are fresh_index's positionals; ``scale``
-    #: multiplies the Scale; any other name is a fresh_index keyword or,
-    #: failing that, a constructor parameter of the index.  Values given
-    #: as a mapping pin other cell values per point.
+    #: multiplies the Scale; any other name is a fresh_index keyword, a
+    #: run_workload keyword or, failing both, a constructor parameter of
+    #: the index.  Values given as a mapping pin other cell values per
+    #: point.
     axes: Mapping[str, object] = field(default_factory=dict)
     #: Cell values every cell shares (default: hdd, lookup_only).
     fixed: Mapping[str, object] = field(default_factory=dict)
@@ -66,8 +70,6 @@ class Experiment:
     derive: Optional[Callable[[dict], None]] = None
     #: The run_experiment keyword that replaces the innermost axis's values.
     narrow: str = ""
-    #: Raises AssertionError unless ``rows`` show ``shape``.
-    check: Optional[Callable[[Rows], None]] = None
     #: ``body(result, scale, **kwargs)`` fills rows and notes itself.
     body: Optional[Callable] = None
 
@@ -81,6 +83,7 @@ REPORTED = None
 
 _DEFAULT_CELL = {"device": "hdd", "workload": "lookup_only"}
 _FRESH_INDEX_KEYWORDS = frozenset(inspect.signature(fresh_index).parameters)
+_RUN_KEYWORDS = frozenset(inspect.signature(run_workload).parameters)
 #: The FITing-tree calls its epsilon ``error_bound``.
 _PARAM_ALIASES = {("fiting", "epsilon"): "error_bound"}
 
@@ -92,11 +95,12 @@ def _measure(cell: dict, scale: Scale):
     if "scale" in cell:
         scale = scale.scaled(cell.pop("scale"))
     keywords = {k: cell.pop(k) for k in list(cell) if k in _FRESH_INDEX_KEYWORDS}
+    run_keywords = {k: cell.pop(k) for k in list(cell) if k in _RUN_KEYWORDS}
     params = {_PARAM_ALIASES.get((index, k), k): v for k, v in cell.items()}
     setup = fresh_index(index, dataset, workload, scale, profile=profile,
                         index_params=params, **keywords)
     res = run_workload(setup.index, setup.ops, workload=workload,
-                       scan_length=scale.scan_length)
+                       scan_length=scale.scan_length, **run_keywords)
     return setup, res
 
 
@@ -392,6 +396,149 @@ def _check_plid(rows: Rows) -> None:
 def _check_buffer_policy(rows: Rows) -> None:
     for row in rows:
         assert row["clock_blocks"] <= row["lru_blocks"] * 1.5 + 0.05, row
+
+
+def _sweeps(rows: Rows, keys, axis: str) -> Dict[tuple, Rows]:
+    """``{values of keys: rows in ascending axis order}`` of a swept table."""
+    groups: Dict[tuple, Rows] = {}
+    for row in sorted(rows, key=lambda row: row[axis]):
+        groups.setdefault(tuple(row[k] for k in keys), []).append(row)
+    return groups
+
+
+def _falls(values) -> bool:
+    return all(a > b for a, b in zip(values, values[1:]))
+
+
+def _check_durability(rows: Rows) -> None:
+    for cells in _sweeps(rows, ("device", "index"), "batch").values():
+        # Group commit amortizes one log block over the batch, so
+        # throughput never drops as the batch grows.
+        assert _falls([c["log_blocks_per_op"] for c in cells]), cells
+        ops = [c["ops_per_s"] for c in cells]
+        assert ops == sorted(ops), cells
+        for cell in cells:
+            # Recovery replays the whole log and pays simulated I/O.
+            assert cell["recovery_ms"] > 0, cell
+            assert cell["replayed"] > 0, cell
+    # Same block counts at lower latency: SSD recovers faster than HDD.
+    hdd = {(r["index"], r["batch"]): r["recovery_ms"]
+           for r in rows if r["device"] == "hdd"}
+    for row in rows:
+        if row["device"] == "ssd":
+            assert row["recovery_ms"] < hdd[row["index"], row["batch"]], row
+
+
+def _check_batch_lookup(rows: Rows) -> None:
+    # Shared descents and coalesced leaf runs: a pure I/O-schedule
+    # optimization (every run validates its answers).
+    for cells in _sweeps(rows, ("device", "index"), "batch").values():
+        assert _falls([c["blocks_per_op"] for c in cells]), cells
+        assert _falls([c["positionings_per_op"] for c in cells]), cells
+        assert cells[-1]["ops_per_s"] > cells[0]["ops_per_s"], cells
+
+
+def _check_write_back(rows: Rows) -> None:
+    through = {(r["device"], r["workload"], r["index"]): r
+               for r in rows if r["mode"] == "through"}
+    for row in rows:
+        if row["mode"] != "back":
+            continue
+        wt = through[row["device"], row["workload"], row["index"]]
+        assert row["write_positionings"] <= wt["write_positionings"], (row, wt)
+        if row["workload"] == "write_heavy":
+            # Coalesced flush runs: at least 2x fewer positionings.
+            assert 2 * row["write_positionings"] <= wt["write_positionings"], (row, wt)
+        assert row["ops_per_s"] > wt["ops_per_s"], (row, wt)
+
+
+def _check_fault_sweep(rows: Rows) -> None:
+    for clean, *faulted in _sweeps(rows, ("device", "index"), "transient_rate").values():
+        # The fault machinery is invisible when nothing faults.
+        assert not any(clean[c] for c in ("io_retries", "checksum_failures",
+                                          "repaired_blocks", "healed_faults")), clean
+        # Retries track the injected rate (x10 per step) ...
+        retries = [c["io_retries"] for c in faulted]
+        assert all(a < b for a, b in zip(retries, retries[1:])), faulted
+        for cell in faulted:
+            # ... bit rot is caught at every faulted rate, and the healer
+            # rewrote blocks rather than suppressing errors.
+            assert cell["checksum_failures"] > 0, cell
+            assert cell["healed_faults"] > 0, cell
+            assert cell["repaired_blocks"] > 0, cell
+
+
+def _check_concurrency(rows: Rows) -> None:
+    for cells in _sweeps(rows, ("device", "index"), "clients").values():
+        if cells[0]["workload"] == "balanced":
+            # A lone client commits synchronously; every 4x more clients
+            # fill each commit group from all sessions and at least halve
+            # the flushes per committed write.
+            ratios = [c["flushes_per_write"] for c in cells]
+            assert ratios[0] == 1.0, cells
+            assert all(2 * b <= a for a, b in zip(ratios, ratios[1:])), cells
+            for cell in cells:
+                # The p99 absorbs latch stalls and the commit-group fill
+                # time, but fair dispatch keeps it linear in the clients.
+                assert cell["p99_us"] <= (10 + cell["clients"] / 2) * cell["p50_us"], cell
+                assert cell["mean_commit_group"] >= cell["clients"] / 2, cell
+        for cell in cells:
+            # Snapshot reads never take latches, and every cell served some.
+            assert cell["read_latch_us"] == 0.0, cell
+            assert cell["snapshot_reads"] > 0, cell
+
+
+def _check_sharding(rows: Rows) -> None:
+    scaleout = [row for row in rows if row["section"] == "scaleout"]
+    for (_, distribution), cells in _sweeps(
+            scaleout, ("device", "distribution"), "shards").items():
+        series = [c["read_pos_per_op"] for c in cells]
+        # More shards never charge more positioning than fewer ...
+        assert series == sorted(series, reverse=True), cells
+        if distribution == "uniform":
+            # ... and four shards' pools at least halve it (zero at 4
+            # shards: the tier became fully cache-resident).
+            by_shards = {c["shards"]: c["read_pos_per_op"] for c in cells}
+            assert by_shards[1] > 0 and by_shards[4] <= by_shards[1] / 2, cells
+    # Read fan-out over identical copies must not hurt the tail.
+    replicas = {r["replicas"]: r for r in rows if r["section"] == "replicas"}
+    single, wide = replicas[1], replicas[max(replicas)]
+    assert wide["p99_us"] <= single["p99_us"], replicas
+    assert wide["reads_served"] == single["reads_served"], replicas
+    # The tuner diverges and beats every uniform writable composition.
+    tuner = {r["config"]: r for r in rows if r["section"] == "tuner"}
+    divergent = tuner.pop("divergent")
+    assert len(set(divergent["composition"].split(","))) >= 2, divergent
+    for uniform in tuner.values():
+        assert divergent["total_positionings"] < uniform["total_positionings"], (
+            divergent, uniform)
+
+
+def _check_compression(rows: Rows) -> None:
+    for row in rows:
+        if row["codec"] == "for":
+            assert row["entries_ratio"] >= 2.0, row
+            assert row["blocks_ratio"] <= 0.70, row
+
+
+def _check_chaos(rows: Rows) -> None:
+    for row in rows:
+        assert row["lost_acked"] == 0, row
+        if row["section"] == "sweep" and row["fault_rate"] == 0.0:
+            # Nothing fires without faults.
+            assert not any(row[c] for c in (
+                "io_retries", "hedged_reads", "failovers", "shed_ops",
+                "op_retries", "quarantined", "resyncs", "reseeds",
+                "resync_blocks")), row
+        elif row["section"] == "resync":
+            # The crash surfaced as a hedged read, and the member rejoined
+            # by replaying the log suffix it missed.
+            assert row["hedged_reads"] >= 1, row
+            assert row["resyncs"] >= 1, row
+            assert row["resync_blocks"] > 0, row
+        elif row["section"] == "failover":
+            assert row["failovers"] >= 1, row
+            assert row["acked_writes"] > 0, row
 
 
 _BROKEN_ZIPFIAN = (
@@ -696,7 +843,7 @@ _ENTRIES = (
               "0.016 for batches 1/8/64) and throughput rises "
               "monotonically; WAL-replay recovery pays real simulated "
               "I/O and is faster on SSD than HDD.",
-        body=bodies.exp_durability),
+        body=bodies.exp_durability, check=_check_durability),
     Experiment(
         "batch_lookup",
         "Batched lookups: blocks & positionings per op vs batch size",
@@ -707,7 +854,18 @@ _ENTRIES = (
         shape="Blocks/op and positionings/op fall monotonically as the "
               "batch grows (shared descents + coalesced leaf runs); "
               "results are byte-identical at every batch size.",
-        body=bodies.exp_batch_lookup),
+        notes="Results are validated against the expected payloads at "
+              "every batch size; larger batches may only change the I/O "
+              "schedule, never the answers.",
+        axes={"device": BOTH_DEVICES, "index": ("btree", "fiting", "alex"),
+              "batch": (1, 8, 64, 256)},
+        fixed={"dataset": "ycsb"},
+        columns={
+            "ops_per_s": _throughput,
+            "blocks_per_op": lambda setup, res: round(res.blocks_read_per_op, 3),
+            "positionings_per_op": lambda setup, res: round(res.positionings_per_op, 3),
+            "coalesced_runs": lambda setup, res: res.coalesced_runs},
+        narrow="batch_sizes", check=_check_batch_lookup),
     Experiment(
         "write_back",
         "Write-back pool: write positionings, write-through vs write-back",
@@ -720,7 +878,7 @@ _ENTRIES = (
               "write-through on the write-heavy workload for btree/"
               "alex/lipp (never more on any cell), with validated, "
               "byte-identical answers; throughput rises accordingly.",
-        body=bodies.exp_write_back),
+        body=bodies.exp_write_back, check=_check_write_back),
     Experiment(
         "fault_sweep",
         "Self-healing: throughput & repair rate vs injected fault rate "
@@ -735,7 +893,7 @@ _ENTRIES = (
               "roughly proportionally while every detected corruption "
               "is repaired from checkpoint + WAL redo with no lost "
               "acknowledged writes and throughput degrades gracefully.",
-        body=bodies.exp_fault_sweep),
+        body=bodies.exp_fault_sweep, check=_check_fault_sweep),
     Experiment(
         "concurrency",
         "Concurrent serving: group-commit amortization and latch stalls, "
@@ -754,7 +912,7 @@ _ENTRIES = (
               "charge zero latch-wait at every cell; client-perceived "
               "p99 widens with contention even though per-op device "
               "work is unchanged.",
-        body=bodies.exp_concurrency),
+        body=bodies.exp_concurrency, check=_check_concurrency),
     Experiment(
         "sharding",
         "Sharded tier: scale-out, replica fan-out, workload-aware tuning",
@@ -774,7 +932,7 @@ _ENTRIES = (
               "divergent tier charges less total positioning I/O "
               "than any uniform writable choice; routing through a "
               "1-shard tier charges zero extra positionings.",
-        body=bodies.exp_sharding),
+        body=bodies.exp_sharding, check=_check_sharding),
     Experiment(
         "compression",
         "Compressed leaf pages: density + charged lookup I/O, codec sweep",
@@ -792,7 +950,7 @@ _ENTRIES = (
               "far better pool coverage). The extended Table 2 model's "
               "per-entry decode term narrows but never closes the gap "
               "on the SSD profile.",
-        body=bodies.exp_compression),
+        body=bodies.exp_compression, check=_check_compression),
     Experiment(
         "chaos",
         "Fault tolerance: replica health, hedged reads, live failover "
@@ -807,15 +965,13 @@ _ENTRIES = (
               "replica count and failure mode (the audit replays "
               "every durable log record against the serving tier). "
               "The zero-rate rows are charged-counter bit-identical "
-              "to a tier built without any fault machinery. With "
-              "hedging, serving p99 against a degraded or crashed "
-              "replica stays within 3x of the same cell's fault-free "
-              "p99. A crashed replica quarantines after hedged "
-              "reads and rejoins via catch-up resync (charged log "
-              "scan, byte-verified); a crashed primary fails over "
+              "to a tier built without any fault machinery. A crashed "
+              "replica quarantines after hedged reads and rejoins via "
+              "catch-up resync (charged log scan, byte-verified); a "
+              "crashed primary fails over "
               "live with sequence numbering unbroken; write-path "
               "faults taint the member and force the full re-seed.",
-        body=bodies.exp_chaos),
+        body=bodies.exp_chaos, check=_check_chaos),
 )
 
 EXPERIMENTS: Dict[str, Experiment] = {entry.id: entry for entry in _ENTRIES}
@@ -832,8 +988,8 @@ def run_experiment(experiment_id: str, scale: Optional[Scale] = None,
     :class:`repro.obs.Tracer` to every index the experiment builds and
     export the combined op-level trace as JSONL to that path.  Extra
     keyword arguments pass through to the entry (a body function's own
-    keywords, e.g. the ``concurrency`` experiment's ``shards``; a row's
-    ``narrow`` keyword)."""
+    keywords, e.g. the ``concurrency`` experiment's ``client_counts``; a
+    row's ``narrow`` keyword)."""
     experiment = EXPERIMENTS.get(experiment_id)
     if experiment is None:
         raise ValueError(

@@ -279,3 +279,24 @@ def test_checksums_can_be_disabled():
     # padding offset keeps the structural decode intact).
     index.lookup(key)
     assert index.pager.device.stats.checksum_failures == 0
+
+
+def test_checksums_leave_every_device_counter_bit_identical():
+    """Verification reads bytes the access already paid for: a fault-free
+    Read-Heavy run charges the same StorageStats, simulated clock
+    included, with the envelope checked or not."""
+    from repro.bench import Scale, fresh_index
+    from repro.workloads import run_workload
+
+    scale = Scale(n_read=4000, n_write_bulk=2000, n_write_ops=600,
+                  n_lookup_ops=100, n_scan_ops=20)
+
+    def stats(checksums):
+        setup = fresh_index("btree", "ycsb", "read_heavy", scale)
+        setup.device.checksums = checksums
+        run_workload(setup.index, setup.ops, workload="read_heavy")
+        return setup.device.stats
+
+    checked = stats(True)
+    assert checked == stats(False)
+    assert checked.reads > 0 and checked.elapsed_us > 0

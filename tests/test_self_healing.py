@@ -254,11 +254,12 @@ def test_quarantine_without_pool_reports_failure(pager):
 
 def test_scrub_finds_exactly_the_corrupted_blocks():
     index, device, pager, _ = build("btree", with_wal=False)
-    leaf = index._leaf_file.name
+    inner, leaf = index._inner_file.name, index._leaf_file.name
+    corrupt_in_place(device, inner, 0)
     corrupt_in_place(device, leaf, 1)
     corrupt_in_place(device, leaf, 4)
     report = pager.scrub()
-    assert report.bad_blocks == [(leaf, 1), (leaf, 4)]
+    assert report.bad_blocks == [(inner, 0), (leaf, 1), (leaf, 4)]
     assert not report.clean
     assert report.blocks_scanned == sum(
         f.num_blocks for f in device.files.values() if not f.memory_resident)
@@ -298,17 +299,22 @@ def test_repair_restores_byte_identical_contents():
     for k in range(1, 99, 2):
         index.durable_insert(k, k + 1)
     wal.flush()
-    leaf = index._leaf_file.name
-    pristine = [bytes(b) for b in device.get_file(leaf).blocks]
+    inner, leaf = index._inner_file.name, index._leaf_file.name
+
+    def contents():
+        return {name: [bytes(b) for b in device.get_file(name).blocks]
+                for name in (inner, leaf)}
+
+    pristine = contents()
+    corrupt_in_place(device, inner, 0)
     corrupt_in_place(device, leaf, 0)
     corrupt_in_place(device, leaf, 2)
     report = pager.scrub()
     result = repair_blocks(index, ckpt, report.bad_blocks, wal)
-    assert result.repaired == [(leaf, 0), (leaf, 2)]
+    assert result.repaired == [(inner, 0), (leaf, 0), (leaf, 2)]
     assert not result.skipped
-    assert device.stats.repaired_blocks == 2
-    healed = [bytes(b) for b in device.get_file(leaf).blocks]
-    assert healed == pristine
+    assert device.stats.repaired_blocks == 3
+    assert contents() == pristine
     assert pager.scrub().clean
     assert index.verify() == len(KEYS) + 49
 

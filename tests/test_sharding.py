@@ -542,3 +542,24 @@ def test_tier_clock_accessor_is_bit_identical_to_combined_stats():
     assert device.elapsed_us == device.stats.elapsed_us > 0.0
     flat = BlockDevice(4096, HDD)
     assert flat.elapsed_us == flat.stats.elapsed_us == 0.0
+
+
+def test_one_shard_tier_charges_exactly_the_flat_index():
+    """Same dataset, op stream and WAL batching: the router's dispatch and
+    the fan-out device/pager/WAL facades are pure accounting, so a 1-shard
+    durable tier charges bit-identically what the flat index charges."""
+    from repro.bench import Scale, fresh_index, fresh_sharded_index
+
+    scale = Scale(n_read=4000, n_write_bulk=2000, n_write_ops=600,
+                  n_lookup_ops=100, n_scan_ops=20)
+    flat = fresh_index("btree", "ycsb", "balanced", scale, with_wal=True)
+    tier = fresh_sharded_index("btree", 1, "ycsb", "balanced", scale,
+                               durability=True)
+    assert flat.ops == tier.ops
+    res_flat = run_workload(flat.index, flat.ops, workload="parity")
+    res_tier = run_workload(tier.index, tier.ops, workload="parity")
+    for field in ("read_positionings", "write_positionings",
+                  "blocks_read_per_op", "blocks_written_per_op",
+                  "log_records", "log_flushes", "sim_elapsed_us"):
+        assert getattr(res_flat, field) == getattr(res_tier, field), field
+    assert res_flat.write_positionings > 0 and res_flat.log_flushes > 0
