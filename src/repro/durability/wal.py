@@ -178,23 +178,25 @@ class WriteAheadLog:
         return lost
 
     def tear_tail_block(self) -> bool:
-        """Corrupt the tail half of the last log block *in place*.
+        """Corrupt the tail half of the last log block on the medium.
 
         Models a crash midway through the device's final flush: the block
         header (and its CRC) were written, the tail of the record area was
-        not.  No I/O is charged — nothing completed.  Returns False when
-        there is no block to tear.
+        not.  No I/O is charged — nothing completed — and the envelope is
+        left as it was.  Returns False when there is no block to tear.
         """
         if self.file.num_blocks == 0:
             return False
-        block = self.file.blocks[self.file.num_blocks - 1]
-        _, count = _BLOCK_HEADER.unpack_from(bytes(block[:_BLOCK_HEADER.size]), 0)
+        last = self.file.num_blocks - 1
+        block = bytearray(self.file.blocks[last])
+        _, count = _BLOCK_HEADER.unpack_from(block, 0)
         # Cut inside the *occupied* record area, not the zero padding —
         # otherwise a small group commit's tear would miss every record
         # and the CRC would still pass.
         used = max(count, 1) * _RECORD.size
         half = _BLOCK_HEADER.size + used // 2
         block[half:] = b"\xff" * (len(block) - half)
+        self.file.blocks[last] = block
         # The pager may still hold the intact image of this block.
         self.pager.invalidate_file(self.file.name)
         return True

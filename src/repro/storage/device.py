@@ -19,12 +19,19 @@ serving rotten or torn bytes, and a :class:`DeviceFaultModel`
 (:mod:`repro.storage.faults`) can be attached to inject seeded media
 faults.  Memory-resident accesses model trusted RAM and are neither
 verified nor faulted.
+
+The store is sparse (DESIGN.md Section 22): a block is kept as an
+immutable ``bytes`` without its all-zero trailing 256-byte sectors, so a
+two-key LIPP node in a 4 KiB block holds 512 bytes of memory, not 4096.
+Reads hand out the full block image and the checksum envelope covers
+it, so nothing above this module can tell — except
+:attr:`BlockDevice.stored_bytes`, which reports the footprint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from .integrity import (ChecksumError, PersistentIOError, TransientIOError,
                         block_crc)
@@ -43,6 +50,10 @@ __all__ = ["BlockDevice", "BlockFile", "StorageStats", "PHASES"]
 #: frame — pure latency, no block transferred, like retry backoff.
 PHASES = ("default", "search", "insert", "smo", "maintenance", "scan",
           "bulkload", "log", "flush", "scrub", "repair", "latch")
+
+#: Granularity of the sparse store: a stored block drops its trailing
+#: all-zero sectors of this many bytes.
+SECTOR = 256
 
 
 @dataclass
@@ -172,11 +183,15 @@ class BlockFile:
     def __init__(self, device: "BlockDevice", name: str) -> None:
         self.device = device
         self.name = name
-        self.blocks: List[Optional[bytearray]] = []
+        #: the stored blocks, as :meth:`BlockDevice._compact` leaves them
+        #: (``b""`` for a block never written).  Only this module reads
+        #: it; everyone else sees full images through :attr:`blocks`.
+        self._stored: List[bytes] = []
+        self._images = _BlockImages(self)
         #: out-of-band checksum envelope, one CRC per block — maintained
         #: by every device write, verified by every charged read.  Bytes
-        #: mutated behind the device's back (bit rot, torn writes, tests
-        #: poking ``blocks`` directly) leave the entry stale, which is
+        #: replaced behind the device's back (bit rot, torn writes, tests
+        #: assigning to ``blocks``) leave the entry stale, which is
         #: exactly how the corruption is detected.
         self.checksums: List[int] = []
         self.memory_resident = False
@@ -185,21 +200,34 @@ class BlockFile:
         self.writes = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BlockFile({self.name!r}, {len(self.blocks)} blocks)"
+        return f"BlockFile({self.name!r}, {len(self._stored)} blocks)"
+
+    @property
+    def blocks(self) -> "_BlockImages":
+        """The file's blocks as full ``block_size`` images (a live view).
+
+        Assigning to an element, or the whole list (a device-image load),
+        stores bytes without charging I/O or touching the envelope.
+        """
+        return self._images
+
+    @blocks.setter
+    def blocks(self, images: Iterable[bytes]) -> None:
+        store = self.device._store
+        self._stored = [store(image) for image in images]
 
     @property
     def num_blocks(self) -> int:
         """Total blocks ever allocated in this file (freed ones included)."""
-        return len(self.blocks)
+        return len(self._stored)
 
     def allocate(self, count: int) -> int:
         """Allocate ``count`` contiguous blocks at the end; return the first index."""
         if count <= 0:
             raise ValueError(f"allocation count must be positive, got {count}")
-        start = len(self.blocks)
-        bs = self.device.block_size
-        self.blocks.extend(bytearray(bs) for _ in range(count))
-        self.checksums.extend(self.device._zero_crc for _ in range(count))
+        start = len(self._stored)
+        self._stored.extend([b""] * count)
+        self.checksums.extend([self.device._zero_crc] * count)
         self.live_blocks += count
         self.device.stats.allocated_blocks += count
         return start
@@ -218,14 +246,50 @@ class BlockFile:
 
     def recompute_checksums(self) -> None:
         """Rebuild the envelope from the stored bytes (device-image load)."""
-        self.checksums = [block_crc(bytes(b)) for b in self.blocks]
+        self.checksums = [block_crc(image) for image in self._images]
 
     def _check_range(self, start: int, count: int) -> None:
-        if start < 0 or count < 0 or start + count > len(self.blocks):
+        if start < 0 or count < 0 or start + count > len(self._stored):
             raise IndexError(
                 f"block range [{start}, {start + count}) out of bounds for "
-                f"file {self.name!r} with {len(self.blocks)} blocks"
+                f"file {self.name!r} with {len(self._stored)} blocks"
             )
+
+
+class _BlockImages:
+    """``BlockFile.blocks``: the stored blocks, seen as full images.
+
+    Indexing and iteration pad each stored block back to ``block_size``
+    bytes; assigning a full image stores it compacted; ``len`` and
+    ``del`` (e.g. of a slice) act on the stored list.  The stored bytes
+    are immutable, so there is no way to write into a block in place:
+    corrupting one means copying its image, editing the copy and
+    assigning it back.
+    """
+
+    __slots__ = ("_file",)
+
+    def __init__(self, file: BlockFile) -> None:
+        self._file = file
+
+    def __len__(self) -> int:
+        return len(self._file._stored)
+
+    def __getitem__(self, index):
+        image = self._file.device._image
+        if isinstance(index, slice):
+            return [image(stored) for stored in self._file._stored[index]]
+        return image(self._file._stored[index])
+
+    def __setitem__(self, index: int, data) -> None:
+        self._file._stored[index] = self._file.device._store(data)
+
+    def __delitem__(self, index) -> None:
+        del self._file._stored[index]
+
+    def __iter__(self) -> Iterator[bytes]:
+        image = self._file.device._image
+        return (image(stored) for stored in self._file._stored)
 
 
 class BlockDevice:
@@ -264,6 +328,10 @@ class BlockDevice:
         self._last_file: Optional[str] = None
         self._last_block = -1
         self._zero_crc = block_crc(bytes(block_size))
+        # Sparse store: the lengths a stored block may have (every whole
+        # sector, then the full block) and the zero tail each one drops.
+        self._cuts = list(range(0, block_size, SECTOR)) + [block_size]
+        self._zero_tails = [bytes(block_size - cut) for cut in self._cuts]
         #: optional per-access hook ``(kind, file_name, block_no, phase,
         #: cost_us)`` with kind "r"/"w", fired for every *charged* access
         #: (memory-resident files excluded) — set by
@@ -308,9 +376,52 @@ class BlockDevice:
         """
         handle = self.files.pop(name)
         self.stats.freed_blocks += handle.live_blocks
-        handle.blocks = []
+        handle._stored = []
         handle.checksums = []
         handle.live_blocks = 0
+
+    # -- the sparse store ----------------------------------------------------
+
+    def _compact(self, data) -> bytes:
+        """One full block as the store keeps it: immutable, without its
+        all-zero trailing sectors.
+
+        The zero tails are nested — a block ending in k zero sectors ends
+        in every shorter run of them — so bisecting over the cut points
+        finds the shortest prefix in about log2(sectors + 1) ``endswith``
+        calls, each one C comparison; ``rstrip(b"\\0")`` walks the zero
+        run instead and costs about nine times as much on a sparse 4 KiB
+        block (DESIGN.md Section 22).
+        A block that already is an exact ``bytes`` and ends in a non-zero
+        byte is stored as it is, without a copy.
+        """
+        if type(data) is not bytes:
+            data = bytes(data)
+        if data[-1]:
+            return data
+        cuts, tails = self._cuts, self._zero_tails
+        lo, hi = 0, len(cuts) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if data.endswith(tails[mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+        return data[:cuts[lo]]
+
+    def _store(self, data) -> bytes:
+        """:meth:`_compact` for bytes arriving outside the write path."""
+        if len(data) != self.block_size:
+            raise ValueError(
+                f"block image of {len(data)} bytes does not match block "
+                f"size {self.block_size}")
+        return self._compact(data)
+
+    def _image(self, stored: bytes) -> bytes:
+        """A stored block padded back to its full ``block_size`` image."""
+        if len(stored) == self.block_size:
+            return stored
+        return stored.ljust(self.block_size, b"\0")
 
     # -- phase attribution ---------------------------------------------------
 
@@ -372,7 +483,7 @@ class BlockDevice:
 
     def _verified_payload(self, file: BlockFile, block_no: int) -> bytes:
         """Fetch a charged block's bytes, refusing to serve corrupt data."""
-        data = bytes(file.blocks[block_no])
+        data = self._image(file._stored[block_no])
         if self.checksums and file.checksums[block_no] != block_crc(data):
             self.stats.checksum_failures += 1
             if self.on_fault is not None:
@@ -384,7 +495,7 @@ class BlockDevice:
         """Read one block, charging latency unless the file is memory resident."""
         file._check_range(block_no, 1)
         if file.memory_resident:
-            return bytes(file.blocks[block_no])
+            return self._image(file._stored[block_no])
         stats = self.stats
         if self._last_file == file.name and self._last_block == block_no - 1:
             cost = self._read_cost_seq
@@ -404,7 +515,9 @@ class BlockDevice:
         if self.fault_model is not None:
             self._maybe_fault_read(file, block_no)
         # _verified_payload, inlined for the single-block hot path.
-        data = bytes(file.blocks[block_no])
+        data = file._stored[block_no]
+        if len(data) != self.block_size:
+            data = data.ljust(self.block_size, b"\0")
         if self.checksums and file.checksums[block_no] != block_crc(data):
             stats.checksum_failures += 1
             if self.on_fault is not None:
@@ -439,13 +552,14 @@ class BlockDevice:
         out: List[bytes] = []
         if file.memory_resident:
             for block_no in block_nos:
-                out.append(bytes(file.blocks[block_no]))
+                out.append(self._image(file._stored[block_no]))
             return out
         phase = self._phase
         run_length = 0
         stats = self.stats
         name = file.name
-        blocks = file.blocks
+        stored = file._stored
+        bs = self.block_size
         checksums = file.checksums if self.checksums else None
         fault_model = self.fault_model
         on_access = self.on_access
@@ -484,7 +598,9 @@ class BlockDevice:
                 stats.time_by_phase[phase] = time_phase
                 self._maybe_fault_read(file, block_no)
             # _verified_payload, inlined for the span hot path.
-            data = bytes(blocks[block_no])
+            data = stored[block_no]
+            if len(data) != bs:
+                data = data.ljust(bs, b"\0")
             if checksums is not None and checksums[block_no] != block_crc(data):
                 stats.reads_by_phase[phase] = read_phase
                 stats.time_by_phase[phase] = time_phase
@@ -508,12 +624,12 @@ class BlockDevice:
                 f"write of {len(data)} bytes does not match block size {self.block_size}"
             )
         if not file.memory_resident:
-            sequential = (self._last_file == file.name
-                          and self._last_block == block_no - 1)
-            cost = self.profile.write_cost_us(self.block_size, sequential)
-            self.stats.writes += 1
-            if not sequential:
+            if self._last_file == file.name and self._last_block == block_no - 1:
+                cost = self._write_cost_seq
+            else:
+                cost = self._write_cost_rand
                 self.stats.write_positionings += 1
+            self.stats.writes += 1
             file.writes += 1
             self.stats.elapsed_us += cost
             phase = self._phase
@@ -523,8 +639,8 @@ class BlockDevice:
             self._last_block = block_no
             if self.on_access is not None:
                 self.on_access("w", file.name, block_no, phase, cost)
-        file.blocks[block_no] = bytearray(data)
-        file.checksums[block_no] = block_crc(bytes(data))
+        file._stored[block_no] = self._compact(data)
+        file.checksums[block_no] = block_crc(data)
         if self.fault_model is not None:
             self.fault_model.on_write(file.name, block_no)
 
@@ -558,8 +674,8 @@ class BlockDevice:
             previous = block_no
         if file.memory_resident:
             for block_no, data in writes:
-                file.blocks[block_no] = bytearray(data)
-                file.checksums[block_no] = block_crc(bytes(data))
+                file._stored[block_no] = self._compact(data)
+                file.checksums[block_no] = block_crc(data)
             return
         torn_at = None
         if self.fault_model is not None:
@@ -571,14 +687,14 @@ class BlockDevice:
                           and self._last_block == block_no - 1)
             if sequential:
                 run_length += 1
+                cost = self._write_cost_seq
             else:
                 if run_length >= 2 and self.on_run is not None:
                     self.on_run(file.name, run_length)
                 run_length = 1
-            cost = self.profile.write_cost_us(self.block_size, sequential)
-            self.stats.writes += 1
-            if not sequential:
+                cost = self._write_cost_rand
                 self.stats.write_positionings += 1
+            self.stats.writes += 1
             file.writes += 1
             self.stats.elapsed_us += cost
             self.stats.writes_by_phase[phase] = self.stats.writes_by_phase.get(phase, 0) + 1
@@ -600,11 +716,12 @@ class BlockDevice:
                 # next read of this block raises ChecksumError — the
                 # fault is silent until then.
                 half = self.block_size // 2
-                old = file.blocks[block_no]
-                file.blocks[block_no] = bytearray(data[:half]) + old[half:]
+                old = self._image(file._stored[block_no])
+                file._stored[block_no] = self._compact(
+                    bytes(data[:half]) + old[half:])
             else:
-                file.blocks[block_no] = bytearray(data)
-                file.checksums[block_no] = block_crc(bytes(data))
+                file._stored[block_no] = self._compact(data)
+                file.checksums[block_no] = block_crc(data)
                 if self.fault_model is not None:
                     self.fault_model.on_write(file.name, block_no)
         if run_length >= 2 and self.on_run is not None:
@@ -621,3 +738,12 @@ class BlockDevice:
     def live_bytes(self) -> int:
         """Bytes in extents that have not been freed."""
         return sum(f.live_blocks for f in self.files.values()) * self.block_size
+
+    @property
+    def stored_bytes(self) -> int:
+        """Bytes the sparse store holds: each block up to its last sector
+        with a non-zero byte.  The simulator's own footprint, not a
+        reproduced quantity — :attr:`allocated_bytes` is the paper's
+        index-size measure."""
+        return sum(len(stored) for f in self.files.values()
+                   for stored in f._stored)

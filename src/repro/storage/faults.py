@@ -154,7 +154,8 @@ class DeviceFaultModel:
     def on_read(self, file, block_no: int) -> None:
         """Called by the device after charging a read of ``block_no``.
 
-        May rot the stored payload in place, or raise a transient or
+        May rot the stored payload (replacing the block's bytes behind
+        the device's back, envelope untouched), or raise a transient or
         persistent I/O error.  Checksum verification runs *after* this
         hook, so rot injected here is caught on this very read.
         """
@@ -179,9 +180,10 @@ class DeviceFaultModel:
             self.injected_stalls += 1
             raise MemberStallError(file.name, block_no, self.stall_us)
         if self.bit_rot_rate and self.rng.random() < self.bit_rot_rate:
-            block = file.blocks[block_no]
-            bit = self.rng.randrange(len(block) * 8)
-            block[bit // 8] ^= 1 << (bit % 8)
+            image = bytearray(file.blocks[block_no])
+            bit = self.rng.randrange(len(image) * 8)
+            image[bit // 8] ^= 1 << (bit % 8)
+            file.blocks[block_no] = image
             self.injected_bit_rots += 1
 
     def torn_index(self, file, pairs: Sequence[Tuple[int, bytes]]) -> Optional[int]:

@@ -611,6 +611,16 @@ class Pager:
         if not data:
             return
         bs = self.block_size
+        block_no = offset // bs
+        in_block = offset - block_no * bs
+        end = in_block + len(data)
+        if end <= bs and len(data) < bs:
+            # Inside one block, not filling it: every slot or header
+            # patch of an index node.
+            current = bytearray(self.read_block(file, block_no))
+            current[in_block:end] = data
+            self.write_block(file, block_no, bytes(current))
+            return
         remaining = memoryview(bytes(data))
         pos = offset
         while remaining:
@@ -640,15 +650,14 @@ class Pager:
         ``data`` must be the block bytes the caller just obtained through
         this pager (so the charged I/O already happened); the cache only
         replaces the *parse*.  A hit requires the stored bytes object to
-        be identical (``is``) to ``data``: any write path produces a new
-        bytes object, so a stale value is unreachable by construction —
-        the eviction hooks (write paths, :meth:`invalidate_file`, the
-        buffer pool's ``on_drop``) just bound memory.  Only entries a
-        later read can match are kept: without a buffer pool every
-        charged read returns a fresh bytes object, so the cache holds
-        the blocks pinned by the current batch, and outside one the
-        last block alone.  Holds the raw image of a compressed leaf and
-        decoded fence pages.
+        be identical (``is``) to ``data``: blocks are immutable bytes and
+        any write path stores a new object, so a stale value is
+        unreachable by construction — the eviction hooks (write paths,
+        :meth:`invalidate_file`, the buffer pool's ``on_drop``) just
+        bound memory.  Without a buffer pool, only the blocks pinned by
+        the current batch, and outside one the last block, are certain
+        to come back as the same object, so only those are kept.  Holds
+        the raw image of a compressed leaf and decoded fence pages.
         """
         cache_key = (file.name, block_no)
         entry = self._meta_cache.get(cache_key)

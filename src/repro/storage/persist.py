@@ -55,8 +55,8 @@ def save_device(device: BlockDevice, target: Union[str, BinaryIO],
                                            handle.live_blocks,
                                            int(handle.memory_resident)))
             stream.write(encoded)
-            for block in handle.blocks:
-                stream.write(bytes(block))
+            for image in handle.blocks:
+                stream.write(image)
     finally:
         if own:
             stream.close()
@@ -91,9 +91,7 @@ def load_device(source: Union[str, BinaryIO],
             fname_len, num_blocks, live_blocks, resident = _FILE_HEADER.unpack(raw)
             file_name = stream.read(fname_len).decode("utf-8")
             handle = device.create_file(file_name)
-            handle.blocks = [
-                bytearray(stream.read(block_size)) for _ in range(num_blocks)
-            ]
+            handle.blocks = [stream.read(block_size) for _ in range(num_blocks)]
             handle.live_blocks = live_blocks
             handle.memory_resident = bool(resident)
             # The image stores payloads only; the out-of-band checksum

@@ -222,10 +222,11 @@ def test_recovery_ignores_crashed_index_state():
         index.durable_insert(key, key + 1)
     wal.flush()
     # Trash every non-WAL file, as an arbitrarily interrupted SMO might.
+    bs = index.pager.device.block_size
     for name, handle in index.pager.device.files.items():
         if name != wal.file.name:
-            for block in handle.blocks:
-                block[:] = b"\xde" * len(block)
+            for n in range(handle.num_blocks):
+                handle.blocks[n] = b"\xde" * bs
     recovered = recover(checkpoint, wal)
     assert recovered.records_applied == 50
     assert recovered.index.lookup(99) == 100

@@ -1,11 +1,21 @@
 """Unit tests for the simulated block device."""
 
+import io
+import random
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import HDD, NULL_DEVICE, SSD, BlockDevice, DiskProfile
+from repro.core.lipp import LippIndex
+from repro.datasets import make_dataset
+from repro.storage import (HDD, NULL_DEVICE, SSD, BlockDevice, ChecksumError,
+                           DeviceFaultModel, DiskProfile, Pager, load_device,
+                           save_device)
 from repro.storage.device import StorageStats
+
+from tests.util import items_of
 
 
 def test_block_size_must_be_positive():
@@ -262,3 +272,289 @@ def test_snapshot_diff_round_trips_fault_counters(early, late):
     assert (snap.io_retries, snap.checksum_failures, snap.repaired_blocks) == early
     later.io_retries += 1  # mutating the live stats must not touch the snapshot
     assert snap.io_retries == early[0]
+
+
+# -- the sparse block store against full images --------------------------------
+
+SECTOR = 256
+
+
+class _FullImageDevice:
+    """The device as it was before the sparse store: every block a full
+    ``bytearray`` image, every charge spelled out one access at a time."""
+
+    def __init__(self, block_size, profile):
+        self.bs = block_size
+        self.profile = profile
+        self.images = {}
+        self.crcs = {}
+        self.stats = StorageStats()
+        self.last = None
+        self.phase = "default"
+
+    def allocate(self, name, count):
+        self.images.setdefault(name, []).extend(
+            bytearray(self.bs) for _ in range(count))
+        self.crcs.setdefault(name, []).extend(
+            zlib.crc32(bytes(self.bs)) for _ in range(count))
+        self.stats.allocated_blocks += count
+
+    def _charge(self, kind, name, n):
+        sequential = self.last == (name, n - 1)
+        s = self.stats
+        if kind == "r":
+            cost = self.profile.read_cost_us(self.bs, sequential)
+            s.reads += 1
+            s.read_positionings += not sequential
+            by_phase = s.reads_by_phase
+        else:
+            cost = self.profile.write_cost_us(self.bs, sequential)
+            s.writes += 1
+            s.write_positionings += not sequential
+            by_phase = s.writes_by_phase
+        by_phase[self.phase] = by_phase.get(self.phase, 0) + 1
+        s.elapsed_us += cost
+        s.time_by_phase[self.phase] = s.time_by_phase.get(self.phase, 0.0) + cost
+        self.last = (name, n)
+        return sequential
+
+    def _verified(self, name, n):
+        image = bytes(self.images[name][n])
+        if zlib.crc32(image) != self.crcs[name][n]:
+            self.stats.checksum_failures += 1
+            raise ChecksumError(name, n, "stale envelope")
+        return image
+
+    def _span(self, kind, name, nos, step):
+        run = 0
+        out = []
+        for n in nos:
+            run = run + 1 if self._charge(kind, name, n) else 1
+            if run == 2:
+                self.stats.coalesced_runs += 1
+                self.stats.coalesced_blocks += 1
+            if run >= 2:
+                self.stats.coalesced_blocks += 1
+            out.append(step(n))
+        return out
+
+    def read(self, name, n):
+        self._charge("r", name, n)
+        return self._verified(name, n)
+
+    def read_blocks(self, name, nos):
+        return self._span("r", name, nos, lambda n: self._verified(name, n))
+
+    def _store(self, name, n, data):
+        self.images[name][n] = bytearray(data)
+        self.crcs[name][n] = zlib.crc32(bytes(data))
+
+    def write(self, name, n, data):
+        self._charge("w", name, n)
+        self._store(name, n, data)
+
+    def write_blocks(self, name, pairs, torn):
+        payloads = dict(pairs)
+        torn_no = pairs[-1][0] if torn else None
+
+        def step(n):
+            if n == torn_no:
+                half = self.bs // 2
+                self.images[name][n][:half] = payloads[n][:half]
+            else:
+                self._store(name, n, payloads[n])
+
+        self._span("w", name, [n for n, _ in pairs], step)
+
+    def write_bytes(self, name, offset, data):
+        pos = offset
+        while data:
+            n, in_block = divmod(pos, self.bs)
+            take = min(self.bs - in_block, len(data))
+            if take == self.bs:
+                self.write(name, n, data[:take])
+            else:
+                image = bytearray(self.read(name, n))
+                image[in_block:in_block + take] = data[:take]
+                self.write(name, n, bytes(image))
+            data = data[take:]
+            pos += take
+
+    def rot(self, name, n, seed):
+        """A read under DeviceFaultModel(seed, bit_rot_rate=1.0): its
+        first draw decides to rot, its second picks the bit."""
+        self._charge("r", name, n)
+        rng = random.Random(seed)
+        rng.random()
+        bit = rng.randrange(self.bs * 8)
+        self.images[name][n][bit // 8] ^= 1 << (bit % 8)
+        return self._verified(name, n)
+
+    def reload(self):
+        for name, images in self.images.items():
+            self.crcs[name] = [zlib.crc32(bytes(image)) for image in images]
+        self.stats = StorageStats(allocated_blocks=sum(
+            len(images) for images in self.images.values()))
+        self.last = None
+        self.phase = "default"
+
+    def stored_bytes(self):
+        """Each block up to its last sector holding a non-zero byte."""
+        total = 0
+        for images in self.images.values():
+            for image in images:
+                used = len(bytes(image).rstrip(b"\0"))
+                total += min(self.bs, -(-used // SECTOR) * SECTOR)
+        return total
+
+
+def _payload(data, bs):
+    """A full-block payload: random, all zero, zero past a random length,
+    or zero but for one byte on either side of a sector edge."""
+    rnd = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    kind = data.draw(st.sampled_from(["random", "zero", "zero_tailed", "sector_edge"]),
+                     label="payload")
+    if kind == "random":
+        return rnd.randbytes(bs)
+    if kind == "zero":
+        return bytes(bs)
+    if kind == "zero_tailed":
+        keep = data.draw(st.integers(1, bs), label="keep")
+        return rnd.randbytes(keep - 1) + bytes([rnd.randrange(1, 256)]) + bytes(bs - keep)
+    edges = sorted({p for s in range(1, -(-bs // SECTOR) + 1)
+                    for p in (s * SECTOR - 1, s * SECTOR, s * SECTOR + 1) if p < bs})
+    at = data.draw(st.sampled_from(edges), label="edge")
+    image = bytearray(bs)
+    image[at] = rnd.randrange(1, 256)
+    return bytes(image)
+
+
+def _check_against(device, model):
+    assert sorted(device.files) == sorted(model.images)
+    for name, images in model.images.items():
+        handle = device.files[name]
+        want = [bytes(image) for image in images]
+        assert handle.num_blocks == len(handle.blocks) == len(want)
+        assert list(handle.blocks) == want
+        assert [handle.blocks[n] for n in range(len(want))] == want
+        assert handle.blocks[:] == want
+        assert handle.checksums == model.crcs[name]
+    assert device.stats == model.stats
+    assert device.stored_bytes == model.stored_bytes()
+    assert device.allocated_bytes == device.block_size * sum(
+        len(images) for images in model.images.values())
+
+
+def _expect(device_call, model_call):
+    """Both sides return the same bytes or both refuse a stale block."""
+    try:
+        want = model_call()
+    except ChecksumError:
+        with pytest.raises(ChecksumError):
+            device_call()
+        return
+    assert device_call() == want
+
+
+@pytest.mark.parametrize("block_size", [4096, 512, 256, 1000])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_store_matches_full_images(block_size, data):
+    """Every read, every ``blocks[n]``, every checksum and every
+    ``StorageStats`` field of the sparse store equal those of a device
+    that keeps full images, whatever is written and however."""
+    profile = HDD
+    device = BlockDevice(block_size, profile)
+    pager = Pager(device, reuse_last_block=False)
+    model = _FullImageDevice(block_size, profile)
+    for name in ("a", "b"):
+        device.create_file(name).allocate(3)
+        model.allocate(name, 3)
+    for _ in range(data.draw(st.integers(1, 25), label="steps")):
+        name = data.draw(st.sampled_from(["a", "b"]), label="file")
+        handle = device.files[name]
+        blocks = handle.num_blocks
+        op = data.draw(st.sampled_from(
+            ["write", "write_bytes", "write_blocks", "read", "read_blocks",
+             "rot", "allocate", "phase", "reload"]), label="op")
+        if op == "write":
+            n = data.draw(st.integers(0, blocks - 1), label="block")
+            payload = _payload(data, block_size)
+            device.write_block(handle, n, payload)
+            model.write(name, n, payload)
+        elif op == "write_bytes":
+            offset = data.draw(st.integers(0, blocks * block_size - 1), label="offset")
+            length = data.draw(st.integers(
+                1, min(3 * block_size, blocks * block_size - offset)), label="length")
+            chunk = _payload(data, 3 * block_size)[:length]
+            _expect(lambda: pager.write_bytes(handle, offset, chunk),
+                    lambda: model.write_bytes(name, offset, chunk))
+        elif op == "write_blocks":
+            nos = sorted(data.draw(st.sets(st.integers(0, blocks - 1), min_size=1),
+                                   label="blocks"))
+            pairs = [(n, _payload(data, block_size)) for n in nos]
+            torn = len(pairs) >= 2 and data.draw(st.booleans(), label="torn")
+            if torn:
+                device.fault_model = DeviceFaultModel(torn_write_rate=1.0)
+            device.write_blocks(handle, pairs)
+            device.fault_model = None
+            model.write_blocks(name, pairs, torn)
+        elif op == "read":
+            n = data.draw(st.integers(0, blocks - 1), label="block")
+            _expect(lambda: device.read_block(handle, n), lambda: model.read(name, n))
+        elif op == "read_blocks":
+            nos = sorted(data.draw(st.sets(st.integers(0, blocks - 1), min_size=1),
+                                   label="blocks"))
+            _expect(lambda: device.read_blocks(handle, nos),
+                    lambda: model.read_blocks(name, nos))
+        elif op == "rot":
+            n = data.draw(st.integers(0, blocks - 1), label="block")
+            seed = data.draw(st.integers(0, 2**16), label="rot_seed")
+            device.fault_model = DeviceFaultModel(seed=seed, bit_rot_rate=1.0)
+            _expect(lambda: device.read_block(handle, n), lambda: model.rot(name, n, seed))
+            device.fault_model = None
+        elif op == "allocate":
+            count = data.draw(st.integers(1, 3), label="count")
+            handle.allocate(count)
+            model.allocate(name, count)
+        elif op == "phase":
+            model.phase = data.draw(st.sampled_from(["default", "scan", "smo"]),
+                                    label="phase")
+            device.set_phase(model.phase)
+        else:
+            image = io.BytesIO()
+            save_device(device, image)
+            image.seek(0)
+            device = load_device(image, profile=profile)
+            pager = Pager(device, reuse_last_block=False)
+            model.reload()
+        _check_against(device, model)
+
+
+def test_blocks_view_assignment_replaces_bytes_behind_the_device():
+    """Assigning to ``blocks[n]`` stores the image, charges nothing and
+    leaves the envelope stale; a wrong-sized image is refused."""
+    device = BlockDevice(512, HDD)
+    f = device.create_file("f")
+    f.allocate(2)
+    device.write_block(f, 1, b"\x07" * 512)
+    before = device.stats.snapshot()
+    f.blocks[1] = b"\x07" * 100 + bytes(412)
+    assert f.blocks[1] == b"\x07" * 100 + bytes(412)
+    assert device.stats == before
+    with pytest.raises(ChecksumError):
+        device.read_block(f, 1)
+    with pytest.raises(ValueError):
+        f.blocks[0] = b"short"
+    del f.blocks[-1:]
+    assert f.num_blocks == 1 and device.stored_bytes == 0
+
+
+def test_lipp_on_wise_stores_under_two_fifths_of_what_it_allocates():
+    """LIPP gives every conflict child its own block extent (paper O11,
+    Fig. 10); most of those blocks hold a two- or three-key node, so the
+    store keeps far fewer bytes than the index allocates."""
+    device = BlockDevice(4096, NULL_DEVICE)
+    index = LippIndex(Pager(device))
+    index.bulk_load(items_of(make_dataset("wise", 20_000, seed=42).tolist()))
+    assert device.stored_bytes < 0.4 * device.allocated_bytes
