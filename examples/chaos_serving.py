@@ -1,14 +1,13 @@
 #!/usr/bin/env python
 """Serve a replicated tier through member crashes without losing a write.
 
-The walkthrough builds a durable 2-shard tier, three copies per shard,
-with read hedging armed.  One chaos seed then drives three failure
-modes (DESIGN.md Section 17):
+The walkthrough builds a durable 2-shard tier, three copies per shard.
+One chaos seed then drives three failure modes (DESIGN.md Section 17):
 
 1. **Degrading replica** — one replica per shard runs on rotting media
    (seeded per-member fault forks: transient errors, bit rot, stalls)
-   while the engine serves a mixed stream under per-op deadlines, a
-   storage-fault retry budget and the write admission gate.
+   while the engine serves a mixed stream; faulted reads re-issue on a
+   healthy peer, and deadline misses are counted from the latencies.
 2. **Replica crash** — a whole member dies mid-rotation; reads hedge
    around it, the member is quarantined, and after the "operator swap"
    it rejoins by catch-up resync: the missed WAL suffix is replayed
@@ -32,6 +31,7 @@ from repro.core import make_sharded_index
 from repro.workloads import run_workload
 
 CHAOS_SEED = 77
+DEADLINE_US = 500_000.0
 
 
 def audit(tier) -> int:
@@ -64,11 +64,10 @@ def main() -> None:
     rng = random.Random(7)
     keys = sorted(rng.sample(range(10**9), 6_000))
     tier = make_sharded_index("btree", 2, sample_keys=keys, replicas=3,
-                              durability=True, group_commit=8, profile=HDD,
-                              hedge_us=3 * HDD.read_positioning_us)
+                              durability=True, group_commit=8, profile=HDD)
     tier.bulk_load([(k, k + 1) for k in keys])
     print(f"tier: {tier.num_shards} shards x {tier.replication_factor} "
-          f"copies, durable, hedging armed")
+          f"copies, durable")
 
     # Act 1: one replica per shard degrades while the engine serves.
     parent = DeviceFaultModel(seed=CHAOS_SEED, transient_error_rate=2e-3,
@@ -77,13 +76,12 @@ def main() -> None:
     for shard in tier.shards:
         shard.replicas[0].device.fault_model = parent.fork(shard.shard_id + 1)
     res = run_workload(tier, mixed_ops(keys, 2_000, 10**9 + 1),
-                       clients=4, validate=True,
-                       deadline_us=500_000.0, retry_budget=3,
-                       max_inflight_writes=64)
+                       keep_latencies=True, clients=4, validate=True)
+    misses = int((res.latencies_us > DEADLINE_US).sum())
     print(f"act 1 — degrading media: {res.io_retries} retries, "
           f"{res.checksum_failures} checksum refusals, "
           f"{res.hedged_reads} hedged reads, {res.shed_ops} shed, "
-          f"{res.deadline_misses} deadline misses, p99 "
+          f"{misses} ops over {DEADLINE_US / 1e3:.0f} ms, p99 "
           f"{res.p99_latency_us / 1e3:.1f} ms; "
           f"audited {audit(tier)} acked writes — none lost")
 
@@ -99,8 +97,7 @@ def main() -> None:
                                             transient_error_rate=0.0,
                                             bit_rot_rate=0.0, stall_rate=0.0)
     run_workload(tier, mixed_ops(keys, 1_000, 10**9 + 10**6 + 1, seed=32),
-                 clients=4, validate=True, deadline_us=500_000.0,
-                 retry_budget=3, max_inflight_writes=64)
+                 clients=4, validate=True)
     states = tier.health_summary()[0]
     print(f"act 2 — replica crash: health {states}, "
           f"{tier.hedged_reads} hedged reads so far")
@@ -115,8 +112,7 @@ def main() -> None:
     old_primary.device.fault_model = parent.fork(200, crash_after=10)
     res = run_workload(tier, mixed_ops(keys, 1_000, 10**9 + 2 * 10**6 + 1,
                                        seed=33),
-                       clients=4, validate=True, deadline_us=500_000.0,
-                       retry_budget=3, max_inflight_writes=64)
+                       clients=4, validate=True)
     assert res.failovers >= 1
     assert tier.shards[1].primary is not old_primary
     print(f"act 3 — primary crash: {res.failovers} live failover(s), "

@@ -11,7 +11,7 @@ Three things to watch:
   reads fan out round-robin, spreading charged I/O across copies.
 * **Workload-aware tuning** — each shard counts its op mix; the P1-P5
   scorer picks a *different* index class per shard when the traffic
-  diverges, and a hot-range migration moves keys through the WAL.
+  diverges.
 
 Run:  python examples/sharded_tier.py
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.core import make_sharded_index
 from repro.datasets import make_dataset
-from repro.sharding import Rebalancer, ShardTuner
+from repro.sharding import ShardTuner
 from repro.workloads import run_workload
 
 KEYS = 45_000
@@ -66,11 +66,6 @@ def main() -> None:
     print(f"\nTuner plan (P1-P5 scoring): {plan}")
     print(f"Composition after retune: {tier.composition()}")
 
-    report = Rebalancer(tier).migrate(2, 1, 500)
-    print(f"\nMigrated {report.keys_moved} hot keys from shard "
-          f"{report.source} to {report.destination} through the WAL "
-          f"({report.logged_records} logged records); new boundary "
-          f"{report.new_boundary}")
     live = tier.verify()
     print(f"Tier verifies clean: {live} live entries, every shard "
           f"in-range, replicas bit-identical")

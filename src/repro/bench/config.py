@@ -146,9 +146,8 @@ def fresh_index(index_name: str, dataset: str, workload: str, scale: Scale,
                 wal_group_commit: Optional[int] = None,
                 write_back: bool = False, buffer_policy: str = "lru",
                 flush_watermark: Optional[int] = None,
-                lookup_distribution: str = "uniform", zipf_s: float = 0.99,
-                hotspot_fraction: float = 0.2,
-                hotspot_probability: float = 0.8) -> IndexSetup:
+                lookup_distribution: str = "uniform",
+                zipf_s: float = 0.99) -> IndexSetup:
     """Build a device + index + workload for one experiment cell.
 
     ``with_wal`` attaches a write-ahead log (on the same device, as in a
@@ -163,16 +162,13 @@ def fresh_index(index_name: str, dataset: str, workload: str, scale: Scale,
     optionally bounds how many dirty pages accumulate before a forced
     flush.
 
-    ``lookup_distribution`` (with ``zipf_s`` / ``hotspot_fraction`` /
-    ``hotspot_probability``) skews the workload's lookup and scan targets
-    — see :data:`repro.workloads.DISTRIBUTIONS`; the default is the
-    paper's uniform sampling.
+    ``lookup_distribution`` (with ``zipf_s``) skews the workload's lookup
+    and scan targets — see :data:`repro.workloads.DISTRIBUTIONS`; the
+    default is the paper's uniform sampling.
     """
     bulk_items, ops = _cell_workload(
         dataset, workload, scale,
-        lookup_distribution=lookup_distribution, zipf_s=zipf_s,
-        hotspot_fraction=hotspot_fraction,
-        hotspot_probability=hotspot_probability)
+        lookup_distribution=lookup_distribution, zipf_s=zipf_s)
 
     device = BlockDevice(block_size or scale.block_size, profile)
     pool = (make_buffer_pool(buffer_blocks, buffer_policy)
@@ -211,8 +207,6 @@ def fresh_sharded_index(index_names, shards: Optional[int], dataset: str,
                         replica_policy: str = "round_robin",
                         durability: bool = False,
                         wal_group_commit: Optional[int] = None,
-                        hedge_us: Optional[float] = None,
-                        quarantine_after: int = 2,
                         lookup_distribution: str = "uniform") -> IndexSetup:
     """Build a range-partitioned :class:`repro.sharding.ShardedIndex` cell.
 
@@ -238,7 +232,6 @@ def fresh_sharded_index(index_names, shards: Optional[int], dataset: str,
         durability=durability,
         group_commit=(wal_group_commit if wal_group_commit is not None
                       else scale.group_commit),
-        hedge_us=hedge_us, quarantine_after=quarantine_after,
         profile=profile, block_size=block_size or scale.block_size,
         buffer_blocks=buffer_blocks)
     bulkload_us = bulk_load_timed(index, bulk_items)

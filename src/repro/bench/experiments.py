@@ -672,12 +672,13 @@ def exp_chaos(result: ExperimentResult, scale: Scale,
     One replica member per shard runs on degrading media — a per-member
     fork of one seeded fault model injects transient errors, bit rot
     and stalls at the swept rate (the WAL is excluded; the primary is
-    clean).  Hedged reads, per-op deadlines, a retry budget and the
-    write admission gate are all armed.  Every row asserts zero lost
+    clean).  Faulted reads re-issue on a healthy peer, an op no member
+    can serve is shed, and deadline misses are counted from the
+    client-perceived latencies.  Every row asserts zero lost
     acknowledged writes and full op accounting (served + shed = dealt);
     the zero-rate row additionally asserts *bit-identical* charged
-    counters against a control tier built without any of the fault
-    machinery — robustness costs nothing until a fault fires.  After
+    counters against a control tier with no fault model attached —
+    robustness costs nothing until a fault fires.  After
     measurement, quarantined members rejoin via catch-up resync (or
     re-seed when damaged) and the row records which.
 
@@ -697,37 +698,26 @@ def exp_chaos(result: ExperimentResult, scale: Scale,
     """
     from ..storage import DeviceFaultModel
 
-    def build(profile_name, replicas, chaos):
-        profile = PROFILES[profile_name]
-        extra = {}
-        if chaos:
-            # Hedge budget: two exponential-backoff retries on the slow
-            # member, then re-issue to a healthy peer.
-            extra = dict(hedge_us=3 * profile.read_positioning_us,
-                         quarantine_after=2)
+    def build(profile_name, replicas):
         return fresh_sharded_index(
-            "btree", 2, "ycsb", "balanced", scale, profile=profile,
-            replicas=replicas, durability=True,
-            wal_group_commit=scale.group_commit, **extra)
+            "btree", 2, "ycsb", "balanced", scale,
+            profile=PROFILES[profile_name], replicas=replicas,
+            durability=True, wal_group_commit=scale.group_commit)
+
+    def serve(setup):
+        return run_workload(setup.index, setup.ops, workload="balanced",
+                            keep_latencies=True, clients=4, validate=True)
 
     # Deadlines sized to each device's tail: p50 clears them, a stalled
     # or faulted op does not — so misses measure degradation, not noise.
     deadlines = {"hdd": 150_000.0, "ssd": 2_000.0}
-
-    def serve(setup, profile_name, chaos):
-        extra = {}
-        if chaos:
-            extra = dict(deadline_us=deadlines[profile_name],
-                         retry_budget=3, max_inflight_writes=64)
-        return run_workload(setup.index, setup.ops, workload="balanced",
-                            clients=4, validate=True, **extra)
 
     # -- section 1: fault-rate sweep on one replica member -------------------
     for profile_name in ("hdd", "ssd"):
         for replicas in (2, 3):
             p99_clean = None
             for rate in fault_rates:
-                setup = build(profile_name, replicas, chaos=True)
+                setup = build(profile_name, replicas)
                 parent = DeviceFaultModel(
                     seed=scale.seed,
                     transient_error_rate=rate,
@@ -739,14 +729,12 @@ def exp_chaos(result: ExperimentResult, scale: Scale,
                     victim = shard.replicas[0]
                     victim.device.fault_model = parent.fork(
                         shard.shard_id + 1)
-                res = serve(setup, profile_name, chaos=True)
+                res = serve(setup)
                 if rate == 0.0:
                     # The no-overhead proof: with every fault rate zero,
                     # the armed tier charges bit-identically to a tier
-                    # built without the fault machinery at all.
-                    control = serve(build(profile_name, replicas,
-                                          chaos=False),
-                                    profile_name, chaos=False)
+                    # with no fault model attached at all.
+                    control = serve(build(profile_name, replicas))
                     mine, theirs = _chaos_counters(res), _chaos_counters(control)
                     if mine != theirs:
                         raise AssertionError(
@@ -781,8 +769,8 @@ def exp_chaos(result: ExperimentResult, scale: Scale,
                     "hedged_reads": res.hedged_reads,
                     "failovers": res.failovers,
                     "shed_ops": res.shed_ops,
-                    "op_retries": res.op_retries,
-                    "deadline_misses": res.deadline_misses,
+                    "deadline_misses": int(
+                        (res.latencies_us > deadlines[profile_name]).sum()),
                     "quarantined": quarantined,
                     "resyncs": rejoined["resync"],
                     "reseeds": rejoined["reseed"],
@@ -794,7 +782,7 @@ def exp_chaos(result: ExperimentResult, scale: Scale,
 
     # -- section 2: replica crash, hedged reads, catch-up resync -------------
     for profile_name in ("hdd", "ssd"):
-        setup = build(profile_name, 2, chaos=True)
+        setup = build(profile_name, 2)
         parent = DeviceFaultModel(seed=scale.seed, crash_after=crash_after)
         forks, victims = [], []
         for shard in setup.index.shards:
@@ -826,7 +814,7 @@ def exp_chaos(result: ExperimentResult, scale: Scale,
                 f"replica crash produced no hedged reads ({profile_name})")
         # The measured segment then serves the full mixed stream with
         # the member quarantined, accumulating the WAL suffix it missed.
-        res = serve(setup, profile_name, chaos=True)
+        res = serve(setup)
         audit = _audit_acked_writes(setup.index)
         if audit["lost"]:
             raise AssertionError(
@@ -859,12 +847,12 @@ def exp_chaos(result: ExperimentResult, scale: Scale,
 
     # -- section 3: primary crash and live failover ---------------------------
     for profile_name in ("hdd", "ssd"):
-        setup = build(profile_name, 3, chaos=True)
+        setup = build(profile_name, 3)
         parent = DeviceFaultModel(seed=scale.seed, crash_after=crash_after)
         for shard in setup.index.shards:
             shard.primary.device.fault_model = parent.fork(
                 100 + shard.shard_id)
-        res = serve(setup, profile_name, chaos=True)
+        res = serve(setup)
         if res.failovers < 1:
             raise AssertionError(
                 f"primary crash_after={crash_after} triggered no failover "
@@ -889,10 +877,10 @@ def exp_chaos(result: ExperimentResult, scale: Scale,
     result.notes = (
         "sweep: faults (transient + bit rot + stalls, seeded per-member "
         "forks) hit one replica per shard; soft strikes suspend it, "
-        "repeats quarantine it out of the read rotation, and hedged "
-        "reads re-issue slow/faulted reads to healthy peers, bounding "
-        "p99. The zero-rate row is asserted bit-identical to a tier "
-        "without the fault machinery. failover: the primary crashes "
+        "repeats quarantine it out of the read rotation, and faulted "
+        "reads re-issue on a healthy peer. The zero-rate row is "
+        "asserted bit-identical to a tier without the fault machinery. "
+        "failover: the primary crashes "
         "mid-run; the freshest replica is promoted with the WAL redone "
         "on its device, and no acknowledged write is lost. Quarantined "
         "members rejoin by replaying the missed log suffix (resync), "

@@ -528,8 +528,7 @@ def _check_chaos(rows: Rows) -> None:
             # Nothing fires without faults.
             assert not any(row[c] for c in (
                 "io_retries", "hedged_reads", "failovers", "shed_ops",
-                "op_retries", "quarantined", "resyncs", "reseeds",
-                "resync_blocks")), row
+                "quarantined", "resyncs", "reseeds", "resync_blocks")), row
         elif row["section"] == "resync":
             # The crash surfaced as a hedged read, and the member rejoined
             # by replaying the log suffix it missed.

@@ -340,7 +340,7 @@ class Tracer:
         span["resync_blocks"] += blocks
 
     def shed_op(self) -> None:
-        """The serving engine rejected an op at the admission gate."""
+        """The serving engine shed an op on a fault no member absorbed."""
         span = self._current if self._current is not None else self._background
         span["shed_ops"] += 1
 

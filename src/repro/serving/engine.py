@@ -32,26 +32,14 @@ appended but not yet durable is invisible, and the read neither consults
 nor takes any latch — readers never wait on writers, and charge zero
 latch-wait time.
 
-**Deadlines, retries, admission (DESIGN.md Section 17).**  Three
-optional robustness knobs, all off by default (and bit-identical to the
-pre-knob engine when off):
-
-* ``deadline_us`` — a per-op virtual-time deadline.  An op that
-  completes later than ``start + deadline_us`` (group-commit wait
-  included, for writes) still completes, but is counted in
-  ``deadline_misses`` — the SLO-miss metric the chaos experiment bounds.
-* ``retry_budget`` — a per-client budget of storage-fault
-  re-executions.  A ``StorageFault`` escaping an op (the sharded tier
-  only escalates one after hedging and failover are both exhausted)
-  re-executes the op, charging the failed attempt's device time to the
-  client's clock; when the budget is spent the op is *cleanly shed*
-  instead — consumed, counted, never hung.
-* ``max_inflight_writes`` — the admission gate.  A write arriving while
-  the commit queue is already at the in-flight bound is rejected before
-  it touches the WAL or the index: nothing is charged, the client's
-  clock does not advance, and ``shed_ops`` counts the rejection.
-  Overload degrades by shedding cleanly rather than by collapsing the
-  commit path's p99.
+**Shedding (DESIGN.md Section 17).**  A ``StorageFault`` escaping an op
+(the sharded tier only escalates one after re-issuing the read on every
+healthy member and failing over, or an unreplicated index) *sheds* the
+op: it is consumed and counted in ``shed_ops``, the failed attempt's
+device time advances the client's clock, and nothing is acknowledged —
+the run terminates instead of hanging on an unrecoverable member.
+Deadlines are the caller's count over the client-perceived latencies
+(``RunResult.latencies_us``).
 
 A tracer is the one attached to the index (``index.attach_tracer``): one
 span per op, latch stalls folded into it under the ``"latch"`` phase.
@@ -115,8 +103,7 @@ class ServeReport:
     #: acknowledged writes as ``(seqno, key, payload)``, in commit order.
     committed: List[Tuple[int, int, int]]
     #: the serving counters of a ``RunResult``, under its field names
-    #: (commit groups and waits, latch waits, snapshot reads, sheds,
-    #: deadline misses, retries).
+    #: (commit groups and waits, latch waits, snapshot reads, sheds).
     counters: Dict[str, float]
     crashed_at_op: Optional[int]
     #: per-phase per-op µs digests (empty unless the index is traced;
@@ -149,15 +136,6 @@ class ServingEngine:
             on global dispatch indices, and the crash drops the WAL
             buffer and dirty pages exactly as in the single-client
             runner — blocked writers are never acknowledged.
-        deadline_us: per-op virtual-time deadline; a completion later
-            than this (commit wait included) counts a deadline miss.
-            None disables the check.
-        retry_budget: per-client count of storage-fault re-executions
-            before the faulting op is cleanly shed (see module
-            docstring).  0 means a fault sheds immediately.
-        max_inflight_writes: admission bound on writers blocked in the
-            commit queue; an arriving write is shed when the queue is
-            already this deep.  None disables the bound.
     """
 
     def __init__(self, index: DiskIndex, client_ops: Sequence[Sequence[Operation]],
@@ -165,9 +143,7 @@ class ServingEngine:
                  snapshot_reads: bool = True,
                  commit_group: Optional[int] = None,
                  commit_timeout_us: Optional[float] = 10_000.0,
-                 fault_injector: Optional[FaultInjector] = None,
-                 deadline_us: Optional[float] = None, retry_budget: int = 0,
-                 max_inflight_writes: Optional[int] = None) -> None:
+                 fault_injector: Optional[FaultInjector] = None) -> None:
         if not client_ops:
             raise ValueError("need at least one client op stream")
         if commit_group is not None and commit_group < 1:
@@ -175,13 +151,6 @@ class ServingEngine:
         if commit_timeout_us is not None and commit_timeout_us <= 0:
             raise ValueError(
                 f"commit_timeout_us must be positive, got {commit_timeout_us}")
-        if deadline_us is not None and deadline_us <= 0:
-            raise ValueError(f"deadline_us must be positive, got {deadline_us}")
-        if retry_budget < 0:
-            raise ValueError(f"retry_budget must be >= 0, got {retry_budget}")
-        if max_inflight_writes is not None and max_inflight_writes < 1:
-            raise ValueError(
-                f"max_inflight_writes must be >= 1, got {max_inflight_writes}")
         self.index = index
         self.pager = index.pager
         self.device = index.pager.device
@@ -194,10 +163,6 @@ class ServingEngine:
         self.commit_timeout_us = commit_timeout_us
         self.tracer = index.tracer
         self.fault_injector = fault_injector
-        self.deadline_us = deadline_us
-        self.retry_budget = retry_budget
-        self.max_inflight_writes = max_inflight_writes
-        self._op_retries = 0
         self.sessions = [Session(i, ops) for i, ops in enumerate(client_ops)]
         self.latches = LatchManager()
         #: key -> seqno of its appended-but-not-yet-durable insert.
@@ -292,8 +257,6 @@ class ServingEngine:
         """Settle a finished op: the client saw it take ``end_v - start_v``
         (latch stalls and, for a write, the group-commit wait included)."""
         latency = end_v - start_v
-        if self.deadline_us is not None and latency > self.deadline_us:
-            session.deadline_misses += 1
         session.latencies_us.append(latency)
         session.op_kinds.append(kind)
         session.clock_us = end_v
@@ -309,99 +272,80 @@ class ServingEngine:
         session.dispatch_indices.append(g)
         kind, key = session.next_op()
         start_v = session.clock_us
-        if (kind == "insert" and self.wal is not None
-                and self.max_inflight_writes is not None
-                and len(self._waiting) >= self.max_inflight_writes):
-            # The admission gate: rejected before the WAL append or any
-            # device work, so nothing is charged and the client's clock
-            # does not move — the rejection itself is free, only the op
-            # is lost.
-            self._shed(session)
-            return
         snapshot = self.snapshot_reads and kind in ("lookup", "scan")
         before_us = self.device.elapsed_us
+        self._cur_reads.clear()
+        self._cur_writes.clear()
+        if self.tracer is not None:
+            self.tracer.begin_op(kind, key, g)
+        seqno = None
         shed = False
-        while True:
-            self._cur_reads.clear()
-            self._cur_writes.clear()
-            if self.tracer is not None:
-                self.tracer.begin_op(kind, key, g)
-            seqno = None
+        try:
             try:
-                try:
-                    if kind == "lookup":
-                        result = self.index.lookup(key)
-                        if snapshot and key in self._pending_keys:
-                            # The insert is appended but not durable:
-                            # invisible at the snapshot LSN.
-                            result = None
-                            session.snapshot_suppressed += 1
-                        if (self.validate and result is not None
-                                and result != key + 1):
-                            raise AssertionError(
-                                f"lookup({key}) returned {result}, "
-                                f"expected {key + 1}")
-                    elif kind == "insert":
-                        if self.wal is not None:
-                            seqno = self.wal.append("insert", key, key + 1)
-                        self.index.insert(key, key + 1)
-                    elif kind == "scan":
-                        pairs = self.index.scan(key, self.scan_length)
-                        if snapshot and self._pending_keys:
-                            pairs = [p for p in pairs
-                                     if p[0] not in self._pending_keys]
-                    else:
-                        raise ValueError(f"unknown operation kind {kind!r}")
-                except StorageFault:
-                    # A fault the tier could not absorb (hedging and
-                    # failover both exhausted, or an unreplicated
-                    # index).  Re-execute within the client's budget —
-                    # the failed attempt's device time stays charged —
-                    # or shed the op cleanly once the budget is spent.
-                    if session.retries_used < self.retry_budget:
-                        session.retries_used += 1
-                        self._op_retries += 1
-                        continue
-                    shed = True
+                if kind == "lookup":
+                    result = self.index.lookup(key)
+                    if snapshot and key in self._pending_keys:
+                        # The insert is appended but not durable:
+                        # invisible at the snapshot LSN.
+                        result = None
+                        session.snapshot_suppressed += 1
+                    if (self.validate and result is not None
+                            and result != key + 1):
+                        raise AssertionError(
+                            f"lookup({key}) returned {result}, "
+                            f"expected {key + 1}")
+                elif kind == "insert":
+                    if self.wal is not None:
+                        seqno = self.wal.append("insert", key, key + 1)
+                    self.index.insert(key, key + 1)
+                elif kind == "scan":
+                    pairs = self.index.scan(key, self.scan_length)
+                    if snapshot and self._pending_keys:
+                        pairs = [p for p in pairs
+                                 if p[0] not in self._pending_keys]
                 else:
-                    delta_us = self.device.elapsed_us - before_us
-                    # Latch accounting happens inside the span so the
-                    # stall shows up in the op's trace event under the
-                    # "latch" phase.
-                    if snapshot:
-                        session.snapshot_reads += 1
-                        begin_v = start_v
-                    else:
-                        reads = frozenset(self._cur_reads)
-                        writes = frozenset(self._cur_writes)
-                        begin_v = self.latches.wait_until(
-                            session.client_id, start_v, reads, writes)
-                        wait_us = begin_v - start_v
-                        if wait_us > 0:
-                            self.device.charge_latch_wait(wait_us)
-                            if self.tracer is not None:
-                                self.tracer.latch_wait(wait_us)
-                            self.latches.record_wait(wait_us)
-                            session.latch_waits += 1
-                            session.latch_wait_us += wait_us
-                            if kind == "insert":
-                                self._write_latch_wait_us += wait_us
-                            else:
-                                self._read_latch_wait_us += wait_us
-                        self.latches.hold(session.client_id, begin_v + delta_us,
-                                          reads, writes)
-                        self.latches.prune(start_v)
-            finally:
-                if self.tracer is not None:
-                    event = self.tracer.end_op()
-                    self._record_event(event, kind, session)
-            break
+                    raise ValueError(f"unknown operation kind {kind!r}")
+            except StorageFault:
+                # A fault the tier could not absorb (every healthy member
+                # and failover exhausted, or an unreplicated index).
+                shed = True
+            else:
+                delta_us = self.device.elapsed_us - before_us
+                # Latch accounting happens inside the span so the stall
+                # shows up in the op's trace event under the "latch"
+                # phase.
+                if snapshot:
+                    session.snapshot_reads += 1
+                    begin_v = start_v
+                else:
+                    reads = frozenset(self._cur_reads)
+                    writes = frozenset(self._cur_writes)
+                    begin_v = self.latches.wait_until(
+                        session.client_id, start_v, reads, writes)
+                    wait_us = begin_v - start_v
+                    if wait_us > 0:
+                        self.device.charge_latch_wait(wait_us)
+                        if self.tracer is not None:
+                            self.tracer.latch_wait(wait_us)
+                        self.latches.record_wait(wait_us)
+                        session.latch_waits += 1
+                        session.latch_wait_us += wait_us
+                        if kind == "insert":
+                            self._write_latch_wait_us += wait_us
+                        else:
+                            self._read_latch_wait_us += wait_us
+                    self.latches.hold(session.client_id, begin_v + delta_us,
+                                      reads, writes)
+                    self.latches.prune(start_v)
+        finally:
+            if self.tracer is not None:
+                event = self.tracer.end_op()
+                self._record_event(event, kind, session)
         if shed:
-            # Budget exhausted: the op is consumed and counted, the
-            # charged device time of its failed attempts advances the
-            # client's clock, and nothing is acknowledged.
-            session.clock_us = start_v + (self.device.elapsed_us
-                                          - before_us)
+            # The op is consumed and counted, the charged device time of
+            # its failed attempt advances the client's clock, and nothing
+            # is acknowledged.
+            session.clock_us = start_v + (self.device.elapsed_us - before_us)
             self._shed(session)
             return
         end_v = begin_v + delta_us
@@ -495,8 +439,6 @@ class ServingEngine:
                 "snapshot_reads": sum(s.snapshot_reads for s in sessions),
                 "snapshot_suppressed": sum(s.snapshot_suppressed for s in sessions),
                 "shed_ops": sum(s.shed_ops for s in sessions),
-                "deadline_misses": sum(s.deadline_misses for s in sessions),
-                "op_retries": self._op_retries,
             },
             crashed_at_op=crashed_at,
             phase_digest=self._phase_digest,

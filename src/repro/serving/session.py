@@ -52,14 +52,9 @@ class Session:
         #: snapshot reads that suppressed a not-yet-durable key.
         self.snapshot_suppressed = 0
         self.committed_writes = 0
-        #: ops rejected at admission or dropped after the retry budget
-        #: ran out — consumed from the queue but never completed.
+        #: ops a storage fault no member could absorb — consumed from
+        #: the queue but never completed.
         self.shed_ops = 0
-        #: completed ops whose client-perceived latency exceeded the
-        #: engine's per-op deadline (the op still completed).
-        self.deadline_misses = 0
-        #: storage-fault re-executions drawn from this client's budget.
-        self.retries_used = 0
         #: global dispatch index of each of this session's dispatches —
         #: the starvation test bounds the largest gap between them.
         self.dispatch_indices: List[int] = []
@@ -117,8 +112,6 @@ class Session:
             "snapshot_suppressed": self.snapshot_suppressed,
             "committed_writes": self.committed_writes,
             "shed_ops": self.shed_ops,
-            "deadline_misses": self.deadline_misses,
-            "retries_used": self.retries_used,
             "max_dispatch_gap": self.max_dispatch_gap(),
         }
         if self.phase_digest:

@@ -7,9 +7,7 @@ See DESIGN.md Section 14.  The public surface:
 * :class:`RangePartition` / :class:`Router` / :class:`Shard` — the
   pieces, for tests and tools that need to reach inside;
 * :class:`ShardTuner` — P1-P5 scoring of observed per-shard op mixes,
-  choosing index classes divergently per shard;
-* :class:`Rebalancer` — WAL-logged boundary moves between adjacent
-  shards.
+  choosing index classes divergently per shard.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from typing import Optional, Sequence, Union
 
 from ..storage import HDD, DiskProfile
 from .partition import KEYSPACE_END, RangePartition
-from .rebalance import MigrationReport, Rebalancer
 from .router import Router
 from .shard import (HEALTH_STATES, MemberHealth, REPLICA_POLICIES, Shard,
                     ShardMember)
@@ -27,7 +24,7 @@ from .tuner import COST_TABLE, READ_ONLY_CLASSES, ShardTuner
 
 __all__ = [
     "KEYSPACE_END", "RangePartition", "Router", "Shard", "ShardMember",
-    "ShardedIndex", "ShardTuner", "Rebalancer", "MigrationReport",
+    "ShardedIndex", "ShardTuner",
     "MemberHealth", "HEALTH_STATES",
     "REPLICA_POLICIES", "COST_TABLE", "READ_ONLY_CLASSES",
     "combine_stats", "member_prefix", "make_sharded_index",
@@ -41,8 +38,6 @@ def make_sharded_index(index_names: Union[str, Sequence[str]],
                        replicas: int = 1,
                        replica_policy: str = "round_robin",
                        durability: bool = False, group_commit: int = 8,
-                       hedge_us: Optional[float] = None,
-                       quarantine_after: int = 2,
                        profile: DiskProfile = HDD, block_size: int = 4096,
                        buffer_blocks: int = 0, buffer_policy: str = "lru",
                        write_back: bool = False,
@@ -66,10 +61,6 @@ def make_sharded_index(index_names: Union[str, Sequence[str]],
         durability: give every shard its own WAL (armed after bulk
             load), making the tier's ``durable_*`` paths and the fan-out
             WAL facade live.
-        hedge_us: read-hedge latency budget (virtual µs) per shard; None
-            disables hedging (reads re-issue only on hard faults).
-        quarantine_after: soft health strikes before a member leaves
-            the read rotation (DESIGN.md Section 17).
         group_commit / profile / block_size / buffer_blocks /
         buffer_policy / write_back / flush_watermark / index_params:
             per-member storage configuration, identical across members.
@@ -108,8 +99,7 @@ def make_sharded_index(index_names: Union[str, Sequence[str]],
     built = [
         Shard(shard_id, name, replicas=replicas,
               replica_policy=replica_policy, durability=durability,
-              group_commit=group_commit, hedge_us=hedge_us,
-              quarantine_after=quarantine_after, profile=profile,
+              group_commit=group_commit, profile=profile,
               block_size=block_size, buffer_blocks=buffer_blocks,
               buffer_policy=buffer_policy, write_back=write_back,
               flush_watermark=flush_watermark, index_params=index_params)

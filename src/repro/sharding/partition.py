@@ -7,12 +7,9 @@ than hashing) is what keeps scans shard-local: a ``scan_range`` touches
 exactly the shards whose ranges overlap the query — the property
 Google's disk-based learned-index deployment (Abu-Libdeh et al. 2020)
 shards around, and the one the router's split/merge logic relies on.
-
-Boundaries are *mutable* through :meth:`set_boundary` — the rebalancer
-moves a boundary between two adjacent shards after it has migrated the
-keys across — but every mutation must keep the boundary list strictly
-increasing, so the ranges always tile the keyspace with no gap and no
-overlap (the property the Hypothesis round-trip tests pin down).
+The boundary list is strictly increasing, so the ranges tile the
+keyspace with no gap and no overlap (the property the Hypothesis
+round-trip tests pin down).
 """
 
 from __future__ import annotations
@@ -125,25 +122,6 @@ class RangePartition:
             range_lo, range_hi = self.range_of(sid)
             parts.append((sid, max(low, range_lo), min(high, range_hi - 1)))
         return parts
-
-    # -- rebalancing ---------------------------------------------------------
-
-    def set_boundary(self, index: int, key: int) -> None:
-        """Move one split key (the rebalancer's final, atomic step).
-
-        ``index`` addresses ``boundaries[index]`` — the split between
-        shards ``index`` and ``index+1``.  The new key must stay strictly
-        between the neighbouring boundaries so the ranges keep tiling.
-        """
-        if not 0 <= index < len(self.boundaries):
-            raise IndexError(f"no boundary {index}")
-        lo = self.boundaries[index - 1] if index > 0 else 0
-        hi = (self.boundaries[index + 1]
-              if index + 1 < len(self.boundaries) else KEYSPACE_END)
-        if not lo < key < hi:
-            raise ValueError(
-                f"boundary {key} must stay strictly inside ({lo}, {hi})")
-        self.boundaries[index] = int(key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RangePartition({self.boundaries!r})"

@@ -106,9 +106,8 @@ class Router:
         shard_id, start = first_shard, start_key
         while shard_id < len(self.shards) and len(out) < count:
             chunk = self.shards[shard_id].scan(start, count - len(out))
-            # Clip to the shard's own range: an orphan left behind by an
-            # in-flight migration (or a scan past the boundary) must not
-            # leak into another shard's answer.
+            # Clip to the shard's own range: a key a shard holds outside
+            # it must not leak into another shard's answer.
             _, range_hi = self.partition.range_of(shard_id)
             out.extend(pair for pair in chunk if pair[0] < range_hi)
             shard_id += 1

@@ -28,8 +28,7 @@ failover (:meth:`Shard._failover`): the freshest healthy replica is
 promoted, caught up from the durable log prefix plus the in-memory
 tail, and the log itself is rebuilt on the promoted member's device so
 the sequence numbering — and therefore every already-issued commit
-acknowledgment — continues unbroken.  Reads that fault (or, with
-``hedge_us`` set, exceed the hedge latency budget) are re-issued on
+acknowledgment — continues unbroken.  Reads that fault are re-issued on
 another healthy member — hedged reads, first response wins.  A
 quarantined member rejoins via :meth:`Shard.rejoin`: catch-up resync
 replays the missed log suffix and byte-verifies the result, falling
@@ -64,6 +63,10 @@ HEALTH_STATES = ("healthy", "suspect", "quarantined")
 #: Counted operation kinds, in reporting order.
 OP_KINDS = ("lookup", "insert", "update", "delete", "scan")
 
+#: Soft strikes (checksum failures escaping a read) that quarantine a
+#: member; the first makes it suspect.
+QUARANTINE_AFTER = 2
+
 
 class MemberHealth:
     """Per-member strike counter driving healthy → suspect → quarantined.
@@ -75,11 +78,7 @@ class MemberHealth:
     quarantined: the device itself, not one block, is implicated.
     """
 
-    def __init__(self, quarantine_after: int = 2) -> None:
-        if quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be >= 1, got {quarantine_after}")
-        self.quarantine_after = quarantine_after
+    def __init__(self) -> None:
         self.strikes = 0
         self.faults_seen = 0
 
@@ -87,14 +86,14 @@ class MemberHealth:
     def state(self) -> str:
         if self.strikes == 0:
             return "healthy"
-        if self.strikes < self.quarantine_after:
+        if self.strikes < QUARANTINE_AFTER:
             return "suspect"
         return "quarantined"
 
     def strike(self, hard: bool = False) -> None:
         self.faults_seen += 1
         if hard:
-            self.strikes = max(self.strikes + 1, self.quarantine_after)
+            self.strikes = max(self.strikes + 1, QUARANTINE_AFTER)
         else:
             self.strikes += 1
 
@@ -169,13 +168,6 @@ class Shard:
             ``fresh_index``'s ordering so a 1-shard tier is byte-for-byte
             comparable with an unsharded one).
         group_commit: WAL records buffered per log flush.
-        hedge_us: latency hedge budget for reads (virtual time).  When
-            set and more than one member is servable, the first read
-            attempt only gets the retries whose cumulative backoff fits
-            the budget; past it, the read is re-issued on another
-            healthy member (first response wins).  ``None`` disables
-            hedging — reads then re-issue only on hard faults.
-        quarantine_after: soft strikes before a member is quarantined.
         **member_kwargs: storage configuration forwarded to every
             :class:`ShardMember` (profile, block_size, buffer_blocks,
             buffer_policy, write_back, flush_watermark, index_params).
@@ -183,23 +175,18 @@ class Shard:
 
     def __init__(self, shard_id: int, index_name: str, *, replicas: int = 1,
                  replica_policy: str = "round_robin", durability: bool = False,
-                 group_commit: int = 8, hedge_us: Optional[float] = None,
-                 quarantine_after: int = 2, **member_kwargs) -> None:
+                 group_commit: int = 8, **member_kwargs) -> None:
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         if replica_policy not in REPLICA_POLICIES:
             raise ValueError(
                 f"unknown replica policy {replica_policy!r}; "
                 f"available: {REPLICA_POLICIES}")
-        if hedge_us is not None and hedge_us < 0:
-            raise ValueError(f"hedge_us must be >= 0, got {hedge_us}")
         self.shard_id = shard_id
         self.index_name = index_name
         self.replica_policy = replica_policy
         self.durability = durability
         self.group_commit = group_commit
-        self.hedge_us = hedge_us
-        self.quarantine_after = quarantine_after
         self.member_kwargs = dict(member_kwargs)
         self.primary = self._new_member()
         self.replicas: List[ShardMember] = [
@@ -226,9 +213,7 @@ class Shard:
         self._failover_result: object = None
 
     def _new_member(self) -> ShardMember:
-        member = ShardMember(self.index_name, **self.member_kwargs)
-        member.health.quarantine_after = self.quarantine_after
-        return member
+        return ShardMember(self.index_name, **self.member_kwargs)
 
     def _tracer(self):
         return self.primary.pager.tracer
@@ -301,24 +286,6 @@ class Shard:
         choice.reads_served += 1
         return choice
 
-    def _hedge_cap(self, member: ShardMember) -> int:
-        """Retries whose cumulative backoff fits the hedge budget.
-
-        The pager's backoff for retry *k* is ``positioning * 2**(k-1)``;
-        the cap is the largest k whose running sum stays within
-        ``hedge_us``, so a member that keeps timing out hands the read
-        off instead of burning the full retry ladder.
-        """
-        step = member.device.profile.read_positioning_us
-        if step <= 0:
-            return 0
-        cap, total = 0, 0.0
-        while cap < member.pager.max_read_retries and total + step <= self.hedge_us:
-            total += step
-            step *= 2
-            cap += 1
-        return cap
-
     def _serve_read(self, op: Callable[[ShardMember], object]) -> object:
         """Run one read with health-aware re-issue (hedged reads).
 
@@ -326,26 +293,13 @@ class Shard:
         through :meth:`_reader`.  A :class:`StorageFault` escaping the
         member strikes its health (possibly quarantining it, possibly
         failing the primary over) and re-issues the read on the next
-        pick; with ``hedge_us`` set, the first attempt's retry ladder is
-        capped to the budget so a stalling member sheds the read early.
-        Both attempts' I/O stays charged — hedging buys tail latency
-        with extra work, it is not free.
+        pick.  Both attempts' I/O stays charged — a re-issue is extra
+        work, it is not free.
         """
         last_fault: Optional[StorageFault] = None
-        attempts = self.replication_factor * max(self.quarantine_after, 1) + 1
-        for attempt in range(attempts):
+        for _ in range(self.replication_factor * QUARANTINE_AFTER + 1):
             member = self._reader()
-            capped = (self.hedge_us is not None and attempt == 0
-                      and len(self.servable_members()) > 1)
             try:
-                if capped:
-                    saved = member.pager.max_read_retries
-                    member.pager.max_read_retries = min(
-                        saved, self._hedge_cap(member))
-                    try:
-                        return op(member)
-                    finally:
-                        member.pager.max_read_retries = saved
                 return op(member)
             except StorageFault as fault:
                 last_fault = fault
@@ -701,8 +655,7 @@ class Shard:
             self.wal.flush()
         return sum(member.pager.flush() for member in self.members())
 
-    # -- lookups on the reader() policy need primary-only variants for the
-    # -- router's correctness-critical paths (e.g. migration reads).
+    # -- primary-only reads: re-seed and recovery copy from the primary.
 
     def primary_scan_range(self, low: int, high: int) -> List[KeyPayload]:
         return self.primary.index.scan_range(low, high)
@@ -755,7 +708,6 @@ class Shard:
                          profile=self.member_kwargs.get("profile"),
                          pager_kwargs=self._pager_kwargs())
         self.primary = ShardMember.adopt(result.index, self.index_name)
-        self.primary.health.quarantine_after = self.quarantine_after
         self.primary.applied_seqno = result.last_seqno
         self.wal = WriteAheadLog(self.primary.pager,
                                  group_commit=self.group_commit)

@@ -30,8 +30,8 @@ design principles:
   ride the sequential rate (3.0 / 2.4 per 100-entry scan) while ALEX
   hops between gapped nodes with a positioning each (4.05).
 * P5 (buffer co-design) enters through the *tier*, not the table: each
-  shard has its own pool, so shrinking a shard's working set (the
-  rebalancer) or picking a flatter class raises its hit rate.
+  shard has its own pool, so shrinking a shard's working set (more
+  shards) or picking a flatter class raises its hit rate.
 
 Scores are positionings per operation of the observed mix — device
 independent (HDD and SSD charge the same *count*; only the per-event

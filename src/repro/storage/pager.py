@@ -169,8 +169,7 @@ class Pager:
         counts into ``stats.io_retries``.  A stalled request
         (``MemberStallError``) additionally charges the hang itself —
         the time the request sat in the device queue before timing out —
-        so a stalling member is slow in virtual time, which is exactly
-        the signal the sharding tier's hedged reads key off.  After
+        so a stalling member is slow in virtual time.  After
         ``max_read_retries`` failed retries the error escalates to
         ``PersistentIOError`` for the quarantine/repair machinery.
         ``ChecksumError`` is never retried: the damage is on the medium

@@ -112,10 +112,9 @@ class RunResult:
     write_latch_wait_us: float = 0.0  # latch stalls charged to inserts
     snapshot_reads: int = 0      # reads served at snapshot isolation
     snapshot_suppressed: int = 0  # snapshot reads hiding a not-yet-durable key
-    # -- robustness (zero unless deadlines/admission/faults are in play) --
-    shed_ops: int = 0            # ops rejected at admission or after retries
-    deadline_misses: int = 0     # completed ops that blew their deadline
-    op_retries: int = 0          # storage-fault re-executions (serving path)
+    # -- robustness (zero unless faults are in play) --
+    shed_ops: int = 0            # ops shed on a fault no member absorbed
+    deadline_misses: int = 0     # always 0: deadlines are the caller's count
     # -- sharded tier (defaults describe an unsharded index) --
     shards: int = 1              # range-partitioned shards behind the index
     replicas: int = 1            # copies per shard including the primary
@@ -286,10 +285,7 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
                  clients: int = 1,
                  client_ops: Optional[Sequence[Sequence[Operation]]] = None,
                  snapshot_reads: bool = True,
-                 commit_timeout_us: Optional[float] = 10_000.0,
-                 deadline_us: Optional[float] = None,
-                 retry_budget: int = 0,
-                 max_inflight_writes: Optional[int] = None) -> RunResult:
+                 commit_timeout_us: Optional[float] = 10_000.0) -> RunResult:
     """Execute ``ops`` against a loaded index and collect metrics.
 
     Args:
@@ -338,18 +334,13 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
         snapshot_reads / commit_timeout_us: serving-engine knobs,
             forwarded to :class:`~repro.serving.ServingEngine`.  Ignored
             by the single stream.
-        deadline_us / retry_budget / max_inflight_writes: robustness
-            knobs of the serving engine (DESIGN.md Section 17) — per-op
-            deadlines, per-client storage-fault retry budgets, and the
-            write admission gate.
 
-    Which loop runs: ``clients != 1``, explicit ``client_ops`` (even one
-    stream) or a robustness knob (one silently ignored would be worse than
-    a slower path) selects the serving engine, all else the single stream
-    below.  They stay two because they charge differently: the stream
-    commits asynchronously (one WAL flush per ``group_commit`` records),
-    an engine client blocks on each write until its group is durable —
-    at one client, one flush per write (DESIGN.md Section 13).
+    Which loop runs: ``clients != 1`` or explicit ``client_ops`` (even one
+    stream) selects the serving engine, all else the single stream below.
+    They stay two because they charge differently: the stream commits
+    asynchronously (one WAL flush per ``group_commit`` records), an
+    engine client blocks on each write until its group is durable — at
+    one client, one flush per write (DESIGN.md Section 13).
 
     On the serving path, latencies are *client-perceived*: an op's latch
     stalls and a write's group-commit wait are part of its latency, the
@@ -373,8 +364,7 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
     if batch > 1 and healer is not None:
         raise ValueError("self-healing is per-op; run it with batch=1")
     meter = _Meter(index, workload, keep_latencies)
-    if (clients != 1 or client_ops is not None or deadline_us is not None
-            or retry_budget or max_inflight_writes is not None):
+    if clients != 1 or client_ops is not None:
         if batch > 1:
             raise ValueError("the serving engine schedules per-op; use batch=1")
         if healer is not None:
@@ -387,9 +377,7 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
         report = ServingEngine(
             index, streams, scan_length=scan_length, validate=validate,
             fault_injector=fault_injector, snapshot_reads=snapshot_reads,
-            commit_timeout_us=commit_timeout_us, deadline_us=deadline_us,
-            retry_budget=retry_budget,
-            max_inflight_writes=max_inflight_writes).run()
+            commit_timeout_us=commit_timeout_us).run()
         per_client = {s.client_id: s.digest() for s in report.sessions}
         return meter.result(
             report.latencies_us, report.op_kinds, report.phase_digest,

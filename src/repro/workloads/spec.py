@@ -68,53 +68,35 @@ def workload_names() -> List[str]:
 
 
 #: Lookup/scan target distributions accepted by ``build_workload``.
-DISTRIBUTIONS = ("uniform", "zipfian", "latest", "hotspot")
+DISTRIBUTIONS = ("uniform", "zipfian")
 
 
 class _KeyPicker:
     """Samples an index into a growing population under a distribution.
 
     The paper's workloads sample lookup keys uniformly ("evenly
-    distributed"); the skewed modes are extensions (YCSB's request
-    distributions) for contention studies:
+    distributed"); the zipfian mode is an extension (YCSB's request
+    distribution) for skew and contention studies:
 
     * ``"uniform"`` — every present key equally likely.
     * ``"zipfian"`` — Zipf(s) ranks via the bounded inverse-CDF
       approximation ``rank = floor(n * u^(1/(1-s)))``, scattered over
       the population with a multiplicative hash so hot keys are spread
       across the key space rather than clustered at one end.
-    * ``"latest"`` — the same Zipf(s) ranks counted back from the most
-      recently inserted key (rank 0 = newest), *not* scattered: recency
-      is the point.  Over a static population this skews toward the
-      bulk-load order's tail.
-    * ``"hotspot"`` — with probability ``hotspot_probability`` pick
-      uniformly inside the hot set (the first
-      ``ceil(hotspot_fraction * n)`` keys in population order), else
-      uniformly from the cold remainder.
     """
 
     _SCATTER = 2654435761  # Knuth's multiplicative hash constant
 
-    def __init__(self, rng: random.Random, distribution: str, zipf_s: float,
-                 hotspot_fraction: float = 0.2,
-                 hotspot_probability: float = 0.8) -> None:
+    def __init__(self, rng: random.Random, distribution: str,
+                 zipf_s: float) -> None:
         if distribution not in DISTRIBUTIONS:
             raise ValueError(
                 f"distribution must be one of {DISTRIBUTIONS}, got {distribution!r}")
-        if distribution in ("zipfian", "latest") and not 0.0 < zipf_s < 1.0:
+        if distribution == "zipfian" and not 0.0 < zipf_s < 1.0:
             raise ValueError(f"zipf_s must be in (0, 1), got {zipf_s}")
-        if distribution == "hotspot":
-            if not 0.0 < hotspot_fraction <= 1.0:
-                raise ValueError(
-                    f"hotspot_fraction must be in (0, 1], got {hotspot_fraction}")
-            if not 0.0 <= hotspot_probability <= 1.0:
-                raise ValueError(
-                    f"hotspot_probability must be in [0, 1], got {hotspot_probability}")
         self._rng = rng
-        self._distribution = distribution
-        self._exponent = 1.0 / (1.0 - zipf_s) if 0.0 < zipf_s < 1.0 else 1.0
-        self._hot_fraction = hotspot_fraction
-        self._hot_probability = hotspot_probability
+        self._zipfian = distribution == "zipfian"
+        self._exponent = 1.0 / (1.0 - zipf_s) if self._zipfian else 1.0
 
     def _zipf_rank(self, n: int) -> int:
         rank = int(n * (self._rng.random() ** self._exponent))
@@ -123,23 +105,14 @@ class _KeyPicker:
     def pick(self, n: int) -> int:
         if n <= 0:
             raise ValueError("cannot pick from an empty population")
-        if self._distribution == "uniform":
+        if not self._zipfian:
             return self._rng.randrange(n)
-        if self._distribution == "zipfian":
-            return (self._zipf_rank(n) * self._SCATTER) % n
-        if self._distribution == "latest":
-            return n - 1 - self._zipf_rank(n)
-        # hotspot
-        hot_n = min(max(1, int(self._hot_fraction * n)), n)
-        if n == hot_n or self._rng.random() < self._hot_probability:
-            return self._rng.randrange(hot_n)
-        return hot_n + self._rng.randrange(n - hot_n)
+        return (self._zipf_rank(n) * self._SCATTER) % n
 
 
 def build_workload(spec: WorkloadSpec, keys: np.ndarray, num_ops: int,
                    seed: int = 17, lookup_distribution: str = "uniform",
-                   zipf_s: float = 0.99, hotspot_fraction: float = 0.2,
-                   hotspot_probability: float = 0.8,
+                   zipf_s: float = 0.99,
                    ) -> Tuple[List[Tuple[int, int]], List[Operation]]:
     """Materialize (bulk items, operation stream) for a dataset.
 
@@ -151,16 +124,12 @@ def build_workload(spec: WorkloadSpec, keys: np.ndarray, num_ops: int,
 
     ``lookup_distribution`` picks the lookup/scan target distribution —
     see :data:`DISTRIBUTIONS` and :class:`_KeyPicker` (an extension; the
-    paper samples uniformly).  ``zipf_s`` parameterizes the zipfian and
-    latest modes; ``hotspot_fraction`` / ``hotspot_probability`` the
-    hotspot mode.
+    paper samples uniformly).  ``zipf_s`` parameterizes the zipfian mode.
     """
     if num_ops <= 0:
         raise ValueError(f"num_ops must be positive, got {num_ops}")
     rng = random.Random(seed)
-    picker = _KeyPicker(rng, lookup_distribution, zipf_s,
-                        hotspot_fraction=hotspot_fraction,
-                        hotspot_probability=hotspot_probability)
+    picker = _KeyPicker(rng, lookup_distribution, zipf_s)
     n = len(keys)
     if spec.bulk_all:
         bulk_items = [(int(k), int(k) + 1) for k in keys]

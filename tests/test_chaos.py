@@ -1,5 +1,5 @@
 """Fault-tolerant serving: fault forks, member health, failover, hedged
-reads, resync/reseed rejoin, deadlines, admission — and determinism.
+reads, resync/reseed rejoin, shedding — and determinism.
 
 The chaos machinery's contract has three legs (DESIGN.md Section 17):
 
@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.serving import split_ops
 from repro.sharding import Shard
 from repro.storage import (HDD, NULL_DEVICE, BlockDevice, DeviceFaultModel,
                            MemberCrashError, MemberStallError, Pager,
@@ -125,7 +126,7 @@ def test_excluded_files_are_never_faulted_nor_counted():
 def test_health_escalates_soft_strikes_and_jumps_on_hard():
     from repro.sharding import MemberHealth
 
-    health = MemberHealth(quarantine_after=2)
+    health = MemberHealth()
     assert health.state == "healthy"
     health.strike()
     assert health.state == "suspect"
@@ -232,8 +233,7 @@ def test_zero_rate_fault_model_is_charge_identical():
     def run(with_model):
         keys = random_sorted_keys(1200, seed=8, key_space=KEY_SPACE)
         shard = Shard(0, "btree", replicas=2, durability=True,
-                      group_commit=2, profile=HDD,
-                      hedge_us=3 * HDD.read_positioning_us)
+                      group_commit=2, profile=HDD)
         shard.bulk_load(items_of(keys))
         if with_model:
             parent = DeviceFaultModel(seed=9)
@@ -254,56 +254,23 @@ def test_zero_rate_fault_model_is_charge_identical():
 
 
 # ---------------------------------------------------------------------------
-# Serving engine: deadlines, retry budget, admission
+# Serving engine: shedding
 # ---------------------------------------------------------------------------
 
-def _serving_tier(n=2000, seed=12, **shard_kwargs):
-    keys = random_sorted_keys(n, seed=seed, key_space=KEY_SPACE)
+def test_a_fault_no_member_can_absorb_sheds_the_op():
+    keys = random_sorted_keys(2000, seed=12, key_space=KEY_SPACE)
     index = make_sharded("btree", 2, sample_keys=keys, durability=True,
-                         group_commit=4, profile=HDD, **shard_kwargs)
+                         group_commit=4, profile=HDD)
     index.bulk_load(items_of(keys))
-    return index, keys
-
-
-def test_deadline_misses_count_slow_completions():
-    index, keys = _serving_tier()
-    ops = [("lookup", key) for key in keys[:80]]
-    # An HDD lookup takes milliseconds; a 1us deadline misses every op,
-    # yet every op still completes (deadlines observe, they don't abort).
-    res = run_workload(index, ops, clients=4, validate=True, deadline_us=1.0)
-    assert res.deadline_misses == len(ops)
-    assert res.shed_ops == 0
-    # A generous deadline misses nothing on the identical stream.
-    index, keys = _serving_tier()
-    res = run_workload(index, ops, clients=4, validate=True,
-                       deadline_us=10**9)
-    assert res.deadline_misses == 0
-
-
-def test_admission_gate_sheds_writes_and_never_loses_the_rest():
-    index, keys = _serving_tier()
-    ops = [("insert", KEY_SPACE + 2 * i + 1) for i in range(120)]
-    res = run_workload(index, ops, clients=8, max_inflight_writes=1)
-    assert res.shed_ops > 0
-    # Shed + committed partitions the stream: nothing hangs, nothing is
-    # double-counted, and every admitted write was acknowledged durable.
-    assert res.committed_writes == len(ops) - res.shed_ops
-    assert res.per_client  # the serving path actually ran
-    assert sum(c["shed_ops"] for c in res.per_client.values()) == res.shed_ops
-
-
-def test_retry_budget_bounds_fault_reexecution_then_sheds():
-    index, keys = _serving_tier(replicas=1)
-    # With a single member per shard there is nowhere to hedge: an
-    # exhausted pager retry ladder escapes to the engine, which spends
-    # the client's retry budget and then sheds the op cleanly.
+    # With a single member per shard there is nowhere to re-issue a read
+    # and no replica to fail over to: the fault escapes to the engine,
+    # which sheds the op cleanly.
     for shard in index.shards:
         shard.primary.device.fault_model = DeviceFaultModel(
             seed=13, transient_error_rate=1.0)
     ops = [("lookup", key) for key in keys[:30]]
-    res = run_workload(index, ops, clients=1, retry_budget=2)
-    assert res.op_retries == 2        # the budget, spent exactly once
-    assert res.shed_ops == len(ops)   # then every faulting op sheds
+    res = run_workload(index, ops, client_ops=[ops])
+    assert res.shed_ops == len(ops)
     # Every op was consumed (shed, not completed): the run terminated
     # instead of hanging or crashing on the unrecoverable member.
     assert res.num_ops + res.shed_ops == len(ops)
@@ -316,8 +283,7 @@ def test_retry_budget_bounds_fault_reexecution_then_sheds():
 def _chaos_run(clients, fault_seed=77):
     keys = random_sorted_keys(2400, seed=5, key_space=KEY_SPACE)
     index = make_sharded("btree", 2, sample_keys=keys, durability=True,
-                         group_commit=4, replicas=2, profile=HDD,
-                         hedge_us=3 * HDD.read_positioning_us)
+                         group_commit=4, replicas=2, profile=HDD)
     index.bulk_load(items_of(keys))
     parent = DeviceFaultModel(seed=fault_seed, transient_error_rate=5e-3,
                               bit_rot_rate=2e-3, stall_rate=2e-3,
@@ -331,15 +297,14 @@ def _chaos_run(clients, fault_seed=77):
             ops.append(("insert", KEY_SPACE + 2 * i + 1))
         else:
             ops.append(("lookup", keys[rng.randrange(len(keys))]))
-    res = run_workload(index, ops, clients=clients, validate=True,
-                       deadline_us=150_000.0, retry_budget=3,
-                       max_inflight_writes=64)
+    # the serving engine at every client count, one client included
+    res = run_workload(index, ops, client_ops=split_ops(ops, clients),
+                       validate=True)
     return (res.sim_elapsed_us, res.p50_latency_us, res.p99_latency_us,
             res.blocks_read_per_op, res.blocks_written_per_op,
             res.io_retries, res.checksum_failures, res.failovers,
             res.hedged_reads, res.resync_blocks, res.shed_ops,
-            res.deadline_misses, res.op_retries, res.committed_writes,
-            res.log_records, res.log_flushes)
+            res.committed_writes, res.log_records, res.log_flushes)
 
 
 @pytest.mark.parametrize("clients", [1, 4])

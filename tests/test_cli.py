@@ -1,4 +1,4 @@
-"""Tests for the bench CLI and the quickstart example."""
+"""Tests for the bench CLI and the runnable examples."""
 
 import subprocess
 import sys
@@ -36,3 +36,15 @@ def test_quickstart_example_runs():
     assert proc.returncode == 0, proc.stderr
     for name in ("btree", "fiting", "pgm", "alex", "lipp"):
         assert name in proc.stdout
+
+
+@pytest.mark.parametrize("example, verified", [
+    ("sharded_tier", "Tier verifies clean"),
+    ("chaos_serving", "replica groups consistent"),
+])
+def test_example_runs(example, verified):
+    proc = subprocess.run(
+        [sys.executable, f"examples/{example}.py"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert verified in proc.stdout

@@ -1,6 +1,6 @@
 """Unit tests for the sharded tier: partition geometry, router
-accounting, fan-out facades, tuner scoring, rebalancer protocol, and the
-runner/serving integration surface."""
+accounting, fan-out facades, tuner scoring, and the runner/serving
+integration surface."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.sharding import (
     COST_TABLE,
     KEYSPACE_END,
     RangePartition,
-    Rebalancer,
     ShardTuner,
     combine_stats,
 )
@@ -55,16 +54,6 @@ def test_partition_from_keys_quantiles():
     assert max(sizes) - min(sizes) <= 1
     with pytest.raises(ValueError):
         RangePartition.from_keys([1, 2], 4)
-
-
-def test_set_boundary_validation():
-    partition = RangePartition([100, 200])
-    partition.set_boundary(0, 150)
-    assert partition.boundaries == [150, 200]
-    with pytest.raises(ValueError):
-        partition.set_boundary(0, 200)   # must stay strictly inside
-    with pytest.raises(IndexError):
-        partition.set_boundary(5, 10)
 
 
 # -- router accounting -------------------------------------------------------
@@ -234,60 +223,6 @@ def test_tuner_convert_preserves_content_and_durability():
     assert shard.wal is not None and shard.wal.next_seqno == old_next
     index.durable_insert(2, 8)        # the tier still logs and serves
     assert index.lookup(2) == 8
-
-
-# -- rebalancer --------------------------------------------------------------
-
-def test_rebalancer_validates_and_reports():
-    keys = random_sorted_keys(300, seed=7, key_space=10**6)
-    index = make_sharded("btree", 3, sample_keys=keys, durability=True)
-    index.bulk_load(items_of(keys))
-    rb = Rebalancer(index)
-    with pytest.raises(ValueError):
-        rb.migrate(0, 2, 5)           # not adjacent
-    with pytest.raises(ValueError):
-        rb.migrate(0, 1, 0)
-    with pytest.raises(ValueError):
-        rb.migrate(0, 1, 10**9)       # must keep at least one key
-    report = rb.migrate(0, 1, 10)
-    assert report.keys_moved == 10
-    assert report.logged_records == 20
-    assert index.partition.boundaries[0] == report.new_boundary
-    assert rb.migrations == [report]
-    # Migrating *down* works too and the scan stays identical.
-    before = index.scan_range(0, KEYSPACE_END - 1)
-    rb.migrate(2, 1, 7)
-    assert index.scan_range(0, KEYSPACE_END - 1) == before
-    assert index.verify() == len(before)
-
-
-def test_rebalancer_hottest_and_plan():
-    keys = random_sorted_keys(200, seed=8, key_space=10**6)
-    index = make_sharded("btree", 3, sample_keys=keys)
-    index.bulk_load(items_of(keys))
-    hot = index.partition.range_of(2)[0]
-    for _ in range(30):
-        index.lookup(hot + 1)
-    rb = Rebalancer(index)
-    assert rb.hottest_shard() == 2
-    src, dst, count = rb.plan(0.4)
-    assert (src, dst) == (2, 1) and count > 0
-    single = make_sharded("btree", 1)
-    single.bulk_load(items_of([1, 2, 3]))
-    assert Rebalancer(single).plan() is None
-
-
-def test_scrub_orphans_removes_out_of_range_keys():
-    index = make_sharded("btree", 2, boundaries=[500], durability=True)
-    index.bulk_load(items_of([10, 20, 600, 700]))
-    # Simulate a migration interrupted after its copy phase: the copy
-    # landed in shard 1, the boundary never flipped, the purge never ran.
-    index.shards[1].apply("insert", 20, 21, log=True)
-    assert index.scan_range(0, KEYSPACE_END - 1) == items_of([10, 20, 600, 700])
-    removed = Rebalancer(index).scrub_orphans()
-    assert removed == 1
-    assert index.scan_range(0, KEYSPACE_END - 1) == items_of([10, 20, 600, 700])
-    index.verify()
 
 
 # -- construction and integration -------------------------------------------

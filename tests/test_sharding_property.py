@@ -1,4 +1,4 @@
-"""Property tests: partition geometry, router split/merge, rebalancer.
+"""Property tests: partition geometry and router split/merge.
 
 Hypothesis draws random partitions and random key batches/ranges and
 asserts the structural invariants the sharded tier rests on:
@@ -8,15 +8,13 @@ asserts the structural invariants the sharded tier rests on:
 * ``split_range`` tiles the query range exactly — no gap, no overlap,
   in key order;
 * a router-driven tier answers ``lookup_many`` exactly like per-key
-  lookups through the partition;
-* a rebalancer migration (random direction and size) preserves the full
-  key scan bit-for-bit and leaves every shard owning only in-range keys.
+  lookups through the partition.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sharding import KEYSPACE_END, RangePartition, Rebalancer
+from repro.sharding import RangePartition
 
 from tests.util import items_of, make_sharded
 
@@ -73,34 +71,3 @@ def test_router_lookup_many_equals_per_key_lookups(keys, shards, batch):
     index = make_sharded("btree", shards, sample_keys=keys)
     index.bulk_load(items_of(keys))
     assert index.lookup_many(batch) == [index.lookup(k) for k in batch]
-
-
-@settings(max_examples=25, deadline=None)
-@given(keys=st.lists(st.integers(0, KEY_SPACE - 1), unique=True,
-                     min_size=20, max_size=120).map(sorted),
-       data=st.data())
-def test_migration_preserves_full_scan_bit_for_bit(keys, data):
-    index = make_sharded("btree", 3, sample_keys=keys)
-    index.bulk_load(items_of(keys))
-    source = data.draw(st.integers(0, 2), label="source")
-    destination = data.draw(
-        st.sampled_from([n for n in (source - 1, source + 1) if 0 <= n <= 2]),
-        label="destination")
-    lo, hi = index.partition.range_of(source)
-    held = len(index.shards[source].primary_scan_range(lo, hi - 1))
-    if held < 2:
-        return  # a shard must keep at least one key
-    count = data.draw(st.integers(1, held - 1), label="count")
-
-    before = index.scan_range(0, KEYSPACE_END - 1)
-    assert before == items_of(keys)
-    report = Rebalancer(index).migrate(source, destination, count)
-    assert report.keys_moved == count
-    assert index.scan_range(0, KEYSPACE_END - 1) == before
-    # Ownership after the move: every shard holds only in-range keys,
-    # replicas agree, nothing lost (verify counts live entries).
-    assert index.verify() == len(keys)
-    # The destination really owns the moved range now.
-    dst_lo, dst_hi = index.partition.range_of(destination)
-    moved_keys = [k for k, _ in before if dst_lo <= k < dst_hi]
-    assert index.lookup_many(moved_keys) == [k + 1 for k in moved_keys]

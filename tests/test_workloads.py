@@ -168,66 +168,8 @@ def test_runner_rejects_unknown_op():
         run_workload(index, [("frobnicate", 1)])
 
 
-# -- latest / hotspot lookup distributions ----------------------------------
+# -- lookup distributions ----------------------------------------------------
 
 def test_distributions_registry():
     from repro.workloads import DISTRIBUTIONS
-    assert DISTRIBUTIONS == ("uniform", "zipfian", "latest", "hotspot")
-
-
-def test_latest_distribution_skews_to_most_recent_keys():
-    keys = make_dataset("ycsb", 4000)
-    _, uniform_ops = build_workload(WORKLOADS["lookup_only"], keys, 3000,
-                                    lookup_distribution="uniform")
-    _, latest_ops = build_workload(WORKLOADS["lookup_only"], keys, 3000,
-                                   lookup_distribution="latest", zipf_s=0.9)
-    # Population order is the key array; "latest" counts ranks back from
-    # its tail, so the newest decile should dominate.
-    cutoff = keys[int(0.9 * len(keys))]
-    def tail_share(ops):
-        return sum(1 for _, key in ops if key >= cutoff) / len(ops)
-    assert tail_share(latest_ops) > 0.6
-    assert tail_share(latest_ops) > 3 * tail_share(uniform_ops)
-
-
-def test_latest_mixed_workload_chases_fresh_inserts():
-    keys = make_dataset("ycsb", 4000)
-    bulk, ops = build_workload(WORKLOADS["balanced"], keys, 600,
-                               lookup_distribution="latest", zipf_s=0.9)
-    bulk_keys = {k for k, _ in bulk}
-    lookups = [key for kind, key in ops if kind == "lookup"]
-    inserted_targets = sum(1 for key in lookups if key not in bulk_keys)
-    # Uniform sampling would hit fresh inserts almost never (they are a
-    # tiny fraction of the population); latest chases them.
-    assert inserted_targets / len(lookups) > 0.3
-
-
-def test_hotspot_distribution_concentrates_on_hot_set():
-    keys = make_dataset("ycsb", 4000)
-    _, ops = build_workload(WORKLOADS["lookup_only"], keys, 3000,
-                            lookup_distribution="hotspot",
-                            hotspot_fraction=0.1, hotspot_probability=0.9)
-    hot_cutoff = keys[int(0.1 * len(keys))]
-    hot_share = sum(1 for _, key in ops if key < hot_cutoff) / len(ops)
-    assert 0.8 < hot_share < 0.97
-    existing = {int(k) for k in keys}
-    assert all(key in existing for _, key in ops)
-
-
-def test_hotspot_and_latest_params_validated():
-    keys = make_dataset("ycsb", 200)
-    with pytest.raises(ValueError, match="hotspot_fraction"):
-        build_workload(WORKLOADS["lookup_only"], keys, 10,
-                       lookup_distribution="hotspot", hotspot_fraction=0.0)
-    with pytest.raises(ValueError, match="hotspot_fraction"):
-        build_workload(WORKLOADS["lookup_only"], keys, 10,
-                       lookup_distribution="hotspot", hotspot_fraction=1.5)
-    with pytest.raises(ValueError, match="hotspot_probability"):
-        build_workload(WORKLOADS["lookup_only"], keys, 10,
-                       lookup_distribution="hotspot", hotspot_probability=-0.1)
-    with pytest.raises(ValueError, match="zipf_s"):
-        build_workload(WORKLOADS["lookup_only"], keys, 10,
-                       lookup_distribution="latest", zipf_s=0.0)
-    with pytest.raises(ValueError, match="distribution"):
-        build_workload(WORKLOADS["lookup_only"], keys, 10,
-                       lookup_distribution="pareto")
+    assert DISTRIBUTIONS == ("uniform", "zipfian")
