@@ -11,7 +11,7 @@ Three effects to watch as the client count grows:
   same frames; exclusive (write) latch stalls show up as simulated
   wait time in each client's perceived latency.
 * **Snapshot reads** — lookups resolve against the durable prefix and
-  never take latches: read-side latch wait is identically zero.
+  never take latches: every latch stall is a writer's.
 
 Run:  python examples/concurrent_clients.py
 """
@@ -41,8 +41,8 @@ def main() -> None:
           f"({BULK_KEYS} keys bulk loaded, {NUM_OPS} ops) ===")
     print(f"{'clients':>7} {'ops/s':>8} {'p50 ms':>8} {'p99 ms':>8} "
           f"{'flushes/write':>13} {'group':>6} {'latch ms':>9} "
-          f"{'read latch':>10}")
-    print("-" * 76)
+          f"{'snapshot':>8}")
+    print("-" * 74)
     for clients in (1, 4, 16, 64):
         device = BlockDevice(block_size=4096, profile=HDD)
         pager = Pager(device, make_buffer_pool(256, "lru"))
@@ -59,7 +59,7 @@ def main() -> None:
               f"{result.flushes_per_committed_write:>13.3f} "
               f"{result.mean_commit_group:>6.1f} "
               f"{result.latch_wait_us / 1e3:>9.1f} "
-              f"{result.read_latch_wait_us:>10.1f}")
+              f"{result.snapshot_reads:>8}")
         worst = max((c for c in result.per_client.values() if c["ops"]),
                     key=lambda c: c["latency"]["p99"])
         print(f"{'':>7}   worst client: p99 "
@@ -69,9 +69,8 @@ def main() -> None:
 
     print("\nOne WAL flush absorbs every session's pending writes, so "
           "flushes per committed write fall roughly as 1/clients while "
-          "p99 absorbs the latch stalls the hot keys cause — and the "
-          "read-latch column stays zero because snapshot reads never "
-          "touch the latch table.")
+          "p99 absorbs the latch stalls the hot keys' writers cause — "
+          "snapshot reads never touch the latch table.")
 
 
 if __name__ == "__main__":

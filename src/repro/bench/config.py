@@ -142,25 +142,21 @@ def _cell_workload(dataset: str, workload: str, scale: Scale,
 def fresh_index(index_name: str, dataset: str, workload: str, scale: Scale,
                 profile: DiskProfile = HDD, block_size: Optional[int] = None,
                 buffer_blocks: int = 0, index_params: Optional[dict] = None,
-                inner_memory_resident: bool = False, with_wal: bool = False,
+                inner_memory_resident: bool = False,
                 wal_group_commit: Optional[int] = None,
                 write_back: bool = False, buffer_policy: str = "lru",
-                flush_watermark: Optional[int] = None,
                 lookup_distribution: str = "uniform",
                 zipf_s: float = 0.99) -> IndexSetup:
     """Build a device + index + workload for one experiment cell.
 
-    ``with_wal`` attaches a write-ahead log (on the same device, as in a
-    single-disk DBMS) after the bulk load, group-committing every
-    ``scale.group_commit`` operations; ``wal_group_commit`` overrides
-    that batch size (and implies ``with_wal``).  The default is no
-    logging — the paper's setting.
+    ``wal_group_commit`` attaches a write-ahead log (on the same device,
+    as in a single-disk DBMS) after the bulk load, group-committing
+    every ``wal_group_commit`` operations.  The default is no logging —
+    the paper's setting.
 
     ``write_back`` buffers writes as dirty pool frames and flushes them
     in coalesced runs (requires ``buffer_blocks > 0``); ``buffer_policy``
-    picks the pool's replacement policy and ``flush_watermark``
-    optionally bounds how many dirty pages accumulate before a forced
-    flush.
+    picks the pool's replacement policy.
 
     ``lookup_distribution`` (with ``zipf_s``) skews the workload's lookup
     and scan targets — see :data:`repro.workloads.DISTRIBUTIONS`; the
@@ -173,8 +169,7 @@ def fresh_index(index_name: str, dataset: str, workload: str, scale: Scale,
     device = BlockDevice(block_size or scale.block_size, profile)
     pool = (make_buffer_pool(buffer_blocks, buffer_policy)
             if buffer_blocks > 0 else None)
-    pager = Pager(device, buffer_pool=pool, write_back=write_back,
-                  flush_watermark=flush_watermark)
+    pager = Pager(device, buffer_pool=pool, write_back=write_back)
     index = make_index(index_name, pager, **(index_params or {}))
     if _ACTIVE_TRACER is not None:
         # Attach before the bulk load so its I/O lands in the trace's
@@ -190,9 +185,8 @@ def fresh_index(index_name: str, dataset: str, workload: str, scale: Scale,
     if inner_memory_resident:
         index.set_inner_memory_resident(True)
     wal = None
-    if with_wal or wal_group_commit is not None:
-        batch = wal_group_commit if wal_group_commit is not None else scale.group_commit
-        wal = WriteAheadLog(pager, group_commit=batch)
+    if wal_group_commit is not None:
+        wal = WriteAheadLog(pager, group_commit=wal_group_commit)
         index.attach_wal(wal)
     return IndexSetup(index=index, device=device, pager=pager,
                       bulk_items=bulk_items, ops=ops, bulkload_us=bulkload_us,
@@ -204,7 +198,6 @@ def fresh_sharded_index(index_names, shards: Optional[int], dataset: str,
                         profile: DiskProfile = HDD,
                         block_size: Optional[int] = None,
                         buffer_blocks: int = 0, replicas: int = 1,
-                        replica_policy: str = "round_robin",
                         durability: bool = False,
                         wal_group_commit: Optional[int] = None,
                         lookup_distribution: str = "uniform") -> IndexSetup:
@@ -217,6 +210,7 @@ def fresh_sharded_index(index_names, shards: Optional[int], dataset: str,
     or a per-shard list (divergent tier).  ``buffer_blocks`` is *per
     member*: the tier's aggregate cache grows with the shard count,
     which is the scale-out effect the ``sharding`` experiment measures.
+    Replicas serve reads round-robin.
     The returned setup's ``device`` / ``pager`` / ``wal`` are the tier's
     fan-out facades, so every downstream consumer reads combined stats.
     """
@@ -228,8 +222,7 @@ def fresh_sharded_index(index_names, shards: Optional[int], dataset: str,
     index = make_sharded_index(
         index_names, shards,
         sample_keys=[key for key, _ in bulk_items],
-        replicas=replicas, replica_policy=replica_policy,
-        durability=durability,
+        replicas=replicas, durability=durability,
         group_commit=(wal_group_commit if wal_group_commit is not None
                       else scale.group_commit),
         profile=profile, block_size=block_size or scale.block_size,

@@ -384,9 +384,9 @@ def exp_concurrency(result: ExperimentResult, scale: Scale,
     :mod:`repro.serving` engine, so three effects scale with the client
     count: cross-client group commit amortizes log flushes over all
     sessions' pending writes (``flushes_per_write`` falls), hot-key
-    skew turns overlapping frame accesses into latch stalls
-    (``latch_ms`` grows), and snapshot reads stay latch-free at every
-    client count (``read_latch_us`` is identically zero).
+    skew turns writers' overlapping frame accesses into latch stalls
+    (``latch_ms`` grows), and every read is a latch-free snapshot read
+    (``snapshot_reads``).
     """
     from ..serving import split_ops
     for profile_name in ("hdd", "ssd"):
@@ -398,7 +398,7 @@ def exp_concurrency(result: ExperimentResult, scale: Scale,
                 setup = fresh_index(
                     name, "ycsb", workload, scale,
                     profile=PROFILES[profile_name],
-                    buffer_blocks=256, with_wal=True,
+                    buffer_blocks=256, wal_group_commit=scale.group_commit,
                     lookup_distribution="zipfian", zipf_s=0.9)
                 # client_ops forces the serving path even at one client,
                 # so every cell reports the same commit/latch counters.
@@ -426,7 +426,6 @@ def exp_concurrency(result: ExperimentResult, scale: Scale,
                     "mean_commit_group": round(res.mean_commit_group, 2),
                     "latch_waits": res.latch_waits,
                     "latch_ms": round(res.latch_wait_us / 1e3, 2),
-                    "read_latch_us": round(res.read_latch_wait_us, 1),
                     "commit_wait_ms": round(res.commit_wait_us / 1e3, 2),
                     "snapshot_reads": res.snapshot_reads,
                 })
@@ -434,8 +433,8 @@ def exp_concurrency(result: ExperimentResult, scale: Scale,
         "One op stream dealt round-robin over N sessions sharing one "
         "index + WAL. Latencies are client-perceived (latch stalls and "
         "group-commit waits included). flushes_per_write falls as the "
-        "commit group fills from all clients; read_latch_us is zero at "
-        "every cell because snapshot reads never take latches.")
+        "commit group fills from all clients; reads are snapshot reads "
+        "that never take latches, so every latch stall is a write's.")
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ the durable state: everything in memory — the group-commit buffer, the
 index's meta block, any half-finished SMO — is gone, and the device may
 additionally hold one *torn* block from the flush that was in flight.
 :class:`FaultInjector` decides *when* that moment happens (at a fixed
-operation index or probabilistically) and applies its storage effects to
-the write-ahead log; :mod:`repro.durability.recovery` then rebuilds the
+operation index) and applies its storage effects to the write-ahead
+log; :mod:`repro.durability.recovery` then rebuilds the
 index from a checkpoint plus the log's surviving prefix, never trusting
 the crashed device's index files (which a mid-SMO crash leaves in an
 arbitrary state).
@@ -14,11 +14,9 @@ arbitrary state).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
-from ..storage.faults import DeviceFaultModel
 from .wal import WriteAheadLog
 
 __all__ = ["CrashError", "CrashReport", "FaultInjector"]
@@ -43,50 +41,33 @@ class CrashReport:
 
 
 class FaultInjector:
-    """Kills a run at a chosen operation or probabilistically.
+    """Kills a run at a chosen operation.
 
     Args:
         crash_at_op: crash immediately before this 0-based operation
-            index (None = no deterministic crash point).
-        crash_probability: per-operation crash probability, drawn from a
-            seeded RNG so runs are reproducible.
-        seed: RNG seed for the probabilistic mode.
+            index (None = no crash point: only :meth:`crash` applies
+            one).
         torn_tail: when True, the crash also tears the last flushed log
             block — the flush in flight at power loss — so recovery must
             cut the log at the CRC mismatch.
-        device_faults: optional
-            :class:`~repro.storage.faults.DeviceFaultModel` injecting
-            media faults (bit rot, torn data writes, transient/persistent
-            read errors) alongside the crash machinery — :meth:`arm`
-            attaches it to a device.  Crashes destroy volatile state;
-            device faults damage the medium itself; one injector can
-            drive both from one seeded schedule.
+
+    Media faults (bit rot, torn data writes, read errors) are a
+    :class:`~repro.storage.faults.DeviceFaultModel` set on the device
+    itself: crashes destroy volatile state, device faults damage the
+    medium.
     """
 
     def __init__(self, crash_at_op: Optional[int] = None,
-                 crash_probability: float = 0.0, seed: int = 0,
-                 torn_tail: bool = False,
-                 device_faults: Optional[DeviceFaultModel] = None) -> None:
+                 torn_tail: bool = False) -> None:
         self.crash_at_op = crash_at_op
-        self.crash_probability = crash_probability
         self.torn_tail = torn_tail
-        self.device_faults = device_faults
-        self.rng = random.Random(seed)
         self.fired = False
-
-    def arm(self, device) -> None:
-        """Attach the device-level fault model (if any) to ``device``."""
-        if self.device_faults is not None:
-            device.fault_model = self.device_faults
 
     def maybe_crash(self, op_index: int) -> None:
         """Raise :class:`CrashError` if this operation is the crash point."""
         if self.fired:
             return
-        deterministic = self.crash_at_op is not None and op_index >= self.crash_at_op
-        probabilistic = (self.crash_probability > 0.0
-                         and self.rng.random() < self.crash_probability)
-        if deterministic or probabilistic:
+        if self.crash_at_op is not None and op_index >= self.crash_at_op:
             self.fired = True
             raise CrashError(op_index)
 

@@ -9,9 +9,9 @@ minimum-virtual-time policy that is fair by construction and orders
 dispatches in simulated-time order.  Three concurrency phenomena are
 modeled on that virtual timeline:
 
-**Latching.**  While an op "runs" (its virtual interval), the frames it
-read are held shared and the frames it wrote exclusive
-(:class:`~repro.serving.latch.LatchManager`).  A conflicting access
+**Latching.**  While a write "runs" (its virtual interval), the frames
+it read are held shared and the frames it wrote exclusive
+(:class:`~repro.serving.latch.LatchManager`).  A conflicting write
 stalls until the hold releases; the stall is charged to the device under
 the ``"latch"`` phase — simulated time, exactly like positioning — and
 counted in ``StorageStats`` and the op's trace span.
@@ -21,16 +21,16 @@ session then *blocks awaiting durability* (synchronous commit: nothing
 is acknowledged before it is on disk).  The scheduler keeps dispatching
 other sessions, so the commit group fills with records from every
 client, and one log flush acknowledges them all — flushes per committed
-write fall as client count grows.  A group flushes when it reaches
-capacity, when every live session is blocked on it, when the oldest
-waiter has waited ``commit_timeout_us`` of virtual time, or at the end
-of the run.
+write fall as client count grows.  A group flushes when every live
+session is blocked on it, when the oldest waiter has waited
+``commit_timeout_us`` of virtual time, or at the end of the run.  (Each
+session has at most one write pending, so a group never outgrows the
+client count.)
 
-**Snapshot reads.**  With ``snapshot_reads=True`` (the default), lookups
-and scans are pinned to the WAL's durable LSN: a key whose insert is
-appended but not yet durable is invisible, and the read neither consults
-nor takes any latch — readers never wait on writers, and charge zero
-latch-wait time.
+**Snapshot reads.**  Lookups and scans are pinned to the WAL's durable
+LSN: a key whose insert is appended but not yet durable is invisible,
+and the read neither consults nor takes any latch — readers never wait
+on writers, so every latch stall is a write's.
 
 **Shedding (DESIGN.md Section 17).**  A ``StorageFault`` escaping an op
 (the sharded tier only escalates one after re-issuing the read on every
@@ -125,13 +125,8 @@ class ServingEngine:
         validate: assert every lookup returns ``key + 1`` or None (the
             payload convention), and that snapshot suppression only ever
             hides genuinely not-yet-durable keys.
-        snapshot_reads: serve lookups/scans at the WAL's durable LSN
-            without taking latches (see module docstring).  With False,
-            reads take shared latches and wait on writers.
-        commit_group: commit-group capacity; a flush triggers when this
-            many writers are pending.  Default: ``max(8, clients)``.
         commit_timeout_us: flush when the oldest pending writer has
-            waited this much virtual time (None disables the timer).
+            waited this much virtual time.
         fault_injector: optional crash injector; ``maybe_crash`` fires
             on global dispatch indices, and the crash drops the WAL
             buffer and dirty pages exactly as in the single-client
@@ -140,15 +135,11 @@ class ServingEngine:
 
     def __init__(self, index: DiskIndex, client_ops: Sequence[Sequence[Operation]],
                  *, scan_length: int = 100, validate: bool = False,
-                 snapshot_reads: bool = True,
-                 commit_group: Optional[int] = None,
-                 commit_timeout_us: Optional[float] = 10_000.0,
+                 commit_timeout_us: float = 10_000.0,
                  fault_injector: Optional[FaultInjector] = None) -> None:
         if not client_ops:
             raise ValueError("need at least one client op stream")
-        if commit_group is not None and commit_group < 1:
-            raise ValueError(f"commit_group must be >= 1, got {commit_group}")
-        if commit_timeout_us is not None and commit_timeout_us <= 0:
+        if commit_timeout_us <= 0:
             raise ValueError(
                 f"commit_timeout_us must be positive, got {commit_timeout_us}")
         self.index = index
@@ -157,9 +148,6 @@ class ServingEngine:
         self.wal = index.wal
         self.scan_length = scan_length
         self.validate = validate
-        self.snapshot_reads = snapshot_reads
-        self.commit_group = (commit_group if commit_group is not None
-                             else max(8, len(client_ops)))
         self.commit_timeout_us = commit_timeout_us
         self.tracer = index.tracer
         self.fault_injector = fault_injector
@@ -189,13 +177,9 @@ class ServingEngine:
     # -- group commit --------------------------------------------------------
 
     def _should_flush(self, next_start_v: float) -> bool:
-        if not self._waiting:
-            return False
-        if len(self._waiting) >= self.commit_group:
-            return True
-        if self.commit_timeout_us is not None:
-            return self._waiting[0].end_v + self.commit_timeout_us <= next_start_v
-        return False
+        """The commit timer: the oldest waiter has waited long enough."""
+        return bool(self._waiting) and (
+            self._waiting[0].end_v + self.commit_timeout_us <= next_start_v)
 
     def _flush_group(self, trigger_v: Optional[float] = None) -> None:
         """Force the WAL durable and acknowledge every covered waiter.
@@ -272,7 +256,6 @@ class ServingEngine:
         session.dispatch_indices.append(g)
         kind, key = session.next_op()
         start_v = session.clock_us
-        snapshot = self.snapshot_reads and kind in ("lookup", "scan")
         before_us = self.device.elapsed_us
         self._cur_reads.clear()
         self._cur_writes.clear()
@@ -284,7 +267,7 @@ class ServingEngine:
             try:
                 if kind == "lookup":
                     result = self.index.lookup(key)
-                    if snapshot and key in self._pending_keys:
+                    if key in self._pending_keys:
                         # The insert is appended but not durable:
                         # invisible at the snapshot LSN.
                         result = None
@@ -300,7 +283,7 @@ class ServingEngine:
                     self.index.insert(key, key + 1)
                 elif kind == "scan":
                     pairs = self.index.scan(key, self.scan_length)
-                    if snapshot and self._pending_keys:
+                    if self._pending_keys:
                         pairs = [p for p in pairs
                                  if p[0] not in self._pending_keys]
                 else:
@@ -314,7 +297,7 @@ class ServingEngine:
                 # Latch accounting happens inside the span so the stall
                 # shows up in the op's trace event under the "latch"
                 # phase.
-                if snapshot:
+                if kind != "insert":
                     session.snapshot_reads += 1
                     begin_v = start_v
                 else:
@@ -330,10 +313,6 @@ class ServingEngine:
                         self.latches.record_wait(wait_us)
                         session.latch_waits += 1
                         session.latch_wait_us += wait_us
-                        if kind == "insert":
-                            self._write_latch_wait_us += wait_us
-                        else:
-                            self._read_latch_wait_us += wait_us
                     self.latches.hold(session.client_id, begin_v + delta_us,
                                       reads, writes)
                     self.latches.prune(start_v)
@@ -376,8 +355,6 @@ class ServingEngine:
         unacknowledged.
         """
         self._heap: List[Tuple[float, int]] = []
-        self._read_latch_wait_us = 0.0
-        self._write_latch_wait_us = 0.0
         for session in self.sessions:
             self._requeue(session)
         saved_group = None
@@ -434,8 +411,6 @@ class ServingEngine:
                 "commit_wait_us": sum(s.commit_wait_us for s in sessions),
                 "latch_waits": self.latches.waits,
                 "latch_wait_us": self.latches.wait_us,
-                "read_latch_wait_us": self._read_latch_wait_us,
-                "write_latch_wait_us": self._write_latch_wait_us,
                 "snapshot_reads": sum(s.snapshot_reads for s in sessions),
                 "snapshot_suppressed": sum(s.snapshot_suppressed for s in sessions),
                 "shed_ops": sum(s.shed_ops for s in sessions),

@@ -39,9 +39,7 @@ def make_sharded_index(index_names: Union[str, Sequence[str]],
                        replica_policy: str = "round_robin",
                        durability: bool = False, group_commit: int = 8,
                        profile: DiskProfile = HDD, block_size: int = 4096,
-                       buffer_blocks: int = 0, buffer_policy: str = "lru",
-                       write_back: bool = False,
-                       flush_watermark: Optional[int] = None,
+                       buffer_blocks: int = 0, write_back: bool = False,
                        index_params: Optional[dict] = None) -> ShardedIndex:
     """Build a sharded tier.
 
@@ -62,8 +60,8 @@ def make_sharded_index(index_names: Union[str, Sequence[str]],
             load), making the tier's ``durable_*`` paths and the fan-out
             WAL facade live.
         group_commit / profile / block_size / buffer_blocks /
-        buffer_policy / write_back / flush_watermark / index_params:
-            per-member storage configuration, identical across members.
+        write_back / index_params: per-member storage configuration,
+            identical across members (a member's pool is LRU).
     """
     if isinstance(index_names, str):
         names: Optional[list] = None
@@ -101,8 +99,7 @@ def make_sharded_index(index_names: Union[str, Sequence[str]],
               replica_policy=replica_policy, durability=durability,
               group_commit=group_commit, profile=profile,
               block_size=block_size, buffer_blocks=buffer_blocks,
-              buffer_policy=buffer_policy, write_back=write_back,
-              flush_watermark=flush_watermark, index_params=index_params)
+              write_back=write_back, index_params=index_params)
         for shard_id, name in enumerate(names)
     ]
     return ShardedIndex(built, partition)

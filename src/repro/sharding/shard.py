@@ -28,9 +28,10 @@ failover (:meth:`Shard._failover`): the freshest healthy replica is
 promoted, caught up from the durable log prefix plus the in-memory
 tail, and the log itself is rebuilt on the promoted member's device so
 the sequence numbering — and therefore every already-issued commit
-acknowledgment — continues unbroken.  Reads that fault are re-issued on
-another healthy member — hedged reads, first response wins.  A
-quarantined member rejoins via :meth:`Shard.rejoin`: catch-up resync
+acknowledgment — continues unbroken.  A read that faults is re-issued
+after the fault, on the read policy's next pick among the servable
+members: one attempt at a time, each one charged.  A quarantined
+member rejoins via :meth:`Shard.rejoin`: catch-up resync
 replays the missed log suffix and byte-verifies the result, falling
 back to PR 7's full re-seed only when the member is tainted (possible
 half-applied write) or damaged.
@@ -107,16 +108,13 @@ class ShardMember:
 
     def __init__(self, index_name: str, *, profile: DiskProfile = HDD,
                  block_size: int = 4096, buffer_blocks: int = 0,
-                 buffer_policy: str = "lru", write_back: bool = False,
-                 flush_watermark: Optional[int] = None,
+                 write_back: bool = False,
                  index_params: Optional[dict] = None) -> None:
         self.index_name = index_name
         self.device = BlockDevice(block_size, profile)
-        pool = (make_buffer_pool(buffer_blocks, buffer_policy)
-                if buffer_blocks > 0 else None)
+        pool = make_buffer_pool(buffer_blocks) if buffer_blocks > 0 else None
         self.pager = Pager(self.device, buffer_pool=pool,
-                           write_back=write_back,
-                           flush_watermark=flush_watermark)
+                           write_back=write_back)
         self.index: DiskIndex = make_index(index_name, self.pager,
                                            **(index_params or {}))
         #: reads served by this member (read fan-out accounting).
@@ -135,7 +133,7 @@ class ShardMember:
 
         The index keeps whatever pager it was built with — recovery
         threads the original storage configuration (buffer pool,
-        write-back, flush watermark) through ``load_index`` so an
+        write-back) through ``load_index`` so an
         adopted member is *not* silently downgraded to pass-through
         defaults.
         """
@@ -170,7 +168,7 @@ class Shard:
         group_commit: WAL records buffered per log flush.
         **member_kwargs: storage configuration forwarded to every
             :class:`ShardMember` (profile, block_size, buffer_blocks,
-            buffer_policy, write_back, flush_watermark, index_params).
+            write_back, index_params).
     """
 
     def __init__(self, shard_id: int, index_name: str, *, replicas: int = 1,
@@ -287,7 +285,7 @@ class Shard:
         return choice
 
     def _serve_read(self, op: Callable[[ShardMember], object]) -> object:
-        """Run one read with health-aware re-issue (hedged reads).
+        """Run one read with health-aware re-issue.
 
         The clean path is byte-for-byte the pre-fault-tolerance one pick
         through :meth:`_reader`.  A :class:`StorageFault` escaping the
@@ -355,8 +353,8 @@ class Shard:
         The durable scan is charged log-phase I/O on the device the log
         lives on.  The model's availability assumption — same as PR 5's
         repair protocol — is that the log survives its member's faults
-        (``DeviceFaultModel.exclude_files``): a single-copy log is the
-        recovery source, production systems mirror it.
+        (a ``DeviceFaultModel`` never faults the WAL): a single-copy log
+        is the recovery source, production systems mirror it.
         """
         if self.wal is None:
             return [], []
@@ -677,12 +675,9 @@ class Shard:
         """Rebuild the members' pager configuration for recovery paths."""
         kwargs = self.member_kwargs
         buffer_blocks = kwargs.get("buffer_blocks", 0)
-        pool = (make_buffer_pool(buffer_blocks,
-                                 kwargs.get("buffer_policy", "lru"))
-                if buffer_blocks > 0 else None)
+        pool = make_buffer_pool(buffer_blocks) if buffer_blocks > 0 else None
         return {"buffer_pool": pool,
-                "write_back": kwargs.get("write_back", False),
-                "flush_watermark": kwargs.get("flush_watermark")}
+                "write_back": kwargs.get("write_back", False)}
 
     def checkpoint(self) -> Checkpoint:
         """Durable snapshot of the primary (flushes WAL + dirty pages)."""
@@ -699,8 +694,8 @@ class Shard:
         shipping may have applied records past the durable prefix — acked
         to nobody, so recovery must *unapply* them, and a re-seed is how
         a follower rejoins after diverging.  The adopted primary keeps
-        the shard's storage configuration (buffer pool, write-back,
-        flush watermark) via ``pager_kwargs``.
+        the shard's storage configuration (buffer pool, write-back) via
+        ``pager_kwargs``.
         """
         if self.wal is None:
             raise RuntimeError("cannot recover a shard without a WAL")

@@ -40,7 +40,7 @@ microseconds differ), so one table serves both profiles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping
 
 from .shard import Shard, ShardMember
 from .sharded import ShardedIndex
@@ -70,24 +70,9 @@ _MUTATION_KINDS = ("insert", "update", "delete")
 
 
 class ShardTuner:
-    """Scores shard op mixes against :data:`COST_TABLE` and (optionally)
-    rebuilds shards onto their chosen class.
-
-    Args:
-        candidates: class names to consider (default: the whole table).
-        cost_table: override the measured table (tests inject synthetic
-            costs; production recalibration would re-measure).
-    """
-
-    def __init__(self, candidates: Optional[Sequence[str]] = None,
-                 cost_table: Optional[Mapping[str, Mapping[str, float]]] = None
-                 ) -> None:
-        self.cost_table = {name: dict(costs) for name, costs in
-                           (cost_table or COST_TABLE).items()}
-        self.candidates = list(candidates or self.cost_table)
-        unknown = [c for c in self.candidates if c not in self.cost_table]
-        if unknown:
-            raise ValueError(f"no cost entries for candidates {unknown}")
+    """Scores shard op mixes against :data:`COST_TABLE` (every class in
+    it is a candidate) and (optionally) rebuilds shards onto their
+    chosen class."""
 
     # -- scoring -------------------------------------------------------------
 
@@ -101,8 +86,7 @@ class ShardTuner:
         total_ops = sum(mix.get(kind, 0)
                         for kind in ("lookup", "scan") + _MUTATION_KINDS)
         scores: Dict[str, float] = {}
-        for name in self.candidates:
-            costs = self.cost_table[name]
+        for name, costs in COST_TABLE.items():
             if total_ops == 0:
                 # Nothing observed: rank by lookup cost (the paper's
                 # default workload), writable classes only.
@@ -118,26 +102,22 @@ class ShardTuner:
         return scores
 
     def choose(self, mix: Mapping[str, int]) -> str:
-        """The cheapest candidate for ``mix`` (ties break toward the
-        earlier candidate, i.e. the table's order)."""
+        """The cheapest class for ``mix`` (ties break toward the table's
+        order)."""
         scores = self.score(mix)
-        best = min(self.candidates, key=lambda name: scores[name])
-        if scores[best] == _INF:
-            raise ValueError(
-                f"no writable candidate among {self.candidates}")
-        return best
+        return min(scores, key=scores.__getitem__)
 
     # -- applying a choice ---------------------------------------------------
 
-    def retune(self, sharded: ShardedIndex, *,
-               reset_mix: bool = True) -> Dict[int, str]:
+    def retune(self, sharded: ShardedIndex) -> Dict[int, str]:
         """Choose per shard from its observed mix; rebuild divergers.
 
         Returns ``{shard_id: chosen_class}``.  Shards already running
-        their chosen class are untouched.  The rebuild (dump + bulk
-        load on fresh member storage) is charged I/O under the
-        ``"maintenance"`` phase — conversion is an SMO writ large, and
-        the experiment reports what it cost.
+        their chosen class are untouched.  Every shard's observed mix is
+        then reset, so the next retune scores only what came after.  The
+        rebuild (dump + bulk load on fresh member storage) is charged
+        I/O under the ``"maintenance"`` phase — conversion is an SMO
+        writ large, and the experiment reports what it cost.
         """
         plan: Dict[int, str] = {}
         for shard in sharded.shards:
@@ -145,8 +125,7 @@ class ShardTuner:
             plan[shard.shard_id] = choice
             if choice != shard.index_name:
                 self.convert(shard, choice)
-            if reset_mix:
-                shard.reset_op_mix()
+            shard.reset_op_mix()
         return plan
 
     def convert(self, shard: Shard, index_name: str) -> None:

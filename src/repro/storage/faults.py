@@ -24,7 +24,8 @@ never faulted):
   ``stall_us`` of simulated time before timing out
   (:class:`MemberStallError`, a ``TransientIOError`` carrying the hang).
   The pager's retry loop charges the hang as latency, so a stalling
-  member is *slow*, not just flaky — the signal hedged reads act on.
+  member is *slow*, not just flaky: once the retries run out, the
+  sharded tier strikes the member and re-issues the read on a peer.
 - **whole-member crashes** — ``crash_after=N`` kills the device after
   its Nth faultable read: every later read raises
   :class:`MemberCrashError` (a ``PersistentIOError``), modeling a
@@ -35,21 +36,26 @@ access sequences produce identical fault schedules, which the property
 tests rely on.  :meth:`DeviceFaultModel.fork` derives per-member child
 models — same rates, independent streams — from one parent seed, so a
 replica group shares a single chaos seed yet each member fails on its
-own schedule.  ``exclude_files`` (default: the WAL) shields files whose
-loss the repair protocol cannot undo — a single-copy log is the
-recovery *source*, not a repair target; production systems mirror it.
+own schedule.  The WAL is never faulted: its loss is one the repair
+protocol cannot undo — a single-copy log is the recovery *source*, not a
+repair target; production systems mirror it.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .integrity import PersistentIOError, TransientIOError
 
 __all__ = ["DeviceFaultModel", "MemberCrashError", "MemberStallError"]
 
 _MASK64 = (1 << 64) - 1
+
+#: The one file no fault touches: the write-ahead log
+#: (``repro.durability.wal.WAL_FILE``; storage sits below durability,
+#: so the name is repeated here).
+_WAL_FILE = "wal"
 
 
 def _fork_seed(seed: int, member_id: int) -> int:
@@ -87,8 +93,7 @@ class DeviceFaultModel:
                  transient_error_rate: float = 0.0,
                  persistent_error_rate: float = 0.0,
                  stall_rate: float = 0.0, stall_us: float = 0.0,
-                 crash_after: Optional[int] = None,
-                 exclude_files: Iterable[str] = ("wal",)):
+                 crash_after: Optional[int] = None):
         for name, rate in (("bit_rot_rate", bit_rot_rate),
                            ("torn_write_rate", torn_write_rate),
                            ("transient_error_rate", transient_error_rate),
@@ -109,7 +114,6 @@ class DeviceFaultModel:
         self.stall_rate = stall_rate
         self.stall_us = stall_us
         self.crash_after = crash_after
-        self.exclude_files: Set[str] = set(exclude_files)
         #: blocks currently unreadable, as (file_name, block_no)
         self.bad_blocks: Set[Tuple[str, int]] = set()
         self.injected_bit_rots = 0
@@ -138,8 +142,7 @@ class DeviceFaultModel:
                       transient_error_rate=self.transient_error_rate,
                       persistent_error_rate=self.persistent_error_rate,
                       stall_rate=self.stall_rate, stall_us=self.stall_us,
-                      crash_after=self.crash_after,
-                      exclude_files=set(self.exclude_files))
+                      crash_after=self.crash_after)
         params.update(overrides)
         return type(self)(**params)
 
@@ -149,7 +152,7 @@ class DeviceFaultModel:
         self.crashed = False
 
     def applies_to(self, file_name: str) -> bool:
-        return file_name not in self.exclude_files
+        return file_name != _WAL_FILE
 
     def on_read(self, file, block_no: int) -> None:
         """Called by the device after charging a read of ``block_no``.

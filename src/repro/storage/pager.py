@@ -48,6 +48,11 @@ from .integrity import (ChecksumError, PersistentIOError, ScrubReport,
 
 __all__ = ["Pager"]
 
+#: How many times a transient device read error is retried (with
+#: exponential backoff charged as simulated latency) before it escalates
+#: to ``PersistentIOError``.
+MAX_READ_RETRIES = 4
+
 
 class Pager:
     """Read/write path with last-block reuse and optional buffer pool.
@@ -56,45 +61,29 @@ class Pager:
         device: the simulated disk.
         buffer_pool: optional LRU cache; None reproduces the paper's
             default no-buffer-management setting.
-        reuse_last_block: keep a one-block cache of the most recently
-            fetched block (the paper's Section 6.5 behaviour).
         write_back: buffer writes in the pool as dirty frames and flush
             them in coalesced runs instead of writing through.  Requires
             a buffer pool with non-zero capacity (the dirty pages live in
             its frames).
-        flush_watermark: with ``write_back``, flush all dirty pages as
-            soon as their count reaches this value (None = flush only on
-            eviction / explicit :meth:`flush` / checkpoint).
-        max_read_retries: how many times a transient device read error
-            is retried (with exponential backoff charged as simulated
-            latency) before it escalates to ``PersistentIOError``.
+
+    The one-block cache of the most recently fetched block (the paper's
+    Section 6.5 behaviour) is always on; :meth:`drop_last_block` empties
+    it.
     """
 
     def __init__(
         self,
         device: BlockDevice,
         buffer_pool: Optional[BufferPool] = None,
-        reuse_last_block: bool = True,
         write_back: bool = False,
-        flush_watermark: Optional[int] = None,
-        max_read_retries: int = 4,
     ) -> None:
         if write_back and (buffer_pool is None or buffer_pool.capacity == 0):
             raise ValueError(
                 "write_back requires a buffer pool with non-zero capacity "
                 "(dirty pages live in its frames)")
-        if flush_watermark is not None and flush_watermark < 1:
-            raise ValueError(
-                f"flush_watermark must be >= 1, got {flush_watermark}")
-        if max_read_retries < 0:
-            raise ValueError(
-                f"max_read_retries must be non-negative, got {max_read_retries}")
         self.device = device
         self.buffer_pool = buffer_pool
-        self.reuse_last_block = reuse_last_block
         self.write_back = write_back
-        self.flush_watermark = flush_watermark if write_back else None
-        self.max_read_retries = max_read_retries
         #: blocks whose device copy is suspect and whose good copy is
         #: pinned in the buffer pool, as (file_name, block_no)
         self._quarantined: Set[Tuple[str, int]] = set()
@@ -123,7 +112,7 @@ class Pager:
         #: before the page was last written.  The page may only reach
         #: disk once ``wal.durable_seqno`` has caught up with it.
         self._dirty_lsn: Dict[Tuple[str, int], int] = {}
-        self.flushes = 0          # explicit/watermark flush calls that wrote
+        self.flushes = 0          # explicit flush calls that wrote
         self.flushed_blocks = 0   # dirty blocks written by those flushes
         #: per-frame parsed values (DESIGN.md §15): ``(file, block)`` ->
         #: ``(bytes_ref, value)``.  Entries are validated by *object
@@ -170,7 +159,7 @@ class Pager:
         (``MemberStallError``) additionally charges the hang itself —
         the time the request sat in the device queue before timing out —
         so a stalling member is slow in virtual time.  After
-        ``max_read_retries`` failed retries the error escalates to
+        :data:`MAX_READ_RETRIES` failed retries the error escalates to
         ``PersistentIOError`` for the quarantine/repair machinery.
         ``ChecksumError`` is never retried: the damage is on the medium
         and deterministic.
@@ -180,7 +169,7 @@ class Pager:
             try:
                 return read()
             except TransientIOError as fault:
-                if retries >= self.max_read_retries:
+                if retries >= MAX_READ_RETRIES:
                     raise PersistentIOError(
                         fault.file_name, fault.block_no,
                         f"transient error persisted through {retries} retries",
@@ -231,7 +220,7 @@ class Pager:
                 if self.tracer is not None:
                     self.tracer.reuse_hit()
                 return pinned
-        if self.reuse_last_block and self._last is not None:
+        if self._last is not None:
             name, no, data = self._last
             if name == file.name and no == block_no:
                 if self.tracer is not None:
@@ -246,16 +235,14 @@ class Pager:
         if self.buffer_pool is not None:
             cached = self.buffer_pool.get(file.name, block_no)
             if cached is not None:
-                if self.reuse_last_block:
-                    self._last = (file.name, block_no, cached)
+                self._last = (file.name, block_no, cached)
                 if self._batch_depth:
                     self._batch_cache[(file.name, block_no)] = cached
                 return cached
         data = self._device_read_block(file, block_no)
         if self.buffer_pool is not None:
             self.buffer_pool.put(file.name, block_no, data)
-        if self.reuse_last_block:
-            self._last = (file.name, block_no, data)
+        self._last = (file.name, block_no, data)
         if self._batch_depth:
             self._batch_cache[(file.name, block_no)] = data
         return data
@@ -279,8 +266,7 @@ class Pager:
         payload = bytes(data)
         if self.buffer_pool is not None:
             self.buffer_pool.put(file.name, block_no, payload)
-        if self.reuse_last_block:
-            self._last = (file.name, block_no, payload)
+        self._last = (file.name, block_no, payload)
         if self._batch_depth:
             self._batch_cache[(file.name, block_no)] = payload
 
@@ -302,13 +288,9 @@ class Pager:
         # (flushing it); only mark dirty if the frame actually resides.
         pool.mark_dirty(file.name, block_no)
         self._dirty_lsn[key] = self._current_lsn()
-        if self.reuse_last_block:
-            self._last = (file.name, block_no, payload)
+        self._last = (file.name, block_no, payload)
         if self._batch_depth:
             self._batch_cache[key] = payload
-        if (self.flush_watermark is not None
-                and pool.dirty_count >= self.flush_watermark):
-            self.flush()
 
     def write_blocks(
         self,
@@ -352,9 +334,8 @@ class Pager:
                     self._dirty_lsn.pop(key, None)
             else:
                 self.buffer_pool.put_many(file.name, payloads)
-        if self.reuse_last_block:
-            top = pairs[-1][0]
-            self._last = (file.name, top, payloads[top])
+        top = pairs[-1][0]
+        self._last = (file.name, top, payloads[top])
         if self._batch_depth:
             for no, payload in payloads.items():
                 self._batch_cache[(file.name, no)] = payload
@@ -545,8 +526,7 @@ class Pager:
             # the span: a serial ascending loop overwrites ``_last`` before
             # reaching any later block, and the span must charge exactly
             # what that loop would (cost-model parity, Section 6.5).
-            if (self.reuse_last_block and self._last is not None
-                    and block_no == wanted[0]):
+            if self._last is not None and block_no == wanted[0]:
                 name, no, data = self._last
                 if name == file.name and no == block_no:
                     if self.tracer is not None:
@@ -565,9 +545,8 @@ class Pager:
             out.update(fetched)
             if self.buffer_pool is not None:
                 self.buffer_pool.put_many(file.name, fetched)
-            if self.reuse_last_block:
-                top = misses[-1]
-                self._last = (file.name, top, fetched[top])
+            top = misses[-1]
+            self._last = (file.name, top, fetched[top])
         if self._batch_depth:
             for block_no, data in out.items():
                 self._batch_cache[(file.name, block_no)] = data
@@ -729,8 +708,7 @@ class Pager:
         self.buffer_pool.put(file_name, block_no, payload)
         self.buffer_pool.pin(file_name, block_no)
         self._quarantined.add((file_name, block_no))
-        if self.reuse_last_block:
-            self._last = (file_name, block_no, payload)
+        self._last = (file_name, block_no, payload)
         return True
 
     def release_quarantine(self, file_name: str, block_no: int) -> None:

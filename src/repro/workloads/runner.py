@@ -76,7 +76,7 @@ class RunResult:
     coalesced_runs: int = 0      # multi-block contiguous runs coalesced
     coalesced_blocks: int = 0    # blocks covered by those runs
     # -- write-back accounting (zero unless the pager buffers writes) --
-    flushes: int = 0           # explicit/watermark dirty flushes that wrote
+    flushes: int = 0           # explicit dirty flushes that wrote
     dirty_evictions: int = 0   # dirty frames written back at eviction
     # -- self-healing storage (zero on a clean device) --
     io_retries: int = 0          # transient read errors absorbed with backoff
@@ -106,10 +106,8 @@ class RunResult:
     committed_writes: int = 0    # writes acknowledged durable
     commit_waits: int = 0        # writers that blocked awaiting a group flush
     commit_wait_us: float = 0.0  # total virtual time spent blocked on commits
-    latch_waits: int = 0         # ops stalled on a conflicting frame latch
-    latch_wait_us: float = 0.0   # total simulated latch-stall time
-    read_latch_wait_us: float = 0.0   # latch stalls charged to reads/scans
-    write_latch_wait_us: float = 0.0  # latch stalls charged to inserts
+    latch_waits: int = 0         # writes stalled on a conflicting frame latch
+    latch_wait_us: float = 0.0   # total simulated latch-stall time (writes)
     snapshot_reads: int = 0      # reads served at snapshot isolation
     snapshot_suppressed: int = 0  # snapshot reads hiding a not-yet-durable key
     # -- robustness (zero unless faults are in play) --
@@ -284,8 +282,7 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
                  batch: int = 1, healer=None,
                  clients: int = 1,
                  client_ops: Optional[Sequence[Sequence[Operation]]] = None,
-                 snapshot_reads: bool = True,
-                 commit_timeout_us: Optional[float] = 10_000.0) -> RunResult:
+                 commit_timeout_us: float = 10_000.0) -> RunResult:
     """Execute ``ops`` against a loaded index and collect metrics.
 
     Args:
@@ -331,9 +328,9 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
             :func:`~repro.serving.split_ops`).
         client_ops: explicit per-client op streams (overrides the
             round-robin split).  ``ops`` is ignored when given.
-        snapshot_reads / commit_timeout_us: serving-engine knobs,
-            forwarded to :class:`~repro.serving.ServingEngine`.  Ignored
-            by the single stream.
+        commit_timeout_us: the serving engine's commit timer, forwarded
+            to :class:`~repro.serving.ServingEngine`.  Ignored by the
+            single stream.
 
     Which loop runs: ``clients != 1`` or explicit ``client_ops`` (even one
     stream) selects the serving engine, all else the single stream below.
@@ -376,7 +373,7 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
         streams = client_ops if client_ops is not None else split_ops(ops, clients)
         report = ServingEngine(
             index, streams, scan_length=scan_length, validate=validate,
-            fault_injector=fault_injector, snapshot_reads=snapshot_reads,
+            fault_injector=fault_injector,
             commit_timeout_us=commit_timeout_us).run()
         per_client = {s.client_id: s.digest() for s in report.sessions}
         return meter.result(

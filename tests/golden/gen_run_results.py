@@ -13,8 +13,8 @@ value.
 The cases cover each way a run is measured: the single stream (one op at
 a time, and lookups grouped by ``batch``), traced and untraced, over a
 pool, a write-back pool and a WAL; a crash; the self-healer (both of its
-outcomes); the serving engine (durable, traced, latched, and shedding
-over a faulting tier); and the sharded tier through both loops.
+outcomes); the serving engine (durable, traced, and shedding over a
+faulting tier); and the sharded tier through both loops.
 
 The JSON was recorded at 850629c with ``PYTHONPATH`` on a clone of that
 commit's ``src/`` (the last commit whose runner measured the single
@@ -24,8 +24,11 @@ stream and the serving path with two copies of the bookkeeping, and ran
 retry-budget and admission knobs and the shard's hedge budget were
 deleted, and the other cases then lost exactly the keys of the deleted
 counters (``op_retries``; ``retries_used`` and ``deadline_misses`` per
-client).  Regenerate it only for a change that is *meant* to move a
-reported number, and say so in the commit:
+client).  When reads stopped being able to take latches, the
+``serving-4c-latched`` case went and the other cases lost exactly the
+two keys of the read/write split of ``latch_wait_us``.  Regenerate it
+only for a change that is *meant* to move a reported number, and say so
+in the commit:
 
     PYTHONPATH=src python tests/golden/gen_run_results.py
 """
@@ -214,20 +217,14 @@ def _healer_traced(rng):
         "repairs": [bool(r.full_restore) for r in healer.repairs]}
 
 
-def _serving(rng, traced=False, pool=64, **kwargs):
+def _serving(rng, traced=False):
     keys = _bulk_keys(rng, 2000)
-    index = _flat("btree", keys, profile=SSD, pool=pool, write_back=bool(pool),
+    index = _flat("btree", keys, profile=SSD, pool=64, write_back=True,
                   wal_group=8, traced=traced)
     ops = _warmed(index, _stream(rng, keys, BALANCED, 600 + WARM_OPS, recent=8))
     return index, run_workload(index, ops, workload="balanced",
-                               keep_latencies=True, validate=True, clients=4,
-                               **kwargs), {}
-
-
-def _serving_latched(rng):
-    # no pool: every op takes device time, so the clients' virtual
-    # intervals overlap and readers find the leaf they want held
-    return _serving(rng, pool=0, snapshot_reads=False)
+                               keep_latencies=True, validate=True,
+                               clients=4), {}
 
 
 def _tier_faulting_serving(rng):
@@ -277,7 +274,6 @@ CASES = {
     "btree-healer-traced": _healer_traced,
     "serving-4c-durable": _serving,
     "serving-4c-durable-traced": partial(_serving, traced=True),
-    "serving-4c-latched": _serving_latched,
     "tier-2x2-faulting-4c": _tier_faulting_serving,
     "tier-2x2-stream": _tier_stream,
     "tier-2x2-4c-crash": _tier_serving_crash,

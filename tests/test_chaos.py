@@ -52,12 +52,11 @@ def test_fork_is_deterministic_and_independent():
     # Same member id -> identical child schedule; siblings -> independent.
     assert _draws(parent.fork(1)) == _draws(parent.fork(1))
     assert _draws(parent.fork(1)) != _draws(parent.fork(2))
-    # Children inherit rates and exclusions but not the parent's stream.
+    # Children inherit rates but not the parent's stream.
     child = parent.fork(7)
     assert child.transient_error_rate == 0.3
     assert child.bit_rot_rate == 0.1
     assert child.stall_us == 40.0
-    assert child.exclude_files == parent.exclude_files
     assert child.seed != parent.seed
     # Overrides replace any constructor parameter for one member.
     crashy = parent.fork(7, crash_after=5, transient_error_rate=0.0)
@@ -86,6 +85,8 @@ def test_crash_after_kills_the_whole_member_until_repaired():
 
 
 def test_stalls_charge_the_hang_and_escalate_after_retries():
+    from repro.storage.pager import MAX_READ_RETRIES
+
     device = BlockDevice(4096, HDD)
     pager = Pager(device)
     f = device.create_file("data")
@@ -97,12 +98,12 @@ def test_stalls_charge_the_hang_and_escalate_after_retries():
     elapsed_before = device.stats.elapsed_us
     with pytest.raises(PersistentIOError):
         pager.read_block(f, 0)
-    # Every attempt stalled: the initial read plus max_read_retries
+    # Every attempt stalled: the initial read plus MAX_READ_RETRIES
     # redraws, each retry charging the 500us hang plus backoff.
-    assert device.fault_model.injected_stalls == 1 + pager.max_read_retries
-    assert device.stats.io_retries == pager.max_read_retries
+    assert device.fault_model.injected_stalls == 1 + MAX_READ_RETRIES
+    assert device.stats.io_retries == MAX_READ_RETRIES
     assert (device.stats.elapsed_us - elapsed_before
-            >= pager.max_read_retries * 500.0)
+            >= MAX_READ_RETRIES * 500.0)
 
 
 def test_excluded_files_are_never_faulted_nor_counted():

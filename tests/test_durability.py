@@ -123,8 +123,10 @@ def test_fault_injector_deterministic_and_single_shot():
 
 
 def test_fault_injector_probabilistic_reproducible():
-    def crash_point():
-        injector = FaultInjector(crash_probability=0.02, seed=99)
+    """A randomized crash point is drawn by the caller as ``crash_at_op``
+    from a seeded RNG: the same seed crashes at the same op."""
+    def crash_point(seed):
+        injector = FaultInjector(crash_at_op=random.Random(seed).randrange(1000))
         for i in range(1000):
             try:
                 injector.maybe_crash(i)
@@ -132,9 +134,9 @@ def test_fault_injector_probabilistic_reproducible():
                 return err.op_index
         return None
 
-    first = crash_point()
+    first = crash_point(99)
     assert first is not None
-    assert crash_point() == first  # seeded RNG -> same crash point
+    assert crash_point(99) == first  # seeded draw -> same crash point
 
 
 def test_crash_drops_unflushed_buffer(pager):
@@ -282,7 +284,8 @@ def test_fresh_index_wal_defaults_to_scale_group_commit():
     from repro.bench.config import Scale, fresh_index
 
     scale = Scale().scaled(0.01)
-    setup = fresh_index("btree", "ycsb", "write_only", scale, with_wal=True)
+    setup = fresh_index("btree", "ycsb", "write_only", scale,
+                        wal_group_commit=scale.group_commit)
     assert setup.wal is not None
     assert setup.wal.group_commit == scale.group_commit
     assert setup.index.wal is setup.wal

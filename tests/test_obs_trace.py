@@ -142,7 +142,7 @@ def test_disabled_tracing_results_bit_identical():
     having tracing available — traced and untraced runs agree bit for bit."""
     def one_run(with_tracer):
         setup = fresh_index("alex", "ycsb", "balanced", SMALL, buffer_blocks=16,
-                            with_wal=True)
+                            wal_group_commit=SMALL.group_commit)
         tracer = None
         if with_tracer:
             tracer = Tracer()

@@ -93,28 +93,17 @@ def test_drop_last_block_forces_refetch(pager):
     assert pager.stats.reads == before + 1
 
 
-def test_reuse_disabled(device):
-    pager = Pager(device, reuse_last_block=False)
-    f = device.create_file("f")
-    f.allocate(1)
-    pager.write_block(f, 0, bytes(4096))
-    before = pager.stats.reads
-    pager.read_bytes(f, 0, 8)
-    pager.read_bytes(f, 0, 8)
-    assert pager.stats.reads == before + 2
-
-
 def test_buffer_pool_serves_repeat_reads():
     device = BlockDevice(4096, HDD)
-    pager = Pager(device, buffer_pool=BufferPool(8), reuse_last_block=False)
+    pager = Pager(device, buffer_pool=BufferPool(8))
     f = device.create_file("f")
     f.allocate(2)
     pager.write_block(f, 0, bytes(4096))
     pager.write_block(f, 1, bytes(4096))
     before = device.stats.reads
-    pager.read_block(f, 0)
-    pager.read_block(f, 1)
-    pager.read_block(f, 0)
+    for block_no in (0, 1, 0):
+        pager.drop_last_block()  # served by the pool, not the reuse cache
+        pager.read_block(f, block_no)
     assert device.stats.reads == before  # writes were write-through cached
 
 

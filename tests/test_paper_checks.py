@@ -78,7 +78,6 @@ MUTATIONS = [
     ("concurrency", "every 4x more clients at least halve flushes per write", {"device": "ssd", "index": "alex", "clients": 16}, {"flushes_per_write": 0.2}),
     ("concurrency", "p99 within (10 + clients/2) x p50", {"device": "hdd", "index": "alex", "clients": 4}, {"p99_us": 1e9}),
     ("concurrency", "commit groups hold half the clients' writes", {"device": "ssd", "index": "btree", "clients": 64}, {"mean_commit_group": 31.0}),
-    ("concurrency", "snapshot reads wait on no latch", {"device": "hdd", "index": "hybrid-alex", "clients": 64}, {"read_latch_us": 0.1}),
     ("concurrency", "every cell serves snapshot reads", {"device": "ssd", "index": "hybrid-alex", "clients": 1}, {"snapshot_reads": 0}),
     ("sharding", "more shards never charge more positionings", {"section": "scaleout", "device": "hdd", "distribution": "zipfian", "shards": 4}, {"read_pos_per_op": 0.01}),
     ("sharding", "4 shards at least halve uniform positionings", {"section": "scaleout", "device": "ssd", "distribution": "uniform", "shards": 4}, {"read_pos_per_op": 0.5}),

@@ -117,13 +117,8 @@ def test_cases_exercise_what_they_record():
     assert serving["committed_writes"] == serving["commit_waits"] == 300
     assert serving["commit_groups"] > 0 and serving["mean_commit_group"] > 1
     assert serving["snapshot_reads"] == 300 and serving["snapshot_suppressed"] > 0
+    assert serving["latch_waits"] > 0 and serving["latch_wait_us"] > 0  # writers'
     assert raw["serving-4c-durable-traced"]["client_phase_histograms"]
-
-    latched = results["serving-4c-latched"]
-    assert latched["snapshot_reads"] == 0 and latched["latch_waits"] > 0
-    assert latched["read_latch_wait_us"] > 0
-    assert latched["latch_wait_us"] == pytest.approx(
-        latched["read_latch_wait_us"] + latched["write_latch_wait_us"])
 
     faulting = results["tier-2x2-faulting-4c"]
     for name in ("shed_ops", "hedged_reads", "failovers", "io_retries"):

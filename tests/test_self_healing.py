@@ -21,6 +21,7 @@ from repro.core import make_index
 from repro.durability import (SelfHealer, WriteAheadLog, repair_blocks,
                               restore_index, take_checkpoint)
 from repro.obs import Tracer
+from repro.storage import pager as pager_module
 from repro.storage import (HDD, NULL_DEVICE, BlockDevice, ChecksumError,
                            DeviceFaultModel, Pager, PersistentIOError,
                            TransientIOError, block_crc, make_buffer_pool)
@@ -32,14 +33,14 @@ KEYS = random_sorted_keys(4000, seed=7)
 
 
 def build(name="btree", profile=NULL_DEVICE, buffer_blocks=0, group_commit=4,
-          with_wal=True, keys=KEYS):
+          durable=True, keys=KEYS):
     device = BlockDevice(4096, profile)
     pool = make_buffer_pool(buffer_blocks, "lru") if buffer_blocks else None
     pager = Pager(device, buffer_pool=pool)
     index = make_index(name, pager)
     index.bulk_load(items_of(keys))
     wal = None
-    if with_wal:
+    if durable:
         wal = WriteAheadLog(pager, group_commit=group_commit)
         index.attach_wal(wal)
     return index, device, pager, wal
@@ -158,7 +159,7 @@ def test_single_block_writes_never_tear(pager):
 
 def test_transient_errors_absorbed_with_charged_backoff():
     device = BlockDevice(4096, HDD)
-    pager = Pager(device, max_read_retries=4)
+    pager = Pager(device)
     f = device.create_file("f")
     f.allocate(1)
     device.write_block(f, 0, b"\x07" * 4096)
@@ -179,9 +180,10 @@ def test_transient_errors_absorbed_with_charged_backoff():
     assert device.stats.reads >= 1
 
 
-def test_retries_exhaust_to_persistent_error():
+def test_retries_exhaust_to_persistent_error(monkeypatch):
+    monkeypatch.setattr(pager_module, "MAX_READ_RETRIES", 3)
     device = BlockDevice(4096, NULL_DEVICE)
-    pager = Pager(device, max_read_retries=3)
+    pager = Pager(device)
     f = device.create_file("f")
     f.allocate(1)
     device.fault_model = DeviceFaultModel(seed=0, transient_error_rate=1.0)
@@ -190,9 +192,10 @@ def test_retries_exhaust_to_persistent_error():
     assert device.stats.io_retries == 3
 
 
-def test_checksum_errors_are_never_retried():
+def test_checksum_errors_are_never_retried(monkeypatch):
+    monkeypatch.setattr(pager_module, "MAX_READ_RETRIES", 8)
     device = BlockDevice(4096, NULL_DEVICE)
-    pager = Pager(device, max_read_retries=8)
+    pager = Pager(device)
     f = device.create_file("f")
     f.allocate(1)
     device.write_block(f, 0, bytes(4096))
@@ -202,9 +205,10 @@ def test_checksum_errors_are_never_retried():
     assert device.stats.io_retries == 0
 
 
-def test_tracer_span_sees_retries_and_charged_backoff():
+def test_tracer_span_sees_retries_and_charged_backoff(monkeypatch):
+    monkeypatch.setattr(pager_module, "MAX_READ_RETRIES", 6)
     device = BlockDevice(4096, HDD)
-    pager = Pager(device, max_read_retries=6)
+    pager = Pager(device)
     f = device.create_file("f")
     f.allocate(4)
     for no in range(4):
@@ -253,7 +257,7 @@ def test_quarantine_without_pool_reports_failure(pager):
 
 
 def test_scrub_finds_exactly_the_corrupted_blocks():
-    index, device, pager, _ = build("btree", with_wal=False)
+    index, device, pager, _ = build("btree", durable=False)
     inner, leaf = index._inner_file.name, index._leaf_file.name
     corrupt_in_place(device, inner, 0)
     corrupt_in_place(device, leaf, 1)
@@ -266,7 +270,7 @@ def test_scrub_finds_exactly_the_corrupted_blocks():
 
 
 def test_scrub_charges_io_under_scrub_phase():
-    index, device, pager, _ = build("btree", profile=HDD, with_wal=False)
+    index, device, pager, _ = build("btree", profile=HDD, durable=False)
     before = device.stats.snapshot()
     report = pager.scrub()
     delta = device.stats.diff(before)
@@ -455,7 +459,7 @@ def test_tracer_counts_checksum_failures_and_repairs():
 # -- workload-level properties --------------------------------------------
 
 def _oracle_results(ops, keys):
-    index, _, _, _ = build("btree", with_wal=False, keys=keys)
+    index, _, _, _ = build("btree", durable=False, keys=keys)
     return [index.lookup(k) if kind == "lookup" else tuple(index.scan(k, 10))
             for kind, k in ops]
 
@@ -471,16 +475,17 @@ def test_transient_faults_never_change_answers(seed, rate):
             rng.choice(keys) if rng.random() < 0.8 else rng.randrange(10**12))
            for _ in range(120)]
     expected = _oracle_results(ops, keys)
-    index, device, pager, _ = build("btree", with_wal=False, keys=keys)
+    index, device, pager, _ = build("btree", durable=False, keys=keys)
     # At the top of the drawn rate range a streak longer than the default
     # retry budget (4) is statistically reachable (rate^5 per read over
     # ~10^3 reads) and would legitimately escalate to PersistentIOError.
     # The property under test is about *transient* faults, so give the
     # pager a budget no streak can exhaust: 0.2^41 ~ 2e-29 per read.
-    pager.max_read_retries = 40
     device.fault_model = DeviceFaultModel(seed=seed, transient_error_rate=rate)
-    got = [index.lookup(k) if kind == "lookup" else tuple(index.scan(k, 10))
-           for kind, k in ops]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pager_module, "MAX_READ_RETRIES", 40)
+        got = [index.lookup(k) if kind == "lookup" else tuple(index.scan(k, 10))
+               for kind, k in ops]
     assert got == expected
     assert device.stats.checksum_failures == 0
 
@@ -507,7 +512,7 @@ def test_fault_free_stats_are_bit_identical_with_checksums():
 def test_differential_harness_under_transient_faults():
     """Full mutation stream (inserts/updates/deletes/scans) on a faulty
     device still matches the oracle exactly — retries are invisible."""
-    index, device, pager, _ = build("btree", with_wal=False,
+    index, device, pager, _ = build("btree", durable=False,
                                     keys=random_sorted_keys(500, seed=3))
     model = ReferenceModel(items_of(random_sorted_keys(500, seed=3)))
     device.fault_model = DeviceFaultModel(seed=9, transient_error_rate=0.01)
@@ -554,7 +559,7 @@ def test_run_workload_healer_requires_batch_one():
 
 
 def test_unhealable_fault_propagates():
-    index, device, pager, _ = build("btree", with_wal=False)
+    index, device, pager, _ = build("btree", durable=False)
     leaf = index._leaf_file.name
     key = KEYS[len(KEYS) // 2]
     touched = []

@@ -16,7 +16,7 @@ from repro.storage import HDD, NULL_DEVICE, SSD, BlockDevice, Pager
 from repro.workloads import run_workload
 
 
-def _loaded(name="btree", n_bulk=300, profile=HDD, with_wal=False,
+def _loaded(name="btree", n_bulk=300, profile=HDD, durable=False,
             group_commit=1, buffer_blocks=0, step=7, **params):
     """A bulk-loaded index over keys ``step, 2*step, ...`` (payload k+1)."""
     from repro.storage import make_buffer_pool
@@ -27,10 +27,32 @@ def _loaded(name="btree", n_bulk=300, profile=HDD, with_wal=False,
     bulk = [(k, k + 1) for k in range(step, step * (n_bulk + 1), step)]
     index.bulk_load(bulk)
     wal = None
-    if with_wal:
+    if durable:
         wal = WriteAheadLog(pager, group_commit=group_commit)
         index.attach_wal(wal)
     return index, bulk, wal
+
+
+def _hot_leaf_ops(bulk, n_ops, insert_every, seed=3):
+    """Every ``insert_every``-th op inserts a fresh key right after the
+    first bulk key — all into the same leaf, so concurrent writers take
+    exclusive latches on one frame; the rest are 99%-hot-key lookups of
+    that key (snapshot reads: they never latch)."""
+    hot_key, step = bulk[0][0], bulk[1][0] - bulk[0][0]
+    rng = random.Random(seed)
+    ops = []
+    next_insert = hot_key + 1
+    for i in range(n_ops):
+        if i % insert_every == 0:
+            if (next_insert - hot_key) % step == 0:
+                next_insert += 1  # a bulk key: not fresh
+            ops.append(("insert", next_insert))
+            next_insert += 1
+        elif rng.random() < 0.99:
+            ops.append(("lookup", hot_key))
+        else:
+            ops.append(("lookup", rng.choice(bulk)[0]))
+    return ops
 
 
 def _mixed_ops(bulk, n_ops, insert_base, seed=11, insert_frac=0.5):
@@ -110,7 +132,7 @@ def test_group_commit_amortizes_flushes_across_clients():
     (the PR's acceptance bar; the engine typically does much better)."""
     ratios = {}
     for clients in (1, 64):
-        index, bulk, _wal = _loaded(profile=SSD, with_wal=True)
+        index, bulk, _wal = _loaded(profile=SSD, durable=True)
         ops = _mixed_ops(bulk, 320, insert_base=10**6)
         res = run_workload(index, ops, client_ops=split_ops(ops, clients))
         assert res.clients == clients
@@ -121,7 +143,7 @@ def test_group_commit_amortizes_flushes_across_clients():
 
 
 def test_commit_waits_are_client_perceived_not_device_time():
-    index, bulk, _wal = _loaded(profile=SSD, with_wal=True)
+    index, bulk, _wal = _loaded(profile=SSD, durable=True)
     ops = _mixed_ops(bulk, 200, insert_base=10**6)
     res = run_workload(index, ops, client_ops=split_ops(ops, 16))
     assert res.commit_waits > 0
@@ -137,31 +159,36 @@ def test_commit_waits_are_client_perceived_not_device_time():
 # ---------------------------------------------------------------------------
 
 def test_snapshot_readers_charge_zero_latch_wait():
-    index, bulk, _wal = _loaded(profile=HDD, with_wal=True)
+    index, bulk, _wal = _loaded(profile=HDD, durable=True)
     ops = _mixed_ops(bulk, 240, insert_base=10**6, insert_frac=0.5)
-    res = run_workload(index, ops, client_ops=split_ops(ops, 16))
-    assert res.snapshot_reads > 0
-    assert res.read_latch_wait_us == 0.0
-    for client in res.per_client.values():
-        assert client["snapshot_reads"] >= 0
-    # Writers still contend with each other.
-    assert res.latch_wait_us == res.write_latch_wait_us
+    streams = split_ops(ops, 16)
+    res = run_workload(index, ops, client_ops=streams)
+    assert res.snapshot_reads == sum(1 for kind, _ in ops if kind == "lookup")
+    # Only writes wait on a latch: each stalled op is one of its
+    # client's inserts, and writers do contend with each other.
+    assert res.latch_waits > 0
+    for client_id, client in res.per_client.items():
+        inserts = sum(1 for kind, _ in streams[client_id] if kind == "insert")
+        assert client["snapshot_reads"] == len(streams[client_id]) - inserts
+        assert client["latch_waits"] <= inserts
 
 
 def test_latch_stats_reconcile_with_device_and_trace():
-    index, bulk, _wal = _loaded(profile=HDD, with_wal=True)
+    index, bulk, _wal = _loaded(profile=HDD, durable=True)
     tracer = Tracer()
     index.attach_tracer(tracer)
-    ops = _mixed_ops(bulk, 240, insert_base=10**6)
-    res = run_workload(index, ops, client_ops=split_ops(ops, 16),
-                       snapshot_reads=False)
+    ops = _hot_leaf_ops(bulk, 240, insert_every=2)
+    res = run_workload(index, ops, client_ops=split_ops(ops, 16))
     stats = index.pager.device.stats
+    assert res.latch_waits > 0  # the hot leaf's writers really did contend
     assert res.latch_waits == stats.latch_waits
     assert res.latch_wait_us == pytest.approx(stats.latch_wait_us)
-    assert res.snapshot_reads == 0
-    if res.latch_waits:
-        assert stats.time_by_phase["latch"] == pytest.approx(res.latch_wait_us)
-        assert "latch" in res.phase_latency_histograms
+    assert stats.time_by_phase["latch"] == pytest.approx(res.latch_wait_us)
+    assert tracer.totals()["us"]["latch"] == pytest.approx(res.latch_wait_us)
+    spans = [record for record in tracer.iter_records()
+             if record["type"] not in ("summary", "background")]
+    assert sum(span["latch_waits"] for span in spans) == res.latch_waits
+    assert "latch" in res.phase_latency_histograms
     assert res.client_phase_histograms  # per-client digests exist when traced
     index.detach_tracer()
 
@@ -171,26 +198,16 @@ def test_latch_stats_reconcile_with_device_and_trace():
 # ---------------------------------------------------------------------------
 
 def test_no_session_starves_under_hot_key_skew():
-    """99%-hot-key lookups pile every client onto the same frames; the
-    min-virtual-time scheduler must still cycle through all sessions."""
+    """Inserts into one hot leaf and 99%-hot-key lookups pile every
+    client onto the same frames; the min-virtual-time scheduler must
+    still cycle through all sessions."""
     clients = 16
     index, bulk, _wal = _loaded(profile=HDD)
-    hot_key = bulk[0][0]
-    rng = random.Random(3)
-    ops = []
-    next_insert = hot_key + 1  # lands in the hot leaf: exclusive latches
-    for i in range(clients * 20):
-        if i % 10 == 0 and next_insert % 7 != 0:
-            ops.append(("insert", next_insert))
-            next_insert += 1
-        elif rng.random() < 0.99:
-            ops.append(("lookup", hot_key))
-        else:
-            ops.append(("lookup", rng.choice(bulk)[0]))
+    ops = _hot_leaf_ops(bulk, clients * 20, insert_every=3)
     # No WAL: writes acknowledge on apply, so dispatch gaps measure the
     # scheduler alone (commit waits would legitimately widen them).
     res = run_workload(index, ops, client_ops=split_ops(ops, clients),
-                       snapshot_reads=False, keep_latencies=True)
+                       keep_latencies=True)
     assert res.num_ops == len(ops)
     assert res.latch_waits > 0  # the hot frame really did contend
     base_op_us = min(us for us in res.latencies_us if us > 0)
@@ -211,23 +228,13 @@ def test_no_session_starves_under_hot_key_skew():
 def test_every_session_completes_with_writers_blocked_on_commit():
     """With group commit in play a writer's dispatch gap includes its
     commit wait, so fairness is asserted as completion: every session
-    drains its queue even under 99%-hot-key read skew."""
+    drains its queue even with its writers contending on one hot leaf
+    under 99%-hot-key read skew."""
     clients = 16
-    index, bulk, _wal = _loaded(profile=HDD, with_wal=True)
-    hot_key = bulk[0][0]
-    rng = random.Random(3)
-    ops = []
-    next_insert = 10**6
-    for i in range(clients * 20):
-        if i % 10 == 0:
-            ops.append(("insert", next_insert))
-            next_insert += 1
-        elif rng.random() < 0.99:
-            ops.append(("lookup", hot_key))
-        else:
-            ops.append(("lookup", rng.choice(bulk)[0]))
-    res = run_workload(index, ops, client_ops=split_ops(ops, clients),
-                       snapshot_reads=False)
+    index, bulk, _wal = _loaded(profile=HDD, durable=True)
+    ops = _hot_leaf_ops(bulk, clients * 20, insert_every=3)
+    res = run_workload(index, ops, client_ops=split_ops(ops, clients))
+    assert res.latch_waits > 0
     assert res.num_ops == len(ops)
     assert all(c["ops"] == 20 for c in res.per_client.values())
     assert res.committed_writes == sum(1 for k, _ in ops if k == "insert")
@@ -242,12 +249,11 @@ def test_every_session_completes_with_writers_blocked_on_commit():
     choices=st.lists(st.tuples(st.booleans(), st.integers(0, 49)),
                      min_size=1, max_size=60),
     clients=st.integers(1, 5),
-    group=st.integers(1, 8),
 )
-def test_interleaving_matches_commit_order_oracle(choices, clients, group):
+def test_interleaving_matches_commit_order_oracle(choices, clients):
     """The served index must equal an oracle that applies exactly the
     committed writes, in commit order, to the same bulk load — for any
-    op mix, client count and commit-group capacity."""
+    op mix and client count."""
     bulk = [(k, k + 1) for k in range(10, 510, 10)]
     pager = Pager(BlockDevice(4096, NULL_DEVICE))
     index = make_index("btree", pager)
@@ -263,8 +269,7 @@ def test_interleaving_matches_commit_order_oracle(choices, clients, group):
             next_insert += 1
         else:
             ops.append(("lookup", bulk[pick][0]))
-    engine = ServingEngine(index, split_ops(ops, clients),
-                           commit_group=group, validate=True)
+    engine = ServingEngine(index, split_ops(ops, clients), validate=True)
     report = engine.run()
     assert report.executed == len(ops)
     # Commit order is seqno order: groups flush oldest-first.
@@ -288,7 +293,7 @@ def test_crash_recovers_to_cross_client_committed_prefix(crash_at):
     """Crash mid-schedule with 8 clients: recovery must rebuild exactly
     the acknowledged (group-committed) writes — nothing more, nothing
     less — regardless of which sessions' ops were in flight."""
-    index, bulk, wal = _loaded(profile=SSD, with_wal=True)
+    index, bulk, wal = _loaded(profile=SSD, durable=True)
     checkpoint = take_checkpoint(index, wal)
     ops = _mixed_ops(bulk, 200, insert_base=10**6)
     injector = FaultInjector(crash_at_op=crash_at)
@@ -312,7 +317,7 @@ def test_crash_recovers_to_cross_client_committed_prefix(crash_at):
 
 
 def test_crash_through_run_workload_reports_crash_point():
-    index, bulk, _wal = _loaded(profile=SSD, with_wal=True)
+    index, bulk, _wal = _loaded(profile=SSD, durable=True)
     ops = _mixed_ops(bulk, 120, insert_base=10**6)
     injector = FaultInjector(crash_at_op=40)
     res = run_workload(index, ops, client_ops=split_ops(ops, 8),
@@ -352,7 +357,7 @@ def test_snapshot_reads_never_serve_stale_cached_frames():
     surfaces here as a wrong payload — either in the validated
     concurrent phase or in the final sweep, which runs over the same
     warm caches the writers just invalidated."""
-    index, bulk, _wal = _loaded(profile=HDD, with_wal=True,
+    index, bulk, _wal = _loaded(profile=HDD, durable=True,
                                 buffer_blocks=64, codec="for")
     pager = index.pager
     keys = [k for k, _p in bulk]
@@ -373,8 +378,8 @@ def test_snapshot_reads_never_serve_stale_cached_frames():
     assert pager._meta_cache
 
 
-@pytest.mark.parametrize("with_wal", [False, True], ids=["no-wal", "wal-group-8"])
-def test_single_session_matches_legacy_metrics(with_wal):
+@pytest.mark.parametrize("durable", [False, True], ids=["no-wal", "wal-group-8"])
+def test_single_session_matches_legacy_metrics(durable):
     """One session, no conflicts: without a WAL the serving path must
     charge the device identically to the single stream — same elapsed
     time, same block counts, same latencies.  With a WAL (group commit 8)
@@ -386,7 +391,7 @@ def test_single_session_matches_legacy_metrics(with_wal):
     results = {}
     for mode in ("legacy", "serving"):
         index, bulk, _wal = _loaded(profile=HDD, buffer_blocks=32,
-                                    with_wal=with_wal, group_commit=8)
+                                    durable=durable, group_commit=8)
         if ops is None:
             ops = _mixed_ops(bulk, 100, insert_base=10**6)
         if mode == "legacy":
@@ -398,7 +403,7 @@ def test_single_session_matches_legacy_metrics(with_wal):
     assert serving.blocks_read_per_op == legacy.blocks_read_per_op
     assert serving.reads_by_phase == legacy.reads_by_phase
     assert serving.latch_waits == 0
-    if with_wal:
+    if durable:
         writes = sum(1 for kind, _key in ops if kind == "insert")
         assert legacy.log_records == serving.log_records == writes
         assert legacy.log_flushes == -(-writes // 8)
@@ -413,7 +418,7 @@ def test_single_session_matches_legacy_metrics(with_wal):
 
 def test_workload_split_serves_full_stream():
     """run_workload(clients=N) splits ops round-robin and executes all."""
-    index, bulk, _wal = _loaded(profile=SSD, with_wal=True)
+    index, bulk, _wal = _loaded(profile=SSD, durable=True)
     res = run_workload(index, _mixed_ops(bulk, 150, insert_base=10**7),
                        clients=5)
     assert res.clients == 5

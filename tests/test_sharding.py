@@ -199,10 +199,6 @@ def test_tuner_scoring_matches_cost_table():
     assert scores["hybrid-alex"] == float("inf")   # read-only class
     assert tuner.choose({"lookup": 100}) == "hybrid-alex"
     assert tuner.choose({"insert": 100}) == "btree"
-    with pytest.raises(ValueError):
-        ShardTuner(candidates=["hybrid-alex"]).choose({"insert": 1})
-    with pytest.raises(ValueError):
-        ShardTuner(candidates=["nosuch"])
 
 
 def test_tuner_convert_preserves_content_and_durability():
@@ -487,7 +483,8 @@ def test_one_shard_tier_charges_exactly_the_flat_index():
 
     scale = Scale(n_read=4000, n_write_bulk=2000, n_write_ops=600,
                   n_lookup_ops=100, n_scan_ops=20)
-    flat = fresh_index("btree", "ycsb", "balanced", scale, with_wal=True)
+    flat = fresh_index("btree", "ycsb", "balanced", scale,
+                       wal_group_commit=scale.group_commit)
     tier = fresh_sharded_index("btree", 1, "ycsb", "balanced", scale,
                                durability=True)
     assert flat.ops == tier.ops

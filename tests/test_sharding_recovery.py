@@ -160,7 +160,7 @@ def test_whole_tier_power_loss_through_the_runner():
 def test_recover_keeps_write_back_pager_config_on_every_member():
     """Crash + recover under a write-back pager: the adopted primary and
     re-seeded replicas keep the shard's storage configuration (pool,
-    write-back, flush watermark) instead of silently downgrading to
+    write-back) instead of silently downgrading to
     pass-through defaults, and the recovery contract still holds with
     dirty frames dropped at the crash."""
     from repro.storage import NULL_DEVICE
@@ -168,7 +168,7 @@ def test_recover_keeps_write_back_pager_config_on_every_member():
     keys = random_sorted_keys(240, seed=17, key_space=KEY_SPACE)
     index = make_sharded("btree", 2, sample_keys=keys, durability=True,
                          group_commit=4, replicas=2, buffer_blocks=16,
-                         write_back=True, flush_watermark=8)
+                         write_back=True)
     index.bulk_load(items_of(keys))
     checkpoints = [shard.checkpoint() for shard in index.shards]
 
@@ -191,7 +191,6 @@ def test_recover_keeps_write_back_pager_config_on_every_member():
     # keeps the shard's pager configuration through recovery.
     for member in victim.members():
         assert member.pager.write_back is True, member
-        assert member.pager.flush_watermark == 8, member
         assert member.pager.buffer_pool is not None, member
         assert member.pager.buffer_pool.capacity == 16, member
         assert member.device.profile is NULL_DEVICE

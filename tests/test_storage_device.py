@@ -465,7 +465,7 @@ def test_sparse_store_matches_full_images(block_size, data):
     that keeps full images, whatever is written and however."""
     profile = HDD
     device = BlockDevice(block_size, profile)
-    pager = Pager(device, reuse_last_block=False)
+    pager = Pager(device)
     model = _FullImageDevice(block_size, profile)
     for name in ("a", "b"):
         device.create_file(name).allocate(3)
@@ -487,6 +487,9 @@ def test_sparse_store_matches_full_images(block_size, data):
             length = data.draw(st.integers(
                 1, min(3 * block_size, blocks * block_size - offset)), label="length")
             chunk = _payload(data, 3 * block_size)[:length]
+            # The model charges every read of a read-modify-write: empty
+            # the pager's one-block reuse cache so the device does too.
+            pager.drop_last_block()
             _expect(lambda: pager.write_bytes(handle, offset, chunk),
                     lambda: model.write_bytes(name, offset, chunk))
         elif op == "write_blocks":
@@ -526,7 +529,7 @@ def test_sparse_store_matches_full_images(block_size, data):
             save_device(device, image)
             image.seek(0)
             device = load_device(image, profile=profile)
-            pager = Pager(device, reuse_last_block=False)
+            pager = Pager(device)
             model.reload()
         _check_against(device, model)
 

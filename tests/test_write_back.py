@@ -38,10 +38,9 @@ def _loaded(num_blocks=16, profile=HDD):
     return device, f
 
 
-def _wb_pager(device, capacity=8, policy="lru", flush_watermark=None):
+def _wb_pager(device, capacity=8, policy="lru"):
     pool = make_buffer_pool(capacity, policy)
-    return Pager(device, buffer_pool=pool, write_back=True,
-                 flush_watermark=flush_watermark)
+    return Pager(device, buffer_pool=pool, write_back=True)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +214,6 @@ def test_write_back_requires_a_real_pool():
         Pager(device, write_back=True)
     with pytest.raises(ValueError):
         Pager(device, buffer_pool=make_buffer_pool(0), write_back=True)
-    with pytest.raises(ValueError):
-        _wb_pager(device, capacity=4, flush_watermark=0)
 
 
 def test_buffered_write_defers_device_io_and_serves_reads():
@@ -313,18 +310,6 @@ def test_clean_eviction_charges_zero_writes():
     assert device.stats.writes == writes_before
     assert pager.buffer_pool.clean_evictions == 6
     assert pager.buffer_pool.dirty_evictions == 0
-
-
-def test_flush_watermark_triggers_automatically():
-    device, f = _loaded(8)
-    pager = _wb_pager(device, capacity=8, flush_watermark=3)
-    pager.write_block(f, 0, _payload(0))
-    pager.write_block(f, 2, _payload(2))
-    assert device.stats.writes == 0
-    pager.write_block(f, 4, _payload(4))  # hits the watermark
-    assert device.stats.writes == 3
-    assert pager.dirty_blocks == 0
-    assert pager.flushes == 1
 
 
 def test_write_bytes_read_modify_write_under_write_back():
@@ -602,9 +587,8 @@ def test_fresh_index_write_back_flag():
     scale = default_scale().scaled(0.01)
     setup = fresh_index("btree", "ycsb", "write_only", scale,
                         buffer_blocks=32, write_back=True,
-                        buffer_policy="clock", flush_watermark=16)
+                        buffer_policy="clock")
     assert setup.pager.write_back
-    assert setup.pager.flush_watermark == 16
     assert setup.pager.buffer_pool.policy == "clock"
     with pytest.raises(ValueError):
         fresh_index("btree", "ycsb", "write_only", scale, write_back=True)
