@@ -18,7 +18,10 @@ payload against it and raise :class:`ChecksumError` instead of ever
 serving rotten or torn bytes, and a :class:`DeviceFaultModel`
 (:mod:`repro.storage.faults`) can be attached to inject seeded media
 faults.  Memory-resident accesses model trusted RAM and are neither
-verified nor faulted.
+verified nor faulted.  A stored version proven against an unchanged
+envelope entry is not proven again: each file memoizes, per block, the
+stored object and the entry it last matched, and a read whose block
+still holds both skips the CRC (DESIGN.md Section 22).
 
 The store is sparse (DESIGN.md Section 22): a block is kept as an
 immutable ``bytes`` without its all-zero trailing 256-byte sectors, so a
@@ -187,6 +190,16 @@ class BlockFile:
         #: (``b""`` for a block never written).  Only this module reads
         #: it; everyone else sees full images through :attr:`blocks`.
         self._stored: List[bytes] = []
+        #: the verification memo, aligned with ``_stored``: the stored
+        #: object each block was last proven consistent with its envelope
+        #: entry (None: not proven) and that entry's value.  A charged
+        #: read skips the CRC only while the block still *is* that object
+        #: and the entry still equals that value.  Every path that stamps
+        #: an entry from a block's bytes records the pair; every other
+        #: path that replaces a stored block clears the object.  Only
+        #: this module reads either list.
+        self._verified: List[Optional[bytes]] = []
+        self._verified_crc: List[int] = []
         self._images = _BlockImages(self)
         #: out-of-band checksum envelope, one CRC per block — maintained
         #: by every device write, verified by every charged read.  Bytes
@@ -215,6 +228,8 @@ class BlockFile:
     def blocks(self, images: Iterable[bytes]) -> None:
         store = self.device._store
         self._stored = [store(image) for image in images]
+        self._verified = [None] * len(self._stored)
+        self._verified_crc = [0] * len(self._stored)
 
     @property
     def num_blocks(self) -> int:
@@ -226,8 +241,13 @@ class BlockFile:
         if count <= 0:
             raise ValueError(f"allocation count must be positive, got {count}")
         start = len(self._stored)
+        zero_crc = self.device._zero_crc
+        # A new block and its envelope entry are stamped together here,
+        # so the pair is proven by construction, as a device write's is.
         self._stored.extend([b""] * count)
-        self.checksums.extend([self.device._zero_crc] * count)
+        self._verified.extend([b""] * count)
+        self._verified_crc.extend([zero_crc] * count)
+        self.checksums.extend([zero_crc] * count)
         self.live_blocks += count
         self.device.stats.allocated_blocks += count
         return start
@@ -245,8 +265,11 @@ class BlockFile:
         self.device.stats.freed_blocks += count
 
     def recompute_checksums(self) -> None:
-        """Rebuild the envelope from the stored bytes (device-image load)."""
+        """Rebuild the envelope from the stored bytes (device-image load);
+        each block is proven against the entry just computed from it."""
         self.checksums = [block_crc(image) for image in self._images]
+        self._verified = list(self._stored)
+        self._verified_crc = list(self.checksums)
 
     def _check_range(self, start: int, count: int) -> None:
         if start < 0 or count < 0 or start + count > len(self._stored):
@@ -260,8 +283,9 @@ class _BlockImages:
     """``BlockFile.blocks``: the stored blocks, seen as full images.
 
     Indexing and iteration pad each stored block back to ``block_size``
-    bytes; assigning a full image stores it compacted; ``len`` and
-    ``del`` (e.g. of a slice) act on the stored list.  The stored bytes
+    bytes; assigning a full image stores it compacted and forgets the
+    block's verification; ``len`` and ``del`` (e.g. of a slice) act on
+    the stored list and its memo.  The stored bytes
     are immutable, so there is no way to write into a block in place:
     corrupting one means copying its image, editing the copy and
     assigning it back.
@@ -282,10 +306,15 @@ class _BlockImages:
         return image(self._file._stored[index])
 
     def __setitem__(self, index: int, data) -> None:
-        self._file._stored[index] = self._file.device._store(data)
+        file = self._file
+        file._stored[index] = file.device._store(data)
+        file._verified[index] = None
 
     def __delitem__(self, index) -> None:
-        del self._file._stored[index]
+        file = self._file
+        del file._stored[index]
+        del file._verified[index]
+        del file._verified_crc[index]
 
     def __iter__(self) -> Iterator[bytes]:
         image = self._file.device._image
@@ -300,7 +329,9 @@ class BlockDevice:
             sweeps 4/8/16 KiB in Section 6.4).
         profile: latency model; defaults to the HDD profile.
         checksums: verify the per-block checksum envelope on every
-            charged read (the default).  The envelope itself is always
+            charged read (the default) — by recomputing the CRC, or by
+            the memo when the block still holds the version already
+            proven against the same entry.  The envelope itself is always
             *maintained* by writes, so flipping verification on or off
             never changes block contents or access counts — only whether
             corruption surfaces as ``ChecksumError`` or as silent bytes.
@@ -377,6 +408,8 @@ class BlockDevice:
         handle = self.files.pop(name)
         self.stats.freed_blocks += handle.live_blocks
         handle._stored = []
+        handle._verified = []
+        handle._verified_crc = []
         handle.checksums = []
         handle.live_blocks = 0
 
@@ -481,15 +514,31 @@ class BlockDevice:
                 self.on_fault("persistent", file.name, block_no)
             raise
 
-    def _verified_payload(self, file: BlockFile, block_no: int) -> bytes:
-        """Fetch a charged block's bytes, refusing to serve corrupt data."""
-        data = self._image(file._stored[block_no])
-        if self.checksums and file.checksums[block_no] != block_crc(data):
+    def _verify(self, file: BlockFile, block_no: int) -> bytes:
+        """A charged read's memo miss: recompute the block's CRC and return
+        its full image, refusing to serve corrupt data; a match is
+        memoized so the next read of this version skips the CRC."""
+        stored = file._stored[block_no]
+        crc = file.checksums[block_no]
+        data = self._image(stored)
+        if block_crc(data) != crc:
             self.stats.checksum_failures += 1
             if self.on_fault is not None:
                 self.on_fault("checksum", file.name, block_no)
-            raise ChecksumError(file.name, block_no, "stored payload does not match envelope")
+            raise ChecksumError(file.name, block_no,
+                                "stored payload does not match envelope")
+        file._verified[block_no] = stored
+        file._verified_crc[block_no] = crc
         return data
+
+    def _put(self, file: BlockFile, block_no: int, data) -> None:
+        """Store one full block written through the device and stamp its
+        envelope entry.  Both come from ``data``, so the pair is proven
+        by construction and recorded in the memo."""
+        stored = file._stored[block_no] = self._compact(data)
+        crc = file.checksums[block_no] = block_crc(data)
+        file._verified[block_no] = stored
+        file._verified_crc[block_no] = crc
 
     def read_block(self, file: BlockFile, block_no: int) -> bytes:
         """Read one block, charging latency unless the file is memory resident."""
@@ -514,16 +563,12 @@ class BlockDevice:
             self.on_access("r", file.name, block_no, phase, cost)
         if self.fault_model is not None:
             self._maybe_fault_read(file, block_no)
-        # _verified_payload, inlined for the single-block hot path.
         data = file._stored[block_no]
+        if self.checksums and (file._verified[block_no] is not data
+                               or file._verified_crc[block_no] != file.checksums[block_no]):
+            return self._verify(file, block_no)
         if len(data) != self.block_size:
             data = data.ljust(self.block_size, b"\0")
-        if self.checksums and file.checksums[block_no] != block_crc(data):
-            stats.checksum_failures += 1
-            if self.on_fault is not None:
-                self.on_fault("checksum", file.name, block_no)
-            raise ChecksumError(file.name, block_no,
-                                "stored payload does not match envelope")
         return data
 
     def read_blocks(self, file: BlockFile, block_nos: List[int]) -> List[bytes]:
@@ -559,6 +604,8 @@ class BlockDevice:
         stats = self.stats
         name = file.name
         stored = file._stored
+        verified = file._verified
+        verified_crc = file._verified_crc
         bs = self.block_size
         checksums = file.checksums if self.checksums else None
         fault_model = self.fault_model
@@ -597,18 +644,16 @@ class BlockDevice:
                 stats.reads_by_phase[phase] = read_phase
                 stats.time_by_phase[phase] = time_phase
                 self._maybe_fault_read(file, block_no)
-            # _verified_payload, inlined for the span hot path.
             data = stored[block_no]
-            if len(data) != bs:
-                data = data.ljust(bs, b"\0")
-            if checksums is not None and checksums[block_no] != block_crc(data):
+            if checksums is not None and (verified[block_no] is not data
+                                          or verified_crc[block_no] != checksums[block_no]):
+                # Settle the deferred phase counters first: a failed
+                # check raises out of the loop.
                 stats.reads_by_phase[phase] = read_phase
                 stats.time_by_phase[phase] = time_phase
-                stats.checksum_failures += 1
-                if self.on_fault is not None:
-                    self.on_fault("checksum", name, block_no)
-                raise ChecksumError(name, block_no,
-                                    "stored payload does not match envelope")
+                data = self._verify(file, block_no)
+            elif len(data) != bs:
+                data = data.ljust(bs, b"\0")
             out.append(data)
         stats.reads_by_phase[phase] = read_phase
         stats.time_by_phase[phase] = time_phase
@@ -639,8 +684,7 @@ class BlockDevice:
             self._last_block = block_no
             if self.on_access is not None:
                 self.on_access("w", file.name, block_no, phase, cost)
-        file._stored[block_no] = self._compact(data)
-        file.checksums[block_no] = block_crc(data)
+        self._put(file, block_no, data)
         if self.fault_model is not None:
             self.fault_model.on_write(file.name, block_no)
 
@@ -674,8 +718,7 @@ class BlockDevice:
             previous = block_no
         if file.memory_resident:
             for block_no, data in writes:
-                file._stored[block_no] = self._compact(data)
-                file.checksums[block_no] = block_crc(data)
+                self._put(file, block_no, data)
             return
         torn_at = None
         if self.fault_model is not None:
@@ -719,9 +762,9 @@ class BlockDevice:
                 old = self._image(file._stored[block_no])
                 file._stored[block_no] = self._compact(
                     bytes(data[:half]) + old[half:])
+                file._verified[block_no] = None
             else:
-                file._stored[block_no] = self._compact(data)
-                file.checksums[block_no] = block_crc(data)
+                self._put(file, block_no, data)
                 if self.fault_model is not None:
                     self.fault_model.on_write(file.name, block_no)
         if run_length >= 2 and self.on_run is not None:

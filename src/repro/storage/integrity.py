@@ -46,8 +46,10 @@ def block_crc(data: bytes) -> int:
 
     ``zlib.crc32`` is the fastest 32-bit digest available in the
     standard toolchain (measurably faster than ``adler32`` and numpy
-    folds for 4 KiB pages), and every charged read verifies its block,
-    so this sits on the wall-clock hot path.
+    folds for 4 KiB pages).  Every device write computes one; a charged
+    read computes one only for a block version not yet proven against
+    its envelope entry — the device memoizes the proof (DESIGN.md
+    Section 22) — so repeat reads of an unchanged block never get here.
     """
     return zlib.crc32(data) & 0xFFFFFFFF
 

@@ -13,6 +13,7 @@ from repro.datasets import make_dataset
 from repro.storage import (HDD, NULL_DEVICE, SSD, BlockDevice, ChecksumError,
                            DeviceFaultModel, DiskProfile, Pager, load_device,
                            save_device)
+from repro.storage import device as device_module
 from repro.storage.device import StorageStats
 
 from tests.util import items_of
@@ -462,7 +463,16 @@ def _expect(device_call, model_call):
 def test_sparse_store_matches_full_images(block_size, data):
     """Every read, every ``blocks[n]``, every checksum and every
     ``StorageStats`` field of the sparse store equal those of a device
-    that keeps full images, whatever is written and however."""
+    that keeps full images, whatever is written and however.
+
+    The reference verifies every read from scratch; the store memoizes
+    a verified block version.  So each corruption route — bit rot
+    through ``blocks[n] = image`` or a faulted read, an edited envelope
+    entry, a torn write, ``del blocks[-k:]`` then ``allocate``, a
+    save/load round trip — first reads its target blocks clean (when
+    they are) through ``read_block`` and ``read_blocks``, and reads
+    them through both again after the corruption: a memo that outlived
+    what it proved would serve bytes the reference refuses."""
     profile = HDD
     device = BlockDevice(block_size, profile)
     pager = Pager(device)
@@ -470,13 +480,22 @@ def test_sparse_store_matches_full_images(block_size, data):
     for name in ("a", "b"):
         device.create_file(name).allocate(3)
         model.allocate(name, 3)
+
+    def read_both(name, nos):
+        for n in nos:
+            _expect(lambda: device.read_block(device.files[name], n),
+                    lambda: model.read(name, n))
+            _expect(lambda: device.read_blocks(device.files[name], [n]),
+                    lambda: model.read_blocks(name, [n]))
+
     for _ in range(data.draw(st.integers(1, 25), label="steps")):
         name = data.draw(st.sampled_from(["a", "b"]), label="file")
         handle = device.files[name]
         blocks = handle.num_blocks
         op = data.draw(st.sampled_from(
             ["write", "write_bytes", "write_blocks", "read", "read_blocks",
-             "rot", "allocate", "phase", "reload"]), label="op")
+             "rot", "assign", "edit_crc", "truncate", "allocate", "phase",
+             "reload"]), label="op")
         if op == "write":
             n = data.draw(st.integers(0, blocks - 1), label="block")
             payload = _payload(data, block_size)
@@ -498,10 +517,13 @@ def test_sparse_store_matches_full_images(block_size, data):
             pairs = [(n, _payload(data, block_size)) for n in nos]
             torn = len(pairs) >= 2 and data.draw(st.booleans(), label="torn")
             if torn:
+                read_both(name, [nos[-1]])
                 device.fault_model = DeviceFaultModel(torn_write_rate=1.0)
             device.write_blocks(handle, pairs)
             device.fault_model = None
             model.write_blocks(name, pairs, torn)
+            if torn:
+                read_both(name, [nos[-1]])
         elif op == "read":
             n = data.draw(st.integers(0, blocks - 1), label="block")
             _expect(lambda: device.read_block(handle, n), lambda: model.read(name, n))
@@ -513,9 +535,38 @@ def test_sparse_store_matches_full_images(block_size, data):
         elif op == "rot":
             n = data.draw(st.integers(0, blocks - 1), label="block")
             seed = data.draw(st.integers(0, 2**16), label="rot_seed")
+            read_both(name, [n])
             device.fault_model = DeviceFaultModel(seed=seed, bit_rot_rate=1.0)
             _expect(lambda: device.read_block(handle, n), lambda: model.rot(name, n, seed))
             device.fault_model = None
+            read_both(name, [n])
+        elif op == "assign":
+            n = data.draw(st.integers(0, blocks - 1), label="block")
+            bit = data.draw(st.integers(0, block_size * 8 - 1), label="bit")
+            read_both(name, [n])
+            image = bytearray(handle.blocks[n])
+            image[bit // 8] ^= 1 << (bit % 8)
+            handle.blocks[n] = image
+            model.images[name][n][bit // 8] ^= 1 << (bit % 8)
+            read_both(name, [n])
+        elif op == "edit_crc":
+            n = data.draw(st.integers(0, blocks - 1), label="block")
+            bit = data.draw(st.integers(0, 31), label="crc_bit")
+            read_both(name, [n])
+            handle.checksums[n] ^= 1 << bit
+            model.crcs[name][n] ^= 1 << bit
+            read_both(name, [n])
+        elif op == "truncate":
+            # The envelope keeps its entries past the cut, so the blocks
+            # allocated in their place inherit stale ones.
+            count = data.draw(st.integers(1, blocks), label="count")
+            tail = list(range(blocks - count, blocks))
+            read_both(name, tail)
+            del handle.blocks[-count:]
+            del model.images[name][-count:]
+            handle.allocate(count)
+            model.allocate(name, count)
+            read_both(name, tail)
         elif op == "allocate":
             count = data.draw(st.integers(1, 3), label="count")
             handle.allocate(count)
@@ -525,12 +576,15 @@ def test_sparse_store_matches_full_images(block_size, data):
                                     label="phase")
             device.set_phase(model.phase)
         else:
+            warm = list(range(blocks))
+            read_both(name, warm)
             image = io.BytesIO()
             save_device(device, image)
             image.seek(0)
             device = load_device(image, profile=profile)
             pager = Pager(device)
             model.reload()
+            read_both(name, warm)
         _check_against(device, model)
 
 
@@ -551,6 +605,94 @@ def test_blocks_view_assignment_replaces_bytes_behind_the_device():
         f.blocks[0] = b"short"
     del f.blocks[-1:]
     assert f.num_blocks == 1 and device.stored_bytes == 0
+
+
+def test_a_verified_block_version_is_not_verified_again(monkeypatch):
+    """The CRC memo (DESIGN.md Section 22): a write's CRC is the only
+    one its block costs until the block changes, and allocation or an
+    image load proves a block the same way; a block first proven by a
+    read is proven once, on either read path; and nothing charged can
+    tell a memo hit from a recomputation."""
+    calls = []
+    real_crc = device_module.block_crc
+
+    def counting_crc(data):
+        calls.append(len(data))
+        return real_crc(data)
+
+    monkeypatch.setattr(device_module, "block_crc", counting_crc)
+    device = BlockDevice(512, HDD)
+    f = device.create_file("f")
+    f.allocate(4)
+    payloads = [bytes([n + 1]) * 100 + bytes(412) for n in range(4)]
+
+    del calls[:]
+    device.write_block(f, 0, payloads[0])
+    assert len(calls) == 1
+    assert device.read_block(f, 0) == payloads[0]
+    assert device.read_blocks(f, [0]) == [payloads[0]]
+    assert len(calls) == 1
+    device.write_blocks(f, [(1, payloads[1]), (2, payloads[2])])
+    assert len(calls) == 3
+    assert device.read_blocks(f, [0, 1, 2]) == payloads[:3]
+    assert device.read_block(f, 2) == payloads[2]
+    assert len(calls) == 3
+
+    # Allocation and a device-image load stamp each entry from the bytes
+    # they store, so those blocks are proven too.  A block whose bytes
+    # were replaced behind the device (here by its own image) is proven
+    # by its first read, through either path, and not again.
+    del calls[:]
+    assert device.read_block(f, 3) == bytes(512)
+    image = io.BytesIO()
+    save_device(device, image)
+    image.seek(0)
+    loaded = load_device(image, profile=HDD)
+    g = loaded.files["f"]
+    del calls[:]
+    assert loaded.read_blocks(g, [0, 1, 2, 3]) == payloads[:3] + [bytes(512)]
+    assert calls == []
+    for n in range(4):
+        g.blocks[n] = g.blocks[n]
+    first = loaded.stats.snapshot()
+    assert loaded.read_block(g, 1) == payloads[1]
+    second = loaded.stats.snapshot()
+    assert loaded.read_block(g, 1) == payloads[1]
+    assert len(calls) == 1
+    assert second.diff(first) == loaded.stats.diff(second)
+    del calls[:]
+    assert loaded.read_blocks(g, [0, 2]) == [payloads[0], payloads[2]]
+    assert loaded.read_blocks(g, [0, 1, 2]) == payloads[:3]
+    assert len(calls) == 2
+
+    # The same reads with and without the proofs in hand: forgetting
+    # them (re-assigning each block's own image) charges nothing, the
+    # reads recompute, and every counter and every byte stay the same.
+    warm, cold = (load_device(io.BytesIO(image.getvalue()), profile=HDD)
+                  for _ in range(2))
+    for n in range(4):
+        warm.read_block(warm.files["f"], n)
+        cold.read_block(cold.files["f"], n)
+        cold.files["f"].blocks[n] = cold.files["f"].blocks[n]
+    assert warm.stats == cold.stats
+    del calls[:]
+    for call in (lambda d: d.read_blocks(d.files["f"], [0, 1, 2, 3]),
+                 lambda d: d.read_block(d.files["f"], 2)):
+        assert call(warm) == call(cold)
+        assert warm.stats == cold.stats
+    assert len(calls) == 4
+
+    # Verification off: reads compute no CRC at all.
+    plain = BlockDevice(512, HDD, checksums=False)
+    q = plain.create_file("q")
+    q.allocate(2)
+    plain.write_block(q, 0, payloads[0])
+    q.blocks[1] = payloads[1]
+    del calls[:]
+    assert plain.read_block(q, 0) == payloads[0]
+    assert plain.read_blocks(q, [0, 1]) == payloads[:2]
+    assert plain.read_block(q, 1) == payloads[1]
+    assert calls == []
 
 
 def test_lipp_on_wise_stores_under_two_fifths_of_what_it_allocates():
