@@ -6,17 +6,19 @@ Culpepper, Borovica-Gajic; SIGMOD / PACMMOD 2023).
 
 Quick start::
 
-    from repro import BlockDevice, Pager, HDD, make_index
+    from repro import StackSpec, build
 
-    device = BlockDevice(block_size=4096, profile=HDD)
-    index = make_index("alex", Pager(device))
-    index.bulk_load([(k, k + 1) for k in range(0, 1_000_000, 10)])
-    index.insert(5, 6)
-    assert index.lookup(5) == 6
-    print(device.stats.reads, "blocks fetched so far")
+    # One stack description: index, device, pool, WAL, shards.
+    stack = build(StackSpec("alex"), [(k, k + 1) for k in range(0, 1_000_000, 10)])
+    stack.index.insert(5, 6)
+    assert stack.index.lookup(5) == 6
+    print(stack.device.stats.reads, "blocks fetched so far")
 
 Packages:
 
+* :mod:`repro.stack` — :class:`StackSpec`, every knob of one stack
+  (flat or sharded), and :func:`build`, the one place a stack is wired
+  and bulk loaded.
 * :mod:`repro.storage` — simulated block device, pager, LRU buffer pool,
   HDD/SSD latency profiles.
 * :mod:`repro.models` — linear models, optimal/greedy PLA segmentation,
@@ -74,6 +76,7 @@ from .storage import (
     StorageFault,
     TransientIOError,
 )
+from .stack import StackSpec, build
 from .workloads import WORKLOADS, build_workload, run_workload
 
 __version__ = "1.0.0"
@@ -100,12 +103,14 @@ __all__ = [
     "PlidIndex",
     "SSD",
     "SelfHealer",
+    "StackSpec",
     "StorageFault",
     "Tracer",
     "TransientIOError",
     "WORKLOADS",
     "WriteAheadLog",
     "__version__",
+    "build",
     "build_workload",
     "dataset_names",
     "index_names",

@@ -1,7 +1,6 @@
 """Benchmark harness: one table entry per paper table/figure."""
 
-from .config import (PROFILES, IndexSetup, Scale, default_scale,
-                     fresh_index, fresh_sharded_index)
+from .config import PROFILES, IndexSetup, Scale, default_scale, fresh_index
 from .experiments import ExperimentResult
 from .table import EXPERIMENTS, experiment_ids, run_experiment
 from .report import format_chart, format_result, format_table
@@ -18,6 +17,5 @@ __all__ = [
     "format_result",
     "format_table",
     "fresh_index",
-    "fresh_sharded_index",
     "run_experiment",
 ]

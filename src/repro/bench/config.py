@@ -10,43 +10,17 @@ with the ``REPRO_SCALE`` environment variable or per-call overrides.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field, replace
 
-from ..core import DiskIndex, make_index
 from ..datasets import REPORTED_DATASETS, dataset_names, make_dataset
-from ..durability import WriteAheadLog
-from ..storage import (HDD, SSD, BlockDevice, DiskProfile, Pager,
-                       make_buffer_pool)
-from ..workloads import WORKLOADS, build_workload, bulk_load_timed
+from ..stack import Stack, StackSpec, build, tracing
+from ..storage import HDD, SSD
+from ..workloads import WORKLOADS, build_workload
 
 __all__ = ["Scale", "default_scale", "IndexSetup", "fresh_index",
-           "fresh_sharded_index", "PROFILES", "reported_datasets", "tracing",
-           "set_active_tracer"]
+           "PROFILES", "reported_datasets", "tracing"]
 
 PROFILES = {"hdd": HDD, "ssd": SSD}
-
-#: When set, :func:`fresh_index` attaches this tracer to every index it
-#: builds — the mechanism behind ``python -m repro.bench run X --trace``.
-#: Experiments build one device per cell, so the tracer accumulates
-#: totals across every device it gets bound to.
-_ACTIVE_TRACER = None
-
-def set_active_tracer(tracer) -> None:
-    """Set (or clear, with None) the tracer fresh_index attaches."""
-    global _ACTIVE_TRACER
-    _ACTIVE_TRACER = tracer
-
-
-@contextmanager
-def tracing(tracer):
-    """Attach ``tracer`` to every index built inside the block."""
-    set_active_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_active_tracer(None)
 
 
 @dataclass(frozen=True)
@@ -65,7 +39,6 @@ class Scale:
     n_lookup_ops: int = 2_000   # sampled lookups (paper: 200K)
     n_scan_ops: int = 400       # scan operations (scans cost ~100x a lookup)
     scan_length: int = 100      # elements per scan (paper: 100)
-    block_size: int = 4096
     seed: int = 42
     group_commit: int = 8       # WAL ops per log flush (durability experiment)
 
@@ -105,16 +78,12 @@ def reported_datasets() -> tuple:
 
 
 @dataclass
-class IndexSetup:
-    """One bulk-loaded index with its device, pager and workload stream."""
+class IndexSetup(Stack):
+    """One experiment cell: a bulk-loaded :class:`~repro.stack.Stack`
+    plus the bulk items and the op stream it runs."""
 
-    index: DiskIndex
-    device: BlockDevice
-    pager: Pager
-    bulk_items: list
-    ops: list
-    bulkload_us: float
-    wal: Optional[WriteAheadLog] = None
+    bulk_items: list = field(default_factory=list)
+    ops: list = field(default_factory=list)
 
 
 def _cell_workload(dataset: str, workload: str, scale: Scale,
@@ -139,24 +108,11 @@ def _cell_workload(dataset: str, workload: str, scale: Scale,
     return build_workload(spec, keys, num_ops, seed=scale.seed, **distribution)
 
 
-def fresh_index(index_name: str, dataset: str, workload: str, scale: Scale,
-                profile: DiskProfile = HDD, block_size: Optional[int] = None,
-                buffer_blocks: int = 0, index_params: Optional[dict] = None,
-                inner_memory_resident: bool = False,
-                wal_group_commit: Optional[int] = None,
-                write_back: bool = False, buffer_policy: str = "lru",
+def fresh_index(spec: StackSpec, dataset: str, workload: str, scale: Scale,
                 lookup_distribution: str = "uniform",
                 zipf_s: float = 0.99) -> IndexSetup:
-    """Build a device + index + workload for one experiment cell.
-
-    ``wal_group_commit`` attaches a write-ahead log (on the same device,
-    as in a single-disk DBMS) after the bulk load, group-committing
-    every ``wal_group_commit`` operations.  The default is no logging —
-    the paper's setting.
-
-    ``write_back`` buffers writes as dirty pool frames and flushes them
-    in coalesced runs (requires ``buffer_blocks > 0``); ``buffer_policy``
-    picks the pool's replacement policy.
+    """Build the stack ``spec`` describes for one experiment cell, bulk
+    loaded with ``dataset``'s keys for ``workload`` at ``scale``.
 
     ``lookup_distribution`` (with ``zipf_s``) skews the workload's lookup
     and scan targets — see :data:`repro.workloads.DISTRIBUTIONS`; the
@@ -165,69 +121,5 @@ def fresh_index(index_name: str, dataset: str, workload: str, scale: Scale,
     bulk_items, ops = _cell_workload(
         dataset, workload, scale,
         lookup_distribution=lookup_distribution, zipf_s=zipf_s)
-
-    device = BlockDevice(block_size or scale.block_size, profile)
-    pool = (make_buffer_pool(buffer_blocks, buffer_policy)
-            if buffer_blocks > 0 else None)
-    pager = Pager(device, buffer_pool=pool, write_back=write_back)
-    index = make_index(index_name, pager, **(index_params or {}))
-    if _ACTIVE_TRACER is not None:
-        # Attach before the bulk load so its I/O lands in the trace's
-        # background record and the totals reconcile with device stats.
-        index.attach_tracer(_ACTIVE_TRACER)
-    bulkload_us = bulk_load_timed(index, bulk_items)
-    if write_back:
-        # Bulk load is a workload phase: its boundary flushes the dirty
-        # pages, and the coalesced flush cost belongs to the bulk load.
-        before_us = device.stats.elapsed_us
-        pager.flush()
-        bulkload_us += device.stats.elapsed_us - before_us
-    if inner_memory_resident:
-        index.set_inner_memory_resident(True)
-    wal = None
-    if wal_group_commit is not None:
-        wal = WriteAheadLog(pager, group_commit=wal_group_commit)
-        index.attach_wal(wal)
-    return IndexSetup(index=index, device=device, pager=pager,
-                      bulk_items=bulk_items, ops=ops, bulkload_us=bulkload_us,
-                      wal=wal)
-
-
-def fresh_sharded_index(index_names, shards: Optional[int], dataset: str,
-                        workload: str, scale: Scale,
-                        profile: DiskProfile = HDD,
-                        block_size: Optional[int] = None,
-                        buffer_blocks: int = 0, replicas: int = 1,
-                        durability: bool = False,
-                        wal_group_commit: Optional[int] = None,
-                        lookup_distribution: str = "uniform") -> IndexSetup:
-    """Build a range-partitioned :class:`repro.sharding.ShardedIndex` cell.
-
-    Mirrors :func:`fresh_index`: same dataset, same workload stream, same
-    scale — but the index is a sharded tier whose boundaries come from
-    the bulk keys' quantiles, so every shard loads an equal slice.
-    ``index_names`` is one registry name (uniform tier, needs ``shards``)
-    or a per-shard list (divergent tier).  ``buffer_blocks`` is *per
-    member*: the tier's aggregate cache grows with the shard count,
-    which is the scale-out effect the ``sharding`` experiment measures.
-    Replicas serve reads round-robin.
-    The returned setup's ``device`` / ``pager`` / ``wal`` are the tier's
-    fan-out facades, so every downstream consumer reads combined stats.
-    """
-    from ..core import make_sharded_index
-
-    bulk_items, ops = _cell_workload(
-        dataset, workload, scale, lookup_distribution=lookup_distribution)
-
-    index = make_sharded_index(
-        index_names, shards,
-        sample_keys=[key for key, _ in bulk_items],
-        replicas=replicas, durability=durability,
-        group_commit=(wal_group_commit if wal_group_commit is not None
-                      else scale.group_commit),
-        profile=profile, block_size=block_size or scale.block_size,
-        buffer_blocks=buffer_blocks)
-    bulkload_us = bulk_load_timed(index, bulk_items)
-    return IndexSetup(index=index, device=index.device, pager=index.pager,
-                      bulk_items=bulk_items, ops=ops, bulkload_us=bulkload_us,
-                      wal=index.wal)
+    stack = build(spec, bulk_items)
+    return IndexSetup(**vars(stack), bulk_items=bulk_items, ops=ops)

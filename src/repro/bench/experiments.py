@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Sequence
 from ..core.serial import entries_per_block
 from ..datasets import dataset_names, make_dataset, profile_dataset
 from ..models import optimal_segments
+from ..stack import StackSpec, build
 from ..workloads import run_workload
-from .config import (PROFILES, Scale, fresh_index, fresh_sharded_index,
-                     reported_datasets)
+from .config import PROFILES, Scale, fresh_index, reported_datasets
 
 __all__ = ["ExperimentResult", "INDEXES"]
 
@@ -54,7 +54,7 @@ def exp_table2_cost_model(result: ExperimentResult, scale: Scale) -> None:
     """Evaluate the paper's Table 2 worst-case formulas and compare with
     the measured average lookup block counts at the current scale."""
     n = scale.n_read
-    block = scale.block_size
+    block = StackSpec().block_size
     b = entries_per_block(block)  # raw-layout entries per block
     epsilon = 64
     m = 4096                 # ALEX max data node entries (default parameter)
@@ -71,7 +71,7 @@ def exp_table2_cost_model(result: ExperimentResult, scale: Scale) -> None:
         }
         measured = {}
         for name in INDEXES:
-            setup = fresh_index(name, dataset, "lookup_only", scale)
+            setup = fresh_index(StackSpec(name), dataset, "lookup_only", scale)
             res = run_workload(setup.index, setup.ops[: max(scale.n_lookup_ops // 4, 100)])
             measured[name] = res.blocks_read_per_op
         for name in INDEXES:
@@ -125,9 +125,8 @@ def exp_durability(result: ExperimentResult, scale: Scale,
     for profile_name in ("hdd", "ssd"):
         for name in ("btree", "alex"):
             for batch in batch_sizes:
-                setup = fresh_index(name, "ycsb", "write_only", scale,
-                                    profile=PROFILES[profile_name],
-                                    wal_group_commit=batch)
+                spec = StackSpec(name, profile=PROFILES[profile_name], group_commit=batch)
+                setup = fresh_index(spec, "ycsb", "write_only", scale)
                 checkpoint = take_checkpoint(setup.index, setup.wal)
                 res = run_workload(setup.index, setup.ops, workload="write_only")
                 recovered = recover(checkpoint, setup.wal,
@@ -203,9 +202,9 @@ def exp_compression(result: ExperimentResult, scale: Scale,
         for name in ("btree", "pgm", "hybrid-pgm"):
             for codec in ("raw", "delta", "for"):
                 params = {} if codec == "raw" else {"codec": codec}
-                setup = fresh_index(name, "ycsb", "lookup_only", scale,
-                                    profile=profile, index_params=params,
-                                    buffer_blocks=buffer_blocks)
+                spec = StackSpec(name, index_params=params, profile=profile,
+                                 buffer_blocks=buffer_blocks)
+                setup = fresh_index(spec, "ycsb", "lookup_only", scale)
                 res = run_workload(setup.index, setup.ops,
                                    workload="lookup_only", validate=True)
                 entries, leaf_blocks = _density(setup)
@@ -291,11 +290,9 @@ def exp_write_back(result: ExperimentResult, scale: Scale) -> None:
         for workload in ("write_heavy", "balanced"):
             for name in ("btree", "alex", "lipp"):
                 for mode in ("through", "back"):
-                    setup = fresh_index(
-                        name, "ycsb", workload, scale,
-                        profile=PROFILES[profile_name],
-                        buffer_blocks=512,
-                        write_back=(mode == "back"))
+                    spec = StackSpec(name, profile=PROFILES[profile_name],
+                                     buffer_blocks=512, write_back=(mode == "back"))
+                    setup = fresh_index(spec, "ycsb", workload, scale)
                     res = run_workload(setup.index, setup.ops,
                                        workload=workload, validate=True)
                     result.rows.append({
@@ -341,9 +338,9 @@ def exp_fault_sweep(result: ExperimentResult, scale: Scale,
     for profile_name in ("hdd", "ssd"):
         for name in ("btree", "alex"):
             for rate in transient_rates:
-                setup = fresh_index(name, "ycsb", "read_heavy", scale,
-                                    profile=PROFILES[profile_name],
-                                    wal_group_commit=scale.group_commit)
+                spec = StackSpec(name, profile=PROFILES[profile_name],
+                                 group_commit=scale.group_commit)
+                setup = fresh_index(spec, "ycsb", "read_heavy", scale)
                 checkpoint = take_checkpoint(setup.index, setup.wal)
                 setup.device.fault_model = DeviceFaultModel(
                     seed=scale.seed,
@@ -395,11 +392,10 @@ def exp_concurrency(result: ExperimentResult, scale: Scale,
             # (Table 5): its cells sweep the snapshot-read path only.
             workload = "lookup_only" if name.startswith("hybrid") else "balanced"
             for clients in client_counts:
-                setup = fresh_index(
-                    name, "ycsb", workload, scale,
-                    profile=PROFILES[profile_name],
-                    buffer_blocks=256, wal_group_commit=scale.group_commit,
-                    lookup_distribution="zipfian", zipf_s=0.9)
+                spec = StackSpec(name, profile=PROFILES[profile_name], buffer_blocks=256,
+                                 group_commit=scale.group_commit)
+                setup = fresh_index(spec, "ycsb", workload, scale,
+                                    lookup_distribution="zipfian", zipf_s=0.9)
                 # client_ops forces the serving path even at one client,
                 # so every cell reports the same commit/latch counters.
                 res = run_workload(setup.index, setup.ops,
@@ -498,18 +494,17 @@ def exp_sharding(result: ExperimentResult, scale: Scale,
     # A quarter of the tier's leaf blocks (16B entries): one shard can
     # never cache its slice, four shards together can — the shape this
     # sweep measures, at every REPRO_BENCH_SCALE.
-    buffer_blocks = max(8, scale.n_read * 16 // scale.block_size // 4)
+    buffer_blocks = max(8, scale.n_read * 16 // StackSpec().block_size // 4)
 
     # -- section 1: scale-out sweep -----------------------------------------
     for profile_name in ("hdd", "ssd"):
         for distribution in ("uniform", "zipfian"):
             baseline = None
             for shards in shard_counts:
-                setup = fresh_sharded_index(
-                    "btree", shards, "ycsb", "lookup_only", scale,
-                    profile=PROFILES[profile_name],
-                    buffer_blocks=buffer_blocks,
-                    lookup_distribution=distribution)
+                spec = StackSpec("btree", profile=PROFILES[profile_name],
+                                 buffer_blocks=buffer_blocks, shards=shards)
+                setup = fresh_index(spec, "ycsb", "lookup_only", scale,
+                                    lookup_distribution=distribution)
                 # Warm the pools first: the sweep compares steady-state
                 # hit rates, not the compulsory cold misses (which only
                 # depend on the op count, not the shard count).
@@ -535,9 +530,8 @@ def exp_sharding(result: ExperimentResult, scale: Scale,
 
     # -- section 2: replica read fan-out ------------------------------------
     for replicas in (1, 3):
-        setup = fresh_sharded_index(
-            "btree", 4, "ycsb", "lookup_only", scale, profile=PROFILES["hdd"],
-            replicas=replicas)
+        spec = StackSpec("btree", profile=PROFILES["hdd"], shards=4, replicas=replicas)
+        setup = fresh_index(spec, "ycsb", "lookup_only", scale)
         res = run_workload(setup.index, setup.ops, workload="lookup_only",
                            validate=True)
         served = [shard["reads_served"] for shard in res.per_shard.values()]
@@ -552,7 +546,6 @@ def exp_sharding(result: ExperimentResult, scale: Scale,
         })
 
     # -- section 3: workload-aware divergent tuning --------------------------
-    from ..core import make_sharded_index
     from ..sharding import ShardTuner
 
     # The P1-P5 cost table is calibrated at ~60k keys *per shard* (a
@@ -563,13 +556,10 @@ def exp_sharding(result: ExperimentResult, scale: Scale,
     keys = make_dataset("ycsb", 2 * n, seed=scale.seed)
     loaded = [(int(key), int(key) + 1) for key in keys[0::2]]
     withheld = [int(key) for key in keys[1::2]]
-    sample = [key for key, _ in loaded]
     num_ops = max(1_500, 3 * (scale.n_lookup_ops // 2))
 
     # Profile the mix on a uniform scout tier, then let the tuner choose.
-    scout = make_sharded_index("btree", 3, sample_keys=sample,
-                               profile=PROFILES["hdd"])
-    scout.bulk_load(loaded)
+    scout = build(StackSpec("btree", profile=PROFILES["hdd"], shards=3), loaded).index
     ops = _tuner_ops(scout.partition, loaded, list(withheld), num_ops,
                      seed=scale.seed)
     run_workload(scout, ops, workload="mixed")
@@ -577,12 +567,10 @@ def exp_sharding(result: ExperimentResult, scale: Scale,
     plan = {shard.shard_id: tuner.choose(shard.op_mix())
             for shard in scout.shards}
 
-    configs = [("divergent", [plan[s] for s in range(3)]),
+    configs = [("divergent", tuple(plan[s] for s in range(3))),
                ("uniform-btree", "btree"), ("uniform-alex", "alex")]
     for label, names in configs:
-        tier = make_sharded_index(names, 3, sample_keys=sample,
-                                  profile=PROFILES["hdd"])
-        tier.bulk_load(loaded)
+        tier = build(StackSpec(names, profile=PROFILES["hdd"], shards=3), loaded).index
         res = run_workload(tier, _tuner_ops(tier.partition, loaded,
                                             list(withheld), num_ops,
                                             seed=scale.seed),
@@ -698,10 +686,9 @@ def exp_chaos(result: ExperimentResult, scale: Scale,
     from ..storage import DeviceFaultModel
 
     def build(profile_name, replicas):
-        return fresh_sharded_index(
-            "btree", 2, "ycsb", "balanced", scale,
-            profile=PROFILES[profile_name], replicas=replicas,
-            durability=True, wal_group_commit=scale.group_commit)
+        spec = StackSpec("btree", profile=PROFILES[profile_name],
+                         group_commit=scale.group_commit, shards=2, replicas=replicas)
+        return fresh_index(spec, "ycsb", "balanced", scale)
 
     def serve(setup):
         return run_workload(setup.index, setup.ops, workload="balanced",

@@ -12,9 +12,10 @@ written next to the sentence it implements; ``benchmarks/bench_paper.py``
 runs, archives and checks every entry.
 
 What a row can say: which axes it loops over and in which order (the
-order is also the order of its key columns), which single keyword of
-``fresh_index`` or ``run_workload`` (or constructor parameter of the
-index, or multiple of the scale) it sweeps, which keywords it fixes,
+order is also the order of its key columns), which single field of the
+:class:`~repro.stack.StackSpec` or keyword of ``run_workload`` (or
+lookup distribution, constructor parameter of the index, or multiple of
+the scale) it sweeps, which keywords it fixes,
 whether the innermost axis becomes columns, and how a finished row
 derives one more column.  What it cannot: anything between the build
 and the run.
@@ -23,10 +24,11 @@ and the run.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Callable, Dict, List, Mapping, Optional
 
+from ..stack import StackSpec
 from ..workloads import run_workload
 from . import experiments as bodies
 from .config import (PROFILES, Scale, default_scale, fresh_index,
@@ -51,12 +53,12 @@ class Experiment:
     #: ``shape`` as asserts: raises AssertionError unless ``rows`` show it.
     check: Callable[[Rows], None]
     notes: str = ""
-    #: axis -> values, outermost first.  ``device`` / ``workload`` /
-    #: ``dataset`` / ``index`` are fresh_index's positionals; ``scale``
-    #: multiplies the Scale; any other name is a fresh_index keyword, a
-    #: run_workload keyword or, failing both, a constructor parameter of
-    #: the index.  Values given as a mapping pin other cell values per
-    #: point.
+    #: axis -> values, outermost first.  ``device`` names the spec's
+    #: profile, ``workload`` / ``dataset`` are fresh_index's positionals
+    #: and ``scale`` multiplies the Scale; any other name is a StackSpec
+    #: field, a lookup distribution keyword, a run_workload keyword or,
+    #: failing all three, a constructor parameter of the index.  Values
+    #: given as a mapping pin other cell values per point.
     axes: Mapping[str, object] = field(default_factory=dict)
     #: Cell values every cell shares (default: hdd, lookup_only).
     fixed: Mapping[str, object] = field(default_factory=dict)
@@ -82,7 +84,8 @@ class Experiment:
 REPORTED = None
 
 _DEFAULT_CELL = {"device": "hdd", "workload": "lookup_only"}
-_FRESH_INDEX_KEYWORDS = frozenset(inspect.signature(fresh_index).parameters)
+_SPEC_FIELDS = frozenset(f.name for f in fields(StackSpec))
+_DISTRIBUTION_KEYWORDS = frozenset(("lookup_distribution", "zipf_s"))
 _RUN_KEYWORDS = frozenset(inspect.signature(run_workload).parameters)
 #: The FITing-tree calls its epsilon ``error_bound``.
 _PARAM_ALIASES = {("fiting", "epsilon"): "error_bound"}
@@ -90,15 +93,16 @@ _PARAM_ALIASES = {("fiting", "epsilon"): "error_bound"}
 
 def _measure(cell: dict, scale: Scale):
     """One cell of the grid: ``fresh_index -> run_workload``."""
-    index, dataset, workload = (cell.pop(k) for k in ("index", "dataset", "workload"))
-    profile = PROFILES[cell.pop("device")]
+    dataset, workload = cell.pop("dataset"), cell.pop("workload")
+    cell["profile"] = PROFILES[cell.pop("device")]
     if "scale" in cell:
         scale = scale.scaled(cell.pop("scale"))
-    keywords = {k: cell.pop(k) for k in list(cell) if k in _FRESH_INDEX_KEYWORDS}
+    stack = {k: cell.pop(k) for k in list(cell) if k in _SPEC_FIELDS}
+    distribution = {k: cell.pop(k) for k in list(cell) if k in _DISTRIBUTION_KEYWORDS}
     run_keywords = {k: cell.pop(k) for k in list(cell) if k in _RUN_KEYWORDS}
-    params = {_PARAM_ALIASES.get((index, k), k): v for k, v in cell.items()}
-    setup = fresh_index(index, dataset, workload, scale, profile=profile,
-                        index_params=params, **keywords)
+    params = {_PARAM_ALIASES.get((stack["index"], k), k): v for k, v in cell.items()}
+    setup = fresh_index(StackSpec(index_params=params, **stack), dataset,
+                        workload, scale, **distribution)
     res = run_workload(setup.index, setup.ops, workload=workload,
                        scan_length=scale.scan_length, **run_keywords)
     return setup, res

@@ -994,9 +994,10 @@ class AlexIndex(DiskIndex):
 
     def verify(self) -> int:
         """Check tree reachability, gapped-array monotonicity, bitmap
-        consistency, the sibling chain's global key order, and that the
+        consistency, the sibling chain's global key order, that the
         inner models route each data node's first and last real key to
-        it — through :meth:`_descend`, the walk every lookup takes."""
+        it — through :meth:`_descend`, the walk every lookup takes — and
+        that a point lookup of every stored key returns its payload."""
         with self._free_io():
             leaves: List[int] = []
             self._collect_leaves(self.root_ptr, leaves)
@@ -1023,10 +1024,16 @@ class AlexIndex(DiskIndex):
                     assert first_key > previous_key and (
                         real_keys[1:] > real_keys[:-1]).all(), "real keys out of global order"
                     previous_key = int(real_keys[-1])
-                    count += int(np.count_nonzero(payloads[slots] != TOMBSTONE))
+                    live = payloads[slots] != TOMBSTONE
+                    count += int(np.count_nonzero(live))
                     for key in (first_key, previous_key):
                         assert self._descend(key, self.pager)[0] == block, (
                             f"key {key} of data node {block} is routed elsewhere")
+                    for key, payload, alive in zip(real_keys.tolist(),
+                                                   payloads[slots].tolist(),
+                                                   live.tolist()):
+                        assert self.lookup(key) == (payload if alive else None), (
+                            f"key {key} of data node {block} reads back wrong")
                 previous_block = block
                 # The next pointer must agree with the collected order.
             for left, right in zip(leaves, leaves[1:]):

@@ -482,11 +482,12 @@ class LippIndex(DiskIndex):
 
     def verify(self) -> int:
         """Check slot-flag sanity, model-placement exactness (every DATA
-        key predicts to its own slot) and per-node item counts."""
+        key predicts to its own slot), per-node item counts, and that a
+        point lookup of every stored key returns its payload."""
         with self._free_io():
             previous = -1
             walked = 0
-            for slot, key, _payload, node in self._walk(self.root_block):
+            for slot, key, payload, node in self._walk(self.root_block):
                 if slot < 0:
                     walked = key  # entries under ``node``; the root comes last
                     assert walked == node.item_count, (
@@ -497,6 +498,10 @@ class LippIndex(DiskIndex):
                     f"{node.predict(key)}")
                 assert key > previous, "keys out of in-order sequence"
                 previous = key
+                # Free reads touch no pager state, so the walk's held
+                # block survives the lookup.
+                assert self._lookup_walk(key) == payload, (
+                    f"key {key} reads back wrong, stored {payload}")
             return walked
 
     def init_params(self) -> dict:

@@ -3,7 +3,9 @@
 See DESIGN.md Section 14.  The public surface:
 
 * :func:`make_sharded_index` — build a :class:`ShardedIndex` (the whole
-  tier behind the ordinary :class:`~repro.core.DiskIndex` interface);
+  tier behind the ordinary :class:`~repro.core.DiskIndex` interface)
+  from keywords; :func:`repro.stack.build` builds one from a
+  :class:`~repro.stack.StackSpec`;
 * :class:`RangePartition` / :class:`Router` / :class:`Shard` — the
   pieces, for tests and tools that need to reach inside;
 * :class:`ShardTuner` — P1-P5 scoring of observed per-shard op mixes,
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
+from ..stack import StackSpec, make_tier
 from ..storage import HDD, DiskProfile
 from .partition import KEYSPACE_END, RangePartition
 from .router import Router
@@ -41,38 +44,24 @@ def make_sharded_index(index_names: Union[str, Sequence[str]],
                        profile: DiskProfile = HDD, block_size: int = 4096,
                        buffer_blocks: int = 0, write_back: bool = False,
                        index_params: Optional[dict] = None) -> ShardedIndex:
-    """Build a sharded tier.
+    """Build a sharded tier, unloaded: the keyword form of a tier
+    :class:`~repro.stack.StackSpec` (``durability`` arms a WAL of
+    ``group_commit`` per shard; a member's pool is LRU), plus the
+    partition and the read routing (``primary`` / ``round_robin`` /
+    ``least_loaded``).  :func:`repro.stack.build` builds a tier from a
+    spec and also owns its bulk-load boundary.
 
-    Args:
-        index_names: one registry name for a uniform tier, or one name
-            per shard for a divergent one (its length fixes the shard
-            count).
-        shards: shard count (required when ``index_names`` is a single
-            name and no explicit ``boundaries`` are given).
-        boundaries: explicit partition split keys
-            (``len(boundaries) + 1`` shards); otherwise quantile
-            boundaries are cut from ``sample_keys`` (normally the bulk
-            keys).
-        replicas: copies per shard including the primary.
-        replica_policy: read routing across a replica group —
-            ``primary`` / ``round_robin`` / ``least_loaded``.
-        durability: give every shard its own WAL (armed after bulk
-            load), making the tier's ``durable_*`` paths and the fan-out
-            WAL facade live.
-        group_commit / profile / block_size / buffer_blocks /
-        write_back / index_params: per-member storage configuration,
-            identical across members (a member's pool is LRU).
+    The partition: ``len(index_names)`` shards for per-shard names,
+    ``len(boundaries) + 1`` for explicit split keys, else ``shards``
+    ranges cut at the quantiles of ``sample_keys`` (normally the bulk
+    keys) or, without a sample, evenly over the keyspace.
     """
-    if isinstance(index_names, str):
-        names: Optional[list] = None
-        uniform = index_names
-    else:
-        names = list(index_names)
-        uniform = None
-        if shards is not None and shards != len(names):
+    if not isinstance(index_names, str):
+        index_names = tuple(index_names)
+        if shards is not None and shards != len(index_names):
             raise ValueError(
-                f"{len(names)} per-shard index names but shards={shards}")
-        shards = len(names)
+                f"{len(index_names)} per-shard index names but shards={shards}")
+        shards = len(index_names)
 
     if boundaries is not None:
         partition = RangePartition(boundaries)
@@ -82,8 +71,6 @@ def make_sharded_index(index_names: Union[str, Sequence[str]],
                 f"{partition.num_shards} ranges but shards={shards}")
     elif shards is None:
         raise ValueError("pass shards=N, per-shard index_names, or boundaries")
-    elif shards == 1:
-        partition = RangePartition()
     elif sample_keys is not None:
         partition = RangePartition.from_keys(sample_keys, shards)
     else:
@@ -91,15 +78,12 @@ def make_sharded_index(index_names: Union[str, Sequence[str]],
         step = KEYSPACE_END // shards
         partition = RangePartition([step * i for i in range(1, shards)])
 
-    if names is None:
-        names = [uniform] * partition.num_shards
+    if durability and group_commit < 1:
+        raise ValueError(f"group_commit must be >= 1, got {group_commit}")
+    spec = StackSpec(index_names, index_params=index_params or {},
+                     profile=profile, block_size=block_size,
+                     buffer_blocks=buffer_blocks, write_back=write_back,
+                     group_commit=group_commit if durability else 0,
+                     shards=partition.num_shards, replicas=replicas)
+    return make_tier(spec, partition, replica_policy)
 
-    built = [
-        Shard(shard_id, name, replicas=replicas,
-              replica_policy=replica_policy, durability=durability,
-              group_commit=group_commit, profile=profile,
-              block_size=block_size, buffer_blocks=buffer_blocks,
-              write_back=write_back, index_params=index_params)
-        for shard_id, name in enumerate(names)
-    ]
-    return ShardedIndex(built, partition)

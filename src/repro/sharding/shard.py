@@ -47,10 +47,10 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.interface import DiskIndex, KeyPayload
-from ..core.registry import make_index
 from ..durability.recovery import Checkpoint, RecoveryResult, recover, take_checkpoint
 from ..durability.wal import LogRecord, WAL_FILE, WriteAheadLog
-from ..storage import HDD, BlockDevice, DiskProfile, Pager, make_buffer_pool
+from ..stack import StackSpec, assemble, pager_kwargs
+from ..storage import BlockDevice, Pager
 from ..storage.integrity import PersistentIOError, StorageFault
 
 __all__ = ["Shard", "ShardMember", "MemberHealth", "REPLICA_POLICIES",
@@ -104,19 +104,16 @@ class MemberHealth:
 
 
 class ShardMember:
-    """One copy of a shard's data: device + pager + index."""
+    """One copy of a shard's data: the flat stack its member spec
+    assembles (device + pool + pager + index), or — on the recovery
+    path — an already-built ``index`` whose pager recovery rebuilt with
+    the spec's :func:`~repro.stack.pager_kwargs`, so an adopted member is
+    *not* silently downgraded to pass-through defaults."""
 
-    def __init__(self, index_name: str, *, profile: DiskProfile = HDD,
-                 block_size: int = 4096, buffer_blocks: int = 0,
-                 write_back: bool = False,
-                 index_params: Optional[dict] = None) -> None:
-        self.index_name = index_name
-        self.device = BlockDevice(block_size, profile)
-        pool = make_buffer_pool(buffer_blocks) if buffer_blocks > 0 else None
-        self.pager = Pager(self.device, buffer_pool=pool,
-                           write_back=write_back)
-        self.index: DiskIndex = make_index(index_name, self.pager,
-                                           **(index_params or {}))
+    def __init__(self, spec: StackSpec, index: Optional[DiskIndex] = None) -> None:
+        self.index: DiskIndex = index if index is not None else assemble(spec)
+        self.pager = self.index.pager
+        self.device = self.pager.device
         #: reads served by this member (read fan-out accounting).
         self.reads_served = 0
         self.health = MemberHealth()
@@ -126,27 +123,6 @@ class ShardMember:
         #: write-path fault, or it crashed as primary): its files can
         #: never be trusted for suffix replay, only a full re-seed.
         self.tainted = False
-
-    @classmethod
-    def adopt(cls, index: DiskIndex, index_name: str) -> "ShardMember":
-        """Wrap an already-built index (the recovery path) as a member.
-
-        The index keeps whatever pager it was built with — recovery
-        threads the original storage configuration (buffer pool,
-        write-back) through ``load_index`` so an
-        adopted member is *not* silently downgraded to pass-through
-        defaults.
-        """
-        member = cls.__new__(cls)
-        member.index_name = index_name
-        member.index = index
-        member.pager = index.pager
-        member.device = index.pager.device
-        member.reads_served = 0
-        member.health = MemberHealth()
-        member.applied_seqno = 0
-        member.tainted = False
-        return member
 
     def dump(self) -> List[KeyPayload]:
         """All live pairs, charged as a full scan on this member."""
@@ -158,22 +134,18 @@ class Shard:
 
     Args:
         shard_id: position in the owning partition (for reporting).
-        index_name: registry name of the index class every member runs.
+        spec: the flat member spec every copy is assembled from — the
+            index class, the storage configuration, and ``group_commit``:
+            when non-zero, mutations log through a per-shard WAL on the
+            primary's device (created after bulk load, in
+            :func:`repro.stack.build`'s order, so a 1-shard tier is
+            byte-for-byte comparable with a flat stack).
         replicas: total copies including the primary (1 = no replicas).
         replica_policy: read-routing policy across the replica group.
-        durability: when True, mutations log through a per-shard WAL on
-            the primary's device (created after bulk load, mirroring
-            ``fresh_index``'s ordering so a 1-shard tier is byte-for-byte
-            comparable with an unsharded one).
-        group_commit: WAL records buffered per log flush.
-        **member_kwargs: storage configuration forwarded to every
-            :class:`ShardMember` (profile, block_size, buffer_blocks,
-            write_back, index_params).
     """
 
-    def __init__(self, shard_id: int, index_name: str, *, replicas: int = 1,
-                 replica_policy: str = "round_robin", durability: bool = False,
-                 group_commit: int = 8, **member_kwargs) -> None:
+    def __init__(self, shard_id: int, spec: StackSpec, *, replicas: int = 1,
+                 replica_policy: str = "round_robin") -> None:
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         if replica_policy not in REPLICA_POLICIES:
@@ -181,11 +153,8 @@ class Shard:
                 f"unknown replica policy {replica_policy!r}; "
                 f"available: {REPLICA_POLICIES}")
         self.shard_id = shard_id
-        self.index_name = index_name
+        self.spec = spec
         self.replica_policy = replica_policy
-        self.durability = durability
-        self.group_commit = group_commit
-        self.member_kwargs = dict(member_kwargs)
         self.primary = self._new_member()
         self.replicas: List[ShardMember] = [
             self._new_member() for _ in range(replicas - 1)
@@ -210,8 +179,13 @@ class Shard:
         self.on_members_changed: Optional[Callable[[], None]] = None
         self._failover_result: object = None
 
+    @property
+    def index_name(self) -> str:
+        """Registry name of the index class every member runs."""
+        return self.spec.index
+
     def _new_member(self) -> ShardMember:
-        return ShardMember(self.index_name, **self.member_kwargs)
+        return ShardMember(self.spec)
 
     def _tracer(self):
         return self.primary.pager.tracer
@@ -249,16 +223,16 @@ class Shard:
 
     def bulk_load(self, items: Sequence[KeyPayload]) -> None:
         """Load every member, then arm the WAL (log-after-load, as in
-        ``fresh_index``: the bulk image is the recovery baseline, not a
-        replayable suffix)."""
+        :func:`repro.stack.build`: the bulk image is the recovery
+        baseline, not a replayable suffix)."""
         for member in self.members():
             member.index.bulk_load(items)
         self._ensure_wal()
 
     def _ensure_wal(self) -> None:
-        if self.durability and self.wal is None:
+        if self.spec.group_commit and self.wal is None:
             self.wal = WriteAheadLog(self.primary.pager,
-                                     group_commit=self.group_commit)
+                                     group_commit=self.spec.group_commit)
             self.primary.index.attach_wal(self.wal)
 
     # -- read path -----------------------------------------------------------
@@ -671,14 +645,6 @@ class Shard:
 
     # -- crash recovery ------------------------------------------------------
 
-    def _pager_kwargs(self) -> dict:
-        """Rebuild the members' pager configuration for recovery paths."""
-        kwargs = self.member_kwargs
-        buffer_blocks = kwargs.get("buffer_blocks", 0)
-        pool = make_buffer_pool(buffer_blocks) if buffer_blocks > 0 else None
-        return {"buffer_pool": pool,
-                "write_back": kwargs.get("write_back", False)}
-
     def checkpoint(self) -> Checkpoint:
         """Durable snapshot of the primary (flushes WAL + dirty pages)."""
         self._ensure_wal()
@@ -694,18 +660,17 @@ class Shard:
         shipping may have applied records past the durable prefix — acked
         to nobody, so recovery must *unapply* them, and a re-seed is how
         a follower rejoins after diverging.  The adopted primary keeps
-        the shard's storage configuration (buffer pool, write-back) via
-        ``pager_kwargs``.
+        the member spec's storage configuration (buffer pool,
+        write-back) via ``pager_kwargs``.
         """
         if self.wal is None:
             raise RuntimeError("cannot recover a shard without a WAL")
-        result = recover(checkpoint, self.wal,
-                         profile=self.member_kwargs.get("profile"),
-                         pager_kwargs=self._pager_kwargs())
-        self.primary = ShardMember.adopt(result.index, self.index_name)
+        result = recover(checkpoint, self.wal, profile=self.spec.profile,
+                         pager_kwargs=pager_kwargs(self.spec))
+        self.primary = ShardMember(self.spec, result.index)
         self.primary.applied_seqno = result.last_seqno
         self.wal = WriteAheadLog(self.primary.pager,
-                                 group_commit=self.group_commit)
+                                 group_commit=self.spec.group_commit)
         # Continue the shard's sequence numbering where the durable
         # prefix ended, so post-recovery appends extend the same history.
         self.wal.next_seqno = result.last_seqno + 1

@@ -335,7 +335,7 @@ class ShardedIndex(DiskIndex):
         self.device = _FanoutDevice(self)
         self.pager = _FanoutPager(self)
         self.wal = (_FanoutWal(self)
-                    if any(s.durability for s in self.shards) else None)
+                    if any(s.spec.group_commit for s in self.shards) else None)
         self.tracer = None
         for shard in self.shards:
             shard.on_members_changed = self._on_members_changed

@@ -40,6 +40,7 @@ microseconds differ), so one table serves both profiles.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Mapping
 
 from .shard import Shard, ShardMember
@@ -140,13 +141,14 @@ class ShardTuner:
         with shard.primary.pager.phase("maintenance"):
             items = shard.primary.index.scan_range(0, 2**64 - 1)
         old_wal = shard.wal
+        spec = replace(shard.spec, index=index_name)
         members: List[ShardMember] = []
         for _ in shard.members():
-            member = ShardMember(index_name, **shard.member_kwargs)
+            member = ShardMember(spec)
             with member.pager.phase("maintenance"):
                 member.index.bulk_load(items)
             members.append(member)
-        shard.index_name = index_name
+        shard.spec = spec
         shard.primary, shard.replicas = members[0], members[1:]
         shard.wal = None
         shard._ensure_wal()

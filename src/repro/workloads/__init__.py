@@ -1,6 +1,6 @@
 """Workload generation and execution (Section 5.2 of the paper)."""
 
-from .runner import RunResult, bulk_load_timed, run_workload
+from .runner import RunResult, run_workload
 from .spec import (DISTRIBUTIONS, WORKLOADS, Operation, WorkloadSpec,
                    build_workload, workload_names)
 
@@ -11,7 +11,6 @@ __all__ = [
     "WORKLOADS",
     "WorkloadSpec",
     "build_workload",
-    "bulk_load_timed",
     "run_workload",
     "workload_names",
 ]

@@ -31,7 +31,7 @@ from ..obs.metrics import KeyedDigest, io_bounds, latency_bounds
 from ..storage import Pager, StorageFault
 from .spec import Operation
 
-__all__ = ["RunResult", "run_workload", "bulk_load_timed"]
+__all__ = ["RunResult", "run_workload"]
 
 #: Per-operation cap on heal-and-retry rounds: a device corrupting one
 #: operation's blocks faster than they can be repaired surfaces the fault
@@ -151,14 +151,6 @@ class RunResult:
         if self.log_flushes == 0:
             return 0.0
         return self.log_records / self.log_flushes
-
-
-def bulk_load_timed(index: DiskIndex, items: Sequence[Tuple[int, int]]) -> float:
-    """Bulk load and return the simulated microseconds it took."""
-    stats = index.pager.stats
-    before = stats.elapsed_us
-    index.bulk_load(items)
-    return stats.elapsed_us - before
 
 
 class _Meter:

@@ -11,6 +11,7 @@ from repro.bench import (
     fresh_index,
     run_experiment,
 )
+from repro.stack import StackSpec
 from repro.workloads import run_workload
 
 TINY = Scale(n_read=4000, n_write_bulk=1500, n_write_ops=800,
@@ -36,7 +37,7 @@ def test_scale_factor():
 
 
 def test_fresh_index_read_workload():
-    setup = fresh_index("btree", "ycsb", "lookup_only", TINY)
+    setup = fresh_index(StackSpec("btree"), "ycsb", "lookup_only", TINY)
     assert len(setup.bulk_items) == TINY.n_read
     assert len(setup.ops) == TINY.n_lookup_ops
     result = run_workload(setup.index, setup.ops, validate=True)
@@ -44,14 +45,14 @@ def test_fresh_index_read_workload():
 
 
 def test_fresh_index_write_workload_bulk_size():
-    setup = fresh_index("btree", "ycsb", "write_only", TINY)
+    setup = fresh_index(StackSpec("btree"), "ycsb", "write_only", TINY)
     assert len(setup.bulk_items) == TINY.n_write_bulk
     assert len(setup.ops) == TINY.n_write_ops
 
 
 def test_fresh_index_memory_resident_flag():
-    setup = fresh_index("btree", "ycsb", "lookup_only", TINY,
-                        inner_memory_resident=True)
+    setup = fresh_index(StackSpec("btree", inner_memory_resident=True),
+                        "ycsb", "lookup_only", TINY)
     roles = setup.index.file_roles()
     for name, role in roles.items():
         if role == "inner":
@@ -59,7 +60,8 @@ def test_fresh_index_memory_resident_flag():
 
 
 def test_fresh_index_buffer_pool():
-    setup = fresh_index("btree", "ycsb", "lookup_only", TINY, buffer_blocks=64)
+    setup = fresh_index(StackSpec("btree", buffer_blocks=64),
+                        "ycsb", "lookup_only", TINY)
     assert setup.pager.buffer_pool is not None
     assert setup.pager.buffer_pool.capacity == 64
 

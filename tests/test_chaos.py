@@ -19,6 +19,7 @@ import pytest
 
 from repro.serving import split_ops
 from repro.sharding import Shard
+from repro.stack import StackSpec
 from repro.storage import (HDD, NULL_DEVICE, BlockDevice, DeviceFaultModel,
                            MemberCrashError, MemberStallError, Pager,
                            PersistentIOError)
@@ -35,8 +36,8 @@ def _draws(model, n=20):
 
 def _durable_shard(replicas=3, n=1200, seed=3, **kwargs):
     keys = random_sorted_keys(n, seed=seed, key_space=KEY_SPACE)
-    shard = Shard(0, "btree", replicas=replicas, durability=True,
-                  group_commit=2, profile=NULL_DEVICE, **kwargs)
+    shard = Shard(0, StackSpec("btree", group_commit=2, profile=NULL_DEVICE,
+                               **kwargs), replicas=replicas)
     shard.bulk_load(items_of(keys))
     return shard, keys
 
@@ -233,8 +234,8 @@ def test_zero_rate_fault_model_is_charge_identical():
     model must not change a single counter or charged microsecond."""
     def run(with_model):
         keys = random_sorted_keys(1200, seed=8, key_space=KEY_SPACE)
-        shard = Shard(0, "btree", replicas=2, durability=True,
-                      group_commit=2, profile=HDD)
+        shard = Shard(0, StackSpec("btree", group_commit=2, profile=HDD),
+                      replicas=2)
         shard.bulk_load(items_of(keys))
         if with_model:
             parent = DeviceFaultModel(seed=9)

@@ -286,13 +286,14 @@ def test_checksums_leave_every_device_counter_bit_identical():
     Read-Heavy run charges the same StorageStats, simulated clock
     included, with the envelope checked or not."""
     from repro.bench import Scale, fresh_index
+    from repro.stack import StackSpec
     from repro.workloads import run_workload
 
     scale = Scale(n_read=4000, n_write_bulk=2000, n_write_ops=600,
                   n_lookup_ops=100, n_scan_ops=20)
 
     def stats(checksums):
-        setup = fresh_index("btree", "ycsb", "read_heavy", scale)
+        setup = fresh_index(StackSpec("btree"), "ycsb", "read_heavy", scale)
         setup.device.checksums = checksums
         run_workload(setup.index, setup.ops, workload="read_heavy")
         return setup.device.stats

@@ -76,7 +76,7 @@ def test_wal_spans_blocks_when_batch_exceeds_block_capacity(pager):
     assert len(list(wal.durable_records())) == 500
 
 
-def test_wal_group_commit_reduces_log_writes():
+def test_group_commit_reduces_log_writes():
     per_op = {}
     for batch in (1, 8, 64):
         pager = Pager(BlockDevice(4096, HDD))
@@ -282,17 +282,18 @@ def test_runner_without_wal_reports_zero_log_traffic():
 
 def test_fresh_index_wal_defaults_to_scale_group_commit():
     from repro.bench.config import Scale, fresh_index
+    from repro.stack import StackSpec
 
     scale = Scale().scaled(0.01)
-    setup = fresh_index("btree", "ycsb", "write_only", scale,
-                        wal_group_commit=scale.group_commit)
+    setup = fresh_index(StackSpec("btree", group_commit=scale.group_commit),
+                        "ycsb", "write_only", scale)
     assert setup.wal is not None
     assert setup.wal.group_commit == scale.group_commit
     assert setup.index.wal is setup.wal
-    override = fresh_index("btree", "ycsb", "write_only", scale,
-                           wal_group_commit=64)
+    override = fresh_index(StackSpec("btree", group_commit=64),
+                           "ycsb", "write_only", scale)
     assert override.wal.group_commit == 64
-    plain = fresh_index("btree", "ycsb", "write_only", scale)
+    plain = fresh_index(StackSpec("btree"), "ycsb", "write_only", scale)
     assert plain.wal is None
 
 

@@ -46,14 +46,16 @@ def test_lookup_every_bulk_key(name):
 #: friendly uniform keys above: their routing errors (a model
 #: extrapolating across a giant gap, PLID's directory at a tight bound)
 #: only show on ``fb`` / ``osm`` / ``covid`` / ``genome``-shaped keys.
-PLA_CELLS = [("pgm", {}), ("plid", {}), ("plid", {"error_bound": 1}),
-             ("hybrid-pgm", {}), ("fiting", {}), ("hybrid-fiting", {})]
+#: The B+-tree, ALEX and LIPP take the same cells.
+HARD_CELLS = [("pgm", {}), ("plid", {}), ("plid", {"error_bound": 1}),
+              ("hybrid-pgm", {}), ("fiting", {}), ("hybrid-fiting", {}),
+              ("btree", {}), ("alex", {}), ("lipp", {})]
 
 
 @pytest.mark.parametrize("dataset", dataset_names(include_large=True))
 @pytest.mark.parametrize(
-    "name, params", PLA_CELLS,
-    ids=["-".join([name, *map(str, params.values())]) for name, params in PLA_CELLS])
+    "name, params", HARD_CELLS,
+    ids=["-".join([name, *map(str, params.values())]) for name, params in HARD_CELLS])
 def test_hard_datasets_read_all_and_scan_between_keys(name, params, dataset):
     """Bulk load, read every key back, and start scans just above, just
     below and midway between 1,000 sampled neighbours."""

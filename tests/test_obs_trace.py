@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.bench.config import Scale, fresh_index, tracing
+from repro.stack import StackSpec
 from repro.bench import run_experiment
 from repro.core import index_names, make_index
 from repro.durability import WriteAheadLog
@@ -114,7 +115,7 @@ def test_trace_reconciles_across_run_experiment(tmp_path, monkeypatch):
 def test_tracing_context_binds_every_fresh_index(tmp_path):
     tracer = Tracer()
     with tracing(tracer):
-        setups = [fresh_index(name, "ycsb", "write_only", SMALL)
+        setups = [fresh_index(StackSpec(name), "ycsb", "write_only", SMALL)
                   for name in ("btree", "alex")]
         for setup in setups:
             run_workload(setup.index, setup.ops[:100])
@@ -141,8 +142,9 @@ def test_disabled_tracing_results_bit_identical():
     """Every pre-existing RunResult metric must be unchanged by merely
     having tracing available — traced and untraced runs agree bit for bit."""
     def one_run(with_tracer):
-        setup = fresh_index("alex", "ycsb", "balanced", SMALL, buffer_blocks=16,
-                            wal_group_commit=SMALL.group_commit)
+        setup = fresh_index(StackSpec("alex", buffer_blocks=16,
+                                      group_commit=SMALL.group_commit),
+                            "ycsb", "balanced", SMALL)
         tracer = None
         if with_tracer:
             tracer = Tracer()

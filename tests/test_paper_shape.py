@@ -8,6 +8,7 @@ moves a metric.  They are the executable form of EXPERIMENTS.md.
 import pytest
 
 from repro.bench import Scale, fresh_index
+from repro.stack import StackSpec
 from repro.storage import HDD
 from repro.workloads import run_workload
 
@@ -18,7 +19,7 @@ INDEXES = ("btree", "fiting", "pgm", "alex", "lipp")
 
 
 def throughput(index_name, dataset, workload, **kwargs):
-    setup = fresh_index(index_name, dataset, workload, SCALE, **kwargs)
+    setup = fresh_index(StackSpec(index_name, **kwargs), dataset, workload, SCALE)
     result = run_workload(setup.index, setup.ops, workload=workload)
     return result
 
@@ -115,7 +116,7 @@ def test_o11_pgm_smallest_lipp_largest_storage():
     """O11: PGM has the smallest and LIPP the largest index size."""
     sizes = {}
     for name in INDEXES:
-        setup = fresh_index(name, "fb", "lookup_only", SCALE)
+        setup = fresh_index(StackSpec(name), "fb", "lookup_only", SCALE)
         sizes[name] = setup.device.allocated_bytes
     assert sizes["pgm"] == min(sizes.values())
     assert sizes["lipp"] == max(sizes.values())
@@ -152,7 +153,8 @@ def test_o17_block_size_helps_everyone_but_lipp():
     """O17: larger blocks cut fetched blocks for B+-tree/FITing/PGM/ALEX
     but LIPP's exact predictions leave nothing to batch."""
     def blocks(name, block_size):
-        setup = fresh_index(name, "fb", "lookup_only", SCALE, block_size=block_size)
+        setup = fresh_index(StackSpec(name, block_size=block_size),
+                            "fb", "lookup_only", SCALE)
         return run_workload(setup.index, setup.ops).blocks_read_per_op
 
     for name in ("btree", "pgm"):
@@ -172,8 +174,8 @@ def test_buffer_study_lipp_best_at_zero_then_overtaken():
     """Section 6.6: LIPP fetches fewest blocks with no buffer, but a
     large LRU buffer favors the small-upper-level indexes."""
     def blocks(name, buffer_blocks):
-        setup = fresh_index(name, "ycsb", "lookup_only", SCALE,
-                            buffer_blocks=buffer_blocks)
+        setup = fresh_index(StackSpec(name, buffer_blocks=buffer_blocks),
+                            "ycsb", "lookup_only", SCALE)
         return run_workload(setup.index, setup.ops).blocks_read_per_op
 
     no_buffer = {name: blocks(name, 0) for name in INDEXES}

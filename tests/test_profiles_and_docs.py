@@ -34,24 +34,22 @@ def test_custom_profile():
 
 def test_readme_quickstart_snippet():
     """The exact code shown in README.md must keep working."""
-    from repro import BlockDevice, Pager, HDD, make_index
+    from repro import HDD, StackSpec, build
 
-    device = BlockDevice(block_size=4096, profile=HDD)
-    index = make_index("alex", Pager(device))
-    index.bulk_load([(k, k + 1) for k in range(0, 10_000_000, 100)])
+    spec = StackSpec("alex", profile=HDD, block_size=4096)
+    stack = build(spec, [(k, k + 1) for k in range(0, 10_000_000, 100)])
+    index = stack.index
 
     index.insert(5, 6)
     assert index.lookup(5) == 6
     assert index.scan(0, 3) == [(0, 1), (5, 6), (100, 101)]
-    assert device.stats.reads > 0
+    assert stack.device.stats.reads > 0
 
 
 def test_package_docstring_snippet():
     """The snippet in repro/__init__ must keep working."""
-    from repro import BlockDevice, Pager, HDD, make_index
+    from repro import StackSpec, build
 
-    device = BlockDevice(block_size=4096, profile=HDD)
-    index = make_index("alex", Pager(device))
-    index.bulk_load([(k, k + 1) for k in range(0, 1_000_000, 10)])
-    index.insert(5, 6)
-    assert index.lookup(5) == 6
+    stack = build(StackSpec("alex"), [(k, k + 1) for k in range(0, 1_000_000, 10)])
+    stack.index.insert(5, 6)
+    assert stack.index.lookup(5) == 6

@@ -2,6 +2,9 @@
 accounting, fan-out facades, tuner scoring, and the runner/serving
 integration surface."""
 
+import itertools
+from dataclasses import replace
+
 import pytest
 
 from repro.core import make_sharded_index
@@ -347,7 +350,7 @@ def test_fanout_wal_crash_surface_and_mixed_durability():
     index.wal.flush()
     assert index.wal.tear_tail_block()
     # A shard stripped of durability refuses the tier-level append.
-    index.shards[0].durability = False
+    index.shards[0].spec = replace(index.shards[0].spec, group_commit=0)
     index.shards[0].wal = None
     with pytest.raises(RuntimeError):
         index.wal.append("insert", 1, 3)
@@ -475,23 +478,43 @@ def test_tier_clock_accessor_is_bit_identical_to_combined_stats():
     assert flat.elapsed_us == flat.stats.elapsed_us == 0.0
 
 
-def test_one_shard_tier_charges_exactly_the_flat_index():
-    """Same dataset, op stream and WAL batching: the router's dispatch and
-    the fan-out device/pager/WAL facades are pure accounting, so a 1-shard
-    durable tier charges bit-identically what the flat index charges."""
-    from repro.bench import Scale, fresh_index, fresh_sharded_index
+#: (index, buffer_blocks, write_back, group_commit): the 1x1 tier's
+#: storage settings.  Write-back without a pool is not a stack.
+ONE_SHARD_CASES = list(itertools.product(("btree", "alex"), (0, 64),
+                                         (False, True), (0, 8)))
 
+
+@pytest.mark.parametrize(
+    "index, buffer_blocks, write_back, group_commit", ONE_SHARD_CASES,
+    ids=[f"{name}-pool{pool}-{'wb' if wb else 'wt'}-gc{gc}"
+         for name, pool, wb, gc in ONE_SHARD_CASES])
+def test_one_shard_tier_charges_exactly_the_flat_index(
+        index, buffer_blocks, write_back, group_commit):
+    """Same dataset, op stream and stack settings: the router's dispatch
+    and the fan-out device/pager/WAL facades are pure accounting, so a
+    1-shard tier charges bit-identically what the flat stack charges —
+    pool or none, write-back or through, logged or not."""
+    from repro.bench import Scale, fresh_index
+    from repro.stack import StackSpec
+
+    settings = dict(buffer_blocks=buffer_blocks, write_back=write_back,
+                    group_commit=group_commit)
+    if write_back and not buffer_blocks:
+        with pytest.raises(ValueError):
+            StackSpec(index, **settings)
+        return
     scale = Scale(n_read=4000, n_write_bulk=2000, n_write_ops=600,
                   n_lookup_ops=100, n_scan_ops=20)
-    flat = fresh_index("btree", "ycsb", "balanced", scale,
-                       wal_group_commit=scale.group_commit)
-    tier = fresh_sharded_index("btree", 1, "ycsb", "balanced", scale,
-                               durability=True)
+    spec = StackSpec(index, **settings)
+    flat = fresh_index(spec, "ycsb", "balanced", scale)
+    tier = fresh_index(replace(spec, shards=1), "ycsb", "balanced", scale)
     assert flat.ops == tier.ops
+    assert flat.bulkload_us == tier.bulkload_us
     res_flat = run_workload(flat.index, flat.ops, workload="parity")
     res_tier = run_workload(tier.index, tier.ops, workload="parity")
     for field in ("read_positionings", "write_positionings",
                   "blocks_read_per_op", "blocks_written_per_op",
                   "log_records", "log_flushes", "sim_elapsed_us"):
         assert getattr(res_flat, field) == getattr(res_tier, field), field
-    assert res_flat.write_positionings > 0 and res_flat.log_flushes > 0
+    assert res_flat.write_positionings > 0
+    assert (res_flat.log_flushes > 0) == (group_commit > 0)

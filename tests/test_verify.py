@@ -83,6 +83,23 @@ def test_verify_fails_when_a_bulk_loaded_key_is_unreachable(name, monkeypatch):
         index.verify()
 
 
+@pytest.mark.parametrize("name, point_path", [("alex", "lookup"),
+                                              ("lipp", "_lookup_walk")])
+def test_verify_reads_every_stored_key_back(name, point_path, monkeypatch):
+    """alex and lipp ``verify()`` read every stored key back through the
+    point path as the other indexes do, so a point path that loses one
+    stored key turns it red although the structure checks still hold."""
+    index = make_index(name, Pager(BlockDevice(4096, NULL_DEVICE)))
+    index.bulk_load(items_of(KEYS))
+    assert index.verify() == len(KEYS)
+    lost = KEYS[len(KEYS) // 2]
+    point = getattr(index, point_path)
+    monkeypatch.setattr(index, point_path,
+                        lambda key: None if key == lost else point(key))
+    with pytest.raises(AssertionError, match="reads back"):
+        index.verify()
+
+
 def test_verify_detects_corruption():
     index = make_index("btree", Pager(BlockDevice(4096, NULL_DEVICE)))
     index.bulk_load(items_of(KEYS))

@@ -5,14 +5,9 @@ import pytest
 
 from repro.core import make_index
 from repro.datasets import make_dataset
+from repro.stack import StackSpec, build
 from repro.storage import HDD, NULL_DEVICE, BlockDevice, Pager
-from repro.workloads import (
-    WORKLOADS,
-    build_workload,
-    bulk_load_timed,
-    run_workload,
-    workload_names,
-)
+from repro.workloads import WORKLOADS, build_workload, run_workload, workload_names
 
 
 def test_six_workload_types():
@@ -100,11 +95,9 @@ def _run(workload, num_ops=200, index_name="btree"):
     keys = make_dataset("ycsb", 3000)
     spec = WORKLOADS[workload]
     bulk, ops = build_workload(spec, keys, num_ops)
-    device = BlockDevice(4096, HDD)
-    index = make_index(index_name, Pager(device))
-    bulk_us = bulk_load_timed(index, bulk)
-    result = run_workload(index, ops, workload=workload, validate=True)
-    return result, bulk_us, device
+    stack = build(StackSpec(index_name, profile=HDD), bulk)
+    result = run_workload(stack.index, ops, workload=workload, validate=True)
+    return result, stack.bulkload_us, stack.device
 
 
 def test_runner_counts_and_throughput():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.bench.__main__ import main as bench_main
 from repro.bench.config import default_scale, fresh_index
+from repro.stack import StackSpec
 from repro.core import load_index, make_index, save_index
 from repro.durability import (
     FaultInjector,
@@ -557,8 +558,8 @@ def test_differential_write_back_vs_reference_model():
 
 def test_runner_flushes_at_phase_end_and_counts():
     scale = default_scale().scaled(0.02)
-    setup = fresh_index("btree", "ycsb", "write_heavy", scale,
-                        buffer_blocks=64, write_back=True)
+    setup = fresh_index(StackSpec("btree", buffer_blocks=64, write_back=True),
+                        "ycsb", "write_heavy", scale)
     res = run_workload(setup.index, setup.ops, workload="write_heavy",
                        validate=True)
     assert res.flushes >= 1
@@ -570,9 +571,10 @@ def test_runner_flushes_at_phase_end_and_counts():
 
 def test_runner_write_back_results_match_write_through():
     scale = default_scale().scaled(0.02)
-    wt = fresh_index("btree", "ycsb", "write_heavy", scale, buffer_blocks=64)
-    wb = fresh_index("btree", "ycsb", "write_heavy", scale,
-                     buffer_blocks=64, write_back=True)
+    wt = fresh_index(StackSpec("btree", buffer_blocks=64),
+                     "ycsb", "write_heavy", scale)
+    wb = fresh_index(StackSpec("btree", buffer_blocks=64, write_back=True),
+                     "ycsb", "write_heavy", scale)
     res_wt = run_workload(wt.index, wt.ops, validate=True)
     res_wb = run_workload(wb.index, wb.ops, validate=True)
     assert wb.index.scan(0, 10**9) == wt.index.scan(0, 10**9)
@@ -585,13 +587,13 @@ def test_runner_write_back_results_match_write_through():
 
 def test_fresh_index_write_back_flag():
     scale = default_scale().scaled(0.01)
-    setup = fresh_index("btree", "ycsb", "write_only", scale,
-                        buffer_blocks=32, write_back=True,
-                        buffer_policy="clock")
+    setup = fresh_index(StackSpec("btree", buffer_blocks=32, write_back=True,
+                                  buffer_policy="clock"),
+                        "ycsb", "write_only", scale)
     assert setup.pager.write_back
     assert setup.pager.buffer_pool.policy == "clock"
     with pytest.raises(ValueError):
-        fresh_index("btree", "ycsb", "write_only", scale, write_back=True)
+        StackSpec("btree", write_back=True)
 
 
 def test_cli_write_back_experiment(capsys):

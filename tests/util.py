@@ -14,22 +14,74 @@ import dataclasses
 import random
 from bisect import bisect_left, bisect_right
 
-from repro.storage import HDD, BlockDevice, BufferPool, Pager
+from repro.stack import StackSpec
+from repro.stack import make_pager as make_stack_pager
+from repro.storage import HDD, NULL_DEVICE, SSD, Pager
 
 
 def make_pager(block_size: int = 4096, buffer_blocks: int = 0) -> Pager:
-    pool = BufferPool(buffer_blocks) if buffer_blocks else None
-    return Pager(BlockDevice(block_size=block_size, profile=HDD), buffer_pool=pool)
+    """A pager over a fresh HDD device, with an LRU pool when asked."""
+    return make_stack_pager(StackSpec(block_size=block_size,
+                                      buffer_blocks=buffer_blocks))
 
 
 def make_sharded(index_names, shards=None, **kwargs):
     """A :class:`repro.sharding.ShardedIndex` on free-I/O devices, so
     correctness tests pay no simulated latency.  Accepts everything
-    :func:`repro.core.make_sharded_index` does."""
+    :func:`repro.core.make_sharded_index` does, which resolves them to a
+    sharded :class:`~repro.stack.StackSpec` and
+    :func:`repro.stack.make_tier`."""
     from repro.core import make_sharded_index
-    from repro.storage import NULL_DEVICE
     kwargs.setdefault("profile", NULL_DEVICE)
     return make_sharded_index(index_names, shards, **kwargs)
+
+
+#: Constructor parameters a drawn spec may give each writable index.
+SPEC_INDEX_PARAMS = {
+    "btree": ({}, {"codec": "for"}, {"codec": "delta"}),
+    "fiting": ({}, {"error_bound": 16}),
+    "pgm": ({}, {"epsilon": 16}, {"codec": "for"}),
+    "alex": ({}, {"layout": 2}),
+    "lipp": ({},),
+    "plid": ({}, {"error_bound": 1}),
+}
+
+
+def stack_specs(max_shards: int = 3):
+    """Hypothesis strategy over every :class:`~repro.stack.StackSpec`
+    field: a writable index (or one per shard), its parameters, device
+    profile and block size, pool size / policy / write mode, inner
+    residency, WAL group commit, shard and replica count.  Only specs
+    that can be honoured are drawn."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def specs(draw):
+        shards = draw(st.integers(0, max_shards))
+        names = st.sampled_from(sorted(SPEC_INDEX_PARAMS))
+        if shards and draw(st.booleans()):
+            index = tuple(draw(names) for _ in range(shards))
+            params = {}
+        else:
+            index = draw(names)
+            params = draw(st.sampled_from(SPEC_INDEX_PARAMS[index]))
+        buffer_blocks = draw(st.sampled_from((0, 8, 64)))
+        return StackSpec(
+            index, index_params=params,
+            profile=draw(st.sampled_from((HDD, SSD, NULL_DEVICE))),
+            block_size=draw(st.sampled_from((4096, 8192))),
+            buffer_blocks=buffer_blocks,
+            buffer_policy=(draw(st.sampled_from(("lru", "clock", "fifo")))
+                           if buffer_blocks else "lru"),
+            write_back=bool(buffer_blocks) and draw(st.booleans()),
+            # LIPP has no inner nodes to pin (the paper excludes it).
+            inner_memory_resident=("lipp" not in index
+                                   and draw(st.booleans())),
+            group_commit=draw(st.sampled_from((0, 1, 8))),
+            shards=shards,
+            replicas=draw(st.integers(1, 3)) if shards else 1)
+
+    return specs()
 
 
 def random_sorted_keys(n: int, seed: int = 0, key_space: int = 10**12) -> list:
