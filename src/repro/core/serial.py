@@ -21,7 +21,9 @@ as a strided ``numpy`` view for whole-page checks.
 
 from __future__ import annotations
 
+import bisect as _bisect
 import struct
+import sys
 from functools import lru_cache
 from itertools import chain
 from typing import List, Optional, Sequence, Tuple
@@ -156,6 +158,21 @@ def iter_entries(data, count: int, offset: int = 0):
         memoryview(data)[offset : offset + count * ENTRY_SIZE])
 
 
+#: Whether the host stores integers little-endian, so that a native
+#: ``memoryview.cast("Q")`` reads a run's ``<u8`` key column as is.
+_LITTLE_ENDIAN = sys.byteorder == "little"
+#: Runs shorter than this are bisected by the Python probe loop: building
+#: the strided view costs about as much as the few probes it replaces.
+_C_BISECT_MIN = 16
+
+
+def _key_column(data, count: int, offset: int, stride: int):
+    """The key column of ``count`` ``stride``-byte records at ``offset``
+    as a zero-copy sequence of u64s (``stride`` a multiple of 8, host
+    little-endian), for :mod:`bisect` to search in C."""
+    return memoryview(data)[offset : offset + count * stride].cast("Q")[::stride >> 3]
+
+
 def bisect_right(data, key: int, count: int, offset: int = 0,
                  stride: int = ENTRY_SIZE, lo: int = 0,
                  unpack=_U64.unpack_from) -> int:
@@ -163,9 +180,15 @@ def bisect_right(data, key: int, count: int, offset: int = 0,
     <= ``key``: the slot just past the floor record.
 
     Bisects the key column of the ``stride``-byte records at ``offset``
-    in place.  Records before ``lo`` are taken to qualify (a B+-tree
-    inner node never compares entry 0).
+    in place: in C over :func:`_key_column` when the stride is a
+    multiple of 8 (16-byte entries, pgm descriptors, fiting directory
+    records) and the run is long enough, else by the probe loop below
+    (the B+-tree's 12-byte inner entries, big-endian hosts).  Records
+    before ``lo`` are taken to qualify (a B+-tree inner node never
+    compares entry 0).
     """
+    if count >= _C_BISECT_MIN and not stride & 7 and _LITTLE_ENDIAN:
+        return _bisect.bisect_right(_key_column(data, count, offset, stride), key, lo)
     hi = count
     while lo < hi:
         mid = (lo + hi) >> 1
@@ -180,7 +203,10 @@ def bisect_left(data, key: int, count: int, offset: int = 0,
                 stride: int = ENTRY_SIZE, unpack=_U64.unpack_from) -> int:
     """How many of a sorted run's first ``count`` records have a key
     < ``key``: the slot of ``key`` if present, else of its ceiling, else
-    ``count`` — where an insert of ``key`` goes."""
+    ``count`` — where an insert of ``key`` goes.  Searched as
+    :func:`bisect_right` is."""
+    if count >= _C_BISECT_MIN and not stride & 7 and _LITTLE_ENDIAN:
+        return _bisect.bisect_left(_key_column(data, count, offset, stride), key)
     lo, hi = 0, count
     while lo < hi:
         mid = (lo + hi) >> 1

@@ -542,7 +542,8 @@ class BlockDevice:
 
     def read_block(self, file: BlockFile, block_no: int) -> bytes:
         """Read one block, charging latency unless the file is memory resident."""
-        file._check_range(block_no, 1)
+        if not 0 <= block_no < len(file._stored):
+            file._check_range(block_no, 1)
         if file.memory_resident:
             return self._image(file._stored[block_no])
         stats = self.stats
@@ -586,8 +587,10 @@ class BlockDevice:
         if not block_nos:
             return []
         previous = None
+        bound = len(file._stored)
         for block_no in block_nos:
-            file._check_range(block_no, 1)
+            if not 0 <= block_no < bound:
+                file._check_range(block_no, 1)
             if previous is not None and block_no <= previous:
                 raise ValueError(
                     f"read_blocks requires sorted unique block numbers, got "

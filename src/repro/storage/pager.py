@@ -38,8 +38,7 @@ evicted while the device copy awaits repair.
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .buffer_pool import BufferPool
 from .device import BlockDevice, BlockFile
@@ -93,6 +92,7 @@ class Pager:
         #: the batch (shared inner-node descents) are free.
         self._batch_depth = 0
         self._batch_cache: Dict[Tuple[str, int], bytes] = {}
+        self._batch_scope = _BatchScope(self)
         #: optional :class:`repro.obs.Tracer`, set by ``Tracer.bind``;
         #: consulted on last-block reuse hits (the one cache level the
         #: device and buffer pool cannot see) and on flush events.
@@ -138,14 +138,11 @@ class Pager:
 
     # -- phase attribution -------------------------------------------------
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Attribute all I/O inside the block to ``name`` (see Figure 6)."""
-        previous = self.device.set_phase(name)
-        try:
-            yield
-        finally:
-            self.device.set_phase(previous)
+    def phase(self, name: str) -> "_PhaseScope":
+        """Attribute all I/O inside the ``with`` block to ``name`` (see
+        Figure 6); the previous phase is restored on exit, also when the
+        block raises."""
+        return _PhaseScope(self.device, name)
 
     # -- fault absorption ----------------------------------------------------
 
@@ -182,14 +179,6 @@ class Pager:
                 self.device.charge_latency(backoff)
                 if self.tracer is not None:
                     self.tracer.io_retry(self.device.phase, backoff)
-
-    def _device_read_block(self, file: BlockFile, block_no: int) -> bytes:
-        if self.device.fault_model is None:
-            # Transient faults only come from an injected fault model;
-            # without one the retry trampoline (and its per-read
-            # closure) is dead weight on the hot path.
-            return self.device.read_block(file, block_no)
-        return self._retrying(lambda: self.device.read_block(file, block_no))
 
     def _device_read_blocks(self, file: BlockFile, block_nos: List[int]) -> List[bytes]:
         # A transient error mid-span reissues the whole vectorized read;
@@ -239,7 +228,14 @@ class Pager:
                 if self._batch_depth:
                     self._batch_cache[(file.name, block_no)] = cached
                 return cached
-        data = self._device_read_block(file, block_no)
+        device = self.device
+        if device.fault_model is None:
+            # Transient faults only come from an injected fault model;
+            # without one the retry trampoline (and its per-read
+            # closure) is dead weight on the hot path.
+            data = device.read_block(file, block_no)
+        else:
+            data = self._retrying(lambda: device.read_block(file, block_no))
         if self.buffer_pool is not None:
             self.buffer_pool.put(file.name, block_no, data)
         self._last = (file.name, block_no, data)
@@ -460,34 +456,18 @@ class Pager:
 
     # -- batched API ---------------------------------------------------------
 
-    @contextmanager
-    def batch(self) -> Iterator[None]:
+    def batch(self) -> "_BatchScope":
         """Pin every block touched until exit (re-entrant).
 
-        Inside the context, any block that crosses the pager stays
+        Inside the ``with`` block, any block that crosses the pager stays
         addressable for free, so a batch of lookups shares one fetch of
         each inner node instead of re-reading it per key.  Writes refresh
         the pinned copy, keeping results byte-identical to unbatched
         execution.  The pin cache is dropped when the outermost batch
-        exits.
+        exits.  The scope keeps no state of its own (the depth lives on
+        the pager), so one object serves every entry.
         """
-        self._batch_depth += 1
-        try:
-            yield
-        finally:
-            self._batch_depth -= 1
-            if self._batch_depth == 0:
-                self._batch_cache.clear()
-                if not self._pooled:
-                    # what was parsed from the pins went with them
-                    self._meta_cache.clear()
-                # The last-block cache is a one-entry pin: inside a batch
-                # its final value depends on which probe happened to miss
-                # last, an accident of how a batch orders its probes.
-                # Dropping it with the pin cache makes the post-batch
-                # charge state a function of the batch's block set alone,
-                # whatever mutations follow.
-                self._last = None
+        return self._batch_scope
 
     def read_span(self, file: BlockFile, block_nos: Iterable[int]) -> Dict[int, bytes]:
         """Read a set of blocks, coalescing cache misses into runs.
@@ -563,6 +543,8 @@ class Pager:
     def read_bytes(self, file: BlockFile, offset: int, length: int) -> bytes:
         """Read ``length`` bytes starting at ``offset``, fetching covering blocks.
 
+        A one-block range is a :meth:`read_block`, except that a hit in
+        the last-block cache is served here (DESIGN.md Section 24).
         Multi-block ranges go through :meth:`read_span`, so a range that
         misses every cache is charged one positioning plus sequential
         transfers rather than a seek per block.
@@ -575,7 +557,18 @@ class Pager:
         first = offset // bs
         last = (offset + length - 1) // bs
         if last == first:
-            blob = self.read_block(file, first)
+            cached = self._last
+            if (cached is not None and cached[1] == first
+                    and cached[0] == file.name and self.on_block_access is None
+                    and not self._batch_depth and not file.memory_resident):
+                # read_block's last-block branch, under its guards: no
+                # access hook to fire, no free resident read to prefer,
+                # no pin cache to consult or fill.
+                if self.tracer is not None:
+                    self.tracer.reuse_hit()
+                blob = cached[2]
+            else:
+                blob = self.read_block(file, first)
         else:
             span = self.read_span(file, range(first, last + 1))
             blob = b"".join(span[no] for no in range(first, last + 1))
@@ -744,7 +737,7 @@ class Pager:
                 for block_no in range(handle.num_blocks):
                     report.blocks_scanned += 1
                     try:
-                        self._device_read_block(handle, block_no)
+                        self._retrying(lambda: device.read_block(handle, block_no))
                     except (ChecksumError, PersistentIOError):
                         report.bad_blocks.append((name, block_no))
         finally:
@@ -757,3 +750,51 @@ class Pager:
                 report.released.append(key)
         report.elapsed_us = device.stats.elapsed_us - start_us
         return report
+
+
+class _PhaseScope:
+    """``with pager.phase(name)``: sets the device's attribution phase on
+    entry and restores the previous one on exit.  A plain object rather
+    than a generator context manager: every verb enters one or two, and
+    the generator machinery cost about a microsecond each (DESIGN.md
+    Section 24)."""
+
+    __slots__ = ("_device", "_name", "_previous")
+
+    def __init__(self, device, name: str) -> None:
+        self._device = device
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._previous = self._device.set_phase(self._name)
+
+    def __exit__(self, *exc) -> None:
+        self._device.set_phase(self._previous)
+
+
+class _BatchScope:
+    """``with pager.batch()``: one pin-scope level (see :meth:`Pager.batch`)."""
+
+    __slots__ = ("_pager",)
+
+    def __init__(self, pager: Pager) -> None:
+        self._pager = pager
+
+    def __enter__(self) -> None:
+        self._pager._batch_depth += 1
+
+    def __exit__(self, *exc) -> None:
+        pager = self._pager
+        pager._batch_depth -= 1
+        if pager._batch_depth == 0:
+            pager._batch_cache.clear()
+            if not pager._pooled:
+                # what was parsed from the pins went with them
+                pager._meta_cache.clear()
+            # The last-block cache is a one-entry pin: inside a batch
+            # its final value depends on which probe happened to miss
+            # last, an accident of how a batch orders its probes.
+            # Dropping it with the pin cache makes the post-batch
+            # charge state a function of the batch's block set alone,
+            # whatever mutations follow.
+            pager._last = None

@@ -1,9 +1,13 @@
 """Property tests: the pager's byte-addressed I/O against a flat model."""
 
-from hypothesis import given, settings
+from contextlib import nullcontext
+from itertools import groupby
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.storage import NULL_DEVICE, BlockDevice, Pager
+from repro.obs import Tracer
+from repro.storage import NULL_DEVICE, BlockDevice, Pager, make_buffer_pool
 
 BLOCK = 256  # small blocks so ranges cross boundaries often
 FILE_BLOCKS = 8
@@ -54,3 +58,125 @@ def test_read_never_exceeds_covering_blocks(offset, length):
     pager.read_bytes(handle, offset, length)
     covering = (offset + length - 1) // BLOCK - offset // BLOCK + 1
     assert device.stats.reads - before == covering
+
+
+# -- read_bytes' one-block branch ---------------------------------------------
+#
+# ``Pager.read_bytes`` serves a one-block range from the last-block cache
+# itself, under ``read_block``'s guards, instead of calling ``read_block``.
+# The reference below is the pager before that branch: every one-block
+# range goes through ``read_block``.  The property holds the two to the
+# same bytes, device counters, pool probes, tracer records and access-hook
+# calls.  Each of these mutations of the branch turns it red:
+#   - drop the batch guard (``not self._batch_depth``): a block that was
+#     last before the batch began is served without being pinned, and is
+#     charged again once another read moves the last block;
+#   - drop the hook guard (``self.on_block_access is None``): the serving
+#     engine's footprint misses the read;
+#   - drop the resident guard (``not file.memory_resident``): a file made
+#     resident after it was read keeps serving its stale last block (and
+#     counts a reuse hit for a free read);
+#   - drop the ``tracer.reuse_hit()`` call: the tracer's ``reuse_hits``
+#     fall behind.
+# Random draws rarely produce the batch and resident cases, so the two
+# sequences that show them are pinned as examples.
+
+
+class _ReadBlockPager(Pager):
+    """Every one-block ``read_bytes`` range goes through ``read_block``."""
+
+    def read_bytes(self, file, offset, length):
+        bs = self.block_size
+        if length > 0 and offset // bs == (offset + length - 1) // bs:
+            start = offset % bs
+            return self.read_block(file, offset // bs)[start : start + length]
+        return Pager.read_bytes(self, file, offset, length)
+
+
+_FILES = ("f", "g")
+_BLOCKS = 3  # few blocks, so a sequence revisits the last one often
+_one_block = st.tuples(st.just("read_bytes"), st.sampled_from(_FILES),
+                       st.integers(0, _BLOCKS - 1), st.integers(0, BLOCK - 1),
+                       st.integers(1, BLOCK))
+_spanning = st.tuples(st.just("read_bytes"), st.sampled_from(_FILES),
+                      st.integers(0, _BLOCKS - 2), st.integers(0, BLOCK - 1),
+                      st.integers(BLOCK, 2 * BLOCK))
+_block = st.tuples(st.just("read_block"), st.sampled_from(_FILES),
+                   st.integers(0, _BLOCKS - 1), st.just(0), st.just(0))
+_write = st.tuples(st.just("write_bytes"), st.sampled_from(_FILES),
+                   st.integers(0, _BLOCKS - 1), st.integers(0, BLOCK - 1),
+                   st.integers(1, BLOCK))
+_other = st.tuples(st.sampled_from(["drop_last_block", "make_g_resident"]),
+                   st.just("f"), st.just(0), st.just(0), st.just(0))
+_op = st.one_of(_one_block, _one_block, _spanning, _block, _write, _other)
+
+
+def _replay(pager_cls, pool, traced, hooked, ops):
+    device = BlockDevice(BLOCK, NULL_DEVICE)
+    buffer_pool = make_buffer_pool(6) if pool else None
+    pager = pager_cls(device, buffer_pool, write_back=pool == "write-back")
+    handles = {}
+    for name in _FILES:
+        handles[name] = device.create_file(name)
+        handles[name].allocate(_BLOCKS)
+    # "r" is resident from the start, as an index's pinned inner file
+    resident = device.create_file("r")
+    resident.allocate(1)
+    resident.memory_resident = True
+    tracer = Tracer() if traced else None
+    if tracer is not None:
+        tracer.bind(pager)
+    calls = []
+    if hooked:
+        pager.on_block_access = lambda *access: calls.append(access)
+    returned = []
+    fill = 0
+    for batched, group in groupby(ops, key=lambda op: op[-1]):
+        with pager.batch() if batched else nullcontext():
+            for kind, name, block, at, length, _batched in group:
+                handle = handles[name]
+                offset = block * BLOCK + at
+                if kind == "read_bytes":
+                    length = min(length, _BLOCKS * BLOCK - offset)
+                    returned.append(pager.read_bytes(handle, offset, length))
+                    returned.append(pager.read_bytes(resident, at, 1))
+                elif kind == "read_block":
+                    returned.append(pager.read_block(handle, block))
+                elif kind == "write_bytes":
+                    fill = fill % 251 + 1
+                    length = min(length, _BLOCKS * BLOCK - offset)
+                    pager.write_bytes(handle, offset, bytes([fill]) * length)
+                    pager.write_bytes(resident, at, bytes([fill]))
+                elif kind == "drop_last_block":
+                    pager.drop_last_block()
+                else:
+                    # as a stack pins its inner file after the bulk load
+                    handles["g"].memory_resident = True
+    pager.flush()
+    counters = (device.stats.snapshot(),
+                (buffer_pool.hits, buffer_pool.misses) if buffer_pool else None)
+    records = list(tracer.iter_records()) if tracer is not None else None
+    return returned, counters, records, calls
+
+
+# The sequences the batch and resident guards exist for.
+_PINNED_BEFORE_BATCH = [("read_block", "f", 0, 0, 0, False),
+                        ("read_bytes", "f", 0, 8, 8, True),
+                        ("read_block", "f", 1, 0, 0, True),
+                        ("read_bytes", "f", 0, 8, 8, True)]
+_RESIDENT_AFTER_READ = [("read_block", "g", 0, 0, 0, False),
+                        ("make_g_resident", "f", 0, 0, 0, False),
+                        ("write_bytes", "g", 0, 8, 8, False),
+                        ("read_bytes", "g", 0, 8, 8, False)]
+
+
+@settings(max_examples=300, deadline=None)
+@example(pool=None, traced=False, hooked=False, ops=_PINNED_BEFORE_BATCH)
+@example(pool=None, traced=False, hooked=False, ops=_RESIDENT_AFTER_READ)
+@given(pool=st.sampled_from([None, "lru", "write-back"]), traced=st.booleans(),
+       hooked=st.booleans(),
+       ops=st.lists(st.tuples(_op, st.booleans()).map(lambda p: (*p[0], p[1])),
+                    max_size=30))
+def test_read_bytes_one_block_branch_matches_read_block(pool, traced, hooked, ops):
+    assert (_replay(Pager, pool, traced, hooked, ops)
+            == _replay(_ReadBlockPager, pool, traced, hooked, ops))

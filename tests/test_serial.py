@@ -1,12 +1,14 @@
 """Unit tests for the binary layout helpers."""
 
 import bisect
+import random
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import serial
 from repro.core.serial import (
     ENTRY_SIZE,
     NULL_BLOCK,
@@ -155,3 +157,72 @@ def test_run_edges():
     assert splice(page, 1, pack_entries([(20, 8)]), 3, replace=True) == \
         pack_entries([(20, 8), (30, 3)])
     assert list(iter_entries(page, 2, ENTRY_SIZE)) == items[1:]
+
+
+# -- the C bisect over a strided key column -----------------------------------
+#
+# On a little-endian host a run whose stride is a multiple of 8 and whose
+# count reaches ``_C_BISECT_MIN`` is bisected by :mod:`bisect` over a
+# ``memoryview`` cast of its key column; the Python probe loop takes the
+# rest (and every run with the flag off).  Both must give the same slot.
+
+C_STRIDES = (16, 24, 40)  # entries, pgm descriptors, fiting directory records
+THRESHOLD = serial._C_BISECT_MIN
+C_COUNTS = (0, 1, THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, 64, 300)
+HIGH_KEY = st.integers(2**63, U64_MAX)
+
+
+def _searches(page, probe, count, base, stride, lo):
+    return (bisect_left(page, probe, count, base, stride),
+            bisect_right(page, probe, count, base, stride),
+            bisect_right(page, probe, count, base, stride, lo),
+            find_entry(page, probe, count, base) if stride == ENTRY_SIZE else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(count=st.sampled_from(C_COUNTS), stride=st.sampled_from(C_STRIDES),
+       base=st.sampled_from((0, 12, 16)), data=st.data())
+def test_c_bisect_equals_the_python_loop(count, stride, base, data):
+    # keys from a drawn seed (drawing 300 unique keys one by one is slow);
+    # half the runs keep only keys >= 2**63
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    floor = data.draw(st.sampled_from((0, 2**63)))
+    keys = set()
+    while len(keys) < count:
+        keys.add(rng.randint(floor, U64_MAX))
+    keys = sorted(keys)
+    page, _records = _pack_run(keys, stride, base)
+    probe = data.draw(st.one_of(probe_keys, HIGH_KEY,
+                                st.sampled_from(keys) if keys else probe_keys))
+    lo = data.draw(st.integers(0, count + 1))
+    fast = _searches(page, probe, count, base, stride, lo)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(serial, "_LITTLE_ENDIAN", False)
+        loop = _searches(page, probe, count, base, stride, lo)
+    assert fast == loop
+    assert fast[:3] == (bisect.bisect_left(keys, probe),
+                        bisect.bisect_right(keys, probe),
+                        max(lo, bisect.bisect_right(keys, probe)))
+
+
+def test_c_bisect_takes_exactly_the_aligned_long_runs(monkeypatch):
+    columns = []
+    real = serial._key_column
+
+    def counting(*args):
+        columns.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(serial, "_key_column", counting)
+    for stride in (12, 16, 24, 36, 40):
+        for count in (THRESHOLD - 1, THRESHOLD):
+            keys = list(range(10, 10 * count + 1, 10))
+            page, _records = _pack_run(keys, stride, 12)
+            assert bisect_left(page, 25, count, 12, stride) == 2
+            assert bisect_right(page, 30, count, 12, stride, 1) == 3
+    assert columns == [(THRESHOLD, 12, stride) for stride in C_STRIDES
+                       for _search in range(2)]
+    columns.clear()
+    monkeypatch.setattr(serial, "_LITTLE_ENDIAN", False)
+    page, _records = _pack_run(list(range(THRESHOLD)), 16, 0)
+    assert bisect_left(page, 5, THRESHOLD) == 5 and columns == []
