@@ -52,11 +52,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..models import LinearModel, anchored_diff
-from ..storage import BlockFile, Pager
+from ..storage import Pager
 from .codecs import get_codec
 from .interface import DiskIndex, KeyPayload, TOMBSTONE
 from .serial import ENTRY_SIZE, NULL_BLOCK, pack_entries, unpack_entries
-from .vectorize import BlockMirror
+from .vectorize import Pinned, cursor
 
 __all__ = ["AlexIndex"]
 
@@ -134,59 +134,8 @@ def _set_slots(bitmap: bytes, first_slot: int, start_slot: int,
     return np.flatnonzero(bits[skip:capacity - first_slot]) + (first_slot + skip)
 
 
-class _Pinned:
-    """What a search reads from inside ``pager.batch()``: the pager's
-    ``read_block`` / ``read_bytes``, answered from the batch's
-    :class:`BlockMirror` of each file once a block has been fetched."""
-
-    __slots__ = ("mirrors",)
-
-    def __init__(self, pager: Pager, files: Sequence[BlockFile]) -> None:
-        self.mirrors = {file.name: BlockMirror(pager, file) for file in files}
-
-    def read_block(self, file: BlockFile, block_no: int) -> bytes:
-        mirror = self.mirrors[file.name]
-        data = mirror.blocks.get(block_no)
-        if data is None:
-            data = mirror.blocks[block_no] = mirror.pager.read_block(file, block_no)
-        return data
-
-    def read_bytes(self, file: BlockFile, offset: int, length: int) -> bytes:
-        return self.mirrors[file.name].read(offset, length)
-
-
 #: Where a search gets its blocks: the pager, or a batch's mirrors of it.
-Source = Union[Pager, _Pinned]
-
-
-def _cursor(source: Source, file: BlockFile, bs: int):
-    """``unpack_at(fmt, offset, length)``: ``fmt`` unpacked at byte
-    ``offset`` of ``file``, ``length`` being the bytes asked of it.
-
-    The cursor holds the one block it fetched last and goes to
-    ``source`` only when a range lies in another — the request the pager
-    answers free from its own last-block copy, so skipping it changes no
-    charge and nothing the device or the buffer pool sees.  A range that
-    crosses a block boundary is read as that range (the pager's
-    coalesced span read) and the held block dropped: after a span the
-    pager's last block may be either of the two, and whether the next
-    request is free is for the pager to say.
-    """
-    held_no, held = -1, b""
-    read_block = source.read_block
-
-    def unpack_at(fmt: struct.Struct, offset: int, length: int) -> tuple:
-        nonlocal held_no, held
-        block_no, rel = offset // bs, offset % bs
-        if rel + length > bs:
-            held_no = -1
-            return fmt.unpack_from(source.read_bytes(file, offset, length))
-        if block_no != held_no:
-            held = read_block(file, block_no)
-            held_no = block_no
-        return fmt.unpack_from(held, rel)
-
-    return unpack_at
+Source = Union[Pager, Pinned]
 
 
 class _DataHeader:
@@ -491,6 +440,50 @@ class AlexIndex(DiskIndex):
                                     self._bitmap_offset(block, slot >> 3), 1)
         return bool(raw[0] & (1 << (slot & 7)))
 
+    def _next_gap(self, block: int, capacity: int, slot: int) -> int:
+        """The first gap (clear bitmap bit) at or after ``slot``, or
+        ``capacity`` when there is none.
+
+        Reads the bitmap one block at a time, from ``slot``'s byte to the
+        end of its block, and finds the lowest clear bit of each read as
+        one integer.  A probe per bit would ask the pager for the same
+        blocks in the same order, each later probe in a block being free
+        from its last-block copy, so the charge is the same.
+        """
+        bs = self.pager.block_size
+        start = self._bitmap_offset(block, 0)
+        end = start + self._bitmap_bytes(capacity)
+        at = start + (slot >> 3)
+        while at < end:
+            stop = min(end, (at // bs + 1) * bs)
+            word = int.from_bytes(
+                self.pager.read_bytes(self._data_file, at, stop - at), "little")
+            first = (at - start) << 3  # the slot of the word's bit 0
+            if slot > first:
+                word |= (1 << (slot - first)) - 1  # slots before ``slot``
+            gap = first + (~word & (word + 1)).bit_length() - 1
+            if gap < (stop - start) << 3:
+                return min(gap, capacity)
+            at = stop
+        return capacity
+
+    def _prev_gap(self, block: int, slot: int) -> int:
+        """The last gap at or before ``slot``, or -1 when there is none:
+        :meth:`_next_gap` walking left, one block of the bitmap a read."""
+        bs = self.pager.block_size
+        start = self._bitmap_offset(block, 0)
+        at = start + (slot >> 3)
+        while at >= start:
+            lo = max(start, at // bs * bs)
+            word = int.from_bytes(
+                self.pager.read_bytes(self._data_file, lo, at + 1 - lo), "little")
+            first = (lo - start) << 3
+            free = ~word & ((1 << (slot - first + 1)) - 1)
+            if free:
+                return first + free.bit_length() - 1
+            at, slot = lo - 1, first - 1
+        return -1
+
     def _set_bit(self, block: int, slot: int) -> None:
         offset = self._bitmap_offset(block, slot >> 3)
         raw = bytearray(self.pager.read_bytes(self._data_file, offset, 1))
@@ -501,10 +494,11 @@ class AlexIndex(DiskIndex):
     #
     # One descent and one in-node search serve every verb.  Both decode
     # the bytes of the block in hand (``unpack_from`` at an offset, no
-    # node object) through a :func:`_cursor` of their own, and take
-    # nothing but ``source``, where a block comes from: the pager, or a
-    # batch's :class:`_Pinned` mirrors.  Neither keeps anything between
-    # calls, so a write between two searches cannot leave stale bytes.
+    # node object) through a :func:`~.vectorize.cursor` of their own,
+    # and take nothing but ``source``, where a block comes from: the
+    # pager, or a batch's :class:`~.vectorize.Pinned` mirrors.  Neither
+    # keeps anything between calls, so a write between two searches
+    # cannot leave stale bytes.
 
     def _descend(self, key: int,
                  source: Source) -> Tuple[int, Optional[Tuple[int, int]]]:
@@ -513,7 +507,7 @@ class AlexIndex(DiskIndex):
         (None under a data-node root)."""
         if self.root_ptr is None:
             raise RuntimeError("index not bulk-loaded")
-        at = _cursor(source, self._inner_file, self.pager.block_size)
+        at = cursor(source, self._inner_file, self.pager.block_size)
         parent = None
         ptr = self.root_ptr
         while not ptr & _IS_DATA:
@@ -535,7 +529,7 @@ class AlexIndex(DiskIndex):
         doubling, one 16-byte entry per step (ALEX's search).
         """
         bs = self.pager.block_size
-        at = _cursor(source, self._data_file, bs)
+        at = cursor(source, self._data_file, bs)
         header = at(_DATA_HEADER, block * bs, HEADER_SIZE)
         _type, capacity, num_keys, slope, intercept, anchor = header[:6]
         if not num_keys:
@@ -612,7 +606,7 @@ class AlexIndex(DiskIndex):
             return [self.lookup(key) for key in keys]
         results = {}
         with self.pager.phase("search"), self.pager.batch():
-            pinned = _Pinned(self.pager, (self._inner_file, self._data_file))
+            pinned = Pinned(self.pager, (self._inner_file, self._data_file))
             nodes = [(key, self._descend(key, pinned)[0])
                      for key in sorted(set(keys))]
             pinned.mirrors[self._data_file.name].absorb(self.pager.read_span(
@@ -676,7 +670,8 @@ class AlexIndex(DiskIndex):
             else:
                 self._shift_left_insert(block, header, capacity, key, payload)
                 return
-        if not self._bit_is_set(block, position):
+        gap = self._next_gap(block, capacity, position)
+        if gap == position:
             # The target slot is a gap: claim it, then overwrite the
             # following gap run with copies of the new key (S5 part 1).
             self._write_entries(block, capacity, position, [(key, payload)])
@@ -687,9 +682,6 @@ class AlexIndex(DiskIndex):
                 run += 1
             return
         # Occupied: shift right to the nearest gap (S5 part 2).
-        gap = position + 1
-        while gap < capacity and self._bit_is_set(block, gap):
-            gap += 1
         if gap >= capacity:
             self._shift_left_insert(block, header, position, key, payload)
             return
@@ -703,9 +695,7 @@ class AlexIndex(DiskIndex):
         """Shift the run left of ``position`` down one slot; key lands at
         ``position - 1``.  Used when no gap exists to the right."""
         capacity = header.capacity
-        gap = position - 1
-        while gap >= 0 and self._bit_is_set(block, gap):
-            gap -= 1
+        gap = self._prev_gap(block, position - 1)
         if gap < 0:
             raise RuntimeError("data node has no free slot despite density check")
         entries = self._read_entries(block, capacity, gap + 1, position - gap - 1)

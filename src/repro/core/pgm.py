@@ -54,14 +54,15 @@ from ..models import optimal_segments
 from ..storage import BlockFile, Pager
 from .codecs import get_codec
 from .interface import DiskIndex, KeyPayload, TOMBSTONE
-from .serial import (ENTRY_SIZE, bisect_left, bisect_right, entry_at,
-                     find_entry, iter_entries, pack_entries, pack_entry, splice,
+from .serial import (ENTRY_SIZE, bisect_left, bisect_right, find_entry,
+                     iter_entries, pack_entries, pack_entry, splice,
                      unpack_entries)
-from .vectorize import BlockMirror
+from .vectorize import Pinned, cursor
 
 __all__ = ["StaticPgm", "PgmIndex", "build_levels", "descend"]
 
 _DESCRIPTOR = struct.Struct("<Qdd")  # first_key, slope, intercept
+_ENTRY = struct.Struct("<QQ")
 DESCRIPTOR_SIZE = _DESCRIPTOR.size  # 24
 
 Descriptor = Tuple[int, float, float]
@@ -413,12 +414,10 @@ class PgmIndex(DiskIndex):
                          levels_memory_resident=self._levels_resident,
                          codec=self.codec)
 
-    def _read_buffer_range(self, offset: int, length: int) -> bytes:
-        return self.pager.read_bytes(self._buffer_file, offset, length)
-
     def _buffer_bytes(self) -> bytes:
         """The sorted insert buffer, as stored."""
-        return self._read_buffer_range(0, self.buffer_count * ENTRY_SIZE)
+        return self.pager.read_bytes(self._buffer_file, 0,
+                                     self.buffer_count * ENTRY_SIZE)
 
     # -- bulk load -------------------------------------------------------------------
 
@@ -441,17 +440,16 @@ class PgmIndex(DiskIndex):
             found = self._lookup_raw(key)
         return None if found == TOMBSTONE else found
 
-    def _lookup_raw(self, key: int,
-                    read_buffer: Optional[Callable[[int, int], bytes]] = None
-                    ) -> Optional[int]:
+    def _lookup_raw(self, key: int, source=None) -> Optional[int]:
         """Newest-wins lookup that surfaces tombstone payloads.
 
-        ``read_buffer(offset, length)`` serves the buffer probes: the
-        pager by default, a batch's :class:`BlockMirror` in
-        :meth:`lookup_many`."""
+        ``source`` serves the buffer probes: the pager by default, a
+        batch's :class:`~.vectorize.Pinned` mirror in :meth:`lookup_many`."""
         if self.buffer_count:
-            found = _find_in_region(read_buffer or self._read_buffer_range,
-                                    self.buffer_count, key)
+            found = _find_in_region(
+                cursor(source or self.pager, self._buffer_file,
+                       self.pager.block_size),
+                self.buffer_count, key)
             if found is not None:
                 return found
         for component in self.components:
@@ -471,13 +469,13 @@ class PgmIndex(DiskIndex):
             return [self.lookup(key) for key in keys]
         results = {}
         with self.pager.phase("search"), self.pager.batch():
-            # One buffer mirror for the whole batch: probe reads hit the
-            # same byte ranges in the same order as unbatched lookups, but
+            # One buffer mirror for the whole batch: probes ask for the
+            # same blocks in the same order as unbatched lookups, but
             # revisited buffer blocks skip the pager walk (they are
             # pinned in this batch scope — free either way).
-            read_buffer = BlockMirror(self.pager, self._buffer_file).read
+            pinned = Pinned(self.pager, (self._buffer_file,))
             for key in sorted(set(keys)):
-                results[key] = self._lookup_raw(key, read_buffer)
+                results[key] = self._lookup_raw(key, pinned)
         return [None if results[key] == TOMBSTONE else results[key]
                 for key in keys]
 
@@ -666,21 +664,22 @@ class PgmIndex(DiskIndex):
 # -- module helpers -------------------------------------------------------------
 
 
-def _find_in_region(read: Callable[[int, int], bytes], count: int,
-                    key: int) -> Optional[int]:
+def _find_in_region(at, count: int, key: int) -> Optional[int]:
     """Binary search a sorted on-disk entry region, probing entry by entry.
 
-    Each probe is one 16-byte ``read(offset, length)``; the pager's
-    last-block reuse means the search touches only the distinct blocks
-    the probes land in — one or two for a 3-block buffer, matching the
-    paper's Figure 6 analysis.  The probe sequence (it stops on the hit)
-    is part of the charged cost, which is why this is not a bisect over
-    one fetched range.
+    Each probe is one 16-byte entry read through ``at``, a
+    :func:`~.vectorize.cursor` over the region's file: the block of the
+    last probe stays in hand, so the search asks for only the distinct
+    blocks its probes land in — one or two for a 3-block buffer,
+    matching the paper's Figure 6 analysis — each as the pager's
+    per-probe read would have.  The probe sequence (it stops on the
+    hit) is part of the charged cost, which is why this is not a bisect
+    over one fetched range.
     """
     lo, hi = 0, count
     while lo < hi:
         mid = (lo + hi) // 2
-        mid_key, payload = entry_at(read(mid * ENTRY_SIZE, ENTRY_SIZE), 0)
+        mid_key, payload = at(_ENTRY, mid * ENTRY_SIZE, ENTRY_SIZE)
         if mid_key == key:
             return payload
         if mid_key < key:

@@ -19,17 +19,23 @@
   skipped pager calls are exactly the calls the pager would have served
   from its pin cache for free — same device operations, same order,
   same charges; only the Python per-probe overhead disappears.
+  :class:`Pinned` gives a search the pager's ``read_block`` /
+  ``read_bytes`` over one mirror per file, and :func:`cursor` reads a
+  search's probes from the one block it holds.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+import struct
+from typing import Dict, Sequence
 
 import numpy as np
 
 __all__ = [
     "BlockMirror",
+    "Pinned",
     "bit_lengths",
+    "cursor",
     "pack_uint_bits",
     "pack_varints",
     "unpack_uint_bits",
@@ -238,5 +244,57 @@ class BlockMirror:
         missing = any(no not in blocks for no in range(first, last + 1))
         if missing:
             blocks.update(self.pager.read_span(self.file, range(first, last + 1)))
-        blob = b"".join(blocks[no] for no in range(first, last + 1))
+        blob = b"".join(map(blocks.__getitem__, range(first, last + 1)))
         return blob[start : start + length]
+
+
+class Pinned:
+    """What a search reads from inside ``pager.batch()``: the pager's
+    ``read_block`` / ``read_bytes``, answered from the batch's
+    :class:`BlockMirror` of each file once a block has been fetched."""
+
+    __slots__ = ("mirrors",)
+
+    def __init__(self, pager, files: Sequence) -> None:
+        self.mirrors = {file.name: BlockMirror(pager, file) for file in files}
+
+    def read_block(self, file, block_no: int) -> bytes:
+        mirror = self.mirrors[file.name]
+        data = mirror.blocks.get(block_no)
+        if data is None:
+            data = mirror.blocks[block_no] = mirror.pager.read_block(file, block_no)
+        return data
+
+    def read_bytes(self, file, offset: int, length: int) -> bytes:
+        return self.mirrors[file.name].read(offset, length)
+
+
+def cursor(source, file, bs: int):
+    """``unpack_at(fmt, offset, length)``: ``fmt`` unpacked at byte
+    ``offset`` of ``file``, ``length`` being the bytes asked of it;
+    ``source`` is the pager or a :class:`Pinned`.
+
+    The cursor holds the one block it fetched last and goes to
+    ``source`` only when a range lies in another — the request the pager
+    answers free from its own last-block copy, so skipping it changes no
+    charge and nothing the device or the buffer pool sees.  A range that
+    crosses a block boundary is read as that range (the pager's
+    coalesced span read) and the held block dropped: after a span the
+    pager's last block may be either of the two, and whether the next
+    request is free is for the pager to say.
+    """
+    held_no, held = -1, b""
+    read_block = source.read_block
+
+    def unpack_at(fmt: struct.Struct, offset: int, length: int) -> tuple:
+        nonlocal held_no, held
+        block_no, rel = offset // bs, offset % bs
+        if rel + length > bs:
+            held_no = -1
+            return fmt.unpack_from(source.read_bytes(file, offset, length))
+        if block_no != held_no:
+            held = read_block(file, block_no)
+            held_no = block_no
+        return fmt.unpack_from(held, rel)
+
+    return unpack_at

@@ -54,9 +54,6 @@ class LogRecord:
     key: int
     payload: int
 
-    def pack(self) -> bytes:
-        return _RECORD.pack(_OP_CODES[self.op], self.seqno, self.key, self.payload)
-
     @classmethod
     def unpack(cls, raw: bytes) -> "LogRecord":
         code, seqno, key, payload = _RECORD.unpack(raw)
@@ -129,11 +126,13 @@ class WriteAheadLog:
         operation to the index *after* appending (log-before-data), but
         the record only becomes durable at the next flush.
         """
-        if op not in _OP_CODES:
+        code = _OP_CODES.get(op)
+        if code is None:
             raise ValueError(f"unknown log op {op!r}")
         seqno = self.next_seqno
-        self.next_seqno += 1
-        self.buffer.append(LogRecord(op, seqno, key, payload).pack())
+        self.next_seqno = seqno + 1
+        # the bytes LogRecord.unpack reads back, packed without a record
+        self.buffer.append(_RECORD.pack(code, seqno, key, payload))
         self.records_appended += 1
         if len(self.buffer) >= self.group_commit:
             self.flush()

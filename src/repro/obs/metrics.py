@@ -19,7 +19,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from typing import Dict, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterable, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "Histogram",
@@ -101,6 +104,32 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
+    def record_many(self, values: Sequence[float]) -> None:
+        """:meth:`record` each of ``values`` (finite floats) in order, as
+        array operations: the same counts, and bit for bit the same
+        ``total``, ``min`` and ``max``.
+
+        ``searchsorted`` on the left side is ``bisect_left``; the total
+        is a left-to-right accumulation from the running total, which is
+        the loop's order of additions; ``argmin`` / ``argmax`` pick the
+        first of equal extremes, as the loop's strict comparisons keep
+        it.
+        """
+        if not len(values):
+            return
+        arr = np.asarray(values, dtype=np.float64)
+        buckets = np.bincount(np.searchsorted(self.bounds, arr, side="left"),
+                              minlength=len(self.counts))
+        self.counts = [c + n for c, n in zip(self.counts, buckets.tolist())]
+        self.count += len(arr)
+        self.total = np.add.accumulate(
+            np.concatenate(([self.total], arr))).item(-1)
+        low, high = arr.item(int(arr.argmin())), arr.item(int(arr.argmax()))
+        if self.min is None or low < self.min:
+            self.min = low
+        if self.max is None or high > self.max:
+            self.max = high
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -166,6 +195,18 @@ class KeyedDigest(defaultdict):
     def __init__(self, bounds: Sequence[float]) -> None:
         bounds = tuple(bounds)
         super().__init__(lambda: Histogram(bounds))
+
+    def record_many(self, keys: Iterable, values: Sequence[float]) -> None:
+        """``self[key].record(value)`` for each aligned pair (``keys`` may
+        run on past ``values``), as one :meth:`Histogram.record_many` per
+        key, the keys made in the order they first appear."""
+        keys = list(islice(keys, len(values)))
+        if not keys:
+            return
+        values = np.asarray(values, dtype=np.float64)
+        labels = np.array(keys, dtype=object)
+        for key in dict.fromkeys(keys):
+            self[key].record_many(values[labels == key])
 
     def summaries(self) -> Dict[object, Dict[str, float]]:
         """Each key's :meth:`Histogram.summary`, as results report them."""

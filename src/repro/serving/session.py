@@ -96,10 +96,9 @@ class Session:
         """This client's slice of a serving run (``RunResult.per_client``):
         latency digests overall and per op type, and its counters."""
         overall = Histogram(latency_bounds())
+        overall.record_many(self.latencies_us)
         by_kind = KeyedDigest(latency_bounds())
-        for kind, us in zip(self.op_kinds, self.latencies_us):
-            overall.record(us)
-            by_kind[kind].record(us)
+        by_kind.record_many(self.op_kinds, self.latencies_us)
         digest = {
             "ops": self.completed,
             "latency": overall.summary(),

@@ -8,10 +8,10 @@ replacement-policy ablations.
 Pools are write-through by default: a write updates the cached copy and
 still goes to disk, so eviction never needs to write back.  Under the
 pager's *write-back* mode every policy additionally tracks a per-frame
-dirty bit: :meth:`BufferPool.mark_dirty` pins the frame's contents as
-newer than the device copy, and eviction of a dirty frame hands the frame
-to the ``on_evict`` callback (the pager's single-frame flush) before the
-frame is dropped.  Clean evictions never call back — they cost nothing.
+dirty bit: :meth:`BufferPool.put_dirty` stores a frame whose contents
+are newer than the device copy, and eviction of a dirty frame hands the
+frame to the ``on_evict`` callback (the pager's single-frame flush)
+before the frame is dropped.  Clean evictions never call back — they cost nothing.
 
 Frames can additionally be *pinned* (:meth:`BufferPool.pin`): eviction
 skips pinned frames under every policy, overflowing the capacity bound
@@ -72,7 +72,8 @@ class BufferPool:
 
     # All three policies funnel their probe outcomes through these two
     # helpers, so the hit/miss counters and the tracer hook can never
-    # disagree across policies.
+    # disagree across policies.  LRU ``get`` and ``get_many``, the
+    # pooled read paths' probes, inline ``_record_hit``'s two statements.
     def _record_hit(self) -> None:
         self.hits += 1
         if self.listener is not None:
@@ -101,16 +102,20 @@ class BufferPool:
 
     # -- dirty tracking ------------------------------------------------------
 
-    def mark_dirty(self, file_name: str, block_no: int) -> None:
-        """Flag a cached frame as newer than the device copy.
+    def put_dirty(self, key: _Key, data: bytes) -> None:
+        """Insert or refresh a frame newer than the device copy (the
+        write-back pager's one call per buffered write).
 
-        The frame must currently be in the pool — the write-back pager
-        always ``put``s the payload first.
+        The dirty bit is set *before* the eviction pass: when every other
+        frame is pinned, the pass evicts this very frame, and it must
+        leave through ``on_evict`` (written back) rather than clean.
         """
-        key = (file_name, block_no)
-        if key not in self._blocks:
-            raise KeyError(f"cannot mark absent frame {key!r} dirty")
         self._dirty.add(key)
+        blocks = self._blocks
+        blocks[key] = data
+        blocks.move_to_end(key)
+        if len(blocks) > self.capacity:
+            self._evict_overflow()
 
     def is_dirty(self, file_name: str, block_no: int) -> bool:
         return (file_name, block_no) in self._dirty
@@ -170,12 +175,14 @@ class BufferPool:
     def _evict_overflow(self) -> None:
         """Evict in policy order until within capacity, skipping pinned
         frames (the pool may stay over capacity if everything is pinned)."""
-        while len(self._blocks) > self.capacity:
-            victim = next((k for k in self._blocks if k not in self._pinned), None)
-            if victim is None:
+        blocks, pinned = self._blocks, self._pinned
+        while len(blocks) > self.capacity:
+            for victim in blocks:
+                if victim not in pinned:
+                    break
+            else:
                 break
-            victim_data = self._blocks.pop(victim)
-            self._evicted(victim, victim_data)
+            self._evicted(victim, blocks.pop(victim))
 
     def get(self, file_name: str, block_no: int) -> Optional[bytes]:
         """Return the cached block or None, updating recency and hit counters."""
@@ -185,7 +192,9 @@ class BufferPool:
             self._record_miss()
             return None
         self._blocks.move_to_end(key)
-        self._record_hit()
+        self.hits += 1
+        if self.listener is not None:
+            self.listener.pool_hit()
         return data
 
     def put(self, file_name: str, block_no: int, data: bytes) -> None:
@@ -193,9 +202,11 @@ class BufferPool:
         if self.capacity == 0:
             return
         key = (file_name, block_no)
-        self._blocks[key] = data
-        self._blocks.move_to_end(key)
-        self._evict_overflow()
+        blocks = self._blocks
+        blocks[key] = data
+        blocks.move_to_end(key)
+        if len(blocks) > self.capacity:
+            self._evict_overflow()
 
     # -- bulk API -----------------------------------------------------------
     # ``read_span`` probes and back-fills whole runs at once; these do the
@@ -215,7 +226,9 @@ class BufferPool:
                 self._record_miss()
             else:
                 hits[block_no] = data
-                self._record_hit()
+                self.hits += 1
+                if self.listener is not None:
+                    self.listener.pool_hit()
         for block_no in hits:
             self._touch((file_name, block_no))
         return hits
@@ -290,6 +303,10 @@ class FifoBufferPool(BufferPool):
         self._blocks[key] = data
         self._evict_overflow()
 
+    def put_dirty(self, key: _Key, data: bytes) -> None:
+        self._dirty.add(key)  # before ``put``'s eviction pass, as LRU
+        self.put(key[0], key[1], data)
+
     def _touch(self, key: _Key) -> None:
         """FIFO ignores recency — a bulk hit needs no bookkeeping."""
 
@@ -354,6 +371,10 @@ class ClockBufferPool(BufferPool):
         self._ring.append(key)
         self._blocks[key] = data
         self._referenced[key] = False
+
+    def put_dirty(self, key: _Key, data: bytes) -> None:
+        self._dirty.add(key)  # before ``put``'s eviction pass, as LRU
+        self.put(key[0], key[1], data)
 
     def _touch(self, key: _Key) -> None:
         """CLOCK marks the frame referenced; the hand does the rest."""

@@ -793,3 +793,26 @@ class BlockDevice:
         index-size measure."""
         return sum(len(stored) for f in self.files.values()
                    for stored in f._stored)
+
+
+class _PhaseScope:
+    """``with pager.phase(name)``: sets the device's attribution phase on
+    entry and restores the previous one on exit.  A plain object rather
+    than a generator context manager, and one that reads and writes the
+    phase field itself rather than through :meth:`BlockDevice.set_phase`:
+    every verb enters one or two scopes, so each call a scope makes is
+    paid once or twice per verb (DESIGN.md Section 24)."""
+
+    __slots__ = ("_device", "_name", "_previous")
+
+    def __init__(self, device: BlockDevice, name: str) -> None:
+        self._device = device
+        self._name = name
+
+    def __enter__(self) -> None:
+        device = self._device
+        self._previous = device._phase
+        device._phase = self._name
+
+    def __exit__(self, *exc) -> None:
+        self._device._phase = self._previous

@@ -41,7 +41,7 @@ from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .buffer_pool import BufferPool
-from .device import BlockDevice, BlockFile
+from .device import BlockDevice, BlockFile, _PhaseScope
 from .integrity import (ChecksumError, PersistentIOError, ScrubReport,
                         TransientIOError)
 
@@ -81,6 +81,8 @@ class Pager:
                 "write_back requires a buffer pool with non-zero capacity "
                 "(dirty pages live in its frames)")
         self.device = device
+        #: fixed for the device's lifetime, so a plain attribute
+        self.block_size = device.block_size
         self.buffer_pool = buffer_pool
         self.write_back = write_back
         #: blocks whose device copy is suspect and whose good copy is
@@ -127,10 +129,6 @@ class Pager:
             buffer_pool.on_evict = self._flush_evicted_frame
         if buffer_pool is not None:
             buffer_pool.on_drop = self._drop_cached_keys
-
-    @property
-    def block_size(self) -> int:
-        return self.device.block_size
 
     @property
     def stats(self):
@@ -252,7 +250,8 @@ class Pager:
         """
         if self.on_block_access is not None:
             self.on_block_access("w", file.name, block_no)
-        self._drop_cached_keys(file.name, block_no)
+        if self._meta_cache:
+            self._meta_cache.pop((file.name, block_no), None)
         if self.write_back and not file.memory_resident:
             self._buffer_write(file, block_no, data)
             return
@@ -278,12 +277,14 @@ class Pager:
                 f"got {len(data)}")
         payload = bytes(data)
         key = (file.name, block_no)
-        pool = self.buffer_pool
-        pool.put(file.name, block_no, payload)
-        # ``put`` may have evicted this very frame's predecessor dirty copy
-        # (flushing it); only mark dirty if the frame actually resides.
-        pool.mark_dirty(file.name, block_no)
-        self._dirty_lsn[key] = self._current_lsn()
+        # The covering LSN: the index logs before it applies, so the
+        # highest seqno appended so far covers the page as written now.
+        # It is stamped before the frame enters the pool: when every
+        # other frame is pinned the pool evicts this one at once, and
+        # its write-back must find the LSN (log before data).
+        wal = self._wal
+        self._dirty_lsn[key] = 0 if wal is None else wal.next_seqno - 1
+        self.buffer_pool.put_dirty(key, payload)
         self._last = (file.name, block_no, payload)
         if self._batch_depth:
             self._batch_cache[key] = payload
@@ -346,17 +347,6 @@ class Pager:
         durable — the classic log-before-data rule.
         """
         self._wal = wal
-
-    def _current_lsn(self) -> int:
-        """Covering LSN for a write happening *now*.
-
-        The index logs before it applies, so every record describing the
-        current page contents has already been appended — the highest
-        appended seqno covers the page.
-        """
-        if self._wal is None:
-            return 0
-        return self._wal.current_lsn
 
     def _ensure_wal_durable(self, lsn: int) -> None:
         """Force the WAL durable up to ``lsn`` before data hits disk."""
@@ -571,7 +561,7 @@ class Pager:
                 blob = self.read_block(file, first)
         else:
             span = self.read_span(file, range(first, last + 1))
-            blob = b"".join(span[no] for no in range(first, last + 1))
+            blob = b"".join(map(span.__getitem__, range(first, last + 1)))
         start = offset - first * bs
         return blob[start : start + length]
 
@@ -587,10 +577,21 @@ class Pager:
         end = in_block + len(data)
         if end <= bs and len(data) < bs:
             # Inside one block, not filling it: every slot or header
-            # patch of an index node.
-            current = bytearray(self.read_block(file, block_no))
-            current[in_block:end] = data
-            self.write_block(file, block_no, bytes(current))
+            # patch of an index node.  The current image comes from the
+            # last-block cache under read_block's guards (no access hook
+            # to fire, no free resident read to prefer, no pin cache to
+            # consult or fill), as read_bytes takes it.
+            cached = self._last
+            if (cached is not None and cached[1] == block_no
+                    and cached[0] == file.name and self.on_block_access is None
+                    and not self._batch_depth and not file.memory_resident):
+                if self.tracer is not None:
+                    self.tracer.reuse_hit()
+                current = cached[2]
+            else:
+                current = self.read_block(file, block_no)
+            self.write_block(file, block_no,
+                             b"".join((current[:in_block], data, current[end:])))
             return
         remaining = memoryview(bytes(data))
         pos = offset
@@ -750,26 +751,6 @@ class Pager:
                 report.released.append(key)
         report.elapsed_us = device.stats.elapsed_us - start_us
         return report
-
-
-class _PhaseScope:
-    """``with pager.phase(name)``: sets the device's attribution phase on
-    entry and restores the previous one on exit.  A plain object rather
-    than a generator context manager: every verb enters one or two, and
-    the generator machinery cost about a microsecond each (DESIGN.md
-    Section 24)."""
-
-    __slots__ = ("_device", "_name", "_previous")
-
-    def __init__(self, device, name: str) -> None:
-        self._device = device
-        self._name = name
-
-    def __enter__(self) -> None:
-        self._previous = self._device.set_phase(self._name)
-
-    def __exit__(self, *exc) -> None:
-        self._device.set_phase(self._previous)
 
 
 class _BatchScope:

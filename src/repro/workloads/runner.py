@@ -198,11 +198,11 @@ class _Meter:
                 leaf_reads += file_delta
 
         # Histogram digests per op type, from the same latency samples the
-        # scalar percentiles use (so disabled-tracing runs pay one extra pass
-        # over an array they already hold, and no change to existing fields).
+        # scalar percentiles use (so disabled-tracing runs pay array
+        # passes over an array they already hold, and no change to
+        # existing fields).
         op_digest = KeyedDigest(latency_bounds())
-        for kind, us in zip(kinds, latencies.tolist()):
-            op_digest[kind].record(us)
+        op_digest.record_many(kinds, latencies)
 
         executed = len(latencies)
         n = max(executed, 1)

@@ -12,13 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.alex import (AlexIndex, _DataHeader, _entry_array, _pack_ptr,
-                             _Pinned, _ptr_block, _ptr_is_data)
+                             _ptr_block, _ptr_is_data)
 from repro.core.interface import TOMBSTONE
 from repro.core.serial import ENTRY_SIZE, pack_entries
+from repro.core.vectorize import Pinned
 from repro.models import LinearModel
 from repro.storage import HDD, NULL_DEVICE, BlockDevice, BufferPool, Pager
 
-from tests.util import (ReferenceModel, charges_of, items_of, random_sorted_keys,
+from tests.util import (ReferenceModel, Watch, charges_of, items_of, pages_of,
+                        random_sorted_keys,
                         reference_alex_data_node, reference_alex_partition,
                         reference_fit_least_squares)
 
@@ -310,7 +312,7 @@ def test_search_node_from_a_batch_mirror(block_size, node):
     index, block = _synthetic_node(block_size, False, keys, slope, intercept)
     twin, _ = _synthetic_node(block_size, False, keys, slope, intercept)
     with index.pager.batch(), twin.pager.batch():
-        pinned = _Pinned(index.pager, (index._inner_file, index._data_file))
+        pinned = Pinned(index.pager, (index._inner_file, index._data_file))
         for key in probes:
             slot = index._search_node(pinned, block, key)[0]
             assert slot == bisect_right(keys, key) - 1
@@ -524,6 +526,148 @@ def test_bitmap_walk_matches_and_charges_like_per_bit_reads(
     assert _per_bit_real_entries(twin, block, header) == live
     assert charges_of(index) == charges_of(twin)
     assert index.verify() == len(live)
+
+
+# -- the insert's gap search, against a reference -----------------------------
+
+
+def _per_bit_insert_into_node(index, block, header, position, key, payload):
+    """``_insert_into_node`` as it was before ``_next_gap``: one
+    ``_bit_is_set`` (a one-byte ``read_bytes``) per bitmap bit probed."""
+    capacity = header.capacity
+    if position >= capacity:
+        if not index._bit_is_set(block, capacity - 1):
+            position = capacity - 1
+        else:
+            _per_bit_shift_left_insert(index, block, header, capacity, key, payload)
+            return
+    if not index._bit_is_set(block, position):
+        index._write_entries(block, capacity, position, [(key, payload)])
+        index._set_bit(block, position)
+        run = position + 1
+        while run < capacity and not index._bit_is_set(block, run):
+            index._write_entries(block, capacity, run, [(key, payload)])
+            run += 1
+        return
+    gap = position + 1
+    while gap < capacity and index._bit_is_set(block, gap):
+        gap += 1
+    if gap >= capacity:
+        _per_bit_shift_left_insert(index, block, header, position, key, payload)
+        return
+    entries = index._read_entries(block, capacity, position, gap - position)
+    index._write_entries(block, capacity, position, [(key, payload)] + entries)
+    index._set_bit(block, gap)
+    header.num_shifts += gap - position
+
+
+def _per_bit_shift_left_insert(index, block, header, position, key, payload):
+    """``_shift_left_insert`` as it was before ``_prev_gap``."""
+    capacity = header.capacity
+    gap = position - 1
+    while gap >= 0 and index._bit_is_set(block, gap):
+        gap -= 1
+    assert gap >= 0
+    entries = index._read_entries(block, capacity, gap + 1, position - gap - 1)
+    index._write_entries(block, capacity, gap, entries + [(key, payload)])
+    index._set_bit(block, gap)
+    header.num_shifts += position - gap
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["nopool", "pool2"])
+@pytest.mark.parametrize("block_size", [256, 512])
+@settings(max_examples=25, deadline=None)
+@given(node=_gapped_nodes(), data=st.data())
+def test_gap_search_matches_and_charges_like_per_bit_reads(block_size, pooled,
+                                                           node, data):
+    """``_next_gap`` / ``_prev_gap`` on bitmaps of up to 2,600 slots (so
+    across block boundaries, stray bits past ``capacity`` included) give
+    the per-bit loops' slot and charge what they charge."""
+    capacity, real, entries, _scans = node
+    index, block, _header = _gapped_node(block_size, 2, pooled, capacity,
+                                         real, entries)
+    twin, _, _ = _gapped_node(block_size, 2, pooled, capacity, real, entries)
+    real_slots = set(real)
+    starts = data.draw(st.lists(st.integers(0, capacity - 1), min_size=1,
+                                max_size=8))
+    for start in starts:
+        forward = next((slot for slot in range(start, capacity)
+                        if slot not in real_slots), capacity)
+        backward = next((slot for slot in range(start, -1, -1)
+                         if slot not in real_slots), -1)
+        assert index._next_gap(block, capacity, start) == forward
+        gap = start
+        while gap < capacity and twin._bit_is_set(block, gap):
+            gap += 1
+        assert gap == forward
+        assert charges_of(index) == charges_of(twin)
+        assert index._prev_gap(block, start) == backward
+        gap = start
+        while gap >= 0 and twin._bit_is_set(block, gap):
+            gap -= 1
+        assert gap == backward
+        assert charges_of(index) == charges_of(twin)
+
+
+#: (block size, max_data_node_entries): nodes inside block 0; entries
+#: past block 0 (bitmap in it); a bitmap across the block 0/1 boundary.
+_GEOMETRIES = {"block0": (4096, 64), "multiblock": (4096, 1024),
+               "bitmap-across": (256, 2048)}
+
+
+_BULK_KEYS = random_sorted_keys(1500, seed=34, key_space=10**9)
+
+
+def _alex_stack(geometry, pool):
+    block_size, max_entries = _GEOMETRIES[geometry]
+    buffer_pool = None if pool == "none" else BufferPool(8)
+    pager = Pager(BlockDevice(block_size, HDD), buffer_pool=buffer_pool,
+                  write_back=pool == "write-back")
+    index = AlexIndex(pager, max_data_node_entries=max_entries)
+    index.bulk_load(items_of(_BULK_KEYS))
+    return index
+
+
+@pytest.mark.parametrize("instrument", ["bare", "traced", "hooked"])
+@pytest.mark.parametrize("pool", ["none", "lru", "write-back"])
+@pytest.mark.parametrize("geometry", sorted(_GEOMETRIES))
+def test_insert_gap_search_charges_like_per_bit_reads(geometry, pool, instrument):
+    """A seeded insert/lookup stream, once with the word-wise gap search
+    and once with the per-bit probes it replaced: every ``StorageStats``
+    field and pool probe after every operation, the pages, and what a
+    tracer or an access hook saw are the same.  The tracer's
+    ``reuse_hits`` are the one number that falls, by design: the bits
+    after the first in a block were last-block reuse hits."""
+    index = _alex_stack(geometry, pool)
+    twin = _alex_stack(geometry, pool)
+    twin._insert_into_node = (
+        lambda *args: _per_bit_insert_into_node(twin, *args))
+    watch, twin_watch = Watch(index, instrument), Watch(twin, instrument)
+    rng = random.Random(34)
+    present = _BULK_KEYS
+    fresh_keys = [key for key in rng.sample(range(1, 10**9), 300)
+                  if key not in set(present)]
+    # a run of ascending keys past the largest fills the last node's tail
+    fresh_keys += range(10**9 + 1, 10**9 + 100)
+    for i, key in enumerate(fresh_keys):
+        index.insert(key, key + 1)
+        twin.insert(key, key + 1)
+        probe = present[i * 7 % len(present)]
+        assert index.lookup(probe) == twin.lookup(probe) == probe + 1
+        assert charges_of(index) == charges_of(twin), key
+    assert watch.seen() == twin_watch.seen()
+    assert watch.reuse_hits <= twin_watch.reuse_hits
+    assert pages_of(index) == pages_of(twin)
+    assert index.verify() == twin.verify() == 1500 + len(fresh_keys)
+    shifts = sum(index._read_data_header(block).num_shifts
+                 for block in _data_blocks(index))
+    assert shifts > 0  # the stream took the shifting paths, not only gaps
+
+
+def _data_blocks(index):
+    blocks = []
+    index._collect_leaves(index.root_ptr, blocks)
+    return blocks
 
 
 # -- node placement as array kernels, against the per-key loops ---------------

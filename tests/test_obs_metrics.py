@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Histogram, KeyedDigest, io_bounds, latency_bounds
@@ -125,3 +125,54 @@ def test_keyed_digest_makes_one_histogram_per_key_on_first_sample():
     assert digest["insert"].bounds == alone.bounds
     # a key that never got a sample reads as the empty histogram
     assert digest["scan"].summary() == Histogram(io_bounds()).summary()
+
+
+# -- record_many: the array path of the per-value loop -------------------------
+
+_BOUNDS = (1.0, 2.5, 10.0, 100.0)
+# values on a bound, between bounds, past the last (overflow), duplicates
+_values = st.lists(st.one_of(
+    st.sampled_from(_BOUNDS + (0.0, -0.0, 1e9)),
+    st.floats(-1e3, 1e12, allow_nan=False, allow_infinity=False)), max_size=60)
+
+
+def _state(hist):
+    return (hist.counts, hist.count, hist.total.hex(), hist.min, hist.max,
+            None if hist.min is None else (hist.min.hex(), hist.max.hex()),
+            hist.summary())
+
+
+@settings(max_examples=300, deadline=None)
+@example(before=[], values=[0.0, -0.0, 2.5, 1e9, -0.0, 0.0], as_array=False)
+@example(before=[3.0], values=[], as_array=True)
+@given(before=_values, values=_values, as_array=st.booleans())
+def test_record_many_is_the_record_loop_bit_for_bit(before, values, as_array):
+    """After any earlier samples, ``record_many`` leaves the counts, the
+    count, the total (to the last bit), the extremes (the first of equal
+    ones) and the summary exactly where recording one value at a time
+    does — for an empty input too."""
+    looped, batched = Histogram(_BOUNDS), Histogram(_BOUNDS)
+    for value in before:
+        looped.record(value)
+        batched.record(value)
+    for value in values:
+        looped.record(value)
+    batched.record_many(np.array(values) if as_array else values)
+    assert _state(batched) == _state(looped)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(st.sampled_from("abc"), _values.map(
+    lambda v: v[0] if v else 5.0)), max_size=40), extra=st.integers(0, 3))
+def test_keyed_record_many_is_the_record_loop(pairs, extra):
+    """Keys made in first-seen order, each key's histogram as its loop
+    left it; ``keys`` may run on past ``values``, as a crashed run's
+    op kinds do."""
+    looped, batched = KeyedDigest(_BOUNDS), KeyedDigest(_BOUNDS)
+    for key, value in pairs:
+        looped[key].record(value)
+    kinds = [key for key, _ in pairs] + ["z"] * extra
+    batched.record_many(iter(kinds), [value for _, value in pairs])
+    assert list(batched) == list(looped)
+    assert {k: _state(h) for k, h in batched.items()} == {
+        k: _state(h) for k, h in looped.items()}

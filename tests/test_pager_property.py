@@ -6,6 +6,7 @@ from itertools import groupby
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.durability import WriteAheadLog
 from repro.obs import Tracer
 from repro.storage import NULL_DEVICE, BlockDevice, Pager, make_buffer_pool
 
@@ -111,9 +112,14 @@ _other = st.tuples(st.sampled_from(["drop_last_block", "make_g_resident"]),
 _op = st.one_of(_one_block, _one_block, _spanning, _block, _write, _other)
 
 
-def _replay(pager_cls, pool, traced, hooked, ops):
+def _replay(pager_cls, pool, traced, hooked, ops, logged=False, frames=6):
+    """Run ``ops`` on a fresh pager; what it returned and everything it
+    counted.  ``pool`` is None, a policy name, or "write-back" (an LRU
+    pool of ``frames`` frames); ``logged`` attaches a WAL that logs
+    before each write."""
     device = BlockDevice(BLOCK, NULL_DEVICE)
-    buffer_pool = make_buffer_pool(6) if pool else None
+    policy = "lru" if pool == "write-back" else pool
+    buffer_pool = make_buffer_pool(frames, policy) if pool else None
     pager = pager_cls(device, buffer_pool, write_back=pool == "write-back")
     handles = {}
     for name in _FILES:
@@ -129,6 +135,7 @@ def _replay(pager_cls, pool, traced, hooked, ops):
     calls = []
     if hooked:
         pager.on_block_access = lambda *access: calls.append(access)
+    wal = WriteAheadLog(pager, group_commit=3) if logged else None
     returned = []
     fill = 0
     for batched, group in groupby(ops, key=lambda op: op[-1]):
@@ -145,18 +152,32 @@ def _replay(pager_cls, pool, traced, hooked, ops):
                 elif kind == "write_bytes":
                     fill = fill % 251 + 1
                     length = min(length, _BLOCKS * BLOCK - offset)
+                    if wal is not None:
+                        wal.append("insert", fill, length)
                     pager.write_bytes(handle, offset, bytes([fill]) * length)
                     pager.write_bytes(resident, at, bytes([fill]))
                 elif kind == "drop_last_block":
                     pager.drop_last_block()
+                elif kind == "flush":
+                    pager.flush()
                 else:
                     # as a stack pins its inner file after the bulk load
                     handles["g"].memory_resident = True
+    state = None
+    if buffer_pool is not None:
+        # the pool's whole state: recency (LRU) or queue (FIFO) order,
+        # the dirty set and each dirty frame's covering LSN, CLOCK's ring
+        state = (list(buffer_pool._blocks.items()), sorted(buffer_pool._dirty),
+                  dict(pager._dirty_lsn), getattr(buffer_pool, "_ring", None),
+                  getattr(buffer_pool, "_referenced", None),
+                  getattr(buffer_pool, "_hand", None))
     pager.flush()
     counters = (device.stats.snapshot(),
                 (buffer_pool.hits, buffer_pool.misses) if buffer_pool else None)
     records = list(tracer.iter_records()) if tracer is not None else None
-    return returned, counters, records, calls
+    returned.append([bytes(handle.blocks[no]) for handle in handles.values()
+                     for no in range(_BLOCKS)])
+    return returned, counters, records, calls, state
 
 
 # The sequences the batch and resident guards exist for.
@@ -180,3 +201,78 @@ _RESIDENT_AFTER_READ = [("read_block", "g", 0, 0, 0, False),
 def test_read_bytes_one_block_branch_matches_read_block(pool, traced, hooked, ops):
     assert (_replay(Pager, pool, traced, hooked, ops)
             == _replay(_ReadBlockPager, pool, traced, hooked, ops))
+
+
+# -- write_bytes' one-block branch --------------------------------------------
+#
+# ``Pager.write_bytes`` patches a one-block range into the image it takes
+# from the last-block cache, under ``read_block``'s guards, instead of
+# calling ``read_block`` for it.  The reference below is the pager before
+# that branch.  The property holds the two to the same bytes read back
+# (and left on the device), device counters, pool probes, pool order,
+# dirty set and covering LSNs, tracer records and access-hook calls,
+# with and without a WAL, under every pool policy and write-back.  Each
+# of these mutations of the branch turns it red:
+#   - drop the hook guard (``self.on_block_access is None``): the serving
+#     engine's footprint misses the read half of the patch;
+#   - drop the resident guard (``not file.memory_resident``): a file made
+#     resident after it was read patches its stale last block, and the
+#     write loses every byte written to it since;
+#   - drop the ``tracer.reuse_hit()`` call: the tracer's ``reuse_hits``
+#     fall behind.
+# Dropping the batch guard (``not self._batch_depth``) leaves it green:
+# inside a batch the last block and the pinned copy of a block hold the
+# same bytes, and the write that follows pins its new image either way.
+# The guard stays so that the branch is exactly read_block's, as the
+# read_bytes branch is.
+
+
+class _ReadBlockWritePager(Pager):
+    """Every one-block ``write_bytes`` patch reads through ``read_block``."""
+
+    def write_bytes(self, file, offset, data):
+        bs = self.block_size
+        block_no, in_block = divmod(offset, bs)
+        end = in_block + len(data)
+        if data and end <= bs and len(data) < bs:
+            current = bytearray(self.read_block(file, block_no))
+            current[in_block:end] = data
+            self.write_block(file, block_no, bytes(current))
+            return
+        Pager.write_bytes(self, file, offset, data)
+
+
+_write_spanning = st.tuples(st.just("write_bytes"), st.sampled_from(_FILES),
+                            st.integers(0, _BLOCKS - 2),
+                            st.integers(0, BLOCK - 1),
+                            st.integers(BLOCK, 2 * BLOCK))
+_flush = st.tuples(st.just("flush"), st.just("f"), st.just(0), st.just(0),
+                   st.just(0))
+_write_op = st.one_of(_write, _write, _write_spanning, _one_block, _spanning,
+                      _block, _other, _flush)
+
+# A write patching the block a file had in the last-block cache when the
+# file became resident (what the resident guard is for); its first and
+# third steps, hooked, are a patch the hook must see read.
+_WRITE_RESIDENT_AFTER_READ = [("read_block", "g", 0, 0, 0, False),
+                              ("make_g_resident", "f", 0, 0, 0, False),
+                              ("write_bytes", "g", 0, 8, 8, False),
+                              ("write_bytes", "g", 0, 20, 8, False),
+                              ("read_bytes", "g", 0, 0, 40, False)]
+
+
+@settings(max_examples=300, deadline=None)
+@example(pool=None, traced=False, hooked=True, logged=False,
+         ops=_WRITE_RESIDENT_AFTER_READ[:1] + _WRITE_RESIDENT_AFTER_READ[2:3])
+@example(pool=None, traced=False, hooked=False, logged=False,
+         ops=_WRITE_RESIDENT_AFTER_READ)
+@given(pool=st.sampled_from([None, "lru", "fifo", "clock", "write-back"]),
+       traced=st.booleans(), hooked=st.booleans(), logged=st.booleans(),
+       ops=st.lists(st.tuples(_write_op, st.booleans()).map(
+           lambda p: (*p[0], p[1])), max_size=30))
+def test_write_bytes_one_block_branch_matches_read_block(pool, traced, hooked,
+                                                         logged, ops):
+    # four frames for 2 x 3 blocks, so writes evict dirty frames
+    assert (_replay(Pager, pool, traced, hooked, ops, logged, frames=4)
+            == _replay(_ReadBlockWritePager, pool, traced, hooked, ops, logged,
+                       frames=4))

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from repro.core.pgm import (DESCRIPTOR_SIZE, PgmIndex, StaticPgm, build_levels,
                             descend)
-from repro.storage import NULL_DEVICE, BlockDevice, Pager
+from repro.core.serial import ENTRY_SIZE, entry_at
+from repro.storage import HDD, NULL_DEVICE, BlockDevice, BufferPool, Pager
 
-from tests.util import items_of, random_sorted_keys
+from tests.util import Watch, charges_of, items_of, pages_of, random_sorted_keys
 
 
 def fresh(**kwargs):
@@ -279,3 +280,80 @@ def test_levels_memory_residency_applies_to_future_components():
     for component in index.components:
         if component is not None:
             assert component.levels_file.memory_resident
+
+
+# -- the buffer search, against a reference ------------------------------------
+
+
+def _per_probe_lookup_raw(index, key, source=None):
+    """``_lookup_raw`` as it was before the buffer search held a block:
+    one 16-byte ``read_bytes`` per probe of the buffer, nothing held
+    between probes."""
+    source = source or index.pager
+    if index.buffer_count:
+        lo, hi = 0, index.buffer_count
+        while lo < hi:
+            mid = (lo + hi) // 2
+            mid_key, payload = entry_at(source.read_bytes(
+                index._buffer_file, mid * ENTRY_SIZE, ENTRY_SIZE), 0)
+            if mid_key == key:
+                return payload
+            if mid_key < key:
+                lo = mid + 1
+            else:
+                hi = mid
+    for component in index.components:
+        if component is not None:
+            result = component.lookup(key)
+            if result is not None:
+                return result
+    return None
+
+
+def _pgm_stack(block_size, pool):
+    buffer_pool = None if pool == "none" else BufferPool(8)
+    pager = Pager(BlockDevice(block_size, HDD), buffer_pool=buffer_pool,
+                  write_back=pool == "write-back")
+    index = PgmIndex(pager)
+    index.bulk_load(items_of(_BULK_KEYS))
+    return index
+
+
+_BULK_KEYS = random_sorted_keys(2000, seed=34, key_space=10**9)
+
+
+@pytest.mark.parametrize("instrument", ["bare", "traced", "hooked"])
+@pytest.mark.parametrize("pool", ["none", "lru", "write-back"])
+@pytest.mark.parametrize("block_size", [4096, 1000])
+def test_buffer_search_charges_like_per_probe_reads(block_size, pool, instrument):
+    """Inserts fill the buffer from 1 to its 585 entries (and flush it);
+    between them, lookups of buffered, bulk-loaded and absent keys and
+    batches of them run once with the held-block search and once with
+    the per-probe reads it replaced.  Every ``StorageStats`` field and
+    pool probe after every operation, the pages, and what a tracer or an
+    access hook saw are the same; only the tracer's ``reuse_hits`` fall,
+    by design (a probe into the held block was a last-block reuse hit).
+    1000-byte blocks put entries across block boundaries."""
+    index = _pgm_stack(block_size, pool)
+    twin = _pgm_stack(block_size, pool)
+    twin._lookup_raw = lambda key, source=None: _per_probe_lookup_raw(
+        twin, key, source)
+    watch, twin_watch = Watch(index, instrument), Watch(twin, instrument)
+    rng = random.Random(34)
+    bulk = set(_BULK_KEYS)
+    fresh_keys = [key for key in rng.sample(range(1, 10**9), 600)
+                  if key not in bulk]
+    for i, key in enumerate(fresh_keys):
+        index.insert(key, key + 1)
+        twin.insert(key, key + 1)
+        probes = [fresh_keys[rng.randrange(i + 1)], _BULK_KEYS[i % 2000],
+                  key + 1]
+        for probe in probes:
+            assert index.lookup(probe) == twin.lookup(probe)
+        if i % 50 == 0:
+            assert index.lookup_many(probes) == twin.lookup_many(probes)
+        assert charges_of(index) == charges_of(twin), key
+    assert index.num_merges == 1  # the buffer ran 1..585 and flushed
+    assert watch.seen() == twin_watch.seen()
+    assert watch.reuse_hits <= twin_watch.reuse_hits
+    assert pages_of(index) == pages_of(twin)

@@ -141,9 +141,8 @@ def test_write_blocks_cost_matches_serial_sorted_loop():
 @pytest.mark.parametrize("policy", POLICIES)
 def test_dirty_bit_lifecycle(policy):
     pool = make_buffer_pool(4, policy)
-    pool.put("f", 0, b"a")
+    pool.put_dirty(("f", 0), b"a")
     pool.put("f", 1, b"b")
-    pool.mark_dirty("f", 0)
     assert pool.is_dirty("f", 0)
     assert not pool.is_dirty("f", 1)
     assert pool.dirty_count == 1
@@ -155,10 +154,22 @@ def test_dirty_bit_lifecycle(policy):
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_mark_dirty_absent_frame_raises(policy):
-    pool = make_buffer_pool(4, policy)
-    with pytest.raises(KeyError):
-        pool.mark_dirty("f", 0)
+def test_put_dirty_frame_evicted_at_once_is_written_back(policy):
+    """The frame is dirty before the eviction pass runs: with every other
+    frame pinned, LRU and FIFO evict the new frame itself, through
+    ``on_evict``; CLOCK overflows instead."""
+    pool = make_buffer_pool(2, policy)
+    evicted = []
+    pool.on_evict = lambda name, no, data: evicted.append((name, no, data))
+    for no in (0, 1):
+        pool.put("f", no, b"pinned")
+        pool.pin("f", no)
+    pool.put_dirty(("f", 2), b"two")
+    if policy == "clock":
+        assert evicted == [] and pool.is_dirty("f", 2) and len(pool) == 3
+    else:
+        assert evicted == [("f", 2, b"two")] and pool.dirty_evictions == 1
+        assert pool.dirty_count == 0 and len(pool) == 2
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -166,8 +177,7 @@ def test_dirty_eviction_hands_exactly_that_frame(policy):
     pool = make_buffer_pool(2, policy)
     evicted = []
     pool.on_evict = lambda name, no, data: evicted.append((name, no, data))
-    pool.put("f", 0, b"zero")
-    pool.mark_dirty("f", 0)
+    pool.put_dirty(("f", 0), b"zero")
     pool.put("f", 1, b"one")
     pool.put("f", 2, b"two")  # evicts frame 0 (dirty) in every policy
     assert evicted == [("f", 0, b"zero")]
@@ -193,13 +203,11 @@ def test_invalidate_discards_dirty_without_flushing(policy):
     pool = make_buffer_pool(4, policy)
     evicted = []
     pool.on_evict = lambda *args: evicted.append(args)
-    pool.put("f", 0, b"a")
-    pool.mark_dirty("f", 0)
+    pool.put_dirty(("f", 0), b"a")
     pool.invalidate("f", 0)
     assert pool.dirty_count == 0
     assert evicted == []
-    pool.put("g", 1, b"b")
-    pool.mark_dirty("g", 1)
+    pool.put_dirty(("g", 1), b"b")
     pool.invalidate_file("g")
     assert pool.dirty_count == 0
     assert evicted == []
@@ -298,6 +306,31 @@ def test_dirty_eviction_writes_exactly_that_frame(policy):
     assert pager.buffer_pool.dirty_evictions == 1
     # The evicted frame is clean on disk; the two survivors still flush.
     assert pager.flush() == 2
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_write_into_a_pool_of_pinned_frames_is_written_back(policy):
+    """Every other frame pinned: LRU and FIFO evict the frame just
+    written.  It was dirty when it left, so it reaches the device (after
+    the WAL records covering it) instead of being dropped clean.  CLOCK
+    overflows rather than evict a frame the hand has not passed."""
+    device, f = _loaded(4)
+    pager = _wb_pager(device, capacity=2, policy=policy)
+    wal = WriteAheadLog(pager, group_commit=1000)  # nothing auto-flushes
+    for block_no in (0, 1):
+        assert pager.quarantine("f", block_no, _payload(block_no))
+    wal.append("insert", 7, 8)
+    phases = []
+    device.on_access = lambda kind, name, no, phase, cost: phases.append(
+        (name, no, phase))
+    pager.write_block(f, 2, _payload(2))
+    pager.flush()
+    assert bytes(f.blocks[2]) == _payload(2)
+    assert wal.durable_seqno == 1
+    data_writes = [access for access in phases if access[0] == "f"]
+    assert data_writes == [("f", 2, "flush")]
+    assert phases.index(data_writes[0]) > phases.index(("wal", 0, "log"))
+    assert pager.read_block(f, 2) == _payload(2)
 
 
 def test_clean_eviction_charges_zero_writes():

@@ -14,6 +14,7 @@ import dataclasses
 import random
 from bisect import bisect_left, bisect_right
 
+from repro.obs import Tracer
 from repro.stack import StackSpec
 from repro.stack import make_pager as make_stack_pager
 from repro.storage import HDD, NULL_DEVICE, SSD, Pager
@@ -99,6 +100,48 @@ def charges_of(index):
     pool = index.pager.buffer_pool
     return (dataclasses.asdict(index.pager.stats),
             (pool.hits, pool.misses) if pool is not None else None)
+
+
+class Watch:
+    """What an index's storage stack shows besides its charges, for
+    comparing a change with the reference it replaces: under
+    ``"traced"`` a :class:`repro.obs.Tracer`'s records, under
+    ``"hooked"`` the set of frames the pager's access hook saw,
+    ``"bare"`` neither."""
+
+    def __init__(self, index, instrument: str) -> None:
+        self.tracer = None
+        self.frames = set()
+        if instrument == "traced":
+            self.tracer = Tracer()
+            index.attach_tracer(self.tracer)
+        elif instrument == "hooked":
+            index.pager.on_block_access = lambda *access: self.frames.add(access)
+
+    def seen(self):
+        """Tracer records without their ``reuse_hits`` (a held block
+        skips pager requests the last-block cache answered free, so that
+        counter falls by design), and the hook's frames."""
+        records = None
+        if self.tracer is not None:
+            records = [{k: v for k, v in record.items() if k != "reuse_hits"}
+                       for record in self.tracer.iter_records()]
+        return records, self.frames
+
+    @property
+    def reuse_hits(self) -> int:
+        if self.tracer is None:
+            return 0
+        return sum(record.get("reuse_hits", 0)
+                   for record in self.tracer.iter_records())
+
+
+def pages_of(index) -> dict:
+    """Every block of every file, after flushing what a write-back pool
+    still holds dirty."""
+    index.pager.flush()
+    return {name: [bytes(handle.blocks[no]) for no in range(handle.num_blocks)]
+            for name, handle in index.pager.device.files.items()}
 
 
 class ReferenceModel:
