@@ -24,18 +24,18 @@ This implementation follows that section:
 
 There is one search (DESIGN.md Section 15): :meth:`AlexIndex._descend`
 walks the inner nodes and :meth:`AlexIndex._search_node` runs the
-exponential search inside a data node, both on the bytes of the block in
-hand, for ``lookup``, ``lookup_many``, the probes of ``insert`` /
-``update`` / ``delete`` and the start slot of ``scan`` alike.  They ask
-for a block only when a probe leaves the one they hold, which is exactly
-when the pager's own last-block copy stops answering for free — so what
-the device and the buffer pool are asked, and every charged number, is
-what one ``read_bytes`` per 16-byte probe would produce.  The write side
-(bitmap bits, gap runs, SMOs) and the scan's bitmap walk go to the pager
-call by call: those are the S3/S5 and maintenance costs above.  What a
-scan, an SMO and ``verify`` do with a fetched bitmap chunk and entry
-group is array work: :func:`_set_slots` turns bitmap bytes into the set
-slots in one pass, and a group of entries is filtered as two columns.
+exponential search inside a data node, for ``lookup``, ``lookup_many``,
+the probes of ``insert`` / ``update`` / ``delete`` and the start slot of
+``scan`` alike.  Each probe is one :meth:`~repro.storage.Pager.view` of
+its 16 bytes, decoded in place; the pager serves a probe into the block
+it holds free, so what the device and the buffer pool are asked, and
+every charged number, is what one ``read_bytes`` per probe produces.
+The write side (bitmap bits, gap runs, SMOs) and the scan's bitmap walk
+go to the pager call by call: those are the S3/S5 and maintenance costs
+above.  What a scan, an SMO and ``verify`` do with a fetched bitmap
+chunk and entry group is array work: :func:`_set_slots` turns bitmap
+bytes into the set slots in one pass, and a group of entries is
+filtered as two columns.
 
 The one deliberate simplification: ALEX's workload-statistics cost model
 for choosing between node expansion and splitting is replaced with the
@@ -47,7 +47,7 @@ only the *choice* is simplified (documented in DESIGN.md).
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +56,6 @@ from ..storage import Pager
 from .codecs import get_codec
 from .interface import DiskIndex, KeyPayload, TOMBSTONE
 from .serial import ENTRY_SIZE, NULL_BLOCK, pack_entries, unpack_entries
-from .vectorize import Pinned, cursor
 
 __all__ = ["AlexIndex"]
 
@@ -132,10 +131,6 @@ def _set_slots(bitmap: bytes, first_slot: int, start_slot: int,
     bits = np.unpackbits(np.frombuffer(bitmap, dtype=np.uint8), bitorder="little")
     skip = max(start_slot - first_slot, 0)
     return np.flatnonzero(bits[skip:capacity - first_slot]) + (first_slot + skip)
-
-
-#: Where a search gets its blocks: the pager, or a batch's mirrors of it.
-Source = Union[Pager, Pinned]
 
 
 class _DataHeader:
@@ -416,10 +411,12 @@ class AlexIndex(DiskIndex):
         return unpack_entries(raw, 1)[0]
 
     def _read_entries(self, block: int, capacity: int, lo: int, count: int) -> List[KeyPayload]:
-        raw = self.pager.read_bytes(self._data_file,
-                                    self._entries_offset(block, capacity, lo),
-                                    count * ENTRY_SIZE)
-        return unpack_entries(raw, count)
+        if count <= 0:
+            return []
+        data, at = self.pager.view(self._data_file,
+                                   self._entries_offset(block, capacity, lo),
+                                   count * ENTRY_SIZE)
+        return unpack_entries(data, count, at)
 
     def _read_entry_columns(self, block: int, capacity: int, lo: int,
                             count: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -436,9 +433,9 @@ class AlexIndex(DiskIndex):
                                pack_entries(entries))
 
     def _bit_is_set(self, block: int, slot: int) -> bool:
-        raw = self.pager.read_bytes(self._data_file,
-                                    self._bitmap_offset(block, slot >> 3), 1)
-        return bool(raw[0] & (1 << (slot & 7)))
+        data, at = self.pager.view(self._data_file,
+                                   self._bitmap_offset(block, slot >> 3), 1)
+        return bool(data[at] & (1 << (slot & 7)))
 
     def _next_gap(self, block: int, capacity: int, slot: int) -> int:
         """The first gap (clear bitmap bit) at or after ``slot``, or
@@ -486,100 +483,97 @@ class AlexIndex(DiskIndex):
 
     def _set_bit(self, block: int, slot: int) -> None:
         offset = self._bitmap_offset(block, slot >> 3)
-        raw = bytearray(self.pager.read_bytes(self._data_file, offset, 1))
-        raw[0] |= 1 << (slot & 7)
-        self.pager.write_bytes(self._data_file, offset, bytes(raw))
+        data, at = self.pager.view(self._data_file, offset, 1)
+        self.pager.write_bytes(self._data_file, offset,
+                               bytes((data[at] | 1 << (slot & 7),)))
 
     # -- search ----------------------------------------------------------------------
     #
     # One descent and one in-node search serve every verb.  Both decode
     # the bytes of the block in hand (``unpack_from`` at an offset, no
-    # node object) through a :func:`~.vectorize.cursor` of their own,
-    # and take nothing but ``source``, where a block comes from: the
-    # pager, or a batch's :class:`~.vectorize.Pinned` mirrors.  Neither
-    # keeps anything between calls, so a write between two searches
-    # cannot leave stale bytes.
+    # node object) as :meth:`Pager.view` hands them out, one request per
+    # probe: the pager serves a probe into the block it holds free, so
+    # nothing is held here and a write between two searches cannot leave
+    # stale bytes.
 
-    def _descend(self, key: int,
-                 source: Source) -> Tuple[int, Optional[Tuple[int, int]]]:
+    def _descend(self, key: int) -> Tuple[int, Optional[Tuple[int, int]]]:
         """Walk to the data node for ``key``; returns its block and the
         ``(byte offset, slot)`` of the parent pointer followed to it
         (None under a data-node root)."""
         if self.root_ptr is None:
             raise RuntimeError("index not bulk-loaded")
-        at = cursor(source, self._inner_file, self.pager.block_size)
+        view, file = self.pager.view, self._inner_file
         parent = None
         ptr = self.root_ptr
         while not ptr & _IS_DATA:
             offset = ptr & _PTR_MASK
-            _type, fanout, slope, intercept, anchor = at(
-                _INNER_HEADER, offset, HEADER_SIZE)
+            _type, fanout, slope, intercept, anchor = _INNER_HEADER.unpack_from(
+                *view(file, offset, HEADER_SIZE))
             slot = _predict_slot(slope, intercept, anchor, key, fanout)
             parent = (offset, slot)
-            ptr = at(_U64, offset + HEADER_SIZE + slot * 8, 8)[0]
+            ptr = _U64.unpack_from(*view(file, offset + HEADER_SIZE + slot * 8, 8))[0]
         return ptr & _PTR_MASK, parent
 
-    def _search_node(self, source: Source, block: int, key: int):
+    def _search_node(self, block: int, key: int):
         """Slot of the rightmost entry with key <= ``key`` in data node
-        ``block`` (-1: none, or an empty node), the header fields as
-        ``_DATA_HEADER`` unpacks them, and the cursor the search read
-        through, for a caller that goes on to read the slot's entry.
+        ``block`` (-1: none, or an empty node) and the header fields as
+        ``_DATA_HEADER`` unpacks them.
 
         Starts at the model's prediction and widens the bracket by
         doubling, one 16-byte entry per step (ALEX's search).
         """
         bs = self.pager.block_size
-        at = cursor(source, self._data_file, bs)
-        header = at(_DATA_HEADER, block * bs, HEADER_SIZE)
+        view, file, entry = self.pager.view, self._data_file, _ENTRY.unpack_from
+        header = _DATA_HEADER.unpack_from(*view(file, block * bs, HEADER_SIZE))
         _type, capacity, num_keys, slope, intercept, anchor = header[:6]
         if not num_keys:
-            return -1, header, at
+            return -1, header
         base = self._entries_offset(block, capacity, 0)
         pos = _predict_slot(slope, intercept, anchor, key, capacity)
-        if at(_ENTRY, base + pos * ENTRY_SIZE, ENTRY_SIZE)[0] <= key:
+        if entry(*view(file, base + pos * ENTRY_SIZE, ENTRY_SIZE))[0] <= key:
             # Gallop right while entries stay <= key.
             bound = 1
-            while pos + bound < capacity and at(
-                    _ENTRY, base + (pos + bound) * ENTRY_SIZE, ENTRY_SIZE)[0] <= key:
+            while pos + bound < capacity and entry(*view(
+                    file, base + (pos + bound) * ENTRY_SIZE, ENTRY_SIZE))[0] <= key:
                 bound *= 2
             lo, hi = pos + bound // 2, min(pos + bound, capacity - 1)
         else:
             bound = 1
-            while pos - bound >= 0 and at(
-                    _ENTRY, base + (pos - bound) * ENTRY_SIZE, ENTRY_SIZE)[0] > key:
+            while pos - bound >= 0 and entry(*view(
+                    file, base + (pos - bound) * ENTRY_SIZE, ENTRY_SIZE))[0] > key:
                 bound *= 2
             lo, hi = max(pos - bound, 0), pos - bound // 2
         # Invariant: entry[lo] <= key (or lo == 0), entry[hi] may be > key.
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if at(_ENTRY, base + mid * ENTRY_SIZE, ENTRY_SIZE)[0] <= key:
+            if entry(*view(file, base + mid * ENTRY_SIZE, ENTRY_SIZE))[0] <= key:
                 lo = mid
             else:
                 hi = mid - 1
         # Slot ``lo`` is read even where the bisection has proven it: its
         # block is not always the one the last probe left in hand, and
         # that fetch is part of what a search is charged.
-        if at(_ENTRY, base + lo * ENTRY_SIZE, ENTRY_SIZE)[0] > key:
-            return -1, header, at
-        return lo, header, at
+        if entry(*view(file, base + lo * ENTRY_SIZE, ENTRY_SIZE))[0] > key:
+            return -1, header
+        return lo, header
 
-    def _find_in_node(self, source: Source, block: int, key: int):
+    def _find_in_node(self, block: int, key: int):
         """:meth:`_search_node`, then the entry at the slot found:
         ``(slot, header fields, (key, payload) or None)``.  An entry
-        lying across two blocks is read from ``source`` a second time —
-        the search's own read of it left no block in hand."""
-        slot, header, at = self._search_node(source, block, key)
+        lying across two blocks is read a second time as its range."""
+        slot, header = self._search_node(block, key)
         if slot < 0:
             return slot, header, None
         offset = self._entries_offset(block, header[1], slot)
-        return slot, header, at(_ENTRY, offset, ENTRY_SIZE)
+        return slot, header, _ENTRY.unpack_from(
+            *self.pager.view(self._data_file, offset, ENTRY_SIZE))
 
-    def _find(self, key: int, source: Source):
+    def _find(self, key: int):
         """Descend to ``key``'s data node and search it: ``(block,
         parent, slot, header fields, entry)`` — what lookup, update,
         delete and the probe of an insert all start from."""
-        block, parent = self._descend(key, source)
-        return (block, parent, *self._find_in_node(source, block, key))
+        block, parent = self._descend(key)
+        return (block, parent, *self._find_in_node(block, key))
 
     @staticmethod
     def _live_payload(entry: Optional[KeyPayload], key: int) -> Optional[int]:
@@ -592,35 +586,32 @@ class AlexIndex(DiskIndex):
 
     def lookup(self, key: int) -> Optional[int]:
         with self.pager.phase("search"):
-            entry = self._find(key, self.pager)[-1]
+            entry = self._find(key)[-1]
         return self._live_payload(entry, key)
 
     def lookup_many(self, keys) -> List[Optional[int]]:
         """Batched lookups: descend once per distinct key, in key order,
-        with every fetched block pinned (and mirrored, so a block shared
-        across the sorted batch is asked for once), fetch the distinct
-        data-node header blocks in one coalesced span, then run the
-        per-key searches against the pinned nodes."""
+        with every fetched block pinned (so a block shared across the
+        sorted batch is fetched once), fetch the distinct data-node
+        header blocks in one coalesced span, then run the per-key
+        searches against the pinned nodes."""
         keys = list(keys)
         if len(keys) <= 1:
             return [self.lookup(key) for key in keys]
         results = {}
         with self.pager.phase("search"), self.pager.batch():
-            pinned = Pinned(self.pager, (self._inner_file, self._data_file))
-            nodes = [(key, self._descend(key, pinned)[0])
-                     for key in sorted(set(keys))]
-            pinned.mirrors[self._data_file.name].absorb(self.pager.read_span(
-                self._data_file, [block for _key, block in nodes]))
+            nodes = [(key, self._descend(key)[0]) for key in sorted(set(keys))]
+            self.pager.read_span(self._data_file, [block for _key, block in nodes])
             for key, block in nodes:
                 results[key] = self._live_payload(
-                    self._find_in_node(pinned, block, key)[-1], key)
+                    self._find_in_node(block, key)[-1], key)
         return [results[key] for key in keys]
 
     # -- insert ----------------------------------------------------------------------
 
     def insert(self, key: int, payload: int) -> None:
         with self.pager.phase("search"):
-            block, parent, slot, fields, entry = self._find(key, self.pager)
+            block, parent, slot, fields, entry = self._find(key)
             if entry is not None and entry[0] == key:
                 if entry[1] != TOMBSTONE:
                     raise KeyError(f"duplicate key {key}")
@@ -644,8 +635,8 @@ class AlexIndex(DiskIndex):
             with self.pager.phase("search"):
                 # From the root again: the SMO moved the node, and every
                 # search starts with nothing in hand.
-                block, parent = self._descend(key, self.pager)
-                slot, fields, _at = self._search_node(self.pager, block, key)
+                block, parent = self._descend(key)
+                slot, fields = self._search_node(block, key)
                 header = _DataHeader(*fields[1:])
         with self.pager.phase("insert"):
             self._insert_into_node(block, header, slot + 1, key, payload)
@@ -720,7 +711,7 @@ class AlexIndex(DiskIndex):
     def _overwrite_live(self, key: int, payload: int) -> bool:
         """Give ``key`` a new payload if it is stored and not deleted."""
         with self.pager.phase("search"):
-            block, _parent, slot, fields, entry = self._find(key, self.pager)
+            block, _parent, slot, fields, entry = self._find(key)
         if self._live_payload(entry, key) is None:
             return False
         with self.pager.phase("insert"):
@@ -921,13 +912,13 @@ class AlexIndex(DiskIndex):
         out: List[KeyPayload] = []
         if count <= 0 or self.root_ptr is None:
             return out
-        block, _parent = self._descend(start_key, self.pager)
+        block, _parent = self._descend(start_key)
         if start_key > 0:
             # Leftmost slot with value >= start_key.  Gap slots duplicate a
             # real entry's value, so the rightmost <= start_key slot can be
             # a *copy* sitting after the real entry — lower-bound semantics
             # (search for start_key - 1) cannot skip the real slot.
-            slot, fields, _at = self._search_node(self.pager, block, start_key - 1)
+            slot, fields = self._search_node(block, start_key - 1)
         else:
             slot, fields = -1, self._data_header_fields(block)
         start_slot = slot + 1
@@ -1017,7 +1008,7 @@ class AlexIndex(DiskIndex):
                     live = payloads[slots] != TOMBSTONE
                     count += int(np.count_nonzero(live))
                     for key in (first_key, previous_key):
-                        assert self._descend(key, self.pager)[0] == block, (
+                        assert self._descend(key)[0] == block, (
                             f"key {key} of data node {block} is routed elsewhere")
                     for key, payload, alive in zip(real_keys.tolist(),
                                                    payloads[slots].tolist(),

@@ -99,12 +99,6 @@ class _SegmentHeader:
                               self.first_key, 0, self.slope, self.intercept)
         return bytes(out)
 
-    @classmethod
-    def unpack(cls, data: bytes) -> "_SegmentHeader":
-        (item_count, buffer_count, left_sib, right_sib, data_capacity,
-         buffer_capacity, first_key, _reserved, slope, intercept) = _SEG_HEADER.unpack_from(data, 0)
-        return cls(item_count, buffer_count, left_sib, right_sib,
-                   data_capacity, buffer_capacity, first_key, slope, intercept)
 
 
 class FitingTreeIndex(DiskIndex):
@@ -163,9 +157,9 @@ class FitingTreeIndex(DiskIndex):
         return (nbytes + self.pager.block_size - 1) // self.pager.block_size
 
     def _read_header(self, seg_block: int) -> _SegmentHeader:
-        raw = self.pager.read_bytes(self._data, seg_block * self.pager.block_size,
-                                    SEG_HEADER_SIZE)
-        return _SegmentHeader.unpack(raw)
+        fields = _SEG_HEADER.unpack_from(*self.pager.view(
+            self._data, seg_block * self.pager.block_size, SEG_HEADER_SIZE))
+        return _SegmentHeader(*fields[:7], *fields[8:])  # less the reserved word
 
     def _write_header(self, seg_block: int, header: _SegmentHeader) -> None:
         self.pager.write_bytes(self._data, seg_block * self.pager.block_size, header.pack())
@@ -177,20 +171,24 @@ class FitingTreeIndex(DiskIndex):
         return (seg_block * self.pager.block_size + SEG_HEADER_SIZE
                 + (data_capacity + slot) * ENTRY_SIZE)
 
-    def _data_bytes(self, seg_block: int, lo: int, hi: int) -> bytes:
-        """Entries ``lo..hi`` inclusive of the segment's data region, as stored."""
-        if hi < lo:
-            return b""
-        return self.pager.read_bytes(self._data, self._data_offset(seg_block, lo),
-                                     (hi - lo + 1) * ENTRY_SIZE)
+    def _data_view(self, seg_block: int, lo: int, count: int) -> Tuple[bytes, int]:
+        """``count`` entries from slot ``lo`` of the segment's data region,
+        as :meth:`~repro.storage.Pager.view` holds them: the data and
+        where entry ``lo`` starts in it (nothing is read for none)."""
+        if count <= 0:
+            return b"", 0
+        bs = self.pager.block_size  # _data_offset, inlined on the lookup path
+        return self.pager.view(self._data, seg_block * bs + SEG_HEADER_SIZE + lo * ENTRY_SIZE,
+                               count * ENTRY_SIZE)
 
-    def _buffer_bytes(self, seg_block: int, header: _SegmentHeader) -> bytes:
-        """The segment's sorted delta buffer, as stored."""
-        return self.pager.read_bytes(
-            self._data,
-            self._buffer_offset(seg_block, header.data_capacity, 0),
-            header.buffer_count * ENTRY_SIZE,
-        )
+    def _buffer_view(self, seg_block: int, header: _SegmentHeader) -> Tuple[bytes, int]:
+        """The segment's sorted delta buffer, as :meth:`_data_view` holds
+        the data region."""
+        if not header.buffer_count:
+            return b"", 0
+        return self.pager.view(
+            self._data, self._buffer_offset(seg_block, header.data_capacity, 0),
+            header.buffer_count * ENTRY_SIZE)
 
     def _read_head(self) -> Tuple[bytes, int]:
         """The head-buffer block and its entry count."""
@@ -315,15 +313,16 @@ class FitingTreeIndex(DiskIndex):
         # consulted — this is why the paper's FITing-tree averages ~1.2
         # leaf blocks per lookup.
         lo, hi = self._predict_range(first_key, slope, intercept, key, data_cap)
-        raw = self._data_bytes(seg_block, lo, hi)
-        found = find_entry(raw, key, len(raw) // ENTRY_SIZE)[1]
+        count = max(hi - lo + 1, 0)
+        data, at = self._data_view(seg_block, lo, count)
+        found = find_entry(data, key, count, at)[1]
         if found is not None and found != TOMBSTONE:
             return found
         # Miss or tombstoned: the delta buffer may hold the key (a
         # re-insert after a delete shadows the tombstone).
         header = self._read_header(seg_block)
-        buffered = find_entry(self._buffer_bytes(seg_block, header), key,
-                              header.buffer_count)[1]
+        data, at = self._buffer_view(seg_block, header)
+        buffered = find_entry(data, key, header.buffer_count, at)[1]
         return None if buffered == TOMBSTONE else buffered
 
     def lookup_many(self, keys) -> List[Optional[int]]:
@@ -367,10 +366,10 @@ class FitingTreeIndex(DiskIndex):
                 raise RuntimeError("index not bulk-loaded")
             seg_block = located[1][0]
             header = self._read_header(seg_block)
-            raw = self._buffer_bytes(seg_block, header)
+            data, at = self._buffer_view(seg_block, header)
         with self.pager.phase("insert"):
             slot, tail, count = self._buffer_splice(
-                raw, header.buffer_count, 0, key, payload)
+                data, header.buffer_count, at, key, payload)
             if count <= header.buffer_capacity:
                 # Rewrite the buffer tail from the insertion point and bump the
                 # header count (the extra block write the paper attributes to
@@ -385,7 +384,7 @@ class FitingTreeIndex(DiskIndex):
                 return
         with self.pager.phase("smo"):
             self._resegment(seg_block, header, unpack_entries(
-                raw[: slot * ENTRY_SIZE] + tail, count))
+                data[at : at + slot * ENTRY_SIZE] + tail, count))
 
     @staticmethod
     def _buffer_splice(raw: bytes, count: int, offset: int, key: int,
@@ -429,8 +428,8 @@ class FitingTreeIndex(DiskIndex):
         key: that is its directory key, so the entry survives dead or
         alive and the first new segment takes over the old record."""
         self.num_resegments += 1
-        data_entries = unpack_entries(
-            self._data_bytes(seg_block, 0, header.item_count - 1), header.item_count)
+        data, at = self._data_view(seg_block, 0, header.item_count)
+        data_entries = unpack_entries(data, header.item_count, at)
         merged = [entry for entry in _merge_sorted(data_entries, buffered)
                   if entry[1] != TOMBSTONE or entry[0] == header.first_key]
         records = list(self._write_run(merged, header.left_sib, header.right_sib))
@@ -475,15 +474,16 @@ class FitingTreeIndex(DiskIndex):
         # must hit; the delta buffer is consulted only when the data
         # region misses or holds a tombstone.
         lo, hi = self._predict_range(first_key, slope, intercept, key, data_cap)
-        raw = self._data_bytes(seg_block, lo, hi)
-        pos, held = find_entry(raw, key, len(raw) // ENTRY_SIZE)
+        count = max(hi - lo + 1, 0)
+        data, at = self._data_view(seg_block, lo, count)
+        pos, held = find_entry(data, key, count, at)
         in_data = held is not None and held != TOMBSTONE
         if in_data:
             self.pager.write_bytes(self._data,
                                    self._data_offset(seg_block, lo + pos), record)
         header = self._read_header(seg_block)
-        slot, held = find_entry(self._buffer_bytes(seg_block, header), key,
-                                header.buffer_count)
+        data, at = self._buffer_view(seg_block, header)
+        slot, held = find_entry(data, key, header.buffer_count, at)
         # After a data-region hit, write through to a buffered duplicate
         # (a shadowing insert) so every copy a reader could reach carries
         # the same payload — otherwise tombstoning the data copy would
@@ -531,10 +531,10 @@ class FitingTreeIndex(DiskIndex):
                 # first fetch can skip them; later segments read from slot 0.
                 lo, _ = self._predict_range(located[0], located[1][4], located[1][5],
                                             start_key, header.item_count)
-            raw = self._buffer_bytes(seg_block, header)
-            slot = bisect_left(raw, start_key, header.buffer_count)
-            buffered = unpack_entries(raw, header.buffer_count - slot,
-                                      slot * ENTRY_SIZE)
+            data, at = self._buffer_view(seg_block, header)
+            slot = bisect_left(data, start_key, header.buffer_count, at)
+            buffered = unpack_entries(data, header.buffer_count - slot,
+                                      at + slot * ENTRY_SIZE)
             self._scan_segment(seg_block, header, lo, start_key, buffered, count, out)
             seg_block = header.right_sib
             located = None  # subsequent segments are read from the start
@@ -557,10 +557,10 @@ class FitingTreeIndex(DiskIndex):
             # below start_key inside the first fetched range).
             chunk_len = min(count - len(out) + self.error_bound,
                             header.item_count - pos)
-            raw = self._data_bytes(seg_block, pos, pos + chunk_len - 1)
-            skip = bisect_left(raw, start_key, chunk_len)
-            for key, payload in iter_entries(raw, chunk_len - skip,
-                                             skip * ENTRY_SIZE):
+            data, at = self._data_view(seg_block, pos, chunk_len)
+            skip = bisect_left(data, start_key, chunk_len, at)
+            for key, payload in iter_entries(data, chunk_len - skip,
+                                             at + skip * ENTRY_SIZE):
                 while (buf_pos < len(buffered) and buffered[buf_pos][0] < key):
                     if buffered[buf_pos][1] != TOMBSTONE:
                         out.append(buffered[buf_pos])
@@ -616,15 +616,15 @@ class FitingTreeIndex(DiskIndex):
                 header = self._read_header(seg_block)
                 assert header.first_key == first_key, "header/descriptor key mismatch"
                 assert header.item_count == descriptor[2], "stale descriptor capacity"
-                entries = unpack_entries(
-                    self._data_bytes(seg_block, 0, header.item_count - 1), header.item_count)
+                region, at = self._data_view(seg_block, 0, header.item_count)
+                entries = unpack_entries(region, header.item_count, at)
                 keys = [k for k, _ in entries]
                 assert keys == sorted(set(keys)), "segment data unsorted"
                 assert keys[0] == first_key, "segment first key mismatch"
                 assert keys[0] > previous_key, "segments out of order"
                 previous_key = keys[-1]
-                buffered = unpack_entries(self._buffer_bytes(seg_block, header),
-                                          header.buffer_count)
+                region, at = self._buffer_view(seg_block, header)
+                buffered = unpack_entries(region, header.buffer_count, at)
                 buffer_keys = [k for k, _ in buffered]
                 assert buffer_keys == sorted(set(buffer_keys)), "delta buffer unsorted"
                 # The lookup's precedence: a live data-region entry wins.

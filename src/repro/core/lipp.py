@@ -26,15 +26,16 @@ LIPP is excluded from the memory-resident-inner experiment: it does not
 distinguish inner from leaf nodes, and its root node alone is larger
 than every other index's full inner structure (Section 6.2).
 
-Point verbs read a header and a slot per level through the pager.
-Everything that visits slots in order — ``scan``, the collection pass of
-a subtree rebuild, ``verify`` and ``height`` — is one walk
-(:meth:`LippIndex._walk`, DESIGN.md Section 15): iterative, on an
-explicit stack, decoding the slots of the block in hand and asking the
-pager for a block only when the next slot lies in another one.  A scan
-is charged what one read per slot would be: the conflict children it
-hops through, each displacing its parent's block, are the cost the
-paper reports for LIPP scans.
+Every read goes through :meth:`~repro.storage.Pager.view`, which serves
+a range inside the block the pager holds free (DESIGN.md Section 15):
+the point verbs ask it for a header and a slot per level, decoded in
+place.  Everything that visits slots in order — ``scan``, the
+collection pass of a subtree rebuild and the freeing pass after it,
+``verify`` and ``height`` — is one walk (:meth:`LippIndex._walk`):
+iterative, on an explicit stack, decoding each run of slots that lies
+inside one block from one request.  A scan is charged what one read per
+slot would be: the conflict children it hops through, each displacing
+its parent's block, are the cost the paper reports for LIPP scans.
 """
 
 from __future__ import annotations
@@ -85,17 +86,23 @@ class _NodeHeader:
         return bytes(out)
 
     @classmethod
-    def unpack(cls, raw: bytes) -> "_NodeHeader":
-        return cls(*_NODE_HEADER.unpack_from(raw, 0))
+    def unpack(cls, raw: bytes, offset: int = 0) -> "_NodeHeader":
+        return cls(*_NODE_HEADER.unpack_from(raw, offset))
 
     def predict(self, key: int) -> int:
-        # Anchored evaluation: exact integer subtraction first.
-        pos = int(self.slope * float(int(key) - self.anchor) + self.intercept)
-        if pos < 0:
-            return 0
-        if pos >= self.num_slots:
-            return self.num_slots - 1
-        return pos
+        return _predict(self.num_slots, self.slope, self.intercept, self.anchor, key)
+
+
+def _predict(num_slots: int, slope: float, intercept: float, anchor: int,
+             key: int) -> int:
+    """The slot a node's model gives ``key``: anchored evaluation (exact
+    integer subtraction first), clamped to the node's slots."""
+    pos = int(slope * float(int(key) - anchor) + intercept)
+    if pos < 0:
+        return 0
+    if pos >= num_slots:
+        return num_slots - 1
+    return pos
 
 
 class LippIndex(DiskIndex):
@@ -146,16 +153,8 @@ class LippIndex(DiskIndex):
 
     # -- node I/O --------------------------------------------------------------
 
-    def _read_header(self, block: int) -> _NodeHeader:
-        raw = self.pager.read_bytes(self._file, block * self.pager.block_size, HEADER_SIZE)
-        return _NodeHeader.unpack(raw)
-
     def _write_header(self, block: int, header: _NodeHeader) -> None:
         self.pager.write_bytes(self._file, block * self.pager.block_size, header.pack())
-
-    def _read_slot(self, block: int, slot: int) -> Tuple[int, int, int]:
-        raw = self.pager.read_bytes(self._file, self._slot_offset(block, slot), SLOT_SIZE)
-        return _SLOT.unpack(raw)
 
     def _write_slot(self, block: int, slot: int, flag: int, key: int, payload: int) -> None:
         self.pager.write_bytes(self._file, self._slot_offset(block, slot),
@@ -251,21 +250,33 @@ class LippIndex(DiskIndex):
 
     # -- lookup -----------------------------------------------------------------------
 
+    def _descend(self, key: int, path: Optional[list] = None
+                 ) -> Tuple[int, int, int, int, int]:
+        """Follow ``key`` from the root to the first slot it predicts that
+        is not a child pointer: ``(block, slot, flag, slot key, payload)``.
+        Two :meth:`Pager.view` requests per level, the header and the
+        slot, decoded as tuples; ``path``, when given, collects each
+        visited node's ``(block, header fields)``."""
+        view, file, bs = self.pager.view, self._file, self.pager.block_size
+        block = self.root_block
+        while True:
+            header = _NODE_HEADER.unpack_from(*view(file, block * bs, HEADER_SIZE))
+            if path is not None:
+                path.append((block, header))
+            slot = _predict(*header[1:5], key)
+            flag, slot_key, payload = _SLOT.unpack_from(*view(
+                file, block * bs + HEADER_SIZE + slot * SLOT_SIZE, SLOT_SIZE))
+            if flag != SLOT_NODE:
+                return block, slot, flag, slot_key, payload
+            block = slot_key  # NODE: the key field holds the child block
+
     def lookup(self, key: int) -> Optional[int]:
         with self.pager.phase("search"):
             return self._lookup_walk(key)
 
     def _lookup_walk(self, key: int) -> Optional[int]:
-        block = self.root_block
-        while True:
-            header = self._read_header(block)
-            slot = header.predict(key)
-            flag, slot_key, payload = self._read_slot(block, slot)
-            if flag == SLOT_NULL:
-                return None
-            if flag == SLOT_DATA:
-                return payload if slot_key == key else None
-            block = slot_key  # NODE: the key field holds the child block
+        _block, _slot, flag, slot_key, payload = self._descend(key)
+        return payload if flag == SLOT_DATA and slot_key == key else None
 
     def lookup_many(self, keys) -> List[Optional[int]]:
         """Batched lookups inside one pin scope: the root header block —
@@ -283,20 +294,19 @@ class LippIndex(DiskIndex):
 
     # -- insert -----------------------------------------------------------------------
 
+    def _path_to(self, key: int) -> Tuple[List[Tuple[int, _NodeHeader]], tuple]:
+        """:meth:`_descend` under the search phase, for a verb that
+        rewrites the headers on the way: the visited nodes as ``(block,
+        header)`` objects, root first, and where the descent stopped."""
+        fields: List[Tuple[int, tuple]] = []
+        with self.pager.phase("search"):
+            stop = self._descend(key, fields)
+        return [(block, _NodeHeader(*header)) for block, header in fields], stop
+
     def insert(self, key: int, payload: int) -> None:
         if self.root_block == NULL_BLOCK:
             raise RuntimeError("index not bulk-loaded")
-        path: List[Tuple[int, _NodeHeader]] = []
-        with self.pager.phase("search"):
-            block = self.root_block
-            while True:
-                header = self._read_header(block)
-                path.append((block, header))
-                slot = header.predict(key)
-                flag, slot_key, slot_payload = self._read_slot(block, slot)
-                if flag != SLOT_NODE:
-                    break
-                block = slot_key
+        path, (block, slot, flag, slot_key, slot_payload) = self._path_to(key)
         if flag == SLOT_DATA and slot_key == key:
             raise KeyError(f"duplicate key {key}")
         if flag == SLOT_NULL:
@@ -341,28 +351,20 @@ class LippIndex(DiskIndex):
         self._write_slot(parent_block, slot, SLOT_NODE, new_block, 0)
 
     def _free_subtree(self, block: int) -> None:
-        header = self._read_header(block)
-        for slot in range(header.num_slots):
-            flag, slot_key, _payload = self._read_slot(block, slot)
-            if flag == SLOT_NODE:
-                self._free_subtree(slot_key)
-        self._file.free(block, self._extent_blocks(header.num_slots))
+        """Free the subtree at ``block``, each node once the walk is past
+        its last slot (children before their parent).  The walk's
+        requests, the parent's block asked for again after each child
+        subtree, are what freeing it is charged."""
+        for slot, _walked, node_block, header in self._walk(block):
+            if slot < 0:
+                self._file.free(node_block, self._extent_blocks(header.num_slots))
 
     # -- update / delete ----------------------------------------------------------------
 
     def update(self, key: int, payload: int) -> bool:
         with self.pager.phase("search"):
-            block = self.root_block
-            while True:
-                header = self._read_header(block)
-                slot = header.predict(key)
-                flag, slot_key, _payload = self._read_slot(block, slot)
-                if flag == SLOT_NULL:
-                    return False
-                if flag == SLOT_DATA:
-                    break
-                block = slot_key
-        if slot_key != key:
+            block, slot, flag, slot_key, _payload = self._descend(key)
+        if flag != SLOT_DATA or slot_key != key:
             return False
         with self.pager.phase("insert"):
             self._write_slot(block, slot, SLOT_DATA, key, payload)
@@ -371,20 +373,8 @@ class LippIndex(DiskIndex):
     def delete(self, key: int) -> bool:
         """Physical delete: LIPP's exact positions make it trivial — the
         DATA slot reverts to NULL and the path statistics are adjusted."""
-        path: List[Tuple[int, _NodeHeader]] = []
-        with self.pager.phase("search"):
-            block = self.root_block
-            while True:
-                header = self._read_header(block)
-                path.append((block, header))
-                slot = header.predict(key)
-                flag, slot_key, _payload = self._read_slot(block, slot)
-                if flag == SLOT_NULL:
-                    return False
-                if flag == SLOT_DATA:
-                    break
-                block = slot_key
-        if slot_key != key:
+        path, (block, slot, flag, slot_key, _payload) = self._path_to(key)
+        if flag != SLOT_DATA or slot_key != key:
             return False
         with self.pager.phase("insert"):
             self._write_slot(block, slot, SLOT_NULL, 0, 0)
@@ -413,35 +403,33 @@ class LippIndex(DiskIndex):
         """In-order walk of the subtree at ``root``, conflict children
         included, on an explicit stack.  Yields ``(slot, key, payload,
         node header)`` for each DATA slot whose key is >= ``start_key``
-        and, once a node's last slot is behind it, ``(-1, entries yielded
-        from its subtree, its depth below root (root = 1), node header)``.
+        and, once a node's last slot is behind it, ``(-depth, entries
+        yielded from its subtree, its block, node header)``, the depth
+        counted from ``root`` = 1.
 
         Monotonicity of the model guarantees keys >= start_key never live
         in slots before the predicted start slot.
 
-        The walk holds the block it fetched last and decodes the run of
-        slots lying inside it; it goes to the pager when the next slot is
-        in another block — which the parent's is once a child subtree has
-        been walked — and for a slot lying across two blocks (read as its
-        24-byte range, after which nothing is held: which of the two the
-        pager kept is the pager's to say).  The requests left out are
-        those the pager answers from its own last-block copy, so every
-        charge is that of one read per slot.
+        Each request is one :meth:`Pager.view`: the header, then each run
+        of slots lying inside one block (a slot across two blocks is a
+        run of its own, read as its 24-byte range).  After a child
+        subtree the parent's next run is asked for again — the pager
+        charges it, the child having displaced the parent's block — and
+        nothing is read ahead of the slot needed, so every charge is
+        that of one read per slot.
         """
-        pager, file, bs = self.pager, self._file, self.pager.block_size
-        read_block = pager.read_block
+        view, file, bs = self.pager.view, self._file, self.pager.block_size
         # (block, header, next slot, start key, entries yielded so far)
         # of each node above the one being walked
         stack: List[Tuple[int, _NodeHeader, int, int, int]] = []
         block = root
         while True:
-            held_no, held = block, read_block(file, block)
-            header = _NodeHeader.unpack(held)
+            header = _NodeHeader.unpack(*view(file, block * bs, HEADER_SIZE))
             slot = first_slot = header.predict(start_key) if start_key else 0
             walked = 0
             while True:
                 if slot >= header.num_slots:
-                    yield -1, walked, len(stack) + 1, header
+                    yield -1 - len(stack), walked, block, header
                     if not stack:
                         return
                     block, header, slot, start_key, above = stack.pop()
@@ -449,17 +437,12 @@ class LippIndex(DiskIndex):
                     first_slot = -1
                     continue
                 offset = block * bs + HEADER_SIZE + slot * SLOT_SIZE
-                block_no, at = divmod(offset, bs)
-                if at + SLOT_SIZE > bs:
-                    run = pager.read_bytes(file, offset, SLOT_SIZE)
-                    held_no = -1
-                else:
-                    if block_no != held_no:
-                        held_no, held = block_no, read_block(file, block_no)
-                    fit = min((bs - at) // SLOT_SIZE, header.num_slots - slot)
-                    run = memoryview(held)[at:at + fit * SLOT_SIZE]
+                fit = max(min((bs - offset % bs) // SLOT_SIZE,
+                              header.num_slots - slot), 1)
+                data, at = view(file, offset, fit * SLOT_SIZE)
                 child = NULL_BLOCK
-                for slot, (flag, key, payload) in enumerate(_SLOT.iter_unpack(run), slot):
+                for slot, (flag, key, payload) in enumerate(_SLOT.iter_unpack(
+                        memoryview(data)[at:at + fit * SLOT_SIZE]), slot):
                     if flag == SLOT_NULL:
                         continue
                     if flag == SLOT_DATA:
@@ -498,8 +481,6 @@ class LippIndex(DiskIndex):
                     f"{node.predict(key)}")
                 assert key > previous, "keys out of in-order sequence"
                 previous = key
-                # Free reads touch no pager state, so the walk's held
-                # block survives the lookup.
                 assert self._lookup_walk(key) == payload, (
                     f"key {key} reads back wrong, stored {payload}")
             return walked
@@ -531,7 +512,7 @@ class LippIndex(DiskIndex):
         was_resident = self._file.memory_resident
         self._file.memory_resident = True
         try:
-            return max(depth for slot, _walked, depth, _node
+            return max(-slot for slot, _walked, _block, _node
                        in self._walk(self.root_block) if slot < 0)
         finally:
             self._file.memory_resident = was_resident

@@ -57,7 +57,6 @@ from .interface import DiskIndex, KeyPayload, TOMBSTONE
 from .serial import (ENTRY_SIZE, bisect_left, bisect_right, find_entry,
                      iter_entries, pack_entries, pack_entry, splice,
                      unpack_entries)
-from .vectorize import Pinned, cursor
 
 __all__ = ["StaticPgm", "PgmIndex", "build_levels", "descend"]
 
@@ -105,7 +104,7 @@ def _window(descriptor: Descriptor, successor: Optional[float], key: int,
     return lo, max(lo, min(center + epsilon + 1, count - 1))
 
 
-def descend(read: Callable[[int, int], bytes], root: Descriptor,
+def descend(view: Callable[[int, int], Tuple[bytes, int]], root: Descriptor,
             level_table: Sequence[Tuple[int, int]], count: int, key: int,
             epsilon: int) -> Tuple[int, int]:
     """Route ``key`` from ``root`` through the descriptor levels to the
@@ -114,19 +113,21 @@ def descend(read: Callable[[int, int], bytes], root: Descriptor,
     ceiling (the contract, DESIGN.md Section 18).
 
     ``level_table`` lists ``(byte offset, descriptor count)`` per level,
-    bottom-up, in the address space of ``read(offset, length)``.  Each
-    level's window is fetched one descriptor longer and bisected as
-    bytes: the floor descriptor decodes, and so does the intercept of
-    its successor, if it has one."""
+    bottom-up, in the address space of ``view(offset, length)``, which
+    returns the bytes holding the range and where it starts in them (as
+    :meth:`~repro.storage.Pager.view` does).  Each level's window is
+    fetched one descriptor longer and bisected as bytes: the floor
+    descriptor decodes, and so does the intercept of its successor, if
+    it has one."""
     descriptor, successor = root, None
     for base, level_count in reversed(level_table):
         lo, hi = _window(descriptor, successor, key, epsilon, level_count)
         span = min(hi + 2, level_count) - lo
-        raw = read(base + lo * DESCRIPTOR_SIZE, span * DESCRIPTOR_SIZE)
-        slot = max(bisect_right(raw, key, span, 0, DESCRIPTOR_SIZE) - 1, 0)
-        descriptor = _DESCRIPTOR.unpack_from(raw, slot * DESCRIPTOR_SIZE)
+        data, at = view(base + lo * DESCRIPTOR_SIZE, span * DESCRIPTOR_SIZE)
+        slot = max(bisect_right(data, key, span, at, DESCRIPTOR_SIZE) - 1, 0)
+        descriptor = _DESCRIPTOR.unpack_from(data, at + slot * DESCRIPTOR_SIZE)
         successor = (_DESCRIPTOR.unpack_from(
-            raw, (slot + 1) * DESCRIPTOR_SIZE)[2] if slot + 1 < span else None)
+            data, at + (slot + 1) * DESCRIPTOR_SIZE)[2] if slot + 1 < span else None)
     return _window(descriptor, successor, key, epsilon, count)
 
 
@@ -275,15 +276,17 @@ class StaticPgm:
             self.data_file, block,
             self.pager.read_block(self.data_file, block), self.codec)
 
-    def _data_window(self, key: int) -> Tuple[int, int, bytes]:
+    def _data_window(self, key: int) -> Tuple[int, int, bytes, int]:
         """Descend to the data window that must hold ``key``: its first
-        position, its entry count and its bytes."""
-        lo, hi = descend(partial(self.pager.read_bytes, self.levels_file),
+        position, its entry count, and its bytes as
+        :meth:`~repro.storage.Pager.view` holds them — the data and
+        where the window starts in it."""
+        lo, hi = descend(partial(self.pager.view, self.levels_file),
                          self.root, self.level_table, self.count, key,
                          self.epsilon)
         span = hi - lo + 1
-        return lo, span, self.pager.read_bytes(
-            self.data_file, lo * ENTRY_SIZE, span * ENTRY_SIZE)
+        return (lo, span, *self.pager.view(
+            self.data_file, lo * ENTRY_SIZE, span * ENTRY_SIZE))
 
     def lookup(self, key: int) -> Optional[int]:
         if key < self.min_key or key > self.max_key:
@@ -295,8 +298,8 @@ class StaticPgm:
             if slot < len(keys) and int(keys[slot]) == key:
                 return int(payloads[slot])
             return None
-        _lo, span, raw = self._data_window(key)
-        return find_entry(raw, key, span)[1]
+        _lo, span, data, at = self._data_window(key)
+        return find_entry(data, key, span, at)[1]
 
     def ceiling_position(self, key: int) -> int:
         """Index of the first entry with key >= ``key`` (may equal count)."""
@@ -312,8 +315,8 @@ class StaticPgm:
             keys, _payloads = self._decoded_page(page)
             return self.page_starts[page] + int(
                 np.searchsorted(keys, np.uint64(key), side="left"))
-        lo, span, raw = self._data_window(key)
-        return lo + bisect_left(raw, key, span)
+        lo, span, data, at = self._data_window(key)
+        return lo + bisect_left(data, key, span, at)
 
     def iterate_from(self, position: int) -> Iterator[KeyPayload]:
         """Yield entries sequentially starting at a data position.
@@ -325,17 +328,16 @@ class StaticPgm:
             yield from self._iterate_compressed(position)
             return
         bs = self.pager.block_size
-        per_block = bs // ENTRY_SIZE
-        pos = position
-        while pos < self.count:
-            block_no = (pos * ENTRY_SIZE) // bs
-            first_in_block = block_no * per_block
-            in_block = min(per_block, self.count - first_in_block)
-            raw = self.pager.read_bytes(self.data_file, first_in_block * ENTRY_SIZE,
-                                        in_block * ENTRY_SIZE)
-            skip = pos - first_in_block
-            yield from iter_entries(raw, in_block - skip, skip * ENTRY_SIZE)
-            pos = first_in_block + in_block
+        end = self.count * ENTRY_SIZE
+        pos = position * ENTRY_SIZE
+        while pos < end:
+            # The entries from ``pos`` to the end of its block, or the one
+            # entry lying across that end (block sizes that are not a
+            # multiple of 16), read as one range.
+            taken = max((min((pos // bs + 1) * bs, end) - pos) // ENTRY_SIZE, 1)
+            data, at = self.pager.view(self.data_file, pos, taken * ENTRY_SIZE)
+            yield from iter_entries(data, taken, at)
+            pos += taken * ENTRY_SIZE
 
     def _iterate_compressed(self, position: int) -> Iterator[KeyPayload]:
         """Sequential walk over codec pages from a data position.
@@ -440,16 +442,11 @@ class PgmIndex(DiskIndex):
             found = self._lookup_raw(key)
         return None if found == TOMBSTONE else found
 
-    def _lookup_raw(self, key: int, source=None) -> Optional[int]:
-        """Newest-wins lookup that surfaces tombstone payloads.
-
-        ``source`` serves the buffer probes: the pager by default, a
-        batch's :class:`~.vectorize.Pinned` mirror in :meth:`lookup_many`."""
+    def _lookup_raw(self, key: int) -> Optional[int]:
+        """Newest-wins lookup that surfaces tombstone payloads."""
         if self.buffer_count:
-            found = _find_in_region(
-                cursor(source or self.pager, self._buffer_file,
-                       self.pager.block_size),
-                self.buffer_count, key)
+            found = _find_in_region(self.pager.view, self._buffer_file,
+                                    self.buffer_count, key)
             if found is not None:
                 return found
         for component in self.components:
@@ -469,13 +466,8 @@ class PgmIndex(DiskIndex):
             return [self.lookup(key) for key in keys]
         results = {}
         with self.pager.phase("search"), self.pager.batch():
-            # One buffer mirror for the whole batch: probes ask for the
-            # same blocks in the same order as unbatched lookups, but
-            # revisited buffer blocks skip the pager walk (they are
-            # pinned in this batch scope — free either way).
-            pinned = Pinned(self.pager, (self._buffer_file,))
             for key in sorted(set(keys)):
-                results[key] = self._lookup_raw(key, pinned)
+                results[key] = self._lookup_raw(key)
         return [None if results[key] == TOMBSTONE else results[key]
                 for key in keys]
 
@@ -664,22 +656,21 @@ class PgmIndex(DiskIndex):
 # -- module helpers -------------------------------------------------------------
 
 
-def _find_in_region(at, count: int, key: int) -> Optional[int]:
+def _find_in_region(view, file, count: int, key: int) -> Optional[int]:
     """Binary search a sorted on-disk entry region, probing entry by entry.
 
-    Each probe is one 16-byte entry read through ``at``, a
-    :func:`~.vectorize.cursor` over the region's file: the block of the
-    last probe stays in hand, so the search asks for only the distinct
-    blocks its probes land in — one or two for a 3-block buffer,
-    matching the paper's Figure 6 analysis — each as the pager's
-    per-probe read would have.  The probe sequence (it stops on the
-    hit) is part of the charged cost, which is why this is not a bisect
-    over one fetched range.
+    Each probe is one 16-byte entry of ``file`` read through ``view``
+    (:meth:`Pager.view`), which serves a probe into the block it holds
+    free: the search is charged for the distinct blocks its probes land
+    in — one or two for a 3-block buffer, matching the paper's Figure 6
+    analysis.  The probe sequence (it stops on the hit) is part of the
+    charged cost, which is why this is not a bisect over one fetched
+    range.
     """
     lo, hi = 0, count
     while lo < hi:
         mid = (lo + hi) // 2
-        mid_key, payload = at(_ENTRY, mid * ENTRY_SIZE, ENTRY_SIZE)
+        mid_key, payload = _ENTRY.unpack_from(*view(file, mid * ENTRY_SIZE, ENTRY_SIZE))
         if mid_key == key:
             return payload
         if mid_key < key:

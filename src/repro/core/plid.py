@@ -107,10 +107,10 @@ class PlidIndex(DiskIndex):
         self._leaf_file = device.get_or_create_file(f"{file_prefix}.leaf")
         self.leaves = LeafFile(pager, self._leaf_file, fill=leaf_fill,
                                new_leaf_side="left")
-        #: ``read(offset, length)`` over the dir file, as :func:`descend`
+        #: ``view(offset, length)`` over the dir file, as :func:`descend`
         #: takes it.  A directory entry (separator key, leaf block) has the
         #: layout of a key-payload entry, so :mod:`.serial` serves both.
-        self._read = partial(pager.read_bytes, self._dir_file)
+        self._view = partial(pager.view, self._dir_file)
         # Meta-block state (the paper's in-memory meta block): the root
         # descriptor and the region table — ``level_table`` as
         # :func:`descend` takes it, bottom-up.
@@ -169,22 +169,26 @@ class PlidIndex(DiskIndex):
 
     # -- directory search ---------------------------------------------------------
 
-    def _dir_window(self, lo: int, hi: int) -> bytes:
-        """Leaf-directory entries ``lo..hi`` inclusive, as stored."""
-        return self._read(self._dir_offset + lo * ENTRY_SIZE,
+    def _dir_window(self, lo: int, hi: int) -> Tuple[bytes, int]:
+        """Leaf-directory entries ``lo..hi`` inclusive, as
+        :meth:`~repro.storage.Pager.view` holds them: the data and where
+        entry ``lo`` starts in it (nothing is read for an empty window)."""
+        if hi < lo:
+            return b"", 0
+        return self._view(self._dir_offset + lo * ENTRY_SIZE,
                           (hi - lo + 1) * ENTRY_SIZE)
 
     def _split_buffer(self) -> bytes:
         """The sorted split buffer, as stored."""
-        return self._read(self._buffer_offset,
-                          self.split_buffer_count * ENTRY_SIZE)
+        return self.pager.read_bytes(self._dir_file, self._buffer_offset,
+                                     self.split_buffer_count * ENTRY_SIZE)
 
     def _directory(self) -> List[Tuple[int, int]]:
         """Every (separator, leaf block): directory and split buffer
         merged, for a rebuild or a verify."""
+        data, at = self._dir_window(0, self.num_dir_entries - 1)
         return sorted(
-            unpack_entries(self._dir_window(0, self.num_dir_entries - 1),
-                           self.num_dir_entries)
+            unpack_entries(data, self.num_dir_entries, at)
             + unpack_entries(self._split_buffer(), self.split_buffer_count))
 
     def _route(self, key: int) -> int:
@@ -198,15 +202,15 @@ class PlidIndex(DiskIndex):
         best: Optional[Tuple[int, int]] = None
         entries = self.num_dir_entries
         if entries:
-            lo, hi = descend(self._read, self.root, self.level_table, entries,
+            lo, hi = descend(self._view, self.root, self.level_table, entries,
                              key, self.error_bound)
             # The ceiling is the floor's successor, and the window may end
             # on the floor: like a descriptor window, read one entry longer.
             hi = min(hi + 1, entries - 1)
-            raw = self._dir_window(lo, hi)
-            index = bisect_left(raw, key, hi - lo + 1)
+            data, at = self._dir_window(lo, hi)
+            index = bisect_left(data, key, hi - lo + 1, at)
             if index <= hi - lo:
-                best = entry_at(raw, index)
+                best = entry_at(data, index, at)
         # The split buffer may hold a tighter (newer) boundary: it is
         # sorted, so its candidate is its own ceiling entry.
         buffered = self.split_buffer_count

@@ -1,41 +1,23 @@
-"""Batch helpers that keep the charged cost model intact.
+"""The column kernels of the compressed page codecs (:mod:`~.codecs`).
 
-* The column kernels of the compressed page codecs (:mod:`~.codecs`),
-  each one pass of numpy array operations over a whole column, none a
-  loop over its values: :func:`pack_uint_bits` / :func:`unpack_uint_bits`
-  for the frame-of-reference codec's fixed-width bit fields (a field is
-  read by gathering the eight bytes it starts in as one word, shifting
-  and masking), :func:`pack_varints` / :func:`unpack_varints` for the
-  delta codec's LEB128 columns (a varint is the OR of its bytes' seven
-  low bits, each shifted by its position), and :func:`bit_lengths` /
-  :func:`varint_lengths`, from which pages are sized without encoding.
-  The decoders read exactly the bytes of their column and raise
-  ``ValueError`` when it is not all there.
-
-* :class:`BlockMirror` — a per-batch local copy of block bytes fetched
-  *through the pager*.  Re-reads of a block already fetched in the same
-  ``pager.batch()`` scope are served locally instead of re-walking the
-  pager.  Inside a batch scope every touched block is pinned, so the
-  skipped pager calls are exactly the calls the pager would have served
-  from its pin cache for free — same device operations, same order,
-  same charges; only the Python per-probe overhead disappears.
-  :class:`Pinned` gives a search the pager's ``read_block`` /
-  ``read_bytes`` over one mirror per file, and :func:`cursor` reads a
-  search's probes from the one block it holds.
+Each is one pass of numpy array operations over a whole column, none a
+loop over its values: :func:`pack_uint_bits` / :func:`unpack_uint_bits`
+for the frame-of-reference codec's fixed-width bit fields (a field is
+read by gathering the eight bytes it starts in as one word, shifting and
+masking), :func:`pack_varints` / :func:`unpack_varints` for the delta
+codec's LEB128 columns (a varint is the OR of its bytes' seven low bits,
+each shifted by its position), and :func:`bit_lengths` /
+:func:`varint_lengths`, from which pages are sized without encoding.
+The decoders read exactly the bytes of their column and raise
+``ValueError`` when it is not all there.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Dict, Sequence
-
 import numpy as np
 
 __all__ = [
-    "BlockMirror",
-    "Pinned",
     "bit_lengths",
-    "cursor",
     "pack_uint_bits",
     "pack_varints",
     "unpack_uint_bits",
@@ -202,99 +184,3 @@ def unpack_varints(data, count: int, start: int, stop: int) -> np.ndarray:
     groups = ((window[: ends[-1]] & _LOW7).astype(np.uint64)
               << _group_shifts(starts, lengths))
     return np.bitwise_or.reduceat(groups, starts)
-
-
-class BlockMirror:
-    """Local mirror of one file's blocks fetched through the pager.
-
-    ``read(offset, length)`` behaves exactly like
-    ``pager.read_bytes(file, offset, length)`` — single-block ranges go
-    through ``read_block``, multi-block ranges through ``read_span``, so
-    first touches charge identically — but every fetched block is kept
-    locally and later reads covered by mirrored blocks skip the pager.
-    Only valid inside a ``pager.batch()`` scope (the mirror's lifetime
-    must not exceed the pin cache's, or a skipped re-read could differ
-    from what the pager would have charged).
-    """
-
-    __slots__ = ("pager", "file", "blocks", "_bs")
-
-    def __init__(self, pager, file, blocks: Dict[int, bytes] = None) -> None:
-        self.pager = pager
-        self.file = file
-        self.blocks: Dict[int, bytes] = {} if blocks is None else dict(blocks)
-        self._bs = pager.block_size
-
-    def absorb(self, span: Dict[int, bytes]) -> None:
-        """Mirror blocks already fetched elsewhere (e.g. a ``read_span``)."""
-        self.blocks.update(span)
-
-    def read(self, offset: int, length: int) -> bytes:
-        bs = self._bs
-        first = offset // bs
-        last = (offset + length - 1) // bs
-        blocks = self.blocks
-        start = offset - first * bs
-        if first == last:
-            data = blocks.get(first)
-            if data is None:
-                data = self.pager.read_block(self.file, first)
-                blocks[first] = data
-            return data[start : start + length]
-        missing = any(no not in blocks for no in range(first, last + 1))
-        if missing:
-            blocks.update(self.pager.read_span(self.file, range(first, last + 1)))
-        blob = b"".join(map(blocks.__getitem__, range(first, last + 1)))
-        return blob[start : start + length]
-
-
-class Pinned:
-    """What a search reads from inside ``pager.batch()``: the pager's
-    ``read_block`` / ``read_bytes``, answered from the batch's
-    :class:`BlockMirror` of each file once a block has been fetched."""
-
-    __slots__ = ("mirrors",)
-
-    def __init__(self, pager, files: Sequence) -> None:
-        self.mirrors = {file.name: BlockMirror(pager, file) for file in files}
-
-    def read_block(self, file, block_no: int) -> bytes:
-        mirror = self.mirrors[file.name]
-        data = mirror.blocks.get(block_no)
-        if data is None:
-            data = mirror.blocks[block_no] = mirror.pager.read_block(file, block_no)
-        return data
-
-    def read_bytes(self, file, offset: int, length: int) -> bytes:
-        return self.mirrors[file.name].read(offset, length)
-
-
-def cursor(source, file, bs: int):
-    """``unpack_at(fmt, offset, length)``: ``fmt`` unpacked at byte
-    ``offset`` of ``file``, ``length`` being the bytes asked of it;
-    ``source`` is the pager or a :class:`Pinned`.
-
-    The cursor holds the one block it fetched last and goes to
-    ``source`` only when a range lies in another — the request the pager
-    answers free from its own last-block copy, so skipping it changes no
-    charge and nothing the device or the buffer pool sees.  A range that
-    crosses a block boundary is read as that range (the pager's
-    coalesced span read) and the held block dropped: after a span the
-    pager's last block may be either of the two, and whether the next
-    request is free is for the pager to say.
-    """
-    held_no, held = -1, b""
-    read_block = source.read_block
-
-    def unpack_at(fmt: struct.Struct, offset: int, length: int) -> tuple:
-        nonlocal held_no, held
-        block_no, rel = offset // bs, offset % bs
-        if rel + length > bs:
-            held_no = -1
-            return fmt.unpack_from(source.read_bytes(file, offset, length))
-        if block_no != held_no:
-            held = read_block(file, block_no)
-            held_no = block_no
-        return fmt.unpack_from(held, rel)
-
-    return unpack_at

@@ -12,7 +12,9 @@ The pager layers three caches in front of the device:
    served free, not counted.
 2. the *last fetched block* — the paper's default configuration keeps no
    buffer pool but "checks whether the last block fetched can be reused"
-   (Section 6.5).
+   (Section 6.5).  It is the one block held anywhere: an index asks
+   :meth:`Pager.view` for each range it reads and keeps no block of its
+   own.
 3. an optional LRU :class:`~repro.storage.buffer_pool.BufferPool`
    (Section 6.6).
 
@@ -530,40 +532,52 @@ class Pager:
 
     # -- byte-level API ------------------------------------------------------
 
-    def read_bytes(self, file: BlockFile, offset: int, length: int) -> bytes:
-        """Read ``length`` bytes starting at ``offset``, fetching covering blocks.
+    def view(self, file: BlockFile, offset: int, length: int) -> Tuple[bytes, int]:
+        """The bytes holding ``[offset, offset + length)`` of ``file``
+        and where the range starts in them: ``(data, start)``.
 
-        A one-block range is a :meth:`read_block`, except that a hit in
-        the last-block cache is served here (DESIGN.md Section 24).
-        Multi-block ranges go through :meth:`read_span`, so a range that
-        misses every cache is charged one positioning plus sequential
-        transfers rather than a seek per block.
+        The one held block (DESIGN.md Section 15): a range inside one
+        block is served from the copy the pager already holds — the pin
+        cache inside :meth:`batch`, else the last block fetched — when
+        no access hook must see the read and the file has no free
+        resident read to prefer; this is the only place those guards are
+        evaluated.  Any other one-block range is a :meth:`read_block`,
+        a longer one a :meth:`read_span` of its blocks, joined.  Either
+        way the request is charged exactly as :meth:`read_block` /
+        :meth:`read_span` would charge it, so a caller holds no block of
+        its own: it asks again and the pager says whether that is free.
         """
+        bs = self.block_size
+        first = offset // bs
+        start = offset - first * bs
+        if start + length <= bs:
+            if self.on_block_access is None and not file.memory_resident:
+                if self._batch_depth:
+                    data = self._batch_cache.get((file.name, first))
+                else:
+                    held = self._last
+                    data = (held[2] if held is not None and held[1] == first
+                            and held[0] == file.name else None)
+                if data is not None:
+                    if self.tracer is not None:
+                        self.tracer.reuse_hit()
+                    return data, start
+            return self.read_block(file, first), start
+        blocks = range(first, (offset + length - 1) // bs + 1)
+        span = self.read_span(file, blocks)
+        return b"".join(map(span.__getitem__, blocks)), start
+
+    def read_bytes(self, file: BlockFile, offset: int, length: int) -> bytes:
+        """Read ``length`` bytes starting at ``offset``: :meth:`view`'s
+        range, cut out.  A multi-block range that misses every cache is
+        charged one positioning plus sequential transfers rather than a
+        seek per block."""
         if length < 0 or offset < 0:
             raise ValueError(f"invalid byte range offset={offset} length={length}")
         if length == 0:
             return b""
-        bs = self.block_size
-        first = offset // bs
-        last = (offset + length - 1) // bs
-        if last == first:
-            cached = self._last
-            if (cached is not None and cached[1] == first
-                    and cached[0] == file.name and self.on_block_access is None
-                    and not self._batch_depth and not file.memory_resident):
-                # read_block's last-block branch, under its guards: no
-                # access hook to fire, no free resident read to prefer,
-                # no pin cache to consult or fill.
-                if self.tracer is not None:
-                    self.tracer.reuse_hit()
-                blob = cached[2]
-            else:
-                blob = self.read_block(file, first)
-        else:
-            span = self.read_span(file, range(first, last + 1))
-            blob = b"".join(map(span.__getitem__, range(first, last + 1)))
-        start = offset - first * bs
-        return blob[start : start + length]
+        data, start = self.view(file, offset, length)
+        return data[start : start + length]
 
     def write_bytes(self, file: BlockFile, offset: int, data: bytes) -> None:
         """Write bytes at ``offset``; partially covered blocks are read-modified."""
@@ -577,19 +591,8 @@ class Pager:
         end = in_block + len(data)
         if end <= bs and len(data) < bs:
             # Inside one block, not filling it: every slot or header
-            # patch of an index node.  The current image comes from the
-            # last-block cache under read_block's guards (no access hook
-            # to fire, no free resident read to prefer, no pin cache to
-            # consult or fill), as read_bytes takes it.
-            cached = self._last
-            if (cached is not None and cached[1] == block_no
-                    and cached[0] == file.name and self.on_block_access is None
-                    and not self._batch_depth and not file.memory_resident):
-                if self.tracer is not None:
-                    self.tracer.reuse_hit()
-                current = cached[2]
-            else:
-                current = self.read_block(file, block_no)
+            # patch of an index node, into the image :meth:`view` holds.
+            current, _start = self.view(file, offset, len(data))
             self.write_block(file, block_no,
                              b"".join((current[:in_block], data, current[end:])))
             return

@@ -1,7 +1,7 @@
 """ALEX-specific tests: gapped arrays, bitmap, SMO mechanisms, layouts,
-the one in-node search against a per-probe reference, the bitmap walk
-against a per-bit one and the node-placement kernels against a per-key
-one."""
+the one in-node search against bisect and a per-probe reference, the
+bitmap walk and the gap search against per-bit references and the
+node-placement kernels against a per-key one."""
 
 import dataclasses
 import random
@@ -15,7 +15,6 @@ from repro.core.alex import (AlexIndex, _DataHeader, _entry_array, _pack_ptr,
                              _ptr_block, _ptr_is_data)
 from repro.core.interface import TOMBSTONE
 from repro.core.serial import ENTRY_SIZE, pack_entries
-from repro.core.vectorize import Pinned
 from repro.models import LinearModel
 from repro.storage import HDD, NULL_DEVICE, BlockDevice, BufferPool, Pager
 
@@ -148,7 +147,7 @@ def test_insert_updates_header_statistics():
     index, _ = fresh()
     keys = list(range(0, 5000, 10))
     index.bulk_load(items_of(keys))
-    block, _parent = index._descend(4001, index.pager)
+    block, _parent = index._descend(4001)
     before = index._read_data_header(block)
     index.insert(4001, 4002)
     after = index._read_data_header(block)
@@ -162,7 +161,7 @@ def test_gapped_insert_cheaper_than_shift():
     index, device = fresh()
     keys = list(range(0, 100_000, 100))
     index.bulk_load(items_of(keys))
-    block, _ = index._descend(keys[50], index.pager)
+    block, _ = index._descend(keys[50])
     header_before = index._read_data_header(block)
     shifts_before = header_before.num_shifts
     rng = random.Random(9)
@@ -175,7 +174,7 @@ def test_gapped_insert_cheaper_than_shift():
             pass
     # Some inserts found gaps (no shift) — the counter grows slower than
     # the insert count.
-    block, _ = index._descend(keys[50], index.pager)
+    block, _ = index._descend(keys[50])
     header_after = index._read_data_header(block)
     assert header_after.num_shifts - shifts_before < 300
 
@@ -227,8 +226,7 @@ def _synthetic_node(block_size, pooled, keys, slope, intercept):
 def _per_probe_search(index, block, key):
     """ALEX's exponential search as the paper charges it: the header,
     then one ``read_bytes`` of 16 bytes per probe, nothing held between
-    them.  What `_search_node` must ask of the pager, less the requests
-    for the block it has just been given."""
+    them.  What `_search_node` must ask of the pager."""
     pager, file = index.pager, index._data_file
     header = index._read_data_header(block)  # read_bytes of its 64 bytes
     capacity = header.capacity
@@ -291,7 +289,7 @@ def test_search_node_matches_bisect_and_charges_like_per_probe_reads(
     index, block = _synthetic_node(block_size, pooled, keys, slope, intercept)
     twin, _ = _synthetic_node(block_size, pooled, keys, slope, intercept)
     for key in probes:
-        slot, header, _at = index._search_node(index.pager, block, key)
+        slot, header = index._search_node(block, key)
         assert slot == bisect_right(keys, key) - 1
         assert header[1] == len(keys)
         assert _per_probe_search(twin, block, key) == slot
@@ -306,15 +304,14 @@ def test_search_node_matches_bisect_and_charges_like_per_probe_reads(
 @settings(max_examples=60, deadline=None)
 @given(node=_nodes())
 def test_search_node_from_a_batch_mirror(block_size, node):
-    """Inside ``pager.batch()``, reading through the batch's mirrors:
-    same slots, same charges as per-probe reads in a batch of their own."""
+    """Inside ``pager.batch()``, reading the blocks the batch pins: same
+    slots, same charges as per-probe reads in a batch of their own."""
     keys, slope, intercept, probes = node
     index, block = _synthetic_node(block_size, False, keys, slope, intercept)
     twin, _ = _synthetic_node(block_size, False, keys, slope, intercept)
     with index.pager.batch(), twin.pager.batch():
-        pinned = Pinned(index.pager, (index._inner_file, index._data_file))
         for key in probes:
-            slot = index._search_node(pinned, block, key)[0]
+            slot = index._search_node(block, key)[0]
             assert slot == bisect_right(keys, key) - 1
             assert _per_probe_search(twin, block, key) == slot
     assert dataclasses.asdict(index.pager.stats) == dataclasses.asdict(
@@ -325,7 +322,7 @@ def test_search_node_on_an_empty_node():
     index, _ = fresh()
     index.bulk_load([])
     block = _ptr_block(index.root_ptr)
-    slot, header, _at = index._search_node(index.pager, block, 42)
+    slot, header = index._search_node(block, 42)
     assert slot == -1 and header[2] == 0
 
 
@@ -402,6 +399,10 @@ def test_no_stale_bytes_survive_an_smo(layout, write_back):
 
 
 # -- the bitmap walk, against a reference --------------------------------------
+#
+# The per-bit references here and in the gap search below stay: they
+# check the bit logic (which slots a word of bitmap bytes sets or
+# clears), not the held block, which tests/test_held_block.py covers.
 
 
 def _per_bit_scan_node(index, block, capacity, start_slot, start_key, count, out):

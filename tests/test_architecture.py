@@ -357,6 +357,32 @@ def one_stack_builder(tree: Tree) -> List[str]:
                            "src", "tests", "examples")
 
 
+# -- One held block (storage/pager.py Pager.view, DESIGN.md Section 15) -------
+# "Serve a request from the block already in hand" was once spelled
+# seven times: four copies in the pager (read_block, read_span's lowest
+# block, and hand-copied guard sets in read_bytes and in write_bytes'
+# in-block patch) and three in the indexes (vectorize.cursor for alex and
+# pgm's buffer, the BlockMirror / Pinned batch mirrors beside the pager's
+# pin cache, lipp _walk's held_no bookkeeping).  Pager.view is the one
+# place a range is served from the held block; this fails if an index
+# holds a block of its own again or reads the pager's last block.
+
+@lint(("lipp's walk keeps its own held block again",
+       {"src/repro/core/lipp.py": "\n_held_no = -1\n"}),
+      ("vectorize grows a batch mirror again",
+       {"src/repro/core/vectorize.py": "\nclass BlockMirror:\n    pass\n"}),
+      ("alex grows a pinned source again",
+       {"src/repro/core/alex.py": "\nclass Pinned:\n    pass\n"}),
+      ("pgm grows a cursor again",
+       {"src/repro/core/pgm.py": "\ndef cursor(source, file, bs):\n    return source\n"}),
+      ("the serving engine reads the pager's last block",
+       {"src/repro/serving/engine.py": "\ndef _held(pager):\n    return pager._last\n"}))
+def one_held_block(tree: Tree) -> List[str]:
+    return (tree.grep(r"held_no|class BlockMirror\b|class Pinned\b|def cursor\(", "src")
+            + [line for line in tree.grep(r"\._last\b", "src")
+               if not line.startswith("src/repro/storage/pager.py:")])
+
+
 @pytest.mark.parametrize("name", LINTS)
 def test_lint_holds(name):
     assert LINTS[name](Tree()) == []

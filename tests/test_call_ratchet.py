@@ -6,10 +6,11 @@ functions a verb enters: this counts the ``"call"`` events
 ``sys.setprofile`` sees over 200 cold-cache lookups per stack, and over
 200 operations of a durable write mix, and holds each cell to its count
 at the change that last cut it (DESIGN.md Section 24: the read side when
-the pager's phase and batch scopes became slot objects, ``read_bytes``
-took its own last-block branch and ``read_block`` its direct device hop;
-the write side when the write-back pager, the pool, the WAL, alex's gap
-search and pgm's buffer probes shed theirs).  A change that adds a
+the pager's phase and batch scopes became slot objects and ``read_block``
+took its direct device hop; the write side when the write-back pager,
+the pool, the WAL, alex's gap search and pgm's buffer probes shed
+theirs; DESIGN.md Section 15: both when the indexes' reads went through
+``Pager.view``, lipp's point verbs decoding in place).  A change that adds a
 Python-level call per operation turns its cell red; one that removes
 calls should lower the ceiling with it.
 """
@@ -27,25 +28,28 @@ LOOKUPS = 200
 #: Python-level calls per 200 lookups, measured at the change that last
 #: lowered them.  When the ratchet was set: btree 3,600, pgm 4,212,
 #: fiting 6,004, lipp 5,300, hybrid-pgm 7,912 (before it: 4,600, 4,803,
-#: 7,004, 6,604, 9,312).
+#: 7,004, 6,604, 9,312).  When reads went through ``Pager.view`` (the
+#: one held block, DESIGN.md Section 15): fiting 4,901 -> 4,701, lipp
+#: 3,953 -> 2,973.
 CEILINGS = {
     "btree": 3200,
     "pgm": 3297,
-    "fiting": 4901,
-    "lipp": 3953,
+    "fiting": 4701,
+    "lipp": 2973,
     "hybrid-pgm": 6524,
 }
 
 #: Python-level calls per 100 durable inserts and 100 lookups over a
 #: write-back pool, measured at the change that set them.  Before it:
 #: btree 6,308, fiting 12,536, pgm 8,545, alex 20,075, lipp 11,485,
-#: plid 7,800.
+#: plid 7,800.  When reads went through ``Pager.view``: fiting 8,154 ->
+#: 8,113, alex 11,652 -> 11,649, lipp 7,095 -> 6,683.
 WRITE_CEILINGS = {
     "btree": 4556,
-    "fiting": 8154,
+    "fiting": 8113,
     "pgm": 4814,
-    "alex": 11652,
-    "lipp": 7095,
+    "alex": 11649,
+    "lipp": 6683,
     "plid": 5648,
 }
 

@@ -18,7 +18,7 @@ import pytest
 from repro.core import make_index
 from repro.storage import ChecksumError, NULL_DEVICE, BlockDevice, Pager
 
-from tests.util import items_of, random_sorted_keys
+from tests.util import items_of, lipp_header, lipp_slot, random_sorted_keys
 
 KEYS = random_sorted_keys(5000, seed=31)
 
@@ -85,7 +85,7 @@ def test_pgm_detects_component_disorder():
 
 def test_alex_detects_bitmap_corruption():
     index = loaded("alex")
-    block, _ = index._descend(KEYS[0], index.pager)
+    block, _ = index._descend(KEYS[0])
     # Zero the first bitmap byte: the population no longer matches the
     # header's num_keys.
     offset = index._bitmap_offset(block, 0) % 4096
@@ -114,12 +114,12 @@ def test_alex_detects_corrupted_inner_model():
 
 def test_lipp_detects_misplaced_key():
     index = loaded("lipp")
-    header = index._read_header(index.root_block)
+    header = lipp_header(index, index.root_block)
     # Find a DATA slot and move its entry to a wrong (NULL) slot.
     from repro.core.lipp import SLOT_DATA, SLOT_NULL
     data_slot = null_slot = None
     for slot in range(header.num_slots):
-        flag, key, payload = index._read_slot(index.root_block, slot)
+        flag, key, payload = lipp_slot(index, index.root_block, slot)
         if flag == SLOT_DATA and data_slot is None:
             data_slot = (slot, key, payload)
         elif flag == SLOT_NULL and null_slot is None and data_slot is not None:

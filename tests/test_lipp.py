@@ -1,6 +1,7 @@
 """LIPP-specific tests: FMCD nodes, conflict children, path statistics,
-the one slot walk against a per-slot reference and the single-pass node
-build against the one that predicted each key three times."""
+the one slot walk against a per-slot reference, the shapes it meets
+and the single-pass node build against the one that predicted each key
+three times."""
 
 import random
 import zlib
@@ -15,8 +16,8 @@ from repro.datasets import make_dataset
 from repro.models import build_fmcd_model
 from repro.storage import HDD, NULL_DEVICE, BlockDevice, BufferPool, Pager
 
-from tests.util import (charges_of, items_of, random_sorted_keys,
-                        reference_lipp_build_node)
+from tests.util import (charges_of, items_of, lipp_header, lipp_slot,
+                        random_sorted_keys, reference_lipp_build_node)
 
 
 def fresh(**kwargs):
@@ -92,11 +93,11 @@ def test_path_statistics_updated_on_insert():
     index, _ = fresh()
     keys = random_sorted_keys(5000, seed=2)
     index.bulk_load(items_of(keys))
-    root_before = index._read_header(index.root_block)
+    root_before = lipp_header(index, index.root_block)
     key = keys[100] + 1
     assert key not in set(keys)
     index.insert(key, key + 1)
-    root_after = index._read_header(index.root_block)
+    root_after = lipp_header(index, index.root_block)
     assert root_after.num_inserts == root_before.num_inserts + 1
     assert root_after.item_count == root_before.item_count + 1
 
@@ -152,7 +153,7 @@ def test_node_slot_overallocation():
     index, device = fresh()
     keys = random_sorted_keys(10_000, seed=6)
     index.bulk_load(items_of(keys))
-    header = index._read_header(index.root_block)
+    header = lipp_header(index, index.root_block)
     assert header.num_slots == 5 * len(keys)
 
 
@@ -160,16 +161,16 @@ def test_slot_flags_are_consistent():
     index, _ = fresh()
     keys = random_sorted_keys(3000, seed=7)
     index.bulk_load(items_of(keys))
-    header = index._read_header(index.root_block)
+    header = lipp_header(index, index.root_block)
     seen = 0
     for slot in range(header.num_slots):
-        flag, slot_key, payload = index._read_slot(index.root_block, slot)
+        flag, slot_key, payload = lipp_slot(index, index.root_block, slot)
         assert flag in (SLOT_NULL, SLOT_DATA, SLOT_NODE)
         if flag == SLOT_DATA:
             seen += 1
             assert payload == slot_key + 1
         elif flag == SLOT_NODE:
-            child_header = index._read_header(slot_key)
+            child_header = lipp_header(index, slot_key)
             seen += child_header.item_count
     assert seen == len(keys)
 
@@ -214,17 +215,16 @@ def test_insert_requires_bulk_load():
 
 
 def _per_slot_walk(index, block, start_key=0, depth=1):
-    """The walk as the paper charges it, and as ``_iterate_subtree`` made
-    it before the walker held a block: the header, then one
+    """The walk as the paper charges it: the header, then one
     ``read_bytes`` of 24 bytes per slot, nothing held between them,
     recursing into a conflict child at its slot.  Yields what
     ``LippIndex._walk`` yields, so everything built on the walk (scan,
-    subtree rebuild, verify, height) can run on either."""
-    header = index._read_header(block)
+    subtree rebuild and freeing, verify, height) can run on either."""
+    header = lipp_header(index, block)
     first_slot = header.predict(start_key) if start_key else 0
     walked = 0
     for slot in range(first_slot, header.num_slots):
-        flag, key, payload = index._read_slot(block, slot)
+        flag, key, payload = lipp_slot(index, block, slot)
         if flag == SLOT_DATA:
             if key >= start_key:
                 walked += 1
@@ -234,20 +234,21 @@ def _per_slot_walk(index, block, start_key=0, depth=1):
             for event in _per_slot_walk(index, key, child_start, depth + 1):
                 yield event
             walked += event[1]  # the child's own leave event comes last
-    yield -1, walked, depth, header
+    yield -depth, walked, block, header
+
+
+def _lipp(block_size, keys, gap_count, pool=None):
+    index = LippIndex(Pager(BlockDevice(block_size, HDD), buffer_pool=pool),
+                      rebuild_factor=0.5, build_gap_count=gap_count)
+    index.bulk_load(items_of(keys))
+    return index
 
 
 def _lipp_pair(block_size, pooled, keys, gap_count):
     """The index under test and a twin built by the same calls whose
     every walk is the per-slot reference."""
-    pair = []
-    for _ in range(2):
-        pool = BufferPool(2) if pooled else None
-        index = LippIndex(Pager(BlockDevice(block_size, HDD), buffer_pool=pool),
-                          rebuild_factor=0.5, build_gap_count=gap_count)
-        index.bulk_load(items_of(keys))
-        pair.append(index)
-    index, twin = pair
+    index, twin = (_lipp(block_size, keys, gap_count,
+                         BufferPool(2) if pooled else None) for _ in range(2))
     twin._walk = lambda root, start_key=0: _per_slot_walk(twin, root, start_key)
     return index, twin
 
@@ -307,6 +308,9 @@ def test_walk_matches_and_charges_like_per_slot_reads(block_size, pooled, histor
             stored.discard(key)
             assert index.delete(key) == twin.delete(key)
         assert charges_of(index) == charges_of(twin), (op, key, count)
+        if pooled:
+            assert ((index.pager.buffer_pool.hits, index.pager.buffer_pool.misses)
+                    == (twin.pager.buffer_pool.hits, twin.pager.buffer_pool.misses))
     assert index.num_rebuilds == twin.num_rebuilds
     assert index.verify() == twin.verify() == len(stored)
     assert index.height() == twin.height()
@@ -333,24 +337,25 @@ def test_walk_inside_a_batch_asks_for_each_block_once(block_size, history):
 
 
 def test_walk_reference_cases_are_really_generated():
-    """The shapes the properties above are meant to cover do occur on
-    these block sizes: a conflict child in the first and in the last
-    whole slot of a block, a child in a slot lying across two blocks, a
-    one-key node (two slots, the smallest a build makes) and a node of
-    several blocks."""
+    """The shapes the properties above (and the lipp cases of
+    tests/test_held_block.py) are meant to cover do occur on 256-byte
+    blocks: a conflict child in the first and in the last whole slot of
+    a block, a child in a slot lying across two blocks, a one-key node
+    (two slots, the smallest a build makes) and a node of several
+    blocks."""
     rng = random.Random(11)
     keys = sorted({rng.randrange(1 << 20) * 1000 + rng.randrange(6)
                    for _ in range(400)})
-    index, _twin = _lipp_pair(256, False, keys, 1)
+    index = _lipp(256, keys, 1)
     shapes = set()
     nodes = [index.root_block]
     while nodes:
         block = nodes.pop()
-        header = index._read_header(block)
+        header = lipp_header(index, block)
         if header.num_slots * SLOT_SIZE > 3 * 256:
             shapes.add("several blocks")
         for slot in range(header.num_slots):
-            flag, child, _payload = index._read_slot(block, slot)
+            flag, child, _payload = lipp_slot(index, block, slot)
             if flag != SLOT_NODE:
                 continue
             nodes.append(child)
@@ -359,8 +364,8 @@ def test_walk_reference_cases_are_really_generated():
                        else "across blocks" if at + SLOT_SIZE > 256
                        else "last of block" if at + 2 * SLOT_SIZE > 256
                        else "inside")
-    one, _ = _lipp_pair(256, False, [7], 1)
-    assert one._read_header(one.root_block).num_slots == 2
+    one = _lipp(256, [7], 1)
+    assert lipp_header(one, one.root_block).num_slots == 2
     assert shapes >= {"several blocks", "first of block", "across blocks",
                       "last of block", "inside"}
 

@@ -63,15 +63,17 @@ def test_read_never_exceeds_covering_blocks(offset, length):
 
 # -- read_bytes' one-block branch ---------------------------------------------
 #
-# ``Pager.read_bytes`` serves a one-block range from the last-block cache
-# itself, under ``read_block``'s guards, instead of calling ``read_block``.
-# The reference below is the pager before that branch: every one-block
-# range goes through ``read_block``.  The property holds the two to the
-# same bytes, device counters, pool probes, tracer records and access-hook
-# calls.  Each of these mutations of the branch turns it red:
-#   - drop the batch guard (``not self._batch_depth``): a block that was
-#     last before the batch began is served without being pinned, and is
-#     charged again once another read moves the last block;
+# ``Pager.read_bytes`` takes a one-block range from ``Pager.view``, which
+# serves it from the held block (the pin cache inside a batch, else the
+# last block) instead of calling ``read_block``.  The reference below is
+# the pager without that branch: every one-block range goes through
+# ``read_block``.  The property holds the two to the same bytes, device
+# counters, pool probes, tracer records and access-hook calls.  Each of
+# these mutations of ``view``'s branch turns it red:
+#   - serve the last block inside a batch instead of consulting (and
+#     filling) the pin cache: a block that was last before the batch
+#     began is served without being pinned, and is charged again once
+#     another read moves the last block;
 #   - drop the hook guard (``self.on_block_access is None``): the serving
 #     engine's footprint misses the read;
 #   - drop the resident guard (``not file.memory_resident``): a file made
@@ -205,10 +207,9 @@ def test_read_bytes_one_block_branch_matches_read_block(pool, traced, hooked, op
 
 # -- write_bytes' one-block branch --------------------------------------------
 #
-# ``Pager.write_bytes`` patches a one-block range into the image it takes
-# from the last-block cache, under ``read_block``'s guards, instead of
-# calling ``read_block`` for it.  The reference below is the pager before
-# that branch.  The property holds the two to the same bytes read back
+# ``Pager.write_bytes`` patches a one-block range into the image
+# ``Pager.view`` holds, instead of calling ``read_block`` for it.  The
+# reference below is the pager without that branch.  The property holds the two to the same bytes read back
 # (and left on the device), device counters, pool probes, pool order,
 # dirty set and covering LSNs, tracer records and access-hook calls,
 # with and without a WAL, under every pool policy and write-back.  Each
@@ -220,11 +221,10 @@ def test_read_bytes_one_block_branch_matches_read_block(pool, traced, hooked, op
 #     write loses every byte written to it since;
 #   - drop the ``tracer.reuse_hit()`` call: the tracer's ``reuse_hits``
 #     fall behind.
-# Dropping the batch guard (``not self._batch_depth``) leaves it green:
-# inside a batch the last block and the pinned copy of a block hold the
-# same bytes, and the write that follows pins its new image either way.
-# The guard stays so that the branch is exactly read_block's, as the
-# read_bytes branch is.
+# Serving the last block inside a batch leaves it green: there the last
+# block and the pinned copy of a block hold the same bytes, and the write
+# that follows pins its new image either way.  The read_bytes property
+# above is the one that turns red on it.
 
 
 class _ReadBlockWritePager(Pager):

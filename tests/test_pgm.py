@@ -34,8 +34,9 @@ def test_static_component_lookup():
 
 def _levels_in_memory(keys, epsilon):
     """``build_levels`` laid out top-down in one bytes object, as
-    :func:`descend` addresses it: ``(read, root, level_table)``.  ``read``
-    is a slice that refuses to leave the level it starts in."""
+    :func:`descend` addresses it: ``(view, root, level_table)``.  ``view``
+    hands out the whole object and the range's start in it, and refuses
+    a range that leaves the level it starts in."""
     root, levels = build_levels(keys, epsilon)
     store = b"".join(reversed(levels))
     level_table, offset = [], len(store)
@@ -43,12 +44,12 @@ def _levels_in_memory(keys, epsilon):
         offset -= len(raw)
         level_table.append((offset, len(raw) // DESCRIPTOR_SIZE))
 
-    def read(start, length):
+    def view(start, length):
         assert any(base <= start and start + length <= base + n * DESCRIPTOR_SIZE
                    for base, n in level_table), "read crosses a level"
-        return store[start : start + length]
+        return store, start
 
-    return read, root, level_table
+    return view, root, level_table
 
 
 #: mostly dense runs, now and then a gap that dwarfs every span so far —
@@ -71,13 +72,13 @@ def test_descend_window_holds_floor_and_ceiling(first, gaps, epsilon):
     one slot before it — what ``lookup`` and ``ceiling_position`` rely on,
     and what extrapolating a floor model past its segment breaks."""
     keys = [key for key in accumulate(gaps, initial=first) if key < 2**64]
-    read, root, level_table = _levels_in_memory(keys, epsilon)
+    view, root, level_table = _levels_in_memory(keys, epsilon)
     probes = set(keys)
     for low, high in zip(keys, keys[1:]):
         probes.update((low + 1, (low + high) // 2, high - 1))
     probes.update((max(first - 1, 0), min(keys[-1] + 1, 2**64 - 1)))
     for probe in probes:
-        lo, hi = descend(read, root, level_table, len(keys), probe, epsilon)
+        lo, hi = descend(view, root, level_table, len(keys), probe, epsilon)
         floor = bisect.bisect_right(keys, probe) - 1
         assert 0 <= lo <= max(floor, 0) and floor <= hi < len(keys), (
             probe, (lo, hi), floor)
@@ -285,16 +286,14 @@ def test_levels_memory_residency_applies_to_future_components():
 # -- the buffer search, against a reference ------------------------------------
 
 
-def _per_probe_lookup_raw(index, key, source=None):
-    """``_lookup_raw`` as it was before the buffer search held a block:
-    one 16-byte ``read_bytes`` per probe of the buffer, nothing held
-    between probes."""
-    source = source or index.pager
+def _per_probe_lookup_raw(index, key):
+    """``_lookup_raw`` with one 16-byte ``read_bytes`` per probe of the
+    buffer, nothing held between probes."""
     if index.buffer_count:
         lo, hi = 0, index.buffer_count
         while lo < hi:
             mid = (lo + hi) // 2
-            mid_key, payload = entry_at(source.read_bytes(
+            mid_key, payload = entry_at(index.pager.read_bytes(
                 index._buffer_file, mid * ENTRY_SIZE, ENTRY_SIZE), 0)
             if mid_key == key:
                 return payload
@@ -328,16 +327,15 @@ _BULK_KEYS = random_sorted_keys(2000, seed=34, key_space=10**9)
 def test_buffer_search_charges_like_per_probe_reads(block_size, pool, instrument):
     """Inserts fill the buffer from 1 to its 585 entries (and flush it);
     between them, lookups of buffered, bulk-loaded and absent keys and
-    batches of them run once with the held-block search and once with
-    the per-probe reads it replaced.  Every ``StorageStats`` field and
-    pool probe after every operation, the pages, and what a tracer or an
-    access hook saw are the same; only the tracer's ``reuse_hits`` fall,
-    by design (a probe into the held block was a last-block reuse hit).
-    1000-byte blocks put entries across block boundaries."""
+    batches of them run once with the buffer search and once with
+    per-probe reads.  Every ``StorageStats`` field and pool probe after
+    every operation, the pages, and what a tracer or an access hook saw
+    are the same; only the tracer's ``reuse_hits`` may fall (a probe
+    into the block the last one read is a last-block reuse hit of the
+    reference).  1000-byte blocks put entries across block boundaries."""
     index = _pgm_stack(block_size, pool)
     twin = _pgm_stack(block_size, pool)
-    twin._lookup_raw = lambda key, source=None: _per_probe_lookup_raw(
-        twin, key, source)
+    twin._lookup_raw = lambda key: _per_probe_lookup_raw(twin, key)
     watch, twin_watch = Watch(index, instrument), Watch(twin, instrument)
     rng = random.Random(34)
     bulk = set(_BULK_KEYS)

@@ -104,7 +104,7 @@ def charges_of(index):
 
 class Watch:
     """What an index's storage stack shows besides its charges, for
-    comparing a change with the reference it replaces: under
+    comparing it with a per-probe or per-bit reference: under
     ``"traced"`` a :class:`repro.obs.Tracer`'s records, under
     ``"hooked"`` the set of frames the pager's access hook saw,
     ``"bare"`` neither."""
@@ -119,9 +119,10 @@ class Watch:
             index.pager.on_block_access = lambda *access: self.frames.add(access)
 
     def seen(self):
-        """Tracer records without their ``reuse_hits`` (a held block
-        skips pager requests the last-block cache answered free, so that
-        counter falls by design), and the hook's frames."""
+        """Tracer records without their ``reuse_hits`` (a reference that
+        asks the pager once per probe or per bit meets each later probe
+        of a block as a reuse hit, so that counter differs by design),
+        and the hook's frames."""
         records = None
         if self.tracer is not None:
             records = [{k: v for k, v in record.items() if k != "reuse_hits"}
@@ -134,6 +135,21 @@ class Watch:
             return 0
         return sum(record.get("reuse_hits", 0)
                    for record in self.tracer.iter_records())
+
+
+def lipp_header(index, block):
+    """The header of the lipp node at ``block``, read through the pager."""
+    from repro.core import lipp
+    return lipp._NodeHeader.unpack(index.pager.read_bytes(
+        index._file, block * index.pager.block_size, lipp.HEADER_SIZE))
+
+
+def lipp_slot(index, block, slot):
+    """``(flag, key, payload)`` of slot ``slot`` of the lipp node at
+    ``block``, read through the pager."""
+    from repro.core import lipp
+    return lipp._SLOT.unpack(index.pager.read_bytes(
+        index._file, index._slot_offset(block, slot), lipp.SLOT_SIZE))
 
 
 def pages_of(index) -> dict:
