@@ -31,7 +31,7 @@ Packages:
 * :mod:`repro.durability` — write-ahead log with group commit,
   crash-fault injection, checkpoint + WAL-replay recovery, and
   WAL-assisted self-healing repair of corrupt blocks.
-* :mod:`repro.obs` — op-level tracing, latency/IO histograms, and trace
+* :mod:`repro.obs` — op-level tracing, a latency histogram, and trace
   analysis (``python -m repro.obs.analyze trace.jsonl``).
 * :mod:`repro.bench` — one experiment per paper table/figure
   (``python -m repro.bench all``).

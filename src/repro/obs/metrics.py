@@ -1,13 +1,12 @@
-"""Fixed-bucket histograms.
+"""Fixed-bucket latency histograms.
 
 The paper reports averages (blocks per op, phase latency) and two tail
-points (p50/p99, Figure 12); anything finer — "what does the p90 insert
-pay in the SMO phase?" — needs a distribution, not a scalar.  A
+points (p50/p99, Figure 12), which :class:`~repro.workloads.RunResult`
+computes exactly from the latency array.  The one digest a run reports
+is each serving client's latency summary (``RunResult.per_client``): a
 fixed-bucket histogram records a value with one bisect into a static
-boundary list, keeps O(buckets) memory regardless of how many operations
-run, and merges across runs by adding counts, which is what a sharded
-deployment needs (per-shard histograms sum into the fleet view; raw
-latency arrays do not).
+boundary list and keeps O(buckets) memory regardless of how many
+operations run.
 
 Percentiles are estimated by linear interpolation inside the covering
 bucket, with the overflow bucket clamped to the observed maximum — the
@@ -18,18 +17,11 @@ by the bucket spacing, in exchange for constant memory.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
-from itertools import islice
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = [
-    "Histogram",
-    "KeyedDigest",
-    "latency_bounds",
-    "io_bounds",
-]
+__all__ = ["Histogram", "latency_bounds"]
 
 
 def latency_bounds(low_us: float = 10.0, high_us: float = 1e8,
@@ -53,23 +45,6 @@ def latency_bounds(low_us: float = 10.0, high_us: float = 1e8,
     if not bounds or bounds[-1] < high_us:
         bounds.append(high_us)
     return tuple(bounds)
-
-
-def io_bounds(max_blocks: int = 512) -> Tuple[float, ...]:
-    """Bucket boundaries for per-op block counts.
-
-    Exact up to 16 blocks (the region Table 4 cares about — every studied
-    index fetches 1..10 blocks per lookup), then doubling up to
-    ``max_blocks`` to keep SMO cascades distinguishable from single-block
-    writes.
-    """
-    bounds = list(range(0, 17))
-    value = 24
-    while value < max_blocks:
-        bounds.append(value)
-        value *= 2
-    bounds.append(max_blocks)
-    return tuple(float(b) for b in bounds)
 
 
 class Histogram:
@@ -161,19 +136,6 @@ class Histogram:
             seen += bucket_count
         return self.max or 0.0  # pragma: no cover - unreachable
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram with identical boundaries into this one."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different boundaries")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-
     def summary(self) -> Dict[str, float]:
         """The fixed digest reported on results: count/mean/p50/p90/p99/max."""
         return {
@@ -185,29 +147,3 @@ class Histogram:
             "max": self.max if self.max is not None else 0.0,
         }
 
-
-class KeyedDigest(defaultdict):
-    """Histograms over shared boundaries, one per key — an op type, a
-    phase, a client — each made when its key's first sample arrives:
-    ``digest[key].record(value)``.  Reading a key that never got a
-    sample yields the empty histogram (all-zero summary)."""
-
-    def __init__(self, bounds: Sequence[float]) -> None:
-        bounds = tuple(bounds)
-        super().__init__(lambda: Histogram(bounds))
-
-    def record_many(self, keys: Iterable, values: Sequence[float]) -> None:
-        """``self[key].record(value)`` for each aligned pair (``keys`` may
-        run on past ``values``), as one :meth:`Histogram.record_many` per
-        key, the keys made in the order they first appear."""
-        keys = list(islice(keys, len(values)))
-        if not keys:
-            return
-        values = np.asarray(values, dtype=np.float64)
-        labels = np.array(keys, dtype=object)
-        for key in dict.fromkeys(keys):
-            self[key].record_many(values[labels == key])
-
-    def summaries(self) -> Dict[object, Dict[str, float]]:
-        """Each key's :meth:`Histogram.summary`, as results report them."""
-        return {key: hist.summary() for key, hist in self.items()}

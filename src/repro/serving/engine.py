@@ -55,7 +55,6 @@ import numpy as np
 
 from ..core.interface import DiskIndex
 from ..durability.faults import CrashError, FaultInjector
-from ..obs.metrics import KeyedDigest, io_bounds, latency_bounds
 from ..storage import StorageFault
 from ..workloads.spec import Operation
 from .latch import LatchManager
@@ -98,19 +97,12 @@ class ServeReport:
     executed: int
     #: client-perceived µs per completed op, in dispatch order.
     latencies_us: np.ndarray
-    #: op kind per completed op, aligned with ``latencies_us``.
-    op_kinds: List[str]
     #: acknowledged writes as ``(seqno, key, payload)``, in commit order.
     committed: List[Tuple[int, int, int]]
     #: the serving counters of a ``RunResult``, under its field names
     #: (commit groups and waits, latch waits, snapshot reads, sheds).
     counters: Dict[str, float]
     crashed_at_op: Optional[int]
-    #: per-phase per-op µs digests (empty unless the index is traced;
-    #: each session holds its own client's in ``Session.phase_digest``).
-    phase_digest: KeyedDigest
-    #: per-op-type blocks-touched digests (empty unless traced).
-    io_digest: KeyedDigest
 
 
 class ServingEngine:
@@ -158,12 +150,10 @@ class ServingEngine:
         self._waiting: List[_WaitingCommit] = []
         self._committed: List[Tuple[int, int, int]] = []
         self._commit_groups: List[int] = []
-        self._completed: List[Tuple[int, str, float]] = []  # (dispatch, kind, us)
+        self._completed: List[Tuple[int, float]] = []  # (dispatch, us)
         self._dispatch_count = 0
         self._cur_reads: set = set()
         self._cur_writes: set = set()
-        self._phase_digest = KeyedDigest(latency_bounds())
-        self._io_digest = KeyedDigest(io_bounds())
 
     # -- footprint capture ---------------------------------------------------
 
@@ -211,18 +201,10 @@ class ServingEngine:
             session.committed_writes += 1
             self._committed.append((waiter.seqno, waiter.key, waiter.payload))
             self._pending_keys.pop(waiter.key, None)
-            self._complete(session, waiter.dispatch_index, "insert",
-                           waiter.start_v, ack_v)
+            self._complete(session, waiter.dispatch_index, waiter.start_v,
+                           ack_v)
 
     # -- op execution --------------------------------------------------------
-
-    def _record_event(self, event: dict, kind: str, session: Session) -> None:
-        """Fold one trace event into the global and per-client digests."""
-        for phase, us in event["us_by_phase"].items():
-            self._phase_digest[phase].record(us)
-            session.phase_digest[phase].record(us)
-        blocks = sum(event["reads"].values()) + sum(event["writes"].values())
-        self._io_digest[kind].record(blocks)
 
     def _requeue(self, session: Session) -> None:
         """Back into the dispatch heap, unless the session's queue is drained."""
@@ -236,15 +218,14 @@ class ServingEngine:
             self.tracer.shed_op()
         self._requeue(session)
 
-    def _complete(self, session: Session, dispatch_index: int, kind: str,
+    def _complete(self, session: Session, dispatch_index: int,
                   start_v: float, end_v: float) -> None:
         """Settle a finished op: the client saw it take ``end_v - start_v``
         (latch stalls and, for a write, the group-commit wait included)."""
         latency = end_v - start_v
         session.latencies_us.append(latency)
-        session.op_kinds.append(kind)
         session.clock_us = end_v
-        self._completed.append((dispatch_index, kind, latency))
+        self._completed.append((dispatch_index, latency))
         self._requeue(session)
 
     def _dispatch(self, session: Session) -> None:
@@ -318,8 +299,7 @@ class ServingEngine:
                     self.latches.prune(start_v)
         finally:
             if self.tracer is not None:
-                event = self.tracer.end_op()
-                self._record_event(event, kind, session)
+                self.tracer.end_op()
         if shed:
             # The op is consumed and counted, the charged device time of
             # its failed attempt advances the client's clock, and nothing
@@ -340,7 +320,7 @@ class ServingEngine:
             # No WAL: nothing to await; the write "commits" on apply.
             session.committed_writes += 1
             self._committed.append((0, key, key + 1))
-        self._complete(session, g, kind, start_v, end_v)
+        self._complete(session, g, start_v, end_v)
 
     # -- run -----------------------------------------------------------------
 
@@ -393,15 +373,13 @@ class ServingEngine:
 
     def _report(self, crashed_at: Optional[int]) -> ServeReport:
         self._completed.sort()
-        latencies = np.array([us for _, _, us in self._completed],
+        latencies = np.array([us for _, us in self._completed],
                              dtype=np.float64)
-        kinds = [kind for _, kind, _ in self._completed]
         sessions, groups = self.sessions, self._commit_groups
         return ServeReport(
             sessions=sessions,
             executed=len(self._completed),
             latencies_us=latencies,
-            op_kinds=kinds,
             committed=list(self._committed),
             counters={
                 "commit_groups": len(groups),
@@ -416,6 +394,4 @@ class ServingEngine:
                 "shed_ops": sum(s.shed_ops for s in sessions),
             },
             crashed_at_op=crashed_at,
-            phase_digest=self._phase_digest,
-            io_digest=self._io_digest,
         )

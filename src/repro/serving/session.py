@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..obs.metrics import Histogram, KeyedDigest, latency_bounds
+from ..obs.metrics import Histogram, latency_bounds
 from ..workloads.spec import Operation
 
 __all__ = ["Session"]
@@ -41,8 +41,6 @@ class Session:
         self.clock_us = 0.0
         #: client-perceived latency of each *completed* op, in op order.
         self.latencies_us: List[float] = []
-        #: kind ("lookup"/"insert"/"scan") of each completed op.
-        self.op_kinds: List[str] = []
         self.latch_waits = 0
         self.latch_wait_us = 0.0
         self.commit_waits = 0
@@ -58,9 +56,6 @@ class Session:
         #: global dispatch index of each of this session's dispatches —
         #: the starvation test bounds the largest gap between them.
         self.dispatch_indices: List[int] = []
-        #: per phase, the per-op µs digest of this client's trace events
-        #: (stays empty unless the index is traced).
-        self.phase_digest = KeyedDigest(latency_bounds())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Session({self.client_id}, {self.completed}/{len(self.ops)}"
@@ -94,15 +89,12 @@ class Session:
 
     def digest(self) -> dict:
         """This client's slice of a serving run (``RunResult.per_client``):
-        latency digests overall and per op type, and its counters."""
-        overall = Histogram(latency_bounds())
-        overall.record_many(self.latencies_us)
-        by_kind = KeyedDigest(latency_bounds())
-        by_kind.record_many(self.op_kinds, self.latencies_us)
-        digest = {
+        its latency digest and its counters."""
+        latency = Histogram(latency_bounds())
+        latency.record_many(self.latencies_us)
+        return {
             "ops": self.completed,
-            "latency": overall.summary(),
-            "op_latency_histograms": by_kind.summaries(),
+            "latency": latency.summary(),
             "latch_waits": self.latch_waits,
             "latch_wait_us": self.latch_wait_us,
             "commit_waits": self.commit_waits,
@@ -113,6 +105,3 @@ class Session:
             "shed_ops": self.shed_ops,
             "max_dispatch_gap": self.max_dispatch_gap(),
         }
-        if self.phase_digest:
-            digest["phase_latency_histograms"] = self.phase_digest.summaries()
-        return digest

@@ -14,9 +14,7 @@ shard-local ones:
   partitioning);
 * mutations — route to the owning shard's primary.
 
-Every split is counted (batches routed, fan-out width, boundary-crossing
-scans) so the sharding experiment can report routing behaviour, and the
-Hypothesis property test can assert the split/merge round-trip is
+The Hypothesis property test asserts the split/merge round-trip is
 lossless.
 
 Fault tolerance rides through the delegation: every shard-local read
@@ -29,7 +27,7 @@ its final ``StorageFault`` when the whole replica group is down.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from ..core.interface import KeyPayload
 from .partition import RangePartition
@@ -48,34 +46,18 @@ class Router:
                 f"{len(shards)} shards given")
         self.partition = partition
         self.shards = list(shards)
-        self.batches_routed = 0
-        self.keys_routed = 0
-        self.fanout_total = 0
-        self.max_fanout = 0
-        self.scans_routed = 0
-        self.cross_shard_scans = 0
 
     # -- point reads ---------------------------------------------------------
 
     def lookup(self, key: int) -> Optional[int]:
         return self.shards[self.partition.shard_of(key)].lookup(key)
 
-    def split_batch(self, keys: Sequence[int]) -> Dict[int, List]:
-        """Partition a batch into per-shard ``[(position, key), ...]``
-        groups, recording fan-out statistics."""
-        split = self.partition.split_keys(keys)
-        self.batches_routed += 1
-        self.keys_routed += len(keys)
-        self.fanout_total += len(split)
-        self.max_fanout = max(self.max_fanout, len(split))
-        return split
-
     def lookup_many(self, keys: Iterable[int]) -> List[Optional[int]]:
         """Split / fan out / merge; result order matches the input batch."""
         keys = list(keys)
         if not keys:
             return []
-        split = self.split_batch(keys)
+        split = self.partition.split_keys(keys)
         results: List[Optional[int]] = [None] * len(keys)
         for shard_id, group in sorted(split.items()):
             answers = self.shards[shard_id].lookup_many(
@@ -88,22 +70,16 @@ class Router:
 
     def scan_range(self, low: int, high: int) -> List[KeyPayload]:
         """Concatenate shard-local scans over the clipped sub-ranges."""
-        parts = self.partition.split_range(low, high)
-        self.scans_routed += 1
-        if len(parts) > 1:
-            self.cross_shard_scans += 1
         out: List[KeyPayload] = []
-        for shard_id, lo, hi in parts:
+        for shard_id, lo, hi in self.partition.split_range(low, high):
             out.extend(self.shards[shard_id].scan_range(lo, hi))
         return out
 
     def scan(self, start_key: int, count: int) -> List[KeyPayload]:
         """Up to ``count`` pairs with key >= start_key, walking forward
         across shard boundaries until the count is filled."""
-        self.scans_routed += 1
         out: List[KeyPayload] = []
-        first_shard = self.partition.shard_of(start_key)
-        shard_id, start = first_shard, start_key
+        shard_id, start = self.partition.shard_of(start_key), start_key
         while shard_id < len(self.shards) and len(out) < count:
             chunk = self.shards[shard_id].scan(start, count - len(out))
             # Clip to the shard's own range: a key a shard holds outside
@@ -113,6 +89,4 @@ class Router:
             shard_id += 1
             if shard_id < len(self.shards):
                 start, _ = self.partition.range_of(shard_id)
-        if shard_id - first_shard > 1:
-            self.cross_shard_scans += 1
         return out[:count]

@@ -121,10 +121,6 @@ class _FanoutDevice:
         return merged
 
     @property
-    def block_size(self) -> int:
-        return self._owner.shards[0].primary.device.block_size
-
-    @property
     def allocated_bytes(self) -> int:
         return sum(d.allocated_bytes for d in self._devices())
 
@@ -155,28 +151,12 @@ class _FanoutPager:
         return self._owner.device
 
     @property
-    def stats(self) -> StorageStats:
-        return self.device.stats
-
-    @property
-    def block_size(self) -> int:
-        return self.device.block_size
-
-    @property
     def dirty_evictions(self) -> int:
         return sum(p.dirty_evictions for p in self._pagers())
 
     @property
     def flushes(self) -> int:
         return sum(p.flushes for p in self._pagers())
-
-    @property
-    def flushed_blocks(self) -> int:
-        return sum(p.flushed_blocks for p in self._pagers())
-
-    @property
-    def dirty_blocks(self) -> int:
-        return sum(p.dirty_blocks for p in self._pagers())
 
     def flush(self, file_name: Optional[str] = None) -> int:
         if file_name is not None:
@@ -185,33 +165,6 @@ class _FanoutPager:
 
     def drop_dirty(self) -> int:
         return sum(p.drop_dirty() for p in self._pagers())
-
-    @contextmanager
-    def batch(self):
-        """Pin scope spanning every member pager."""
-        stack = []
-        try:
-            for pager in self._pagers():
-                ctx = pager.batch()
-                ctx.__enter__()
-                stack.append(ctx)
-            yield
-        finally:
-            for ctx in reversed(stack):
-                ctx.__exit__(None, None, None)
-
-    @contextmanager
-    def phase(self, name: str):
-        stack = []
-        try:
-            for pager in self._pagers():
-                ctx = pager.phase(name)
-                ctx.__enter__()
-                stack.append(ctx)
-            yield
-        finally:
-            for ctx in reversed(stack):
-                ctx.__exit__(None, None, None)
 
     # -- access hook ---------------------------------------------------------
 
@@ -293,14 +246,6 @@ class _FanoutWal:
     @property
     def flushes(self) -> int:
         return sum(wal.flushes for wal in self._wals())
-
-    @property
-    def pending(self) -> int:
-        return sum(wal.pending for wal in self._wals())
-
-    @property
-    def log_blocks(self) -> int:
-        return sum(wal.log_blocks for wal in self._wals())
 
     # -- crash surface (whole-cluster power loss) -----------------------------
 

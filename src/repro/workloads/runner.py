@@ -11,23 +11,22 @@ collects every metric the paper reports:
 * bulk-load time and on-disk storage usage (Figures 7 and 10);
 * write-ahead-log traffic and group-commit accounting when the index has
   a WAL attached, plus crash/recovery bookkeeping when a
-  :class:`~repro.durability.FaultInjector` kills the run mid-stream;
-* latency histogram digests per op type (always), and — when a
-  :class:`~repro.obs.Tracer` is attached — per-phase µs and per-op block
-  histograms scoped from the trace events.
+  :class:`~repro.durability.FaultInjector` kills the run mid-stream.
+
+Per-op detail beyond these is the trace: an attached
+:class:`~repro.obs.Tracer` records one event per op, and attaching it
+changes no field of the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.interface import DiskIndex
 from ..durability.faults import CrashError, FaultInjector
-from ..obs.metrics import KeyedDigest, io_bounds, latency_bounds
 from ..storage import Pager, StorageFault
 from .spec import Operation
 
@@ -83,24 +82,12 @@ class RunResult:
     checksum_failures: int = 0   # reads the checksum envelope refused to serve
     repaired_blocks: int = 0     # blocks rebuilt from checkpoint + WAL redo
     healed_faults: int = 0       # storage faults a SelfHealer absorbed
-    # -- observability (histogram digests: count/mean/p50/p90/p99/max) --
-    p90_latency_us: float = 0.0
-    max_latency_us: float = 0.0
-    #: per op type ("lookup"/"insert"/"scan") latency digest; always filled.
-    op_latency_histograms: Dict[str, dict] = field(default_factory=dict)
-    #: per phase, the per-op µs digest — only when a tracer was attached.
-    phase_latency_histograms: Optional[Dict[str, dict]] = None
-    #: per op type, the blocks-touched-per-op digest — only when traced.
-    op_io_histograms: Optional[Dict[str, dict]] = None
     # -- concurrent serving (defaults describe the single-client path) --
     clients: int = 1
-    #: per client id: op counts, latency digests (overall and per op
-    #: type), latch/commit-wait counters, snapshot counters, and the
-    #: max dispatch gap — only filled by the serving path.
+    #: per client id: op count, latency digest, latch/commit-wait
+    #: counters, snapshot counters, and the max dispatch gap — only
+    #: filled by the serving path.
     per_client: Dict[int, dict] = field(default_factory=dict)
-    #: per client id, per phase, the per-op µs digest — only when the
-    #: serving path ran with a tracer attached.
-    client_phase_histograms: Optional[Dict[int, Dict[str, dict]]] = None
     commit_groups: int = 0       # group-commit flushes that acknowledged writers
     mean_commit_group: float = 0.0  # writers acknowledged per group
     committed_writes: int = 0    # writes acknowledged durable
@@ -145,13 +132,6 @@ class RunResult:
             return 0.0
         return (self.read_positionings + self.write_positionings) / self.num_ops
 
-    @property
-    def ops_per_log_flush(self) -> float:
-        """Average operations amortized over one group commit."""
-        if self.log_flushes == 0:
-            return 0.0
-        return self.log_records / self.log_flushes
-
 
 class _Meter:
     """The measurement of one run, whichever loop executes it.
@@ -160,8 +140,8 @@ class _Meter:
     ``StorageStats``, per-file reads (for the inner/leaf split), WAL,
     pager and per-shard counters; :meth:`result` diffs them into the only
     :class:`RunResult` this module builds.  The loop in between hands
-    over what only it knows: per-op latencies and kinds, its trace
-    digests, and the fields only it fills.
+    over what only it knows: per-op latencies and the fields only it
+    fills.
     """
 
     def __init__(self, index: DiskIndex, workload: str,
@@ -177,13 +157,8 @@ class _Meter:
         self.dirty_evictions = index.pager.dirty_evictions
         self.shard_view = index.per_shard_snapshot()
 
-    def result(self, latencies: np.ndarray, kinds: Iterable[str],
-               phase_digest: KeyedDigest, io_digest: KeyedDigest,
-               **extras) -> RunResult:
-        """Everything measured since construction.  ``kinds`` yields the
-        op type of each entry of ``latencies`` (and may run on: a crashed
-        stream's unexecuted tail is ignored); the two trace digests are
-        reported only if the index is traced."""
+    def result(self, latencies: np.ndarray, **extras) -> RunResult:
+        """Everything measured since construction."""
         index, pager = self.index, self.index.pager
         device = pager.device
         delta = device.stats.diff(self.start)
@@ -197,20 +172,12 @@ class _Meter:
             else:
                 leaf_reads += file_delta
 
-        # Histogram digests per op type, from the same latency samples the
-        # scalar percentiles use (so disabled-tracing runs pay array
-        # passes over an array they already hold, and no change to
-        # existing fields).
-        op_digest = KeyedDigest(latency_bounds())
-        op_digest.record_many(kinds, latencies)
-
         executed = len(latencies)
         n = max(executed, 1)
         sim_s = delta.elapsed_us / 1e6
         # a run that executed nothing reports 0.0 for every latency scalar
         sample = latencies if executed else np.zeros(1)
         log_records, log_flushes = _log_counters(index.wal)
-        traced = index.tracer is not None
         # a tier's fault-tolerance totals are the sums over its shards
         per_shard = index.per_shard_delta(self.shard_view)
         return RunResult(
@@ -245,11 +212,6 @@ class _Meter:
             io_retries=delta.io_retries,
             checksum_failures=delta.checksum_failures,
             repaired_blocks=delta.repaired_blocks,
-            p90_latency_us=float(np.percentile(sample, 90)),
-            max_latency_us=float(sample.max()),
-            op_latency_histograms=op_digest.summaries(),
-            phase_latency_histograms=phase_digest.summaries() if traced else None,
-            op_io_histograms=io_digest.summaries() if traced else None,
             shards=index.num_shards,
             replicas=index.replication_factor,
             per_shard=per_shard,
@@ -283,8 +245,8 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
             ``index.attach_tracer`` is what binds a
             :class:`repro.obs.Tracer` to the device, pool and WAL it must
             observe.  Traced, each operation runs inside an op-scoped
-            span and the result gains per-phase and per-op-type histogram
-            digests; every other field is computed exactly as without.
+            span; every field of the result is computed exactly as
+            without.
         ops: the operation stream from :func:`build_workload`.
         workload: label recorded in the result.
         scan_length: elements per scan operation (paper: 100).
@@ -334,7 +296,7 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
     On the serving path, latencies are *client-perceived*: an op's latch
     stalls and a write's group-commit wait are part of its latency, the
     result gains the serving counters (latch/commit waits, snapshot
-    reads, commit-group sizes) and per-client digests in
+    reads, commit-group sizes) and per-client slices in
     ``per_client``, and ``validate`` weakens for lookups to "the
     paper's payload or not-yet-visible" — under snapshot isolation a
     racing read may legitimately miss a key another client just wrote
@@ -367,25 +329,16 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
             index, streams, scan_length=scan_length, validate=validate,
             fault_injector=fault_injector,
             commit_timeout_us=commit_timeout_us).run()
-        per_client = {s.client_id: s.digest() for s in report.sessions}
         return meter.result(
-            report.latencies_us, report.op_kinds, report.phase_digest,
-            report.io_digest,
+            report.latencies_us,
             crashed_at_op=report.crashed_at_op,
             clients=len(streams),
-            per_client=per_client,
-            client_phase_histograms=(
-                {client_id: digest["phase_latency_histograms"]
-                 for client_id, digest in per_client.items()
-                 if "phase_latency_histograms" in digest}
-                if index.tracer is not None else None),
+            per_client={s.client_id: s.digest() for s in report.sessions},
             **report.counters)
     pager: Pager = index.pager
     device = pager.device
     wal = index.wal
     tracer = index.tracer
-    phase_digest = KeyedDigest(latency_bounds())
-    io_digest = KeyedDigest(io_bounds())
     # A unit's simulated cost is written at its first op; the slots a
     # group's other lookups leave NaN say how far the unit extends.
     latencies = np.full(len(ops), np.nan)
@@ -393,11 +346,10 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
     crashed_at: Optional[int] = None
     healed_faults = 0
 
-    def execute(start: int, end: int, kind: str, key: int) -> Optional[dict]:
+    def execute(start: int, end: int, kind: str, key: int) -> None:
         """Run the unit ``ops[start:end]`` (one op, or a group of lookups)
-        inside one trace span and return its event.  The span closes
-        whatever the unit raises: left open, it fails the tracer's next run."""
-        event = None
+        inside one trace span.  The span closes whatever the unit raises:
+        left open, it fails the tracer's next run."""
         if tracer is not None:
             tracer.begin_op(kind, key, start)
         try:
@@ -427,8 +379,7 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
                 raise ValueError(f"unknown operation kind {kind!r}")
         finally:
             if tracer is not None:
-                event = tracer.end_op()
-        return event
+                tracer.end_op()
 
     try:
         # nothing charges the device between units, so one reading of its
@@ -449,7 +400,7 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
             attempts = 0
             while True:
                 try:
-                    event = execute(i, end, kind, key)
+                    execute(i, end, kind, key)
                 except StorageFault as fault:
                     attempts += 1
                     action = None
@@ -462,23 +413,11 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
                         continue
                     # "applied": the full restore replayed this operation's
                     # WAL record — executing it again would double-apply
-                    event = None
                 break
             # healed ops pay for their failed attempts and the repair
             now_us = device.stats.elapsed_us
             latencies[i] = now_us - clock_us
             clock_us = now_us
-            if event is not None:
-                # a group's span is shared evenly, one sample per lookup
-                # (batch=1 keeps the integer block count the trace reports)
-                size = end - i
-                blocks = sum(event["reads"].values()) + sum(event["writes"].values())
-                if batch > 1:
-                    blocks /= size
-                for _ in range(size):
-                    for phase, us in event["us_by_phase"].items():
-                        phase_digest[phase].record(us / size)
-                    io_digest[kind].record(blocks)
     except CrashError as crash:
         crashed_at = executed = crash.op_index
         fault_injector.crash(wal, crash.op_index, pager=pager)
@@ -494,6 +433,5 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
     starts = np.flatnonzero(~np.isnan(latencies[:executed]))
     sizes = np.diff(starts, append=executed)
     latencies = np.repeat(latencies[starts] / sizes, sizes)
-    return meter.result(latencies, map(itemgetter(0), ops), phase_digest,
-                        io_digest, crashed_at_op=crashed_at, batch=batch,
+    return meter.result(latencies, crashed_at_op=crashed_at, batch=batch,
                         healed_faults=healed_faults)

@@ -6,7 +6,7 @@ holds a refactor of the runner or the serving engine to "the same
 numbers" is this recording: for every case below, **every** field of the
 ``RunResult`` and the device's final ``StorageStats``.  Floats are stored
 as ``float.hex`` (bit-exact), ``latencies_us`` as length + CRC32 of the
-array's bytes, the digest / ``per_client`` / ``per_shard`` dicts whole.
+array's bytes, the ``per_client`` / ``per_shard`` dicts whole.
 ``tests/test_run_result_golden.py`` replays the cases and compares every
 value.
 
@@ -26,7 +26,11 @@ deleted, and the other cases then lost exactly the keys of the deleted
 counters (``op_retries``; ``retries_used`` and ``deadline_misses`` per
 client).  When reads stopped being able to take latches, the
 ``serving-4c-latched`` case went and the other cases lost exactly the
-two keys of the read/write split of ``latch_wait_us``.  Regenerate it
+two keys of the read/write split of ``latch_wait_us``.  When the run
+digests no caller read went (``p90_latency_us``, ``max_latency_us``, the
+per-op-type, per-phase and per-op-block histograms, and each client's
+per-op-type and per-phase ones), every case lost exactly those keys.
+Regenerate it
 only for a change that is *meant* to move a reported number, and say so
 in the commit:
 

@@ -122,10 +122,11 @@ def one_alex_search(tree: Tree) -> List[str]:
 
 # -- One result assembly (workloads/runner.py) --------------------------------
 # The single stream and the serving path once each carried the
-# before/after bookkeeping and a RunResult(...) call, and the Histogram
-# get-or-create idiom was spelled out eleven times across the runner and
-# the engine (obs/metrics.py KeyedDigest is the one copy); this fails if
-# a second assembly or a hand-rolled digest comes back.
+# before/after bookkeeping and a RunResult(...) call, and both folded
+# every op into histogram digests no caller read (deleted; the one
+# digest left is Session.digest's per-client latency summary); this
+# fails if a second assembly or a digest in the runner or engine comes
+# back.
 
 @lint(("runner.py assembles a second RunResult",
        {"src/repro/workloads/runner.py": "\n_EMPTY = lambda: RunResult()\n"}),
@@ -293,15 +294,22 @@ def one_block_store(tree: Tree) -> List[str]:
 # candidates= / cost_table= / reset_mix, fresh_index's with_wal.
 # Keyword forms only: snapshot_reads stays a RunResult counter.
 # buffer_policy and replica_policy stay StackSpec / make_sharded_index
-# keywords, so no pattern can tell them apart.  This fails if one comes
-# back.
+# keywords, so no pattern can tell them apart.  Round three: the run
+# digests that only tests read — RunResult's per-op-type, per-phase and
+# per-op-block histograms (and each serving client's), their
+# KeyedDigest and io_bounds — and the router's routing counters went
+# when a call-traffic run of every experiment, example and layers
+# workload reached none of them (scripts/measure_traffic.py).  This
+# fails if one comes back.
 
 SUBSYSTEMS_ON_TRIAL = (
     r"hedge_us|deadline_us|retry_budget|max_inflight_writes|Rebalancer|set_boundary"
     r"|hotspot_|quarantine_after=|\bsnapshot_reads=|\bcommit_group=|commit_timeout_us=None"
     r"|reuse_last_block|max_read_retries|flush_watermark|exclude_files|crash_probability"
     r"|device_faults|\.arm\(|\bcandidates=|cost_table=|reset_mix|with_wal|read_latch"
-    r"|write_latch")
+    r"|write_latch"
+    r"|KeyedDigest|io_bounds|op_io_histograms|phase_latency_histograms"
+    r"|client_phase_histograms|op_latency_histograms|batches_routed")
 
 
 @lint(("the shard grows a hedge budget again",
@@ -309,7 +317,21 @@ SUBSYSTEMS_ON_TRIAL = (
       ("a test sets latched reads again",
        {"tests/test_serving.py": "\n_KW = dict(snapshot_reads=False)\n"}),
       ("an example arms the injector again",
-       {"examples/crash_recovery.py": "\n_arm = lambda injector: injector.arm()\n"}))
+       {"examples/crash_recovery.py": "\n_arm = lambda injector: injector.arm()\n"}),
+      ("the metrics grow a keyed digest again",
+       {"src/repro/obs/metrics.py": "\nclass KeyedDigest(dict):\n    pass\n"}),
+      ("the metrics grow block-count buckets again",
+       {"src/repro/obs/metrics.py": "\ndef io_bounds():\n    return ()\n"}),
+      ("the runner reports per-op block digests again",
+       {"src/repro/workloads/runner.py": "\nop_io_histograms = None\n"}),
+      ("the runner reports per-phase digests again",
+       {"src/repro/workloads/runner.py": "\nphase_latency_histograms = None\n"}),
+      ("the runner reports per-client phase digests again",
+       {"src/repro/workloads/runner.py": "\nclient_phase_histograms = None\n"}),
+      ("a session reports per-op-type digests again",
+       {"src/repro/serving/session.py": "\nop_latency_histograms = {}\n"}),
+      ("the router counts batches again",
+       {"src/repro/sharding/router.py": "\nbatches_routed = 0\n"}))
 def subsystems_on_trial(tree: Tree) -> List[str]:
     return tree.grep(SUBSYSTEMS_ON_TRIAL, "src", "examples", "tests")
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.obs import Histogram, KeyedDigest, io_bounds, latency_bounds
+from repro.obs import Histogram, latency_bounds
 
 
 def test_bounds_factories_strictly_increasing():
     for bounds in (latency_bounds(), latency_bounds(per_decade=1),
-                   latency_bounds(per_decade=10), io_bounds(), io_bounds(64)):
+                   latency_bounds(per_decade=10)):
         assert all(a < b for a, b in zip(bounds, bounds[1:]))
 
 
@@ -92,41 +92,6 @@ def test_percentile_within_one_bucket_of_order_statistic(values, q):
     assert abs(est_bucket - ref_bucket) <= 1
 
 
-def test_merge_requires_same_bounds():
-    with pytest.raises(ValueError):
-        Histogram([1.0]).merge(Histogram([2.0]))
-
-
-def test_merge_equals_recording_into_one():
-    a, b, both = (Histogram(io_bounds()) for _ in range(3))
-    for v in (1, 2, 3, 40):
-        a.record(v)
-        both.record(v)
-    for v in (5, 600):
-        b.record(v)
-        both.record(v)
-    a.merge(b)
-    assert a.counts == both.counts
-    assert a.count == both.count
-    assert a.total == both.total
-    assert a.min == both.min and a.max == both.max
-
-
-def test_keyed_digest_makes_one_histogram_per_key_on_first_sample():
-    digest = KeyedDigest(io_bounds())
-    assert not digest and digest.summaries() == {}
-    for kind, blocks in (("lookup", 3), ("insert", 5), ("lookup", 4)):
-        digest[kind].record(blocks)
-    alone = Histogram(io_bounds())
-    alone.record(3)
-    alone.record(4)
-    assert list(digest) == ["lookup", "insert"]
-    assert digest.summaries()["lookup"] == alone.summary()
-    assert digest["insert"].bounds == alone.bounds
-    # a key that never got a sample reads as the empty histogram
-    assert digest["scan"].summary() == Histogram(io_bounds()).summary()
-
-
 # -- record_many: the array path of the per-value loop -------------------------
 
 _BOUNDS = (1.0, 2.5, 10.0, 100.0)
@@ -160,19 +125,3 @@ def test_record_many_is_the_record_loop_bit_for_bit(before, values, as_array):
     batched.record_many(np.array(values) if as_array else values)
     assert _state(batched) == _state(looped)
 
-
-@settings(max_examples=100, deadline=None)
-@given(pairs=st.lists(st.tuples(st.sampled_from("abc"), _values.map(
-    lambda v: v[0] if v else 5.0)), max_size=40), extra=st.integers(0, 3))
-def test_keyed_record_many_is_the_record_loop(pairs, extra):
-    """Keys made in first-seen order, each key's histogram as its loop
-    left it; ``keys`` may run on past ``values``, as a crashed run's
-    op kinds do."""
-    looped, batched = KeyedDigest(_BOUNDS), KeyedDigest(_BOUNDS)
-    for key, value in pairs:
-        looped[key].record(value)
-    kinds = [key for key, _ in pairs] + ["z"] * extra
-    batched.record_many(iter(kinds), [value for _, value in pairs])
-    assert list(batched) == list(looped)
-    assert {k: _state(h) for k, h in batched.items()} == {
-        k: _state(h) for k, h in looped.items()}

@@ -8,8 +8,6 @@ import pytest
 from repro.core import make_index
 from repro.storage import HDD, BlockDevice, BufferPool, Pager
 
-from .util import make_sharded
-
 
 def _prepared(pager, nblocks=4, name="f"):
     f = pager.device.create_file(name)
@@ -150,22 +148,6 @@ def test_phase_scope_restores_the_previous_phase_on_raise_and_repeat(pager):
         assert pager.device.phase == "insert"
     assert pager.device.phase == "default"
     assert pager.stats.reads_by_phase == {"search": 1, "insert": 1}
-
-
-def test_tier_phase_scope_restores_every_member_on_raise_and_repeat():
-    index = make_sharded("btree", 2, sample_keys=list(range(0, 4000, 4)))
-    index.bulk_load([(k, k + 1) for k in range(0, 4000, 4)])
-    devices = [member.device for shard in index.shards
-               for member in shard.members()]
-    with pytest.raises(KeyError):
-        with index.pager.phase("search"):
-            assert {d.phase for d in devices} == {"search"}
-            raise KeyError
-    assert {d.phase for d in devices} == {"default"}
-    with index.pager.phase("scan"), index.pager.phase("scan"):
-        index.scan(100, 50)
-        assert {d.phase for d in devices} == {"scan"}
-    assert {d.phase for d in devices} == {"default"}
 
 
 def test_batch_scope_is_reentrant_and_drops_pins_on_raise(pager):

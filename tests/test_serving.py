@@ -188,8 +188,6 @@ def test_latch_stats_reconcile_with_device_and_trace():
     spans = [record for record in tracer.iter_records()
              if record["type"] not in ("summary", "background")]
     assert sum(span["latch_waits"] for span in spans) == res.latch_waits
-    assert "latch" in res.phase_latency_histograms
-    assert res.client_phase_histograms  # per-client digests exist when traced
     index.detach_tracer()
 
 
