@@ -120,7 +120,7 @@ def main() -> None:
           f"{tier.shards[1].wal.next_seqno}); "
           f"audited {audit(tier)} acked writes — none lost")
 
-    tier.wal.flush()
+    tier.flush()
     live = tier.verify()
     print(f"final verify: {live} live keys, replica groups consistent")
 

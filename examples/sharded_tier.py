@@ -2,7 +2,7 @@
 """Sharded tier: range partitioning, replicas, divergent per-shard tuning.
 
 A `ShardedIndex` (DESIGN.md Section 14) owns N independent shards —
-each its own device, pager and WAL — behind one `DiskIndex` facade.
+each its own device, pager and WAL — behind the one `DiskIndex` interface.
 Three things to watch:
 
 * **Routing** — `lookup_many` batches split by shard boundary and merge

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import abc
 from contextlib import contextmanager
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..storage import Pager
+from ..storage import Pager, StorageStats
 
 __all__ = ["DiskIndex", "KeyPayload", "TOMBSTONE"]
 
@@ -40,9 +40,10 @@ class DiskIndex(abc.ABC):
     #: registry name, e.g. ``"btree"``; set by subclasses.
     name: str = "abstract"
 
-    #: What the workload runner reports of a tier, as one flat index
-    #: answers it: one shard, one copy (and, below, no per-shard
-    #: breakdown).  :class:`repro.sharding.ShardedIndex` overrides them.
+    #: What the workload runner and the serving engine ask of a tier, as
+    #: one flat index answers it: one shard, one copy, and (below) no
+    #: per-shard breakdown, its one pager, device and log.
+    #: :class:`repro.sharding.ShardedIndex` answers from its members.
     num_shards = 1
     replication_factor = 1
 
@@ -62,6 +63,60 @@ class DiskIndex(abc.ABC):
     def per_shard_delta(self, snapshot: Optional[list]) -> dict:
         """What each shard did since ``snapshot``: nothing to break down."""
         return {}
+
+    def pagers(self) -> Dict[str, Pager]:
+        """Every pager, keyed by the prefix its device's file names take
+        in :meth:`file_roles`."""
+        return {"": self.pager}
+
+    def logs(self) -> list:
+        """Every write-ahead log the mutations append to."""
+        return [] if self.wal is None else [self.wal]
+
+    def storage_stats(self) -> StorageStats:
+        """The charged counters of every device, summed."""
+        return self.pager.device.stats
+
+    def clock(self):
+        """What holds the charged clock as ``elapsed_us``: read per op,
+        so a flat index hands out its device's live stats."""
+        return self.pager.device.stats
+
+    def charge_latch_wait(self, cost_us: float) -> None:
+        """Charge a serving latch stall to the device clock."""
+        self.pager.device.charge_latch_wait(cost_us)
+
+    def log(self, op: str, key: int, payload: int = 0) -> int:
+        """Append a record to the log covering ``key``; its seqno there."""
+        return self.wal.append(op, key, payload)
+
+    def durable_seqno(self, key: int) -> int:
+        """The durable prefix of the log covering ``key``."""
+        return self.wal.durable_seqno
+
+    @contextmanager
+    def access_hook(self, hook):
+        """Report every block access to ``hook(mode, file, block_no)``."""
+        saved, self.pager.on_block_access = self.pager.on_block_access, hook
+        try:
+            yield
+        finally:
+            self.pager.on_block_access = saved
+
+    @contextmanager
+    def manual_commit(self):
+        """Suspend the logs' count-triggered group commit: the caller
+        flushes them itself.  On exit each of :meth:`logs` gets back the
+        schedule its position had (a tier's failover replaces a shard's
+        log mid-run, and the new one inherits the suspension)."""
+        saved = [wal.group_commit for wal in self.logs()]
+        for wal in self.logs():
+            wal.group_commit = 2 ** 62
+        try:
+            yield
+        finally:
+            for wal, group_commit in zip(self.logs(), saved):
+                wal.group_commit = group_commit
 
     # -- required operations -------------------------------------------------
 
@@ -114,19 +169,21 @@ class DiskIndex(abc.ABC):
 
     def durable_insert(self, key: int, payload: int) -> None:
         """Log-then-apply insert: the logical record enters the WAL buffer
-        before the index mutates, so a durable log implies a redoable op."""
+        before the index mutates, so a durable log implies a redoable op.
+        Every workload's write path: it appends to the one log directly
+        (a tier overrides it); update and delete ask :meth:`log`."""
         if self.wal is not None:
             self.wal.append("insert", key, payload)
         self.insert(key, payload)
 
     def durable_update(self, key: int, payload: int) -> bool:
-        if self.wal is not None:
-            self.wal.append("update", key, payload)
+        if self.logs():
+            self.log("update", key, payload)
         return self.update(key, payload)
 
     def durable_delete(self, key: int) -> bool:
-        if self.wal is not None:
-            self.wal.append("delete", key)
+        if self.logs():
+            self.log("delete", key)
         return self.delete(key)
 
     def flush(self) -> int:

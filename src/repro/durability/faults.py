@@ -15,7 +15,7 @@ arbitrary state).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .wal import WriteAheadLog
 
@@ -71,14 +71,17 @@ class FaultInjector:
             self.fired = True
             raise CrashError(op_index)
 
-    def crash(self, wal: Optional[WriteAheadLog], op_index: int = 0,
-              pager=None) -> CrashReport:
-        """Apply the crash's storage effects: drop the unflushed group-commit
-        buffer, drop any write-back dirty pages still in RAM, and
-        (optionally) tear the tail log block."""
+    def crash(self, logs: Iterable[WriteAheadLog] = (), op_index: int = 0,
+              pagers: Iterable = ()) -> CrashReport:
+        """Apply the crash's storage effects to every log and pager (a
+        tier loses power whole): drop each log's unflushed group-commit
+        buffer and each pager's write-back dirty pages, and (optionally)
+        tear each log's tail block."""
         self.fired = True
-        dropped = wal.drop_unflushed() if wal is not None else 0
-        dropped_pages = pager.drop_dirty() if pager is not None else 0
-        torn = bool(self.torn_tail and wal is not None and wal.tear_tail_block())
+        logs = list(logs)
+        dropped = sum(wal.drop_unflushed() for wal in logs)
+        dropped_pages = sum(pager.drop_dirty() for pager in pagers)
+        torn = [wal.tear_tail_block() for wal in logs] if self.torn_tail else []
         return CrashReport(op_index=op_index, dropped_records=dropped,
-                           torn_block=torn, dropped_dirty_pages=dropped_pages)
+                           torn_block=any(torn),
+                           dropped_dirty_pages=dropped_pages)

@@ -97,7 +97,8 @@ class ServeReport:
     executed: int
     #: client-perceived µs per completed op, in dispatch order.
     latencies_us: np.ndarray
-    #: acknowledged writes as ``(seqno, key, payload)``, in commit order.
+    #: acknowledged writes as ``(seqno, key, payload)``, in commit order;
+    #: the seqno is the record's in its log (in a tier, its shard's).
     committed: List[Tuple[int, int, int]]
     #: the serving counters of a ``RunResult``, under its field names
     #: (commit groups and waits, latch waits, snapshot reads, sheds).
@@ -135,9 +136,9 @@ class ServingEngine:
             raise ValueError(
                 f"commit_timeout_us must be positive, got {commit_timeout_us}")
         self.index = index
-        self.pager = index.pager
-        self.device = index.pager.device
-        self.wal = index.wal
+        #: the charged clock, read around every op (DiskIndex.clock).
+        self.clock = index.clock()
+        self.logged = bool(index.logs())
         self.scan_length = scan_length
         self.validate = validate
         self.commit_timeout_us = commit_timeout_us
@@ -179,19 +180,24 @@ class ServingEngine:
         record of the group exists) — or at ``trigger_v`` when the
         commit timer fired later than that.
         """
-        if self.wal is None or not self._waiting:
+        if not self.logged or not self._waiting:
             return
         base_v = max(waiter.end_v for waiter in self._waiting)
         if trigger_v is not None and trigger_v > base_v:
             base_v = trigger_v
-        before_us = self.device.elapsed_us
-        self.wal.flush()
-        ack_v = base_v + (self.device.elapsed_us - before_us)
-        durable = self.wal.durable_seqno
-        acked = [w for w in self._waiting if w.seqno <= durable]
+        before_us = self.clock.elapsed_us
+        for wal in self.index.logs():
+            wal.flush()
+        ack_v = base_v + (self.clock.elapsed_us - before_us)
+        # Each waiter against its own log (a tier's shard's current one).
+        durable = self.index.durable_seqno
+        acked: List[_WaitingCommit] = []
+        waiting: List[_WaitingCommit] = []
+        for waiter in self._waiting:
+            (acked if waiter.seqno <= durable(waiter.key) else waiting).append(waiter)
         if not acked:
             return
-        self._waiting = [w for w in self._waiting if w.seqno > durable]
+        self._waiting = waiting
         self._commit_groups.append(len(acked))
         for waiter in acked:
             session = waiter.session
@@ -237,7 +243,7 @@ class ServingEngine:
         session.dispatch_indices.append(g)
         kind, key = session.next_op()
         start_v = session.clock_us
-        before_us = self.device.elapsed_us
+        before_us = self.clock.elapsed_us
         self._cur_reads.clear()
         self._cur_writes.clear()
         if self.tracer is not None:
@@ -259,8 +265,8 @@ class ServingEngine:
                             f"lookup({key}) returned {result}, "
                             f"expected {key + 1}")
                 elif kind == "insert":
-                    if self.wal is not None:
-                        seqno = self.wal.append("insert", key, key + 1)
+                    if self.logged:
+                        seqno = self.index.log("insert", key, key + 1)
                     self.index.insert(key, key + 1)
                 elif kind == "scan":
                     pairs = self.index.scan(key, self.scan_length)
@@ -274,7 +280,7 @@ class ServingEngine:
                 # and failover exhausted, or an unreplicated index).
                 shed = True
             else:
-                delta_us = self.device.elapsed_us - before_us
+                delta_us = self.clock.elapsed_us - before_us
                 # Latch accounting happens inside the span so the stall
                 # shows up in the op's trace event under the "latch"
                 # phase.
@@ -288,7 +294,7 @@ class ServingEngine:
                         session.client_id, start_v, reads, writes)
                     wait_us = begin_v - start_v
                     if wait_us > 0:
-                        self.device.charge_latch_wait(wait_us)
+                        self.index.charge_latch_wait(wait_us)
                         if self.tracer is not None:
                             self.tracer.latch_wait(wait_us)
                         self.latches.record_wait(wait_us)
@@ -304,11 +310,11 @@ class ServingEngine:
             # The op is consumed and counted, the charged device time of
             # its failed attempt advances the client's clock, and nothing
             # is acknowledged.
-            session.clock_us = start_v + (self.device.elapsed_us - before_us)
+            session.clock_us = start_v + (self.clock.elapsed_us - before_us)
             self._shed(session)
             return
         end_v = begin_v + delta_us
-        if kind == "insert" and self.wal is not None:
+        if kind == "insert" and self.logged:
             # Synchronous commit: block until the group flush makes the
             # record durable.  The session leaves the heap; the flush
             # acknowledges it and puts it back.
@@ -337,38 +343,29 @@ class ServingEngine:
         self._heap: List[Tuple[float, int]] = []
         for session in self.sessions:
             self._requeue(session)
-        saved_group = None
-        if self.wal is not None:
-            # The engine owns the flush schedule: disable the WAL's own
-            # count-based trigger for the duration.
-            saved_group = self.wal.group_commit
-            self.wal.group_commit = 2 ** 62
-        saved_hook = self.pager.on_block_access
-        self.pager.on_block_access = self._note_access
+        index = self.index
         crashed_at: Optional[int] = None
-        try:
-            while self._heap or self._waiting:
-                if not self._heap:
-                    # Every live session is blocked on the group: flush.
-                    self._flush_group()
-                    continue
-                next_start_v, client_id = self._heap[0]
-                if self._should_flush(next_start_v):
-                    self._flush_group(trigger_v=next_start_v)
-                    continue
-                heapq.heappop(self._heap)
-                self._dispatch(self.sessions[client_id])
-        except CrashError as crash:
-            crashed_at = crash.op_index
-            self.fault_injector.crash(self.wal, crash.op_index, pager=self.pager)
-        finally:
-            self.pager.on_block_access = saved_hook
-            if self.wal is not None and saved_group is not None:
-                self.wal.group_commit = saved_group
+        # The engine owns the flush schedule (the logs' own count-based
+        # trigger is off) and sees every frame an op touches.
+        with index.manual_commit(), index.access_hook(self._note_access):
+            try:
+                while self._heap or self._waiting:
+                    if not self._heap:
+                        # Every live session is blocked on the group: flush.
+                        self._flush_group()
+                        continue
+                    next_start_v, client_id = self._heap[0]
+                    if self._should_flush(next_start_v):
+                        self._flush_group(trigger_v=next_start_v)
+                        continue
+                    heapq.heappop(self._heap)
+                    self._dispatch(self.sessions[client_id])
+            except CrashError as crash:
+                crashed_at = crash.op_index
+                self.fault_injector.crash(index.logs(), crash.op_index,
+                                          pagers=index.pagers().values())
         if crashed_at is None:
-            if self.wal is not None:
-                self.wal.flush()
-            self.pager.flush()
+            index.flush()
         return self._report(crashed_at)
 
     def _report(self, crashed_at: Optional[int]) -> ServeReport:

@@ -44,13 +44,12 @@ P1-P5 rules to pick this shard's index class.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.interface import DiskIndex, KeyPayload
 from ..durability.recovery import Checkpoint, RecoveryResult, recover, take_checkpoint
 from ..durability.wal import LogRecord, WAL_FILE, WriteAheadLog
 from ..stack import StackSpec, assemble, pager_kwargs
-from ..storage import BlockDevice, Pager
 from ..storage.integrity import PersistentIOError, StorageFault
 
 __all__ = ["Shard", "ShardMember", "MemberHealth", "REPLICA_POLICIES",
@@ -124,10 +123,6 @@ class ShardMember:
         #: never be trusted for suffix replay, only a full re-seed.
         self.tainted = False
 
-    def dump(self) -> List[KeyPayload]:
-        """All live pairs, charged as a full scan on this member."""
-        return self.index.scan_range(0, 2**64 - 1)
-
 
 class Shard:
     """A keyspace slice: primary + replicas + WAL + op-mix counters.
@@ -175,7 +170,7 @@ class Shard:
         #: stat sums stay monotonic across membership changes.
         self.retired_stats: List[object] = []
         #: set by the owning tier: fired after any membership change so
-        #: fan-out facades can re-install their per-member hooks.
+        #: it can re-install its access hook on the new member's pager.
         self.on_members_changed: Optional[Callable[[], None]] = None
         self._failover_result: object = None
 
@@ -210,14 +205,6 @@ class Shard:
     def health_states(self) -> List[str]:
         """Member health, primary first (reporting)."""
         return [m.health.state for m in self.members()]
-
-    def devices(self) -> Iterator[BlockDevice]:
-        for member in self.members():
-            yield member.device
-
-    def pagers(self) -> Iterator[Pager]:
-        for member in self.members():
-            yield member.pager
 
     # -- build ---------------------------------------------------------------
 
@@ -558,8 +545,8 @@ class Shard:
               log: bool = True) -> object:
         """Apply one mutation to the primary and ship it to the replicas.
 
-        ``log=False`` is the already-logged path: the caller (the fan-out
-        WAL facade or recovery replay) has appended the record itself.
+        ``log=False`` is the unlogged path: the tier's plain mutations,
+        and callers that appended the record themselves.
 
         A storage fault on the primary's apply quarantines it (the write
         may be half-applied — its files are no longer trusted) and fails

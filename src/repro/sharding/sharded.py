@@ -8,40 +8,22 @@ the workload runner, the serving engine, the differential oracle, the
 fault injector — drives a whole sharded tier exactly as it drives one
 index.
 
-That compatibility is carried by three *fan-out facades*:
-
-* :class:`_FanoutDevice` — presents the union of every member device:
-  ``stats`` sums the per-device :class:`~repro.storage.StorageStats`
-  fresh on each access (so ``snapshot()``/``diff()`` keep working), and
-  ``files`` merges the per-device file tables under ``s<i>:``- and
-  ``s<i>r<j>:``-prefixed names.  ``charge_latch_wait`` lands on shard
-  0's primary device so the serving engine's latch charges appear in
-  the aggregate clock.
-* :class:`_FanoutPager` — ``flush``/``flushes``/``dirty_evictions``/
-  ``drop_dirty`` fan out to every member pager, and assigning
-  ``on_block_access`` installs a prefixing wrapper on each member so
-  the serving engine's frame latches (and any tracer hook) see distinct
-  per-shard block names.
-* :class:`_FanoutWal` — a tier-level log view over the per-shard WALs.
-  ``append`` routes each record to the owning shard's log and assigns a
-  *global* sequence number (the append order across shards);
-  ``durable_seqno`` is the end of the longest global prefix whose
-  per-shard records are all durable, which is exactly what group-commit
-  acknowledgement needs.  Crash effects (``drop_unflushed`` /
-  ``tear_tail_block``) hit every shard — whole-cluster power loss;
-  single-shard crashes go through :meth:`Shard.recover` directly.
-
-Writes route to the owning shard's primary; the plain mutation methods
-stay unlogged and the ``durable_*`` paths log first, matching the base
-class convention, so the runner and the serving engine both do the right
-thing without knowing the index is sharded.
+A tier has no one pager, device or log.  What a consumer asks of the
+stack below an index (:meth:`~repro.core.DiskIndex.pagers`, ``logs``,
+``storage_stats``, ``clock``, the latch charge, the access hook, the
+group-commit schedule) the tier answers from its members: stats sum
+live members in shard and member order, then the retired ones; file
+names take an ``s<i>:`` / ``s<i>r<j>:`` prefix; a record's seqno is its
+shard's.  Writes route to the owning shard's primary; the plain
+mutation methods stay unlogged and the ``durable_*`` paths log first,
+matching the base class convention.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import fields as dataclass_fields
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core.interface import DiskIndex, KeyPayload
 from ..storage.device import StorageStats
@@ -74,197 +56,12 @@ def combine_stats(stats: Iterable[StorageStats]) -> StorageStats:
     return total
 
 
-class _FanoutDevice:
-    """Union view over every member device (see module docstring)."""
-
-    def __init__(self, owner: "ShardedIndex") -> None:
-        self._owner = owner
-
-    def _devices(self):
-        for shard in self._owner.shards:
-            for member in shard.members():
-                yield member.device
-
-    def _member_stats(self):
-        """Every member's stats, live ones first (shard and member
-        order), then the retired ones (members replaced by a re-seed),
-        which stay in the sums so the tier's aggregate counters never
-        move backwards across a membership change."""
-        for device in self._devices():
-            yield device.stats
-        for shard in self._owner.shards:
-            yield from shard.retired_stats
-
-    @property
-    def stats(self) -> StorageStats:
-        return combine_stats(self._member_stats())
-
-    @property
-    def elapsed_us(self) -> float:
-        """``stats.elapsed_us`` without building ``stats``: the serving
-        engine reads the clock around every op.  The same float
-        additions in the same order as :func:`combine_stats`, so the
-        value is bit-identical."""
-        total = 0.0
-        for stats in self._member_stats():
-            total += stats.elapsed_us
-        return total
-
-    @property
-    def files(self) -> Dict[str, object]:
-        merged: Dict[str, object] = {}
-        for shard in self._owner.shards:
-            for j, member in enumerate(shard.members()):
-                prefix = member_prefix(shard.shard_id, j)
-                for name, handle in member.device.files.items():
-                    merged[prefix + name] = handle
-        return merged
-
-    @property
-    def allocated_bytes(self) -> int:
-        return sum(d.allocated_bytes for d in self._devices())
-
-    @property
-    def live_bytes(self) -> int:
-        return sum(d.live_bytes for d in self._devices())
-
-    def charge_latch_wait(self, cost_us: float) -> None:
-        # One canonical device carries the serving engine's latch
-        # charges; the combined stats sum it in like any other member.
-        self._owner.shards[0].primary.device.charge_latch_wait(cost_us)
-
-
-class _FanoutPager:
-    """Pager facade fanning control operations to every member pager."""
-
-    def __init__(self, owner: "ShardedIndex") -> None:
-        self._owner = owner
-        self._hook = None
-
-    def _pagers(self):
-        for shard in self._owner.shards:
-            for member in shard.members():
-                yield member.pager
-
-    @property
-    def device(self) -> _FanoutDevice:
-        return self._owner.device
-
-    @property
-    def dirty_evictions(self) -> int:
-        return sum(p.dirty_evictions for p in self._pagers())
-
-    @property
-    def flushes(self) -> int:
-        return sum(p.flushes for p in self._pagers())
-
-    def flush(self, file_name: Optional[str] = None) -> int:
-        if file_name is not None:
-            raise ValueError("per-file flush is shard-local; flush the whole tier")
-        return self._owner.flush_pages()
-
-    def drop_dirty(self) -> int:
-        return sum(p.drop_dirty() for p in self._pagers())
-
-    # -- access hook ---------------------------------------------------------
-
-    @property
-    def on_block_access(self):
-        return self._hook
-
-    @on_block_access.setter
-    def on_block_access(self, hook) -> None:
-        self._hook = hook
-        for shard in self._owner.shards:
-            for j, member in enumerate(shard.members()):
-                if hook is None:
-                    member.pager.on_block_access = None
-                else:
-                    prefix = member_prefix(shard.shard_id, j)
-                    member.pager.on_block_access = (
-                        lambda mode, name, block_no, _h=hook, _p=prefix:
-                        _h(mode, _p + name, block_no))
-
-
-class _FanoutWal:
-    """Tier-level WAL view mapping global seqnos to per-shard records."""
-
-    def __init__(self, owner: "ShardedIndex") -> None:
-        self._owner = owner
-        #: global append order: entry g-1 is ``(shard_id, shard_seqno)``.
-        self._records: List[Tuple[int, int]] = []
-        self._durable_idx = 0
-
-    def _wals(self):
-        for shard in self._owner.shards:
-            shard._ensure_wal()
-            if shard.wal is not None:
-                yield shard.wal
-
-    # -- append path ---------------------------------------------------------
-
-    def append(self, op: str, key: int, payload: int = 0) -> int:
-        shard = self._owner.shards[self._owner.partition.shard_of(key)]
-        shard_seqno = shard.append_log(op, key, payload)
-        if shard_seqno is None:
-            raise RuntimeError("append on a shard without durability")
-        self._records.append((shard.shard_id, shard_seqno))
-        return len(self._records)
-
-    def flush(self) -> None:
-        for wal in self._wals():
-            wal.flush()
-
-    @property
-    def durable_seqno(self) -> int:
-        """End of the longest globally-ordered prefix whose records are
-        all durable in their shard's log."""
-        shards = self._owner.shards
-        while self._durable_idx < len(self._records):
-            shard_id, shard_seqno = self._records[self._durable_idx]
-            wal = shards[shard_id].wal
-            if wal is None or wal.durable_seqno < shard_seqno:
-                break
-            self._durable_idx += 1
-        return self._durable_idx
-
-    @property
-    def group_commit(self) -> int:
-        return max((wal.group_commit for wal in self._wals()), default=1)
-
-    @group_commit.setter
-    def group_commit(self, value: int) -> None:
-        for wal in self._wals():
-            wal.group_commit = value
-
-    # -- accounting ----------------------------------------------------------
-
-    @property
-    def records_appended(self) -> int:
-        return sum(wal.records_appended for wal in self._wals())
-
-    @property
-    def flushes(self) -> int:
-        return sum(wal.flushes for wal in self._wals())
-
-    # -- crash surface (whole-cluster power loss) -----------------------------
-
-    def drop_unflushed(self) -> int:
-        return sum(wal.drop_unflushed() for wal in self._wals())
-
-    def tear_tail_block(self) -> bool:
-        torn = False
-        for wal in self._wals():
-            torn = wal.tear_tail_block() or torn
-        return torn
-
-
 class ShardedIndex(DiskIndex):
     """A range-partitioned, replicated tier behind the DiskIndex API.
 
-    Build one with :func:`repro.sharding.make_sharded_index` (or the
-    registry re-export) rather than by hand: the factory cuts the
-    partition, builds the shards, and wires the facades.
+    Build one with :func:`repro.sharding.make_sharded_index` or
+    :func:`repro.stack.build` rather than by hand: they cut the
+    partition and build the shards.
     """
 
     name = "sharded"
@@ -277,19 +74,30 @@ class ShardedIndex(DiskIndex):
         self.shards = list(shards)
         self.partition = partition
         self.router = Router(partition, self.shards)
-        self.device = _FanoutDevice(self)
-        self.pager = _FanoutPager(self)
-        self.wal = (_FanoutWal(self)
-                    if any(s.spec.group_commit for s in self.shards) else None)
+        # A tier has no one device, pager or log; the layers benchmark's
+        # build_stack still reads these (benchmarks/layers/workloads.py,
+        # ROADMAP item 12) and never dereferences them for a tier.
+        self.device = self.pager = self.wal = None
         self.tracer = None
+        self._access_hook = None
         for shard in self.shards:
-            shard.on_members_changed = self._on_members_changed
+            shard.on_members_changed = self._install_access_hook
 
-    def _on_members_changed(self) -> None:
-        """A shard promoted/re-seeded a member: re-install per-member
-        hooks (the access-hook setter is idempotent) so the new member's
-        pager reports under its prefixed name like its predecessor."""
-        self.pager.on_block_access = self.pager.on_block_access
+    def _members(self):
+        """``(file-name prefix, member)`` of every live member, in shard
+        and member order."""
+        for shard in self.shards:
+            for j, member in enumerate(shard.members()):
+                yield member_prefix(shard.shard_id, j), member
+
+    def _device_stats(self) -> List[StorageStats]:
+        """Live members' stats in shard and member order, then the
+        retired ones (members replaced by a re-seed), which stay in the
+        sums so the tier's counters never move backwards."""
+        return ([member.device.stats for shard in self.shards
+                 for member in shard.members()]
+                + [stats for shard in self.shards
+                   for stats in shard.retired_stats])
 
     # -- topology ------------------------------------------------------------
 
@@ -379,6 +187,11 @@ class ShardedIndex(DiskIndex):
     def delete(self, key: int) -> bool:
         return bool(self._owner(key).apply("delete", key, log=False))
 
+    def durable_insert(self, key: int, payload: int) -> None:
+        if self.logs():
+            self.log("insert", key, payload)
+        self.insert(key, payload)
+
     def scan(self, start_key: int, count: int) -> List[KeyPayload]:
         return self.router.scan(start_key, count)
 
@@ -395,16 +208,61 @@ class ShardedIndex(DiskIndex):
     def flush(self) -> int:
         return sum(shard.flush() for shard in self.shards)
 
-    def flush_pages(self) -> int:
-        """Dirty-page flush only (the pager facade's ``flush``): each
-        member pager's own WAL barrier orders its log ahead of data."""
-        written = 0
-        for shard in self.shards:
-            if shard.wal is not None:
-                shard.wal.flush()
-            for member in shard.members():
-                written += member.pager.flush()
-        return written
+    def logs(self) -> list:
+        """Each shard's current log: failover and recovery replace it."""
+        return [shard.wal for shard in self.shards if shard.wal is not None]
+
+    def log(self, op: str, key: int, payload: int = 0) -> int:
+        seqno = self._owner(key).append_log(op, key, payload)
+        if seqno is None:
+            raise RuntimeError("append on a shard without durability")
+        return seqno
+
+    def durable_seqno(self, key: int) -> int:
+        return self._owner(key).wal.durable_seqno
+
+    # -- the members' storage -------------------------------------------------
+
+    def pagers(self) -> Dict[str, object]:
+        return {prefix: member.pager for prefix, member in self._members()}
+
+    def storage_stats(self) -> StorageStats:
+        return combine_stats(self._device_stats())
+
+    def clock(self) -> "ShardedIndex":
+        """The tier itself: :attr:`elapsed_us` sums the members' clocks."""
+        return self
+
+    @property
+    def elapsed_us(self) -> float:
+        """``storage_stats().elapsed_us`` without building the stats: the
+        same float additions in the same order, so bit-identical."""
+        total = 0.0
+        for stats in self._device_stats():
+            total += stats.elapsed_us
+        return total
+
+    def charge_latch_wait(self, cost_us: float) -> None:
+        # Shard 0's primary carries the latch charges; the sums add them.
+        self.shards[0].primary.device.charge_latch_wait(cost_us)
+
+    @contextmanager
+    def access_hook(self, hook):
+        saved, self._access_hook = self._access_hook, hook
+        self._install_access_hook()
+        try:
+            yield
+        finally:
+            self._access_hook = saved
+            self._install_access_hook()
+
+    def _install_access_hook(self) -> None:
+        """Wrap the hook per member so it sees prefixed file names; run
+        again after a membership change, for the new member's pager."""
+        hook = self._access_hook
+        for prefix, member in self._members():
+            member.pager.on_block_access = None if hook is None else (
+                lambda mode, name, block_no, _p=prefix: hook(mode, _p + name, block_no))
 
     # -- observability -------------------------------------------------------
 
@@ -416,9 +274,8 @@ class ShardedIndex(DiskIndex):
     # -- optional hooks ------------------------------------------------------
 
     def set_inner_memory_resident(self, resident: bool) -> None:
-        for shard in self.shards:
-            for member in shard.members():
-                member.index.set_inner_memory_resident(resident)
+        for _, member in self._members():
+            member.index.set_inner_memory_resident(resident)
 
     def height(self) -> int:
         return max(shard.primary.index.height() for shard in self.shards)
@@ -431,27 +288,15 @@ class ShardedIndex(DiskIndex):
             for shard in self.shards)
 
     def file_roles(self) -> dict:
-        roles: Dict[str, str] = {}
-        for shard in self.shards:
-            for j, member in enumerate(shard.members()):
-                prefix = member_prefix(shard.shard_id, j)
-                for name, role in member.index.file_roles().items():
-                    roles[prefix + name] = role
-        return roles
+        return {prefix + name: role for prefix, member in self._members()
+                for name, role in member.index.file_roles().items()}
 
     @contextmanager
     def _free_io(self):
-        stack = []
-        try:
-            for shard in self.shards:
-                for member in shard.members():
-                    ctx = member.index._free_io()
-                    ctx.__enter__()
-                    stack.append(ctx)
+        with ExitStack() as stack:
+            for _, member in self._members():
+                stack.enter_context(member.index._free_io())
             yield
-        finally:
-            for ctx in reversed(stack):
-                ctx.__exit__(None, None, None)
 
     # -- per-shard reporting (RunResult.per_shard) ----------------------------
 

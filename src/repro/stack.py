@@ -77,14 +77,14 @@ class StackSpec:
 
 @dataclass
 class Stack:
-    """One bulk-loaded stack (a tier's ``device`` / ``pager`` / ``wal``
-    are its fan-out views)."""
+    """One bulk-loaded stack.  A tier has no one ``device`` / ``pager``
+    / ``wal`` (they are None): ask its index."""
 
     index: DiskIndex
-    device: object
-    pager: object
+    device: Optional[BlockDevice]
+    pager: Optional[Pager]
     bulkload_us: float
-    wal: Optional[object] = None
+    wal: Optional[WriteAheadLog] = None
 
 
 def pager_kwargs(spec: StackSpec) -> dict:
@@ -140,16 +140,18 @@ def build(spec: StackSpec, bulk_items: Sequence[KeyPayload]) -> Stack:
         index = assemble(spec)
         if _ACTIVE_TRACER is not None:
             index.attach_tracer(_ACTIVE_TRACER)
-    pager = index.pager
-    device = pager.device  # a tier's fan-out device sums its members' clocks
-    before_us = device.elapsed_us
+    clock = index.clock()
+    before_us = clock.elapsed_us
     index.bulk_load(bulk_items)
     if spec.write_back:
-        pager.flush()
-    bulkload_us = device.elapsed_us - before_us
+        index.flush()
+    bulkload_us = clock.elapsed_us - before_us
     if spec.inner_memory_resident:
         index.set_inner_memory_resident(True)
-    if spec.group_commit and not spec.shards:
+    if spec.shards:
+        return Stack(index=index, device=None, pager=None, bulkload_us=bulkload_us)
+    pager = index.pager
+    if spec.group_commit:
         index.attach_wal(WriteAheadLog(pager, group_commit=spec.group_commit))
-    return Stack(index=index, device=device, pager=pager,
+    return Stack(index=index, device=pager.device, pager=pager,
                  bulkload_us=bulkload_us, wal=index.wal)

@@ -524,12 +524,6 @@ class Pager:
                 self._batch_cache[(file.name, block_no)] = data
         return out
 
-    def prefetch(self, file: BlockFile, block_nos: Iterable[int]) -> int:
-        """Warm the caches with ``block_nos``; returns blocks fetched from disk."""
-        before = self.device.stats.reads
-        self.read_span(file, block_nos)
-        return self.device.stats.reads - before
-
     # -- byte-level API ------------------------------------------------------
 
     def view(self, file: BlockFile, offset: int, length: int) -> Tuple[bytes, int]:

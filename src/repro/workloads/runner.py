@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.interface import DiskIndex
 from ..durability.faults import CrashError, FaultInjector
-from ..storage import Pager, StorageFault
+from ..storage import StorageFault
 from .spec import Operation
 
 __all__ = ["RunResult", "run_workload"]
@@ -136,8 +136,8 @@ class RunResult:
 class _Meter:
     """The measurement of one run, whichever loop executes it.
 
-    Construction reads every "before" counter — the device's
-    ``StorageStats``, per-file reads (for the inner/leaf split), WAL,
+    Construction reads every "before" counter off the index — its
+    ``StorageStats``, per-file reads (for the inner/leaf split), log,
     pager and per-shard counters; :meth:`result` diffs them into the only
     :class:`RunResult` this module builds.  The loop in between hands
     over what only it knows: per-op latencies and the fields only it
@@ -149,24 +149,21 @@ class _Meter:
         self.index = index
         self.workload = workload
         self.keep_latencies = keep_latencies
-        device = index.pager.device
-        self.start = device.stats.snapshot()
-        self.file_reads = {name: f.reads for name, f in device.files.items()}
-        self.log_records, self.log_flushes = _log_counters(index.wal)
-        self.flushes = index.pager.flushes
-        self.dirty_evictions = index.pager.dirty_evictions
+        self.start = index.storage_stats().snapshot()
+        self.file_reads = _file_reads(index)
+        self.log_records, self.log_flushes = _log_counters(index)
+        self.flushes, self.dirty_evictions = _pager_counters(index)
         self.shard_view = index.per_shard_snapshot()
 
     def result(self, latencies: np.ndarray, **extras) -> RunResult:
         """Everything measured since construction."""
-        index, pager = self.index, self.index.pager
-        device = pager.device
-        delta = device.stats.diff(self.start)
+        index = self.index
+        delta = index.storage_stats().diff(self.start)
         roles = index.file_roles()
         inner_reads = 0
         leaf_reads = 0
-        for name, handle in device.files.items():
-            file_delta = handle.reads - self.file_reads.get(name, 0)
+        for name, reads in _file_reads(index).items():
+            file_delta = reads - self.file_reads.get(name, 0)
             if roles.get(name) == "inner":
                 inner_reads += file_delta
             else:
@@ -177,7 +174,9 @@ class _Meter:
         sim_s = delta.elapsed_us / 1e6
         # a run that executed nothing reports 0.0 for every latency scalar
         sample = latencies if executed else np.zeros(1)
-        log_records, log_flushes = _log_counters(index.wal)
+        log_records, log_flushes = _log_counters(index)
+        flushes, dirty_evictions = _pager_counters(index)
+        devices = [pager.device for pager in index.pagers().values()]
         # a tier's fault-tolerance totals are the sums over its shards
         per_shard = index.per_shard_delta(self.shard_view)
         return RunResult(
@@ -197,8 +196,8 @@ class _Meter:
             time_by_phase_us=dict(delta.time_by_phase),
             reads_by_phase=dict(delta.reads_by_phase),
             writes_by_phase=dict(delta.writes_by_phase),
-            allocated_bytes=device.allocated_bytes,
-            live_bytes=device.live_bytes,
+            allocated_bytes=sum(device.allocated_bytes for device in devices),
+            live_bytes=sum(device.live_bytes for device in devices),
             latencies_us=latencies if self.keep_latencies else None,
             log_records=log_records - self.log_records,
             log_flushes=log_flushes - self.log_flushes,
@@ -207,8 +206,8 @@ class _Meter:
             write_positionings=delta.write_positionings,
             coalesced_runs=delta.coalesced_runs,
             coalesced_blocks=delta.coalesced_blocks,
-            flushes=pager.flushes - self.flushes,
-            dirty_evictions=pager.dirty_evictions - self.dirty_evictions,
+            flushes=flushes - self.flushes,
+            dirty_evictions=dirty_evictions - self.dirty_evictions,
             io_retries=delta.io_retries,
             checksum_failures=delta.checksum_failures,
             repaired_blocks=delta.repaired_blocks,
@@ -222,11 +221,24 @@ class _Meter:
         )
 
 
-def _log_counters(wal) -> Tuple[int, int]:
+def _file_reads(index: DiskIndex) -> Dict[str, int]:
+    """Blocks read per file, under the names :meth:`file_roles` uses."""
+    return {prefix + name: f.reads for prefix, pager in index.pagers().items()
+            for name, f in pager.device.files.items()}
+
+
+def _pager_counters(index: DiskIndex) -> Tuple[int, int]:
+    """``(explicit flushes that wrote, dirty evictions)`` over the pagers."""
+    pagers = index.pagers().values()
+    return (sum(p.flushes for p in pagers),
+            sum(p.dirty_evictions for p in pagers))
+
+
+def _log_counters(index: DiskIndex) -> Tuple[int, int]:
     """``(records appended, group commits flushed)``; zeros without a WAL."""
-    if wal is None:
-        return 0, 0
-    return wal.records_appended, wal.flushes
+    logs = index.logs()
+    return (sum(wal.records_appended for wal in logs),
+            sum(wal.flushes for wal in logs))
 
 
 def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
@@ -335,9 +347,10 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
             clients=len(streams),
             per_client={s.client_id: s.digest() for s in report.sessions},
             **report.counters)
-    pager: Pager = index.pager
-    device = pager.device
-    wal = index.wal
+    # A flat index's clock is its device's live stats, read per unit
+    # without a call; a tier's sums its members' per read.
+    clock = index.clock()
+    logged = bool(index.logs())
     tracer = index.tracer
     # A unit's simulated cost is written at its first op; the slots a
     # group's other lookups leave NaN say how far the unit extends.
@@ -367,7 +380,7 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
                     raise AssertionError(
                         f"lookup({key}) returned {result}, expected {key + 1}")
             elif kind == "insert":
-                if wal is not None:
+                if logged:
                     index.durable_insert(key, key + 1)
                 else:
                     index.insert(key, key + 1)
@@ -384,7 +397,7 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
     try:
         # nothing charges the device between units, so one reading of its
         # clock both ends a unit and starts the next
-        clock_us = device.stats.elapsed_us
+        clock_us = clock.elapsed_us
         stream = enumerate(ops)
         for i, (kind, key) in stream:
             # A unit is one op, or up to ``batch`` consecutive lookups
@@ -415,19 +428,18 @@ def run_workload(index: DiskIndex, ops: Sequence[Operation], workload: str = "",
                     # WAL record — executing it again would double-apply
                 break
             # healed ops pay for their failed attempts and the repair
-            now_us = device.stats.elapsed_us
+            now_us = clock.elapsed_us
             latencies[i] = now_us - clock_us
             clock_us = now_us
     except CrashError as crash:
         crashed_at = executed = crash.op_index
-        fault_injector.crash(wal, crash.op_index, pager=pager)
+        fault_injector.crash(index.logs(), crash.op_index,
+                             pagers=index.pagers().values())
     else:
-        if wal is not None:
-            wal.flush()  # make the tail group commit durable
-        # Phase boundary: a write-back pager flushes its dirty pages in
-        # coalesced runs (after the WAL, preserving log-before-data), so
+        # Phase boundary: the tail group commit becomes durable, then a
+        # write-back pager flushes its dirty pages in coalesced runs, so
         # the measured run ends with the device image fully written.
-        pager.flush()
+        index.flush()
 
     # a unit's cost is shared evenly among its ops (x / 1 == x)
     starts = np.flatnonzero(~np.isnan(latencies[:executed]))

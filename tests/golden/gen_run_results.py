@@ -291,7 +291,7 @@ def run_case(case: str) -> dict:
     return {
         "result": {f.name: encode(getattr(result, f.name))
                    for f in dataclasses.fields(result)},
-        "device": encode(dataclasses.asdict(index.pager.device.stats)),
+        "device": encode(dataclasses.asdict(index.storage_stats())),
         "extras": encode(extras),
     }
 

@@ -299,8 +299,11 @@ def one_block_store(tree: Tree) -> List[str]:
 # per-op-block histograms (and each serving client's), their
 # KeyedDigest and io_bounds — and the router's routing counters went
 # when a call-traffic run of every experiment, example and layers
-# workload reached none of them (scripts/measure_traffic.py).  This
-# fails if one comes back.
+# workload reached none of them (scripts/measure_traffic.py).  Round
+# four: the three fan-out facades that made a tier's member pagers,
+# devices and logs impersonate one Pager, BlockDevice and
+# WriteAheadLog; consumers ask the index, and the tier answers from its
+# members.  This fails if one comes back.
 
 SUBSYSTEMS_ON_TRIAL = (
     r"hedge_us|deadline_us|retry_budget|max_inflight_writes|Rebalancer|set_boundary"
@@ -309,7 +312,8 @@ SUBSYSTEMS_ON_TRIAL = (
     r"|device_faults|\.arm\(|\bcandidates=|cost_table=|reset_mix|with_wal|read_latch"
     r"|write_latch"
     r"|KeyedDigest|io_bounds|op_io_histograms|phase_latency_histograms"
-    r"|client_phase_histograms|op_latency_histograms|batches_routed")
+    r"|client_phase_histograms|op_latency_histograms|batches_routed"
+    r"|_FanoutDevice|_FanoutPager|_FanoutWal")
 
 
 @lint(("the shard grows a hedge budget again",
@@ -331,7 +335,13 @@ SUBSYSTEMS_ON_TRIAL = (
       ("a session reports per-op-type digests again",
        {"src/repro/serving/session.py": "\nop_latency_histograms = {}\n"}),
       ("the router counts batches again",
-       {"src/repro/sharding/router.py": "\nbatches_routed = 0\n"}))
+       {"src/repro/sharding/router.py": "\nbatches_routed = 0\n"}),
+      ("the tier grows a fan-out device again",
+       {"src/repro/sharding/sharded.py": "\nclass _FanoutDevice:\n    pass\n"}),
+      ("an example reaches a fan-out pager again",
+       {"examples/sharded_tier.py": "\n# tier.pager is a _FanoutPager\n"}),
+      ("a test builds a fan-out log again",
+       {"tests/test_sharding.py": "\n_wal = lambda tier: _FanoutWal(tier)\n"}))
 def subsystems_on_trial(tree: Tree) -> List[str]:
     return tree.grep(SUBSYSTEMS_ON_TRIAL, "src", "examples", "tests")
 

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.serving import split_ops
+from repro.serving import ServingEngine, split_ops
 from repro.sharding import Shard
 from repro.stack import StackSpec
 from repro.storage import (HDD, NULL_DEVICE, BlockDevice, DeviceFaultModel,
@@ -276,6 +276,36 @@ def test_a_fault_no_member_can_absorb_sheds_the_op():
     # Every op was consumed (shed, not completed): the run terminated
     # instead of hanging or crashing on the unrecoverable member.
     assert res.num_ops + res.shed_ops == len(ops)
+
+
+def test_serving_failover_acks_each_shards_log_and_restores_group_commit():
+    """A durable 2x2 tier served to four clients while shard 1's primary
+    crashes mid-run: the failover re-homes that shard's log, and the
+    engine still acknowledges every write from its shard's current log,
+    in that log's order, and hands the re-homed log its group commit
+    back with the others."""
+    keys = random_sorted_keys(2400, seed=21, key_space=KEY_SPACE)
+    index = make_sharded("btree", 2, sample_keys=keys, durability=True,
+                         group_commit=4, replicas=2, profile=HDD)
+    index.bulk_load(items_of(keys))
+    shard = index.shards[1]
+    start_log = shard.wal
+    shard.primary.device.fault_model = DeviceFaultModel(seed=5, crash_after=60)
+    rng = random.Random(22)
+    fresh = sorted(set(rng.sample(range(1, KEY_SPACE), 150)) - set(keys))
+    rng.shuffle(fresh)
+    ops = [("insert", fresh.pop()) if i % 3 == 0
+           else ("lookup", rng.choice(keys)) for i in range(360)]
+    report = ServingEngine(index, split_ops(ops, 4), validate=True).run()
+
+    assert shard.failovers == 1 and shard.wal is not start_log
+    assert [wal.group_commit for wal in index.logs()] == [4, 4]
+    for each in index.shards:
+        acked = [write for write in report.committed
+                 if index.partition.shard_of(write[1]) == each.shard_id]
+        durable = [(r.seqno, r.key, r.payload)
+                   for r in each.wal.durable_records()]
+        assert acked and acked == durable, each.shard_id
 
 
 # ---------------------------------------------------------------------------

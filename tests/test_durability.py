@@ -143,7 +143,7 @@ def test_crash_drops_unflushed_buffer(pager):
     wal = WriteAheadLog(pager, group_commit=10)
     for i in range(7):
         wal.append("insert", i, i + 1)
-    report = FaultInjector().crash(wal, op_index=7)
+    report = FaultInjector().crash([wal], op_index=7)
     assert report.dropped_records == 7
     assert wal.pending == 0
     assert list(wal.durable_records()) == []

@@ -1,5 +1,5 @@
-"""Vectorized multi-block I/O: device ``read_blocks``, pager ``read_span``
-and ``prefetch``, the bulk buffer-pool API, and the coalescing cost-model
+"""Vectorized multi-block I/O: device ``read_blocks``, pager
+``read_span``, the bulk buffer-pool API, and the coalescing cost-model
 property (coalesced reads never charge more positionings than a serial
 sorted loop, and return identical bytes)."""
 
@@ -86,7 +86,7 @@ def test_read_blocks_memory_resident_is_free():
     assert delta.reads == 0 and delta.elapsed_us == 0
 
 
-# -- pager.read_span / prefetch ----------------------------------------------
+# -- pager.read_span ---------------------------------------------------------
 
 def test_read_span_sorts_dedups_and_matches_read_block():
     _device, pager, f = _loaded(16)
@@ -120,12 +120,6 @@ def test_read_span_last_block_reuse_only_at_the_span_head():
     before = pager.device.stats.snapshot()
     pager.read_span(f, [8, 9])
     assert pager.device.stats.diff(before).reads == 2  # 9 is mid-span: refetch
-
-
-def test_prefetch_returns_device_read_count():
-    _device, pager, f = _loaded(16, buffer_blocks=8)
-    assert pager.prefetch(f, [1, 2, 3]) == 3
-    assert pager.prefetch(f, [1, 2, 3]) == 0  # now pool-resident
 
 
 def test_batch_scope_pins_blocks_across_read_spans():

@@ -1,6 +1,6 @@
 """Unit tests for the sharded tier: partition geometry, router
-accounting, fan-out facades, tuner scoring, and the runner/serving
-integration surface."""
+accounting, the tier's answers from its members, tuner scoring, and the
+runner/serving integration surface."""
 
 import itertools
 from dataclasses import replace
@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import make_sharded_index
+from repro.durability import FaultInjector
 from repro.sharding import (
     COST_TABLE,
     KEYSPACE_END,
@@ -75,7 +76,7 @@ def test_router_counts_fanout_and_boundary_scans():
     assert got == [(k, k + 1) for k in (996, 999, 1002, 1005, 1008)]
 
 
-# -- fan-out facades ---------------------------------------------------------
+# -- the tier's answers from its members -------------------------------------
 
 def test_combine_stats_sums_fields_and_merges_phases():
     a = StorageStats(reads=3, elapsed_us=10.0,
@@ -90,22 +91,22 @@ def test_combine_stats_sums_fields_and_merges_phases():
     assert total.writes_by_phase == {"log": 4}
 
 
-def test_fanout_device_stats_and_prefixed_files():
+def test_tier_stats_and_prefixed_files():
     keys = random_sorted_keys(300, seed=1, key_space=10**6)
     index = make_sharded("btree", 2, sample_keys=keys, replicas=2)
     index.bulk_load(items_of(keys))
     per_member = sum(m.device.stats.reads for s in index.shards
                      for m in s.members())
-    assert index.device.stats.reads == per_member
-    names = set(index.device.files)
-    assert any(n.startswith("s0:") for n in names)
-    assert any(n.startswith("s1r1:") for n in names)
+    assert index.storage_stats().reads == per_member
+    assert list(index.pagers()) == ["s0:", "s0r1:", "s1:", "s1r1:"]
+    names = {prefix + name for prefix, pager in index.pagers().items()
+             for name in pager.device.files}
     roles = index.file_roles()
-    assert roles and all(":" in name for name in roles)
-    # snapshot/diff work through the combining property
-    snap = index.device.stats.snapshot()
+    assert roles and set(roles) <= names
+    # the combined stats are a copy: snapshot/diff work on them
+    snap = index.storage_stats().snapshot()
     index.lookup(keys[0])
-    assert index.device.stats.diff(snap).reads >= 0
+    assert index.storage_stats().diff(snap).reads >= 0
 
 
 def test_fanout_hook_prefixes_shard_names():
@@ -113,35 +114,35 @@ def test_fanout_hook_prefixes_shard_names():
     index = make_sharded("btree", 2, sample_keys=keys)
     index.bulk_load(items_of(keys))
     seen = []
-    index.pager.on_block_access = lambda mode, name, block_no: seen.append(name)
-    index.lookup(keys[0])
-    index.lookup(keys[-1])
-    index.pager.on_block_access = None
+    with index.access_hook(lambda mode, name, block_no: seen.append(name)):
+        index.lookup(keys[0])
+        index.lookup(keys[-1])
     prefixes = {name.split(":", 1)[0] for name in seen}
     assert prefixes == {"s0", "s1"}
-    assert all(s.primary.pager.on_block_access is None for s in index.shards)
+    assert all(p.on_block_access is None for p in index.pagers().values())
 
 
-def test_fanout_wal_global_prefix_and_group_commit():
+def test_tier_logs_label_records_with_their_shards_seqnos():
     keys = random_sorted_keys(100, seed=3, key_space=10**6)
     index = make_sharded("btree", 2, sample_keys=keys, durability=True,
                          group_commit=100)
     index.bulk_load(items_of(keys))
-    wal = index.wal
-    wal.group_commit = 10**9          # engine-style: appends never autoflush
     s0 = [2 * k + 2 for k in range(3)]                  # shard 0 keys
     s1 = [keys[-1] + 2 * k + 2 for k in range(3)]       # shard 1 keys
     order = [s0[0], s1[0], s0[1], s1[1], s0[2], s1[2]]
-    for key in order:
-        index.durable_insert(key, 1)
-    assert wal.durable_seqno == 0
-    index.shards[0].wal.flush()       # shard 0 durable, shard 1 not
-    # Global records alternate shards: only the first is fully durable.
-    assert wal.durable_seqno == 1
-    wal.flush()
-    assert wal.durable_seqno == 6
-    assert wal.records_appended == 6
-    assert all(shard.wal.pending == 0 for shard in index.shards)
+    with index.manual_commit():       # engine-style: appends never autoflush
+        assert [index.log("insert", key, 1) for key in order] == [1, 1, 2, 2, 3, 3]
+        assert all(wal.group_commit == 2 ** 62 for wal in index.logs())
+        index.shards[0].wal.flush()   # shard 0 durable, shard 1 not
+        assert index.durable_seqno(s0[0]) == 3
+        assert index.durable_seqno(s1[0]) == 0
+        for wal in index.logs():
+            wal.flush()
+        assert index.durable_seqno(s1[2]) == 3
+    assert [wal.group_commit for wal in index.logs()] == [100, 100]
+    # durable updates and deletes log to the owning shard too
+    assert index.durable_update(keys[0], 2) and index.durable_delete(keys[-1])
+    assert [wal.records_appended for wal in index.logs()] == [4, 4]
 
 
 def test_tier_flush_orders_log_before_data():
@@ -149,11 +150,11 @@ def test_tier_flush_orders_log_before_data():
     index = make_sharded("btree", 2, sample_keys=keys, durability=True,
                          buffer_blocks=32, write_back=True)
     index.bulk_load(items_of(keys))
-    index.pager.flush()               # clear bulk-load dirt
+    index.flush()                     # clear bulk-load dirt
     index.durable_insert(10**6 + 3, 1)
-    pagers = [m.pager for shard in index.shards for m in shard.members()]
+    pagers = index.pagers().values()
     assert sum(p.dirty_blocks for p in pagers) > 0
-    written = index.pager.flush()
+    written = index.flush()
     assert written > 0
     assert sum(p.dirty_blocks for p in pagers) == 0
     # log flushed ahead of the pages
@@ -286,10 +287,10 @@ def test_serving_engine_over_the_tier():
     index.verify()
 
 
-# -- facade edge paths -------------------------------------------------------
+# -- tier edge paths ---------------------------------------------------------
 
 
-def test_pager_facade_surfaces_and_latch_charge():
+def test_tier_latch_charge_and_flush():
     # Default (HDD) profile and enough keys for multi-level shard trees:
     # reads must actually charge for the phase-accounting assertion below.
     keys = random_sorted_keys(4000, seed=71, key_space=10**7)
@@ -297,19 +298,17 @@ def test_pager_facade_surfaces_and_latch_charge():
                                durability=True, replicas=2,
                                buffer_blocks=4, write_back=True)
     index.bulk_load(items_of(keys))
-    assert index.pager.device is index.device
-    with pytest.raises(ValueError):
-        index.pager.flush(file_name="leaf")
     # The latch charge lands on one canonical device but shows in the sum.
-    index.device.charge_latch_wait(4.0)
-    assert index.device.stats.latch_waits == 1
-    assert index.device.stats.latch_wait_us == 4.0
+    index.charge_latch_wait(4.0)
+    assert index.shards[0].primary.device.stats.latch_waits == 1
+    assert index.storage_stats().latch_waits == 1
+    assert index.storage_stats().latch_wait_us == 4.0
     # A durable insert's log record and page reach the device at the
     # tier flush.
-    before = index.device.stats.snapshot()
+    before = index.storage_stats().snapshot()
     index.durable_insert(10**7 + 3, 1)
     assert index.flush() > 0
-    delta = index.device.stats.diff(before)
+    delta = index.storage_stats().diff(before)
     assert delta.writes_by_phase["log"] > 0
     assert delta.writes > delta.writes_by_phase["log"]
 
@@ -320,28 +319,34 @@ def test_tier_optional_hooks_and_free_io():
                          buffer_blocks=8)
     index.bulk_load(items_of(keys))
     assert index.height() >= 1
-    assert index.pager.dirty_evictions == 0
+    assert sum(p.dirty_evictions for p in index.pagers().values()) == 0
     index.set_inner_memory_resident(True)
-    before = index.device.stats.snapshot()
+    before = index.storage_stats().snapshot()
     with index._free_io():
         assert index.lookup_many(keys[:16]) == [k + 1 for k in keys[:16]]
-    assert index.device.stats.diff(before).reads == 0
+    assert index.storage_stats().diff(before).reads == 0
     index.set_inner_memory_resident(False)
 
 
 def test_fanout_wal_crash_surface_and_mixed_durability():
     keys = random_sorted_keys(200, seed=73, key_space=10**6)
-    index = make_sharded("btree", 2, sample_keys=keys, durability=True)
+    index = make_sharded("btree", 2, sample_keys=keys, durability=True,
+                         group_commit=2)
     index.bulk_load(items_of(keys))
-    index.durable_insert(10**6 + 1, 1)
-    index.durable_insert(1, 2)
-    index.wal.flush()
-    assert index.wal.tear_tail_block()
+    for key in (10**6 + 1, 1, 10**6 + 3):
+        index.durable_insert(key, 1)
+    # Whole-tier power loss: every log's tail goes, every log is torn.
+    report = FaultInjector(torn_tail=True).crash(
+        index.logs(), pagers=index.pagers().values())
+    assert report.dropped_records == 1 and report.torn_block
+    assert all(wal.pending == 0 for wal in index.logs())
+    assert [r.seqno for r in index.shards[0].wal.durable_records()] == []
     # A shard stripped of durability refuses the tier-level append.
     index.shards[0].spec = replace(index.shards[0].spec, group_commit=0)
     index.shards[0].wal = None
+    assert len(index.logs()) == 1
     with pytest.raises(RuntimeError):
-        index.wal.append("insert", 1, 3)
+        index.log("insert", 1, 3)
 
 
 def test_tier_and_router_validate_shard_count():
@@ -393,16 +398,15 @@ def test_partition_edge_validation():
     assert "RangePartition" in repr(p)
 
 
-def test_shard_member_iterators_and_dump():
+def test_shard_contents_log_and_flush():
     keys = random_sorted_keys(100, seed=76, key_space=10**6)
     index = make_sharded("btree", 2, sample_keys=keys, replicas=2,
                          durability=True)
     index.bulk_load(items_of(keys))
     shard = index.shards[0]
-    assert len(list(shard.devices())) == shard.replication_factor
-    assert len(list(shard.pagers())) == shard.replication_factor
     lo, hi = index.partition.range_of(0)
-    assert shard.primary.dump() == [(k, k + 1) for k in keys if lo <= k < hi]
+    assert shard.primary.index.scan_range(0, 2**64 - 1) == [
+        (k, k + 1) for k in keys if lo <= k < hi]
     with pytest.raises(ValueError):
         shard.apply("upsert", 1, 2)
     shard.append_log("insert", keys[0], 9)
@@ -434,21 +438,23 @@ def test_tuner_scores_empty_mix_by_lookup_cost():
 
 
 def test_tier_clock_accessor_is_bit_identical_to_combined_stats():
-    """``device.elapsed_us`` (read by the serving engine around every op)
-    must equal ``device.stats.elapsed_us`` to the last bit: same float
-    additions in the same order — live members, then retired ones."""
-    from repro.storage import HDD, BlockDevice, DeviceFaultModel
+    """``clock().elapsed_us`` (read by the runner and the serving engine
+    around every op) must equal ``storage_stats().elapsed_us`` to the
+    last bit: same float additions in the same order — live members,
+    then retired ones."""
+    from repro.stack import StackSpec, build
+    from repro.storage import HDD, DeviceFaultModel
 
     keys = random_sorted_keys(3000, seed=5, key_space=10**9)
     tier = make_sharded_index("btree", 3, replicas=2, durability=True,
                               group_commit=2, profile=HDD,
                               sample_keys=keys)
     tier.bulk_load(items_of(keys))
-    device = tier.pager.device
+    clock = tier.clock()
     for i, key in enumerate(keys[::7]):
         assert tier.lookup(key) == key + 1
         tier.insert(10**9 + 3 * i + 1, 10**9 + 3 * i + 2)
-        assert device.elapsed_us == device.stats.elapsed_us
+        assert clock.elapsed_us == tier.storage_stats().elapsed_us
     # Retire a member's stats: taint a replica on the write path, re-seed it.
     shard = tier.shards[1]
     victim = shard.replicas[0]
@@ -461,9 +467,10 @@ def test_tier_clock_accessor_is_bit_identical_to_combined_stats():
     assert shard.rejoin(victim) == "reseed" and shard.retired_stats
     for key in keys[::11]:
         tier.lookup(key)
-    assert device.elapsed_us == device.stats.elapsed_us > 0.0
-    flat = BlockDevice(4096, HDD)
-    assert flat.elapsed_us == flat.stats.elapsed_us == 0.0
+    assert clock.elapsed_us == tier.storage_stats().elapsed_us > 0.0
+    # A flat index's clock is its device's live stats.
+    flat = build(StackSpec("btree"), items_of(keys)).index
+    assert flat.clock() is flat.storage_stats() is flat.pager.device.stats
 
 
 #: (index, buffer_blocks, write_back, group_commit): the 1x1 tier's
@@ -479,7 +486,7 @@ ONE_SHARD_CASES = list(itertools.product(("btree", "alex"), (0, 64),
 def test_one_shard_tier_charges_exactly_the_flat_index(
         index, buffer_blocks, write_back, group_commit):
     """Same dataset, op stream and stack settings: the router's dispatch
-    and the fan-out device/pager/WAL facades are pure accounting, so a
+    and the tier's answers from its members are pure accounting, so a
     1-shard tier charges bit-identically what the flat stack charges —
     pool or none, write-back or through, logged or not."""
     from repro.bench import Scale, fresh_index

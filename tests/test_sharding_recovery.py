@@ -5,8 +5,8 @@ Shards fail independently — each has its own device, WAL and checkpoint
 content is its checkpoint image plus its own WAL's durable prefix
 (**exactly** — no lost acknowledged write, no resurrected unacknowledged
 one), and every other shard is bit-for-bit untouched.  The whole-cluster
-power-loss path (the fault injector firing through ``run_workload``'s
-fan-out facades) then recovers every shard the same way.
+power-loss path (the fault injector firing through ``run_workload`` on
+every shard's log and pagers) then recovers every shard the same way.
 """
 
 import pytest
@@ -67,8 +67,8 @@ def test_one_shard_crash_restores_committed_prefix_others_untouched():
     assert victim.wal.pending == 1
     before = shard_contents(index)
 
-    report = FaultInjector().crash(victim.wal, op_index=7,
-                                   pager=victim.primary.pager)
+    report = FaultInjector().crash([victim.wal], op_index=7,
+                                   pagers=[victim.primary.pager])
     assert report.dropped_records == 1
     acked = victim.wal.durable_seqno
     result = victim.recover(checkpoints[1])
@@ -95,7 +95,7 @@ def test_one_shard_crash_restores_committed_prefix_others_untouched():
     key = per_shard[1][20] + 2
     index.durable_insert(key, 5)
     assert victim.wal.next_seqno == acked + 2
-    index.wal.flush()
+    index.flush()
     assert index.lookup(key) == 5
 
 
@@ -108,8 +108,8 @@ def test_torn_tail_cuts_the_victims_log_at_the_crc():
         index.durable_insert(key, key % 50 + 1)
     assert victim.wal.durable_seqno == 10
 
-    FaultInjector(torn_tail=True).crash(victim.wal, op_index=9,
-                                        pager=victim.primary.pager)
+    FaultInjector(torn_tail=True).crash([victim.wal], op_index=9,
+                                        pagers=[victim.primary.pager])
     surviving = [r.seqno for r in victim.wal.durable_records()]
     assert surviving and surviving[-1] < 10  # the tear really cut the log
     result = victim.recover(checkpoints[0])
@@ -180,8 +180,8 @@ def test_recover_keeps_write_back_pager_config_on_every_member():
     assert victim.wal.durable_seqno == 8  # 9 records at group_commit=4
 
     # The crash drops the WAL tail *and* every dirty write-back frame.
-    FaultInjector().crash(victim.wal, op_index=5,
-                          pager=victim.primary.pager)
+    FaultInjector().crash([victim.wal], op_index=5,
+                          pagers=[victim.primary.pager])
     acked = victim.wal.durable_seqno
     result = victim.recover(checkpoints[1])
     assert result.last_seqno == acked
@@ -207,7 +207,7 @@ def test_recover_keeps_write_back_pager_config_on_every_member():
     next_key = fresh_keys_for(index, 1, 20, start=0)[19]
     index.durable_insert(next_key, 7)
     assert victim.wal.next_seqno == acked + 2
-    index.wal.flush()
+    index.flush()
     assert index.lookup(next_key) == 7
     index.verify()
 

@@ -530,7 +530,7 @@ def test_crash_report_counts_dropped_dirty_pages():
     index.durable_insert(1, 2)
     assert index.pager.dirty_blocks > 0
     injector = FaultInjector(crash_at_op=0)
-    report = injector.crash(wal, 5, pager=index.pager)
+    report = injector.crash([wal], 5, pagers=[index.pager])
     assert report.dropped_dirty_pages > 0
     assert index.pager.dirty_blocks == 0
 
