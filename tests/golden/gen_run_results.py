@@ -196,6 +196,26 @@ def _batch16_traced(rng):
                                batch=16), {}
 
 
+def _batch16(rng, index_name, pattern=GROUPED, recent=0, **params):
+    """``batch=16`` over one more index: ``recent`` draws duplicate keys
+    into a group, which the batch answers once per distinct key."""
+    keys = _bulk_keys(rng, 3000)
+    index = _flat(index_name, keys, pool=16, **params)
+    ops = _warmed(index, _stream(rng, keys, pattern, 600 + WARM_OPS, recent))
+    return index, run_workload(index, ops, workload="grouped", scan_length=20,
+                               keep_latencies=True, validate=True,
+                               batch=16), {}
+
+
+def _tier_batch16(rng):
+    keys = _bulk_keys(rng, 2400)
+    index = _tier(keys, buffer_blocks=16)
+    ops = _warmed(index, _stream(rng, keys, GROUPED, 600 + WARM_OPS))
+    return index, run_workload(index, ops, workload="grouped", scan_length=20,
+                               keep_latencies=True, validate=True,
+                               batch=16), {}
+
+
 def _crash_torn_tail(rng):
     keys = _bulk_keys(rng, 2000)
     index = _flat("btree", keys, profile=SSD, pool=64, write_back=True,
@@ -274,6 +294,14 @@ CASES = {
     "btree-balanced-wb-wal8": _balanced_durable,
     "btree-balanced-wb-wal8-traced": partial(_balanced_durable, traced=True),
     "btree-batch16-traced": _batch16_traced,
+    "lipp-batch16": partial(_batch16, index_name="lipp", recent=8),
+    "plid-batch16": partial(_batch16, index_name="plid", recent=8),
+    # read-only: the hybrid takes no inserts, so scans close its groups
+    "hybrid-pgm-batch16": partial(_batch16, index_name="hybrid-pgm",
+                                  pattern=GROUPED.replace("I", "S")),
+    "pgm-delta-batch16": partial(_batch16, index_name="pgm", recent=8,
+                                 codec="delta"),
+    "tier-2x2-batch16": _tier_batch16,
     "btree-crash-torn-tail": _crash_torn_tail,
     "btree-healer-traced": _healer_traced,
     "serving-4c-durable": _serving,
