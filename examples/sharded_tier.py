@@ -5,8 +5,8 @@ A `ShardedIndex` (DESIGN.md Section 14) owns N independent shards —
 each its own device, pager and WAL — behind the one `DiskIndex` interface.
 Three things to watch:
 
-* **Routing** — `lookup_many` batches split by shard boundary and merge
-  back in order; boundary-straddling scans tile across shards.
+* **Routing** — each key goes to the shard whose range holds it;
+  boundary-straddling scans tile across shards.
 * **Replication** — writes ship synchronously to every replica while
   reads fan out round-robin, spreading charged I/O across copies.
 * **Workload-aware tuning** — each shard counts its op mix; the P1-P5

@@ -47,7 +47,7 @@ only the *choice* is simplified (documented in DESIGN.md).
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -589,23 +589,16 @@ class AlexIndex(DiskIndex):
             entry = self._find(key)[-1]
         return self._live_payload(entry, key)
 
-    def lookup_many(self, keys) -> List[Optional[int]]:
-        """Batched lookups: descend once per distinct key, in key order,
-        with every fetched block pinned (so a block shared across the
-        sorted batch is fetched once), fetch the distinct data-node
-        header blocks in one coalesced span, then run the per-key
-        searches against the pinned nodes."""
-        keys = list(keys)
-        if len(keys) <= 1:
-            return [self.lookup(key) for key in keys]
-        results = {}
+    def _lookup_sorted(self, keys: List[int]) -> Dict[int, Optional[int]]:
+        """Descend once per key, in key order, with every fetched block
+        pinned (so a block shared across the batch is fetched once),
+        fetch the distinct data-node header blocks in one coalesced
+        span, then run the per-key searches against the pinned nodes."""
         with self.pager.phase("search"), self.pager.batch():
-            nodes = [(key, self._descend(key)[0]) for key in sorted(set(keys))]
+            nodes = [(key, self._descend(key)[0]) for key in keys]
             self.pager.read_span(self._data_file, [block for _key, block in nodes])
-            for key, block in nodes:
-                results[key] = self._live_payload(
-                    self._find_in_node(block, key)[-1], key)
-        return [results[key] for key in keys]
+            return {key: self._live_payload(self._find_in_node(block, key)[-1], key)
+                    for key, block in nodes}
 
     # -- insert ----------------------------------------------------------------------
 

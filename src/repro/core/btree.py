@@ -29,7 +29,7 @@ are pinned by ``tests/golden/btree_pages.json``.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..storage import BlockFile, Pager
 from .interface import DiskIndex, KeyPayload
@@ -154,22 +154,22 @@ class BPlusTree:
         leaves = self.leaves
         return leaves.get(leaves.read(self._descend(key)), key)
 
-    def _batched(self, keys: Iterable[int], search) -> dict:
-        """``{key: search(leaf images, key's leaf block, key)}`` for the
-        distinct ``keys``, in one :meth:`Pager.batch` scope: descend for
-        every key in ascending order (an inner block crossed is fetched
+    def _batched(self, keys: List[int], search) -> dict:
+        """``{key: search(leaf images, key's leaf block, key)}`` for
+        ascending, distinct ``keys``, in one :meth:`Pager.batch` scope:
+        descend for every key in order (an inner block crossed is fetched
         once and stays pinned: one descent of inner I/O per distinct
         path), fetch the distinct leaves in one coalesced span, search."""
-        unique = sorted(set(keys))
-        if not unique:
+        if not keys:
             return {}
         with self.pager.batch():
-            leaf_of = {key: self._descend(key) for key in unique}
+            leaf_of = {key: self._descend(key) for key in keys}
             images = self.leaves.read_many(leaf_of.values())
-            return {key: search(images, leaf_of[key], key) for key in unique}
+            return {key: search(images, leaf_of[key], key) for key in keys}
 
-    def lookup_many_records(self, keys: Iterable[int]) -> Dict[int, Optional[bytes]]:
-        """Batched exact-match search; returns ``{key: data or None}``."""
+    def lookup_many_records(self, keys: List[int]) -> Dict[int, Optional[bytes]]:
+        """Batched exact-match search over ascending, distinct ``keys``;
+        returns ``{key: data or None}``."""
         get = self.leaves.get
         return self._batched(keys, lambda images, block, key: get(images[block], key))
 
@@ -177,8 +177,9 @@ class BPlusTree:
         """Rightmost record with key <= ``key`` (FITing segment routing)."""
         return self.leaves.floor({}, self._descend(key), key)
 
-    def floor_records(self, keys: Iterable[int]) -> Dict[int, Optional[Tuple[int, bytes]]]:
-        """Batched :meth:`floor_record`; returns ``{key: (key, data) or None}``."""
+    def floor_records(self, keys: List[int]) -> Dict[int, Optional[Tuple[int, bytes]]]:
+        """Batched :meth:`floor_record` over ascending, distinct ``keys``;
+        returns ``{key: (key, data) or None}``."""
         return self._batched(keys, self.leaves.floor)
 
     def iterate_from(self, key: int) -> Iterator[Tuple[int, bytes]]:
@@ -286,14 +287,11 @@ class BTreeIndex(DiskIndex):
             data = self.tree.lookup(key)
         return _KEY.unpack(data)[0] if data is not None else None
 
-    def lookup_many(self, keys) -> List[Optional[int]]:
-        keys = list(keys)
-        if len(keys) <= 1:
-            return [self.lookup(key) for key in keys]
+    def _lookup_sorted(self, keys: List[int]) -> Dict[int, Optional[int]]:
         with self.pager.phase("search"):
             found = self.tree.lookup_many_records(keys)
-        return [_KEY.unpack(found[key])[0] if found[key] is not None
-                else None for key in keys]
+        return {key: _KEY.unpack(data)[0] if data is not None else None
+                for key, data in found.items()}
 
     def insert(self, key: int, payload: int) -> None:
         with self.pager.phase("insert"):

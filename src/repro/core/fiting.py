@@ -48,7 +48,7 @@ entry lists.  Pager calls and written bytes are pinned by
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..models import optimal_segments, shrinking_cone_segments
 from ..storage import Pager
@@ -325,21 +325,17 @@ class FitingTreeIndex(DiskIndex):
         buffered = find_entry(data, key, header.buffer_count, at)[1]
         return None if buffered == TOMBSTONE else buffered
 
-    def lookup_many(self, keys) -> List[Optional[int]]:
-        """Batched lookups: one coalesced descent through the descriptor
-        tree for the whole sorted batch (:meth:`BPlusTree.floor_records`),
-        then per-segment probes inside a pin scope so keys sharing a
-        segment share its fetched range/header/buffer blocks."""
-        keys = list(keys)
-        if len(keys) <= 1:
-            return [self.lookup(key) for key in keys]
-        unique = sorted(set(keys))
+    def _lookup_sorted(self, keys: List[int]) -> Dict[int, Optional[int]]:
+        """One coalesced descent through the descriptor tree for the
+        whole batch (:meth:`BPlusTree.floor_records`), then per-segment
+        probes inside a pin scope so keys sharing a segment share its
+        fetched range/header/buffer blocks."""
         results = {}
         with self.pager.phase("search"), self.pager.batch():
-            routable = ([key for key in unique if key >= self.global_min]
+            routable = ([key for key in keys if key >= self.global_min]
                         if self.global_min is not None else [])
-            located = self.directory.floor_records(routable) if routable else {}
-            for key in unique:
+            located = self.directory.floor_records(routable)
+            for key in keys:
                 record = located.get(key)
                 if record is None:
                     results[key] = self._head_buffer_lookup(key)
@@ -347,7 +343,7 @@ class FitingTreeIndex(DiskIndex):
                 first_key, data = record
                 results[key] = self._lookup_in_segment(
                     key, first_key, _DESCRIPTOR.unpack(data))
-        return [results[key] for key in keys]
+        return results
 
     def _head_buffer_lookup(self, key: int) -> Optional[int]:
         raw, count = self._read_head()

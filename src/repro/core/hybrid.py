@@ -154,28 +154,21 @@ class HybridIndex(DiskIndex):
             image = self.leaves.read(leaf_block)
         return self.leaves.payload(image, key)
 
-    def lookup_many(self, keys) -> List[Optional[int]]:
-        """Batched lookups: route the whole sorted batch through the
-        pinned inner index, then fetch the distinct leaf blocks in one
-        coalesced span and search each key's leaf in place."""
-        keys = list(keys)
-        if len(keys) <= 1:
-            return [self.lookup(key) for key in keys]
-        unique = sorted(set(keys))
-        results = {}
+    def _lookup_sorted(self, keys: List[int]) -> Dict[int, Optional[int]]:
+        """Route the whole batch through the pinned inner index, then
+        fetch the distinct leaf blocks in one coalesced span and search
+        each key's leaf in place."""
         with self.pager.batch():
             if self.zonemap is not None:
-                leaf_of = self._route_batch_compressed(unique)
+                leaf_of = self._route_batch_compressed(keys)
             else:
-                leaf_of = {key: self._route(key) for key in unique}
+                leaf_of = {key: self._route(key) for key in keys}
             wanted = {block for block in leaf_of.values() if block is not None}
             with self.pager.phase("search"):
                 images = self.leaves.read_many(wanted)
-            for key in unique:
-                block = leaf_of[key]
-                results[key] = (None if block is None else
-                                self.leaves.payload(images[block], key))
-        return [results[key] for key in keys]
+            return {key: None if block is None else
+                    self.leaves.payload(images[block], key)
+                    for key, block in leaf_of.items()}
 
     def _route_batch_compressed(self, unique) -> Dict[int, Optional[int]]:
         """Batched zonemap routing: one coalesced fence-page span for

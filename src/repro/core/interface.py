@@ -293,21 +293,28 @@ class DiskIndex(abc.ABC):
     def lookup_many(self, keys: Iterable[int]) -> List[Optional[int]]:
         """Batched point lookups; results match ``[lookup(k) for k in keys]``.
 
-        The base implementation sorts and dedups the key batch and runs
-        the per-key lookups inside one :meth:`Pager.batch` pin scope, so
-        blocks shared between keys (inner nodes, a shared leaf) are
-        fetched once and accesses proceed in key order — physically
-        adjacent leaves ride the sequential rate.  Indexes with separated
-        leaf storage override this with a truly coalesced two-phase path.
+        The one batch frame (DESIGN.md Section 10): a batch of two or
+        more keys is sorted and deduplicated, so a block shared between
+        keys (inner nodes, a shared leaf) is fetched once and physically
+        adjacent leaves ride the sequential rate, and
+        :meth:`_lookup_sorted` answers each distinct key once.
         """
         keys = list(keys)
         if len(keys) <= 1:
             return [self.lookup(key) for key in keys]
-        results = {}
+        found = self._lookup_sorted(sorted(set(keys)))
+        return [found[key] for key in keys]
+
+    def _lookup_sorted(self, keys: List[int]) -> Dict[int, Optional[int]]:
+        """``{key: payload or None}`` for ascending, distinct ``keys``.
+
+        The default runs the per-key lookups inside one
+        :meth:`Pager.batch` pin scope, so shared blocks are fetched once;
+        an index whose search can share more (one coalesced leaf span,
+        one phase scope for the batch) overrides it.
+        """
         with self.pager.batch():
-            for key in sorted(set(keys)):
-                results[key] = self.lookup(key)
-        return [results[key] for key in keys]
+            return {key: self.lookup(key) for key in keys}
 
     def scan_range(self, low: int, high: int, batch: int = 256) -> List[KeyPayload]:
         """All pairs with ``low <= key <= high``, in key order.

@@ -278,20 +278,6 @@ class LippIndex(DiskIndex):
         _block, _slot, flag, slot_key, payload = self._descend(key)
         return payload if flag == SLOT_DATA and slot_key == key else None
 
-    def lookup_many(self, keys) -> List[Optional[int]]:
-        """Batched lookups inside one pin scope: the root header block —
-        which every single lookup re-reads — and all shared upper-node
-        blocks are fetched once for the whole sorted batch."""
-        keys = list(keys)
-        if len(keys) <= 1:
-            return [self.lookup(key) for key in keys]
-        unique = sorted(set(keys))
-        results = {}
-        with self.pager.phase("search"), self.pager.batch():
-            for key in unique:
-                results[key] = self._lookup_walk(key)
-        return [results[key] for key in keys]
-
     # -- insert -----------------------------------------------------------------------
 
     def _path_to(self, key: int) -> Tuple[List[Tuple[int, _NodeHeader]], tuple]:

@@ -46,7 +46,7 @@ import heapq
 import struct
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -457,19 +457,14 @@ class PgmIndex(DiskIndex):
                 return result
         return None
 
-    def lookup_many(self, keys) -> List[Optional[int]]:
-        """Batched lookups inside one pin scope: the insert buffer's
-        blocks and every component's upper descriptor levels are fetched
-        once for the whole sorted batch instead of once per key."""
-        keys = list(keys)
-        if len(keys) <= 1:
-            return [self.lookup(key) for key in keys]
-        results = {}
+    def _lookup_sorted(self, keys: List[int]) -> Dict[int, Optional[int]]:
+        """Inside one pin scope: the insert buffer's blocks and every
+        component's upper descriptor levels are fetched once for the
+        whole batch instead of once per key."""
         with self.pager.phase("search"), self.pager.batch():
-            for key in sorted(set(keys)):
-                results[key] = self._lookup_raw(key)
-        return [None if results[key] == TOMBSTONE else results[key]
-                for key in keys]
+            found = {key: self._lookup_raw(key) for key in keys}
+        return {key: None if payload == TOMBSTONE else payload
+                for key, payload in found.items()}
 
     # -- insert -----------------------------------------------------------------------
 

@@ -113,10 +113,6 @@ class WriteAheadLog:
         """
         return self.next_seqno - 1
 
-    @property
-    def log_blocks(self) -> int:
-        return self.file.num_blocks
-
     # -- append path ---------------------------------------------------------
 
     def append(self, op: str, key: int, payload: int = 0) -> int:

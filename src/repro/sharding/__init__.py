@@ -20,8 +20,7 @@ from ..stack import StackSpec, make_tier
 from ..storage import HDD, DiskProfile
 from .partition import KEYSPACE_END, RangePartition
 from .router import Router
-from .shard import (HEALTH_STATES, MemberHealth, REPLICA_POLICIES, Shard,
-                    ShardMember)
+from .shard import HEALTH_STATES, MemberHealth, Shard, ShardMember
 from .sharded import ShardedIndex, combine_stats, member_prefix
 from .tuner import COST_TABLE, READ_ONLY_CLASSES, ShardTuner
 
@@ -29,7 +28,7 @@ __all__ = [
     "KEYSPACE_END", "RangePartition", "Router", "Shard", "ShardMember",
     "ShardedIndex", "ShardTuner",
     "MemberHealth", "HEALTH_STATES",
-    "REPLICA_POLICIES", "COST_TABLE", "READ_ONLY_CLASSES",
+    "COST_TABLE", "READ_ONLY_CLASSES",
     "combine_stats", "member_prefix", "make_sharded_index",
 ]
 
@@ -47,9 +46,11 @@ def make_sharded_index(index_names: Union[str, Sequence[str]],
     """Build a sharded tier, unloaded: the keyword form of a tier
     :class:`~repro.stack.StackSpec` (``durability`` arms a WAL of
     ``group_commit`` per shard; a member's pool is LRU), plus the
-    partition and the read routing (``primary`` / ``round_robin`` /
-    ``least_loaded``).  :func:`repro.stack.build` builds a tier from a
-    spec and also owns its bulk-load boundary.
+    partition.  Reads rotate round robin over a shard's copies: the
+    ``replica_policy`` keyword accepts only ``"round_robin"`` and stays
+    because the layers benchmark's ``build_stack`` passes it (ROADMAP
+    item 12).  :func:`repro.stack.build` builds a tier from a spec and
+    also owns its bulk-load boundary.
 
     The partition: ``len(index_names)`` shards for per-shard names,
     ``len(boundaries) + 1`` for explicit split keys, else ``shards``
@@ -78,6 +79,9 @@ def make_sharded_index(index_names: Union[str, Sequence[str]],
         step = KEYSPACE_END // shards
         partition = RangePartition([step * i for i in range(1, shards)])
 
+    if replica_policy != "round_robin":
+        raise ValueError(f"unknown replica policy {replica_policy!r}; "
+                         "reads rotate round robin")
     if durability and group_commit < 1:
         raise ValueError(f"group_commit must be >= 1, got {group_commit}")
     spec = StackSpec(index_names, index_params=index_params or {},
@@ -85,5 +89,5 @@ def make_sharded_index(index_names: Union[str, Sequence[str]],
                      buffer_blocks=buffer_blocks, write_back=write_back,
                      group_commit=group_commit if durability else 0,
                      shards=partition.num_shards, replicas=replicas)
-    return make_tier(spec, partition, replica_policy)
+    return make_tier(spec, partition)
 

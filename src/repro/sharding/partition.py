@@ -6,7 +6,7 @@ the implicit outer bounds 0 and ``2^64``.  Range partitioning (rather
 than hashing) is what keeps scans shard-local: a ``scan_range`` touches
 exactly the shards whose ranges overlap the query — the property
 Google's disk-based learned-index deployment (Abu-Libdeh et al. 2020)
-shards around, and the one the router's split/merge logic relies on.
+shards around, and the one the router's range clipping relies on.
 The boundary list is strictly increasing, so the ranges tile the
 keyspace with no gap and no overlap (the property the Hypothesis
 round-trip tests pin down).
@@ -15,7 +15,7 @@ round-trip tests pin down).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 __all__ = ["RangePartition", "KEYSPACE_END"]
 
@@ -92,19 +92,6 @@ class RangePartition:
         return lo, hi
 
     # -- splitting -----------------------------------------------------------
-
-    def split_keys(self, keys: Sequence[int]) -> Dict[int, List[Tuple[int, int]]]:
-        """Group a key batch by owning shard, keeping batch positions.
-
-        Returns ``{shard_id: [(position, key), ...]}`` with each shard's
-        list in batch order.  Duplicates survive (each occurrence keeps
-        its own position), so the router's merge restores the original
-        batch losslessly.
-        """
-        split: Dict[int, List[Tuple[int, int]]] = {}
-        for position, key in enumerate(keys):
-            split.setdefault(self.shard_of(key), []).append((position, key))
-        return split
 
     def split_range(self, low: int, high: int) -> List[Tuple[int, int, int]]:
         """Clip an inclusive key range against the shard ranges.

@@ -1,33 +1,29 @@
-"""Batch splitting, fan-out, and merge across a range partition.
+"""Point reads and scans across a range partition.
 
-The router is the only component that understands both the partition
-geometry and the shard membership.  It turns tier-level operations into
-shard-local ones:
+The router turns a tier's point reads and scans into shard-local ones:
 
 * ``lookup`` — route the key to its owning shard's replica group;
-* ``lookup_many`` — split the batch by boundary (duplicates and order
-  preserved), fan each sub-batch to its shard's coalesced
-  ``lookup_many``, and merge the answers back into batch positions;
 * ``scan`` / ``scan_range`` — clip the range against the shard ranges
   and concatenate the shard-local scans in key order (a range scan
   touches *only* the shards it overlaps — the point of range
-  partitioning);
-* mutations — route to the owning shard's primary.
+  partitioning).
 
-The Hypothesis property test asserts the split/merge round-trip is
-lossless.
+A tier's ``lookup_many`` does not come here: the one batch frame
+(:meth:`repro.core.DiskIndex.lookup_many`) sorts and deduplicates the
+batch, and :class:`~repro.sharding.ShardedIndex` hands each shard its
+run of it.  Mutations route to the owning shard's primary in the tier.
 
 Fault tolerance rides through the delegation: every shard-local read
 the router issues goes through :meth:`Shard._serve_read`, so hedged
 re-issues, health strikes and primary failover (DESIGN.md Section 17)
-apply to routed batches and clipped scans exactly as to direct reads —
+apply to routed reads and clipped scans exactly as to direct reads —
 the router never sees a quarantined member, only the shard's answer or
 its final ``StorageFault`` when the whole replica group is down.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.interface import KeyPayload
 from .partition import RangePartition
@@ -51,20 +47,6 @@ class Router:
 
     def lookup(self, key: int) -> Optional[int]:
         return self.shards[self.partition.shard_of(key)].lookup(key)
-
-    def lookup_many(self, keys: Iterable[int]) -> List[Optional[int]]:
-        """Split / fan out / merge; result order matches the input batch."""
-        keys = list(keys)
-        if not keys:
-            return []
-        split = self.partition.split_keys(keys)
-        results: List[Optional[int]] = [None] * len(keys)
-        for shard_id, group in sorted(split.items()):
-            answers = self.shards[shard_id].lookup_many(
-                [key for _, key in group])
-            for (position, _), answer in zip(group, answers):
-                results[position] = answer
-        return results
 
     # -- scans ---------------------------------------------------------------
 

@@ -7,8 +7,7 @@ replica members with identical storage but independently charged I/O.
 Writes go to the primary — logged through the shard's own
 :class:`~repro.durability.WriteAheadLog` when durability is on — and the
 same logical records are shipped synchronously to every replica.  Reads
-fan out across the replica group under a pluggable policy
-(``primary`` / ``round_robin`` / ``least_loaded``).
+rotate round robin across the replica group.
 
 Replication model (DESIGN.md Section 14): shipping happens at *append*
 time, i.e. statement-level synchronous replication of the logical WAL
@@ -29,7 +28,7 @@ promoted, caught up from the durable log prefix plus the in-memory
 tail, and the log itself is rebuilt on the promoted member's device so
 the sequence numbering — and therefore every already-issued commit
 acknowledgment — continues unbroken.  A read that faults is re-issued
-after the fault, on the read policy's next pick among the servable
+after the fault, on the round robin's next pick among the servable
 members: one attempt at a time, each one charged.  A quarantined
 member rejoins via :meth:`Shard.rejoin`: catch-up resync
 replays the missed log suffix and byte-verifies the result, falling
@@ -52,10 +51,7 @@ from ..durability.wal import LogRecord, WAL_FILE, WriteAheadLog
 from ..stack import StackSpec, assemble, pager_kwargs
 from ..storage.integrity import PersistentIOError, StorageFault
 
-__all__ = ["Shard", "ShardMember", "MemberHealth", "REPLICA_POLICIES",
-           "HEALTH_STATES"]
-
-REPLICA_POLICIES = ("primary", "round_robin", "least_loaded")
+__all__ = ["Shard", "ShardMember", "MemberHealth", "HEALTH_STATES"]
 
 #: Health states, in escalation order.
 HEALTH_STATES = ("healthy", "suspect", "quarantined")
@@ -136,20 +132,13 @@ class Shard:
             :func:`repro.stack.build`'s order, so a 1-shard tier is
             byte-for-byte comparable with a flat stack).
         replicas: total copies including the primary (1 = no replicas).
-        replica_policy: read-routing policy across the replica group.
     """
 
-    def __init__(self, shard_id: int, spec: StackSpec, *, replicas: int = 1,
-                 replica_policy: str = "round_robin") -> None:
+    def __init__(self, shard_id: int, spec: StackSpec, *, replicas: int = 1) -> None:
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
-        if replica_policy not in REPLICA_POLICIES:
-            raise ValueError(
-                f"unknown replica policy {replica_policy!r}; "
-                f"available: {REPLICA_POLICIES}")
         self.shard_id = shard_id
         self.spec = spec
-        self.replica_policy = replica_policy
         self.primary = self._new_member()
         self.replicas: List[ShardMember] = [
             self._new_member() for _ in range(replicas - 1)
@@ -225,23 +214,19 @@ class Shard:
     # -- read path -----------------------------------------------------------
 
     def _reader(self) -> ShardMember:
-        """Pick the member that serves the next read.
+        """Pick the member that serves the next read, round robin.
 
-        Only servable (non-quarantined) members rotate; with every
-        member quarantined the primary is the read path of last resort —
-        its fault, not a routing error, should be what the caller sees.
+        Only servable (non-quarantined) members rotate, and the cursor
+        does not move while just one is servable; with every member
+        quarantined the primary is the read path of last resort — its
+        fault, not a routing error, should be what the caller sees.
         """
         members = self.servable_members() or [self.primary]
-        if len(members) == 1 or self.replica_policy == "primary":
+        if len(members) == 1:
             choice = members[0]
-        elif self.replica_policy == "round_robin":
+        else:
             choice = members[self._rr_cursor % len(members)]
             self._rr_cursor += 1
-        else:
-            # least_loaded: least charged time so far, reads served as
-            # the tiebreak (free-I/O devices never accumulate time).
-            choice = min(members, key=lambda m: (m.device.stats.elapsed_us,
-                                                 m.reads_served))
         choice.reads_served += 1
         return choice
 

@@ -116,28 +116,12 @@ class ShardedIndex(DiskIndex):
     # -- fault tolerance (DESIGN.md Section 17) -------------------------------
 
     @property
-    def failovers(self) -> int:
-        return sum(shard.failovers for shard in self.shards)
-
-    @property
     def hedged_reads(self) -> int:
         return sum(shard.hedged_reads for shard in self.shards)
 
     @property
-    def resyncs(self) -> int:
-        return sum(shard.resyncs for shard in self.shards)
-
-    @property
     def resync_blocks(self) -> int:
         return sum(shard.resync_blocks for shard in self.shards)
-
-    @property
-    def reseeds(self) -> int:
-        return sum(shard.reseeds for shard in self.shards)
-
-    @property
-    def member_faults(self) -> int:
-        return sum(shard.member_faults for shard in self.shards)
 
     def health_summary(self) -> Dict[int, List[str]]:
         """Member health per shard, primary first."""
@@ -175,8 +159,15 @@ class ShardedIndex(DiskIndex):
     def lookup(self, key: int) -> Optional[int]:
         return self.router.lookup(key)
 
-    def lookup_many(self, keys: Iterable[int]) -> List[Optional[int]]:
-        return self.router.lookup_many(keys)
+    def _lookup_sorted(self, keys: List[int]) -> Dict[int, Optional[int]]:
+        """Each shard answers its run of the sorted keys, in shard order."""
+        groups: Dict[int, List[int]] = {}
+        for key in keys:
+            groups.setdefault(self.partition.shard_of(key), []).append(key)
+        found: Dict[int, Optional[int]] = {}
+        for shard_id, group in groups.items():
+            found.update(zip(group, self.shards[shard_id].lookup_many(group)))
+        return found
 
     def insert(self, key: int, payload: int) -> None:
         self._owner(key).apply("insert", key, payload, log=False)

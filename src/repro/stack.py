@@ -108,8 +108,7 @@ def assemble(spec: StackSpec) -> DiskIndex:
     return make_index(spec.index, make_pager(spec), **spec.index_params)
 
 
-def make_tier(spec: StackSpec, partition,
-              replica_policy: str = "round_robin") -> DiskIndex:
+def make_tier(spec: StackSpec, partition) -> DiskIndex:
     """The unloaded :class:`~repro.sharding.ShardedIndex` of a sharded
     ``spec``, cut by ``partition``: one shard per range over its member
     spec (the tier's storage, that shard's index name, flat).  Imported
@@ -119,7 +118,7 @@ def make_tier(spec: StackSpec, partition,
              else (spec.index,) * spec.shards)
     return ShardedIndex(
         [Shard(shard_id, replace(spec, index=name, shards=0, replicas=1),
-               replicas=spec.replicas, replica_policy=replica_policy)
+               replicas=spec.replicas)
          for shard_id, name in enumerate(names)],
         partition)
 

@@ -30,7 +30,10 @@ two keys of the read/write split of ``latch_wait_us``.  When the run
 digests no caller read went (``p90_latency_us``, ``max_latency_us``, the
 per-op-type, per-phase and per-op-block histograms, and each client's
 per-op-type and per-phase ones), every case lost exactly those keys.
-Regenerate it
+When a tier's batch began to reach its shards deduplicated, the
+``tier-2x2-batch16`` case's two per-shard ``lookup`` counts fell by the
+duplicate keys of its groups (263 -> 262, 278 -> 276); nothing charged
+moved.  Regenerate it
 only for a change that is *meant* to move a reported number, and say so
 in the commit:
 

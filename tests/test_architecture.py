@@ -303,7 +303,10 @@ def one_block_store(tree: Tree) -> List[str]:
 # four: the three fan-out facades that made a tier's member pagers,
 # devices and logs impersonate one Pager, BlockDevice and
 # WriteAheadLog; consumers ask the index, and the tier answers from its
-# members.  This fails if one comes back.
+# members.  Round five: the replica read policies only a test set
+# ("primary", "least_loaded") and the router's position-keeping batch
+# split, which one batch frame replaced (a tier's batch reaches its
+# shards sorted and deduplicated).  This fails if one comes back.
 
 SUBSYSTEMS_ON_TRIAL = (
     r"hedge_us|deadline_us|retry_budget|max_inflight_writes|Rebalancer|set_boundary"
@@ -313,7 +316,8 @@ SUBSYSTEMS_ON_TRIAL = (
     r"|write_latch"
     r"|KeyedDigest|io_bounds|op_io_histograms|phase_latency_histograms"
     r"|client_phase_histograms|op_latency_histograms|batches_routed"
-    r"|_FanoutDevice|_FanoutPager|_FanoutWal")
+    r"|_FanoutDevice|_FanoutPager|_FanoutWal"
+    r"|least_loaded|REPLICA_POLICIES|split_keys")
 
 
 @lint(("the shard grows a hedge budget again",
@@ -341,7 +345,13 @@ SUBSYSTEMS_ON_TRIAL = (
       ("an example reaches a fan-out pager again",
        {"examples/sharded_tier.py": "\n# tier.pager is a _FanoutPager\n"}),
       ("a test builds a fan-out log again",
-       {"tests/test_sharding.py": "\n_wal = lambda tier: _FanoutWal(tier)\n"}))
+       {"tests/test_sharding.py": "\n_wal = lambda tier: _FanoutWal(tier)\n"}),
+      ("the shard reads from the least-loaded copy again",
+       {"src/repro/sharding/shard.py": '\n_POLICY = "least_loaded"\n'}),
+      ("the shard lists its read policies again",
+       {"src/repro/sharding/shard.py": '\nREPLICA_POLICIES = ("round_robin",)\n'}),
+      ("a test splits a batch by position again",
+       {"tests/test_sharding_property.py": "\n_split = lambda p, keys: p.split_keys(keys)\n"}))
 def subsystems_on_trial(tree: Tree) -> List[str]:
     return tree.grep(SUBSYSTEMS_ON_TRIAL, "src", "examples", "tests")
 
@@ -413,6 +423,23 @@ def one_held_block(tree: Tree) -> List[str]:
     return (tree.grep(r"held_no|class BlockMirror\b|class Pinned\b|def cursor\(", "src")
             + [line for line in tree.grep(r"\._last\b", "src")
                if not line.startswith("src/repro/storage/pager.py:")])
+
+
+# -- One batch frame (DiskIndex.lookup_many, DESIGN.md Section 10) ------------
+# Each index once repeated the batch frame itself: a one-key fallback,
+# sort and dedup, and the answers put back in batch order.  The frame is
+# DiskIndex.lookup_many; an index supplies only _lookup_sorted.  This
+# fails if an index under core/ defines lookup_many or its fallback
+# again.  (sorted(set(keys)) is no marker: fiting's verify uses it.)
+
+@lint(("btree defines its own lookup_many again",
+       {"src/repro/core/btree.py": "\n    def lookup_many(self, keys):\n        return []\n"}),
+      ("pgm grows a one-key fallback again",
+       {"src/repro/core/pgm.py": "\n    if len(keys) <= 1:\n        pass\n"}))
+def one_batch_frame(tree: Tree) -> List[str]:
+    return [line for line in tree.grep(r"def lookup_many\(|len\(keys\) <= 1",
+                                       "src/repro/core")
+            if not line.startswith("src/repro/core/interface.py:")]
 
 
 @pytest.mark.parametrize("name", LINTS)

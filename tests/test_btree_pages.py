@@ -138,7 +138,7 @@ def test_extreme_keys():
     assert tree.floor_record(MAX_KEY - 1)[0] == keys[-1]
     assert list(tree.iterate_from(MAX_KEY)) == [(MAX_KEY, data_of(MAX_KEY, 8))]
     assert next(tree.iterate_from(0))[0] == 0
-    assert tree.lookup_many_records([0, MAX_KEY, 5]) == {
+    assert tree.lookup_many_records([0, 5, MAX_KEY]) == {
         0: data_of(0, 8), MAX_KEY: data_of(MAX_KEY, 8), 5: None}
 
 
@@ -206,7 +206,7 @@ def test_floor_record_steps_to_the_previous_leaf():
     assert tree.floor_record(first_of_third) == (
         last_of_second, data_of(last_of_second, 8))
     assert device.stats.reads - reads == tree.num_levels + 1
-    batch = tree.floor_records([first_of_third, first_of_third + 1, keys[0] - 1])
+    batch = tree.floor_records([keys[0] - 1, first_of_third, first_of_third + 1])
     assert batch == {first_of_third: (last_of_second, data_of(last_of_second, 8)),
                      first_of_third + 1: (last_of_second, data_of(last_of_second, 8)),
                      keys[0] - 1: None}

@@ -47,7 +47,7 @@ def test_wal_append_flush_and_group_commit_accounting(pager):
     assert wal.pending == 0
     assert wal.durable_seqno == 10
     # Each flush wrote one block (4 records fit easily), charged as "log".
-    assert wal.log_blocks == 3
+    assert wal.file.num_blocks == 3
     assert pager.stats.writes_by_phase.get("log") == 3
 
 
@@ -72,7 +72,7 @@ def test_wal_spans_blocks_when_batch_exceeds_block_capacity(pager):
     for i in range(500):
         wal.append("insert", i, i + 1)
     assert wal.flushes == 1
-    assert wal.log_blocks == (500 + per_block - 1) // per_block
+    assert wal.file.num_blocks == (500 + per_block - 1) // per_block
     assert len(list(wal.durable_records())) == 500
 
 

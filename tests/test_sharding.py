@@ -236,6 +236,8 @@ def test_factory_validation():
     with pytest.raises(ValueError):
         make_sharded_index("btree", 2, boundaries=[5],
                            replica_policy="nosuch")
+    with pytest.raises(ValueError):                     # reads rotate only
+        make_sharded_index("btree", 2, replica_policy="primary")
     # Even keyspace split when no sample is given.
     index = make_sharded_index("btree", 4, profile=NULL_DEVICE)
     assert index.partition.num_shards == 4

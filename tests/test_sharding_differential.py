@@ -63,21 +63,17 @@ def test_divergent_tier_matches_oracle(names):
     assert index.verify() == len(model)
 
 
-@pytest.mark.parametrize("policy", ["primary", "round_robin", "least_loaded"])
-def test_replicated_tier_matches_oracle(policy):
-    """Read fan-out across replicas never changes an answer, and every
-    non-primary policy actually spreads the reads."""
+def test_replicated_tier_matches_oracle():
+    """Read fan-out across replicas never changes an answer, and the
+    round robin actually spreads the reads."""
     keys = random_sorted_keys(500, seed=11, key_space=KEY_SPACE)
-    index = loaded_tier("btree", 3, keys, replicas=3, replica_policy=policy)
+    index = loaded_tier("btree", 3, keys, replicas=3)
     model = ReferenceModel(items_of(keys))
     run_differential(index, model, num_ops=350, seed=11)
     served = [[m.reads_served for m in shard.members()]
               for shard in index.shards]
-    if policy == "primary":
-        assert all(counts[1] == counts[2] == 0 for counts in served)
-    else:
-        busy = [counts for counts in served if sum(counts) >= 6]
-        assert busy and all(min(counts) > 0 for counts in busy), served
+    busy = [counts for counts in served if sum(counts) >= 6]
+    assert busy and all(min(counts) > 0 for counts in busy), served
     assert index.verify() == len(model)
 
 
